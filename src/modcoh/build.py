@@ -28,20 +28,18 @@ from .coh import (
     h1_class,
     is_split,
     push_class,
-    tensor_with_invariant,
     z1_space,
 )
 from .errors import (
     BadCharacteristic,
     HypothesisNotSatisfied,
     ModcohError,
-    NotFixed,
     TheoremViolation,
     WitnessNotFound,
 )
 from .gf import FieldCtx, FieldElement, field_new
 from .grp import HypothesisReport, MatrixGroup, additive_family, check_extension_hypothesis
-from .linalg import Matrix, hstack, kron
+from .linalg import Matrix, hstack, kron, vstack
 from .poly import Monomial, Polynomial, det3_identity
 from .rep import (
     GModule,
@@ -150,54 +148,45 @@ def build_nonsplit_sequence(
 
 @dataclass
 class TensorVanishing:
-    """w = pi kills the class of g after tensoring: (s-1)u = w (x) g_s."""
+    """w = pi kills the class of g after tensoring: (s-1)u = w (x) g_s.
+
+    The witness is u = vec(X) (row-major) for the (d+1) x d matrix
+    X = [-I_d ; 0], minus the projection U~ -> U.  By
+    kron(A, B) @ vec(X) = vec(A @ X @ B^T) the equation reads
+    W(s) @ X @ U(s)^T - X = w @ g_s^T, which holds because
+    U(s) @ g_{s^-1} = -g_s.
+    """
 
     w_module: GModule
     w: Matrix
-    tensor_cocycle: Cocycle
     witness: Matrix
     class_of_g: list[FieldElement]
     z1_dim: int
     b1_dim: int
 
 
-# stored entries allowed for the tensor stage, |G| * (dim W (x) U)^2;
-# densely materialized modules beyond this are out of the supported scale
-TENSOR_STAGE_ENTRY_CAP = 4_000_000
-
-
 def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
-    """Find u with (s-1)u = w (x) g_s by linear solve; verify everywhere."""
+    """Closed-form u with (s-1)u = w (x) g_s, checked in Hom form everywhere."""
     group = seq.group
-    tensor_dim = (seq.u_module.dim + 1) * seq.u_module.dim
-    entries = group.order * tensor_dim * tensor_dim
-    if entries > TENSOR_STAGE_ENTRY_CAP:
-        raise ModcohError(
-            f"tensor stage would store {entries} matrix entries "
-            f"({group.order} elements of size {tensor_dim}x{tensor_dim}); "
-            f"beyond the supported desk scale of {TENSOR_STAGE_ENTRY_CAP}"
-        )
+    ctx = group.ctx
+    d = seq.u_module.dim
     w_module = dual(seq.extension.total)
-    w = Matrix.basis_column(group.ctx, w_module.dim, w_module.dim - 1)
-    if w.is_zero:
-        raise NotFixed("the invariant vector must be nonzero")
+    w = Matrix.basis_column(ctx, d + 1, d)
     for i in range(group.order):
         if w_module.action(i) @ w != w:
             raise TheoremViolation(f"pi is not invariant at element {i}")
-    tg = tensor_with_invariant(w_module, w, seq.cocycle)
-    # the split test is the class-zero check here: a witness u with
-    # (s-1)u = w (x) g_s, verified on every element, exhibits the coboundary
-    res = is_split(tg)
-    if not res.split:
-        raise WitnessNotFound("tensoring with pi did not kill the class")
+    x = vstack([-Matrix.identity(ctx, d), Matrix.zeros(ctx, 1, d)])
+    for i in range(group.order):
+        lhs = w_module.action(i) @ x @ seq.u_module.action(i).transpose() - x
+        if lhs != w @ seq.cocycle.values[i].transpose():
+            raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {i}")
     class_g = h1_class(seq.cocycle)
     if not any(not c.is_zero for c in class_g):
         raise TheoremViolation("the obstruction class of g vanished unexpectedly")
     return TensorVanishing(
         w_module,
         w,
-        tg,
-        res.witness,
+        x.flatten(),
         class_g,
         len(z1_space(seq.u_module)),
         len(b1_space(seq.u_module)),

@@ -25,6 +25,9 @@ from .linalg import Matrix, hstack, kernel_basis, kron, rref, solve, vstack
 from .rep import GModule, tensor
 
 PAIRWISE_ORDER_LIMIT = 64
+# stored entries allowed for the Z1 system, rows x columns; larger systems
+# are beyond the supported desk scale
+Z1_SYSTEM_ENTRY_CAP = 4_000_000
 
 
 class Cocycle:
@@ -122,16 +125,21 @@ def _z1_system(module: GModule) -> Matrix:
 
     All ordered non-identity pairs for small groups; generator x element
     spanning rows above PAIRWISE_ORDER_LIMIT (exact by induction on word
-    length, revalidated after the kernel computation).
+    length, revalidated after the kernel computation).  Raises ModcohError
+    before allocating when the system exceeds Z1_SYSTEM_ENTRY_CAP.
     """
     g = module.group
     ctx = g.ctx
     m, d = g.order, module.dim
     ncols = (m - 1) * d
-    if m <= PAIRWISE_ORDER_LIMIT:
-        pairs = [(i, j) for i in range(1, m) for j in range(1, m)]
-    else:
-        pairs = [(i, j) for i in g.generator_ids for j in range(1, m)]
+    firsts = range(1, m) if m <= PAIRWISE_ORDER_LIMIT else g.generator_ids
+    nrows = len(firsts) * (m - 1) * d
+    if nrows * ncols > Z1_SYSTEM_ENTRY_CAP:
+        raise ModcohError(
+            f"Z1 system would store {nrows * ncols} entries ({nrows}x{ncols} for "
+            f"|G| = {m}, dim {d}); beyond the supported desk scale of {Z1_SYSTEM_ENTRY_CAP}"
+        )
+    pairs = [(i, j) for i in firsts for j in range(1, m)]
     rows: list[list[int]] = []
     neg, sub = ctx.neg_i, ctx.sub_i
     for i, j in pairs:

@@ -374,7 +374,7 @@ def _verify_payload(report: dict) -> int:
     _check_split_record(ctx, "nonsplit", cert, u_action, cocycle, gen_ids)
     checks += 1
 
-    # tensor vanishing: (s-1)u = w (x) g_s over every element
+    # tensor vanishing: (s-1)u = w (x) g_s over every element, in Hom form
     tv = _need(payload, "tensor_vanishing")
     ext = _ext_matrices(ctx, u_action, cocycle)
     w_dual = [ext[inv_table[i]].transpose() for i in range(order)]
@@ -385,22 +385,33 @@ def _verify_payload(report: dict) -> int:
         if w_dual[i] @ w != w:
             _fail("tensor-vanishing", f"w is not fixed at element {i}")
     u_vec = matrix_from_json(ctx, _need(tv, "witness"))
-    big_dim = (dim_u + 1) * dim_u
-    ident_big = Matrix.identity(ctx, big_dim)
+    if u_vec.rows != (dim_u + 1) * dim_u or u_vec.cols != 1:
+        _fail("tensor-vanishing", f"witness is not a {(dim_u + 1) * dim_u}x1 column")
+    # kron(A, B) @ vec(X) = vec(A @ X @ B^T) for the row-major vec
+    x = u_vec.reshape(dim_u + 1, dim_u)
     for i in range(order):
-        lhs = (kron(w_dual[i], u_action[i]) - ident_big) @ u_vec
-        if lhs != kron(w, cocycle[i]):
+        if w_dual[i] @ x @ u_action[i].transpose() - x != w @ cocycle[i].transpose():
             _fail("tensor-vanishing", f"witness equation fails at element {i}")
     if _need(tv, "w_module").get("group_digest") != gobj["digest"]:
         _fail("tensor-vanishing", "w module descriptor mismatch")
+    z1_dim, b1_dim, h1_dim = _need(tv, "z1_dim"), _need(tv, "b1_dim"), _need(tv, "h1_dim")
+    if not all(type(v) is int for v in (z1_dim, b1_dim, h1_dim)):
+        _fail("tensor-vanishing", "z1_dim, b1_dim and h1_dim must be integers")
+    if h1_dim != z1_dim - b1_dim or h1_dim < 1:
+        _fail("tensor-vanishing", f"h1_dim = {h1_dim} is not z1_dim - b1_dim >= 1")
+    class_of_g = [element_from_json(ctx, c) for c in _need(tv, "class_of_g")]
+    if len(class_of_g) != h1_dim:
+        _fail("tensor-vanishing", f"class_of_g has {len(class_of_g)} coordinates, not {h1_dim}")
+    if all(c.is_zero for c in class_of_g):
+        _fail("tensor-vanishing", "class_of_g is zero")
     checks += 1
 
     # obstruction module: block-diagonal assembly over the generators
     obs = _need(payload, "obstruction")
     if _need(obs, "dim") != 4 * dim_u + 3 or _need(obs, "dim_by_formula") != 4 * dim_u + 3:
         _fail("obstruction", "dimension record disagrees with the formula")
-    if len(_need(obs, "components")) != 4:
-        _fail("obstruction", "expected four components")
+    if _need(obs, "components") != ["dual(u)", "ext(u)", "ext(u)", "ext(u)"]:
+        _fail("obstruction", "components are not dual(u), ext(u), ext(u), ext(u)")
     gen_action = [matrix_from_json(ctx, m) for m in _need(obs, "generator_action")]
     if len(gen_action) != len(gen_ids):
         _fail("obstruction", "need one matrix per generator")

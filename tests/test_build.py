@@ -1,5 +1,6 @@
 """Pipeline stages: sequence construction, witnesses, assembly, toy, demo."""
 
+import json
 from math import comb
 
 import pytest
@@ -12,12 +13,13 @@ from modcoh.build import (
     tensor_vanishing_witness,
     toy_example,
 )
-from modcoh.coh import h1_class
+from modcoh.cli import main
+from modcoh.coh import h1_class, is_split, tensor_with_invariant
 from modcoh.errors import BadCharacteristic, HypothesisNotSatisfied, ModcohError
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, paired_shear_family
-from modcoh.linalg import Matrix, kron
-from modcoh.rep import action_is_homomorphism
+from modcoh.linalg import Matrix, kron, vstack
+from modcoh.rep import action_is_homomorphism, dual
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -92,16 +94,23 @@ def test_generator_system_char3_rows():
 def test_tensor_vanishing_witness_all_elements(group):
     seq = build_nonsplit_sequence(group)
     tv = tensor_vanishing_witness(seq)
-    # the ambient space is dual(uext) (x) u: 3*2 = 6 resp. 5*4 = 20 dimensional
-    assert tv.tensor_cocycle.module.dim == (seq.u_module.dim + 1) * seq.u_module.dim
+    d = seq.u_module.dim
+    # the witness is vec(-(U~ -> U)) in dual(uext) (x) u: 3*2 = 6 resp. 5*4 = 20 dims
+    x = vstack([-Matrix.identity(group.ctx, d), Matrix.zeros(group.ctx, 1, d)])
+    assert tv.witness == x.flatten()
     assert any(not c.is_zero for c in tv.class_of_g)
-    # independent verification of (s-1)u = w (x) g_s over every element
-    t_mod = tv.tensor_cocycle.module
+    # reference path: the dense tensor module, its cocycle and the solver's witness
+    tg = tensor_with_invariant(dual(seq.extension.total), tv.w, seq.cocycle)
+    solver = is_split(tg).witness
+    t_mod = tg.module
+    assert t_mod.dim == (d + 1) * d
     ident = Matrix.identity(group.ctx, t_mod.dim)
     for i in range(group.order):
         lhs = (t_mod.action(i) - ident) @ tv.witness
         assert lhs == kron(tv.w, seq.cocycle.values[i])
-    assert all(c.is_zero for c in h1_class(tv.tensor_cocycle))
+        # the two witnesses differ by a G-fixed vector
+        assert ((t_mod.action(i) - ident) @ (tv.witness - solver)).is_zero
+    assert all(c.is_zero for c in h1_class(tg))
 
 
 def test_obstruction_dims():
@@ -188,8 +197,9 @@ def test_paired_shear_pipeline_smoke():
     assert assemble_obstruction_module(seq).dim == 4 * 4 * (20 - 4) + 3
 
 
-def test_tensor_stage_guards_desk_scale():
-    # the 4x4 family's tensor stage would need |G| * 4160^2 stored entries
-    seq = build_nonsplit_sequence(paired_shear_family(F3))
-    with pytest.raises(ModcohError, match="desk scale"):
-        tensor_vanishing_witness(seq)
+def test_zpxzp_p3_constructs_and_verifies(tmp_path):
+    # |G| = 9, dim U = 64: the tensor stage is (65 * 64)-dimensional
+    out = tmp_path / "zpxzp3.json"
+    assert main(["construct", "--group", "zpxzp", "--p", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["dims"]["X"] == 4 * 64 + 3
+    assert main(["verify", str(out)]) == 0

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, reports, verification, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -171,3 +172,11 @@ def test_zpxzp_group_flag(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["group_order"] == 9
     assert run(["h1", "--p", "3", "--group", "zpxzp", "--n", "3", "--module", "natural"]) == 1
+
+
+def test_h1_z1_size_guard(capsys):
+    # |G| = 16 and dim 40: a 9000 x 600 Z1 system, refused before it is built
+    start = time.perf_counter()
+    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(40)"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "desk scale" in capsys.readouterr().err

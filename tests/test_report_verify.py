@@ -11,11 +11,13 @@ import pathlib
 import pytest
 
 import modcoh.verify
+from modcoh.coh import is_split, tensor_with_invariant
 from modcoh.errors import CorruptReport, FailedCheck
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure
 from modcoh.jsonutil import digest_of
-from modcoh.linalg import Matrix
+from modcoh.linalg import Matrix, matrix_to_json
+from modcoh.rep import dual
 from modcoh.report import run_pipeline, write_report
 from modcoh.verify import verify_report, verify_report_file
 
@@ -123,6 +125,42 @@ def test_tamper_witness(report3):
         cell[0] = (cell[0] + 1) % 3
 
     expect_failure(tampered(report3, bump), "tensor-vanishing")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p["tensor_vanishing"].update(z1_dim=999),
+        lambda p: p["tensor_vanishing"].update(h1_dim=0),
+        lambda p: p["tensor_vanishing"].update(class_of_g=[]),
+        lambda p: p["obstruction"]["components"].reverse(),
+    ],
+    ids=["z1_dim", "h1_dim", "class_of_g", "components"],
+)
+def test_tamper_bookkeeping(report3, mutate):
+    with pytest.raises(FailedCheck, match="tensor-vanishing|obstruction"):
+        verify_report(tampered(report3, mutate))
+
+
+def test_tamper_witness_shape(report3):
+    def truncate(p):
+        wit = p["tensor_vanishing"]["witness"]
+        wit["entries"].pop()
+        wit["rows"] -= 1
+
+    expect_failure(tampered(report3, truncate), "tensor-vanishing")
+
+
+def test_solver_witness_still_verifies():
+    # a v1 report carrying the witness the tensor-module solve used to store
+    result = run_pipeline(additive_family(F4), PARAMS2)
+    seq, tv = result.sequence, result.witness
+    solver = is_split(tensor_with_invariant(dual(seq.extension.total), tv.w, seq.cocycle)).witness
+    assert solver != tv.witness
+    swapped = tampered(
+        result.report, lambda p: p["tensor_vanishing"].update(witness=matrix_to_json(solver))
+    )
+    assert verify_report(swapped) == verify_report(result.report)
 
 
 def test_tamper_obstruction_block(report3):
