@@ -3,7 +3,7 @@ certified non-split module extensions."""
 
 from .errors import ModcohError
 from .gf import FieldCtx, FieldElement, field_new, frobenius
-from .linalg import Matrix, direct_sum, inverse, kron, matmul, rref, solve
+from .linalg import Matrix, direct_sum, inverse, kron, rref, solve
 from .poly import Monomial, Polynomial, det3_identity, monomial_basis, substitute_linear
 from .grp import (
     MatrixGroup,

@@ -33,7 +33,7 @@ Z1_SYSTEM_ENTRY_CAP = 4_000_000
 class Cocycle:
     """A 1-cocycle on a module; values indexed by group element id."""
 
-    __slots__ = ("module", "values")
+    __slots__ = ("module", "values", "_checked")
 
     def __init__(self, module: GModule, values: Sequence[Matrix]):
         if len(values) != module.group.order:
@@ -44,7 +44,8 @@ class Cocycle:
             if v.rows != module.dim or v.cols != 1:
                 raise ModcohError("cocycle values must be dim x 1 columns")
         self.module = module
-        self.values = list(values)
+        self.values = tuple(values)
+        self._checked = False  # set once validate() has passed
 
     @classmethod
     def zero(cls, module: GModule) -> "Cocycle":
@@ -58,7 +59,13 @@ class Cocycle:
         return cls(module, [(module.action(i) - ident) @ v for i in range(module.group.order)])
 
     def validate(self) -> None:
-        """Exhaustive pair-identity check; raises NotACocycle on failure."""
+        """Exhaustive pair-identity check; raises NotACocycle on failure.
+
+        Values and module are immutable, so a pass is recorded on the object
+        and later calls return at once.
+        """
+        if self._checked:
+            return
         g = self.module.group
         for i in range(g.order):
             for j in range(g.order):
@@ -66,13 +73,7 @@ class Cocycle:
                 rhs = self.module.action(i) @ self.values[j] + self.values[i]
                 if lhs != rhs:
                     raise NotACocycle(f"pair identity fails at elements ({i}, {j})")
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except NotACocycle:
-            return False
-        return True
+        self._checked = True
 
     def vectorize(self) -> Matrix:
         """Stack the non-identity values into one long column."""
@@ -109,7 +110,7 @@ class Cocycle:
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(self.values))
+        return hash(self.values)
 
     def __repr__(self) -> str:
         return f"Cocycle(on {self.module.label}, |G|={self.module.group.order})"
@@ -164,70 +165,94 @@ def _z1_system(module: GModule) -> Matrix:
     return Matrix(ctx, len(rows), ncols, data)
 
 
+# Each module's bases are eliminated once and kept in module.coh_cache as
+# stacked non-identity columns.  Columns refer to the field, not the module,
+# so the cache forms no reference cycle and dies with the module.
+
+
+def _cached(module: GModule, key: str, compute):
+    cache = module.coh_cache
+    if key not in cache:
+        cache[key] = compute(module)
+    return cache[key]
+
+
+def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
+    if module.group.order == 1:
+        return ()
+    basis = tuple(kernel_basis(_z1_system(module)))
+    if module.group.order > PAIRWISE_ORDER_LIMIT:
+        for v in basis:
+            Cocycle.from_vector(module, v).validate()
+    return basis
+
+
+def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
+    g = module.group
+    if g.order == 1:
+        return ()
+    ident = Matrix.identity(g.ctx, module.dim)
+    stacked = vstack([module.action(i) - ident for i in range(1, g.order)])
+    reduced, _, r = rref(stacked.transpose())
+    return tuple(reduced.submatrix(i, i + 1, 0, reduced.cols).transpose() for i in range(r))
+
+
+def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
+    """[B1 basis | complement of B1 in Z1] side by side, and the B1 count."""
+    bb = list(_cached(module, "b1", _b1_columns))
+    cols = bb + _complement_basis(bb, _cached(module, "z1", _z1_columns))
+    if not cols:
+        return None, 0
+    stacked = cols[0]
+    for c in cols[1:]:
+        stacked = hstack(stacked, c)
+    return stacked, len(bb)
+
+
 def z1_space(module: GModule) -> list[Cocycle]:
     """Deterministic basis of Z1(G, M)."""
-    if module.group.order == 1:
-        return []
-    basis = [Cocycle.from_vector(module, v) for v in kernel_basis(_z1_system(module))]
-    if module.group.order > PAIRWISE_ORDER_LIMIT:
-        for c in basis:
-            c.validate()
-    return basis
+    return [Cocycle.from_vector(module, v) for v in _cached(module, "z1", _z1_columns)]
 
 
 def b1_space(module: GModule) -> list[Cocycle]:
     """Deterministic basis of B1(G, M), the coboundaries."""
-    g = module.group
-    if g.order == 1:
-        return []
-    ident = Matrix.identity(g.ctx, module.dim)
-    stacked = vstack([module.action(i) - ident for i in range(1, g.order)])
-    reduced, _, r = rref(stacked.transpose())
-    return [
-        Cocycle.from_vector(module, reduced.submatrix(i, i + 1, 0, reduced.cols).transpose())
-        for i in range(r)
-    ]
+    return [Cocycle.from_vector(module, v) for v in _cached(module, "b1", _b1_columns)]
 
 
 def h1_dim(module: GModule) -> int:
-    return len(z1_space(module)) - len(b1_space(module))
+    return len(_cached(module, "z1", _z1_columns)) - len(_cached(module, "b1", _b1_columns))
 
 
 def h1_class(g: Cocycle) -> list[FieldElement]:
     """Coordinates of the class of g in a fixed complement of B1 inside Z1.
 
     Empty coordinates mean H1 = 0; the class is zero iff all coordinates
-    are zero.  Raises NotACocycle for invalid input.
+    are zero.  Raises NotACocycle for invalid input.  The complement is
+    chosen once per module, so every class on one module shares it.
     """
     g.validate()
     module = g.module
     if module.group.order == 1:
         return []
-    zb = z1_space(module)
-    bb = b1_space(module)
-    complement = _complement_basis(bb, zb)
-    cols = [c.vectorize() for c in bb + complement]
+    stacked, nb = _cached(module, "h1", _h1_columns)
     target = g.vectorize()
-    if not cols:
+    if stacked is None:
         if not target.is_zero:
             raise NotACocycle("cocycle outside Z1")
         return []
-    stacked = cols[0]
-    for c in cols[1:]:
-        stacked = hstack(stacked, c)
     res = solve(stacked, target)
     if not res.consistent:
         raise NotACocycle("cocycle outside Z1")
-    return [res.solution[len(bb) + i, 0] for i in range(len(complement))]
+    return [res.solution[nb + i, 0] for i in range(stacked.cols - nb)]
 
 
-def _complement_basis(bb: list[Cocycle], zb: list[Cocycle]) -> list[Cocycle]:
-    """Greedy rref-based complement of span(bb) inside span(zb)."""
-    picked: list[Cocycle] = []
-    rows = [b.vectorize().transpose() for b in bb]
+def _complement_basis(bb: list[Matrix], zb: Sequence[Matrix]) -> list[Matrix]:
+    """Greedy rref-based complement of span(bb) inside span(zb), as columns."""
+    picked: list[Matrix] = []
+    rows = [b.transpose() for b in bb]
     current_rank = _rank_of_rows(rows)
     for z in zb:
-        cand = rows + [z.vectorize().transpose()]
+        cand = rows + [z.transpose()]
         r = _rank_of_rows(cand)
         if r > current_rank:
             picked.append(z)

@@ -6,6 +6,16 @@ single integer in [0, p^k) whose little-endian base-p digits are the
 coefficient vector, which keeps equality, hashing and table lookups cheap;
 the coefficient view is available through :attr:`FieldElement.coeffs`.
 
+For k > 1 the per-element operations avoid digit loops wherever they can.
+In characteristic 2 the digit vector is a bit vector, so addition and
+subtraction are XOR and negation is the identity.  For q <= _TABLE_LIMIT
+the context precomputes full multiplication and inverse tables and, for odd
+p, addition and negation tables, plus a table of digit tuples that serves
+:meth:`FieldCtx.decode`, :attr:`FieldElement.coeffs` and the JSON encoding.
+Larger odd-characteristic extensions fall back to the digit loops
+(``_add_digits``, ``_neg_digits``, ``_decode_digits``), which also serve
+the tests as the reference the tables are checked against.
+
 Contexts are interned: :func:`field_new` returns the same object for the
 same (p, k, modulus), so mixed-field operands are rejected with an identity
 check on every binary operation.
@@ -152,7 +162,18 @@ _CTX_CACHE: dict[tuple[int, int, tuple[int, ...]], "FieldCtx"] = {}
 class FieldCtx:
     """Arithmetic context for GF(p^k); construct through :func:`field_new`."""
 
-    __slots__ = ("p", "k", "modulus", "q", "_mul_t", "_inv_t", "_frob_t")
+    __slots__ = (
+        "p",
+        "k",
+        "modulus",
+        "q",
+        "_mul_t",
+        "_inv_t",
+        "_frob_t",
+        "_add_t",
+        "_neg_t",
+        "_digits_t",
+    )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -162,12 +183,23 @@ class FieldCtx:
         self._mul_t: Optional[list[list[int]]] = None
         self._inv_t: Optional[list[int]] = None
         self._frob_t: Optional[list[int]] = None
+        # addition and negation tables: odd p, k > 1 and q <= _TABLE_LIMIT only
+        self._add_t: Optional[list[list[int]]] = None
+        self._neg_t: Optional[list[int]] = None
+        self._digits_t: Optional[list[tuple[int, ...]]] = None
         if k > 1 and self.q <= _TABLE_LIMIT:
             self._build_tables()
 
     # -- encoding ----------------------------------------------------------
 
     def decode(self, v: int) -> tuple[int, ...]:
+        if self.k == 1:
+            return (v,)
+        if self._digits_t is not None:
+            return self._digits_t[v]
+        return self._decode_digits(v)
+
+    def _decode_digits(self, v: int) -> tuple[int, ...]:
         p = self.p
         out = []
         for _ in range(self.k):
@@ -183,11 +215,12 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         q, p = self.q, self.p
+        digits = [self._decode_digits(a) for a in range(q)]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            da = self.decode(a)
+            da = digits[a]
             for b in range(a, q):
-                prod = _pmod(_pmul(da, self.decode(b), p), self.modulus, p)
+                prod = _pmod(_pmul(da, digits[b], p), self.modulus, p)
                 v = self.encode(tuple(prod) + (0,) * (self.k - len(prod)))
                 mul[a][b] = v
                 mul[b][a] = v
@@ -201,13 +234,42 @@ class FieldCtx:
                     break
         self._inv_t = inv
         self._frob_t = [self.pow_i(a, p) for a in range(q)]
+        if p != 2:
+            self._add_t = [[self._add_digits(a, b) for b in range(q)] for a in range(q)]
+            self._neg_t = [self._neg_digits(a) for a in range(q)]
+        self._digits_t = digits
 
     # -- integer-encoded operations ----------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
-        p = self.p
         if self.k == 1:
-            return (a + b) % p
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._add_t is not None:
+            return self._add_t[a][b]
+        return self._add_digits(a, b)
+
+    def neg_i(self, a: int) -> int:
+        if self.k == 1:
+            return (-a) % self.p
+        if self.p == 2:
+            return a
+        if self._neg_t is not None:
+            return self._neg_t[a]
+        return self._neg_digits(a)
+
+    def sub_i(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._add_t is not None:
+            return self._add_t[a][self._neg_t[b]]
+        return self._add_digits(a, self._neg_digits(b))
+
+    def _add_digits(self, a: int, b: int) -> int:
+        p = self.p
         v, mult = 0, 1
         for _ in range(self.k):
             v += ((a % p + b % p) % p) * mult
@@ -216,19 +278,14 @@ class FieldCtx:
             mult *= p
         return v
 
-    def neg_i(self, a: int) -> int:
+    def _neg_digits(self, a: int) -> int:
         p = self.p
-        if self.k == 1:
-            return (-a) % p
         v, mult = 0, 1
         for _ in range(self.k):
             v += ((-(a % p)) % p) * mult
             a //= p
             mult *= p
         return v
-
-    def sub_i(self, a: int, b: int) -> int:
-        return self.add_i(a, self.neg_i(b))
 
     def mul_i(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -292,10 +349,6 @@ class FieldCtx:
 
     def elements(self) -> Iterator["FieldElement"]:
         for v in range(self.q):
-            yield FieldElement(self, v)
-
-    def nonzero_elements(self) -> Iterator["FieldElement"]:
-        for v in range(1, self.q):
             yield FieldElement(self, v)
 
     def __repr__(self) -> str:

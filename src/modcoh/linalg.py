@@ -188,10 +188,6 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     a._check(b)
     if a.rows != b.rows:
@@ -269,6 +265,28 @@ def _eliminate(
 
         def axpy(row, piv, f):
             return [(x - f * y) % p for x, y in zip(row, piv)]
+
+    elif ctx._mul_t is not None:
+        # table fields: one row of the multiplication table per call
+        mul_t, inv_t = ctx._mul_t, ctx._inv_t
+
+        def scale_row(row, pv):
+            m = mul_t[inv_t[pv]]
+            return [m[x] for x in row]
+
+        if ctx.p == 2:
+
+            def axpy(row, piv, f):
+                m = mul_t[f]
+                return [x ^ m[y] for x, y in zip(row, piv)]
+
+        else:
+            add_t, neg_t = ctx._add_t, ctx._neg_t
+
+            def axpy(row, piv, f):
+                # x - f*y = x + (-f)*y
+                m = mul_t[neg_t[f]]
+                return [add_t[x][m[y]] for x, y in zip(row, piv)]
 
     else:
         mul, sub, inv = ctx.mul_i, ctx.sub_i, ctx.inv_i

@@ -81,9 +81,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, FieldElement]]:
         """Canonical order: degree descending, then descending lex."""
         return [
@@ -174,14 +171,6 @@ class Polynomial:
         return [
             {"exponents": list(m), "coeff": list(c.coeffs)} for m, c in self.sorted_terms()
         ]
-
-
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
 
 
 def monomial_basis(n: int, d: int, p: int) -> list[Monomial]:

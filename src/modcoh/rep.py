@@ -25,7 +25,7 @@ INTERTWINER_SAMPLES = 1000
 class GModule:
     """Finite-dimensional module: dimension plus one matrix per element id."""
 
-    __slots__ = ("group", "dim", "label", "_act")
+    __slots__ = ("group", "dim", "label", "_act", "coh_cache")
 
     def __init__(self, group: MatrixGroup, dim: int, action: Sequence[Matrix], label: str):
         if len(action) != group.order:
@@ -34,6 +34,8 @@ class GModule:
         self.dim = dim
         self._act = list(action)
         self.label = label
+        # Z1/B1 bases of this (immutable) module, filled in by modcoh.coh
+        self.coh_cache: dict = {}
 
     def action(self, i: int) -> Matrix:
         return self._act[i]

@@ -20,6 +20,7 @@ from .jsonutil import digest_of
 from .linalg import Matrix, direct_sum, hstack, inverse, kron, matrix_from_json, vstack
 
 SCHEMA = "modcoh-report-v1"
+TENSOR_EQUATION = "(kron(W(s), U(s)) - I) @ u == kron(w, g_s) for every element"
 _PAIRWISE_LIMIT = 64
 
 
@@ -392,8 +393,14 @@ def _verify_payload(report: dict) -> int:
     for i in range(order):
         if w_dual[i] @ x @ u_action[i].transpose() - x != w @ cocycle[i].transpose():
             _fail("tensor-vanishing", f"witness equation fails at element {i}")
-    if _need(tv, "w_module").get("group_digest") != gobj["digest"]:
-        _fail("tensor-vanishing", "w module descriptor mismatch")
+    if _need(tv, "w_module") != {
+        "group_digest": gobj["digest"],
+        "recipe": "dual(ext(u))",
+        "dim": dim_u + 1,
+    }:
+        _fail("tensor-vanishing", "w module descriptor is not dual(ext(u)) of dim d+1")
+    if _need(tv, "equation") != TENSOR_EQUATION:
+        _fail("tensor-vanishing", "equation text differs from the checked equation")
     z1_dim, b1_dim, h1_dim = _need(tv, "z1_dim"), _need(tv, "b1_dim"), _need(tv, "h1_dim")
     if not all(type(v) is int for v in (z1_dim, b1_dim, h1_dim)):
         _fail("tensor-vanishing", "z1_dim, b1_dim and h1_dim must be integers")

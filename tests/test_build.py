@@ -203,3 +203,25 @@ def test_zpxzp_p3_constructs_and_verifies(tmp_path):
     assert main(["construct", "--group", "zpxzp", "--p", "3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["payload"]["dims"]["X"] == 4 * 64 + 3
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
+def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
+    import modcoh.coh as coh
+    from modcoh.report import run_pipeline
+
+    built = []
+    original = coh._z1_system
+
+    def counting(module):
+        built.append(module)
+        return original(module)
+
+    monkeypatch.setattr(coh, "_z1_system", counting)
+    params = {"p": p, "k": k, "n": 2, "group": "family-a", "order_cap": 10000,
+              "seed": 0, "modulus": None}
+    result = run_pipeline(additive_family(field_new(p, k)), params)
+    assert (result.toy is not None) == (p == 2)
+    # h1_class for the main class, the z1/b1 dims and the toy comparison's two
+    # classes all live on U and share one Z1 elimination
+    assert built == [result.sequence.u_module]

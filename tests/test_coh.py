@@ -196,6 +196,46 @@ def test_h1_class_rejects_invalid_values():
         h1_class(bad)
 
 
+def test_bad_cocycle_still_rejected_after_a_good_one_on_the_same_module():
+    seq = build_nonsplit_sequence(G4)
+    good = seq.cocycle
+    h1_class(good)  # validates good and fills the module's Z1/B1 cache
+    extension_from_cocycle(good)
+    values = list(good.values)
+    values[1] = values[1] + Matrix.basis_column(F4, seq.u_module.dim, 0)
+    for _ in range(2):  # a failure is not recorded as a pass
+        with pytest.raises(NotACocycle):
+            h1_class(Cocycle(seq.u_module, values))
+        with pytest.raises(NotACocycle):
+            extension_from_cocycle(Cocycle(seq.u_module, values))
+    bad = Cocycle(seq.u_module, values)
+    for _ in range(2):
+        with pytest.raises(NotACocycle):
+            bad.validate()
+
+
+def test_z1_b1_computed_once_per_module(monkeypatch):
+    import modcoh.coh as coh
+
+    built = []
+    original = coh._z1_system
+
+    def counting(module):
+        built.append(module)
+        return original(module)
+
+    monkeypatch.setattr(coh, "_z1_system", counting)
+    mod = natural_module(additive_family(F4))
+    first = z1_space(mod)
+    assert z1_space(mod) == first and b1_space(mod) == b1_space(mod)
+    assert h1_dim(mod) == len(first) - len(b1_space(mod))
+    assert built == [mod]
+    # a fresh module with the same action computes its own
+    again = natural_module(mod.group)
+    z1_space(again)
+    assert built == [mod, again]
+
+
 def test_nonsplit_class_is_nonzero_and_split_test_agrees():
     for group in (G4, G3):
         seq = build_nonsplit_sequence(group)

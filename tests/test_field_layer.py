@@ -1,0 +1,155 @@
+"""The fast field layer: tables, XOR and the specialised elimination.
+
+Builder and verifier both rest on `gf`, so a wrong table entry would corrupt
+both sides alike.  The tables and the characteristic-2 XOR path are checked
+exhaustively against the digit loops they replace, and the specialised
+elimination against the generic per-cell path.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modcoh.errors import ReducibleModulus
+from modcoh.gf import BUILTIN_MODULI, _TABLE_LIMIT, field_new
+from modcoh.linalg import Matrix, _eliminate, _kernel_from_rref, kernel_basis, rref
+
+FIELDS = sorted(BUILTIN_MODULI) + [(3, 1), (5, 1), (7, 1)]
+
+
+def mul_oracle(ctx, a, b):
+    """Schoolbook product of digit vectors reduced by long division."""
+    p, k = ctx.p, ctx.k
+    da, db = ctx._decode_digits(a), ctx._decode_digits(b)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    mod = ctx.modulus
+    for top in range(len(prod) - 1, k - 1, -1):
+        lead = prod[top]
+        if lead:
+            for i, c in enumerate(mod):
+                prod[top - k + i] = (prod[top - k + i] - lead * c) % p
+    return ctx.encode(prod[:k])
+
+
+@pytest.mark.parametrize("p,k", FIELDS, ids=[f"q{p**k}" for p, k in FIELDS])
+def test_fast_ops_match_digit_loops_on_all_pairs(p, k):
+    ctx = field_new(p, k)
+    if k > 1:
+        assert ctx._mul_t is not None and ctx._digits_t is not None
+        assert (ctx._add_t is None) == (p == 2)  # characteristic 2 uses XOR
+    for a in range(ctx.q):
+        assert ctx.neg_i(a) == ctx._neg_digits(a)
+        assert ctx.decode(a) == ctx._decode_digits(a)
+        assert ctx.el(a).coeffs == ctx._decode_digits(a)
+        if a:
+            assert mul_oracle(ctx, a, ctx.inv_i(a)) == 1
+        for b in range(ctx.q):
+            assert ctx.add_i(a, b) == ctx._add_digits(a, b)
+            assert ctx.sub_i(a, b) == ctx._add_digits(a, ctx._neg_digits(b))
+            assert ctx.mul_i(a, b) == mul_oracle(ctx, a, b)
+
+
+def _field_beyond_tables():
+    """GF(3^6): odd characteristic with q > _TABLE_LIMIT, found by search."""
+    for c0 in range(1, 3):
+        for c1 in range(3):
+            try:
+                return field_new(3, 6, [c0, c1, 0, 0, 0, 0, 1])
+            except ReducibleModulus:
+                continue
+    raise AssertionError("no irreducible x^6 + c1 x + c0 over GF(3)")
+
+
+def test_large_odd_field_keeps_the_digit_loops():
+    ctx = _field_beyond_tables()
+    assert ctx.q > _TABLE_LIMIT
+    assert ctx._mul_t is None and ctx._add_t is None and ctx._digits_t is None
+    for a in range(0, ctx.q, 7):
+        b = (a * 31 + 5) % ctx.q
+        assert ctx.add_i(a, ctx.neg_i(a)) == 0
+        assert ctx.sub_i(ctx.add_i(a, b), b) == a
+        assert ctx.mul_i(a, b) == mul_oracle(ctx, a, b)
+        if a:
+            assert ctx.mul_i(a, ctx.inv_i(a)) == 1
+
+
+# ---------------------------------------------------------------------------
+# field axioms
+# ---------------------------------------------------------------------------
+
+AXIOM_FIELDS = st.sampled_from(FIELDS).map(lambda pk: field_new(*pk))
+
+
+@st.composite
+def field_triples(draw):
+    ctx = draw(AXIOM_FIELDS)
+    x, y, z = (draw(st.integers(0, ctx.q - 1)) for _ in range(3))
+    return ctx, x, y, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_triples())
+def test_field_axioms(case):
+    ctx, x, y, z = case
+    add, sub, mul, neg = ctx.add_i, ctx.sub_i, ctx.mul_i, ctx.neg_i
+    assert add(x, y) == add(y, x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert add(x, 0) == x and add(x, neg(x)) == 0
+    assert sub(x, y) == add(x, neg(y))
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, 1) == x
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    if x:
+        assert mul(x, ctx.inv_i(x)) == 1
+
+
+# ---------------------------------------------------------------------------
+# specialised elimination against the generic path
+# ---------------------------------------------------------------------------
+
+
+class GenericCtx:
+    """The same field with no tables: `_eliminate` takes its per-cell path."""
+
+    _mul_t = None
+
+    def __init__(self, ctx):
+        self.p, self.k = ctx.p, ctx.k
+        self.inv_i = ctx.inv_i
+        self.neg_i = ctx._neg_digits
+        self.mul_i = lambda a, b: mul_oracle(ctx, a, b)
+        self.sub_i = lambda a, b: ctx._add_digits(a, ctx._neg_digits(b))
+
+
+@st.composite
+def matrices(draw):
+    ctx = field_new(*draw(st.sampled_from([(2, 2), (3, 2), (2, 4)])))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    # a small alphabet makes rank deficiency and zero columns common
+    alphabet = draw(st.sampled_from([2, 3, ctx.q]))
+    data = draw(st.lists(st.integers(0, alphabet - 1), min_size=rows * cols,
+                         max_size=rows * cols))
+    return Matrix(ctx, rows, cols, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_specialised_elimination_matches_generic(m):
+    generic = GenericCtx(m.ctx)
+    work = [m.row_list(i) for i in range(m.rows)]
+    pivots = _eliminate(generic, work, m.cols)
+    reduced, cols, rank = rref(m)
+    assert [reduced.row_list(i) for i in range(m.rows)] == work
+    assert cols == tuple(c for _, c in pivots) and rank == len(pivots)
+    want = [
+        [v.raw(i, 0) for i in range(v.rows)]
+        for v in _kernel_from_rref(generic, work, m.cols, pivots)
+    ]
+    got = [[v.raw(i, 0) for i in range(v.rows)] for v in kernel_basis(m)]
+    assert got == want
+    for v in kernel_basis(m):
+        assert (m @ v).is_zero

@@ -13,7 +13,6 @@ from modcoh.linalg import (
     inverse,
     kernel_basis,
     kron,
-    matmul,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -51,7 +50,7 @@ def row_space_size_oracle(m):
 def test_identity_matmul():
     m = Matrix.from_rows(F3, [[1, 2], [0, 1]])
     assert Matrix.identity(F3, 2) @ m == m
-    assert matmul(m, Matrix.identity(F3, 2)) == m
+    assert m @ Matrix.identity(F3, 2) == m
 
 
 def test_char2_square_of_ones():

@@ -14,8 +14,6 @@ from modcoh.poly import (
     Polynomial,
     det3_identity,
     monomial_basis,
-    poly_add,
-    poly_mul,
     substitute_linear,
 )
 
@@ -141,9 +139,9 @@ def test_substitution_is_left_action_exhaustive_small_groups():
 
 def test_add_mul_ring_axioms():
     f = Polynomial.variable(F3, 2, 0) + Polynomial.constant(F3, 2, F3.from_int(2))
-    assert poly_add(f, -f).is_zero
+    assert (f + -f).is_zero
     g = Polynomial.variable(F3, 2, 1)
-    assert poly_mul(f, g) == poly_mul(g, f)
+    assert f * g == g * f
     assert (f + g) * (f + g) == f * f + f * g + f * g + g * g
 
 

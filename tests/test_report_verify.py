@@ -134,8 +134,11 @@ def test_tamper_witness(report3):
         lambda p: p["tensor_vanishing"].update(h1_dim=0),
         lambda p: p["tensor_vanishing"].update(class_of_g=[]),
         lambda p: p["obstruction"]["components"].reverse(),
+        lambda p: p["tensor_vanishing"].update(equation="u == 0"),
+        lambda p: p["tensor_vanishing"]["w_module"].update(recipe="junk"),
+        lambda p: p["tensor_vanishing"]["w_module"].update(dim=99),
     ],
-    ids=["z1_dim", "h1_dim", "class_of_g", "components"],
+    ids=["z1_dim", "h1_dim", "class_of_g", "components", "equation", "w_recipe", "w_dim"],
 )
 def test_tamper_bookkeeping(report3, mutate):
     with pytest.raises(FailedCheck, match="tensor-vanishing|obstruction"):
