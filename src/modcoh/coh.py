@@ -199,14 +199,11 @@ def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
 
 def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
     """[B1 basis | complement of B1 in Z1] side by side, and the B1 count."""
-    bb = list(_cached(module, "b1", _b1_columns))
-    cols = bb + _complement_basis(bb, _cached(module, "z1", _z1_columns))
+    bb = _cached(module, "b1", _b1_columns)
+    cols = list(bb) + _complement_basis(bb, _cached(module, "z1", _z1_columns))
     if not cols:
         return None, 0
-    stacked = cols[0]
-    for c in cols[1:]:
-        stacked = hstack(stacked, c)
-    return stacked, len(bb)
+    return _side_by_side(cols), len(bb)
 
 
 def z1_space(module: GModule) -> list[Cocycle]:
@@ -246,25 +243,20 @@ def h1_class(g: Cocycle) -> list[FieldElement]:
     return [res.solution[nb + i, 0] for i in range(stacked.cols - nb)]
 
 
-def _complement_basis(bb: list[Matrix], zb: Sequence[Matrix]) -> list[Matrix]:
-    """Greedy rref-based complement of span(bb) inside span(zb), as columns."""
-    picked: list[Matrix] = []
-    rows = [b.transpose() for b in bb]
-    current_rank = _rank_of_rows(rows)
-    for z in zb:
-        cand = rows + [z.transpose()]
-        r = _rank_of_rows(cand)
-        if r > current_rank:
-            picked.append(z)
-            rows = cand
-            current_rank = r
-    return picked
+def _side_by_side(cols: Sequence[Matrix]) -> Matrix:
+    return vstack([c.transpose() for c in cols]).transpose()
 
 
-def _rank_of_rows(rows: list[Matrix]) -> int:
-    if not rows:
-        return 0
-    return rref(vstack(rows))[2]
+def _complement_basis(bb: Sequence[Matrix], zb: Sequence[Matrix]) -> list[Matrix]:
+    """Complement of span(bb) inside span(zb), as columns of zb.
+
+    One rref of [bb | zb]: a pivot column past bb is a z outside the span of
+    bb and the z before it, the same greedy choice as adding one z at a time.
+    """
+    if not zb:
+        return []
+    _, pivots, _ = rref(_side_by_side(list(bb) + list(zb)))
+    return [zb[c - len(bb)] for c in pivots if c >= len(bb)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ In characteristic 2 the digit vector is a bit vector, so addition and
 subtraction are XOR and negation is the identity.  For q <= _TABLE_LIMIT
 the context precomputes full multiplication and inverse tables and, for odd
 p, addition and negation tables, plus a table of digit tuples that serves
-:meth:`FieldCtx.decode`, :attr:`FieldElement.coeffs` and the JSON encoding.
+:meth:`FieldCtx.decode`, :attr:`FieldElement.coeffs` and the JSON encoding,
+and its inverse, a digits-to-value dict that serves the JSON decoding.
 Larger odd-characteristic extensions fall back to the digit loops
 (``_add_digits``, ``_neg_digits``, ``_decode_digits``), which also serve
 the tests as the reference the tables are checked against.
@@ -23,6 +24,7 @@ check on every binary operation.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -173,6 +175,7 @@ class FieldCtx:
         "_add_t",
         "_neg_t",
         "_digits_t",
+        "_value_t",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -187,6 +190,7 @@ class FieldCtx:
         self._add_t: Optional[list[list[int]]] = None
         self._neg_t: Optional[list[int]] = None
         self._digits_t: Optional[list[tuple[int, ...]]] = None
+        self._value_t: Optional[dict[tuple[int, ...], int]] = None
         if k > 1 and self.q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -238,6 +242,7 @@ class FieldCtx:
             self._add_t = [[self._add_digits(a, b) for b in range(q)] for a in range(q)]
             self._neg_t = [self._neg_digits(a) for a in range(q)]
         self._digits_t = digits
+        self._value_t = {d: v for v, d in enumerate(digits)}
 
     # -- integer-encoded operations ----------------------------------------
 
@@ -495,10 +500,29 @@ def element_to_json(x: FieldElement) -> list[int]:
     return list(x.coeffs)
 
 
-def element_from_json(ctx: FieldCtx, coeffs: Sequence[int]) -> FieldElement:
+def values_from_json(ctx: FieldCtx, cells: list) -> list[int]:
+    """Strict parse of a list of element encodings into integer values.
+
+    Each cell must be a list of exactly k coefficients, each an ``int``
+    (``bool`` is rejected) in [0, p).  The checks are whole-list passes, so
+    a matrix costs a few C-level scans plus one table lookup per cell; only
+    odd-p fields beyond the tables encode cell by cell.
+    """
+    if not cells:
+        return []
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {ctx.k}:
+        raise ModcohError(f"element encodings for {ctx!r} must be lists of {ctx.k} integers")
+    flat = list(chain.from_iterable(cells))
+    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= ctx.p:
+        raise ModcohError(f"non-canonical element encoding for {ctx!r}: "
+                          f"coefficients must be integers in [0, {ctx.p})")
+    if ctx.k == 1:
+        return flat
+    if ctx._value_t is not None:
+        return list(map(ctx._value_t.__getitem__, map(tuple, cells)))
+    return list(map(ctx.encode, cells))
+
+
+def element_from_json(ctx: FieldCtx, coeffs: list[int]) -> FieldElement:
     """Strict parse: the coefficient vector must be canonical."""
-    if len(coeffs) != ctx.k or any(
-        not isinstance(c, int) or c < 0 or c >= ctx.p for c in coeffs
-    ):
-        raise ModcohError(f"non-canonical element encoding {coeffs!r} for {ctx!r}")
-    return FieldElement(ctx, ctx.encode(coeffs))
+    return FieldElement(ctx, values_from_json(ctx, [coeffs])[0])

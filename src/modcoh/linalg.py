@@ -9,10 +9,11 @@ solutions and inconsistency certificates are byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MixedContexts, ModcohError, ShapeMismatch, Singular
-from .gf import FieldCtx, FieldElement, element_from_json
+from .gf import FieldCtx, FieldElement, values_from_json
 
 
 class Matrix:
@@ -431,16 +432,21 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(ctx: FieldCtx, obj: dict) -> Matrix:
+    """Strict parse of a serialized matrix.
+
+    `rows` and `cols` must be ints and `entries` a list of `rows` lists of
+    `cols` cells; the cells are checked and decoded in one pass.
+    """
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ModcohError(f"bad matrix object: {obj!r}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or len(entries) != rows:
+    if (
+        type(rows) is not int
+        or type(cols) is not int
+        or type(entries) is not list
+        or len(entries) != rows
+        or (entries and (set(map(type, entries)) != {list} or set(map(len, entries)) != {cols}))
+    ):
         raise ModcohError("matrix shape mismatch in serialized form")
-    data = []
-    for row in entries:
-        if len(row) != cols:
-            raise ModcohError("matrix shape mismatch in serialized form")
-        for entry in row:
-            data.append(element_from_json(ctx, entry).val)
-    return Matrix(ctx, rows, cols, data)
+    return Matrix(ctx, rows, cols, values_from_json(ctx, list(chain.from_iterable(entries))))

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcoh.build import build_nonsplit_sequence
 from modcoh.coh import (
@@ -21,7 +23,7 @@ from modcoh.coh import (
 from modcoh.errors import BadProjection, NotACocycle, NotEquivariant, NotFixed
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure
-from modcoh.linalg import Matrix, hstack, solve
+from modcoh.linalg import Matrix, hstack, rref, solve, vstack
 from modcoh.rep import dual, fixed_space, natural_module, sym_power, trivial_module
 
 F2 = field_new(2)
@@ -234,6 +236,40 @@ def test_z1_b1_computed_once_per_module(monkeypatch):
     again = natural_module(mod.group)
     z1_space(again)
     assert built == [mod, again]
+
+
+def greedy_complement_reference(bb, zb):
+    """The one-rref-per-candidate loop: keep z if it raises the rank."""
+    picked, rows = [], [b.transpose() for b in bb]
+    current = rref(vstack(rows))[2] if rows else 0
+    for z in zb:
+        r = rref(vstack(rows + [z.transpose()]))[2]
+        if r > current:
+            picked.append(z)
+            rows.append(z.transpose())
+            current = r
+    return picked
+
+
+@st.composite
+def column_families(draw):
+    ctx = field_new(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    dim = draw(st.integers(1, 6))
+    # a small alphabet makes dependent and zero columns common
+    entry = st.integers(0, draw(st.sampled_from([1, ctx.q - 1])))
+    column = st.lists(entry, min_size=dim, max_size=dim).map(
+        lambda d: Matrix(ctx, dim, 1, d)
+    )
+    return draw(st.lists(column, max_size=4)), draw(st.lists(column, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_families())
+def test_complement_in_one_elimination_matches_greedy_loop(case):
+    import modcoh.coh as coh
+
+    bb, zb = case
+    assert coh._complement_basis(bb, zb) == greedy_complement_reference(bb, zb)
 
 
 def test_nonsplit_class_is_nonzero_and_split_test_agrees():

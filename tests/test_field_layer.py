@@ -6,13 +6,23 @@ exhaustively against the digit loops they replace, and the specialised
 elimination against the generic per-cell path.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh.errors import ReducibleModulus
-from modcoh.gf import BUILTIN_MODULI, _TABLE_LIMIT, field_new
-from modcoh.linalg import Matrix, _eliminate, _kernel_from_rref, kernel_basis, rref
+from modcoh.errors import ModcohError, ReducibleModulus
+from modcoh.gf import BUILTIN_MODULI, _TABLE_LIMIT, element_from_json, field_new
+from modcoh.linalg import (
+    Matrix,
+    _eliminate,
+    _kernel_from_rref,
+    kernel_basis,
+    matrix_from_json,
+    matrix_to_json,
+    rref,
+)
 
 FIELDS = sorted(BUILTIN_MODULI) + [(3, 1), (5, 1), (7, 1)]
 
@@ -153,3 +163,80 @@ def test_specialised_elimination_matches_generic(m):
     assert got == want
     for v in kernel_basis(m):
         assert (m @ v).is_zero
+
+
+# ---------------------------------------------------------------------------
+# bulk JSON decoding against the per-cell parse it replaces
+# ---------------------------------------------------------------------------
+
+def element_from_json_reference(ctx, coeffs):
+    """The per-cell parse, with the exact-int rule (no bool)."""
+    if len(coeffs) != ctx.k or any(type(c) is not int or c < 0 or c >= ctx.p for c in coeffs):
+        raise ModcohError(f"non-canonical element encoding {coeffs!r}")
+    return ctx.encode(coeffs)
+
+
+@st.composite
+def field_matrices(draw):
+    pk = draw(st.sampled_from(FIELDS + [None]))  # None: odd p beyond the tables
+    ctx = field_new(*pk) if pk else _field_beyond_tables()
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = draw(st.lists(st.integers(0, ctx.q - 1), min_size=rows * cols,
+                         max_size=rows * cols))
+    return Matrix(ctx, rows, cols, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_matrix_json_round_trip_matches_per_cell_parse(m):
+    obj = json.loads(json.dumps(matrix_to_json(m)))
+    got = matrix_from_json(m.ctx, obj)
+    assert got == m
+    want = [element_from_json_reference(m.ctx, c) for row in obj["entries"] for c in row]
+    assert [got.raw(i, j) for i in range(m.rows) for j in range(m.cols)] == want
+    for row in obj["entries"]:
+        for c in row:
+            assert element_from_json(m.ctx, c).val == element_from_json_reference(m.ctx, c)
+
+
+def _set_cell(value):
+    def mutate(obj):
+        obj["entries"][1][0] = value
+    return mutate
+
+
+def _set_digit(value):
+    def mutate(obj):
+        obj["entries"][1][0][0] = value
+    return mutate
+
+
+MALFORMED = {
+    "float": _set_digit(1.0),
+    "bool": _set_digit(True),
+    "str": _set_digit("1"),
+    "none": _set_digit(None),
+    "negative": _set_digit(-1),
+    "out_of_range": _set_digit(7),
+    "short_cell": lambda obj: obj["entries"][1][0].pop(),
+    "long_cell": lambda obj: obj["entries"][1][0].append(0),
+    "cell_not_list": _set_cell(1),
+    "cell_is_str": _set_cell("01"),
+    "ragged_row": lambda obj: obj["entries"][1].pop(),
+    "row_not_list": lambda obj: obj["entries"].__setitem__(1, "ab"),
+    "rows_mismatch": lambda obj: obj.update(rows=3),
+    "cols_mismatch": lambda obj: obj.update(cols=3),
+    "rows_bool": lambda obj: obj.update(rows=True, entries=obj["entries"][:1]),
+    "entries_not_list": lambda obj: obj.update(entries="ab"),
+    "missing_key": lambda obj: obj.pop("cols"),
+}
+
+
+@pytest.mark.parametrize("pk", [(7, 1), (2, 2), (3, 2), None], ids=["q7", "q4", "q9", "q729"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_matrix_rejected(name, pk):
+    ctx = field_new(*pk) if pk else _field_beyond_tables()
+    obj = matrix_to_json(Matrix(ctx, 2, 2, [1, 0, 0, 1]))
+    MALFORMED[name](obj)
+    with pytest.raises(ModcohError):
+        matrix_from_json(ctx, obj)

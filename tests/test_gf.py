@@ -182,6 +182,8 @@ def test_element_serialization_strict():
         element_from_json(F4, [0, 2])  # coefficient out of range
     with pytest.raises(ModcohError):
         element_from_json(F4, [1])  # wrong length
+    with pytest.raises(ModcohError):
+        element_from_json(F4, [True, 0])  # a JSON true equals 1 but is no coefficient
 
 
 def test_from_coeffs_reduces():

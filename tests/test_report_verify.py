@@ -205,6 +205,30 @@ def test_tamper_toy_scalar(report2):
     expect_failure(tampered(report2, flip), "toy")
 
 
+def test_tamper_bool_coefficient(report2):
+    # JSON true equals 1 to Python, but it is not a canonical coefficient
+    def to_bool(p):
+        cell = p["iota"]["entries"][0][0]
+        assert cell == [1, 0]
+        cell[0] = True
+
+    with pytest.raises(CorruptReport):
+        verify_report(tampered(report2, to_bool))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p["obstruction"]["generator_action"][0]["entries"][0][0].__setitem__(0, 1.0),
+        lambda p: p["nonsplit_certificate"]["inconsistency_row"].update(rows=True),
+    ],
+    ids=["float_coefficient", "bool_rows"],
+)
+def test_malformed_matrix_is_corrupt(report3, mutate):
+    with pytest.raises(CorruptReport):
+        verify_report(tampered(report3, mutate))
+
+
 def test_split_verdict_cannot_be_forged(report3):
     # flipping the verdict string alone must fail the re-checks
     def forge(p):
