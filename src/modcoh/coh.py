@@ -1,9 +1,13 @@
 """First cohomology of a finite matrix group by exact linear algebra.
 
 Cocycles are maps g: G -> M with g_{st} = s(g_t) + g_s, stored as one
-column vector per element id (identity forced to zero).  Z1 is cut out by
-the pair equations, B1 is the image of v -> (s-1)v, and split tests solve
-(s-1)u = g_s over the generators, returning either a witness u or an
+column vector per element id (identity forced to zero).  The identity is
+imposed for s in a generating subset S' of G (``MatrixGroup.spanning_ids``)
+and every t: when the action is a homomorphism this implies it for all
+pairs, by induction on word length in S' (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 7.6).  Z1 is the
+kernel of those equations, B1 is the image of v -> (s-1)v, and split tests
+solve (s-1)u = g_s over the generators, returning either a witness u or an
 inconsistency row that re-verifies without the solver.
 """
 
@@ -24,7 +28,6 @@ from .gf import FieldElement
 from .linalg import Matrix, hstack, kernel_basis, kron, rref, solve, vstack
 from .rep import GModule, tensor
 
-PAIRWISE_ORDER_LIMIT = 64
 # stored entries allowed for the Z1 system, rows x columns; larger systems
 # are beyond the supported desk scale
 Z1_SYSTEM_ENTRY_CAP = 4_000_000
@@ -59,15 +62,17 @@ class Cocycle:
         return cls(module, [(module.action(i) - ident) @ v for i in range(module.group.order)])
 
     def validate(self) -> None:
-        """Exhaustive pair-identity check; raises NotACocycle on failure.
+        """Pair-identity check for s in S' and every t; raises NotACocycle.
 
-        Values and module are immutable, so a pass is recorded on the object
-        and later calls return at once.
+        With g_1 = 0 and a homomorphic action (every module constructor
+        gives one) this accepts exactly the cocycles the check over all
+        |G|^2 pairs accepts.  Values and module are immutable, so a pass is
+        recorded on the object and later calls return at once.
         """
         if self._checked:
             return
         g = self.module.group
-        for i in range(g.order):
+        for i in g.spanning_ids:
             for j in range(g.order):
                 lhs = self.values[g.mul(i, j)]
                 rhs = self.module.action(i) @ self.values[j] + self.values[i]
@@ -124,43 +129,44 @@ class Cocycle:
 def _z1_system(module: GModule) -> Matrix:
     """Linear system cutting out Z1 in the stacked non-identity coordinates.
 
-    All ordered non-identity pairs for small groups; generator x element
-    spanning rows above PAIRWISE_ORDER_LIMIT (exact by induction on word
-    length, revalidated after the kernel computation).  Raises ModcohError
-    before allocating when the system exceeds Z1_SYSTEM_ENTRY_CAP.
+    One d-row block g_{st} - s(g_t) - g_s = 0 per s in S' and non-identity
+    t, |S'|(|G|-1)d rows by (|G|-1)d columns.  Its kernel is the Z1 the
+    system over all ordered pairs cuts out, so both have the same row space
+    and reduced form.  Raises ModcohError before allocating when the system
+    exceeds Z1_SYSTEM_ENTRY_CAP.
     """
     g = module.group
     ctx = g.ctx
     m, d = g.order, module.dim
     ncols = (m - 1) * d
-    firsts = range(1, m) if m <= PAIRWISE_ORDER_LIMIT else g.generator_ids
-    nrows = len(firsts) * (m - 1) * d
+    spanning = g.spanning_ids
+    nrows = len(spanning) * (m - 1) * d
     if nrows * ncols > Z1_SYSTEM_ENTRY_CAP:
         raise ModcohError(
             f"Z1 system would store {nrows * ncols} entries ({nrows}x{ncols} for "
             f"|G| = {m}, dim {d}); beyond the supported desk scale of {Z1_SYSTEM_ENTRY_CAP}"
         )
-    pairs = [(i, j) for i in firsts for j in range(1, m)]
     rows: list[list[int]] = []
-    neg, sub = ctx.neg_i, ctx.sub_i
-    for i, j in pairs:
-        k = g.mul(i, j)
-        block = [[0] * ncols for _ in range(d)]
-        if k != 0:
-            off = (k - 1) * d
-            for r in range(d):
-                block[r][off + r] = 1
+    sub = ctx.sub_i
+    for i in spanning:
         act = module.action(i)
-        off = (j - 1) * d
-        for r in range(d):
-            for c in range(d):
-                v = act.raw(r, c)
-                if v:
-                    block[r][off + c] = sub(block[r][off + c], v)
-        off = (i - 1) * d
-        for r in range(d):
-            block[r][off + r] = sub(block[r][off + r], 1)
-        rows.extend(block)
+        for j in range(1, m):
+            k = g.mul(i, j)
+            block = [[0] * ncols for _ in range(d)]
+            if k != 0:
+                off = (k - 1) * d
+                for r in range(d):
+                    block[r][off + r] = 1
+            off = (j - 1) * d
+            for r in range(d):
+                for c in range(d):
+                    v = act.raw(r, c)
+                    if v:
+                        block[r][off + c] = sub(block[r][off + c], v)
+            off = (i - 1) * d
+            for r in range(d):
+                block[r][off + r] = sub(block[r][off + r], 1)
+            rows.extend(block)
     data = [x for row in rows for x in row]
     return Matrix(ctx, len(rows), ncols, data)
 
@@ -180,11 +186,7 @@ def _cached(module: GModule, key: str, compute):
 def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
     if module.group.order == 1:
         return ()
-    basis = tuple(kernel_basis(_z1_system(module)))
-    if module.group.order > PAIRWISE_ORDER_LIMIT:
-        for v in basis:
-            Cocycle.from_vector(module, v).validate()
-    return basis
+    return tuple(kernel_basis(_z1_system(module)))
 
 
 def _b1_columns(module: GModule) -> tuple[Matrix, ...]:

@@ -30,7 +30,10 @@ DEFAULT_ORDER_CAP = 10_000
 class MatrixGroup:
     """Finite subgroup of GL_n over a fixed field, with enumerated elements."""
 
-    __slots__ = ("ctx", "n", "generators", "generator_ids", "elements", "index", "inv", "_mul")
+    __slots__ = (
+        "ctx", "n", "generators", "generator_ids", "elements", "index", "inv",
+        "_rows", "_spanning",
+    )
 
     def __init__(self, ctx: FieldCtx, n: int, generators: list[Matrix], elements: list[Matrix]):
         self.ctx = ctx
@@ -40,22 +43,51 @@ class MatrixGroup:
         self.index = {m: i for i, m in enumerate(elements)}
         self.generator_ids = [self.index[g] for g in generators]
         self.inv = [self.index[inverse(m)] for m in elements]
-        self._mul: Optional[list[list[int]]] = None
+        self._rows: list[Optional[list[int]]] = [None] * len(elements)
+        self._spanning: Optional[list[int]] = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] @ elements[j]."""
-        if self._mul is None:
-            if self.order <= 256:
-                self._mul = [
-                    [self.index[a @ b] for b in self.elements] for a in self.elements
-                ]
-            else:
-                return self.index[self.elements[i] @ self.elements[j]]
-        return self._mul[i][j]
+        """Index of elements[i] @ elements[j].
+
+        Products are tabulated one row per left factor, on first use.
+        """
+        row = self._rows[i]
+        if row is None:
+            a, index = self.elements[i], self.index
+            row = self._rows[i] = [index[a @ b] for b in self.elements]
+        return row[j]
+
+    @property
+    def spanning_ids(self) -> list[int]:
+        """S', the generator ids in order, each kept only if it lies outside
+        the subgroup generated by those kept before it.
+
+        S' generates the group; for the additive family over GF(p^k) it has
+        k elements, against q - 1 published generators.
+        """
+        if self._spanning is None:
+            kept: list[int] = []
+            reached = {0}
+            for gid in self.generator_ids:
+                if gid in reached:
+                    continue
+                kept.append(gid)
+                frontier = list(reached)
+                while frontier:
+                    new = []
+                    for h in frontier:
+                        for s in kept:
+                            x = self.mul(s, h)
+                            if x not in reached:
+                                reached.add(x)
+                                new.append(x)
+                    frontier = new
+            self._spanning = kept
+        return self._spanning
 
     def digest(self) -> str:
         payload = {

@@ -175,8 +175,13 @@ def test_zpxzp_group_flag(tmp_path, capsys):
 
 
 def test_h1_z1_size_guard(capsys):
-    # |G| = 16 and dim 40: a 9000 x 600 Z1 system, refused before it is built
+    # |G| = 16, |S'| = 4 and dim 80: a 4800 x 1200 Z1 system, refused before
+    # it is built
     start = time.perf_counter()
-    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(40)"]) == 1
+    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(80)"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "desk scale" in capsys.readouterr().err
+    # dim 40 gives 2400 x 600, under the cap: Z1 = Hom(F_2^4, F_2^40)
+    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(40)"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["z1"], out["b1"], out["h1"]) == (160, 0, 160)

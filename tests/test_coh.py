@@ -336,8 +336,8 @@ def test_split_extension_with_invariant_preimage_gives_zero_cocycle():
 
 
 def test_z1_spanning_rows_above_pairwise_limit():
-    # cyclic group of order 81 > 64 exercises the generator x element rows;
-    # the order is coprime to p = 163, so H1 must vanish
+    # cyclic group of order 81: S' is its one generator, so 80 blocks of
+    # rows; the order is coprime to p = 163, so H1 must vanish
     p = 163
     g = next(
         x for x in range(2, p) if pow(x, 81, p) == 1 and pow(x, 27, p) != 1

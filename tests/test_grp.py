@@ -84,6 +84,40 @@ def test_mul_index_table():
             assert g.elements[g.mul(i, j)] == g.elements[i] @ g.elements[j]
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
+def test_spanning_ids_of_the_additive_family(p, k):
+    ctx = field_new(p, k)
+    g = additive_family(ctx)
+    s = g.spanning_ids
+    assert len(s) == k
+    # an ordered subsequence of the published generators
+    it = iter(g.generator_ids)
+    assert all(any(x == y for y in it) for x in s)
+    assert s[0] == g.generator_ids[0]
+    assert closure(ctx, 2, [g.elements[i] for i in s]).order == g.order
+
+
+def test_spanning_ids_drop_redundant_generators():
+    x = Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    y = Matrix.from_rows(F3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    ident = Matrix.identity(F3, 3)
+    g = closure(F3, 3, [x, ident, y, x @ y, x])  # non-abelian, order 27
+    assert g.order == 27
+    assert g.spanning_ids == [g.index[x], g.index[y]]
+    assert g.generator_ids == [g.index[m] for m in (x, ident, y, x @ y, x)]
+    zpxzp = paired_shear_family(F3)
+    assert zpxzp.spanning_ids == zpxzp.generator_ids
+    assert closure(F3, 2, []).spanning_ids == []
+
+
+def test_mul_tabulates_only_the_rows_it_is_asked_for():
+    g = additive_family(field_new(2, 3))
+    s = g.spanning_ids
+    assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(s)
+    assert g.mul(5, 3) == g.index[g.elements[5] @ g.elements[3]]
+    assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(set(s) | {5})
+
+
 def test_closure_errors():
     with pytest.raises(SingularGenerator):
         closure(F2, 2, [Matrix.from_rows(F2, [[1, 1], [1, 1]])])
