@@ -200,9 +200,14 @@ def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
 
 
 def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
-    """[B1 basis | complement of B1 in Z1] side by side, and the B1 count."""
+    """[B1 basis | complement of B1 in Z1] side by side, and the B1 count.
+
+    Z1 comes first, so a system over Z1_SYSTEM_ENTRY_CAP is refused before
+    B1 is eliminated.
+    """
+    zb = _cached(module, "z1", _z1_columns)
     bb = _cached(module, "b1", _b1_columns)
-    cols = list(bb) + _complement_basis(bb, _cached(module, "z1", _z1_columns))
+    cols = list(bb) + _complement_basis(bb, zb)
     if not cols:
         return None, 0
     return _side_by_side(cols), len(bb)
@@ -369,7 +374,6 @@ class SplitResult:
     system: Matrix
     rhs: Matrix
     generator_ids: tuple[int, ...]
-    checked_elements: int = 0  # per-element verifications behind a Split verdict
 
 
 def split_system(g: Cocycle) -> tuple[Matrix, Matrix, tuple[int, ...]]:
@@ -395,15 +399,8 @@ def is_split(e: Union[Cocycle, ExtensionClass]) -> SplitResult:
     module = g.module
     system, rhs, gen_ids = split_system(g)
     if system.rows == 0:
-        return SplitResult(
-            True,
-            Matrix.zeros(module.group.ctx, module.dim, 1),
-            None,
-            system,
-            rhs,
-            gen_ids,
-            module.group.order,
-        )
+        zero = Matrix.zeros(module.group.ctx, module.dim, 1)
+        return SplitResult(True, zero, None, system, rhs, gen_ids)
     res = solve(system, rhs)
     if res.consistent:
         u = res.solution
@@ -413,7 +410,7 @@ def is_split(e: Union[Cocycle, ExtensionClass]) -> SplitResult:
                 raise ModcohError(
                     "internal error: generator witness fails on the full group"
                 )
-        return SplitResult(True, u, None, system, rhs, gen_ids, module.group.order)
+        return SplitResult(True, u, None, system, rhs, gen_ids)
     cert = NonSplitCertificate(system, rhs, res.certificate, gen_ids, module.label)
     if not cert.verify():
         raise ModcohError("internal error: inconsistency certificate does not re-verify")

@@ -128,7 +128,13 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._check(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
+        sub = self.ctx.sub_i
+        return Matrix(
+            self.ctx, self.rows, self.cols, [sub(a, b) for a, b in zip(self._d, other._d)]
+        )
 
     def __neg__(self) -> "Matrix":
         neg = self.ctx.neg_i

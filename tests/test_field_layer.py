@@ -240,3 +240,31 @@ def test_malformed_matrix_rejected(name, pk):
     MALFORMED[name](obj)
     with pytest.raises(ModcohError):
         matrix_from_json(ctx, obj)
+
+
+# ---------------------------------------------------------------------------
+# one-pass subtraction against a + (-b)
+# ---------------------------------------------------------------------------
+
+BENCHMARK_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@st.composite
+def matrix_pairs(draw):
+    pk = draw(st.sampled_from(BENCHMARK_FIELDS + [None]))  # None: GF(3^6)
+    ctx = field_new(*pk) if pk else _field_beyond_tables()
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a, b = (
+        draw(st.lists(st.integers(0, ctx.q - 1), min_size=rows * cols, max_size=rows * cols))
+        for _ in range(2)
+    )
+    return Matrix(ctx, rows, cols, a), Matrix(ctx, rows, cols, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_sub_matches_add_of_negation(pair):
+    a, b = pair
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+    assert (a - a).is_zero

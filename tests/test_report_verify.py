@@ -7,14 +7,15 @@ they exercise the mathematical re-checks rather than the checksum.
 import ast
 import json
 import pathlib
+import re
 
 import pytest
 
 import modcoh.verify
 from modcoh.coh import is_split, tensor_with_invariant
-from modcoh.errors import CorruptReport, FailedCheck
+from modcoh.errors import CorruptReport, FailedCheck, ModcohError
 from modcoh.gf import field_new
-from modcoh.grp import additive_family, closure
+from modcoh.grp import additive_family, closure, group_to_json
 from modcoh.jsonutil import digest_of
 from modcoh.linalg import Matrix, matrix_to_json
 from modcoh.rep import dual
@@ -91,24 +92,78 @@ def test_tamper_basis_order(report3):
 
 
 def test_tamper_sym_action(report3):
+    # the actions are derived from the group elements: swap in another valid
+    # group, resealed, and the derived system no longer fits the stored row
+    other = closure(F3, 2, [Matrix.from_rows(F3, [[2, 0], [0, 1]])])
+
+    def swap_group(p):
+        old_digest = p["group"]["digest"]
+        p["group"] = json.loads(json.dumps(group_to_json(other)))
+        p["nonsplit_certificate"]["module"]["group_digest"] = p["group"]["digest"]
+        p["tensor_vanishing"]["w_module"]["group_digest"] = p["group"]["digest"]
+        assert p["group"]["digest"] != old_digest
+
+    expect_failure(tampered(report3, swap_group), "nonsplit: inconsistency row does not kill")
+
+
+def test_sym_action_block_check_fires(report3, monkeypatch):
+    # a substitution that breaks the block structure is caught by the
+    # checks that run on the derived matrices
+    original = modcoh.verify._substituted_column
+
+    def broken(ctx, sigma, exps, basis_pos):
+        col = original(ctx, sigma, exps, basis_pos)
+        if exps == (3, 0):
+            col[2] = 1  # row n = 2 of a pure power's column: the bottom-left block
+        return col
+
+    monkeypatch.setattr(modcoh.verify, "_substituted_column", broken)
+    expect_failure(report3, "sym-action")
+
+
+def test_tamper_u_action(report3, monkeypatch):
+    # U is derived, so the check on it fires only on a faulty derivation
+    original = modcoh.verify._u_action
+
+    def broken(ctx, elements, sym_action, inv_table, n):
+        out = original(ctx, elements, sym_action, inv_table, n)
+        out[0] = out[0].scale(ctx.el(2))
+        return out
+
+    monkeypatch.setattr(modcoh.verify, "_u_action", broken)
+    expect_failure(report3, "u-action")
+
+
+def test_tamper_cocycle_value(report3, monkeypatch):
+    # the cocycle is derived; a faulty value at the identity, then at another
+    # element (the pair identity), is caught
+    original = modcoh.verify._cocycle
+    for element, detail in ((0, "value at the identity"), (1, "pair identity")):
+
+        def broken(*args, element=element):
+            out = original(*args)
+            out[element] = out[element] + Matrix.basis_column(F3, out[0].rows, 0)
+            return out
+
+        monkeypatch.setattr(modcoh.verify, "_cocycle", broken)
+        expect_failure(report3, f"cocycle: {detail}")
+
+
+def test_cocycle_must_land_in_u():
+    # (s-1)iota has a nonzero W part for an iota that is not (I | 0)
+    group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
+    basis = modcoh.verify._ordered_basis(2, 3, 3)
+    sym = modcoh.verify._sym_action(F3, "sym-action", group.elements, basis, 2)
+    bad_iota = Matrix.from_rows(F3, [[1, 0, 0, 0], [1, 1, 0, 0]])
+    with pytest.raises(FailedCheck, match="cocycle"):
+        modcoh.verify._cocycle(F3, group.elements, sym, list(group.inv), bad_iota)
+
+
+def test_tamper_iota(report3):
     def flip(p):
-        p["sym_action"][1]["entries"][0][1][0] ^= 1
+        p["iota"]["entries"][0][2][0] = 1
 
-    expect_failure(tampered(report3, flip), "sym-action")
-
-
-def test_tamper_u_action(report3):
-    def flip(p):
-        p["u_action"][1]["entries"][0][0][0] ^= 1
-
-    expect_failure(tampered(report3, flip), "u-action")
-
-
-def test_tamper_cocycle_value(report3):
-    def flip(p):
-        p["cocycle"][1]["entries"][2][0][0] ^= 1
-
-    expect_failure(tampered(report3, flip), "cocycle")
+    expect_failure(tampered(report3, flip), "iota")
 
 
 def test_tamper_inconsistency_row(report3):
@@ -167,10 +222,13 @@ def test_solver_witness_still_verifies():
 
 
 def test_tamper_obstruction_block(report3):
-    def flip(p):
-        p["obstruction"]["generator_action"][0]["entries"][0][0][0] ^= 1
+    # X's action is no longer stored; its dimension record is still checked
+    for key in ("dim", "dim_by_formula"):
 
-    expect_failure(tampered(report3, flip), "obstruction")
+        def bump(p, key=key):
+            p["obstruction"][key] += 1
+
+        expect_failure(tampered(report3, bump), "obstruction")
 
 
 def test_tamper_group_element(report3):
@@ -193,7 +251,7 @@ def test_tamper_inverse_table(report3):
 
 def test_tamper_toy_intertwiner(report2):
     def flip(p):
-        p["toy"]["intertwiner"]["matrix"]["entries"][0][0][0] ^= 1
+        p["toy"]["intertwiner"]["entries"][0][0][0] ^= 1
 
     expect_failure(tampered(report2, flip), "toy")
 
@@ -203,6 +261,11 @@ def test_tamper_toy_scalar(report2):
         p["toy"]["class_scalar"] = [0, 1]
 
     expect_failure(tampered(report2, flip), "toy")
+
+
+def test_toy_record_cannot_be_dropped(report2):
+    # the toy comparison runs for every 2x2 group of determinant 1 over p = 2
+    expect_failure(tampered(report2, lambda p: p.update(toy=None)), "toy")
 
 
 def test_tamper_bool_coefficient(report2):
@@ -219,7 +282,7 @@ def test_tamper_bool_coefficient(report2):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda p: p["obstruction"]["generator_action"][0]["entries"][0][0].__setitem__(0, 1.0),
+        lambda p: p["tensor_vanishing"]["witness"]["entries"][0][0].__setitem__(0, 1.0),
         lambda p: p["nonsplit_certificate"]["inconsistency_row"].update(rows=True),
     ],
     ids=["float_coefficient", "bool_rows"],
@@ -238,6 +301,96 @@ def test_split_verdict_cannot_be_forged(report3):
 
     with pytest.raises((FailedCheck, CorruptReport)):
         verify_report(tampered(report3, forge))
+
+
+def test_v1_report_is_corrupt(report3):
+    old = json.loads(json.dumps(report3))
+    old["schema"] = "modcoh-report-v1"
+    with pytest.raises(CorruptReport, match="schema"):
+        verify_report(old)
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ((), "sym_action"),
+        ((), "u_action"),
+        ((), "cocycle"),
+        (("obstruction",), "generator_action"),
+        (("nonsplit_certificate",), "system_digest"),
+        (("tensor_vanishing", "w"), "note"),
+        (("tensor_vanishing", "w_module"), "note"),
+    ],
+    ids=lambda v: ".".join(("payload",) + v) if isinstance(v, tuple) else v,
+)
+def test_readded_field_is_corrupt(report3, where, key):
+    # a field the verifier does not read would be sealed but unchecked
+    def add(p):
+        node = p
+        for part in where:
+            node = node[part]
+        node[key] = []
+
+    with pytest.raises(CorruptReport, match="fields"):
+        verify_report(tampered(report3, add))
+
+
+# Leaves that a mutation may change without rejection: the digest alone binds
+# params.seed and params.order_cap, a changed witness or inconsistency row can
+# be another valid solution, and class_of_g is not re-derived.
+DIGEST_ONLY = [
+    r"params\.seed",
+    r"params\.order_cap",
+    r"tensor_vanishing\.witness\.entries\..*",
+    r"(nonsplit_certificate|toy\.certificate)\.inconsistency_row\.entries\..*",
+    r"tensor_vanishing\.class_of_g\..*",
+]
+# field-element encodings: a coefficient is bumped mod p, so it stays parseable
+CELL_KEYS = {"entries", "class_of_g", "pattern_values", "class_scalar"}
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _mutated(value, path, p):
+    """Increment an int, negate a bool, extend a string or an empty list."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return (value + 1) % p if CELL_KEYS.intersection(path) else value + 1
+    if isinstance(value, str):
+        return value + "x"
+    return 0 if value is None else value + [0]
+
+
+def test_every_leaf_mutation_is_rejected(report2, report3):
+    survivors = []
+    mutations = 0
+    for report in (report2, report3):
+        p = report["payload"]["field"]["p"]
+        for path, value in _leaves(report["payload"]):
+
+            def mutate(payload, path=path, value=value):
+                node = payload
+                for part in path[:-1]:
+                    node = node[part]
+                node[path[-1]] = _mutated(value, path, p)
+
+            mutations += 1
+            try:
+                verify_report(tampered(report, mutate))
+            except ModcohError:
+                continue
+            survivors.append(".".join(map(str, path)))
+    assert mutations > 300
+    unexpected = [s for s in survivors if not any(re.fullmatch(r, s) for r in DIGEST_ONLY)]
+    assert unexpected == []
 
 
 def test_verifier_shares_only_primitives():
