@@ -1,12 +1,17 @@
 """First cohomology of a finite matrix group by exact linear algebra.
 
 Cocycles are maps g: G -> M with g_{st} = s(g_t) + g_s, stored as one
-column vector per element id (identity forced to zero).  The identity is
-imposed for s in a generating subset S' of G (``MatrixGroup.spanning_ids``)
-and every t: when the action is a homomorphism this implies it for all
-pairs, by induction on word length in S' (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005, section 7.6).  Z1 is the
-kernel of those equations, B1 is the image of v -> (s-1)v, and split tests
+column vector per element id (identity forced to zero).  For a module
+action, imposing the identity for s in a generating subset S' of G
+(``MatrixGroup.spanning_ids``) and every t implies it for all pairs, by
+induction on word length in S'.  So Z1 is found from the values on S'
+alone (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, section 7.6; GAP's OneCocycles): a Schreier graph over S' writes every
+g_t in the |S'|d unknowns (g_s), and each of its non-tree edges gives d
+equations.  The kernel is expanded back to the stacked non-identity
+coordinates in a canonical reduced form.  A cocycle is determined by its
+values on S', so the complement of B1 in Z1 and each class are computed on
+those |S'|d coordinates.  B1 is the image of v -> (s-1)v, and split tests
 solve (s-1)u = g_s over the generators, returning either a witness u or an
 inconsistency row that re-verifies without the solver.
 """
@@ -28,8 +33,9 @@ from .gf import FieldElement
 from .linalg import Matrix, hstack, kernel_basis, kron, rref, solve, vstack
 from .rep import GModule, tensor
 
-# stored entries allowed for the Z1 system, rows x columns; larger systems
-# are beyond the supported desk scale
+# stored entries allowed for the Schreier-graph Z1 system, rows x columns,
+# and for its expansion to stacked coordinates, (|G|-1)d x |S'|d; larger
+# ones are beyond the supported desk scale
 Z1_SYSTEM_ENTRY_CAP = 4_000_000
 
 
@@ -126,54 +132,60 @@ class Cocycle:
 # ---------------------------------------------------------------------------
 
 
-def _z1_system(module: GModule) -> Matrix:
-    """Linear system cutting out Z1 in the stacked non-identity coordinates.
+def _check_desk_scale(what: str, rows: int, cols: int, module: GModule) -> None:
+    if rows * cols > Z1_SYSTEM_ENTRY_CAP:
+        raise ModcohError(
+            f"Z1 {what} would store {rows * cols} entries ({rows}x{cols} for "
+            f"|G| = {module.group.order}, dim {module.dim}); beyond the supported "
+            f"desk scale of {Z1_SYSTEM_ENTRY_CAP}"
+        )
 
-    One d-row block g_{st} - s(g_t) - g_s = 0 per s in S' and non-identity
-    t, |S'|(|G|-1)d rows by (|G|-1)d columns.  Its kernel is the Z1 the
-    system over all ordered pairs cuts out, so both have the same row space
-    and reduced form.  Raises ModcohError before allocating when the system
-    exceeds Z1_SYSTEM_ENTRY_CAP.
+
+def _schreier_system(module: GModule) -> tuple[Matrix, list[Matrix]]:
+    """Z1 in the unknowns x = (g_s), s in S', on the Schreier graph over S'.
+
+    Breadth-first from the identity by left multiplication with S', each
+    element t gets the d x |S'|d matrix C_t with g_t = C_t x: C_1 = 0, and
+    a tree edge t -> st sets C_st = A(s) C_t + E_s, E_s picking block s.
+    Each non-tree edge adds the d rows C_st - A(s) C_t - E_s = 0.  Returns
+    the system and the C_t by element id.  The system and the C_t, which
+    hold as many entries as Z1 expanded at its largest, dim Z1 = |S'|d, are
+    checked against Z1_SYSTEM_ENTRY_CAP before either is built.
     """
     g = module.group
     ctx = g.ctx
     m, d = g.order, module.dim
-    ncols = (m - 1) * d
     spanning = g.spanning_ids
-    nrows = len(spanning) * (m - 1) * d
-    if nrows * ncols > Z1_SYSTEM_ENTRY_CAP:
-        raise ModcohError(
-            f"Z1 system would store {nrows * ncols} entries ({nrows}x{ncols} for "
-            f"|G| = {m}, dim {d}); beyond the supported desk scale of {Z1_SYSTEM_ENTRY_CAP}"
-        )
-    rows: list[list[int]] = []
-    sub = ctx.sub_i
-    for i in spanning:
-        act = module.action(i)
-        for j in range(1, m):
-            k = g.mul(i, j)
-            block = [[0] * ncols for _ in range(d)]
-            if k != 0:
-                off = (k - 1) * d
-                for r in range(d):
-                    block[r][off + r] = 1
-            off = (j - 1) * d
-            for r in range(d):
-                for c in range(d):
-                    v = act.raw(r, c)
-                    if v:
-                        block[r][off + c] = sub(block[r][off + c], v)
-            off = (i - 1) * d
-            for r in range(d):
-                block[r][off + r] = sub(block[r][off + r], 1)
-            rows.extend(block)
-    data = [x for row in rows for x in row]
-    return Matrix(ctx, len(rows), ncols, data)
+    n = len(spanning) * d
+    _check_desk_scale("system", (len(spanning) * m - (m - 1)) * d, n, module)
+    _check_desk_scale("expansion", (m - 1) * d, n, module)
+    steps = []
+    for b, s in enumerate(spanning):
+        unit = [0] * (d * n)
+        for r in range(d):
+            unit[r * n + b * d + r] = 1
+        steps.append((s, module.action(s), Matrix(ctx, d, n, unit)))
+    coeff: list[Optional[Matrix]] = [None] * m
+    coeff[0] = Matrix.zeros(ctx, d, n)
+    queue = [0]
+    blocks = []
+    for t in queue:
+        ct = coeff[t]
+        for s, act, unit in steps:
+            image = act @ ct + unit
+            st = g.mul(s, t)
+            if coeff[st] is None:
+                coeff[st] = image
+                queue.append(st)
+            else:
+                blocks.append(coeff[st] - image)
+    return vstack(blocks), coeff
 
 
-# Each module's bases are eliminated once and kept in module.coh_cache as
-# stacked non-identity columns.  Columns refer to the field, not the module,
-# so the cache forms no reference cycle and dies with the module.
+# Each module's bases are eliminated once and kept in module.coh_cache: Z1
+# and B1 as stacked non-identity columns, the H1 matrix on the S' blocks.
+# Columns refer to the field, not the module, so the cache forms no
+# reference cycle and dies with the module.
 
 
 def _cached(module: GModule, key: str, compute):
@@ -184,9 +196,28 @@ def _cached(module: GModule, key: str, compute):
 
 
 def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
-    if module.group.order == 1:
+    """The basis kernel_basis gives for Z1 in stacked coordinates.
+
+    That basis is the reduced one whose pivot is each vector's last nonzero
+    coordinate, so it depends on Z1 alone: the kernel of the Schreier
+    system is expanded by the C_t and brought to that form by one rref of
+    the column-reversed vectors.
+    """
+    g = module.group
+    if g.order == 1:
         return ()
-    return tuple(kernel_basis(_z1_system(module)))
+    system, coeff = _schreier_system(module)
+    kernel = kernel_basis(system)
+    if not kernel:
+        return ()
+    vectors = (vstack(coeff[1:]) @ _side_by_side(kernel)).transpose()
+    n, width = vectors.rows, vectors.cols
+    flipped = [x for i in range(n) for x in reversed(vectors.row_list(i))]
+    reduced, _, _ = rref(Matrix(g.ctx, n, width, flipped))
+    # pivots in flipped order come last-coordinate-first: reverse the rows too
+    return tuple(
+        Matrix(g.ctx, width, 1, reduced.row_list(i)[::-1]) for i in reversed(range(n))
+    )
 
 
 def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
@@ -200,17 +231,27 @@ def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
 
 
 def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
-    """[B1 basis | complement of B1 in Z1] side by side, and the B1 count.
+    """[B1 basis | complement of B1 in Z1] on the S' blocks, side by side,
+    and the B1 count.
 
+    A cocycle is determined by its values on S', so restricting to those
+    blocks keeps every linear relation among Z1 vectors: the complement and
+    each class come out as on the full stacked coordinates, from |S'|d rows.
     Z1 comes first, so a system over Z1_SYSTEM_ENTRY_CAP is refused before
     B1 is eliminated.
     """
-    zb = _cached(module, "z1", _z1_columns)
-    bb = _cached(module, "b1", _b1_columns)
-    cols = list(bb) + _complement_basis(bb, zb)
+    zb = _on_spanning(module, _cached(module, "z1", _z1_columns))
+    bb = _on_spanning(module, _cached(module, "b1", _b1_columns))
+    cols = bb + _complement_basis(bb, zb)
     if not cols:
         return None, 0
     return _side_by_side(cols), len(bb)
+
+
+def _on_spanning(module: GModule, vectors: Sequence[Matrix]) -> list[Matrix]:
+    """The S' blocks of stacked non-identity columns, in S' order."""
+    d, spanning = module.dim, module.group.spanning_ids
+    return [vstack([v.submatrix((s - 1) * d, s * d, 0, 1) for s in spanning]) for v in vectors]
 
 
 def z1_space(module: GModule) -> list[Cocycle]:
@@ -239,7 +280,7 @@ def h1_class(g: Cocycle) -> list[FieldElement]:
     if module.group.order == 1:
         return []
     stacked, nb = _cached(module, "h1", _h1_columns)
-    target = g.vectorize()
+    target = vstack([g.values[s] for s in module.group.spanning_ids])
     if stacked is None:
         if not target.is_zero:
             raise NotACocycle("cocycle outside Z1")

@@ -216,13 +216,13 @@ def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
     from modcoh.report import run_pipeline
 
     built = []
-    original = coh._z1_system
+    original = coh._schreier_system
 
     def counting(module):
         built.append(module)
         return original(module)
 
-    monkeypatch.setattr(coh, "_z1_system", counting)
+    monkeypatch.setattr(coh, "_schreier_system", counting)
     params = {"p": p, "k": k, "n": 2, "group": "family-a", "order_cap": 10000,
               "seed": 0, "modulus": None}
     result = run_pipeline(additive_family(field_new(p, k)), params)

@@ -175,20 +175,21 @@ def test_zpxzp_group_flag(tmp_path, capsys):
 
 
 def test_h1_z1_size_guard(capsys):
-    # |G| = 16, |S'| = 4 and dim 80: a 4800 x 1200 Z1 system, refused before
-    # it is built
+    # |G| = 16, |S'| = 4 and dim 150: 49 non-tree blocks make a 7,350 x 600
+    # Z1 system, refused before it is built
     start = time.perf_counter()
-    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(80)"]) == 1
+    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(150)"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "desk scale" in capsys.readouterr().err
-    # dim 40 gives 2400 x 600, under the cap: Z1 = Hom(F_2^4, F_2^40)
+    # dim 40 gives 1,960 x 160, under the cap: Z1 = Hom(F_2^4, F_2^40)
     assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(40)"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["z1"], out["b1"], out["h1"]) == (160, 0, 160)
 
 
 def test_h1_z1_guard_before_b1(monkeypatch, capsys):
-    # zpxzp p=5: the 9,984 x 4,992 Z1 system is refused before B1 is eliminated
+    # zpxzp p=5, dim 300: 2 * 25 - 24 = 26 non-tree blocks make a 7,800 x 600
+    # Z1 system, refused before B1 is eliminated
     import modcoh.coh as coh
 
     calls = []
@@ -199,6 +200,15 @@ def test_h1_z1_guard_before_b1(monkeypatch, capsys):
         return original(module)
 
     monkeypatch.setattr(coh, "_b1_columns", counting)
-    assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "u"]) == 1
+    start = time.perf_counter()
+    assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "trivial(300)"]) == 1
+    assert time.perf_counter() - start < 1.0
     assert "desk scale" in capsys.readouterr().err
     assert calls == []
+
+
+def test_h1_zpxzp_p5_u(capsys):
+    # |G| = 25, dim U = 208: a 5,408 x 416 Schreier-graph Z1 system
+    assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "u"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["z1"], out["b1"], out["h1"]) == (218, 186, 32)

@@ -1,12 +1,13 @@
 """Cohomology engine: Z1, B1, classes, extensions, split certificates."""
 
+import functools
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh.build import build_nonsplit_sequence
+from modcoh.build import build_nonsplit_sequence, resolve_module
 from modcoh.coh import (
     Cocycle,
     b1_space,
@@ -220,13 +221,13 @@ def test_z1_b1_computed_once_per_module(monkeypatch):
     import modcoh.coh as coh
 
     built = []
-    original = coh._z1_system
+    original = coh._schreier_system
 
     def counting(module):
         built.append(module)
         return original(module)
 
-    monkeypatch.setattr(coh, "_z1_system", counting)
+    monkeypatch.setattr(coh, "_schreier_system", counting)
     mod = natural_module(additive_family(F4))
     first = z1_space(mod)
     assert z1_space(mod) == first and b1_space(mod) == b1_space(mod)
@@ -270,6 +271,45 @@ def test_complement_in_one_elimination_matches_greedy_loop(case):
 
     bb, zb = case
     assert coh._complement_basis(bb, zb) == greedy_complement_reference(bb, zb)
+
+
+# the fields of the benchmark workloads
+BENCH_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@functools.cache
+def bench_module(field, recipe):
+    return resolve_module(additive_family(field_new(*field)), recipe)
+
+
+@st.composite
+def cocycles_with_shift(draw):
+    """A random element g of Z1 on u, dual(u) or hom(u,u) over a benchmark
+    field, with a random vector v and scalar c."""
+    module = bench_module(
+        draw(st.sampled_from(BENCH_FIELDS)), draw(st.sampled_from(["u", "dual(u)", "hom(u,u)"]))
+    )
+    ctx = module.group.ctx
+    elem = st.integers(0, ctx.q - 1)
+    g = Cocycle.zero(module)
+    for z in z1_space(module):
+        g = g + z.scale(ctx.el(draw(elem)))
+    v = Matrix(ctx, module.dim, 1, draw(st.lists(elem, min_size=module.dim, max_size=module.dim)))
+    return g, v, ctx.el(draw(elem))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cocycles_with_shift())
+def test_h1_class_ignores_coboundaries(case):
+    g, v, _ = case
+    assert h1_class(g + Cocycle.coboundary(g.module, v)) == h1_class(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cocycles_with_shift())
+def test_h1_class_is_linear_in_scalars(case):
+    g, _, c = case
+    assert h1_class(g.scale(c)) == [c * x for x in h1_class(g)]
 
 
 def test_nonsplit_class_is_nonzero_and_split_test_agrees():
@@ -449,8 +489,9 @@ def test_is_split_verdict_matches_class_on_sample():
 
 
 def test_h1_class_refuses_z1_before_b1(monkeypatch):
-    # GF(16), |S'| = 4, dim 80: a 4800 x 1200 Z1 system, over the cap; the
-    # refusal comes before any B1 elimination, for h1_class and h1_dim alike
+    # GF(16), |S'| = 4, dim 150: 4 * 16 - 15 = 49 non-tree blocks make a
+    # 7,350 x 600 Z1 system, over the cap; the refusal comes before any B1
+    # elimination, for h1_class and h1_dim alike
     import modcoh.coh as coh
 
     calls = []
@@ -461,7 +502,7 @@ def test_h1_class_refuses_z1_before_b1(monkeypatch):
         return original(module)
 
     monkeypatch.setattr(coh, "_b1_columns", counting)
-    module = trivial_module(additive_family(field_new(2, 4)), 80)
+    module = trivial_module(additive_family(field_new(2, 4)), 150)
     with pytest.raises(ModcohError, match="desk scale"):
         h1_class(Cocycle.zero(module))
     with pytest.raises(ModcohError, match="desk scale"):

@@ -1,8 +1,10 @@
-"""The S' x G cocycle identity against the all-pairs reference.
+"""The Schreier-graph Z1 engine against systems over group elements.
 
-`coh._z1_system` imposes g_{st} = s(g_t) + g_s for s in the generating
-subset S' only, and `Cocycle.validate` checks the same pairs.  The
-references here use every ordered pair.
+`coh._z1_columns` finds Z1 from the values on the generating subset S' and
+expands it to the stacked non-identity coordinates; `Cocycle.validate`
+checks g_{st} = s(g_t) + g_s for s in S' and every t.  The references here
+are the S' x G system in all stacked coordinates, whose kernel_basis is the
+Z1 basis the engine must return, and the system over every ordered pair.
 """
 
 import functools
@@ -12,11 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modcoh.build import resolve_module
-from modcoh.coh import Cocycle, _z1_system
+import modcoh.coh as coh
+from modcoh.coh import Cocycle, b1_space, h1_class, z1_space
 from modcoh.errors import NotACocycle
 from modcoh.gf import field_new, field_to_json
 from modcoh.grp import additive_family, group_spec_from_json, paired_shear_family
-from modcoh.linalg import Matrix, kernel_basis, matrix_to_json, rref
+from modcoh.linalg import Matrix, kernel_basis, matrix_to_json, rref, solve, vstack
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 RECIPES = [
@@ -87,8 +90,13 @@ def identity_system(module, firsts):
     return Matrix(ctx, len(firsts) * (m - 1) * d, ncols, data)
 
 
+def spanning_z1_system(module):
+    """The S' x G reference: s in S' and every non-identity t."""
+    return identity_system(module, module.group.spanning_ids)
+
+
 def pairwise_z1_system(module):
-    """The reference: every ordered pair of non-identity elements."""
+    """The all-pairs reference: every ordered pair of non-identity elements."""
     return identity_system(module, range(1, module.group.order))
 
 
@@ -98,11 +106,15 @@ def nonzero_rref(system):
 
 
 def assert_same_z1(module):
-    ours, reference = _z1_system(module), pairwise_z1_system(module)
-    g = module.group
-    assert ours.rows == len(g.spanning_ids) * (g.order - 1) * module.dim
+    spanning, pairwise = spanning_z1_system(module), pairwise_z1_system(module)
     # same row space, so the same reduced form and the same kernel_basis
-    assert nonzero_rref(ours) == nonzero_rref(reference)
+    assert nonzero_rref(spanning) == nonzero_rref(pairwise)
+    g, d = module.group, module.dim
+    system, _ = coh._schreier_system(module)
+    n = len(g.spanning_ids)
+    assert (system.rows, system.cols) == ((n * g.order - (g.order - 1)) * d, n * d)
+    # the engine returns the reference basis itself: same vectors, same order
+    assert [c.vectorize() for c in z1_space(module)] == kernel_basis(spanning)
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,6 +137,61 @@ def test_z1_system_matches_all_pairs_with_a_redundant_generator(recipe):
     group = heisenberg_with_redundant_generator()
     assert len(group.generator_ids) == 3 and len(group.spanning_ids) == 2
     assert_same_z1(resolve_module(group, recipe))
+
+
+@functools.cache
+def full_coordinate_classes(module):
+    """[B1 | complement of B1 in the reference Z1 basis] on every stacked
+    coordinate, the complement picked greedily by rank, with the B1 count."""
+    cols = [c.vectorize() for c in b1_space(module)]
+    nb = len(cols)
+    zb = kernel_basis(spanning_z1_system(module))
+    for z in zb:
+        if rank_of(cols + [z]) > len(cols):
+            cols.append(z)
+    return zb, vstack([c.transpose() for c in cols]).transpose(), nb
+
+
+def rank_of(columns):
+    return rref(vstack([c.transpose() for c in columns]))[2]
+
+
+CLASS_CASES = [
+    (field, recipe)
+    for field in [(2, 2), (3, 1), (5, 1), (2, 3), (3, 2)]
+    for recipe in ["natural", "sym(2)", "u", "dual(u)", "hom(natural,sym(2))"]
+] + [("zpxzp", "natural"), ("zpxzp", "u"), ("heisenberg", "natural"), ("heisenberg", "dual(natural)")]
+
+
+@functools.cache
+def zpxzp_p3():
+    return paired_shear_family(field_new(3))
+
+
+def class_case_module(case):
+    where, recipe = case
+    if where == "zpxzp":
+        group = zpxzp_p3()
+    elif where == "heisenberg":
+        group = heisenberg_with_redundant_generator()
+    else:
+        group = family(*where)
+    return module_for(group, recipe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASS_CASES), st.data())
+def test_h1_class_matches_full_coordinate_reference(case, data):
+    module = class_case_module(case)
+    ctx = module.group.ctx
+    zb, stacked, nb = full_coordinate_classes(module)
+    vec = Matrix.zeros(ctx, (module.group.order - 1) * module.dim, 1)
+    for z in zb:
+        vec = vec + z.scale(ctx.el(data.draw(st.integers(0, ctx.q - 1))))
+    reference = solve(stacked, vec)
+    assert reference.consistent
+    expected = [reference.solution[nb + i, 0] for i in range(stacked.cols - nb)]
+    assert h1_class(Cocycle.from_vector(module, vec)) == expected
 
 
 def is_cocycle_on_all_pairs(c):
@@ -184,7 +251,7 @@ def test_validate_rejects_a_change_at_each_non_generator_element(make):
     module = module_for(group, "natural")
     ctx = group.ctx
     vec = Matrix.zeros(ctx, (group.order - 1) * module.dim, 1)
-    for z in kernel_basis(_z1_system(module)):
+    for z in kernel_basis(spanning_z1_system(module)):
         vec = vec + z
     base = Cocycle.from_vector(module, vec)
     assert is_cocycle_on_all_pairs(base)
