@@ -28,6 +28,7 @@ from .rep import (
 from .coh import (
     Cocycle,
     ExtensionClass,
+    b1_dim,
     b1_space,
     cocycle_from_extension,
     extension_from_cocycle,
@@ -36,6 +37,7 @@ from .coh import (
     is_split,
     push_class,
     tensor_with_invariant,
+    z1_dim,
     z1_space,
 )
 from .build import (

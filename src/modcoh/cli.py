@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .build import det_identity_demo, resolve_module
-from .coh import b1_space, z1_space
+from .coh import b1_dim, b1_space, z1_dim, z1_space
 from .errors import (
     CorruptReport,
     FailedCheck,
@@ -188,19 +188,18 @@ def cmd_h1(args: argparse.Namespace) -> int:
     spec = _jobspec_from_args(args)
     group = build_group(spec)
     module = resolve_module(group, args.module)
-    zb = z1_space(module)
-    bb = b1_space(module)
+    z1, b1 = z1_dim(module), b1_dim(module)
     out = {
         "recipe": module.label,
         "dim": module.dim,
         "group_order": group.order,
-        "z1": len(zb),
-        "b1": len(bb),
-        "h1": len(zb) - len(bb),
+        "z1": z1,
+        "b1": b1,
+        "h1": z1 - b1,
     }
     if args.dump_basis:
-        out["z1_basis"] = [matrix_to_json(c.vectorize()) for c in zb]
-        out["b1_basis"] = [matrix_to_json(c.vectorize()) for c in bb]
+        out["z1_basis"] = [matrix_to_json(c.vectorize()) for c in z1_space(module)]
+        out["b1_basis"] = [matrix_to_json(c.vectorize()) for c in b1_space(module)]
     print(canonical_json(out))
     return 0
 

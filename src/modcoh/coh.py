@@ -264,8 +264,16 @@ def b1_space(module: GModule) -> list[Cocycle]:
     return [Cocycle.from_vector(module, v) for v in _cached(module, "b1", _b1_columns)]
 
 
+def z1_dim(module: GModule) -> int:
+    return len(_cached(module, "z1", _z1_columns))
+
+
+def b1_dim(module: GModule) -> int:
+    return len(_cached(module, "b1", _b1_columns))
+
+
 def h1_dim(module: GModule) -> int:
-    return len(_cached(module, "z1", _z1_columns)) - len(_cached(module, "b1", _b1_columns))
+    return z1_dim(module) - b1_dim(module)
 
 
 def h1_class(g: Cocycle) -> list[FieldElement]:

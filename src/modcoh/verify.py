@@ -3,12 +3,31 @@
 Deliberately shares only the field and matrix primitives with the builder.
 A v2 report carries only what a solver or a search found; everything else
 is re-derived here from the group elements, without touching the solver
-paths that produced the report: group closure, the basis order, the
-symmetric-power action by substitution, U's action, the cocycle (s-1)iota,
-the generator systems and the toy sequence.  Every equation those values
-feed is then checked, and every payload object must have exactly the v2
-fields, so no sealed field goes unchecked by accident.  The payload digest
-binds every field.
+paths that produced the report: the basis order, the symmetric-power action
+by substitution, U's action, the cocycle (s-1)iota, the generator systems
+and the toy sequence.  Every equation those values feed is then checked,
+and every payload object must have exactly the v2 fields, so no sealed
+field goes unchecked by accident.  The payload digest binds every field.
+
+The group equations are checked on a generating subset S' that the
+verifier picks itself: the generators in order, each kept only when the
+BFS from the identity by left multiplication with those kept before it has
+not reached it (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, section 7.6).  Every product of that BFS must lie in the
+element list and every listed element must be reached, so the list is
+exactly the group the generators generate, and the products it looks up
+are S' x G.  Checks on S' then hold on every element:
+
+- The substitution action A is multiplicative for all n x n matrices, and
+  so is its lower-right block S, since the bottom-left block is zero.  So
+  U(s) = kron(s^[p], S(s^-1)^T) is a homomorphism once the inverse table
+  is checked, and so is the toy action.
+- g_1 = 0 together with g_st = U(s) g_t + g_s on S' x G gives a cocycle,
+  by induction on word length in S'.  Then the extension [[U, g], [0, 1]]
+  and its dual W(s) are homomorphisms too.
+- Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
+  So the tensor witness, a Split witness, the invariance of w and the toy
+  intertwiner and class comparison are checked on S' only.
 """
 
 from __future__ import annotations
@@ -26,7 +45,6 @@ from .linalg import Matrix, hstack, inverse, kron, matrix_from_json, vstack
 SCHEMA = "modcoh-report-v2"
 TENSOR_EQUATION = "(kron(W(s), U(s)) - I) @ u == kron(w, g_s) for every element"
 SPLIT_EQUATION = "y@system == 0 and y@rhs != 0"
-_PAIRWISE_LIMIT = 64
 
 # the exact fields of the report and of each v2 payload object
 _REPORT_KEYS = frozenset({"schema", "payload", "digest"})
@@ -199,18 +217,54 @@ def _cocycle(
     return out
 
 
-def _ext_matrices(ctx: FieldCtx, u_action: list[Matrix], cocycle: list[Matrix]) -> list[Matrix]:
-    """Block matrices [[U(s), g_s], [0, 1]] per element."""
-    out = []
-    d = u_action[0].rows
-    for act, val in zip(u_action, cocycle):
-        data = []
-        for r in range(d):
-            data.extend(act.row_list(r))
-            data.append(val.raw(r, 0))
-        data.extend([0] * d + [1])
-        out.append(Matrix(ctx, d + 1, d + 1, data))
-    return out
+def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
+    """The block matrix [[U(s), g_s], [0, 1]]."""
+    d = act.rows
+    data = []
+    for r in range(d):
+        data.extend(act.row_list(r))
+        data.append(val.raw(r, 0))
+    data.extend([0] * d + [1])
+    return Matrix(ctx, d + 1, d + 1, data)
+
+
+def _generated(
+    elements: list[Matrix], index: dict, gen_ids: list[int]
+) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """S' and the ids of the products s @ t for s in S', t in G.
+
+    A generator is kept only when the BFS from the identity by left
+    multiplication with those kept before it has not reached it.  Fails
+    `group` when a product escapes the element list or a listed element is
+    never reached: the list is then exactly the group the generators make.
+    """
+    spanning: list[int] = []
+    reached = [0]
+    seen = {0}
+    mul_idx: dict[tuple[int, int], int] = {}
+    for gid in gen_ids:
+        if gid in seen:
+            continue
+        spanning.append(gid)
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for t in frontier:
+                for s in spanning:
+                    if (s, t) in mul_idx:
+                        continue
+                    k = index.get(elements[s] @ elements[t])
+                    if k is None:
+                        _fail("group", f"product of elements {s} and {t} escapes the element list")
+                    mul_idx[(s, t)] = k
+                    if k not in seen:
+                        seen.add(k)
+                        reached.append(k)
+                        new.append(k)
+            frontier = new
+    if len(reached) != len(elements):
+        _fail("group", f"the generators reach {len(reached)} of the {len(elements)} elements")
+    return spanning, mul_idx
 
 
 def _check_split_record(
@@ -220,9 +274,13 @@ def _check_split_record(
     action: list[Matrix],
     values: list[Matrix],
     generator_ids: list[int],
+    spanning: list[int],
     extra_keys: Iterable[str] = (),
 ) -> None:
-    """Assemble the generator system (s-1)u = g_s and re-check the verdict data."""
+    """Assemble the generator system (s-1)u = g_s and re-check the verdict data.
+
+    A Split witness is checked on S' only: both sides are cocycles.
+    """
     verdict = record.get("verdict") if isinstance(record, dict) else None
     if verdict not in _SPLIT_KEYS:
         raise CorruptReport(f"{name}: unknown verdict {verdict!r}")
@@ -242,9 +300,9 @@ def _check_split_record(
             _fail(name, "inconsistency row kills the right-hand side")
     else:
         u = _matrix(ctx, record["witness"])
-        for i, (act, val) in enumerate(zip(action, values)):
-            if (act - ident) @ u != val:
-                _fail(name, f"split witness fails at element {i}")
+        for s in spanning:
+            if (action[s] - ident) @ u != values[s]:
+                _fail(name, f"split witness fails at element {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +344,7 @@ def _verify_payload(report: dict) -> int:
         _fail("params", "params disagree with the field spec")
     checks += 1
 
-    # group: closure, inverses, digest
+    # group: exactly <generators> (closure under S', reachability), inverses, digest
     gobj = _record(payload["group"], "group", _GROUP_KEYS)
     n = gobj["n"]
     if params["n"] != n:
@@ -313,17 +371,7 @@ def _verify_payload(report: dict) -> int:
         for i, g in zip(gen_ids, generators)
     ):
         _fail("group", "generator ids do not point at the generator matrices")
-    if order <= _PAIRWISE_LIMIT:
-        pairs = [(i, j) for i in range(order) for j in range(order)]
-    else:
-        pairs = [(i, j) for i in gen_ids for j in range(order)]
-    mul_idx: dict[tuple[int, int], int] = {}
-    for i, j in pairs:
-        prod = elements[i] @ elements[j]
-        k = index.get(prod)
-        if k is None:
-            _fail("group", f"product of elements {i} and {j} escapes the element list")
-        mul_idx[(i, j)] = k
+    spanning, mul_idx = _generated(elements, index, gen_ids)
     inv_table = list(gobj["inverse"])
     if len(inv_table) != order:
         _fail("group", "inverse table length mismatch")
@@ -370,37 +418,41 @@ def _verify_payload(report: dict) -> int:
     cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota)
     if not cocycle[0].is_zero:
         _fail("cocycle", "value at the identity must be zero")
-    for (i, j), k in mul_idx.items():
-        if cocycle[k] != u_action[i] @ cocycle[j] + cocycle[i]:
-            _fail("cocycle", f"pair identity fails at elements ({i}, {j})")
+    # on S' x G, which with g_1 = 0 makes g a cocycle
+    for (s, t), k in mul_idx.items():
+        if cocycle[k] != u_action[s] @ cocycle[t] + cocycle[s]:
+            _fail("cocycle", f"pair identity fails at elements ({s}, {t})")
     checks += 1
 
     # non-split certificate
     cert = payload["nonsplit_certificate"]
-    _check_split_record(ctx, "nonsplit", cert, u_action, cocycle, gen_ids, {"module"})
+    _check_split_record(ctx, "nonsplit", cert, u_action, cocycle, gen_ids, spanning, {"module"})
     module = _record(cert["module"], "nonsplit module", _MODULE_KEYS)
     if module != {"group_digest": gobj["digest"], "recipe": "u", "dim": dim_u}:
         _fail("nonsplit", "certificate module descriptor is not u of dim d")
     checks += 1
 
-    # tensor vanishing: (s-1)u = w (x) g_s over every element, in Hom form
+    # tensor vanishing: (s-1)u = w (x) g_s on S', in Hom form; both sides
+    # are cocycles once w is fixed, so it holds on every element
     tv = _record(payload["tensor_vanishing"], "tensor_vanishing", _TENSOR_KEYS)
-    ext = _ext_matrices(ctx, u_action, cocycle)
-    w_dual = [ext[inv_table[i]].transpose() for i in range(order)]
+    w_dual = {
+        s: _ext_matrix(ctx, u_action[inv_table[s]], cocycle[inv_table[s]]).transpose()
+        for s in spanning
+    }
     w = _matrix(ctx, tv["w"])
     if w != Matrix.basis_column(ctx, dim_u + 1, dim_u):
         _fail("tensor-vanishing", "w is not the coordinate functional of iota")
-    for i in range(order):
-        if w_dual[i] @ w != w:
-            _fail("tensor-vanishing", f"w is not fixed at element {i}")
+    for s in spanning:
+        if w_dual[s] @ w != w:
+            _fail("tensor-vanishing", f"w is not fixed at element {s}")
     u_vec = _matrix(ctx, tv["witness"])
     if u_vec.rows != (dim_u + 1) * dim_u or u_vec.cols != 1:
         _fail("tensor-vanishing", f"witness is not a {(dim_u + 1) * dim_u}x1 column")
     # kron(A, B) @ vec(X) = vec(A @ X @ B^T) for the row-major vec
     x = u_vec.reshape(dim_u + 1, dim_u)
-    for i in range(order):
-        if w_dual[i] @ x @ u_action[i].transpose() - x != w @ cocycle[i].transpose():
-            _fail("tensor-vanishing", f"witness equation fails at element {i}")
+    for s in spanning:
+        if w_dual[s] @ x @ u_action[s].transpose() - x != w @ cocycle[s].transpose():
+            _fail("tensor-vanishing", f"witness equation fails at element {s}")
     if _record(tv["w_module"], "w_module", _MODULE_KEYS) != {
         "group_digest": gobj["digest"],
         "recipe": "dual(ext(u))",
@@ -438,7 +490,7 @@ def _verify_payload(report: dict) -> int:
     if wants_toy != (toy is not None):
         _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")
     if toy is not None:
-        checks += _verify_toy(ctx, toy, elements, gen_ids, u_action, cocycle)
+        checks += _verify_toy(ctx, toy, elements, gen_ids, spanning, u_action, cocycle)
     return checks
 
 
@@ -447,6 +499,7 @@ def _verify_toy(
     toy: dict,
     elements: list[Matrix],
     gen_ids: list[int],
+    spanning: list[int],
     u_action: list[Matrix],
     main_cocycle: list[Matrix],
 ) -> int:
@@ -495,7 +548,7 @@ def _verify_toy(
     cert = toy["certificate"]
     if hypothesis_ok and isinstance(cert, dict) and cert.get("verdict") != "NonSplit":
         _fail("toy", "hypothesis holds but the verdict is not NonSplit")
-    _check_split_record(ctx, "toy-certificate", cert, toy_u, values, gen_ids)
+    _check_split_record(ctx, "toy-certificate", cert, toy_u, values, gen_ids, spanning)
     checks += 1
 
     if hypothesis_ok:
@@ -504,17 +557,17 @@ def _verify_toy(
             inverse(t_mat)
         except ModcohError as exc:
             raise FailedCheck(f"toy-intertwiner: matrix not invertible: {exc}") from exc
-        for i, (u_s, toy_s) in enumerate(zip(u_action, toy_u)):
-            if u_s @ t_mat != t_mat @ toy_s:
-                _fail("toy-intertwiner", f"does not intertwine at element {i}")
+        for s in spanning:
+            if u_action[s] @ t_mat != t_mat @ toy_u[s]:
+                _fail("toy-intertwiner", f"does not intertwine at element {s}")
         scalar = element_from_json(ctx, toy["class_scalar"])
         if scalar.is_zero:
             _fail("toy-intertwiner", "class scalar is zero")
         v = _matrix(ctx, toy["coboundary_witness"])
         ident_u = Matrix.identity(ctx, u_action[0].rows)
-        for i, (u_s, val) in enumerate(zip(u_action, values)):
-            if t_mat @ val != main_cocycle[i].scale(scalar) + (u_s - ident_u) @ v:
-                _fail("toy-intertwiner", f"class comparison fails at element {i}")
+        for s in spanning:
+            if t_mat @ values[s] != main_cocycle[s].scale(scalar) + (u_action[s] - ident_u) @ v:
+                _fail("toy-intertwiner", f"class comparison fails at element {s}")
         checks += 1
     return checks
 

@@ -222,7 +222,12 @@ def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
         built.append(module)
         return original(module)
 
+    def rebuilt(cls, module, vec):
+        raise AssertionError("a Z1 or B1 basis vector was rebuilt as a Cocycle")
+
     monkeypatch.setattr(coh, "_schreier_system", counting)
+    # the z1/b1 dims are read off the cached bases, not counted as Cocycles
+    monkeypatch.setattr(coh.Cocycle, "from_vector", classmethod(rebuilt))
     params = {"p": p, "k": k, "n": 2, "group": "family-a", "order_cap": 10000,
               "seed": 0, "modulus": None}
     result = run_pipeline(additive_family(field_new(p, k)), params)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from modcoh.build import build_nonsplit_sequence, resolve_module
 from modcoh.coh import (
     Cocycle,
+    b1_dim,
     b1_space,
     cocycle_from_extension,
     extension_from_cocycle,
@@ -19,6 +20,7 @@ from modcoh.coh import (
     push_class,
     split_system,
     tensor_with_invariant,
+    z1_dim,
     z1_space,
 )
 from modcoh.errors import BadProjection, ModcohError, NotACocycle, NotEquivariant, NotFixed
@@ -232,6 +234,7 @@ def test_z1_b1_computed_once_per_module(monkeypatch):
     first = z1_space(mod)
     assert z1_space(mod) == first and b1_space(mod) == b1_space(mod)
     assert h1_dim(mod) == len(first) - len(b1_space(mod))
+    assert (z1_dim(mod), b1_dim(mod)) == (len(first), len(b1_space(mod)))
     assert built == [mod]
     # a fresh module with the same action computes its own
     again = natural_module(mod.group)

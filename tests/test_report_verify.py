@@ -239,6 +239,16 @@ def test_tamper_group_element(report3):
         verify_report(tampered(report3, flip))
 
 
+def test_generators_of_a_proper_subgroup_fail_group(report2):
+    # the element list must be exactly <generators>: one of GF(4)'s three
+    # generators makes a subgroup of order 2, and the BFS reaches only that
+    def cut(p):
+        p["group"]["generators"] = p["group"]["generators"][:1]
+        p["group"]["generator_ids"] = p["group"]["generator_ids"][:1]
+
+    expect_failure(tampered(report2, cut), "group: the generators reach 2 of the 4 elements")
+
+
 def test_tamper_inverse_table(report3):
     def swap(p):
         p["group"]["inverse"][1], p["group"]["inverse"][2] = (
