@@ -167,7 +167,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     params.pop("out")
     if params["n"] is None:
         params["n"] = group.n
-    result = run_pipeline(group, params, seed=spec.seed)
+    result = run_pipeline(group, params)
     if spec.out == "-":
         print(canonical_json(result.report))
     else:

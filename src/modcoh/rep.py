@@ -143,25 +143,6 @@ def direct_sum_mod(mods: Sequence[GModule]) -> GModule:
     return GModule(first.group, sum(m.dim for m in mods), mats, label)
 
 
-def coordinate_submodule(mod: GModule, coords: Sequence[int]) -> GModule:
-    """Restrict to the span of the given basis positions; must be invariant."""
-    idx = list(coords)
-    others = [i for i in range(mod.dim) if i not in set(idx)]
-    for e, mat in enumerate(mod.actions()):
-        for j in idx:
-            for i in others:
-                if mat.raw(i, j):
-                    raise ModcohError(
-                        f"coordinates {idx} do not span a submodule (element {e})"
-                    )
-    mats = []
-    for mat in mod.actions():
-        rows = [[mat[i, j] for j in idx] for i in idx]
-        mats.append(Matrix.from_rows(mod.group.ctx, rows))
-    label = f"restrict({mod.label},[" + ",".join(map(str, idx)) + "])"
-    return GModule(mod.group, len(idx), mats, label)
-
-
 def fixed_space(mod: GModule) -> list[Matrix]:
     """Deterministic basis of the invariants, from generator kernels."""
     ctx = mod.group.ctx

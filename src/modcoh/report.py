@@ -1,11 +1,11 @@
 """Assemble the pipeline report: the evidence a verifier cannot re-derive.
 
 The report carries the group (elements, generators, inverse table) and
-what only a solver or a search finds: inconsistency rows, the tensor
-witness, the H1 class and dims, the toy intertwiner and its coboundary
-witness.  Everything the verifier rebuilds from the group elements (the
-symmetric-power, U and X actions, the cocycle values and the generator
-systems) is left out.  All output is canonical JSON; the payload digest
+what only a solver finds or a closed form states: inconsistency rows, the
+tensor witness, the H1 class and dims, and the toy intertwiner, class
+scalar and coboundary witness.  Everything the verifier rebuilds from the
+group elements (the symmetric-power, U and X actions, the cocycle values
+and the generator systems) is left out.  All output is canonical JSON; the payload digest
 binds every field.
 """
 
@@ -62,7 +62,7 @@ def _toy_to_json(toy: ToyReport) -> dict:
         "certificate": _split_result_to_json(toy.split_result),
     }
     if toy.intertwiner is not None:
-        out["intertwiner"] = matrix_to_json(toy.intertwiner.matrix)
+        out["intertwiner"] = matrix_to_json(toy.intertwiner)
         out["class_scalar"] = element_to_json(toy.scalar)
         out["coboundary_witness"] = matrix_to_json(toy.coboundary_witness)
     return out
@@ -78,7 +78,11 @@ class PipelineResult:
 
 
 def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineResult:
-    """Run every stage on a built group and assemble the wrapped report."""
+    """Run every stage on a built group and assemble the wrapped report.
+
+    No stage draws random numbers; `seed` is accepted for callers that pass
+    it, and the report records only `params["seed"]`.
+    """
     seq = build_nonsplit_sequence(group)
     witness = tensor_vanishing_witness(seq)
     obstruction = assemble_obstruction_module(seq)
@@ -89,7 +93,7 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
             for m in group.elements
         )
         if dets_ok:
-            toy = toy_example(group, seed=seed, main=seq)
+            toy = toy_example(group, main=seq)
 
     payload = {
         # the job's other keys (group recipe, modulus) are the group and field

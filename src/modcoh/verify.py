@@ -166,7 +166,7 @@ def _frob_matrix(ctx: FieldCtx, m: Matrix) -> Matrix:
 
 
 def _sym_action(
-    ctx: FieldCtx, name: str, elements: list[Matrix], basis: list[tuple[int, ...]], n: int
+    ctx: FieldCtx, elements: list[Matrix], basis: list[tuple[int, ...]], n: int
 ) -> list[Matrix]:
     """Each element's action on the basis by direct substitution.
 
@@ -180,9 +180,9 @@ def _sym_action(
         cols = [_substituted_column(ctx, sigma, exps, pos) for exps in basis]
         mat = Matrix(ctx, N, N, [col[i] for i in range(N) for col in cols])
         if mat.submatrix(0, n, 0, n) != _frob_matrix(ctx, sigma):
-            _fail(name, f"element {idx}: top-left block is not the Frobenius twist")
+            _fail("sym-action", f"element {idx}: top-left block is not the Frobenius twist")
         if not mat.submatrix(n, N, 0, n).is_zero:
-            _fail(name, f"element {idx}: bottom-left block is nonzero")
+            _fail("sym-action", f"element {idx}: bottom-left block is nonzero")
         out.append(mat)
     return out
 
@@ -401,7 +401,7 @@ def _verify_payload(report: dict) -> int:
     checks += 1
 
     # symmetric-power action by independent substitution, with its block structure
-    sym_action = _sym_action(ctx, "sym-action", elements, basis, n)
+    sym_action = _sym_action(ctx, elements, basis, n)
     checks += 1
 
     # iota
@@ -490,7 +490,9 @@ def _verify_payload(report: dict) -> int:
     if wants_toy != (toy is not None):
         _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")
     if toy is not None:
-        checks += _verify_toy(ctx, toy, elements, gen_ids, spanning, u_action, cocycle)
+        checks += _verify_toy(
+            ctx, toy, elements, sym_action, gen_ids, spanning, u_action, cocycle
+        )
     return checks
 
 
@@ -498,18 +500,22 @@ def _verify_toy(
     ctx: FieldCtx,
     toy: dict,
     elements: list[Matrix],
+    sym_action: list[Matrix],
     gen_ids: list[int],
     spanning: list[int],
     u_action: list[Matrix],
     main_cocycle: list[Matrix],
 ) -> int:
+    """The toy record, on the main symmetric-square action.
+
+    The toy runs only for p = n = 2, where the main basis, already checked,
+    is x^2, y^2, xy: the toy's S^2 is the main `sym_action`.
+    """
     checks = 0
     hypothesis_ok = toy.get("hypothesis_ok") if isinstance(toy, dict) else None
     if type(hypothesis_ok) is not bool:
         raise CorruptReport("toy: hypothesis_ok must be a boolean")
     _record(toy, "toy", _TOY_KEYS | (_TOY_CLASS_KEYS if hypothesis_ok else frozenset()))
-    action = _sym_action(ctx, "toy", elements, _ordered_basis(2, 2, 2), 2)
-    checks += 1
 
     # hypothesis scan: [[a, a+1], [a+1, a]] patterns among the elements
     found = set()
@@ -525,20 +531,23 @@ def _verify_toy(
         _fail("toy", "hypothesis flag disagrees with the pattern count")
     checks += 1
 
-    # the quadratic sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 and its cocycle (s-1)v0
+    # the quadratic sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 ...
     pi = _matrix(ctx, toy["pi"])
     v0 = _matrix(ctx, toy["v0"])
     if pi.rows != 1 or pi.cols != 3 or (pi @ v0).raw(0, 0) != 1:
         _fail("toy", "pi, v0 are not a projection and preimage of 1")
-    for i, a in enumerate(action):
+    for i, a in enumerate(sym_action):
         if pi @ a != pi:
             _fail("toy", f"projection not invariant at element {i}")
         if a.raw(2, 0) or a.raw(2, 1):
             _fail("toy", f"first two coordinates are not a submodule at element {i}")
-    toy_u = [a.submatrix(0, 2, 0, 2) for a in action]
+    toy_u = [a.submatrix(0, 2, 0, 2) for a in sym_action]
+    checks += 1
+
+    # ... and its cocycle (s-1)v0
     values = []
     ident3 = Matrix.identity(ctx, 3)
-    for i, a in enumerate(action):
+    for i, a in enumerate(sym_action):
         diff = (a - ident3) @ v0
         if diff.raw(2, 0):
             _fail("toy", f"(s-1)v0 leaves the kernel at element {i}")

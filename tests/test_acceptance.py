@@ -241,11 +241,11 @@ def test_criterion_07_toy_example(case_a):
     group, seq = case_a
     toy = toy_example(group, main=seq)
     assert not toy.split_result.split
-    assert toy.intertwiner.matrix is not None
+    assert toy.intertwiner is not None
     assert not toy.scalar.is_zero
     ident = Matrix.identity(F4, 2)
     for i in range(group.order):
-        lhs = toy.intertwiner.matrix @ toy.cocycle.values[i]
+        lhs = toy.intertwiner @ toy.cocycle.values[i]
         rhs = seq.cocycle.values[i].scale(toy.scalar) + (
             seq.u_module.action(i) - ident
         ) @ toy.coboundary_witness

@@ -20,6 +20,7 @@ from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import Matrix, kron, vstack
 from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual
+from modcoh.report import _toy_to_json
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -136,20 +137,29 @@ def test_obstruction_components():
     assert rep.components == ["dual(u)", "ext(u)", "ext(u)", "ext(u)"]
 
 
-def test_toy_nonsplit_and_equivalence():
-    toy = toy_example(2)
+@pytest.mark.parametrize("k", [2, 3, 4], ids=["GF4", "GF8", "GF16"])
+def test_toy_nonsplit_and_equivalence(k):
+    toy = toy_example(k)
+    ctx = toy.group.ctx
     assert toy.hypothesis.ok
     assert not toy.split_result.split
-    assert toy.intertwiner is not None and toy.intertwiner.matrix is not None
-    assert toy.scalar is not None and not toy.scalar.is_zero
+    # the closed form: T = I, scalar 1, coboundary witness 0
+    T, lam, v = toy.intertwiner, toy.scalar, toy.coboundary_witness
+    assert T == Matrix.identity(ctx, 2)
+    assert lam == ctx.one()
+    assert v == Matrix.zeros(ctx, 2, 1)
     # pushed class = scalar * main class + coboundary, on every element
-    T, lam, v = toy.intertwiner.matrix, toy.scalar, toy.coboundary_witness
     main = toy.main
-    ident = Matrix.identity(F4, 2)
+    ident = Matrix.identity(ctx, 2)
     for i in range(toy.group.order):
+        assert main.u_module.action(i) @ T == T @ toy.toy_module.action(i)
         lhs = T @ toy.cocycle.values[i]
         rhs = main.cocycle.values[i].scale(lam) + (main.u_module.action(i) - ident) @ v
         assert lhs == rhs
+    seq = build_nonsplit_sequence(toy.group)
+    assert _toy_to_json(toy_example(toy.group)) == _toy_to_json(
+        toy_example(toy.group, main=seq)
+    )
 
 
 def test_toy_without_hypothesis_records_verdict():

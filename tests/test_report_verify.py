@@ -153,7 +153,7 @@ def test_cocycle_must_land_in_u():
     # (s-1)iota has a nonzero W part for an iota that is not (I | 0)
     group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
     basis = modcoh.verify._ordered_basis(2, 3, 3)
-    sym = modcoh.verify._sym_action(F3, "sym-action", group.elements, basis, 2)
+    sym = modcoh.verify._sym_action(F3, group.elements, basis, 2)
     bad_iota = Matrix.from_rows(F3, [[1, 0, 0, 0], [1, 1, 0, 0]])
     with pytest.raises(FailedCheck, match="cocycle"):
         modcoh.verify._cocycle(F3, group.elements, sym, list(group.inv), bad_iota)
@@ -276,6 +276,28 @@ def test_tamper_toy_scalar(report2):
 def test_toy_record_cannot_be_dropped(report2):
     # the toy comparison runs for every 2x2 group of determinant 1 over p = 2
     expect_failure(tampered(report2, lambda p: p.update(toy=None)), "toy")
+
+
+def test_toy_record_does_not_depend_on_the_seed():
+    # over GF(128) an intertwiner search would have to sample, so a seeded
+    # search made the toy record vary with the seed; the closed form does not
+    ctx = field_new(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])
+    group = additive_family(ctx, params=[ctx.el(1), ctx.el(2), ctx.el(3)])
+    assert group.order == 4
+    closed_form = {
+        "intertwiner": matrix_to_json(Matrix.identity(ctx, 2)),
+        "class_scalar": [1, 0, 0, 0, 0, 0, 0],
+        "coboundary_witness": matrix_to_json(Matrix.zeros(ctx, 2, 1)),
+    }
+    records = []
+    for seed in (0, 1, 2):
+        params = {"p": 2, "k": 7, "n": 2, "order_cap": 10000, "seed": seed}
+        report = run_pipeline(group, params, seed=seed).report
+        assert verify_report(report) == 17
+        toy = report["payload"]["toy"]
+        assert {key: toy[key] for key in closed_form} == closed_form
+        records.append(toy)
+    assert records[0] == records[1] == records[2]
 
 
 def test_tamper_bool_coefficient(report2):

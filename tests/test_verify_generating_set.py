@@ -62,7 +62,7 @@ class Derived:
         self.inv = gobj["inverse"]
         self.order = len(self.elements)
         basis = [tuple(e) for e in payload["basis"]]
-        sym = verify._sym_action(ctx, "sym-action", self.elements, basis, n)
+        sym = verify._sym_action(ctx, self.elements, basis, n)
         self.u = verify._u_action(ctx, self.elements, sym, self.inv, n)
         self.g = verify._cocycle(
             ctx, self.elements, sym, self.inv, matrix_from_json(ctx, payload["iota"])
@@ -109,7 +109,7 @@ def reference_failures(der):
     out += [f"witness {i}" for i in witness_failures(der, der.x)]
     toy = der.payload["toy"]
     if toy is not None:
-        action = verify._sym_action(ctx, "toy", der.elements, verify._ordered_basis(2, 2, 2), 2)
+        action = verify._sym_action(ctx, der.elements, verify._ordered_basis(2, 2, 2), 2)
         toy_u = [a.submatrix(0, 2, 0, 2) for a in action]
         v0 = matrix_from_json(ctx, toy["v0"])
         ident3 = Matrix.identity(ctx, 3)
