@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import GroupMismatch, ModcohError
 from .grp import MatrixGroup
 from .linalg import Matrix, direct_sum, is_invertible, kernel_basis, kron, vstack
-from .poly import Monomial, Polynomial, monomial_basis, substitute_linear
+from .poly import Monomial, Polynomial, monomial_basis
 
 INTERTWINER_EXHAUST_CAP = 4096
 INTERTWINER_SAMPLES = 1000
@@ -82,19 +82,40 @@ def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
     ctx, n = group.ctx, group.n
     basis = monomial_basis(n, d, ctx.p)
     pos = {m: i for i, m in enumerate(basis)}
+    mats = [_substitution_matrix(sigma, basis, pos) for sigma in group.elements]
+    return GModule(group, len(basis), mats, f"sym({d})"), basis
+
+
+def _substitution_matrix(
+    sigma: Matrix, basis: Sequence[Monomial], pos: dict[Monomial, int]
+) -> Matrix:
+    """Columns: each basis monomial with x_j replaced by l_j = sum_i sigma_ij x_i.
+
+    Substitution is a ring homomorphism, so the column of x^e is
+    prod_j l_j^(e_j), read off a table of the powers l_j^1..l_j^d built by
+    repeated multiplication once per element (one product per column when
+    n = 2).
+    """
+    ctx, n = sigma.ctx, sigma.rows
+    d = basis[0].degree
+    units = [Monomial(int(i == r) for r in range(n)) for i in range(n)]
+    powers = []
+    for j in range(n):
+        lin = Polynomial(ctx, n, {units[i]: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)})
+        row = [None, lin]  # row[e] = l_j^e
+        for _ in range(d - 1):
+            row.append(row[-1] * lin)
+        powers.append(row)
     N = len(basis)
-    basis_polys = [
-        Polynomial.from_monomial(ctx, m, ctx.one()) for m in basis
-    ]
-    mats = []
-    for sigma in group.elements:
-        data = [0] * (N * N)
-        for j, f in enumerate(basis_polys):
-            image = substitute_linear(f, sigma)
-            for mono, coeff in image.terms.items():
-                data[pos[mono] * N + j] = coeff
-        mats.append(Matrix(ctx, N, N, data))
-    return GModule(group, N, mats, f"sym({d})"), basis
+    data = [0] * (N * N)
+    for col, mono in enumerate(basis):
+        image = None
+        for j, e in enumerate(mono):
+            if e:
+                image = powers[j][e] if image is None else image * powers[j][e]
+        for m, c in image.terms.items():
+            data[pos[m] * N + col] = c
+    return Matrix(ctx, N, N, data)
 
 
 def frobenius_twist(group: MatrixGroup) -> GModule:

@@ -117,42 +117,51 @@ def _ordered_basis(n: int, d: int, p: int) -> list[tuple[int, ...]]:
     return prefix + rest
 
 
-def _substituted_column(
-    ctx: FieldCtx, sigma: Matrix, exps: Sequence[int], basis_pos: dict
-) -> list[int]:
-    """Coefficients of prod_j (sum_i sigma_ij x_i)^(e_j) over the basis.
-
-    Monomial-dict convolution, independent of the polynomial module.
-    """
-    n = len(exps)
-    acc = {(0,) * n: 1}
+def _convolve(ctx: FieldCtx, a: dict, b: dict) -> dict:
+    """Product of two monomial-dict polynomials, independent of the polynomial module."""
     add, mul = ctx.add_i, ctx.mul_i
-    for j, e in enumerate(exps):
-        lin = {}
-        for i in range(n):
-            v = sigma.raw(i, j)
-            if v:
-                unit = [0] * n
-                unit[i] = 1
-                lin[tuple(unit)] = v
-        for _ in range(e):
-            nxt: dict = {}
-            for m1, c1 in acc.items():
-                for m2, c2 in lin.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    prev = nxt.get(m, 0)
-                    s = add(prev, mul(c1, c2))
-                    if s:
-                        nxt[m] = s
-                    elif m in nxt:
-                        del nxt[m]
-            acc = nxt
-    col = [0] * len(basis_pos)
-    for mono, coeff in acc.items():
-        if mono not in basis_pos:
-            raise FailedCheck(f"sym-action: image monomial {mono} outside the basis")
-        col[basis_pos[mono]] = coeff
-    return col
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(int.__add__, m1, m2))
+            s = add(out.get(m, 0), mul(c1, c2))
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _substitution_matrix(
+    ctx: FieldCtx, sigma: Matrix, basis: Sequence[tuple[int, ...]], basis_pos: dict
+) -> Matrix:
+    """Columns: each basis monomial x^e with x_j -> l_j = sum_i sigma_ij x_i.
+
+    The column is prod_j l_j^(e_j), taken from a table of the powers
+    l_j^1..l_j^d that repeated multiplication builds once per element.
+    """
+    n = sigma.rows
+    d = sum(basis[0])
+    units = [tuple(int(i == r) for r in range(n)) for i in range(n)]
+    powers = []
+    for j in range(n):
+        lin = {units[i]: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)}
+        row = [None, lin]  # row[e] = l_j^e
+        for _ in range(d - 1):
+            row.append(_convolve(ctx, row[-1], lin))
+        powers.append(row)
+    N = len(basis)
+    data = [0] * (N * N)
+    for col, exps in enumerate(basis):
+        image = None
+        for j, e in enumerate(exps):
+            if e:
+                image = powers[j][e] if image is None else _convolve(ctx, image, powers[j][e])
+        for mono, coeff in image.items():
+            if mono not in basis_pos:
+                raise FailedCheck(f"sym-action: image monomial {mono} outside the basis")
+            data[basis_pos[mono] * N + col] = coeff
+    return Matrix(ctx, N, N, data)
 
 
 def _frob_matrix(ctx: FieldCtx, m: Matrix) -> Matrix:
@@ -168,7 +177,7 @@ def _frob_matrix(ctx: FieldCtx, m: Matrix) -> Matrix:
 def _sym_action(
     ctx: FieldCtx, elements: list[Matrix], basis: list[tuple[int, ...]], n: int
 ) -> list[Matrix]:
-    """Each element's action on the basis by direct substitution.
+    """Each element's action on the basis by substitution, one power table each.
 
     Checks the block structure on the way: the top-left n x n block is the
     entrywise Frobenius of the element and the bottom-left block is zero.
@@ -177,8 +186,7 @@ def _sym_action(
     N = len(basis)
     out = []
     for idx, sigma in enumerate(elements):
-        cols = [_substituted_column(ctx, sigma, exps, pos) for exps in basis]
-        mat = Matrix(ctx, N, N, [col[i] for i in range(N) for col in cols])
+        mat = _substitution_matrix(ctx, sigma, basis, pos)
         if mat.submatrix(0, n, 0, n) != _frob_matrix(ctx, sigma):
             _fail("sym-action", f"element {idx}: top-left block is not the Frobenius twist")
         if not mat.submatrix(n, N, 0, n).is_zero:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcoh.errors import MixedContexts, ShapeMismatch, Singular
 from modcoh.gf import field_new
@@ -18,6 +20,7 @@ from modcoh.linalg import (
     rank,
     rref,
     solve,
+    vstack,
 )
 
 F2 = field_new(2)
@@ -204,3 +207,58 @@ def test_flatten_reshape_row_major():
     m = Matrix.from_rows(F3, [[1, 2], [0, 1]])
     assert m.flatten().transpose() == Matrix.from_rows(F3, [[1, 2, 0, 1]])
     assert m.flatten().reshape(2, 2) == m
+
+
+# the seven fields of the benchmark ladder
+BENCH_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b, in_space): b in a's column space exactly when in_space.
+
+    Out of the space, a = P [M; 0] and b = P e_last with P invertible
+    (unit lower times unit upper triangular), so P^-1 b = e_last is not in
+    the column space of [M; 0].
+    """
+    ctx = field_new(*draw(st.sampled_from(BENCH_FIELDS)))
+    rows, cols, rhs = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 2))
+
+    def cells(r, c):
+        entries = st.lists(st.integers(0, ctx.q - 1), min_size=r * c, max_size=r * c)
+        return Matrix(ctx, r, c, draw(entries))
+
+    in_space = draw(st.booleans())
+    if in_space:
+        a = cells(rows, cols)
+        return a, a @ cells(cols, rhs), True
+    lower, upper = cells(rows, rows), cells(rows, rows)
+    lower = Matrix(ctx, rows, rows, [
+        1 if i == j else lower.raw(i, j) if j < i else 0 for i in range(rows) for j in range(rows)
+    ])
+    upper = Matrix(ctx, rows, rows, [
+        1 if i == j else upper.raw(i, j) if j > i else 0 for i in range(rows) for j in range(rows)
+    ])
+    p = lower @ upper
+    a = p @ vstack([cells(rows - 1, cols), Matrix.zeros(ctx, 1, cols)])
+    b = p @ Matrix.basis_column(ctx, rows, rows - 1)
+    return a, b, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_certificate_equations(system):
+    a, b, in_space = system
+    res = solve(a, b)
+    assert res.consistent == in_space
+    for k in res.kernel:
+        assert (a @ k).is_zero
+    assert len(res.kernel) == a.cols - rank(a)
+    if res.consistent:
+        assert a @ res.solution == b
+        assert res.certificate is None
+    else:
+        y = res.certificate
+        assert (y @ a).is_zero
+        assert not (y @ b).is_zero
+        assert res.solution is None

@@ -1,14 +1,18 @@
 """Module constructions: symmetric powers, duals, Hom, fixed spaces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcoh.build import build_nonsplit_sequence, toy_example
 from modcoh.errors import GroupMismatch
 from modcoh.gf import field_new, frobenius
 from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import Matrix, hstack, inverse, solve
+from modcoh.poly import Polynomial, monomial_basis, substitute_linear
 from modcoh.rep import (
     GModule,
+    _substitution_matrix,
     action_is_homomorphism,
     direct_sum_mod,
     dual,
@@ -93,6 +97,37 @@ def test_sym_power_is_representation(group, d):
     sym, basis = sym_power(group, d)
     assert sym.dim == len(basis)
     assert action_is_homomorphism(sym)
+
+
+@st.composite
+def substitutions(draw):
+    """A random n x n matrix, singular ones included, with d = p."""
+    ctx = field_new(*draw(st.sampled_from([(3, 1), (2, 2), (5, 1), (3, 2)])))
+    n = draw(st.sampled_from([2, 3]))
+    cells = draw(st.lists(st.integers(0, ctx.q - 1), min_size=n * n, max_size=n * n))
+    r = draw(st.integers(0, n - 1))
+    zeroed = draw(st.sampled_from(["none", "row", "column"]))
+    if zeroed == "row":
+        cells[n * r : n * r + n] = [0] * n
+    elif zeroed == "column":
+        cells[r::n] = [0] * n  # the linear form l_r is 0
+    return Matrix(ctx, n, n, cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions())
+def test_power_table_columns_equal_substitution(sigma):
+    # every column of the power-table action is the substituted basis monomial
+    ctx, n = sigma.ctx, sigma.rows
+    basis = monomial_basis(n, ctx.p, ctx.p)
+    pos = {m: i for i, m in enumerate(basis)}
+    action = _substitution_matrix(sigma, basis, pos)
+    for j, mono in enumerate(basis):
+        image = substitute_linear(Polynomial.from_monomial(ctx, mono, ctx.one()), sigma)
+        want = [0] * len(basis)
+        for m, c in image.terms.items():
+            want[pos[m]] = c
+        assert action.column_vector(j) == Matrix(ctx, len(basis), 1, want), (sigma, mono)
 
 
 def test_block_structure_degree_p():

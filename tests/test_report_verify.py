@@ -109,16 +109,16 @@ def test_tamper_sym_action(report3):
 def test_sym_action_block_check_fires(report3, monkeypatch):
     # a substitution that breaks the block structure is caught by the
     # checks that run on the derived matrices
-    original = modcoh.verify._substituted_column
+    original = modcoh.verify._substitution_matrix
 
-    def broken(ctx, sigma, exps, basis_pos):
-        col = original(ctx, sigma, exps, basis_pos)
-        if exps == (3, 0):
-            col[2] = 1  # row n = 2 of a pure power's column: the bottom-left block
-        return col
+    def broken(ctx, sigma, basis, basis_pos):
+        mat = original(ctx, sigma, basis, basis_pos)
+        data = [mat.raw(i, j) for i in range(mat.rows) for j in range(mat.cols)]
+        data[2 * mat.cols] = 1  # row n = 2 of the pure power x^3's column: bottom-left
+        return Matrix(ctx, mat.rows, mat.cols, data)
 
-    monkeypatch.setattr(modcoh.verify, "_substituted_column", broken)
-    expect_failure(report3, "sym-action")
+    monkeypatch.setattr(modcoh.verify, "_substitution_matrix", broken)
+    expect_failure(report3, "sym-action: element 0: bottom-left block is nonzero")
 
 
 def test_tamper_u_action(report3, monkeypatch):

@@ -23,6 +23,7 @@ from modcoh.gf import element_from_json, field_from_json, field_new
 from modcoh.grp import additive_family, paired_shear_family
 from modcoh.jsonutil import digest_of
 from modcoh.linalg import Matrix, kernel_basis, matrix_from_json, matrix_to_json, vstack
+from modcoh.rep import sym_power
 from modcoh.report import run_pipeline
 
 # the ten ladder instances (p, k, n) of the family-a benchmark reports
@@ -131,6 +132,16 @@ def reference_failures(der):
 def test_reference_checks_hold(label):
     assert reference_failures(derived(label)) == []
     assert verify.verify_report(report(label)) >= 12
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_verifier_sym_action_equals_the_builders(label):
+    # two power tables, each in its own code: the verifier's monomial dicts
+    # and the builder's polynomials give the same matrices on every element
+    g = group(label)
+    sym, basis = sym_power(g, g.ctx.p)
+    derived_action = verify._sym_action(g.ctx, list(g.elements), [tuple(m) for m in basis], g.n)
+    assert derived_action == sym.actions()
 
 
 @pytest.mark.parametrize("label", LABELS)
