@@ -17,7 +17,6 @@ from .rep import (
     dual,
     direct_sum_mod,
     find_intertwiner,
-    fixed_space,
     frobenius_twist,
     hom,
     natural_module,

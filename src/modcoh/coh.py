@@ -12,7 +12,7 @@ equations.  The kernel is expanded back to the stacked non-identity
 coordinates in a canonical reduced form.  A cocycle is determined by its
 values on S', so the complement of B1 in Z1 and each class are computed on
 those |S'|d coordinates.  B1 is the image of v -> (s-1)v, and split tests
-solve (s-1)u = g_s over the generators, returning either a witness u or an
+solve (s-1)u = g_s over S', returning either a witness u or an
 inconsistency row that re-verifies without the solver.
 """
 
@@ -399,7 +399,7 @@ def cocycle_from_extension(
 
 @dataclass(frozen=True)
 class NonSplitCertificate:
-    """Inconsistency witness for the generator system (s-1)u = g_s.
+    """Inconsistency witness for the S' system (s-1)u = g_s.
 
     `row` is y with y @ system = 0 and y @ rhs != 0; `verify` re-checks
     both equations by plain matrix products.
@@ -408,8 +408,6 @@ class NonSplitCertificate:
     system: Matrix
     rhs: Matrix
     row: Matrix
-    generator_ids: tuple[int, ...]
-    module_label: str
 
     def verify(self) -> bool:
         return (self.row @ self.system).is_zero and not (self.row @ self.rhs).is_zero
@@ -422,48 +420,45 @@ class SplitResult:
     certificate: Optional[NonSplitCertificate]
     system: Matrix
     rhs: Matrix
-    generator_ids: tuple[int, ...]
+    spanning_ids: tuple[int, ...]
 
 
 def split_system(g: Cocycle) -> tuple[Matrix, Matrix, tuple[int, ...]]:
-    """Generator-indexed system (s-1)u = g_s, one block of rows per generator."""
+    """The system (s-1)u = g_s over S', one block of rows per element of S'."""
     module = g.module
     ctx = module.group.ctx
-    gen_ids = tuple(module.group.generator_ids)
+    ids = tuple(module.group.spanning_ids)
     ident = Matrix.identity(ctx, module.dim)
-    if not gen_ids:
-        return Matrix.zeros(ctx, 0, module.dim), Matrix.zeros(ctx, 0, 1), gen_ids
-    system = vstack([module.action(i) - ident for i in gen_ids])
-    rhs = vstack([g.values[i] for i in gen_ids])
-    return system, rhs, gen_ids
+    if not ids:
+        return Matrix.zeros(ctx, 0, module.dim), Matrix.zeros(ctx, 0, 1), ids
+    system = vstack([module.action(i) - ident for i in ids])
+    rhs = vstack([g.values[i] for i in ids])
+    return system, rhs, ids
 
 
 def is_split(e: Union[Cocycle, ExtensionClass]) -> SplitResult:
-    """Decide splitness over the generators; certify either way.
+    """Decide splitness from the system over S'; certify either way.
 
-    Split: returns u with (s-1)u = g_s, verified over every element.
-    NonSplit: returns the inconsistency row of the generator system.
+    g is validated first (at no cost once it has passed).  A u with
+    (s-1)u = g_s on all of G solves the S' rows, so a row y that
+    kills the S' system but not its right-hand side rules out any split:
+    NonSplit returns that y.  Conversely s -> g_s - (s-1)u is a cocycle,
+    and one that vanishes on S' vanishes on G, so a u solving the S' rows
+    is a Split witness on every element.
     """
     g = e.cocycle if isinstance(e, ExtensionClass) else e
-    module = g.module
-    system, rhs, gen_ids = split_system(g)
+    g.validate()
+    system, rhs, ids = split_system(g)
     if system.rows == 0:
-        zero = Matrix.zeros(module.group.ctx, module.dim, 1)
-        return SplitResult(True, zero, None, system, rhs, gen_ids)
+        zero = Matrix.zeros(g.module.group.ctx, g.module.dim, 1)
+        return SplitResult(True, zero, None, system, rhs, ids)
     res = solve(system, rhs)
     if res.consistent:
-        u = res.solution
-        ident = Matrix.identity(module.group.ctx, module.dim)
-        for i in range(module.group.order):
-            if (module.action(i) - ident) @ u != g.values[i]:
-                raise ModcohError(
-                    "internal error: generator witness fails on the full group"
-                )
-        return SplitResult(True, u, None, system, rhs, gen_ids)
-    cert = NonSplitCertificate(system, rhs, res.certificate, gen_ids, module.label)
+        return SplitResult(True, res.solution, None, system, rhs, ids)
+    cert = NonSplitCertificate(system, rhs, res.certificate)
     if not cert.verify():
         raise ModcohError("internal error: inconsistency certificate does not re-verify")
-    return SplitResult(False, None, cert, system, rhs, gen_ids)
+    return SplitResult(False, None, cert, system, rhs, ids)
 
 
 # ---------------------------------------------------------------------------

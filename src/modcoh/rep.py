@@ -164,17 +164,6 @@ def direct_sum_mod(mods: Sequence[GModule]) -> GModule:
     return GModule(first.group, sum(m.dim for m in mods), mats, label)
 
 
-def fixed_space(mod: GModule) -> list[Matrix]:
-    """Deterministic basis of the invariants, from generator kernels."""
-    ctx = mod.group.ctx
-    gen_ids = mod.group.generator_ids
-    if not gen_ids:
-        return [Matrix.basis_column(ctx, mod.dim, i) for i in range(mod.dim)]
-    ident = Matrix.identity(ctx, mod.dim)
-    stacked = vstack([mod.action(i) - ident for i in gen_ids])
-    return kernel_basis(stacked)
-
-
 # ---------------------------------------------------------------------------
 # intertwiners
 # ---------------------------------------------------------------------------
@@ -242,6 +231,3 @@ def _combine(basis: Sequence[Matrix], coeffs: Sequence[int]) -> Matrix:
             acc = acc + b.scale(ctx.el(c))
     return acc
 
-
-def module_descriptor(mod: GModule) -> dict:
-    return {"group_digest": mod.group.digest(), "recipe": mod.label, "dim": mod.dim}

@@ -1,12 +1,15 @@
-"""Assemble the pipeline report: the evidence a verifier cannot re-derive.
+"""Assemble the pipeline report: the objects it states and the evidence a
+solver found.
 
-The report carries the group (elements, generators, inverse table) and
-what only a solver finds or a closed form states: inconsistency rows, the
-tensor witness, the H1 class and dims, and the toy intertwiner, class
-scalar and coboundary witness.  Everything the verifier rebuilds from the
-group elements (the symmetric-power, U and X actions, the cocycle values
-and the generator systems) is left out.  All output is canonical JSON; the payload digest
-binds every field.
+Schema v3.  The payload states its objects (params, field, group, dims,
+basis, iota and the obstruction module's components) and otherwise carries
+only what a solver found: the inconsistency row of the S' split system,
+the H1 class of g and the Z1 and B1 dims.  Each claim keeps its equation
+text.  Everything the verifier rebuilds from the group elements (the
+symmetric-power, U and X actions, the cocycle values, the split system,
+the closed-form tensor witness X = [-I_d ; 0] with w = e_d, and the toy
+sequence, which is the main extension) is left out.  All output is
+canonical JSON; the payload digest binds every field.
 """
 
 from __future__ import annotations
@@ -24,48 +27,17 @@ from .build import (
     tensor_vanishing_witness,
     toy_example,
 )
-from .coh import SplitResult
 from .gf import element_to_json, field_to_json
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
 from .linalg import matrix_to_json
-from .rep import module_descriptor
 
-SCHEMA = "modcoh-report-v2"
-
-
-def _split_result_to_json(res: SplitResult) -> dict:
-    out = {
-        "verdict": "Split" if res.split else "NonSplit",
-        "generator_ids": list(res.generator_ids),
-    }
-    if res.split:
-        out["witness"] = matrix_to_json(res.witness)
-    else:
-        out["inconsistency_row"] = matrix_to_json(res.certificate.row)
-        out["equation"] = "y@system == 0 and y@rhs != 0"
-    return out
-
-
-def _certificate_to_json(seq: NonSplitSequence) -> dict:
-    out = _split_result_to_json(seq.split_result)
-    out["module"] = module_descriptor(seq.u_module)
-    return out
-
-
-def _toy_to_json(toy: ToyReport) -> dict:
-    out = {
-        "hypothesis_ok": toy.hypothesis.ok,
-        "pattern_values": [element_to_json(a) for a in toy.hypothesis.values],
-        "pi": matrix_to_json(toy.pi),
-        "v0": matrix_to_json(toy.v0),
-        "certificate": _split_result_to_json(toy.split_result),
-    }
-    if toy.intertwiner is not None:
-        out["intertwiner"] = matrix_to_json(toy.intertwiner)
-        out["class_scalar"] = element_to_json(toy.scalar)
-        out["coboundary_witness"] = matrix_to_json(toy.coboundary_witness)
-    return out
+SCHEMA = "modcoh-report-v3"
+SPLIT_EQUATION = "y@system == 0 and y@rhs != 0 for (s-1)u = g_s over S'"
+TENSOR_EQUATION = (
+    "W(s) @ X @ U(s)^T - X == w @ g_s^T for every element, X = [-I_d ; 0], w = e_d"
+)
+TOY_EQUATION = "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
 
 
 @dataclass
@@ -103,23 +75,23 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
         "dims": seq.dims,
         "basis": [list(m) for m in seq.basis],
         "iota": matrix_to_json(seq.iota),
-        "nonsplit_certificate": _certificate_to_json(seq),
+        "nonsplit_certificate": {
+            "verdict": "NonSplit",
+            "inconsistency_row": matrix_to_json(seq.certificate.row),
+            "equation": SPLIT_EQUATION,
+        },
         "tensor_vanishing": {
-            "w_module": module_descriptor(witness.w_module),
-            "w": matrix_to_json(witness.w),
-            "witness": matrix_to_json(witness.witness),
             "class_of_g": [element_to_json(c) for c in witness.class_of_g],
             "z1_dim": witness.z1_dim,
             "b1_dim": witness.b1_dim,
-            "h1_dim": witness.z1_dim - witness.b1_dim,
-            "equation": "(kron(W(s), U(s)) - I) @ u == kron(w, g_s) for every element",
+            "equation": TENSOR_EQUATION,
         },
         "obstruction": {
             "components": list(obstruction.components),
             "dim": obstruction.dim,
             "dim_by_formula": obstruction.dim_by_formula,
         },
-        "toy": _toy_to_json(toy) if toy is not None else None,
+        "toy": None if toy is None else {"equation": TOY_EQUATION},
     }
     report = {"schema": SCHEMA, "payload": payload, "digest": digest_of(payload)}
     return PipelineResult(seq, witness, obstruction, toy, report)

@@ -1,13 +1,17 @@
 """Independent re-checker for pipeline reports.
 
 Deliberately shares only the field and matrix primitives with the builder.
-A v2 report carries only what a solver or a search found; everything else
-is re-derived here from the group elements, without touching the solver
-paths that produced the report: the basis order, the symmetric-power action
-by substitution, U's action, the cocycle (s-1)iota, the generator systems
-and the toy sequence.  Every equation those values feed is then checked,
-and every payload object must have exactly the v2 fields, so no sealed
-field goes unchecked by accident.  The payload digest binds every field.
+A v3 report states its objects and otherwise carries only what a solver
+found: the inconsistency row, the H1 class and the Z1 and B1 dims.
+Everything else is re-derived here from the group elements, without
+touching the solver paths that produced the report: the basis order, the
+symmetric-power action by substitution, U's action, the cocycle
+(s-1)iota, the split system over S', and the closed-form tensor witness
+X = [-I_d ; 0] with w = e_d.  The toy sequence for p = n = 2 is the main
+extension, so its record is the equation alone.  Every equation those
+values feed is then checked, and every payload object must have exactly
+the v3 fields, so no sealed field goes unchecked by accident.  The
+payload digest binds every field.
 
 The group equations are checked on a generating subset S' that the
 verifier picks itself: the generators in order, each kept only when the
@@ -21,13 +25,15 @@ are S' x G.  Checks on S' then hold on every element:
 - The substitution action A is multiplicative for all n x n matrices, and
   so is its lower-right block S, since the bottom-left block is zero.  So
   U(s) = kron(s^[p], S(s^-1)^T) is a homomorphism once the inverse table
-  is checked, and so is the toy action.
+  is checked.
 - g_1 = 0 together with g_st = U(s) g_t + g_s on S' x G gives a cocycle,
   by induction on word length in S'.  Then the extension [[U, g], [0, 1]]
   and its dual W(s) are homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
-  So the tensor witness, a Split witness, the invariance of w and the toy
-  intertwiner and class comparison are checked on S' only.
+  So the tensor witness, the invariance of w and the toy identity
+  A(s) = [[U(s), g_s], [0, 1]] are checked on S' only.
+- A u with (s-1)u = g_s on G solves the S' rows, so a row that kills the
+  S' system but not its right-hand side rules out every split.
 """
 
 from __future__ import annotations
@@ -40,13 +46,16 @@ from typing import Iterable, Sequence
 from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, element_from_json, field_from_json
 from .jsonutil import digest_of
-from .linalg import Matrix, hstack, inverse, kron, matrix_from_json, vstack
+from .linalg import Matrix, hstack, kron, matrix_from_json, vstack
 
-SCHEMA = "modcoh-report-v2"
-TENSOR_EQUATION = "(kron(W(s), U(s)) - I) @ u == kron(w, g_s) for every element"
-SPLIT_EQUATION = "y@system == 0 and y@rhs != 0"
+SCHEMA = "modcoh-report-v3"
+SPLIT_EQUATION = "y@system == 0 and y@rhs != 0 for (s-1)u = g_s over S'"
+TENSOR_EQUATION = (
+    "W(s) @ X @ U(s)^T - X == w @ g_s^T for every element, X = [-I_d ; 0], w = e_d"
+)
+TOY_EQUATION = "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
 
-# the exact fields of the report and of each v2 payload object
+# the exact fields of the report and of each v3 payload object
 _REPORT_KEYS = frozenset({"schema", "payload", "digest"})
 _PAYLOAD_KEYS = frozenset({
     "params", "field", "group", "dims", "basis", "iota",
@@ -58,17 +67,10 @@ _GROUP_KEYS = frozenset({
     "field", "n", "generators", "generator_ids", "elements", "inverse", "order", "digest",
 })
 _MATRIX_KEYS = frozenset({"rows", "cols", "entries"})
-_MODULE_KEYS = frozenset({"group_digest", "recipe", "dim"})
-_SPLIT_KEYS = {
-    "NonSplit": frozenset({"verdict", "generator_ids", "inconsistency_row", "equation"}),
-    "Split": frozenset({"verdict", "generator_ids", "witness"}),
-}
-_TENSOR_KEYS = frozenset({
-    "w_module", "w", "witness", "class_of_g", "z1_dim", "b1_dim", "h1_dim", "equation",
-})
+_NONSPLIT_KEYS = frozenset({"verdict", "inconsistency_row", "equation"})
+_TENSOR_KEYS = frozenset({"class_of_g", "z1_dim", "b1_dim", "equation"})
 _OBSTRUCTION_KEYS = frozenset({"components", "dim", "dim_by_formula"})
-_TOY_KEYS = frozenset({"hypothesis_ok", "pattern_values", "pi", "v0", "certificate"})
-_TOY_CLASS_KEYS = frozenset({"intertwiner", "class_scalar", "coboundary_witness"})
+_TOY_KEYS = frozenset({"equation"})
 
 
 def _fail(name: str, detail: str) -> None:
@@ -275,42 +277,9 @@ def _generated(
     return spanning, mul_idx
 
 
-def _check_split_record(
-    ctx: FieldCtx,
-    name: str,
-    record: dict,
-    action: list[Matrix],
-    values: list[Matrix],
-    generator_ids: list[int],
-    spanning: list[int],
-    extra_keys: Iterable[str] = (),
-) -> None:
-    """Assemble the generator system (s-1)u = g_s and re-check the verdict data.
-
-    A Split witness is checked on S' only: both sides are cocycles.
-    """
-    verdict = record.get("verdict") if isinstance(record, dict) else None
-    if verdict not in _SPLIT_KEYS:
-        raise CorruptReport(f"{name}: unknown verdict {verdict!r}")
-    _record(record, name, _SPLIT_KEYS[verdict].union(extra_keys))
-    if record["generator_ids"] != list(generator_ids):
-        _fail(name, "generator ids differ from the group's")
-    ident = Matrix.identity(ctx, action[0].rows)
-    if verdict == "NonSplit":
-        if record["equation"] != SPLIT_EQUATION:
-            _fail(name, "equation text differs from the checked equation")
-        system = vstack([action[i] - ident for i in generator_ids])
-        rhs = vstack([values[i] for i in generator_ids])
-        y = _matrix(ctx, record["inconsistency_row"])
-        if not (y @ system).is_zero:
-            _fail(name, "inconsistency row does not kill the system")
-        if (y @ rhs).is_zero:
-            _fail(name, "inconsistency row kills the right-hand side")
-    else:
-        u = _matrix(ctx, record["witness"])
-        for s in spanning:
-            if (action[s] - ident) @ u != values[s]:
-                _fail(name, f"split witness fails at element {s}")
+def _hom_witness(ctx: FieldCtx, d: int) -> Matrix:
+    """The closed-form tensor witness in Hom form, X = [-I_d ; 0]."""
+    return vstack([-Matrix.identity(ctx, d), Matrix.zeros(ctx, 1, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -432,48 +401,41 @@ def _verify_payload(report: dict) -> int:
             _fail("cocycle", f"pair identity fails at elements ({s}, {t})")
     checks += 1
 
-    # non-split certificate
-    cert = payload["nonsplit_certificate"]
-    _check_split_record(ctx, "nonsplit", cert, u_action, cocycle, gen_ids, spanning, {"module"})
-    module = _record(cert["module"], "nonsplit module", _MODULE_KEYS)
-    if module != {"group_digest": gobj["digest"], "recipe": "u", "dim": dim_u}:
-        _fail("nonsplit", "certificate module descriptor is not u of dim d")
+    # non-split certificate: y kills the S' system (s-1)u = g_s, not its rhs
+    cert = _record(payload["nonsplit_certificate"], "nonsplit", _NONSPLIT_KEYS)
+    if cert["verdict"] != "NonSplit":
+        _fail("nonsplit", f"verdict {cert['verdict']!r} is not NonSplit")
+    if cert["equation"] != SPLIT_EQUATION:
+        _fail("nonsplit", "equation text differs from the checked equation")
+    ident_u = Matrix.identity(ctx, dim_u)
+    y = _matrix(ctx, cert["inconsistency_row"])
+    if not (y @ vstack([u_action[s] - ident_u for s in spanning])).is_zero:
+        _fail("nonsplit", "inconsistency row does not kill the system")
+    if (y @ vstack([cocycle[s] for s in spanning])).is_zero:
+        _fail("nonsplit", "inconsistency row kills the right-hand side")
     checks += 1
 
-    # tensor vanishing: (s-1)u = w (x) g_s on S', in Hom form; both sides
-    # are cocycles once w is fixed, so it holds on every element
+    # tensor vanishing: (s-1)u = w (x) g_s on S', in Hom form, for the closed
+    # forms X and w = e_d; both sides are cocycles once w is fixed, so it
+    # holds on every element
     tv = _record(payload["tensor_vanishing"], "tensor_vanishing", _TENSOR_KEYS)
-    w_dual = {
-        s: _ext_matrix(ctx, u_action[inv_table[s]], cocycle[inv_table[s]]).transpose()
-        for s in spanning
-    }
-    w = _matrix(ctx, tv["w"])
-    if w != Matrix.basis_column(ctx, dim_u + 1, dim_u):
-        _fail("tensor-vanishing", "w is not the coordinate functional of iota")
-    for s in spanning:
-        if w_dual[s] @ w != w:
-            _fail("tensor-vanishing", f"w is not fixed at element {s}")
-    u_vec = _matrix(ctx, tv["witness"])
-    if u_vec.rows != (dim_u + 1) * dim_u or u_vec.cols != 1:
-        _fail("tensor-vanishing", f"witness is not a {(dim_u + 1) * dim_u}x1 column")
-    # kron(A, B) @ vec(X) = vec(A @ X @ B^T) for the row-major vec
-    x = u_vec.reshape(dim_u + 1, dim_u)
-    for s in spanning:
-        if w_dual[s] @ x @ u_action[s].transpose() - x != w @ cocycle[s].transpose():
-            _fail("tensor-vanishing", f"witness equation fails at element {s}")
-    if _record(tv["w_module"], "w_module", _MODULE_KEYS) != {
-        "group_digest": gobj["digest"],
-        "recipe": "dual(ext(u))",
-        "dim": dim_u + 1,
-    }:
-        _fail("tensor-vanishing", "w module descriptor is not dual(ext(u)) of dim d+1")
     if tv["equation"] != TENSOR_EQUATION:
         _fail("tensor-vanishing", "equation text differs from the checked equation")
-    z1_dim, b1_dim, h1_dim = tv["z1_dim"], tv["b1_dim"], tv["h1_dim"]
-    if not all(type(v) is int for v in (z1_dim, b1_dim, h1_dim)):
-        _fail("tensor-vanishing", "z1_dim, b1_dim and h1_dim must be integers")
-    if h1_dim != z1_dim - b1_dim or h1_dim < 1:
-        _fail("tensor-vanishing", f"h1_dim = {h1_dim} is not z1_dim - b1_dim >= 1")
+    w = Matrix.basis_column(ctx, dim_u + 1, dim_u)
+    x = _hom_witness(ctx, dim_u)
+    for s in spanning:
+        w_dual = _ext_matrix(ctx, u_action[inv_table[s]], cocycle[inv_table[s]]).transpose()
+        if w_dual @ w != w:
+            _fail("tensor-vanishing", f"w is not fixed at element {s}")
+        # kron(A, B) @ vec(X) = vec(A @ X @ B^T) for the row-major vec
+        if w_dual @ x @ u_action[s].transpose() - x != w @ cocycle[s].transpose():
+            _fail("tensor-vanishing", f"witness equation fails at element {s}")
+    z1_dim, b1_dim = tv["z1_dim"], tv["b1_dim"]
+    if type(z1_dim) is not int or type(b1_dim) is not int:
+        _fail("tensor-vanishing", "z1_dim and b1_dim must be integers")
+    h1_dim = z1_dim - b1_dim
+    if h1_dim < 1:
+        _fail("tensor-vanishing", f"h1 = z1_dim - b1_dim = {h1_dim} is not >= 1")
     class_of_g = [element_from_json(ctx, c) for c in tv["class_of_g"]]
     if len(class_of_g) != h1_dim:
         _fail("tensor-vanishing", f"class_of_g has {len(class_of_g)} coordinates, not {h1_dim}")
@@ -490,103 +452,39 @@ def _verify_payload(report: dict) -> int:
         _fail("obstruction", "record is not dual(u), ext(u) x 3 with dim 4d+3")
     checks += 1
 
-    # toy comparison: run exactly for 2x2 groups of determinant 1 in characteristic 2
-    toy = payload["toy"]
-    wants_toy = p == 2 and n == 2 and all(
-        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in elements
-    )
-    if wants_toy != (toy is not None):
-        _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")
-    if toy is not None:
-        checks += _verify_toy(
-            ctx, toy, elements, sym_action, gen_ids, spanning, u_action, cocycle
-        )
+    checks += _verify_toy(ctx, payload["toy"], elements, spanning, sym_action, u_action, cocycle)
     return checks
 
 
 def _verify_toy(
     ctx: FieldCtx,
-    toy: dict,
+    toy,
     elements: list[Matrix],
-    sym_action: list[Matrix],
-    gen_ids: list[int],
     spanning: list[int],
+    sym_action: list[Matrix],
     u_action: list[Matrix],
-    main_cocycle: list[Matrix],
+    cocycle: list[Matrix],
 ) -> int:
-    """The toy record, on the main symmetric-square action.
+    """The toy record: present exactly for 2x2 groups of determinant 1 over
+    p = 2, where it states that the toy sequence is the main extension.
 
-    The toy runs only for p = n = 2, where the main basis, already checked,
-    is x^2, y^2, xy: the toy's S^2 is the main `sym_action`.
+    There the main basis, already checked, is x^2, y^2, xy, so the toy
+    sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on `sym_action`, and
+    it is the main one when S^2(s) = [[U(s), g_s], [0, 1]], on S'.
     """
-    checks = 0
-    hypothesis_ok = toy.get("hypothesis_ok") if isinstance(toy, dict) else None
-    if type(hypothesis_ok) is not bool:
-        raise CorruptReport("toy: hypothesis_ok must be a boolean")
-    _record(toy, "toy", _TOY_KEYS | (_TOY_CLASS_KEYS if hypothesis_ok else frozenset()))
-
-    # hypothesis scan: [[a, a+1], [a+1, a]] patterns among the elements
-    found = set()
-    for m in elements:
-        a = m.raw(0, 0)
-        a1 = ctx.add_i(a, 1)
-        if m.raw(0, 1) == a1 and m.raw(1, 0) == a1 and m.raw(1, 1) == a:
-            found.add(a)
-    stored = [element_from_json(ctx, v).val for v in toy["pattern_values"]]
-    if sorted(stored) != sorted(found):
-        _fail("toy", "stored pattern values disagree with the element scan")
-    if hypothesis_ok != (len(found) >= 3):
-        _fail("toy", "hypothesis flag disagrees with the pattern count")
-    checks += 1
-
-    # the quadratic sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 ...
-    pi = _matrix(ctx, toy["pi"])
-    v0 = _matrix(ctx, toy["v0"])
-    if pi.rows != 1 or pi.cols != 3 or (pi @ v0).raw(0, 0) != 1:
-        _fail("toy", "pi, v0 are not a projection and preimage of 1")
-    for i, a in enumerate(sym_action):
-        if pi @ a != pi:
-            _fail("toy", f"projection not invariant at element {i}")
-        if a.raw(2, 0) or a.raw(2, 1):
-            _fail("toy", f"first two coordinates are not a submodule at element {i}")
-    toy_u = [a.submatrix(0, 2, 0, 2) for a in sym_action]
-    checks += 1
-
-    # ... and its cocycle (s-1)v0
-    values = []
-    ident3 = Matrix.identity(ctx, 3)
-    for i, a in enumerate(sym_action):
-        diff = (a - ident3) @ v0
-        if diff.raw(2, 0):
-            _fail("toy", f"(s-1)v0 leaves the kernel at element {i}")
-        values.append(diff.submatrix(0, 2, 0, 1))
-    checks += 1
-
-    cert = toy["certificate"]
-    if hypothesis_ok and isinstance(cert, dict) and cert.get("verdict") != "NonSplit":
-        _fail("toy", "hypothesis holds but the verdict is not NonSplit")
-    _check_split_record(ctx, "toy-certificate", cert, toy_u, values, gen_ids, spanning)
-    checks += 1
-
-    if hypothesis_ok:
-        t_mat = _matrix(ctx, toy["intertwiner"])
-        try:
-            inverse(t_mat)
-        except ModcohError as exc:
-            raise FailedCheck(f"toy-intertwiner: matrix not invertible: {exc}") from exc
-        for s in spanning:
-            if u_action[s] @ t_mat != t_mat @ toy_u[s]:
-                _fail("toy-intertwiner", f"does not intertwine at element {s}")
-        scalar = element_from_json(ctx, toy["class_scalar"])
-        if scalar.is_zero:
-            _fail("toy-intertwiner", "class scalar is zero")
-        v = _matrix(ctx, toy["coboundary_witness"])
-        ident_u = Matrix.identity(ctx, u_action[0].rows)
-        for s in spanning:
-            if t_mat @ values[s] != main_cocycle[s].scale(scalar) + (u_action[s] - ident_u) @ v:
-                _fail("toy-intertwiner", f"class comparison fails at element {s}")
-        checks += 1
-    return checks
+    wants_toy = ctx.p == 2 and elements[0].rows == 2 and all(
+        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in elements
+    )
+    if wants_toy != (toy is not None):
+        _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")
+    if toy is None:
+        return 0
+    if _record(toy, "toy", _TOY_KEYS)["equation"] != TOY_EQUATION:
+        _fail("toy", "equation text differs from the checked equation")
+    for s in spanning:
+        if sym_action[s] != _ext_matrix(ctx, u_action[s], cocycle[s]):
+            _fail("toy", f"S^2 is not the main extension at element {s}")
+    return 1
 
 
 def verify_report_file(path: str) -> int:

@@ -15,7 +15,15 @@ from modcoh.build import (
     tensor_vanishing_witness,
     toy_example,
 )
-from modcoh.coh import Cocycle, b1_space, h1_class, is_split, tensor_with_invariant, z1_space
+from modcoh.coh import (
+    Cocycle,
+    b1_space,
+    extension_from_cocycle,
+    h1_class,
+    is_split,
+    tensor_with_invariant,
+    z1_space,
+)
 from modcoh.errors import CorruptReport, FailedCheck
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, family_matrix, paired_shear_family
@@ -55,11 +63,11 @@ def test_criterion_01_nonsplit_char2(case_a):
     # independent re-verification of the certificate
     assert (cert.row @ cert.system).is_zero
     assert not (cert.row @ cert.rhs).is_zero
-    # generator system rows in the unknowns (z11, z21):
-    # (a^2+1) z11 + (a^2+1) z21 = a^2 + a for each non-identity parameter
+    # S' system rows in the unknowns (z11, z21):
+    # (a^2+1) z11 + (a^2+1) z21 = a^2 + a for each parameter in S'
     one = F4.one()
     seen = set()
-    for t, gid in enumerate(cert.generator_ids):
+    for t, gid in enumerate(seq.split_result.spanning_ids):
         a = group.elements[gid][0, 0]
         seen.add(a.val)
         coeff, rhs = a * a + one, a * a + a
@@ -67,7 +75,7 @@ def test_criterion_01_nonsplit_char2(case_a):
             row = 2 * t + r
             assert [cert.system[row, 0], cert.system[row, 1]] == [coeff, coeff]
             assert cert.rhs[row, 0] == rhs
-    assert len(seen) == 3  # three non-identity parameters
+    assert len(seen) == 2  # S' is two of the three non-identity parameters
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed(1, f"NonSplit over GF(4), parameter equations reproduced ({elapsed:.3f}s < 1s)")
@@ -240,23 +248,18 @@ def _in_span(vectors, v):
 def test_criterion_07_toy_example(case_a):
     group, seq = case_a
     toy = toy_example(group, main=seq)
-    assert not toy.split_result.split
-    assert toy.intertwiner is not None
-    assert not toy.scalar.is_zero
-    ident = Matrix.identity(F4, 2)
+    assert not toy.main.split_result.split
+    # the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 is the main extension,
+    # so its class is the main class: S^2 = [[U(s), g_s], [0, 1]] on every element
+    sym, ext = sym_power(group, 2)[0], extension_from_cocycle(seq.cocycle).total
     for i in range(group.order):
-        lhs = toy.intertwiner @ toy.cocycle.values[i]
-        rhs = seq.cocycle.values[i].scale(toy.scalar) + (
-            seq.u_module.action(i) - ident
-        ) @ toy.coboundary_witness
-        assert lhs == rhs
-    # recorded in the pipeline report
+        assert sym.action(i) == ext.action(i)
+    # recorded in the pipeline report as that equation
     result = run_pipeline(group, {"p": 2, "k": 2, "n": 2, "group": "family-a",
                                   "order_cap": 10000, "seed": 0})
     toy_rec = result.report["payload"]["toy"]
-    assert toy_rec["certificate"]["verdict"] == "NonSplit"
-    assert "intertwiner" in toy_rec and "class_scalar" in toy_rec
-    _passed(7, "toy sequence NonSplit; invertible intertwiner maps classes up to a nonzero scalar")
+    assert toy_rec == {"equation": "S^2(s) == [[U(s), g_s], [0, 1]] for every element"}
+    _passed(7, "toy sequence NonSplit; it is the main extension, on every element")
 
 
 def test_criterion_08_family_group_laws():

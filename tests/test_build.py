@@ -20,7 +20,6 @@ from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import Matrix, kron, vstack
 from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual
-from modcoh.report import _toy_to_json
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -67,11 +66,12 @@ def test_iota_shape():
 
 
 def test_generator_system_char2_rows():
-    # each generator block row reads (a^2+1)(z11 + z21) = a^2 + a
+    # each S' block row reads (a^2+1)(z11 + z21) = a^2 + a
     seq = build_nonsplit_sequence(G4)
     A, b = seq.split_result.system, seq.split_result.rhs
     one = F4.one()
-    for t, gid in enumerate(seq.split_result.generator_ids):
+    assert seq.split_result.spanning_ids == tuple(G4.spanning_ids)
+    for t, gid in enumerate(seq.split_result.spanning_ids):
         a = G4.elements[gid][0, 0]
         coeff = a * a + one
         rhs = a * a + a
@@ -138,35 +138,31 @@ def test_obstruction_components():
 
 
 @pytest.mark.parametrize("k", [2, 3, 4], ids=["GF4", "GF8", "GF16"])
-def test_toy_nonsplit_and_equivalence(k):
-    toy = toy_example(k)
-    ctx = toy.group.ctx
-    assert toy.hypothesis.ok
-    assert not toy.split_result.split
-    # the closed form: T = I, scalar 1, coboundary witness 0
-    T, lam, v = toy.intertwiner, toy.scalar, toy.coboundary_witness
-    assert T == Matrix.identity(ctx, 2)
-    assert lam == ctx.one()
-    assert v == Matrix.zeros(ctx, 2, 1)
-    # pushed class = scalar * main class + coboundary, on every element
-    main = toy.main
-    ident = Matrix.identity(ctx, 2)
-    for i in range(toy.group.order):
-        assert main.u_module.action(i) @ T == T @ toy.toy_module.action(i)
-        lhs = T @ toy.cocycle.values[i]
-        rhs = main.cocycle.values[i].scale(lam) + (main.u_module.action(i) - ident) @ v
-        assert lhs == rhs
-    seq = build_nonsplit_sequence(toy.group)
-    assert _toy_to_json(toy_example(toy.group)) == _toy_to_json(
-        toy_example(toy.group, main=seq)
-    )
+def test_toy_nonsplit_and_equivalence(k, monkeypatch):
+    import modcoh.build as build
+
+    main = toy_example(k).main
+    group = main.group
+    assert group.order == 2**k
+    assert main.hypothesis.ok and not main.split_result.split
+    # the toy is the main extension: S^2 = [[U(s), g_s], [0, 1]] on every element
+    for i in range(group.order):
+        assert main.sym_module.action(i) == main.extension.total.action(i)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the toy comparison must not solve")
+
+    # given the main sequence, the toy runs no split test and reads off no cocycle
+    monkeypatch.setattr(build, "is_split", forbidden)
+    monkeypatch.setattr("modcoh.coh.cocycle_from_extension", forbidden)
+    assert toy_example(group, main=main).main is main
 
 
 def test_toy_without_hypothesis_records_verdict():
+    # over GF(2) the sequence degenerates; the toy verdict is the main one
     toy = toy_example(1)
-    assert not toy.hypothesis.ok
-    assert toy.split_result.split  # over GF(2) the toy sequence degenerates
-    assert toy.intertwiner is None
+    assert not toy.main.hypothesis.ok
+    assert toy.main.split_result.split
 
 
 def test_toy_rejects_wrong_characteristic():
@@ -242,6 +238,6 @@ def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
               "seed": 0, "modulus": None}
     result = run_pipeline(additive_family(field_new(p, k)), params)
     assert (result.toy is not None) == (p == 2)
-    # h1_class for the main class, the z1/b1 dims and the toy comparison's two
-    # classes all live on U and share one Z1 elimination
+    # h1_class for the main class and the z1/b1 dims live on U and share one
+    # Z1 elimination
     assert built == [result.sequence.u_module]

@@ -32,7 +32,9 @@ def test_construct_and_verify(tmp_path):
     report = json.loads(out.read_text())
     assert report["payload"]["dims"]["X"] == 11
     assert report["payload"]["nonsplit_certificate"]["verdict"] == "NonSplit"
-    assert report["payload"]["toy"]["certificate"]["verdict"] == "NonSplit"
+    assert report["payload"]["toy"] == {
+        "equation": "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
+    }
 
 
 def test_construct_char3(tmp_path):
@@ -147,7 +149,7 @@ def test_detcheck(capsys):
 def test_construct_stdout(capsys):
     assert run(["construct", "--p", "3", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["schema"] == "modcoh-report-v2"
+    assert out["schema"] == "modcoh-report-v3"
 
 
 def test_theorem_violation_exit_code(monkeypatch, tmp_path):

@@ -26,8 +26,8 @@ from modcoh.coh import (
 from modcoh.errors import BadProjection, ModcohError, NotACocycle, NotEquivariant, NotFixed
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure
-from modcoh.linalg import Matrix, hstack, rref, solve, vstack
-from modcoh.rep import dual, fixed_space, natural_module, sym_power, trivial_module
+from modcoh.linalg import Matrix, hstack, kernel_basis, rref, solve, vstack
+from modcoh.rep import dual, natural_module, sym_power, trivial_module
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -158,7 +158,10 @@ def test_b1_trivial_and_fully_fixed_modules():
     ],
 )
 def test_b1_dimension_rank_nullity(mod):
-    assert len(b1_space(mod)) == mod.dim - len(fixed_space(mod))
+    # the invariants M^G are the kernel of the stacked s - 1 over the generators
+    ident = Matrix.identity(mod.group.ctx, mod.dim)
+    fixed = kernel_basis(vstack([mod.action(i) - ident for i in mod.group.generator_ids]))
+    assert len(b1_space(mod)) == mod.dim - len(fixed)
 
 
 @pytest.mark.parametrize(

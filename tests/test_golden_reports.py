@@ -14,27 +14,27 @@ from modcoh.cli import main
 
 GOLDEN = {
     "GF(2^2) n=2": (["--p", "2", "--k", "2", "--n", "2"],
-                    "ff088981349e6a8c2272c58493039c9b03d21c6fd909ff787c65aacb1b8b735a"),
+                    "7c2b16040f2184f6edef419ea75034c0d3d75cd4528513d301548c644fc23ffa"),
     "GF(2^3) n=2": (["--p", "2", "--k", "3", "--n", "2"],
-                    "93b39932e64cafe207e36c8a5c3ee2bf24159c4860007c24d69aae5249638ef2"),
+                    "6b9688434b5e0f4dcefbe1447622695ace63d352df9cf31b57e7470b2b272eb3"),
     "GF(2^4) n=2": (["--p", "2", "--k", "4", "--n", "2"],
-                    "6b44c065a2c7fe5183d5d9bc0e744c7f583fbf8b5a05354e5ae331f7851332bc"),
+                    "cbc2fba71b18ed60b9ca3d42fac37ad62171fdb39c8337c12971ed112c14a1b0"),
     "GF(3^2) n=2": (["--p", "3", "--k", "2", "--n", "2"],
-                    "0cf6465d6eb5611dc8ba12417ad49522c035c2b729603dc0b2d866afa2a2de4e"),
+                    "fa52f98c97980fcb2b8e14d0b1bf11abedc241d3cb42b9fe9bedd7ad1e4c5c67"),
     "GF(3^1) n=2": (["--p", "3", "--n", "2"],
-                    "7d8aee8859fb4a0d9ab52aa93eaed4e8d3d14f651ef8c3a584507ac859bda12d"),
+                    "f2679e06cbc9c3186252d4c4b56edbb52e074f6bead37d4e89f292aa2228d5ae"),
     "GF(5^1) n=2": (["--p", "5", "--n", "2"],
-                    "5ed6793d1b2e9305aa7403c0d31a3d7ab1f1b547ec3a3c08a3d179c024cdfb22"),
+                    "7f019aa62134f0a67a30a22652c9d975d135bf89a5f7c284ce718e52ae640eff"),
     "GF(7^1) n=2": (["--p", "7", "--n", "2"],
-                    "d809a2c2a5fadda4bd47d965d3698b1c1e2c1065e9d66de950c1eb4e4cc258e4"),
+                    "5ab0f56f5377ae068c8fd93a67f634bf7ba28249bc1937d4f022a6832acee698"),
     "GF(3^1) n=3": (["--p", "3", "--n", "3"],
-                    "a174a83a7dc82ac30243cae6f175bf6deb435729aacb5fadb4783f6961ce64f2"),
+                    "49a5f6f696875b684d475d5be3c53e9ed4de1f94d418a5f947c07e5a32ea38f1"),
     "GF(2^2) n=3": (["--p", "2", "--k", "2", "--n", "3"],
-                    "e8d24a2aa803249d19689baaba854707cce5f0b571fc26625e87ec9c664b2d39"),
+                    "705de0c67cdf65c0340f3ec3fc647723ba799b3fb5a6358078bc19c096814715"),
     "GF(2^3) n=3": (["--p", "2", "--k", "3", "--n", "3"],
-                    "e41f133b295052dbee1e3391a65bb41f2459790451e1b3b2729d9777e3ee065a"),
+                    "29c59d32fbb51b530385a9a9a91a1ab32c2f5520bab82a80eb043679d739e5f1"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
-                  "9472746c0e778769faf6de94d46198ca462e6e7713904f9093c8ac00fda521ea"),
+                  "2f75e6a78b76a2e4cfa797520c0719913af5609d134cd1d78e2e218dd70939de"),
 }
 
 

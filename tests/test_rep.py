@@ -1,13 +1,14 @@
-"""Module constructions: symmetric powers, duals, Hom, fixed spaces."""
+"""Module constructions: symmetric powers, duals, Hom, intertwiners."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh.build import build_nonsplit_sequence, toy_example
+from modcoh.build import build_nonsplit_sequence
+from modcoh.coh import cocycle_from_extension
 from modcoh.errors import GroupMismatch
 from modcoh.gf import field_new, frobenius
-from modcoh.grp import additive_family, closure, paired_shear_family
+from modcoh.grp import additive_family, closure
 from modcoh.linalg import Matrix, hstack, inverse, solve
 from modcoh.poly import Polynomial, monomial_basis, substitute_linear
 from modcoh.rep import (
@@ -17,7 +18,6 @@ from modcoh.rep import (
     direct_sum_mod,
     dual,
     find_intertwiner,
-    fixed_space,
     frobenius_twist,
     hom,
     natural_module,
@@ -226,35 +226,6 @@ def test_u_embeds_in_hom_module():
             assert h.action(i) @ embed(e) == embed(seq.u_module.action(i) @ e)
 
 
-def test_fixed_space_trivial_module():
-    triv = trivial_module(G4, 3)
-    basis = fixed_space(triv)
-    assert len(basis) == 3
-
-
-def test_fixed_space_fixed_by_all_elements():
-    for mod in (sym_power(G4, 2)[0], sym_power(G3, 3)[0], natural_module(paired_shear_family(F3))):
-        for v in fixed_space(mod):
-            for i in range(mod.group.order):
-                assert mod.action(i) @ v == v
-
-
-def test_fixed_space_sym3_contains_x1_cubed():
-    # the shear fixes x1, hence x1^3; basis position 0
-    sym, basis = sym_power(G3, 3)
-    e0 = Matrix.basis_column(F3, 4, 0)
-    for i in range(G3.order):
-        assert sym.action(i) @ e0 == e0
-    assert in_span(fixed_space(sym), e0)
-
-
-def test_fixed_space_dual_extension_contains_pi():
-    seq = build_nonsplit_sequence(G4)
-    w_module = dual(seq.extension.total)
-    pi = Matrix.basis_column(F4, w_module.dim, w_module.dim - 1)
-    assert in_span(fixed_space(w_module), pi)
-
-
 def test_direct_sum_mod_dims():
     s = direct_sum_mod([natural_module(G4), trivial_module(G4, 1), natural_module(G4)])
     assert s.dim == 5
@@ -279,12 +250,16 @@ def test_intertwiner_double_dual():
 
 
 def test_intertwiner_toy_vs_main():
+    # the toy module <x^2, y^2> read off S^2 by pi = (0, 0, 1) is U itself:
+    # the search finds an intertwiner, and the identity is one
     seq = build_nonsplit_sequence(G4)
-    toy = toy_example(G4, main=seq)
-    t = toy.intertwiner
-    assert t is not None
+    pi, v0 = Matrix.from_rows(F4, [[0, 0, 1]]), Matrix.basis_column(F4, 3, 2)
+    _, toy_module, _ = cocycle_from_extension(seq.sym_module, pi, v0)
+    res = find_intertwiner(toy_module, seq.u_module)
+    assert res.matrix is not None
+    assert in_span([b.flatten() for b in res.basis], Matrix.identity(F4, 2).flatten())
     for i in range(G4.order):
-        assert seq.u_module.action(i) @ t == t @ toy.toy_module.action(i)
+        assert seq.u_module.action(i) @ res.matrix == res.matrix @ toy_module.action(i)
 
 
 def test_intertwiner_endomorphisms_of_u():

@@ -12,13 +12,11 @@ import re
 import pytest
 
 import modcoh.verify
-from modcoh.coh import is_split, tensor_with_invariant
 from modcoh.errors import CorruptReport, FailedCheck, ModcohError
-from modcoh.gf import field_new
+from modcoh.gf import field_from_json, field_new
 from modcoh.grp import additive_family, closure, group_to_json
 from modcoh.jsonutil import digest_of
-from modcoh.linalg import Matrix, matrix_to_json
-from modcoh.rep import dual
+from modcoh.linalg import Matrix, matrix_from_json
 from modcoh.report import run_pipeline, write_report
 from modcoh.verify import verify_report, verify_report_file
 
@@ -56,7 +54,7 @@ def expect_failure(report, check_name):
 
 
 def test_fresh_reports_verify(report2, report3):
-    assert verify_report(report2) >= 15
+    assert verify_report(report2) >= 13
     assert verify_report(report3) >= 11
 
 
@@ -99,8 +97,6 @@ def test_tamper_sym_action(report3):
     def swap_group(p):
         old_digest = p["group"]["digest"]
         p["group"] = json.loads(json.dumps(group_to_json(other)))
-        p["nonsplit_certificate"]["module"]["group_digest"] = p["group"]["digest"]
-        p["tensor_vanishing"]["w_module"]["group_digest"] = p["group"]["digest"]
         assert p["group"]["digest"] != old_digest
 
     expect_failure(tampered(report3, swap_group), "nonsplit: inconsistency row does not kill")
@@ -174,51 +170,37 @@ def test_tamper_inconsistency_row(report3):
     expect_failure(tampered(report3, bump), "nonsplit")
 
 
-def test_tamper_witness(report3):
-    def bump(p):
-        cell = p["tensor_vanishing"]["witness"]["entries"][0][0]
-        cell[0] = (cell[0] + 1) % 3
-
-    expect_failure(tampered(report3, bump), "tensor-vanishing")
+def test_tamper_witness(report3, monkeypatch):
+    # the closed-form witness X = [-I_d ; 0] is derived, not read, so its
+    # check fires only on a faulty derivation: 2X leaves 2 w g_s^T != w g_s^T
+    original = modcoh.verify._hom_witness
+    monkeypatch.setattr(
+        modcoh.verify, "_hom_witness", lambda ctx, d: original(ctx, d).scale(ctx.el(2))
+    )
+    expect_failure(report3, "tensor-vanishing: witness equation fails")
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
         lambda p: p["tensor_vanishing"].update(z1_dim=999),
-        lambda p: p["tensor_vanishing"].update(h1_dim=0),
+        lambda p: p["tensor_vanishing"].update(b1_dim=p["tensor_vanishing"]["z1_dim"]),
         lambda p: p["tensor_vanishing"].update(class_of_g=[]),
         lambda p: p["obstruction"]["components"].reverse(),
         lambda p: p["tensor_vanishing"].update(equation="u == 0"),
-        lambda p: p["tensor_vanishing"]["w_module"].update(recipe="junk"),
-        lambda p: p["tensor_vanishing"]["w_module"].update(dim=99),
+        # w is stated by the equation text alone: its recipe and dimension
+        lambda p: p["tensor_vanishing"].update(
+            equation=p["tensor_vanishing"]["equation"].replace("w = e_d", "w = pi")
+        ),
+        lambda p: p["tensor_vanishing"].update(
+            equation=p["tensor_vanishing"]["equation"].replace("w = e_d", "w = e_(d+1)")
+        ),
     ],
     ids=["z1_dim", "h1_dim", "class_of_g", "components", "equation", "w_recipe", "w_dim"],
 )
 def test_tamper_bookkeeping(report3, mutate):
     with pytest.raises(FailedCheck, match="tensor-vanishing|obstruction"):
         verify_report(tampered(report3, mutate))
-
-
-def test_tamper_witness_shape(report3):
-    def truncate(p):
-        wit = p["tensor_vanishing"]["witness"]
-        wit["entries"].pop()
-        wit["rows"] -= 1
-
-    expect_failure(tampered(report3, truncate), "tensor-vanishing")
-
-
-def test_solver_witness_still_verifies():
-    # a v1 report carrying the witness the tensor-module solve used to store
-    result = run_pipeline(additive_family(F4), PARAMS2)
-    seq, tv = result.sequence, result.witness
-    solver = is_split(tensor_with_invariant(dual(seq.extension.total), tv.w, seq.cocycle)).witness
-    assert solver != tv.witness
-    swapped = tampered(
-        result.report, lambda p: p["tensor_vanishing"].update(witness=matrix_to_json(solver))
-    )
-    assert verify_report(swapped) == verify_report(result.report)
 
 
 def test_tamper_obstruction_block(report3):
@@ -259,18 +241,23 @@ def test_tamper_inverse_table(report3):
     expect_failure(tampered(report3, swap), "group")
 
 
-def test_tamper_toy_intertwiner(report2):
-    def flip(p):
-        p["toy"]["intertwiner"]["entries"][0][0][0] ^= 1
-
-    expect_failure(tampered(report2, flip), "toy")
-
-
-def test_tamper_toy_scalar(report2):
-    def flip(p):
-        p["toy"]["class_scalar"] = [0, 1]
-
-    expect_failure(tampered(report2, flip), "toy")
+def test_toy_identity_is_checked_on_s_prime(report2):
+    # the toy record is an equation; the check behind it compares the derived
+    # S^2 with [[U(s), g_s], [0, 1]] on S' and fires when they differ
+    p = report2["payload"]
+    ctx = field_from_json(p["field"])
+    elements = [matrix_from_json(ctx, m) for m in p["group"]["elements"]]
+    inv = p["group"]["inverse"]
+    sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2)
+    u = modcoh.verify._u_action(ctx, elements, sym, inv, 2)
+    g = modcoh.verify._cocycle(ctx, elements, sym, inv, matrix_from_json(ctx, p["iota"]))
+    index = {m: i for i, m in enumerate(elements)}
+    spanning, _ = modcoh.verify._generated(elements, index, p["group"]["generator_ids"])
+    args = (ctx, p["toy"], elements, spanning)
+    assert modcoh.verify._verify_toy(*args, sym, u, g) == 1
+    sym[spanning[-1]] = sym[spanning[-1]].scale(ctx.gen())
+    with pytest.raises(FailedCheck, match=r"toy: S\^2 is not the main extension"):
+        modcoh.verify._verify_toy(*args, sym, u, g)
 
 
 def test_toy_record_cannot_be_dropped(report2):
@@ -280,24 +267,21 @@ def test_toy_record_cannot_be_dropped(report2):
 
 def test_toy_record_does_not_depend_on_the_seed():
     # over GF(128) an intertwiner search would have to sample, so a seeded
-    # search made the toy record vary with the seed; the closed form does not
+    # search made the toy record vary with the seed; the toy is now an
+    # equation, and the seed changes nothing in the payload but params.seed
     ctx = field_new(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])
     group = additive_family(ctx, params=[ctx.el(1), ctx.el(2), ctx.el(3)])
     assert group.order == 4
-    closed_form = {
-        "intertwiner": matrix_to_json(Matrix.identity(ctx, 2)),
-        "class_scalar": [1, 0, 0, 0, 0, 0, 0],
-        "coboundary_witness": matrix_to_json(Matrix.zeros(ctx, 2, 1)),
-    }
-    records = []
+    payloads = []
     for seed in (0, 1, 2):
         params = {"p": 2, "k": 7, "n": 2, "order_cap": 10000, "seed": seed}
         report = run_pipeline(group, params, seed=seed).report
-        assert verify_report(report) == 17
-        toy = report["payload"]["toy"]
-        assert {key: toy[key] for key in closed_form} == closed_form
-        records.append(toy)
-    assert records[0] == records[1] == records[2]
+        assert verify_report(report) == 13
+        assert report["payload"]["toy"] == {"equation": modcoh.verify.TOY_EQUATION}
+        payload = json.loads(json.dumps(report["payload"]))
+        assert payload["params"].pop("seed") == seed
+        payloads.append(payload)
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_tamper_bool_coefficient(report2):
@@ -314,7 +298,7 @@ def test_tamper_bool_coefficient(report2):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda p: p["tensor_vanishing"]["witness"]["entries"][0][0].__setitem__(0, 1.0),
+        lambda p: p["iota"]["entries"][0][0].__setitem__(0, 1.0),
         lambda p: p["nonsplit_certificate"]["inconsistency_row"].update(rows=True),
     ],
     ids=["float_coefficient", "bool_rows"],
@@ -335,9 +319,10 @@ def test_split_verdict_cannot_be_forged(report3):
         verify_report(tampered(report3, forge))
 
 
-def test_v1_report_is_corrupt(report3):
+@pytest.mark.parametrize("schema", ["modcoh-report-v1", "modcoh-report-v2"])
+def test_old_schema_report_is_corrupt(report3, schema):
     old = json.loads(json.dumps(report3))
-    old["schema"] = "modcoh-report-v1"
+    old["schema"] = schema
     with pytest.raises(CorruptReport, match="schema"):
         verify_report(old)
 
@@ -352,33 +337,42 @@ def test_v1_report_is_corrupt(report3):
         (("nonsplit_certificate",), "system_digest"),
         (("tensor_vanishing", "w"), "note"),
         (("tensor_vanishing", "w_module"), "note"),
+        (("tensor_vanishing",), "witness"),
+        (("tensor_vanishing",), "w"),
+        (("tensor_vanishing",), "w_module"),
+        (("tensor_vanishing",), "h1_dim"),
+        (("nonsplit_certificate",), "generator_ids"),
+        (("nonsplit_certificate",), "module"),
+        (("toy",), "pi"),
+        (("toy",), "certificate"),
+        (("toy",), "intertwiner"),
     ],
     ids=lambda v: ".".join(("payload",) + v) if isinstance(v, tuple) else v,
 )
-def test_readded_field_is_corrupt(report3, where, key):
-    # a field the verifier does not read would be sealed but unchecked
+def test_readded_field_is_corrupt(report2, where, key):
+    # a field the verifier does not read would be sealed but unchecked; the
+    # v3 schema dropped those it re-derives, and none may come back
     def add(p):
         node = p
         for part in where:
-            node = node[part]
+            node = node.setdefault(part, {})
         node[key] = []
 
     with pytest.raises(CorruptReport, match="fields"):
-        verify_report(tampered(report3, add))
+        verify_report(tampered(report2, add))
 
 
 # Leaves that a mutation may change without rejection: the digest alone binds
-# params.seed and params.order_cap, a changed witness or inconsistency row can
-# be another valid solution, and class_of_g is not re-derived.
+# params.seed and params.order_cap, a changed inconsistency row can be another
+# valid solution, and class_of_g is not re-derived.
 DIGEST_ONLY = [
     r"params\.seed",
     r"params\.order_cap",
-    r"tensor_vanishing\.witness\.entries\..*",
-    r"(nonsplit_certificate|toy\.certificate)\.inconsistency_row\.entries\..*",
+    r"nonsplit_certificate\.inconsistency_row\.entries\..*",
     r"tensor_vanishing\.class_of_g\..*",
 ]
 # field-element encodings: a coefficient is bumped mod p, so it stays parseable
-CELL_KEYS = {"entries", "class_of_g", "pattern_values", "class_scalar"}
+CELL_KEYS = {"entries", "class_of_g"}
 
 
 def _leaves(node, path=()):
@@ -420,7 +414,7 @@ def test_every_leaf_mutation_is_rejected(report2, report3):
             except ModcohError:
                 continue
             survivors.append(".".join(map(str, path)))
-    assert mutations > 300
+    assert mutations > 200
     unexpected = [s for s in survivors if not any(re.fullmatch(r, s) for r in DIGEST_ONLY)]
     assert unexpected == []
 
