@@ -1,18 +1,20 @@
 """First cohomology of a finite matrix group by exact linear algebra.
 
 Cocycles are maps g: G -> M with g_{st} = s(g_t) + g_s, stored as one
-column vector per element id (identity forced to zero).  For a module
-action, imposing the identity for s in a generating subset S' of G
-(``MatrixGroup.spanning_ids``) and every t implies it for all pairs, by
-induction on word length in S'.  So Z1 is found from the values on S'
-alone (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005, section 7.6; GAP's OneCocycles): a Schreier graph over S' writes every
-g_t in the |S'|d unknowns (g_s), and each of its non-tree edges gives d
-equations.  The kernel is expanded back to the stacked non-identity
-coordinates in a canonical reduced form.  A cocycle is determined by its
-values on S', so the complement of B1 in Z1 and each class are computed on
-those |S'|d coordinates.  B1 is the image of v -> (s-1)v, and split tests
-solve (s-1)u = g_s over S', returning either a witness u or an
+column vector per element id (identity forced to zero).  A cocycle is fixed
+by its values x = (g_s) on a generating subset S' of G
+(``MatrixGroup.spanning_ids``), so Z1, B1 and every class are computed in
+those |S'|d unknowns (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005, section 7.6; GAP's OneCocycles).  Each relator of a
+presentation on S' gives d equations, its Fox derivative evaluated in the
+module.  A group certified elementary abelian on S' is presented by the
+powers s^p and the commutators [s, t]; every other group takes one relator
+per non-tree edge of the Schreier graph over S'.  Z1 on S' is the
+kernel_basis of that system, which depends on Z1 alone, not on the
+relators chosen.  B1 on S' is the column space of the stacked (s-1); the
+complement of B1 in Z1 and each class are computed on those coordinates,
+and only z1_space/b1_space expand to the stacked non-identity coordinates.
+Split tests solve (s-1)u = g_s over S', returning either a witness u or an
 inconsistency row that re-verifies without the solver.
 """
 
@@ -30,11 +32,12 @@ from .errors import (
     NotFixed,
 )
 from .gf import FieldElement
+from .grp import MatrixGroup
 from .linalg import Matrix, hstack, kernel_basis, kron, rref, solve, vstack
 from .rep import GModule, tensor
 
-# stored entries allowed for the Schreier-graph Z1 system, rows x columns,
-# and for its expansion to stacked coordinates, (|G|-1)d x |S'|d; larger
+# stored entries allowed for the Z1 system that is built, rows x columns,
+# and for Z1 expanded to stacked coordinates, (|G|-1)d x dim Z1; larger
 # ones are beyond the supported desk scale
 Z1_SYSTEM_ENTRY_CAP = 4_000_000
 
@@ -141,16 +144,74 @@ def _check_desk_scale(what: str, rows: int, cols: int, module: GModule) -> None:
         )
 
 
-def _schreier_system(module: GModule) -> tuple[Matrix, list[Matrix]]:
+def _relators_present(group: MatrixGroup) -> bool:
+    """Whether the powers s^p and commutators [s, t], s, t in S', present G.
+
+    Three checks on the multiplication table: s^p = 1 and st = ts for s, t
+    in S', and |G| = p^|S'|.  Then E = <S' | s^p, [s, t]> is (Z/p)^|S'|, of
+    order p^|S'|.  The elements of S' satisfy these relators in G, so
+    s -> s extends to a homomorphism E -> G, onto because S' generates G.
+    Equal orders make it an isomorphism, so the relators present G on S'.
+    """
+    p, spanning = group.ctx.p, group.spanning_ids
+    if group.order != p ** len(spanning):
+        return False
+    for b, s in enumerate(spanning):
+        power = s
+        for _ in range(p - 1):
+            power = group.mul(s, power)
+        if power != 0 or any(group.mul(s, t) != group.mul(t, s) for t in spanning[:b]):
+            return False
+    return True
+
+
+def _relator_system(module: GModule) -> Matrix:
+    """Z1 in the unknowns x = (g_s), s in S', from the relators of an
+    elementary abelian G (see _relators_present).
+
+    Each x is the restriction of exactly one cocycle on the free group over
+    S' (acting through G), and that cocycle factors through G iff it
+    vanishes on every relator: d rows per relator.  The
+    power s^p gives N_s g_s = 0 with N_s = sum_{i<p} A(s)^i, which is
+    (A(s)-1)^{p-1} in characteristic p; the commutator [s, t] gives
+    (A(s)-1) g_t - (A(t)-1) g_s = 0.  The system is checked against
+    Z1_SYSTEM_ENTRY_CAP before it is built.
+    """
+    g = module.group
+    d, spanning = module.dim, g.spanning_ids
+    k = len(spanning)
+    n = k * d
+    _check_desk_scale("system", (k + k * (k - 1) // 2) * d, n, module)
+    ident = Matrix.identity(g.ctx, d)
+    less = _cached(module, "less_one", _less_one)
+    relators: list[dict[int, Matrix]] = []
+    for b, s in enumerate(spanning):
+        norm, power = ident, s
+        for _ in range(g.ctx.p - 1):
+            norm = norm + module.action(power)
+            power = g.mul(s, power)
+        relators.append({b: norm})
+        relators.extend({b: less[c], c: -less[b]} for c in range(b))
+    data: list[int] = []
+    for blocks in relators:
+        for r in range(d):
+            row = [0] * n
+            for b, block in blocks.items():
+                row[b * d : (b + 1) * d] = block.row_list(r)
+            data.extend(row)
+    return Matrix(g.ctx, len(relators) * d, n, data)
+
+
+def _schreier_system(module: GModule) -> Matrix:
     """Z1 in the unknowns x = (g_s), s in S', on the Schreier graph over S'.
 
     Breadth-first from the identity by left multiplication with S', each
     element t gets the d x |S'|d matrix C_t with g_t = C_t x: C_1 = 0, and
     a tree edge t -> st sets C_st = A(s) C_t + E_s, E_s picking block s.
-    Each non-tree edge adds the d rows C_st - A(s) C_t - E_s = 0.  Returns
-    the system and the C_t by element id.  The system and the C_t, which
-    hold as many entries as Z1 expanded at its largest, dim Z1 = |S'|d, are
-    checked against Z1_SYSTEM_ENTRY_CAP before either is built.
+    Each non-tree edge adds the d rows C_st - A(s) C_t - E_s = 0.  The
+    system and the C_t, which hold as many entries as Z1 expanded at its
+    largest, dim Z1 = |S'|d, are checked against Z1_SYSTEM_ENTRY_CAP before
+    either is built.
     """
     g = module.group
     ctx = g.ctx
@@ -179,13 +240,21 @@ def _schreier_system(module: GModule) -> tuple[Matrix, list[Matrix]]:
                 queue.append(st)
             else:
                 blocks.append(coeff[st] - image)
-    return vstack(blocks), coeff
+    return vstack(blocks)
+
+
+def _z1_system(module: GModule) -> Matrix:
+    """The relator system if the relators present G, else the Schreier one."""
+    if _relators_present(module.group):
+        return _relator_system(module)
+    return _schreier_system(module)
 
 
 # Each module's bases are eliminated once and kept in module.coh_cache: Z1
-# and B1 as stacked non-identity columns, the H1 matrix on the S' blocks.
-# Columns refer to the field, not the module, so the cache forms no
-# reference cycle and dies with the module.
+# and B1 on the S' blocks, the H1 matrix there, the (s-1) for s in S', and
+# for z1_space/b1_space the stacked non-identity columns.  Columns refer to
+# the field, not the module, so the cache forms no reference cycle and dies
+# with the module.
 
 
 def _cached(module: GModule, key: str, compute):
@@ -195,28 +264,103 @@ def _cached(module: GModule, key: str, compute):
     return cache[key]
 
 
+def _z1_basis(module: GModule) -> tuple[Matrix, ...]:
+    """Z1 on the S' blocks: the kernel_basis of the Z1 system.
+
+    kernel_basis reads the basis off the reduced row echelon form, which
+    depends only on the row space.  Every Z1 system on S' has Z1 on S' as
+    its kernel, hence the annihilator of Z1 on S' as its row space, so this
+    basis is the same whichever relators built the system.  Class
+    coordinates are given in it.
+    """
+    if module.group.order == 1:
+        return ()
+    return tuple(kernel_basis(_z1_system(module)))
+
+
+def _less_one(module: GModule) -> list[Matrix]:
+    """(s-1) for s in S': the relator rows, B1 and every split system
+    start from these."""
+    ident = Matrix.identity(module.group.ctx, module.dim)
+    return [module.action(s) - ident for s in module.group.spanning_ids]
+
+
+def _spanning_less_one(module: GModule) -> Matrix:
+    """The stacked (s-1), one d-row block per s in S'."""
+    return vstack(_cached(module, "less_one", _less_one))
+
+
+def _column_basis(m: Matrix) -> tuple[Matrix, ...]:
+    """The nonzero rows of rref(m^T), as columns: a basis of m's columns."""
+    reduced, _, r = rref(m.transpose())
+    return tuple(reduced.submatrix(i, i + 1, 0, reduced.cols).transpose() for i in range(r))
+
+
+def _b1_basis(module: GModule) -> tuple[Matrix, ...]:
+    """B1 on the S' blocks: the column space of the stacked (s-1) over S'.
+
+    Its kernel is the fixed space of <S'> = G, as for the stack over all
+    of G, so its rank is dim B1.
+    """
+    if module.group.order == 1:
+        return ()
+    return _column_basis(_spanning_less_one(module))
+
+
+def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
+    """[B1 basis | complement of B1 in Z1] on the S' blocks, side by side,
+    and the B1 count.
+
+    A cocycle is determined by its values on S', so restricting to those
+    blocks keeps every linear relation among Z1 vectors.  Z1 comes first,
+    so a system over Z1_SYSTEM_ENTRY_CAP is refused before B1 is
+    eliminated.
+    """
+    zb = _cached(module, "z1", _z1_basis)
+    bb = _cached(module, "b1", _b1_basis)
+    cols = list(bb) + _complement_basis(bb, zb)
+    if not cols:
+        return None, 0
+    return _side_by_side(cols), len(bb)
+
+
 def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
-    """The basis kernel_basis gives for Z1 in stacked coordinates.
+    """The basis kernel_basis gives for Z1 in stacked non-identity coordinates.
 
     That basis is the reduced one whose pivot is each vector's last nonzero
-    coordinate, so it depends on Z1 alone: the kernel of the Schreier
-    system is expanded by the C_t and brought to that form by one rref of
-    the column-reversed vectors.
+    coordinate, so it depends on Z1 alone: Z1 on S' is expanded along the
+    tree of a breadth-first search by left multiplication with S',
+    g_st = A(s) g_t + g_s, and brought to that form by one rref of the
+    column-reversed vectors.  The expansion is checked against
+    Z1_SYSTEM_ENTRY_CAP before it is built.
     """
     g = module.group
-    if g.order == 1:
+    zb = _cached(module, "z1", _z1_basis)
+    if not zb:
         return ()
-    system, coeff = _schreier_system(module)
-    kernel = kernel_basis(system)
-    if not kernel:
-        return ()
-    vectors = (vstack(coeff[1:]) @ _side_by_side(kernel)).transpose()
-    n, width = vectors.rows, vectors.cols
-    flipped = [x for i in range(n) for x in reversed(vectors.row_list(i))]
-    reduced, _, _ = rref(Matrix(g.ctx, n, width, flipped))
+    d, width = module.dim, len(zb)
+    _check_desk_scale("expansion", (g.order - 1) * d, width, module)
+    basis = _side_by_side(zb)
+    steps = [
+        (s, module.action(s), basis.submatrix(b * d, (b + 1) * d, 0, width))
+        for b, s in enumerate(g.spanning_ids)
+    ]
+    values: list[Optional[Matrix]] = [None] * g.order
+    values[0] = Matrix.zeros(g.ctx, d, width)
+    queue = [0]
+    for t in queue:
+        for s, act, value in steps:
+            st = g.mul(s, t)
+            if values[st] is None:
+                values[st] = act @ values[t] + value
+                queue.append(st)
+    vectors = vstack(values[1:]).transpose()
+    n = vectors.cols
+    flipped = [x for i in range(width) for x in reversed(vectors.row_list(i))]
+    reduced, _, _ = rref(Matrix(g.ctx, width, n, flipped))
     # pivots in flipped order come last-coordinate-first: reverse the rows too
     return tuple(
-        Matrix(g.ctx, width, 1, reduced.row_list(i)[::-1]) for i in reversed(range(n))
+        Matrix(g.ctx, n, 1, reduced.row_list(i)[::-1]) for i in reversed(range(width))
     )
 
 
@@ -225,51 +369,25 @@ def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
     if g.order == 1:
         return ()
     ident = Matrix.identity(g.ctx, module.dim)
-    stacked = vstack([module.action(i) - ident for i in range(1, g.order)])
-    reduced, _, r = rref(stacked.transpose())
-    return tuple(reduced.submatrix(i, i + 1, 0, reduced.cols).transpose() for i in range(r))
-
-
-def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
-    """[B1 basis | complement of B1 in Z1] on the S' blocks, side by side,
-    and the B1 count.
-
-    A cocycle is determined by its values on S', so restricting to those
-    blocks keeps every linear relation among Z1 vectors: the complement and
-    each class come out as on the full stacked coordinates, from |S'|d rows.
-    Z1 comes first, so a system over Z1_SYSTEM_ENTRY_CAP is refused before
-    B1 is eliminated.
-    """
-    zb = _on_spanning(module, _cached(module, "z1", _z1_columns))
-    bb = _on_spanning(module, _cached(module, "b1", _b1_columns))
-    cols = bb + _complement_basis(bb, zb)
-    if not cols:
-        return None, 0
-    return _side_by_side(cols), len(bb)
-
-
-def _on_spanning(module: GModule, vectors: Sequence[Matrix]) -> list[Matrix]:
-    """The S' blocks of stacked non-identity columns, in S' order."""
-    d, spanning = module.dim, module.group.spanning_ids
-    return [vstack([v.submatrix((s - 1) * d, s * d, 0, 1) for s in spanning]) for v in vectors]
+    return _column_basis(vstack([module.action(i) - ident for i in range(1, g.order)]))
 
 
 def z1_space(module: GModule) -> list[Cocycle]:
     """Deterministic basis of Z1(G, M)."""
-    return [Cocycle.from_vector(module, v) for v in _cached(module, "z1", _z1_columns)]
+    return [Cocycle.from_vector(module, v) for v in _cached(module, "z1_stacked", _z1_columns)]
 
 
 def b1_space(module: GModule) -> list[Cocycle]:
     """Deterministic basis of B1(G, M), the coboundaries."""
-    return [Cocycle.from_vector(module, v) for v in _cached(module, "b1", _b1_columns)]
+    return [Cocycle.from_vector(module, v) for v in _cached(module, "b1_stacked", _b1_columns)]
 
 
 def z1_dim(module: GModule) -> int:
-    return len(_cached(module, "z1", _z1_columns))
+    return len(_cached(module, "z1", _z1_basis))
 
 
 def b1_dim(module: GModule) -> int:
-    return len(_cached(module, "b1", _b1_columns))
+    return len(_cached(module, "b1", _b1_basis))
 
 
 def h1_dim(module: GModule) -> int:
@@ -281,7 +399,9 @@ def h1_class(g: Cocycle) -> list[FieldElement]:
 
     Empty coordinates mean H1 = 0; the class is zero iff all coordinates
     are zero.  Raises NotACocycle for invalid input.  The complement is
-    chosen once per module, so every class on one module shares it.
+    chosen once per module, on the S' blocks: the B1 basis followed by the
+    greedy choice from the Z1 basis of _z1_basis, so every class on one
+    module shares it.
     """
     g.validate()
     module = g.module
@@ -428,10 +548,9 @@ def split_system(g: Cocycle) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     module = g.module
     ctx = module.group.ctx
     ids = tuple(module.group.spanning_ids)
-    ident = Matrix.identity(ctx, module.dim)
     if not ids:
         return Matrix.zeros(ctx, 0, module.dim), Matrix.zeros(ctx, 0, 1), ids
-    system = vstack([module.action(i) - ident for i in ids])
+    system = _spanning_less_one(module)
     rhs = vstack([g.values[i] for i in ids])
     return system, rhs, ids
 

@@ -122,19 +122,37 @@ class Matrix:
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        add = self.ctx.add_i
-        return Matrix(
-            self.ctx, self.rows, self.cols, [add(a, b) for a, b in zip(self._d, other._d)]
-        )
+        ctx, pairs = self.ctx, zip(self._d, other._d)
+        if ctx.k == 1:
+            p = ctx.p
+            data = [(a + b) % p for a, b in pairs]
+        elif ctx.p == 2:
+            data = [a ^ b for a, b in pairs]
+        elif ctx._add_t is not None:
+            add_t = ctx._add_t
+            data = [add_t[a][b] for a, b in pairs]
+        else:
+            add = ctx.add_i
+            data = [add(a, b) for a, b in pairs]
+        return Matrix(ctx, self.rows, self.cols, data)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        sub = self.ctx.sub_i
-        return Matrix(
-            self.ctx, self.rows, self.cols, [sub(a, b) for a, b in zip(self._d, other._d)]
-        )
+        ctx, pairs = self.ctx, zip(self._d, other._d)
+        if ctx.k == 1:
+            p = ctx.p
+            data = [(a - b) % p for a, b in pairs]
+        elif ctx.p == 2:
+            data = [a ^ b for a, b in pairs]
+        elif ctx._add_t is not None:
+            add_t, neg_t = ctx._add_t, ctx._neg_t
+            data = [add_t[a][neg_t[b]] for a, b in pairs]
+        else:
+            sub = ctx.sub_i
+            data = [sub(a, b) for a, b in pairs]
+        return Matrix(ctx, self.rows, self.cols, data)
 
     def __neg__(self) -> "Matrix":
         neg = self.ctx.neg_i
@@ -150,22 +168,63 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        mul, add = self.ctx.mul_i, self.ctx.add_i
+        ctx = self.ctx
         n, m, k = self.rows, other.cols, self.cols
         a, b = self._d, other._d
         out = [0] * (n * m)
-        for i in range(n):
-            arow = i * k
-            orow = i * m
-            for t in range(k):
-                av = a[arow + t]
-                if av:
-                    brow = t * m
-                    for j in range(m):
-                        bv = b[brow + j]
-                        if bv:
-                            out[orow + j] = add(out[orow + j], mul(av, bv))
-        return Matrix(self.ctx, n, m, out)
+        # one inner loop per kind of field, as in _eliminate; both zero skips
+        # stay, since the operands are mostly sparse
+        if ctx.k == 1:
+            # accumulate plain integer products, reduce once at the end
+            for i in range(n):
+                arow, orow = i * k, i * m
+                for t in range(k):
+                    av = a[arow + t]
+                    if av:
+                        brow = t * m
+                        for j in range(m):
+                            bv = b[brow + j]
+                            if bv:
+                                out[orow + j] += av * bv
+            p = ctx.p
+            return Matrix(ctx, n, m, [x % p for x in out])
+        mul_t = ctx._mul_t
+        if mul_t is not None and ctx.p == 2:
+            for i in range(n):
+                arow, orow = i * k, i * m
+                for t in range(k):
+                    av = a[arow + t]
+                    if av:
+                        mrow, brow = mul_t[av], t * m
+                        for j in range(m):
+                            bv = b[brow + j]
+                            if bv:
+                                out[orow + j] ^= mrow[bv]
+        elif mul_t is not None:
+            add_t = ctx._add_t
+            for i in range(n):
+                arow, orow = i * k, i * m
+                for t in range(k):
+                    av = a[arow + t]
+                    if av:
+                        mrow, brow = mul_t[av], t * m
+                        for j in range(m):
+                            bv = b[brow + j]
+                            if bv:
+                                out[orow + j] = add_t[out[orow + j]][mrow[bv]]
+        else:
+            mul, add = ctx.mul_i, ctx.add_i
+            for i in range(n):
+                arow, orow = i * k, i * m
+                for t in range(k):
+                    av = a[arow + t]
+                    if av:
+                        brow = t * m
+                        for j in range(m):
+                            bv = b[brow + j]
+                            if bv:
+                                out[orow + j] = add(out[orow + j], mul(av, bv))
+        return Matrix(ctx, n, m, out)
 
     def transpose(self) -> "Matrix":
         r, c, d = self.rows, self.cols, self._d

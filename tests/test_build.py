@@ -222,7 +222,7 @@ def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
     from modcoh.report import run_pipeline
 
     built = []
-    original = coh._schreier_system
+    original = coh._z1_system
 
     def counting(module):
         built.append(module)
@@ -231,7 +231,7 @@ def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
     def rebuilt(cls, module, vec):
         raise AssertionError("a Z1 or B1 basis vector was rebuilt as a Cocycle")
 
-    monkeypatch.setattr(coh, "_schreier_system", counting)
+    monkeypatch.setattr(coh, "_z1_system", counting)
     # the z1/b1 dims are read off the cached bases, not counted as Cocycles
     monkeypatch.setattr(coh.Cocycle, "from_vector", classmethod(rebuilt))
     params = {"p": p, "k": k, "n": 2, "group": "family-a", "order_cap": 10000,

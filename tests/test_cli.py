@@ -9,7 +9,7 @@ from modcoh.cli import JobSpec, main
 from modcoh.errors import ModcohError
 from modcoh.gf import field_to_json, field_new
 from modcoh.grp import closure, group_to_json
-from modcoh.linalg import Matrix
+from modcoh.linalg import Matrix, matrix_to_json
 
 
 def run(argv):
@@ -177,40 +177,71 @@ def test_zpxzp_group_flag(tmp_path, capsys):
 
 
 def test_h1_z1_size_guard(capsys):
-    # |G| = 16, |S'| = 4 and dim 150: 49 non-tree blocks make a 7,350 x 600
-    # Z1 system, refused before it is built
+    # |G| = 16 is elementary abelian on |S'| = 4, so Z1 comes from 4 power
+    # and 6 commutator relators; dim 317 makes that a 3,170 x 1,268 system,
+    # refused before it is built
     start = time.perf_counter()
-    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(150)"]) == 1
+    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(317)"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "desk scale" in capsys.readouterr().err
-    # dim 40 gives 1,960 x 160, under the cap: Z1 = Hom(F_2^4, F_2^40)
-    assert run(["h1", "--p", "2", "--k", "4", "--module", "trivial(40)"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert (out["z1"], out["b1"], out["h1"]) == (160, 0, 160)
+    # dim 150 gives 1,500 x 600 and dim 40 gives 400 x 160, both under the
+    # cap: Z1 = Hom(F_2^4, F_2^d)
+    for d in (150, 40):
+        assert run(["h1", "--p", "2", "--k", "4", "--module", f"trivial({d})"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["z1"], out["b1"], out["h1"]) == (4 * d, 0, 4 * d)
 
 
-def test_h1_z1_guard_before_b1(monkeypatch, capsys):
-    # zpxzp p=5, dim 300: 2 * 25 - 24 = 26 non-tree blocks make a 7,800 x 600
-    # Z1 system, refused before B1 is eliminated
+def sl2_f3_file(tmp_path):
+    """SL_2(F_3) from [[1,1],[0,1]], -I and [[1,0],[1,1]]: each generator lies
+    outside the subgroup of those before it, so |S'| = 3.  The group is not
+    abelian, so its Z1 system is the Schreier graph's."""
+    F3 = field_new(3)
+    gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
+    path = tmp_path / "sl2_f3.json"
+    path.write_text(json.dumps({
+        "field": field_to_json(F3),
+        "n": 2,
+        "generators": [matrix_to_json(Matrix.from_rows(F3, g)) for g in gens],
+    }))
+    return path
+
+
+def test_h1_z1_guard_before_b1(monkeypatch, capsys, tmp_path):
+    # SL_2(F_3), dim 166: 3 * 24 - 23 = 49 non-tree blocks make an
+    # 8,134 x 498 Z1 system, refused before any B1 elimination
     import modcoh.coh as coh
 
     calls = []
-    original = coh._b1_columns
+    for name in ("_b1_basis", "_b1_columns"):
+        original = getattr(coh, name)
 
-    def counting(module):
-        calls.append(module)
-        return original(module)
+        def counting(module, original=original):
+            calls.append(module)
+            return original(module)
 
-    monkeypatch.setattr(coh, "_b1_columns", counting)
+        monkeypatch.setattr(coh, name, counting)
+    group = f"file:{sl2_f3_file(tmp_path)}"
     start = time.perf_counter()
-    assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "trivial(300)"]) == 1
+    assert run(["h1", "--p", "3", "--group", group, "--module", "trivial(166)"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "desk scale" in capsys.readouterr().err
     assert calls == []
+    # Hom(SL_2(F_3), F_3) = F_3 through the abelianization Z/3
+    assert run(["h1", "--p", "3", "--group", group, "--module", "trivial(60)"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["group_order"], out["z1"], out["b1"]) == (24, 60, 0)
+
+
+def test_h1_zpxzp_p5_trivial_300(capsys):
+    # 2 power and 1 commutator relator: a 900 x 600 Z1 system, all zero
+    assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "trivial(300)"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["z1"], out["b1"], out["h1"]) == (600, 0, 600)
 
 
 def test_h1_zpxzp_p5_u(capsys):
-    # |G| = 25, dim U = 208: a 5,408 x 416 Schreier-graph Z1 system
+    # |G| = 25, dim U = 208: a 624 x 416 relator Z1 system
     assert run(["h1", "--p", "5", "--group", "zpxzp", "--module", "u"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["z1"], out["b1"], out["h1"]) == (218, 186, 32)

@@ -226,13 +226,13 @@ def test_z1_b1_computed_once_per_module(monkeypatch):
     import modcoh.coh as coh
 
     built = []
-    original = coh._schreier_system
+    original = coh._z1_system
 
     def counting(module):
         built.append(module)
         return original(module)
 
-    monkeypatch.setattr(coh, "_schreier_system", counting)
+    monkeypatch.setattr(coh, "_z1_system", counting)
     mod = natural_module(additive_family(F4))
     first = z1_space(mod)
     assert z1_space(mod) == first and b1_space(mod) == b1_space(mod)
@@ -495,22 +495,31 @@ def test_is_split_verdict_matches_class_on_sample():
 
 
 def test_h1_class_refuses_z1_before_b1(monkeypatch):
-    # GF(16), |S'| = 4, dim 150: 4 * 16 - 15 = 49 non-tree blocks make a
-    # 7,350 x 600 Z1 system, over the cap; the refusal comes before any B1
-    # elimination, for h1_class and h1_dim alike
+    # GF(16), |S'| = 4, dim 320: 4 power and 6 commutator relators make a
+    # 3,200 x 1,280 Z1 system, over the cap; the refusal comes before any
+    # B1 elimination, for h1_class and h1_dim alike
     import modcoh.coh as coh
 
     calls = []
-    original = coh._b1_columns
+    for name in ("_b1_basis", "_b1_columns"):
+        original = getattr(coh, name)
 
-    def counting(module):
-        calls.append(module)
-        return original(module)
+        def counting(module, original=original):
+            calls.append(module)
+            return original(module)
 
-    monkeypatch.setattr(coh, "_b1_columns", counting)
-    module = trivial_module(additive_family(field_new(2, 4)), 150)
+        monkeypatch.setattr(coh, name, counting)
+    module = trivial_module(additive_family(field_new(2, 4)), 320)
     with pytest.raises(ModcohError, match="desk scale"):
         h1_class(Cocycle.zero(module))
     with pytest.raises(ModcohError, match="desk scale"):
         h1_dim(module)
     assert calls == []
+
+
+def test_h1_class_on_the_former_guard_input():
+    # dim 150 gives a 1,500 x 600 relator system, under the cap: every class
+    # of Z1 = Hom(F_2^4, F_2^150) is its own coordinates, 600 of them
+    module = trivial_module(additive_family(field_new(2, 4)), 150)
+    assert (z1_dim(module), b1_dim(module)) == (600, 0)
+    assert h1_class(Cocycle.zero(module)) == [module.group.ctx.zero()] * 600

@@ -1,9 +1,12 @@
-"""Golden report digests: `construct` output pinned byte for byte.
+"""Golden digests: `construct` reports and `h1 --dump-basis` output pinned
+byte for byte.
 
 Reports are the regression oracle: a change that claims byte-identical
 reports must keep every SHA-256 below.  The instances are the ten family-a
 ladder reports of `tests/test_verify_generating_set.py` and `zpxzp` p=3,
-each built by the CLI with its default seed and written with `--out`.
+each built by the CLI with its default seed and written with `--out`.  The
+Z1 and B1 bases that `h1 --dump-basis` prints in stacked non-identity
+coordinates are pinned on three modules.
 """
 
 import hashlib
@@ -14,28 +17,46 @@ from modcoh.cli import main
 
 GOLDEN = {
     "GF(2^2) n=2": (["--p", "2", "--k", "2", "--n", "2"],
-                    "7c2b16040f2184f6edef419ea75034c0d3d75cd4528513d301548c644fc23ffa"),
+                    "6a4958f0087d581598cbe04b2038eaecf89de74bdde135664a5a74ff7e4d8ade"),
     "GF(2^3) n=2": (["--p", "2", "--k", "3", "--n", "2"],
-                    "6b9688434b5e0f4dcefbe1447622695ace63d352df9cf31b57e7470b2b272eb3"),
+                    "fb6368ee21b2490bedf223f4437b5f4630ebd4f56f45965c872df2af66670a92"),
     "GF(2^4) n=2": (["--p", "2", "--k", "4", "--n", "2"],
-                    "cbc2fba71b18ed60b9ca3d42fac37ad62171fdb39c8337c12971ed112c14a1b0"),
+                    "a4d099ec4c78c7c223162dd273917bfebb499401da18cd5fa485301f7b916b6e"),
     "GF(3^2) n=2": (["--p", "3", "--k", "2", "--n", "2"],
-                    "fa52f98c97980fcb2b8e14d0b1bf11abedc241d3cb42b9fe9bedd7ad1e4c5c67"),
+                    "01617d1fbef4352f7281b706eb5fc9b292a2542444a7cc17a20f9632a47034ca"),
     "GF(3^1) n=2": (["--p", "3", "--n", "2"],
-                    "f2679e06cbc9c3186252d4c4b56edbb52e074f6bead37d4e89f292aa2228d5ae"),
+                    "87c3bf4ff1cefc8f58ece0399d4aa258f8969bf4bf8badf1e1e8924ca58fc810"),
     "GF(5^1) n=2": (["--p", "5", "--n", "2"],
-                    "7f019aa62134f0a67a30a22652c9d975d135bf89a5f7c284ce718e52ae640eff"),
+                    "9c3e633a4c12e3c55730c5c79783f65c2a0d31c3c68f14c6a18046496e11f9fe"),
     "GF(7^1) n=2": (["--p", "7", "--n", "2"],
-                    "5ab0f56f5377ae068c8fd93a67f634bf7ba28249bc1937d4f022a6832acee698"),
+                    "3fa7cfaa9de3faff80faf1454b0f92449192e53e014c9dd693d76d0a5a989d8e"),
     "GF(3^1) n=3": (["--p", "3", "--n", "3"],
-                    "49a5f6f696875b684d475d5be3c53e9ed4de1f94d418a5f947c07e5a32ea38f1"),
+                    "48f6c63816b57f283ca4bcfb215fa95eaad7ba91c2cbfc4442cab987dc58a931"),
     "GF(2^2) n=3": (["--p", "2", "--k", "2", "--n", "3"],
-                    "705de0c67cdf65c0340f3ec3fc647723ba799b3fb5a6358078bc19c096814715"),
+                    "ffad71f1418d0e56e8bcee46a89ccd9da7184f459cf811d79b71d7a94531ae3b"),
     "GF(2^3) n=3": (["--p", "2", "--k", "3", "--n", "3"],
-                    "29c59d32fbb51b530385a9a9a91a1ab32c2f5520bab82a80eb043679d739e5f1"),
+                    "137af934c9ee4f2b461f4edc6324bd4ddecd3cabb4532dae163b3ad5d0c3bef1"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
-                  "2f75e6a78b76a2e4cfa797520c0719913af5609d134cd1d78e2e218dd70939de"),
+                  "9127f9bd926334da4b113562039648a7e40ff419931715a8c2ab4d91deaea23a"),
 }
+
+
+DUMP_BASIS = {
+    "GF(2^2) u": (["--p", "2", "--k", "2", "--module", "u"],
+                  "bfb48b01bcfb7b4485dd0d2b29f92fca8495eab80b1500c7fcb2410f8fb33017"),
+    "GF(3^2) sym(3)": (["--p", "3", "--k", "2", "--module", "sym(3)"],
+                       "df1c848c80574666f3fb24760c46f068994c5482044b4cef6bd59259fc987566"),
+    "zpxzp p=3 u": (["--group", "zpxzp", "--p", "3", "--module", "u"],
+                    "4dd4fe0e433e612d34a5e3053be4c9292ac9536e8bd7d3ca7a43a6c42c79b5e3"),
+}
+
+
+@pytest.mark.parametrize("label", list(DUMP_BASIS))
+def test_dump_basis_matches_the_golden_digest(label, capsys):
+    args, want = DUMP_BASIS[label]
+    capsys.readouterr()
+    assert main(["h1", *args, "--dump-basis"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("label", list(GOLDEN))

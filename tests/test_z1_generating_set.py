@@ -1,24 +1,29 @@
-"""The Schreier-graph Z1 engine against systems over group elements.
+"""The Z1 engines on S' against each other and against systems over group
+elements.
 
-`coh._z1_columns` finds Z1 from the values on the generating subset S' and
-expands it to the stacked non-identity coordinates; `Cocycle.validate`
-checks g_{st} = s(g_t) + g_s for s in S' and every t.  The references here
-are the S' x G system in all stacked coordinates, whose kernel_basis is the
-Z1 basis the engine must return, and the system over every ordered pair.
+`coh._z1_basis` finds Z1 on the generating subset S' from the relator
+system (elementary abelian groups) or the Schreier-graph system (every
+other group); `coh._z1_columns` expands it to the stacked non-identity
+coordinates; `Cocycle.validate` checks g_{st} = s(g_t) + g_s for s in S'
+and every t.  The references here are the S' x G system in all stacked
+coordinates, whose kernel_basis is the Z1 basis z1_space must return, and
+the system over every ordered pair.
 """
 
 import functools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modcoh.build import resolve_module
+from modcoh.cli import JobSpec, build_group
 import modcoh.coh as coh
 from modcoh.coh import Cocycle, b1_space, h1_class, z1_space
 from modcoh.errors import NotACocycle
 from modcoh.gf import field_new, field_to_json
-from modcoh.grp import additive_family, group_spec_from_json, paired_shear_family
+from modcoh.grp import additive_family, closure, group_spec_from_json, paired_shear_family
 from modcoh.linalg import Matrix, kernel_basis, matrix_to_json, rref, solve, vstack
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -40,8 +45,8 @@ REFERENCE_ENTRY_LIMIT = 150_000
 
 
 @functools.cache
-def family(p, k):
-    return additive_family(field_new(p, k))
+def family(p, k, n=2):
+    return additive_family(field_new(p, k), n=n)
 
 
 @functools.cache
@@ -110,10 +115,14 @@ def assert_same_z1(module):
     # same row space, so the same reduced form and the same kernel_basis
     assert nonzero_rref(spanning) == nonzero_rref(pairwise)
     g, d = module.group, module.dim
-    system, _ = coh._schreier_system(module)
+    system = coh._z1_system(module)
     n = len(g.spanning_ids)
-    assert (system.rows, system.cols) == ((n * g.order - (g.order - 1)) * d, n * d)
-    # the engine returns the reference basis itself: same vectors, same order
+    if coh._relators_present(g):
+        shape = ((n + n * (n - 1) // 2) * d, n * d)
+    else:
+        shape = ((n * g.order - (g.order - 1)) * d, n * d)
+    assert (system.rows, system.cols) == shape
+    # z1_space returns the reference basis itself: same vectors, same order
     assert [c.vectorize() for c in z1_space(module)] == kernel_basis(spanning)
 
 
@@ -139,14 +148,103 @@ def test_z1_system_matches_all_pairs_with_a_redundant_generator(recipe):
     assert_same_z1(resolve_module(group, recipe))
 
 
+RELATOR_GROUPS = {
+    "zpxzp p=3": lambda: paired_shear_family(field_new(3)),
+    "GF(4)": lambda: family(2, 2),
+    "GF(9)": lambda: family(3, 2),
+    "GF(3) n=3": lambda: family(3, 1, n=3),
+}
+RELATOR_RECIPES = [
+    "sym(2)",
+    "sym(3)",
+    "twist",
+    "u",
+    "dual(u)",
+    "dual(sym(3))",
+    "tensor(natural,sym(2))",
+    "tensor(twist,dual(natural))",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(RELATOR_GROUPS)), st.sampled_from(RELATOR_RECIPES))
+def test_relator_z1_matches_schreier_z1(where, recipe):
+    module = module_for(RELATOR_GROUPS[where](), recipe)
+    assert coh._relators_present(module.group)
+    relator = kernel_basis(coh._relator_system(module))
+    # same kernel, so the same reduced row space and the same kernel_basis
+    assert relator == kernel_basis(coh._schreier_system(module))
+    assert list(coh._z1_basis(module)) == relator
+
+
 @functools.cache
-def full_coordinate_classes(module):
-    """[B1 | complement of B1 in the reference Z1 basis] on every stacked
-    coordinate, the complement picked greedily by rank, with the B1 count."""
-    cols = [c.vectorize() for c in b1_space(module)]
-    nb = len(cols)
+def cyclic_of_order_4():
+    """Z/4 over GF(2), generated by the 3x3 unipotent Jordan block."""
+    ctx = field_new(2)
+    return closure(ctx, 3, [Matrix.from_rows(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])])
+
+
+def sl2_f3_from_file(tmp_path):
+    """SL_2(F_3) through the `file:` group recipe."""
+    ctx = field_new(3)
+    gens = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+    path = tmp_path / "sl2_f3.json"
+    path.write_text(json.dumps({
+        "field": field_to_json(ctx),
+        "n": 2,
+        "generators": [matrix_to_json(Matrix.from_rows(ctx, g)) for g in gens],
+    }))
+    return build_group(JobSpec(p=3, group=f"file:{path}"))
+
+
+@pytest.mark.parametrize(
+    "where,recipe",
+    [("Z/4", "natural"), ("Z/4", "dual(natural)"), ("Z/4", "sym(2)"),
+     ("SL2(F3)", "natural"), ("SL2(F3)", "sym(2)"), ("SL2(F3)", "trivial(2)")],
+)
+def test_relators_declined_off_elementary_abelian_groups(monkeypatch, tmp_path, where, recipe):
+    group = cyclic_of_order_4() if where == "Z/4" else sl2_f3_from_file(tmp_path)
+    assert group.order == (4 if where == "Z/4" else 24)
+    assert not coh._relators_present(group)
+
+    def refused(module):
+        raise AssertionError("relator system built for a group it does not present")
+
+    monkeypatch.setattr(coh, "_relator_system", refused)
+    assert_same_z1(resolve_module(group, recipe))
+
+
+def on_spanning(module, vectors):
+    """The S' blocks of stacked non-identity columns, in S' order."""
+    d = module.dim
+    return [
+        vstack([v.submatrix((s - 1) * d, s * d, 0, 1) for s in module.group.spanning_ids])
+        for v in vectors
+    ]
+
+
+def last_pivot_basis(vectors):
+    """The reduced basis of span(vectors) whose pivot is each vector's last
+    nonzero coordinate, in increasing pivot order: the form kernel_basis
+    gives for a kernel, whatever system has that kernel."""
+    ctx, n = vectors[0].ctx, vectors[0].rows
+    flipped = [x for v in vectors for x in reversed(v.transpose().row_list(0))]
+    reduced, _, r = rref(Matrix(ctx, len(vectors), n, flipped))
+    return [Matrix(ctx, n, 1, reduced.row_list(i)[::-1]) for i in reversed(range(r))]
+
+
+@functools.cache
+def spanning_coordinate_classes(module):
+    """The S' convention from the references: Z1 is the reference system's
+    kernel restricted to the S' blocks, in kernel_basis form, B1 the
+    restricted b1_space, and the complement of B1 is picked greedily by
+    rank.  Returns the stacked Z1 basis and [B1 | complement] on S' with
+    the B1 count."""
     zb = kernel_basis(spanning_z1_system(module))
-    for z in zb:
+    b1 = on_spanning(module, [c.vectorize() for c in b1_space(module)])
+    cols = last_pivot_basis(b1) if b1 else []
+    nb = len(cols)
+    for z in last_pivot_basis(on_spanning(module, zb)):
         if rank_of(cols + [z]) > len(cols):
             cols.append(z)
     return zb, vstack([c.transpose() for c in cols]).transpose(), nb
@@ -181,14 +279,14 @@ def class_case_module(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(CLASS_CASES), st.data())
-def test_h1_class_matches_full_coordinate_reference(case, data):
+def test_h1_class_matches_spanning_coordinate_reference(case, data):
     module = class_case_module(case)
     ctx = module.group.ctx
-    zb, stacked, nb = full_coordinate_classes(module)
+    zb, stacked, nb = spanning_coordinate_classes(module)
     vec = Matrix.zeros(ctx, (module.group.order - 1) * module.dim, 1)
     for z in zb:
         vec = vec + z.scale(ctx.el(data.draw(st.integers(0, ctx.q - 1))))
-    reference = solve(stacked, vec)
+    reference = solve(stacked, on_spanning(module, [vec])[0])
     assert reference.consistent
     expected = [reference.solution[nb + i, 0] for i in range(stacked.cols - nb)]
     assert h1_class(Cocycle.from_vector(module, vec)) == expected
