@@ -96,6 +96,29 @@ def build_nonsplit_sequence(
 
     With `require_hypothesis` the group must contain the pattern elements
     that force non-splitness; a split verdict is then a hard error.
+
+    Every module is built on demand, and this stage reads the actions only
+    on S' and its inverses: A(s) for the block checks, U(s) and g_s for
+    s in S', and A(s^-1), which U(s) and g_s are made from.  The checks
+    there cover every element:
+
+    - Substitution is multiplicative for all n x n matrices, so A is a
+      homomorphism.  A product of block upper triangular matrices is block
+      upper triangular, with the product of the top-left blocks, and the
+      Frobenius twist is multiplicative too.  So a zero bottom-left block
+      and a top-left block s^[p] on S' hold on every element, each being a
+      product of elements of S' (s^-1 is a power of s in a finite group).
+      Then W is a submodule acting by s^[p], and S, the lower-right block,
+      is the action on V/W.
+    - U(s) = kron(s^[p], S(s^-1)^T) is the action F -> s^[p] F S(s)^-1 on
+      U = Hom(V/W, W), the maps V -> W vanishing on W, flattened row-major;
+      it is a homomorphism because S and the twist are.
+    - g_s = (s-1)iota = s^[p] iota A(s^-1) - iota is the coboundary of iota
+      in Hom(V, W), hence a cocycle there.  On W it is
+      s^[p] (s^-1)^[p] - I = 0, so it lies in U on every element once the
+      blocks are right; the check on S' guards the computation.  The cocycle
+      is given by its values on S', and validate() checks them against the
+      Z1 system of U.
     """
     ctx = group.ctx
     p, n = ctx.p, group.n
@@ -107,29 +130,28 @@ def build_nonsplit_sequence(
     if N != comb(n + p - 1, p):
         raise TheoremViolation(f"dim V = {N} != C({n + p - 1},{p})")
     twist = frobenius_twist(group)
-    for i in range(group.order):
+    spanning, inv = group.spanning_ids, group.inv
+    for i in dict.fromkeys(spanning + [inv[s] for s in spanning]):
         a = sym.action(i)
         if a.submatrix(0, n, 0, n) != twist.action(i):
             raise TheoremViolation(f"top-left block of A_s is not the twist at element {i}")
         if not a.submatrix(n, N, 0, n).is_zero:
             raise TheoremViolation(f"bottom-left block of A_s is nonzero at element {i}")
 
-    u_mats = []
-    for i in range(group.order):
-        a_inv = sym.action(group.inv[i])
-        s_block = a_inv.submatrix(n, N, n, N)
-        u_mats.append(kron(twist.action(i), s_block.transpose()))
-    u_module = GModule(group, n * (N - n), u_mats, "u")
+    def u_action(i: int) -> Matrix:
+        s_block = sym.action(inv[i]).submatrix(n, N, n, N)
+        return kron(twist.action(i), s_block.transpose())
+
+    u_module = GModule(group, n * (N - n), u_action, "u")
 
     iota = hstack(Matrix.identity(ctx, n), Matrix.zeros(ctx, n, N - n))
     values = []
-    for i in range(group.order):
-        a_inv = sym.action(group.inv[i])
-        full = twist.action(i) @ iota @ a_inv - iota
+    for s in spanning:
+        full = twist.action(s) @ iota @ sym.action(inv[s]) - iota
         if not full.submatrix(0, n, 0, n).is_zero:
-            raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
+            raise TheoremViolation(f"(s-1)iota leaves U at element {s}")
         values.append(full.submatrix(0, n, n, N).flatten())
-    g = Cocycle(u_module, values)
+    g = Cocycle.on_spanning(u_module, values)
     g.validate()
     ext = extension_from_cocycle(g)
 
@@ -191,7 +213,7 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
         if w_act @ w != w:
             raise TheoremViolation(f"pi is not invariant at element {s}")
         lhs = w_act @ x @ seq.u_module.action(s).transpose() - x
-        if lhs != w @ seq.cocycle.values[s].transpose():
+        if lhs != w @ seq.cocycle.value(s).transpose():
             raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {s}")
     return TensorVanishing(w, x.flatten(), class_g, z1_dim(seq.u_module), b1_dim(seq.u_module))
 

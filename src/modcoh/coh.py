@@ -1,21 +1,24 @@
 """First cohomology of a finite matrix group by exact linear algebra.
 
-Cocycles are maps g: G -> M with g_{st} = s(g_t) + g_s, stored as one
-column vector per element id (identity forced to zero).  A cocycle is fixed
-by its values x = (g_s) on a generating subset S' of G
-(``MatrixGroup.spanning_ids``), so Z1, B1 and every class are computed in
-those |S'|d unknowns (Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005, section 7.6; GAP's OneCocycles).  Each relator of a
-presentation on S' gives d equations, its Fox derivative evaluated in the
-module.  A group certified elementary abelian on S' is presented by the
-powers s^p and the commutators [s, t]; every other group takes one relator
-per non-tree edge of the Schreier graph over S'.  Z1 on S' is the
-kernel_basis of that system, which depends on Z1 alone, not on the
-relators chosen.  B1 on S' is the column space of the stacked (s-1); the
-complement of B1 in Z1 and each class are computed on those coordinates,
-and only z1_space/b1_space expand to the stacked non-identity coordinates.
-Split tests solve (s-1)u = g_s over S', returning either a witness u or an
-inconsistency row that re-verifies without the solver.
+Cocycles are maps g: G -> M with g_{st} = s(g_t) + g_s and g_1 = 0.  A
+cocycle is fixed by its values x = (g_s) on a generating subset S' of G
+(``MatrixGroup.spanning_ids``), so a Cocycle stores x and expands any other
+value on demand along the breadth-first tree over S', and Z1, B1 and every
+class are computed in those |S'|d unknowns (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 7.6; GAP's
+OneCocycles).  Each relator of a presentation on S' gives d equations, its
+Fox derivative evaluated in the module.  A group certified elementary
+abelian on S' is presented by the powers s^p and the commutators [s, t];
+every other group takes one relator per non-tree edge of the Schreier
+graph over S'.  Either system reads the action on S' only, has Z1 on S' as
+its kernel, and is built once per module: Cocycle.validate checks that it
+kills x.  Z1 on S' is the kernel_basis of that system, which depends on Z1
+alone, not on the relators chosen.  B1 on S' is the column space of the
+stacked (s-1); the complement of B1 in Z1 and each class are computed on
+those coordinates, and only z1_space/b1_space expand to the stacked
+non-identity coordinates.  Split tests solve (s-1)u = g_s over S',
+returning either a witness u or an inconsistency row that re-verifies
+without the solver.
 """
 
 from __future__ import annotations
@@ -43,55 +46,109 @@ Z1_SYSTEM_ENTRY_CAP = 4_000_000
 
 
 class Cocycle:
-    """A 1-cocycle on a module; values indexed by group element id."""
+    """A 1-cocycle on a module, fixed by its values x = (g_s) on S'.
 
-    __slots__ = ("module", "values", "_checked")
+    Every other value is expanded on demand along the breadth-first tree of
+    the group over S' (``MatrixGroup.tree_parents``) by g_st = A(s) g_t + g_s,
+    and kept; the identity has g_1 = 0.  A cocycle made from a full value
+    list, one column per element id, keeps that list as its values, and
+    validate() checks it against the expansion.
+    """
+
+    __slots__ = ("module", "_x", "_given", "_known", "_checked")
 
     def __init__(self, module: GModule, values: Sequence[Matrix]):
         if len(values) != module.group.order:
             raise ModcohError("need one value per group element")
         if not values[0].is_zero:
             raise NotACocycle("value at the identity must be zero")
-        for v in values:
+        self._setup(module, [values[s] for s in module.group.spanning_ids], values)
+
+    @classmethod
+    def on_spanning(cls, module: GModule, x: Sequence[Matrix]) -> "Cocycle":
+        """The cocycle with values x on S', in the order of spanning_ids."""
+        if len(x) != len(module.group.spanning_ids):
+            raise ModcohError("need one value per element of S'")
+        g = cls.__new__(cls)
+        g._setup(module, x, None)
+        return g
+
+    def _setup(
+        self, module: GModule, x: Sequence[Matrix], given: Optional[Sequence[Matrix]]
+    ) -> None:
+        for v in x if given is None else given:
             if v.rows != module.dim or v.cols != 1:
                 raise ModcohError("cocycle values must be dim x 1 columns")
         self.module = module
-        self.values = tuple(values)
+        self._x = tuple(x)
+        self._given = None if given is None else tuple(given)
+        self._known: Optional[list[Optional[Matrix]]] = None
         self._checked = False  # set once validate() has passed
 
     @classmethod
     def zero(cls, module: GModule) -> "Cocycle":
         z = Matrix.zeros(module.group.ctx, module.dim, 1)
-        return cls(module, [z] * module.group.order)
+        return cls.on_spanning(module, [z] * len(module.group.spanning_ids))
 
     @classmethod
     def coboundary(cls, module: GModule, v: Matrix) -> "Cocycle":
         """The cocycle s -> (s-1)v."""
-        ident = Matrix.identity(module.group.ctx, module.dim)
-        return cls(module, [(module.action(i) - ident) @ v for i in range(module.group.order)])
+        return cls.on_spanning(
+            module, [less @ v for less in _cached(module, "less_one", _less_one)]
+        )
+
+    @property
+    def spanning_values(self) -> tuple[Matrix, ...]:
+        """x = (g_s) for s in S', in the order of spanning_ids."""
+        return self._x
+
+    def value(self, i: int) -> Matrix:
+        """g at element id i: the given value, or the expansion of x."""
+        if self._given is not None:
+            return self._given[i]
+        return self._expanded(i)
+
+    @property
+    def values(self) -> tuple[Matrix, ...]:
+        """g on every element id, in order."""
+        if self._given is not None:
+            return self._given
+        return tuple(self._expanded(i) for i in range(self.module.group.order))
+
+    def _expanded(self, i: int) -> Matrix:
+        if self._known is None:
+            self._known = _seeded(self.module, self._x)
+        return _expand(self.module, self._known, i)
 
     def validate(self) -> None:
-        """Pair-identity check for s in S' and every t; raises NotACocycle.
+        """Check that x solves the module's Z1 system; raises NotACocycle.
 
-        With g_1 = 0 and a homomorphic action (every module constructor
-        gives one) this accepts exactly the cocycles the check over all
-        |G|^2 pairs accepts.  Values and module are immutable, so a pass is
-        recorded on the object and later calls return at once.
+        That system (the relator or Schreier matrix that _z1_basis
+        eliminates, built once per module) has as kernel exactly the
+        restrictions to S' of the cocycles on G.  So for a homomorphic
+        action (every module constructor gives one) x solves it iff some
+        cocycle has the values x on S'; that cocycle obeys
+        g_st = A(s) g_t + g_s on every tree edge, so it is the expansion.
+        A full value list must equal the expansion as well.  Values and
+        module are immutable, so a pass is recorded on the object and later
+        calls return at once.
         """
         if self._checked:
             return
-        g = self.module.group
-        for i in g.spanning_ids:
-            for j in range(g.order):
-                lhs = self.values[g.mul(i, j)]
-                rhs = self.module.action(i) @ self.values[j] + self.values[i]
-                if lhs != rhs:
-                    raise NotACocycle(f"pair identity fails at elements ({i}, {j})")
+        module = self.module
+        if self._x:
+            system = _cached(module, "z1_system", _z1_system)
+            if not (system @ vstack(self._x)).is_zero:
+                raise NotACocycle("the values on S' do not solve the Z1 system")
+        if self._given is not None:
+            for i in range(1, module.group.order):
+                if self._given[i] != self._expanded(i):
+                    raise NotACocycle(f"value at element {i} is not the expansion from S'")
         self._checked = True
 
     def vectorize(self) -> Matrix:
         """Stack the non-identity values into one long column."""
-        return vstack([self.values[i] for i in range(1, self.module.group.order)])
+        return vstack(self.values[1:])
 
     @classmethod
     def from_vector(cls, module: GModule, vec: Matrix) -> "Cocycle":
@@ -103,18 +160,20 @@ class Cocycle:
             vals.append(vec.submatrix(i * d, (i + 1) * d, 0, 1))
         return cls(module, vals)
 
+    # sums and multiples are taken on the values on S', which fix a cocycle
+
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if other.module is not self.module:
             raise GroupMismatch("cocycles on different modules")
-        return Cocycle(self.module, [a + b for a, b in zip(self.values, other.values)])
+        return Cocycle.on_spanning(self.module, [a + b for a, b in zip(self._x, other._x)])
 
     def __sub__(self, other: "Cocycle") -> "Cocycle":
         if other.module is not self.module:
             raise GroupMismatch("cocycles on different modules")
-        return Cocycle(self.module, [a - b for a, b in zip(self.values, other.values)])
+        return Cocycle.on_spanning(self.module, [a - b for a, b in zip(self._x, other._x)])
 
     def scale(self, c: FieldElement) -> "Cocycle":
-        return Cocycle(self.module, [v.scale(c) for v in self.values])
+        return Cocycle.on_spanning(self.module, [v.scale(c) for v in self._x])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -124,10 +183,39 @@ class Cocycle:
         )
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        return hash(self._x)
 
     def __repr__(self) -> str:
         return f"Cocycle(on {self.module.label}, |G|={self.module.group.order})"
+
+
+def _seeded(module: GModule, x: Sequence[Matrix]) -> list[Optional[Matrix]]:
+    """Values known before any expansion: 0 at the identity, x on S'."""
+    known: list[Optional[Matrix]] = [None] * module.group.order
+    known[0] = Matrix.zeros(module.group.ctx, module.dim, x[0].cols if x else 1)
+    for s, v in zip(module.group.spanning_ids, x):
+        known[s] = v
+    return known
+
+
+def _expand(module: GModule, known: list[Optional[Matrix]], i: int) -> Matrix:
+    """known[i], filled in along the tree path from the nearest known
+    ancestor by g_st = A(s) g_t + g_s.
+
+    Works for a block of columns as well as a single value; reads the
+    action on S' only.
+    """
+    if known[i] is None:
+        parents = module.group.tree_parents
+        path = []
+        k = i
+        while known[k] is None:
+            path.append(k)
+            k = parents[k][1]
+        for k in reversed(path):
+            s, t = parents[k]
+            known[k] = module.action(s) @ known[t] + known[s]
+    return known[i]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +261,9 @@ def _relator_system(module: GModule) -> Matrix:
     S' (acting through G), and that cocycle factors through G iff it
     vanishes on every relator: d rows per relator.  The
     power s^p gives N_s g_s = 0 with N_s = sum_{i<p} A(s)^i, which is
-    (A(s)-1)^{p-1} in characteristic p; the commutator [s, t] gives
+    (A(s)-1)^{p-1} in characteristic p, since (X-1)^p = X^p - 1 in F_p[X];
+    it is taken as p-2 products of the cached (s-1), so only A(s) is read,
+    not A on all of <s>.  The commutator [s, t] gives
     (A(s)-1) g_t - (A(t)-1) g_s = 0.  The system is checked against
     Z1_SYSTEM_ENTRY_CAP before it is built.
     """
@@ -182,14 +272,12 @@ def _relator_system(module: GModule) -> Matrix:
     k = len(spanning)
     n = k * d
     _check_desk_scale("system", (k + k * (k - 1) // 2) * d, n, module)
-    ident = Matrix.identity(g.ctx, d)
     less = _cached(module, "less_one", _less_one)
     relators: list[dict[int, Matrix]] = []
-    for b, s in enumerate(spanning):
-        norm, power = ident, s
-        for _ in range(g.ctx.p - 1):
-            norm = norm + module.action(power)
-            power = g.mul(s, power)
+    for b in range(k):
+        norm = less[b]
+        for _ in range(g.ctx.p - 2):
+            norm = norm @ less[b]
         relators.append({b: norm})
         relators.extend({b: less[c], c: -less[b]} for c in range(b))
     data: list[int] = []
@@ -205,41 +293,35 @@ def _relator_system(module: GModule) -> Matrix:
 def _schreier_system(module: GModule) -> Matrix:
     """Z1 in the unknowns x = (g_s), s in S', on the Schreier graph over S'.
 
-    Breadth-first from the identity by left multiplication with S', each
-    element t gets the d x |S'|d matrix C_t with g_t = C_t x: C_1 = 0, and
-    a tree edge t -> st sets C_st = A(s) C_t + E_s, E_s picking block s.
-    Each non-tree edge adds the d rows C_st - A(s) C_t - E_s = 0.  The
-    system and the C_t, which hold as many entries as Z1 expanded at its
-    largest, dim Z1 = |S'|d, are checked against Z1_SYSTEM_ENTRY_CAP before
-    either is built.
+    Along the search tree of the group (``MatrixGroup.tree_parents``) each
+    element t gets the d x |S'|d matrix C_t with g_t = C_t x: C_1 = 0,
+    C_s = E_s picking block s, and a tree edge t -> st sets
+    C_st = A(s) C_t + E_s.  Each non-tree edge adds the d rows
+    C_st - A(s) C_t - E_s = 0.  The system and the C_t, which hold as many
+    entries as Z1 expanded at its largest, dim Z1 = |S'|d, are checked
+    against Z1_SYSTEM_ENTRY_CAP before either is built.
     """
     g = module.group
-    ctx = g.ctx
     m, d = g.order, module.dim
     spanning = g.spanning_ids
     n = len(spanning) * d
     _check_desk_scale("system", (len(spanning) * m - (m - 1)) * d, n, module)
     _check_desk_scale("expansion", (m - 1) * d, n, module)
-    steps = []
-    for b, s in enumerate(spanning):
+    units = []
+    for b in range(len(spanning)):
         unit = [0] * (d * n)
         for r in range(d):
             unit[r * n + b * d + r] = 1
-        steps.append((s, module.action(s), Matrix(ctx, d, n, unit)))
-    coeff: list[Optional[Matrix]] = [None] * m
-    coeff[0] = Matrix.zeros(ctx, d, n)
-    queue = [0]
+        units.append(Matrix(g.ctx, d, n, unit))
+    coeff = _seeded(module, units)
+    parents = g.tree_parents
     blocks = []
-    for t in queue:
-        ct = coeff[t]
-        for s, act, unit in steps:
-            image = act @ ct + unit
+    for t in range(m):
+        for s, unit in zip(spanning, units):
             st = g.mul(s, t)
-            if coeff[st] is None:
-                coeff[st] = image
-                queue.append(st)
-            else:
-                blocks.append(coeff[st] - image)
+            if parents[st] != (s, t):
+                image = module.action(s) @ _expand(module, coeff, t) + unit
+                blocks.append(_expand(module, coeff, st) - image)
     return vstack(blocks)
 
 
@@ -250,9 +332,10 @@ def _z1_system(module: GModule) -> Matrix:
     return _schreier_system(module)
 
 
-# Each module's bases are eliminated once and kept in module.coh_cache: Z1
-# and B1 on the S' blocks, the H1 matrix there, the (s-1) for s in S', and
-# for z1_space/b1_space the stacked non-identity columns.  Columns refer to
+# Each module's bases are eliminated once and kept in module.coh_cache: the
+# Z1 system (which Cocycle.validate also reads), Z1 and B1 on the S' blocks,
+# the H1 matrix there, the (s-1) for s in S', and for z1_space/b1_space the
+# stacked non-identity columns.  Columns refer to
 # the field, not the module, so the cache forms no reference cycle and dies
 # with the module.
 
@@ -275,7 +358,7 @@ def _z1_basis(module: GModule) -> tuple[Matrix, ...]:
     """
     if module.group.order == 1:
         return ()
-    return tuple(kernel_basis(_z1_system(module)))
+    return tuple(kernel_basis(_cached(module, "z1_system", _z1_system)))
 
 
 def _less_one(module: GModule) -> list[Matrix]:
@@ -341,20 +424,10 @@ def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
     d, width = module.dim, len(zb)
     _check_desk_scale("expansion", (g.order - 1) * d, width, module)
     basis = _side_by_side(zb)
-    steps = [
-        (s, module.action(s), basis.submatrix(b * d, (b + 1) * d, 0, width))
-        for b, s in enumerate(g.spanning_ids)
-    ]
-    values: list[Optional[Matrix]] = [None] * g.order
-    values[0] = Matrix.zeros(g.ctx, d, width)
-    queue = [0]
-    for t in queue:
-        for s, act, value in steps:
-            st = g.mul(s, t)
-            if values[st] is None:
-                values[st] = act @ values[t] + value
-                queue.append(st)
-    vectors = vstack(values[1:]).transpose()
+    known = _seeded(
+        module, [basis.submatrix(b * d, (b + 1) * d, 0, width) for b in range(len(g.spanning_ids))]
+    )
+    vectors = vstack([_expand(module, known, i) for i in range(1, g.order)]).transpose()
     n = vectors.cols
     flipped = [x for i in range(width) for x in reversed(vectors.row_list(i))]
     reduced, _, _ = rref(Matrix(g.ctx, width, n, flipped))
@@ -408,7 +481,7 @@ def h1_class(g: Cocycle) -> list[FieldElement]:
     if module.group.order == 1:
         return []
     stacked, nb = _cached(module, "h1", _h1_columns)
-    target = vstack([g.values[s] for s in module.group.spanning_ids])
+    target = vstack(g.spanning_values)
     if stacked is None:
         if not target.is_zero:
             raise NotACocycle("cocycle outside Z1")
@@ -450,23 +523,26 @@ class ExtensionClass:
 
 
 def extension_from_cocycle(g: Cocycle) -> ExtensionClass:
-    """Total module with action [[A_s, g_s], [0, 1]]."""
+    """Total module with action [[A_s, g_s], [0, 1]], built per element on demand."""
     g.validate()
     base = g.module
-    ctx = base.group.ctx
-    d = base.dim
-    mats = []
-    for i in range(base.group.order):
-        act = base.action(i)
-        val = g.values[i]
-        data = []
-        for r in range(d):
-            data.extend(act.row_list(r))
-            data.append(val.raw(r, 0))
-        data.extend([0] * d + [1])
-        mats.append(Matrix(ctx, d + 1, d + 1, data))
-    total = GModule(base.group, d + 1, mats, f"ext({base.label})")
+
+    def action(i: int) -> Matrix:
+        return _block_extension(base.action(i), g.value(i))
+
+    total = GModule(base.group, base.dim + 1, action, f"ext({base.label})")
     return ExtensionClass(base, g, total)
+
+
+def _block_extension(act: Matrix, val: Matrix) -> Matrix:
+    """The block matrix [[act, val], [0, 1]]."""
+    d = act.rows
+    data = []
+    for r in range(d):
+        data.extend(act.row_list(r))
+        data.append(val.raw(r, 0))
+    data.extend([0] * d + [1])
+    return Matrix(act.ctx, d + 1, d + 1, data)
 
 
 def cocycle_from_extension(
@@ -507,7 +583,7 @@ def cocycle_from_extension(
             raise BadProjection("(s-1)v0 leaves the kernel of the projection")
         vals.append(val.solution)
     kernel_module = GModule(
-        total.group, total.dim - 1, acts, f"ker(pi|{total.label})"
+        total.group, total.dim - 1, acts.__getitem__, f"ker(pi|{total.label})"
     )
     return Cocycle(kernel_module, vals), kernel_module, kb
 
@@ -551,7 +627,7 @@ def split_system(g: Cocycle) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     if not ids:
         return Matrix.zeros(ctx, 0, module.dim), Matrix.zeros(ctx, 0, 1), ids
     system = _spanning_less_one(module)
-    rhs = vstack([g.values[i] for i in ids])
+    rhs = vstack(g.spanning_values)
     return system, rhs, ids
 
 
@@ -594,7 +670,7 @@ def push_class(g: Cocycle, phi: Matrix, target: GModule) -> Cocycle:
     for i in g.module.group.generator_ids:
         if target.action(i) @ phi != phi @ g.module.action(i):
             raise NotEquivariant(f"map does not intertwine at generator id {i}")
-    return Cocycle(target, [phi @ v for v in g.values])
+    return Cocycle.on_spanning(target, [phi @ v for v in g.spanning_values])
 
 
 def tensor_with_invariant(w_module: GModule, w: Matrix, g: Cocycle) -> Cocycle:
@@ -611,4 +687,4 @@ def tensor_with_invariant(w_module: GModule, w: Matrix, g: Cocycle) -> Cocycle:
         if w_module.action(i) @ w != w:
             raise NotFixed(f"w is not fixed by generator id {i}")
     t = tensor(w_module, g.module)
-    return Cocycle(t, [kron(w, v) for v in g.values])
+    return Cocycle.on_spanning(t, [kron(w, v) for v in g.spanning_values])

@@ -32,7 +32,7 @@ class MatrixGroup:
 
     __slots__ = (
         "ctx", "n", "generators", "generator_ids", "elements", "index", "inv",
-        "_rows", "_spanning",
+        "_rows", "_spanning", "_parents",
     )
 
     def __init__(self, ctx: FieldCtx, n: int, generators: list[Matrix], elements: list[Matrix]):
@@ -45,6 +45,7 @@ class MatrixGroup:
         self.inv = [self.index[inverse(m)] for m in elements]
         self._rows: list[Optional[list[int]]] = [None] * len(elements)
         self._spanning: Optional[list[int]] = None
+        self._parents: Optional[list[Optional[tuple[int, int]]]] = None
 
     @property
     def order(self) -> int:
@@ -70,31 +71,52 @@ class MatrixGroup:
         k elements, against q - 1 published generators.
         """
         if self._spanning is None:
-            kept: list[int] = []
-            reached = {0}
-            for gid in self.generator_ids:
-                if gid in reached:
-                    continue
-                kept.append(gid)
-                frontier = list(reached)
-                while frontier:
-                    new = []
-                    for h in frontier:
-                        for s in kept:
-                            x = self.mul(s, h)
-                            if x not in reached:
-                                reached.add(x)
-                                new.append(x)
-                    frontier = new
-            self._spanning = kept
+            self._search()
         return self._spanning
 
-    def digest(self) -> str:
-        payload = {
-            "field": field_to_json(self.ctx),
-            "n": self.n,
-            "elements": [matrix_to_json(m) for m in self.elements],
-        }
+    @property
+    def tree_parents(self) -> list[Optional[tuple[int, int]]]:
+        """The search tree that picks S': parents[st] = (s, t) when the
+        search first reaches st as s @ t, with s in S'.
+
+        The identity has no parent and each s in S' has (s, 0).  Every parent
+        is reached before its child, so a value defined on S' and the
+        identity extends to every element along these edges.
+        """
+        if self._parents is None:
+            self._search()
+        return self._parents
+
+    def _search(self) -> None:
+        """Breadth-first from the identity by left multiplication with the
+        kept generators; a generator is kept when the search has not yet
+        reached it, and the search then resumes from every element reached."""
+        kept: list[int] = []
+        parents: list[Optional[tuple[int, int]]] = [None] * self.order
+        reached = {0}
+        for gid in self.generator_ids:
+            if gid in reached:
+                continue
+            kept.append(gid)
+            frontier = list(reached)
+            while frontier:
+                new = []
+                for h in frontier:
+                    for s in kept:
+                        x = self.mul(s, h)
+                        if x not in reached:
+                            reached.add(x)
+                            parents[x] = (s, h)
+                            new.append(x)
+                frontier = new
+        self._spanning, self._parents = kept, parents
+
+    def digest(self, elements_json: Optional[list[dict]] = None) -> str:
+        """SHA-256 of the field, n and the serialized elements; pass
+        `elements_json` when they are serialized already."""
+        if elements_json is None:
+            elements_json = [matrix_to_json(m) for m in self.elements]
+        payload = {"field": field_to_json(self.ctx), "n": self.n, "elements": elements_json}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -296,15 +318,18 @@ def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
 
 
 def group_to_json(group: MatrixGroup) -> dict:
+    """The group record; each element is serialized once, and the generators
+    and the digest reuse those objects."""
+    elements = [matrix_to_json(m) for m in group.elements]
     return {
         "field": field_to_json(group.ctx),
         "n": group.n,
-        "generators": [matrix_to_json(g) for g in group.generators],
+        "generators": [elements[i] for i in group.generator_ids],
         "generator_ids": list(group.generator_ids),
-        "elements": [matrix_to_json(m) for m in group.elements],
+        "elements": elements,
         "inverse": list(group.inv),
         "order": group.order,
-        "digest": group.digest(),
+        "digest": group.digest(elements),
     }
 
 

@@ -9,11 +9,16 @@ solutions and inconsistency certificates are byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MixedContexts, ModcohError, ShapeMismatch, Singular
 from .gf import FieldCtx, FieldElement, values_from_json
+
+
+# row length from which matmul finds the nonzero entries of a row with
+# itertools.compress instead of testing each one in the loop
+_SCAN_MIN = 9
 
 
 class Matrix:
@@ -155,14 +160,21 @@ class Matrix:
         return Matrix(ctx, self.rows, self.cols, data)
 
     def __neg__(self) -> "Matrix":
-        neg = self.ctx.neg_i
-        return Matrix(self.ctx, self.rows, self.cols, [neg(a) for a in self._d])
+        return Matrix(self.ctx, self.rows, self.cols, _negated(self.ctx, self._d))
 
     def scale(self, c: FieldElement) -> "Matrix":
         if c.ctx is not self.ctx:
             raise MixedContexts("scalar from a different field")
-        mul = self.ctx.mul_i
-        return Matrix(self.ctx, self.rows, self.cols, [mul(c.val, a) for a in self._d])
+        ctx, cells, v = self.ctx, self._d, c.val
+        if ctx.k == 1:
+            p = ctx.p
+            data = [v * a % p for a in cells]
+        elif ctx._mul_t is not None:
+            data = list(map(ctx._mul_t[v].__getitem__, cells))
+        else:
+            mul = ctx.mul_i
+            data = [mul(v, a) for a in cells]
+        return Matrix(ctx, self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -173,12 +185,16 @@ class Matrix:
         a, b = self._d, other._d
         out = [0] * (n * m)
         # one inner loop per kind of field, as in _eliminate; both zero skips
-        # stay, since the operands are mostly sparse
+        # stay, since the operands are mostly sparse.  Rows of _SCAN_MIN or
+        # more entries find their nonzero ones with compress, at C speed;
+        # shorter rows are cheaper to scan in the loop itself
+        cols = range(k)
+        scan = k >= _SCAN_MIN
         if ctx.k == 1:
             # accumulate plain integer products, reduce once at the end
             for i in range(n):
                 arow, orow = i * k, i * m
-                for t in range(k):
+                for t in compress(cols, a[arow : arow + k]) if scan else cols:
                     av = a[arow + t]
                     if av:
                         brow = t * m
@@ -192,7 +208,7 @@ class Matrix:
         if mul_t is not None and ctx.p == 2:
             for i in range(n):
                 arow, orow = i * k, i * m
-                for t in range(k):
+                for t in compress(cols, a[arow : arow + k]) if scan else cols:
                     av = a[arow + t]
                     if av:
                         mrow, brow = mul_t[av], t * m
@@ -204,7 +220,7 @@ class Matrix:
             add_t = ctx._add_t
             for i in range(n):
                 arow, orow = i * k, i * m
-                for t in range(k):
+                for t in compress(cols, a[arow : arow + k]) if scan else cols:
                     av = a[arow + t]
                     if av:
                         mrow, brow = mul_t[av], t * m
@@ -216,7 +232,7 @@ class Matrix:
             mul, add = ctx.mul_i, ctx.add_i
             for i in range(n):
                 arow, orow = i * k, i * m
-                for t in range(k):
+                for t in compress(cols, a[arow : arow + k]) if scan else cols:
                     av = a[arow + t]
                     if av:
                         brow = t * m
@@ -228,7 +244,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         r, c, d = self.rows, self.cols, self._d
-        return Matrix(self.ctx, c, r, [d[i * c + j] for j in range(c) for i in range(r)])
+        # column j of a row-major list is the slice d[j::c]
+        return Matrix(self.ctx, c, r, list(chain.from_iterable(d[j::c] for j in range(c))))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         data = []
@@ -252,6 +269,19 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # free functions (the operation surface)
 # ---------------------------------------------------------------------------
+
+
+def _negated(ctx: FieldCtx, cells: list[int]) -> list[int]:
+    """-x for each integer-encoded x, one loop per kind of field."""
+    if ctx.k == 1:
+        p = ctx.p
+        return [-a % p for a in cells]
+    if ctx.p == 2:
+        return list(cells)
+    if ctx._neg_t is not None:
+        return list(map(ctx._neg_t.__getitem__, cells))
+    neg = ctx.neg_i
+    return [neg(a) for a in cells]
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -409,15 +439,14 @@ def _kernel_from_rref(
 ) -> list[Matrix]:
     """Kernel basis read off an eliminated row list (first ncols columns)."""
     pivot_set = {c for _, c in pivots}
-    neg = ctx.neg_i
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for r, c in pivots:
-            vec[c] = neg(work[r][free])
+        for (_, c), v in zip(pivots, _negated(ctx, [work[r][free] for r, _ in pivots])):
+            vec[c] = v
         basis.append(Matrix(ctx, ncols, 1, vec))
     return basis
 

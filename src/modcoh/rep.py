@@ -1,7 +1,13 @@
 """G-modules over a finite matrix group and the standard constructions.
 
-A module stores one action matrix per enumerated group element.  Tensor
-products act by Kronecker products; Hom(M, N) is realized as
+A module is its dimension and a function from element ids to action
+matrices; each matrix is built on first use and kept.  The constructions
+below are functors of the group element (substitution, the Frobenius
+twist, transpose-inverse, Kronecker products, direct sums), so each gives
+a homomorphism whenever its inputs do, and a homomorphism is fixed by its
+values on a generating set.  Code that needs the action only on the
+generating subset S' and its inverses therefore builds nothing else.
+Tensor products act by Kronecker products; Hom(M, N) is realized as
 tensor(N, dual(M)) with matrices flattened row-major, so the action on an
 (N.dim x M.dim) matrix F is F -> N(s) @ F @ M(s)^-1.
 """
@@ -11,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import GroupMismatch, ModcohError
 from .grp import MatrixGroup
@@ -23,25 +29,34 @@ INTERTWINER_SAMPLES = 1000
 
 
 class GModule:
-    """Finite-dimensional module: dimension plus one matrix per element id."""
+    """Finite-dimensional module: dimension plus the action of each element id.
 
-    __slots__ = ("group", "dim", "label", "_act", "coh_cache")
+    `action(i)` is the matrix of element i, built by the function the
+    module was made with on first use and then kept; a list of matrices is
+    passed as `mats.__getitem__`.
+    """
 
-    def __init__(self, group: MatrixGroup, dim: int, action: Sequence[Matrix], label: str):
-        if len(action) != group.order:
-            raise ModcohError("need one action matrix per group element")
+    __slots__ = ("group", "dim", "label", "_make", "_act", "coh_cache")
+
+    def __init__(
+        self, group: MatrixGroup, dim: int, action: Callable[[int], Matrix], label: str
+    ):
         self.group = group
         self.dim = dim
-        self._act = list(action)
+        self._make = action
+        self._act: list[Optional[Matrix]] = [None] * group.order
         self.label = label
         # Z1/B1 bases of this (immutable) module, filled in by modcoh.coh
         self.coh_cache: dict = {}
 
     def action(self, i: int) -> Matrix:
-        return self._act[i]
+        act = self._act[i]
+        if act is None:
+            act = self._act[i] = self._make(i)
+        return act
 
     def actions(self) -> list[Matrix]:
-        return list(self._act)
+        return [self.action(i) for i in range(self.group.order)]
 
     def _check(self, other: "GModule") -> None:
         if other.group is not self.group:
@@ -70,11 +85,11 @@ def action_is_homomorphism(mod: GModule) -> bool:
 
 def trivial_module(group: MatrixGroup, dim: int = 1) -> GModule:
     ident = Matrix.identity(group.ctx, dim)
-    return GModule(group, dim, [ident] * group.order, f"trivial({dim})")
+    return GModule(group, dim, lambda i: ident, f"trivial({dim})")
 
 
 def natural_module(group: MatrixGroup) -> GModule:
-    return GModule(group, group.n, list(group.elements), "natural")
+    return GModule(group, group.n, group.elements.__getitem__, "natural")
 
 
 def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
@@ -82,8 +97,12 @@ def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
     ctx, n = group.ctx, group.n
     basis = monomial_basis(n, d, ctx.p)
     pos = {m: i for i, m in enumerate(basis)}
-    mats = [_substitution_matrix(sigma, basis, pos) for sigma in group.elements]
-    return GModule(group, len(basis), mats, f"sym({d})"), basis
+    elements = group.elements
+
+    def action(i: int) -> Matrix:
+        return _substitution_matrix(elements[i], basis, pos)
+
+    return GModule(group, len(basis), action, f"sym({d})"), basis
 
 
 def _substitution_matrix(
@@ -120,32 +139,39 @@ def _substitution_matrix(
 
 def frobenius_twist(group: MatrixGroup) -> GModule:
     """Entrywise p-th power of the natural action."""
-    ctx = group.ctx
+    ctx, elements = group.ctx, group.elements
     frob = ctx.frob_i
-    mats = []
-    for m in group.elements:
-        data = [frob(m.raw(i, j)) for i in range(m.rows) for j in range(m.cols)]
-        mats.append(Matrix(ctx, m.rows, m.cols, data))
-    return GModule(group, group.n, mats, "twist")
+
+    def action(i: int) -> Matrix:
+        m = elements[i]
+        data = [frob(m.raw(r, c)) for r in range(m.rows) for c in range(m.cols)]
+        return Matrix(ctx, m.rows, m.cols, data)
+
+    return GModule(group, group.n, action, "twist")
 
 
 def dual(mod: GModule) -> GModule:
     """Action phi -> phi o sigma^-1, i.e. transpose of the inverse matrix."""
-    g = mod.group
-    mats = [mod.action(g.inv[i]).transpose() for i in range(g.order)]
-    return GModule(g, mod.dim, mats, f"dual({mod.label})")
+    inv = mod.group.inv
+    return GModule(
+        mod.group, mod.dim, lambda i: mod.action(inv[i]).transpose(), f"dual({mod.label})"
+    )
 
 
 def tensor(m: GModule, n: GModule) -> GModule:
     m._check(n)
-    mats = [kron(m.action(i), n.action(i)) for i in range(m.group.order)]
-    return GModule(m.group, m.dim * n.dim, mats, f"tensor({m.label},{n.label})")
+    return GModule(
+        m.group,
+        m.dim * n.dim,
+        lambda i: kron(m.action(i), n.action(i)),
+        f"tensor({m.label},{n.label})",
+    )
 
 
 def hom(m: GModule, n: GModule) -> GModule:
     """Hom(m, n) with maps flattened row-major; equals tensor(n, dual(m))."""
     t = tensor(n, dual(m))
-    return GModule(m.group, t.dim, t.actions(), f"hom({m.label},{n.label})")
+    return GModule(m.group, t.dim, t.action, f"hom({m.label},{n.label})")
 
 
 def direct_sum_mod(mods: Sequence[GModule]) -> GModule:
@@ -154,14 +180,15 @@ def direct_sum_mod(mods: Sequence[GModule]) -> GModule:
     first = mods[0]
     for other in mods[1:]:
         first._check(other)
-    mats = []
-    for i in range(first.group.order):
+
+    def action(i: int) -> Matrix:
         acc = mods[0].action(i)
         for other in mods[1:]:
             acc = direct_sum(acc, other.action(i))
-        mats.append(acc)
+        return acc
+
     label = "sum(" + ",".join(m.label for m in mods) + ")"
-    return GModule(first.group, sum(m.dim for m in mods), mats, label)
+    return GModule(first.group, sum(m.dim for m in mods), action, label)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,25 @@ not reached it (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 7.6).  Every product of that BFS must lie in the
 element list and every listed element must be reached, so the list is
 exactly the group the generators generate, and the products it looks up
-are S' x G.  Checks on S' then hold on every element:
+are S' x G.  The actions A and U are derived on S' and its inverses only,
+and g = (s-1)iota by its formula on S' only.  Checks there hold on every
+element:
 
-- The substitution action A is multiplicative for all n x n matrices, and
-  so is its lower-right block S, since the bottom-left block is zero.  So
-  U(s) = kron(s^[p], S(s^-1)^T) is a homomorphism once the inverse table
-  is checked.
-- g_1 = 0 together with g_st = U(s) g_t + g_s on S' x G gives a cocycle,
-  by induction on word length in S'.  Then the extension [[U, g], [0, 1]]
-  and its dual W(s) are homomorphisms too.
+- The substitution action A is multiplicative for all n x n matrices.
+  A product of block upper triangular matrices is block upper triangular,
+  with the product of the top-left blocks, and the Frobenius twist is
+  multiplicative; so the block checks on S' and its inverses hold on
+  every element, each a product of elements of S'.  The lower-right block
+  S is then multiplicative too, and U(s) = kron(s^[p], S(s^-1)^T) is a
+  homomorphism once the inverse table is checked.  U(s) U(s^-1) = I is
+  checked on S' as a guard on the derivation.
+- g is expanded from S' along the BFS tree, g_st = U(s) g_t + g_s, and
+  every other product of S' x G is checked against the same identity.
+  With g_1 = 0 that gives a cocycle, by induction on word length in S',
+  the only one with the formula's values on S'.  The formula is a
+  cocycle too (the coboundary of iota in Hom(V, W)), so the two agree on
+  every element.  Then the extension [[U, g], [0, 1]] and its dual W(s)
+  are homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
   So the tensor witness, the invariance of w and the toy identity
   A(s) = [[U(s), g_s], [0, 1]] are checked on S' only.
@@ -41,7 +51,7 @@ from __future__ import annotations
 import json
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, element_from_json, field_from_json
@@ -177,54 +187,93 @@ def _frob_matrix(ctx: FieldCtx, m: Matrix) -> Matrix:
 
 
 def _sym_action(
-    ctx: FieldCtx, elements: list[Matrix], basis: list[tuple[int, ...]], n: int
-) -> list[Matrix]:
-    """Each element's action on the basis by substitution, one power table each.
+    ctx: FieldCtx,
+    elements: list[Matrix],
+    basis: list[tuple[int, ...]],
+    n: int,
+    ids: Iterable[int],
+) -> list[Optional[Matrix]]:
+    """The action on the basis by substitution at each element id in `ids`,
+    one power table each; None at every other id.
 
     Checks the block structure on the way: the top-left n x n block is the
     entrywise Frobenius of the element and the bottom-left block is zero.
     """
     pos = {m: i for i, m in enumerate(basis)}
     N = len(basis)
-    out = []
-    for idx, sigma in enumerate(elements):
+    out: list[Optional[Matrix]] = [None] * len(elements)
+    for idx in ids:
+        sigma = elements[idx]
         mat = _substitution_matrix(ctx, sigma, basis, pos)
         if mat.submatrix(0, n, 0, n) != _frob_matrix(ctx, sigma):
             _fail("sym-action", f"element {idx}: top-left block is not the Frobenius twist")
         if not mat.submatrix(n, N, 0, n).is_zero:
             _fail("sym-action", f"element {idx}: bottom-left block is nonzero")
-        out.append(mat)
+        out[idx] = mat
     return out
 
 
 def _u_action(
-    ctx: FieldCtx, elements: list[Matrix], sym_action: list[Matrix], inv_table: list[int], n: int
-) -> list[Matrix]:
-    """U(s) = kron(frobenius(s), S^T) with S the lower-right block of A(s^-1)."""
-    N = sym_action[0].rows
-    out = []
-    for i, sigma in enumerate(elements):
-        s_block = sym_action[inv_table[i]].submatrix(n, N, n, N)
-        out.append(kron(_frob_matrix(ctx, sigma), s_block.transpose()))
+    ctx: FieldCtx,
+    elements: list[Matrix],
+    sym_action: list[Optional[Matrix]],
+    inv_table: list[int],
+    n: int,
+    ids: Iterable[int],
+) -> list[Optional[Matrix]]:
+    """U(s) = kron(frobenius(s), S^T) with S the lower-right block of A(s^-1),
+    at each element id in `ids`; None at every other id."""
+    out: list[Optional[Matrix]] = [None] * len(elements)
+    for i in ids:
+        a_inv = sym_action[inv_table[i]]
+        s_block = a_inv.submatrix(n, a_inv.rows, n, a_inv.cols)
+        out[i] = kron(_frob_matrix(ctx, elements[i]), s_block.transpose())
     return out
 
 
 def _cocycle(
     ctx: FieldCtx,
     elements: list[Matrix],
-    sym_action: list[Matrix],
+    sym_action: list[Optional[Matrix]],
     inv_table: list[int],
     iota: Matrix,
-) -> list[Matrix]:
-    """g_s = (s-1)iota in U's coordinates; checks that it lands in U."""
+    ids: Iterable[int],
+) -> list[Optional[Matrix]]:
+    """g_s = (s-1)iota in U's coordinates at each non-identity id s in
+    `ids`, checking that it lands in U; 0 at the identity and None at every
+    other id."""
     n, N = iota.rows, iota.cols
-    out = []
-    for i, sigma in enumerate(elements):
-        full = _frob_matrix(ctx, sigma) @ iota @ sym_action[inv_table[i]] - iota
+    out: list[Optional[Matrix]] = [None] * len(elements)
+    out[0] = Matrix.zeros(ctx, n * (N - n), 1)
+    for s in ids:
+        full = _frob_matrix(ctx, elements[s]) @ iota @ sym_action[inv_table[s]] - iota
         if not full.submatrix(0, n, 0, n).is_zero:
-            _fail("cocycle", f"(s-1)iota leaves U at element {i}")
-        out.append(full.submatrix(0, n, n, N).flatten())
+            _fail("cocycle", f"(s-1)iota leaves U at element {s}")
+        out[s] = full.submatrix(0, n, n, N).flatten()
     return out
+
+
+def _expand_cocycle(
+    u_action: list[Optional[Matrix]],
+    values: list[Optional[Matrix]],
+    mul_idx: dict[tuple[int, int], int],
+) -> list[Matrix]:
+    """Fill in g on every element from the values already known, checking
+    every other product.
+
+    `mul_idx` lists the S' x G products in the order _generated met them,
+    so g_t is known when (s, t) comes up.  The first product to reach an
+    unknown element is a tree edge and sets g_st = U(s) g_t + g_s; every
+    other one is checked against that identity, and so is each product
+    reaching a value given beforehand.
+    """
+    for (s, t), k in mul_idx.items():
+        image = u_action[s] @ values[t] + values[s]
+        if values[k] is None:
+            values[k] = image
+        elif values[k] != image:
+            _fail("cocycle", f"pair identity fails at elements ({s}, {t})")
+    return values
 
 
 def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
@@ -377,8 +426,10 @@ def _verify_payload(report: dict) -> int:
         _fail("basis", "stored basis violates the prescribed monomial order")
     checks += 1
 
-    # symmetric-power action by independent substitution, with its block structure
-    sym_action = _sym_action(ctx, elements, basis, n)
+    # symmetric-power action by independent substitution on S' and its
+    # inverses, with its block structure
+    read = list(dict.fromkeys(spanning + [inv_table[s] for s in spanning]))
+    sym_action = _sym_action(ctx, elements, basis, n, read)
     checks += 1
 
     # iota
@@ -387,18 +438,18 @@ def _verify_payload(report: dict) -> int:
         _fail("iota", "iota is not (I_n | 0)")
     checks += 1
 
-    u_action = _u_action(ctx, elements, sym_action, inv_table, n)
-    if u_action[0] != Matrix.identity(ctx, dim_u):
-        _fail("u-action", "the identity does not act as the identity")
+    u_action = _u_action(ctx, elements, sym_action, inv_table, n, read)
+    ident_u = Matrix.identity(ctx, dim_u)
+    for s in spanning:
+        if u_action[s] @ u_action[inv_table[s]] != ident_u:
+            _fail("u-action", f"U(s) U(s^-1) is not the identity at element {s}")
     checks += 1
 
-    cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota)
-    if not cocycle[0].is_zero:
-        _fail("cocycle", "value at the identity must be zero")
-    # on S' x G, which with g_1 = 0 makes g a cocycle
-    for (s, t), k in mul_idx.items():
-        if cocycle[k] != u_action[s] @ cocycle[t] + cocycle[s]:
-            _fail("cocycle", f"pair identity fails at elements ({s}, {t})")
+    # g_s by its formula on S', expanded along the BFS tree with every other
+    # product of S' x G checked: with g_1 = 0 that makes g a cocycle
+    cocycle = _expand_cocycle(
+        u_action, _cocycle(ctx, elements, sym_action, inv_table, iota, spanning), mul_idx
+    )
     checks += 1
 
     # non-split certificate: y kills the S' system (s-1)u = g_s, not its rhs
@@ -407,7 +458,6 @@ def _verify_payload(report: dict) -> int:
         _fail("nonsplit", f"verdict {cert['verdict']!r} is not NonSplit")
     if cert["equation"] != SPLIT_EQUATION:
         _fail("nonsplit", "equation text differs from the checked equation")
-    ident_u = Matrix.identity(ctx, dim_u)
     y = _matrix(ctx, cert["inconsistency_row"])
     if not (y @ vstack([u_action[s] - ident_u for s in spanning])).is_zero:
         _fail("nonsplit", "inconsistency row does not kill the system")
@@ -461,8 +511,8 @@ def _verify_toy(
     toy,
     elements: list[Matrix],
     spanning: list[int],
-    sym_action: list[Matrix],
-    u_action: list[Matrix],
+    sym_action: list[Optional[Matrix]],
+    u_action: list[Optional[Matrix]],
     cocycle: list[Matrix],
 ) -> int:
     """The toy record: present exactly for 2x2 groups of determinant 1 over

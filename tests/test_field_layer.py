@@ -123,9 +123,11 @@ def test_field_axioms(case):
 
 
 class GenericCtx:
-    """The same field with no tables: `_eliminate` takes its per-cell path."""
+    """The same field with no tables: `_eliminate` and the negation in
+    `_kernel_from_rref` take their per-cell paths."""
 
     _mul_t = None
+    _neg_t = None
 
     def __init__(self, ctx):
         self.p, self.k = ctx.p, ctx.k

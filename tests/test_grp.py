@@ -21,7 +21,7 @@ from modcoh.grp import (
     group_to_json,
     paired_shear_family,
 )
-from modcoh.linalg import Matrix
+from modcoh.linalg import Matrix, matrix_to_json
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -198,6 +198,20 @@ def test_group_digest_and_spec_round_trip():
     )
     assert rebuilt.order == g.order
     assert rebuilt.digest() == g.digest()
+
+
+@pytest.mark.parametrize("group", [additive_family(F4), additive_family(F9),
+                                   paired_shear_family(F3)])
+def test_group_record_serializes_each_element_once(group):
+    # the generators and the digest reuse the element objects, and equal
+    # what serializing each of them again gives
+    spec = group_to_json(group)
+    elements = [matrix_to_json(m) for m in group.elements]
+    assert spec["elements"] == elements
+    assert spec["generators"] == [matrix_to_json(m) for m in group.generators]
+    assert all(spec["generators"][j] is spec["elements"][i]
+               for j, i in enumerate(group.generator_ids))
+    assert spec["digest"] == group.digest() == group.digest(elements)
 
 
 def test_bfs_element_order_deterministic():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modcoh import linalg
 from modcoh.errors import MixedContexts, ShapeMismatch, Singular
 from modcoh.gf import field_new
 from modcoh.grp import family_matrix
@@ -68,7 +69,7 @@ def test_family_involution_over_gf4():
     assert a @ a == Matrix.identity(F4, 2)
 
 
-# each per-field loop of matmul, add and sub: k = 1, characteristic-2 tables,
+# each per-field loop of matmul, add, sub, neg and scale: k = 1, characteristic-2 tables,
 # odd-p tables, and digit arithmetic without tables,
 # GF(17^2) = F_17[x]/(x^2 - 3) with q > 256
 MATMUL_FIELDS = [(2, 1, None), (7, 1, None), (2, 2, None), (2, 4, None), (3, 2, None),
@@ -77,10 +78,13 @@ MATMUL_FIELDS = [(2, 1, None), (7, 1, None), (2, 2, None), (2, 4, None), (3, 2, 
 
 @pytest.mark.parametrize("p,deg,modulus", MATMUL_FIELDS)
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 4), st.data())
+@given(st.integers(1, 4), st.one_of(st.integers(2, 4), st.integers(9, 16)), st.integers(1, 4),
+       st.data())
 def test_matmul_matches_per_cell_field_arithmetic(p, deg, modulus, n, k, m, data):
     ctx = field_new(p, deg, modulus)
-    # zeros drawn often, so both zero skips are taken
+    # zeros drawn often, so both zero skips are taken; rows of 9 or more
+    # entries take the compress scan
+    assert linalg._SCAN_MIN == 9
     cell = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
     a = Matrix(ctx, n, k, data.draw(st.lists(cell, min_size=n * k, max_size=n * k)))
     b = Matrix(ctx, k, m, data.draw(st.lists(cell, min_size=k * m, max_size=k * m)))
@@ -101,6 +105,19 @@ def test_add_sub_match_per_cell_field_arithmetic(p, deg, modulus, n, m, data):
     for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
         want = [[op(a[i, j], b[i, j]) for j in range(m)] for i in range(n)]
         assert got == Matrix.from_rows(ctx, want)
+
+
+@pytest.mark.parametrize("p,deg,modulus", MATMUL_FIELDS)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_neg_scale_match_per_cell_field_arithmetic(p, deg, modulus, n, m, data):
+    ctx = field_new(p, deg, modulus)
+    cells = st.lists(st.integers(0, ctx.q - 1), min_size=n * m, max_size=n * m)
+    a = Matrix(ctx, n, m, data.draw(cells))
+    c = ctx.el(data.draw(st.integers(0, ctx.q - 1)))
+    assert -a == Matrix.from_rows(ctx, [[-a[i, j] for j in range(m)] for i in range(n)])
+    want = [[c * a[i, j] for j in range(m)] for i in range(n)]
+    assert a.scale(c) == Matrix.from_rows(ctx, want)
 
 
 def test_rref_identity_and_zero():

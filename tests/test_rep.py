@@ -176,7 +176,7 @@ def test_determinant_module_is_trivial():
     # the families lie in SL_2, so the 1x1 determinant action is trivial
     for group in (G4, G3):
         dets = [Matrix.from_rows(group.ctx, [[determinant_oracle(m)]]) for m in group.elements]
-        det_mod = GModule(group, 1, dets, "det")
+        det_mod = GModule(group, 1, dets.__getitem__, "det")
         assert det_mod.actions() == trivial_module(group, 1).actions()
         assert dual(det_mod).actions() == det_mod.actions()
 

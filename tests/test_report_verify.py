@@ -12,6 +12,7 @@ import re
 import pytest
 
 import modcoh.verify
+from modcoh.build import build_nonsplit_sequence
 from modcoh.errors import CorruptReport, FailedCheck, ModcohError
 from modcoh.gf import field_from_json, field_new
 from modcoh.grp import additive_family, closure, group_to_json
@@ -103,56 +104,78 @@ def test_tamper_sym_action(report3):
 
 
 def test_sym_action_block_check_fires(report3, monkeypatch):
-    # a substitution that breaks the block structure is caught by the
-    # checks that run on the derived matrices
+    # a substitution that breaks the block structure at the element of S' is
+    # caught by the checks that run on the derived matrices
     original = modcoh.verify._substitution_matrix
+    gen = matrix_from_json(F3, report3["payload"]["group"]["generators"][0])
 
     def broken(ctx, sigma, basis, basis_pos):
         mat = original(ctx, sigma, basis, basis_pos)
+        if sigma != gen:
+            return mat
         data = [mat.raw(i, j) for i in range(mat.rows) for j in range(mat.cols)]
         data[2 * mat.cols] = 1  # row n = 2 of the pure power x^3's column: bottom-left
         return Matrix(ctx, mat.rows, mat.cols, data)
 
     monkeypatch.setattr(modcoh.verify, "_substitution_matrix", broken)
-    expect_failure(report3, "sym-action: element 0: bottom-left block is nonzero")
+    s = report3["payload"]["group"]["generator_ids"][0]
+    expect_failure(report3, f"sym-action: element {s}: bottom-left block is nonzero")
 
 
 def test_tamper_u_action(report3, monkeypatch):
-    # U is derived, so the check on it fires only on a faulty derivation
+    # U is derived, so the check on it fires only on a faulty derivation: a
+    # wrong U(s) at the element of S'
     original = modcoh.verify._u_action
+    s = report3["payload"]["group"]["generator_ids"][0]
 
-    def broken(ctx, elements, sym_action, inv_table, n):
-        out = original(ctx, elements, sym_action, inv_table, n)
-        out[0] = out[0].scale(ctx.el(2))
+    def broken(ctx, elements, sym_action, inv_table, n, ids):
+        out = original(ctx, elements, sym_action, inv_table, n, ids)
+        out[s] = out[s].scale(ctx.el(2))
         return out
 
     monkeypatch.setattr(modcoh.verify, "_u_action", broken)
-    expect_failure(report3, "u-action")
+    expect_failure(report3, re.escape(f"u-action: U(s) U(s^-1) is not the identity at element {s}"))
 
 
 def test_tamper_cocycle_value(report3, monkeypatch):
-    # the cocycle is derived; a faulty value at the identity, then at another
-    # element (the pair identity), is caught
+    # g is derived: g_s by its formula on S', every other value expanded
+    # along the BFS tree.  A faulty g_s outside Z1, a faulty value at the
+    # identity and a faulty value given at an element off S' each fail the
+    # pair identity at some product of S' x G
+    group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
+    seq = build_nonsplit_sequence(group)
+    (s,) = group.spanning_ids
+    (x,) = [i for i in range(1, group.order) if i != s]
+    d = seq.u_module.dim
+    less = seq.u_module.action(s) - Matrix.identity(F3, d)
+    units = [Matrix.basis_column(F3, d, j) for j in range(d)]
+    # Z1 on S' is the kernel of N_s = (U(s) - 1)^2 for p = 3
+    off_z1 = next(e for e in units if not (less @ less @ e).is_zero)
     original = modcoh.verify._cocycle
-    for element, detail in ((0, "value at the identity"), (1, "pair identity")):
+    for element, value in (
+        (s, seq.cocycle.value(s) + off_z1),
+        (0, units[0]),
+        (x, seq.cocycle.value(x) + units[0]),
+    ):
 
-        def broken(*args, element=element):
+        def broken(*args, element=element, value=value):
             out = original(*args)
-            out[element] = out[element] + Matrix.basis_column(F3, out[0].rows, 0)
+            out[element] = value
             return out
 
         monkeypatch.setattr(modcoh.verify, "_cocycle", broken)
-        expect_failure(report3, f"cocycle: {detail}")
+        expect_failure(report3, "cocycle: pair identity fails")
 
 
 def test_cocycle_must_land_in_u():
     # (s-1)iota has a nonzero W part for an iota that is not (I | 0)
     group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
     basis = modcoh.verify._ordered_basis(2, 3, 3)
-    sym = modcoh.verify._sym_action(F3, group.elements, basis, 2)
+    every = range(group.order)
+    sym = modcoh.verify._sym_action(F3, group.elements, basis, 2, every)
     bad_iota = Matrix.from_rows(F3, [[1, 0, 0, 0], [1, 1, 0, 0]])
-    with pytest.raises(FailedCheck, match="cocycle"):
-        modcoh.verify._cocycle(F3, group.elements, sym, list(group.inv), bad_iota)
+    with pytest.raises(FailedCheck, match=re.escape("cocycle: (s-1)iota leaves U at element 1")):
+        modcoh.verify._cocycle(F3, group.elements, sym, list(group.inv), bad_iota, [1])
 
 
 def test_tamper_iota(report3):
@@ -248,11 +271,14 @@ def test_toy_identity_is_checked_on_s_prime(report2):
     ctx = field_from_json(p["field"])
     elements = [matrix_from_json(ctx, m) for m in p["group"]["elements"]]
     inv = p["group"]["inverse"]
-    sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2)
-    u = modcoh.verify._u_action(ctx, elements, sym, inv, 2)
-    g = modcoh.verify._cocycle(ctx, elements, sym, inv, matrix_from_json(ctx, p["iota"]))
     index = {m: i for i, m in enumerate(elements)}
-    spanning, _ = modcoh.verify._generated(elements, index, p["group"]["generator_ids"])
+    spanning, mul_idx = modcoh.verify._generated(elements, index, p["group"]["generator_ids"])
+    read = spanning + [inv[s] for s in spanning]
+    sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2, read)
+    u = modcoh.verify._u_action(ctx, elements, sym, inv, 2, read)
+    iota = matrix_from_json(ctx, p["iota"])
+    g = modcoh.verify._cocycle(ctx, elements, sym, inv, iota, spanning)
+    g = modcoh.verify._expand_cocycle(u, g, mul_idx)
     args = (ctx, p["toy"], elements, spanning)
     assert modcoh.verify._verify_toy(*args, sym, u, g) == 1
     sym[spanning[-1]] = sym[spanning[-1]].scale(ctx.gen())

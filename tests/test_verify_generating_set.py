@@ -52,7 +52,8 @@ def report(label):
 
 
 class Derived:
-    """Everything the verifier derives from a report's group, on every element."""
+    """Everything the verifier derives from a report's group, on every
+    element, with its own helpers; g by its formula (s-1)iota everywhere."""
 
     def __init__(self, rep):
         payload = rep["payload"]
@@ -65,11 +66,11 @@ class Derived:
         self.inv = gobj["inverse"]
         self.order = len(self.elements)
         basis = [tuple(e) for e in payload["basis"]]
-        sym = verify._sym_action(ctx, self.elements, basis, n)
-        self.u = verify._u_action(ctx, self.elements, sym, self.inv, n)
-        self.g = verify._cocycle(
-            ctx, self.elements, sym, self.inv, matrix_from_json(ctx, payload["iota"])
-        )
+        every = range(self.order)
+        sym = verify._sym_action(ctx, self.elements, basis, n, every)
+        self.u = verify._u_action(ctx, self.elements, sym, self.inv, n, every)
+        self.iota = matrix_from_json(ctx, payload["iota"])
+        self.g = verify._cocycle(ctx, self.elements, sym, self.inv, self.iota, every[1:])
         self.d = self.u[0].rows
         self.w_dual = [
             verify._ext_matrix(ctx, self.u[j], self.g[j]).transpose() for j in self.inv
@@ -110,7 +111,8 @@ def reference_failures(der):
     out += [f"w fixed {i}" for i in range(order) if der.w_dual[i] @ der.w != der.w]
     out += [f"witness {i}" for i in witness_failures(der, der.x)]
     if der.payload["toy"] is not None:
-        action = verify._sym_action(ctx, der.elements, verify._ordered_basis(2, 2, 2), 2)
+        basis = verify._ordered_basis(2, 2, 2)
+        action = verify._sym_action(ctx, der.elements, basis, 2, range(order))
         for i in range(order):
             if action[i] != verify._ext_matrix(ctx, u[i], g[i]):
                 out.append(f"toy identity {i}")
@@ -132,7 +134,9 @@ def test_verifier_sym_action_equals_the_builders(label):
     # and the builder's polynomials give the same matrices on every element
     g = group(label)
     sym, basis = sym_power(g, g.ctx.p)
-    derived_action = verify._sym_action(g.ctx, list(g.elements), [tuple(m) for m in basis], g.n)
+    derived_action = verify._sym_action(
+        g.ctx, list(g.elements), [tuple(m) for m in basis], g.n, range(g.order)
+    )
     assert derived_action == sym.actions()
 
 
@@ -154,6 +158,24 @@ def test_verifier_picks_a_generating_subset(label):
     assert spanning == group(label).spanning_ids
     assert set(mul_idx) == {(s, t) for s in spanning for t in range(der.order)}
     assert all(mul_idx[(s, t)] == der.mul(s, t) for s, t in mul_idx)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_verifier_expands_g_from_s_prime_to_the_formula(label):
+    # the verifier takes (s-1)iota on S' only and expands it along its BFS
+    # tree, reading A and U on S' and its inverses: the expansion is the
+    # formula on every element
+    der = derived(label)
+    index = {m: i for i, m in enumerate(der.elements)}
+    spanning, mul_idx = verify._generated(der.elements, index, der.gen_ids)
+    read = spanning + [der.inv[s] for s in spanning]
+    basis = [tuple(e) for e in der.payload["basis"]]
+    n = der.payload["group"]["n"]
+    sym = verify._sym_action(der.ctx, der.elements, basis, n, read)
+    u = verify._u_action(der.ctx, der.elements, sym, der.inv, n, read)
+    assert [i for i, a in enumerate(u) if a is not None] == sorted(set(read))
+    on_s = verify._cocycle(der.ctx, der.elements, sym, der.inv, der.iota, spanning)
+    assert verify._expand_cocycle(u, on_s, mul_idx) == der.g
 
 
 @functools.cache

@@ -4,10 +4,11 @@ elements.
 `coh._z1_basis` finds Z1 on the generating subset S' from the relator
 system (elementary abelian groups) or the Schreier-graph system (every
 other group); `coh._z1_columns` expands it to the stacked non-identity
-coordinates; `Cocycle.validate` checks g_{st} = s(g_t) + g_s for s in S'
-and every t.  The references here are the S' x G system in all stacked
-coordinates, whose kernel_basis is the Z1 basis z1_space must return, and
-the system over every ordered pair.
+coordinates; `Cocycle.validate` checks the values on S' against the Z1
+system and a full value list against its expansion from S'.  The
+references here are the S' x G system in all stacked coordinates, whose
+kernel_basis is the Z1 basis z1_space must return, and the system over
+every ordered pair.
 """
 
 import functools
