@@ -22,7 +22,7 @@ from .errors import (
     SingularGenerator,
 )
 from .gf import FieldCtx, FieldElement, field_to_json
-from .linalg import Matrix, inverse, is_invertible, matrix_to_json
+from .linalg import Matrix, is_invertible, matrix_to_json
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -35,15 +35,25 @@ class MatrixGroup:
         "_rows", "_spanning", "_parents",
     )
 
-    def __init__(self, ctx: FieldCtx, n: int, generators: list[Matrix], elements: list[Matrix]):
+    def __init__(
+        self,
+        ctx: FieldCtx,
+        n: int,
+        generators: list[Matrix],
+        elements: list[Matrix],
+        inv: list[int],
+        rows: list[Optional[list[int]]],
+    ):
+        """`inv[i]` is the id of the inverse of elements[i]; `rows[i]` is the
+        row of `mul(i, .)` or None until first use.  Built by `closure`."""
         self.ctx = ctx
         self.n = n
         self.generators = generators
         self.elements = elements
         self.index = {m: i for i, m in enumerate(elements)}
         self.generator_ids = [self.index[g] for g in generators]
-        self.inv = [self.index[inverse(m)] for m in elements]
-        self._rows: list[Optional[list[int]]] = [None] * len(elements)
+        self.inv = inv
+        self._rows = rows
         self._spanning: Optional[list[int]] = None
         self._parents: Optional[list[Optional[tuple[int, int]]]] = None
 
@@ -54,7 +64,8 @@ class MatrixGroup:
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] @ elements[j].
 
-        Products are tabulated one row per left factor, on first use.
+        Products are tabulated one row per left factor, on first use; the
+        rows of S' come from `closure`.
         """
         row = self._rows[i]
         if row is None:
@@ -130,7 +141,18 @@ def closure(
     generators: Sequence[Matrix],
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> MatrixGroup:
-    """BFS closure of the generators; deterministic element order."""
+    """The group generated by `generators`, in two passes.
+
+    Pass 1 enumerates it breadth-first from the identity by left
+    multiplication with S' (see `MatrixGroup.spanning_ids`), recording each
+    product s @ h as an index: the set found holds every generator and is
+    closed under S', so it is the group, found with |S'||G| products.
+    Pass 2 numbers the elements breadth-first from the identity by right
+    multiplication with every generator in the given order, so element ids
+    are reproducible and can be cited by certificates; it stops once all
+    |G| elements are placed.  The S' rows of the multiplication table and
+    the inverses come from pass 1's products, with no further product.
+    """
     gens = list(generators)
     for g in gens:
         if g.ctx is not ctx:
@@ -139,23 +161,85 @@ def closure(
             raise ShapeMismatch(f"generator is {g.rows}x{g.cols}, expected {n}x{n}")
         if not is_invertible(g):
             raise SingularGenerator(f"singular generator {g!r}")
+
+    # pass 1: found[x] = kept[letter[x]] @ found[parent[x]] for x > 0, and
+    # left[b][h] is the index of kept[b] @ found[h]
     identity = Matrix.identity(ctx, n)
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[Matrix] = []
-        for m in frontier:
-            for g in gens:
-                prod = m @ g
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    new.append(prod)
-                    if len(elements) > order_cap:
-                        raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
-        frontier = new
-    return MatrixGroup(ctx, n, gens, elements)
+    found, index = [identity], {identity: 0}
+    parent, letter = [0], [-1]
+    kept: list[Matrix] = []
+    left: list[list[int]] = []
+
+    def product(b: int, h: int) -> int:
+        x = kept[b] @ found[h] if h else kept[b]
+        i = index.get(x)
+        if i is None:
+            i = index[x] = len(found)
+            found.append(x)
+            parent.append(h)
+            letter.append(b)
+            if len(found) > order_cap:
+                raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
+        return i
+
+    for g in gens:
+        if g in index:
+            continue
+        kept.append(g)
+        left.append([])
+        # the new row catches up with the elements found so far, then every
+        # row takes each element found after them
+        done = len(found)
+        left[-1].extend(product(len(kept) - 1, h) for h in range(done))
+        while done < len(found):
+            for b, row in enumerate(left):
+                row.append(product(b, done))
+            done += 1
+
+    # pass 2: order[j] is the pass-1 index of the element with id j, reached
+    # as found[m] @ gens[gi] with (m, gi) = via[j - 1]
+    size = len(found)
+    order, ids, via = [0], [0] + [-1] * (size - 1), []
+    for m in order:
+        if len(order) == size:
+            break
+        for gi, g in enumerate(gens):
+            x = index.get(found[m] @ g if m else g)
+            if x is None:
+                raise ModcohError("a product of group elements left the enumerated group")
+            if ids[x] < 0:
+                ids[x] = len(order)
+                order.append(x)
+                via.append((m, gi))
+                if len(order) == size:
+                    break
+
+    # (h g)^-1 = g^-1 h^-1, and g^-1 y = s_r^-1 ... s_1^-1 y for g = s_1 ... s_r
+    # along pass 1's tree, read off the inverses of the S' rows
+    undo = [[0] * size for _ in left]
+    for row, back in zip(left, undo):
+        for h, x in enumerate(row):
+            back[x] = h
+    words = []
+    for g in gens:
+        z, word = index[g], []
+        while z:
+            word.append(letter[z])
+            z = parent[z]
+        words.append(word)
+    inv1 = [0] * size
+    for x, (m, gi) in zip(order[1:], via):
+        y = inv1[m]
+        for b in words[gi]:
+            y = undo[b][y]
+        inv1[x] = y
+    inv = [ids[inv1[x]] for x in order]
+    rows: list[Optional[list[int]]] = [None] * size
+    for row in left:
+        mapped = rows[ids[row[0]]] = [0] * size
+        for h, x in enumerate(row):
+            mapped[ids[h]] = ids[x]
+    return MatrixGroup(ctx, n, gens, [found[x] for x in order], inv, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +283,9 @@ def additive_family(
     """Group {A(a) : a in U} for an additive subgroup U of the field.
 
     Defaults to U = the whole field.  The generators are the matrices of
-    all nonzero parameters, in field encoding order, so certificate systems
-    carry one block per parameter.
+    all nonzero parameters, in field encoding order, and reports publish
+    them all; S', a basis of U over F_p (k of them for U = GF(p^k)), drives
+    every system.
     """
     if params is None:
         vals = set(range(ctx.q))

@@ -3,17 +3,21 @@ byte for byte.
 
 Reports are the regression oracle: a change that claims byte-identical
 reports must keep every SHA-256 below.  The instances are the ten family-a
-ladder reports of `tests/test_verify_generating_set.py` and `zpxzp` p=3,
-each built by the CLI with its default seed and written with `--out`.  The
+ladder reports of `tests/test_verify_generating_set.py`, `zpxzp` p=3 and
+SL_2(F_3) given by a `file:` spec, the first non-abelian group, each built
+by the CLI with its default seed and written with `--out`.  The
 Z1 and B1 bases that `h1 --dump-basis` prints in stacked non-identity
 coordinates are pinned on three modules.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from modcoh.cli import main
+from modcoh.gf import field_new, field_to_json
+from modcoh.linalg import Matrix, matrix_to_json
 
 GOLDEN = {
     "GF(2^2) n=2": (["--p", "2", "--k", "2", "--n", "2"],
@@ -38,6 +42,9 @@ GOLDEN = {
                     "137af934c9ee4f2b461f4edc6324bd4ddecd3cabb4532dae163b3ad5d0c3bef1"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
                   "9127f9bd926334da4b113562039648a7e40ff419931715a8c2ab4d91deaea23a"),
+    # [[1,1],[0,1]], -I and [[1,0],[1,1]]: |G| = 24, |S'| = 3
+    "SL_2(F_3) file": (["--p", "3", "--group", "file:{sl2_f3}"],
+                       "d8a3e818958789511f70015cd3161e2dd8bd0a867047276ebfb6e51f632a4205"),
 }
 
 
@@ -59,9 +66,24 @@ def test_dump_basis_matches_the_golden_digest(label, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
+@pytest.fixture
+def sl2_f3(tmp_path):
+    """The group spec file of SL_2(F_3) in GOLDEN."""
+    F3 = field_new(3)
+    spec = tmp_path / "sl2_f3.json"
+    spec.write_text(json.dumps({
+        "field": field_to_json(F3),
+        "n": 2,
+        "generators": [matrix_to_json(Matrix.from_rows(F3, g))
+                       for g in ([[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]])],
+    }))
+    return spec
+
+
 @pytest.mark.parametrize("label", list(GOLDEN))
-def test_report_bytes_match_the_golden_digest(label, tmp_path):
+def test_report_bytes_match_the_golden_digest(label, tmp_path, sl2_f3):
     args, want = GOLDEN[label]
+    args = [a.format(sl2_f3=sl2_f3) for a in args]
     out = tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -1,7 +1,10 @@
 """Group closure, named families, hypothesis scan."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import modcoh.linalg
 from modcoh.errors import (
     BadCharacteristic,
     MixedContexts,
@@ -21,7 +24,7 @@ from modcoh.grp import (
     group_to_json,
     paired_shear_family,
 )
-from modcoh.linalg import Matrix, matrix_to_json
+from modcoh.linalg import Matrix, inverse, is_invertible, matrix_to_json
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -37,6 +40,112 @@ def brute_closure_oracle(generators, identity):
         if new <= elems:
             return elems
         elems |= new
+
+
+def reference_closure(ctx, n, generators):
+    """Elements, index and inverse ids of the group generated: breadth-first
+    from the identity by right multiplication with every generator, and one
+    Gauss-Jordan inverse per element."""
+    identity = Matrix.identity(ctx, n)
+    elements, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in generators:
+                prod = m @ g
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    new.append(prod)
+        frontier = new
+    index = {m: i for i, m in enumerate(elements)}
+    return elements, index, [index[inverse(m)] for m in elements]
+
+
+def reference_search(elements, index, generator_ids):
+    """S' and the search tree, by the rule of MatrixGroup._search, with every
+    product formed from the matrices."""
+    kept, parents, reached = [], [None] * len(elements), {0}
+    for gid in generator_ids:
+        if gid in reached:
+            continue
+        kept.append(gid)
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for h in frontier:
+                for s in kept:
+                    x = index[elements[s] @ elements[h]]
+                    if x not in reached:
+                        reached.add(x)
+                        parents[x] = (s, h)
+                        new.append(x)
+            frontier = new
+    return kept, parents
+
+
+@st.composite
+def generator_lists(draw):
+    """Invertible matrices over GL_2(F_3), GL_2(F_4) or GL_3(F_2), with
+    repeats, the identity and products of earlier ones mixed in."""
+    ctx, n = draw(st.sampled_from([(F3, 2), (F4, 2), (F2, 3)]))
+    matrix = st.lists(st.integers(0, ctx.q - 1), min_size=n * n, max_size=n * n).map(
+        lambda d: Matrix(ctx, n, n, d)
+    ).filter(is_invertible)
+    gens = draw(st.lists(matrix, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["repeat", "identity", "product"]))
+        if kind == "repeat":
+            extra = draw(st.sampled_from(gens))
+        elif kind == "identity":
+            extra = Matrix.identity(ctx, n)
+        else:
+            extra = draw(st.sampled_from(gens)) @ draw(st.sampled_from(gens))
+        gens.insert(draw(st.integers(0, len(gens))), extra)
+    return ctx, n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists())
+def test_closure_matches_the_reference_closure(case):
+    ctx, n, gens = case
+    g = closure(ctx, n, gens)
+    elements, index, inv = reference_closure(ctx, n, gens)
+    assert g.elements == elements
+    assert g.generator_ids == [index[m] for m in gens]
+    assert g.inv == inv
+    spanning, parents = reference_search(elements, index, g.generator_ids)
+    # the S' rows come filled from closure, before any product is asked for
+    assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(spanning)
+    for s in spanning:
+        assert g._rows[s] == [index[elements[s] @ h] for h in elements]
+    assert g.spanning_ids == spanning
+    assert g.tree_parents == parents
+
+
+def test_closure_makes_s_prime_products_and_no_inverse(monkeypatch):
+    # family-a over GF(16): 15 published generators, |S'| = 4, |G| = 16
+    ctx = field_new(2, 4)
+    gens = [family_matrix(ctx, ctx.el(v)) for v in range(1, 16)]
+    products, eliminations = [], []
+    matmul, eliminate = Matrix.__matmul__, modcoh.linalg._eliminate
+
+    def counting_matmul(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    def counting_eliminate(*args):
+        eliminations.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(modcoh.linalg, "_eliminate", counting_eliminate)
+    g = closure(ctx, 2, gens)
+    assert len(g.spanning_ids) == 4 and g.order == 16
+    assert len(products) <= 4 * 16
+    # rank and inverse both eliminate: one is_invertible per generator, and
+    # no inverse per element
+    assert len(eliminations) == len(gens)
 
 
 def test_closure_trivial():
@@ -135,6 +244,19 @@ def test_family_law_exhaustive(ctx):
     for a in ctx.elements():
         for b in ctx.elements():
             assert family_matrix(ctx, a) @ family_matrix(ctx, b) == family_matrix(ctx, a + b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([field_new(2, 3), field_new(2, 4), F9, field_new(7)]),
+    st.sampled_from([2, 3]),
+    st.data(),
+)
+def test_family_law_property(ctx, n, data):
+    # A(a) @ A(b) = A(a+b) and A(a)^-1 = A(-a), in GL_2 and embedded in GL_3
+    a, b = (ctx.el(data.draw(st.integers(0, ctx.q - 1))) for _ in range(2))
+    assert family_matrix(ctx, a, n) @ family_matrix(ctx, b, n) == family_matrix(ctx, a + b, n)
+    assert inverse(family_matrix(ctx, a, n)) == family_matrix(ctx, -a, n)
 
 
 @pytest.mark.parametrize("ctx,expected", [(F4, 4), (F3, 3), (F9, 9)])
