@@ -407,27 +407,36 @@ def _h1_columns(module: GModule) -> tuple[Optional[Matrix], int]:
     return _side_by_side(cols), len(bb)
 
 
+def _expanded(module: GModule, basis: Sequence[Matrix]) -> Matrix:
+    """The cocycles with the columns of `basis` as values on the S' blocks,
+    expanded along the search tree by g_st = A(s) g_t + g_s: one column per
+    vector, in stacked non-identity coordinates.  Reads the action on S'
+    only."""
+    g = module.group
+    d, width = module.dim, len(basis)
+    cols = _side_by_side(basis)
+    known = _seeded(
+        module, [cols.submatrix(b * d, (b + 1) * d, 0, width) for b in range(len(g.spanning_ids))]
+    )
+    return vstack([_expand(module, known, i) for i in range(1, g.order)])
+
+
 def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
     """The basis kernel_basis gives for Z1 in stacked non-identity coordinates.
 
     That basis is the reduced one whose pivot is each vector's last nonzero
     coordinate, so it depends on Z1 alone: Z1 on S' is expanded along the
-    tree of a breadth-first search by left multiplication with S',
-    g_st = A(s) g_t + g_s, and brought to that form by one rref of the
-    column-reversed vectors.  The expansion is checked against
-    Z1_SYSTEM_ENTRY_CAP before it is built.
+    tree and brought to that form by one rref of the column-reversed
+    vectors.  The expansion is checked against Z1_SYSTEM_ENTRY_CAP before it
+    is built.
     """
     g = module.group
     zb = _cached(module, "z1", _z1_basis)
     if not zb:
         return ()
-    d, width = module.dim, len(zb)
-    _check_desk_scale("expansion", (g.order - 1) * d, width, module)
-    basis = _side_by_side(zb)
-    known = _seeded(
-        module, [basis.submatrix(b * d, (b + 1) * d, 0, width) for b in range(len(g.spanning_ids))]
-    )
-    vectors = vstack([_expand(module, known, i) for i in range(1, g.order)]).transpose()
+    width = len(zb)
+    _check_desk_scale("expansion", (g.order - 1) * module.dim, width, module)
+    vectors = _expanded(module, zb).transpose()
     n = vectors.cols
     flipped = [x for i in range(width) for x in reversed(vectors.row_list(i))]
     reduced, _, _ = rref(Matrix(g.ctx, width, n, flipped))
@@ -438,11 +447,18 @@ def _z1_columns(module: GModule) -> tuple[Matrix, ...]:
 
 
 def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
-    g = module.group
-    if g.order == 1:
+    """The reduced basis of B1 in stacked non-identity coordinates.
+
+    B1 there is the column space of the stacked (g-1) over every g != 1,
+    which is spanned by B1 on S' expanded along the tree; the nonzero rows
+    of the reduced row echelon form of that span are unique, so this basis
+    is the one the stack over all of G gives, and only the action on S' is
+    read.
+    """
+    bb = _cached(module, "b1", _b1_basis)
+    if not bb:
         return ()
-    ident = Matrix.identity(g.ctx, module.dim)
-    return _column_basis(vstack([module.action(i) - ident for i in range(1, g.order)]))
+    return _column_basis(_expanded(module, bb))
 
 
 def z1_space(module: GModule) -> list[Cocycle]:

@@ -1,8 +1,9 @@
 """Finite matrix groups enumerated from generators.
 
-Closure is breadth-first from the identity with generators applied in the
-given order, so element ids are reproducible and can be cited by
-certificates.  The named families used by the pipeline live here too.
+Closure is one breadth-first search from the identity by left
+multiplication with the generators, taken in the given order, so element
+ids are reproducible and can be cited by certificates.  The named families
+used by the pipeline live here too.
 """
 
 from __future__ import annotations
@@ -28,11 +29,27 @@ DEFAULT_ORDER_CAP = 10_000
 
 
 class MatrixGroup:
-    """Finite subgroup of GL_n over a fixed field, with enumerated elements."""
+    """Finite subgroup of GL_n over a fixed field, with enumerated elements.
+
+    Built by `closure`.  Element i is `elements[i]`, the identity is 0 and
+    `inv[i]` is the id of the inverse of element i.
+
+    `spanning_ids` is S', the generator ids in order, each kept only if it
+    lies outside the subgroup generated by those kept before it.  S'
+    generates the group; for the additive family over GF(p^k) it has k
+    elements, against q - 1 published generators.
+
+    `tree_parents` is the search tree that found the elements:
+    parents[st] = (s, t) when the search first reached st as s @ t, with s
+    in S'.  The identity has no parent and each s in S' has (s, 0).  Every
+    parent is reached before its child, so it has the smaller id, and a
+    value defined on S' and the identity extends to every element along
+    these edges.
+    """
 
     __slots__ = (
         "ctx", "n", "generators", "generator_ids", "elements", "index", "inv",
-        "_rows", "_spanning", "_parents",
+        "spanning_ids", "tree_parents", "_rows",
     )
 
     def __init__(
@@ -41,21 +58,24 @@ class MatrixGroup:
         n: int,
         generators: list[Matrix],
         elements: list[Matrix],
+        index: dict[Matrix, int],
         inv: list[int],
+        spanning_ids: list[int],
+        tree_parents: list[Optional[tuple[int, int]]],
         rows: list[Optional[list[int]]],
     ):
-        """`inv[i]` is the id of the inverse of elements[i]; `rows[i]` is the
-        row of `mul(i, .)` or None until first use.  Built by `closure`."""
+        """`index` maps each element to its id; `rows[i]` is the row of
+        `mul(i, .)`, or None until first use."""
         self.ctx = ctx
         self.n = n
         self.generators = generators
         self.elements = elements
-        self.index = {m: i for i, m in enumerate(elements)}
-        self.generator_ids = [self.index[g] for g in generators]
+        self.index = index
+        self.generator_ids = [index[g] for g in generators]
         self.inv = inv
+        self.spanning_ids = spanning_ids
+        self.tree_parents = tree_parents
         self._rows = rows
-        self._spanning: Optional[list[int]] = None
-        self._parents: Optional[list[Optional[tuple[int, int]]]] = None
 
     @property
     def order(self) -> int:
@@ -72,55 +92,6 @@ class MatrixGroup:
             a, index = self.elements[i], self.index
             row = self._rows[i] = [index[a @ b] for b in self.elements]
         return row[j]
-
-    @property
-    def spanning_ids(self) -> list[int]:
-        """S', the generator ids in order, each kept only if it lies outside
-        the subgroup generated by those kept before it.
-
-        S' generates the group; for the additive family over GF(p^k) it has
-        k elements, against q - 1 published generators.
-        """
-        if self._spanning is None:
-            self._search()
-        return self._spanning
-
-    @property
-    def tree_parents(self) -> list[Optional[tuple[int, int]]]:
-        """The search tree that picks S': parents[st] = (s, t) when the
-        search first reaches st as s @ t, with s in S'.
-
-        The identity has no parent and each s in S' has (s, 0).  Every parent
-        is reached before its child, so a value defined on S' and the
-        identity extends to every element along these edges.
-        """
-        if self._parents is None:
-            self._search()
-        return self._parents
-
-    def _search(self) -> None:
-        """Breadth-first from the identity by left multiplication with the
-        kept generators; a generator is kept when the search has not yet
-        reached it, and the search then resumes from every element reached."""
-        kept: list[int] = []
-        parents: list[Optional[tuple[int, int]]] = [None] * self.order
-        reached = {0}
-        for gid in self.generator_ids:
-            if gid in reached:
-                continue
-            kept.append(gid)
-            frontier = list(reached)
-            while frontier:
-                new = []
-                for h in frontier:
-                    for s in kept:
-                        x = self.mul(s, h)
-                        if x not in reached:
-                            reached.add(x)
-                            parents[x] = (s, h)
-                            new.append(x)
-                frontier = new
-        self._spanning, self._parents = kept, parents
 
     def digest(self, elements_json: Optional[list[dict]] = None) -> str:
         """SHA-256 of the field, n and the serialized elements; pass
@@ -141,17 +112,17 @@ def closure(
     generators: Sequence[Matrix],
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> MatrixGroup:
-    """The group generated by `generators`, in two passes.
+    """The group generated by `generators`, in one breadth-first search.
 
-    Pass 1 enumerates it breadth-first from the identity by left
-    multiplication with S' (see `MatrixGroup.spanning_ids`), recording each
-    product s @ h as an index: the set found holds every generator and is
-    closed under S', so it is the group, found with |S'||G| products.
-    Pass 2 numbers the elements breadth-first from the identity by right
-    multiplication with every generator in the given order, so element ids
-    are reproducible and can be cited by certificates; it stops once all
-    |G| elements are placed.  The S' rows of the multiplication table and
-    the inverses come from pass 1's products, with no further product.
+    The search starts at the identity and multiplies by S' on the left (see
+    `MatrixGroup`): it takes the generators in order, skips each one it has
+    already reached, and otherwise keeps it, multiplies every element found
+    so far by it, and goes on taking each later element times every kept
+    generator.  Element ids are the order of discovery and the search tree
+    is `tree_parents`.  The set found holds every generator and is closed
+    under S', so it is the group, found with |S'|(|G| - 1) products; they
+    are the S' rows of the multiplication table, and the inverses follow
+    from those rows with no further product.
     """
     gens = list(generators)
     for g in gens:
@@ -162,8 +133,8 @@ def closure(
         if not is_invertible(g):
             raise SingularGenerator(f"singular generator {g!r}")
 
-    # pass 1: found[x] = kept[letter[x]] @ found[parent[x]] for x > 0, and
-    # left[b][h] is the index of kept[b] @ found[h]
+    # found[x] = kept[letter[x]] @ found[parent[x]] for x > 0, and
+    # left[b][h] is the id of kept[b] @ found[h]
     identity = Matrix.identity(ctx, n)
     found, index = [identity], {identity: 0}
     parent, letter = [0], [-1]
@@ -196,50 +167,26 @@ def closure(
                 row.append(product(b, done))
             done += 1
 
-    # pass 2: order[j] is the pass-1 index of the element with id j, reached
-    # as found[m] @ gens[gi] with (m, gi) = via[j - 1]
     size = len(found)
-    order, ids, via = [0], [0] + [-1] * (size - 1), []
-    for m in order:
-        if len(order) == size:
-            break
-        for gi, g in enumerate(gens):
-            x = index.get(found[m] @ g if m else g)
-            if x is None:
-                raise ModcohError("a product of group elements left the enumerated group")
-            if ids[x] < 0:
-                ids[x] = len(order)
-                order.append(x)
-                via.append((m, gi))
-                if len(order) == size:
-                    break
-
-    # (h g)^-1 = g^-1 h^-1, and g^-1 y = s_r^-1 ... s_1^-1 y for g = s_1 ... s_r
-    # along pass 1's tree, read off the inverses of the S' rows
-    undo = [[0] * size for _ in left]
-    for row, back in zip(left, undo):
-        for h, x in enumerate(row):
-            back[x] = h
-    words = []
-    for g in gens:
-        z, word = index[g], []
-        while z:
-            word.append(letter[z])
-            z = parent[z]
-        words.append(word)
-    inv1 = [0] * size
-    for x, (m, gi) in zip(order[1:], via):
-        y = inv1[m]
-        for b in words[gi]:
-            y = undo[b][y]
-        inv1[x] = y
-    inv = [ids[inv1[x]] for x in order]
-    rows: list[Optional[list[int]]] = [None] * size
+    spanning = [row[0] for row in left]
+    parents: list[Optional[tuple[int, int]]] = [None]
+    parents.extend((spanning[b], h) for b, h in zip(letter[1:], parent[1:]))
+    # x = s @ h has x^-1 = h^-1 @ s^-1.  Right multiplication by s^-1
+    # commutes with the S' rows, so right[b][x] = x @ s^-1 follows the tree
+    # from right[b][0] = s^-1, the element that row b sends to the identity
+    right = []
     for row in left:
-        mapped = rows[ids[row[0]]] = [0] * size
-        for h, x in enumerate(row):
-            mapped[ids[h]] = ids[x]
-    return MatrixGroup(ctx, n, gens, [found[x] for x in order], inv, rows)
+        r = [row.index(0)]
+        for x in range(1, size):
+            r.append(left[letter[x]][r[parent[x]]])
+        right.append(r)
+    inv = [0] * size
+    for x in range(1, size):
+        inv[x] = right[letter[x]][inv[parent[x]]]
+    rows: list[Optional[list[int]]] = [None] * size
+    for s, row in zip(spanning, left):
+        rows[s] = row
+    return MatrixGroup(ctx, n, gens, found, index, inv, spanning, parents, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Pipeline stages: sequence construction, witnesses, assembly, toy, demo."""
 
+import functools
 import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcoh.build import (
     assemble_obstruction_module,
@@ -18,8 +21,8 @@ from modcoh.coh import h1_class, is_split, tensor_with_invariant
 from modcoh.errors import BadCharacteristic, HypothesisNotSatisfied, ModcohError
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, paired_shear_family
-from modcoh.linalg import Matrix, kron, vstack
-from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual
+from modcoh.linalg import Matrix, kron, solve, vstack
+from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual, tensor
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -112,6 +115,32 @@ def test_tensor_vanishing_witness_all_elements(group):
         # the two witnesses differ by a G-fixed vector
         assert ((t_mod.action(i) - ident) @ (tv.witness - solver)).is_zero
     assert all(c.is_zero for c in h1_class(tg))
+
+
+@functools.cache
+def family_sequence(p, k):
+    return build_nonsplit_sequence(additive_family(field_new(p, k)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2)]), st.data())
+def test_closed_form_witness_is_a_solver_witness_plus_a_fixed_vector(pk, data):
+    # the stacked system (T(s) - 1)u = cw (x) g_s over S' on
+    # T = tensor(dual(uext), u), solved by linalg.solve, is consistent, and
+    # c vec(X) differs from the solver's u by a vector fixed by S', hence
+    # by G: the two witnesses agree up to H^0(G, T)
+    seq = family_sequence(*pk)
+    group, ctx = seq.group, seq.group.ctx
+    c = ctx.el(data.draw(st.integers(1, ctx.q - 1), label="c"))
+    tv = tensor_vanishing_witness(seq)
+    t = tensor(dual(seq.extension.total), seq.u_module)
+    ident = Matrix.identity(ctx, t.dim)
+    less = [t.action(s) - ident for s in group.spanning_ids]
+    rhs = [kron(tv.w.scale(c), seq.cocycle.value(s)) for s in group.spanning_ids]
+    result = solve(vstack(less), vstack(rhs))
+    assert result.consistent
+    for m in less:
+        assert (m @ (tv.witness.scale(c) - result.solution)).is_zero
 
 
 def test_obstruction_dims():

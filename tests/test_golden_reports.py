@@ -41,10 +41,10 @@ GOLDEN = {
     "GF(2^3) n=3": (["--p", "2", "--k", "3", "--n", "3"],
                     "137af934c9ee4f2b461f4edc6324bd4ddecd3cabb4532dae163b3ad5d0c3bef1"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
-                  "9127f9bd926334da4b113562039648a7e40ff419931715a8c2ab4d91deaea23a"),
+                  "7260db81bb7f0857a4e08767a8eeafcc04929dfca13dfd373b2f46091702955f"),
     # [[1,1],[0,1]], -I and [[1,0],[1,1]]: |G| = 24, |S'| = 3
     "SL_2(F_3) file": (["--p", "3", "--group", "file:{sl2_f3}"],
-                       "d8a3e818958789511f70015cd3161e2dd8bd0a867047276ebfb6e51f632a4205"),
+                       "f7f93edd3df557a5dff52ebab7dc728ac6f130c5131dc4b71196ac526113abd5"),
 }
 
 
@@ -54,7 +54,7 @@ DUMP_BASIS = {
     "GF(3^2) sym(3)": (["--p", "3", "--k", "2", "--module", "sym(3)"],
                        "df1c848c80574666f3fb24760c46f068994c5482044b4cef6bd59259fc987566"),
     "zpxzp p=3 u": (["--group", "zpxzp", "--p", "3", "--module", "u"],
-                    "4dd4fe0e433e612d34a5e3053be4c9292ac9536e8bd7d3ca7a43a6c42c79b5e3"),
+                    "9ce851a900dab7d33f58dcfac9ad2a0c20532716dbc26db613ff2c5e574131bb"),
 }
 
 

@@ -43,45 +43,41 @@ def brute_closure_oracle(generators, identity):
 
 
 def reference_closure(ctx, n, generators):
-    """Elements, index and inverse ids of the group generated: breadth-first
-    from the identity by right multiplication with every generator, and one
-    Gauss-Jordan inverse per element."""
+    """Elements, index, inverse ids, S' and the search tree of the group
+    generated, by the rule `closure` documents, with every product formed
+    from the matrices and one Gauss-Jordan inverse per element.
+
+    One breadth-first search from the identity by left multiplication with
+    the kept generators: a generator is kept when the search has not
+    reached it, and is then applied to every element found so far; each
+    later element, in discovery order, takes every kept generator in turn.
+    """
     identity = Matrix.identity(ctx, n)
-    elements, seen, frontier = [identity], {identity}, [identity]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in generators:
-                prod = m @ g
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    new.append(prod)
-        frontier = new
-    index = {m: i for i, m in enumerate(elements)}
-    return elements, index, [index[inverse(m)] for m in elements]
+    elements, index = [identity], {identity: 0}
+    kept, via = [], []
 
+    def visit(b, h):
+        prod = kept[b] @ elements[h]
+        if prod not in index:
+            index[prod] = len(elements)
+            elements.append(prod)
+            via.append((b, h))
 
-def reference_search(elements, index, generator_ids):
-    """S' and the search tree, by the rule of MatrixGroup._search, with every
-    product formed from the matrices."""
-    kept, parents, reached = [], [None] * len(elements), {0}
-    for gid in generator_ids:
-        if gid in reached:
+    for g in generators:
+        if g in index:
             continue
-        kept.append(gid)
-        frontier = list(reached)
-        while frontier:
-            new = []
-            for h in frontier:
-                for s in kept:
-                    x = index[elements[s] @ elements[h]]
-                    if x not in reached:
-                        reached.add(x)
-                        parents[x] = (s, h)
-                        new.append(x)
-            frontier = new
-    return kept, parents
+        kept.append(g)
+        done = len(elements)
+        for h in range(done):
+            visit(len(kept) - 1, h)
+        while done < len(elements):
+            for b in range(len(kept)):
+                visit(b, done)
+            done += 1
+    spanning = [index[g] for g in kept]
+    parents = [None] + [(spanning[b], h) for b, h in via]
+    inv = [index[inverse(m)] for m in elements]
+    return elements, index, inv, spanning, parents
 
 
 @st.composite
@@ -110,11 +106,11 @@ def generator_lists(draw):
 def test_closure_matches_the_reference_closure(case):
     ctx, n, gens = case
     g = closure(ctx, n, gens)
-    elements, index, inv = reference_closure(ctx, n, gens)
+    elements, index, inv, spanning, parents = reference_closure(ctx, n, gens)
     assert g.elements == elements
+    assert g.index == index
     assert g.generator_ids == [index[m] for m in gens]
     assert g.inv == inv
-    spanning, parents = reference_search(elements, index, g.generator_ids)
     # the S' rows come filled from closure, before any product is asked for
     assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(spanning)
     for s in spanning:
@@ -146,6 +142,24 @@ def test_closure_makes_s_prime_products_and_no_inverse(monkeypatch):
     # rank and inverse both eliminate: one is_invertible per generator, and
     # no inverse per element
     assert len(eliminations) == len(gens)
+
+
+def test_closure_makes_one_product_per_s_prime_and_non_identity_element(monkeypatch):
+    # SL_2(F_5): |G| = 120 and S' = both shears, so |S'|(|G| - 1) = 238
+    # products, s @ I being taken as s
+    F5 = field_new(5)
+    gens = [Matrix.from_rows(F5, [[1, 1], [0, 1]]), Matrix.from_rows(F5, [[1, 0], [1, 1]])]
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting_matmul(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    g = closure(F5, 2, gens)
+    assert g.order == 120 and len(g.spanning_ids) == 2
+    assert len(products) == 2 * (120 - 1)
 
 
 def test_closure_trivial():

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from modcoh.build import build_nonsplit_sequence, resolve_module
 from modcoh.cli import JobSpec, build_group
-from modcoh.coh import Cocycle, z1_space
+from modcoh.coh import Cocycle, b1_space, z1_space
 from modcoh.errors import NotACocycle
 from modcoh.gf import field_new, field_to_json
 from modcoh.grp import additive_family, paired_shear_family
-from modcoh.linalg import Matrix, direct_sum, hstack, kron, matrix_to_json
+from modcoh.linalg import Matrix, direct_sum, hstack, kron, matrix_to_json, rref, vstack
 from modcoh.poly import Polynomial, monomial_basis, substitute_linear
 from modcoh.report import run_pipeline
 
@@ -185,6 +185,26 @@ def test_pipeline_builds_actions_on_s_prime_and_inverses_only(p, k, n):
     for module in (seq.sym_module, seq.u_module, seq.extension.total):
         assert built_ids(module) <= read, module.label
     assert built_ids(seq.sym_module) == read
+
+
+DUMP_RECIPES = ["natural", "twist", "u", "uext", "dual(natural)", "tensor(natural,twist)",
+                "sum(twist,u)"]
+
+
+@pytest.mark.parametrize("recipe", DUMP_RECIPES)
+@pytest.mark.parametrize("label", GROUPS)
+def test_dump_basis_reads_actions_on_s_prime_only(label, recipe):
+    # the Z1 and B1 bases `h1 --dump-basis` prints are expanded from S'; B1
+    # is the reduced basis the stack of (g-1) over every g != 1 gives
+    g = group(label)
+    module = resolve_module(g, recipe)
+    z1_space(module)
+    b1 = [c.vectorize() for c in b1_space(module)]
+    assert built_ids(module) <= set(g.spanning_ids), recipe
+    ident = Matrix.identity(g.ctx, module.dim)
+    stack = vstack([module.action(i) - ident for i in range(1, g.order)])
+    reduced, _, rank = rref(stack.transpose())
+    assert b1 == [reduced.submatrix(i, i + 1, 0, reduced.cols).transpose() for i in range(rank)]
 
 
 # ---------------------------------------------------------------------------
