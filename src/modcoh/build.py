@@ -6,12 +6,17 @@ U is the space of maps V -> W vanishing on W (coordinates: the matrix Z
 with zero first columns, flattened row-major), iota restricts to the
 identity on W, and g_s = (s-1) iota is a cocycle whose class obstructs the
 splitting of 0 -> U -> U + K iota -> K -> 0.  The remaining stages check
-the closed-form tensor-vanishing witness and take the H1 class and dims,
-record the components and dimension of the large direct-sum module, and
-show that the degree-2 toy sequence is the main extension.  The witness
-and the toy identity are checked on the generating subset S', not searched
-for by a solver, and neither is stored: the report states them as
-equations that the verifier re-checks.
+the closed-form tensor-vanishing witness, record the components and
+dimension of the large direct-sum module, and show that the degree-2 toy
+sequence is the main extension.  The witness and the toy identity are
+checked on the generating subset S', not searched for by a solver, and
+neither is stored: the report states them as equations that the verifier
+re-checks.
+
+No stage computes a cohomology space.  The class of g is nonzero by the
+split test's inconsistency row, its product with w vanishes by the
+closed-form witness, and dim X has a closed formula; Z1, B1 and H1 are
+left to the `h1` subcommand.
 """
 
 from __future__ import annotations
@@ -26,11 +31,8 @@ from .coh import (
     ExtensionClass,
     NonSplitCertificate,
     SplitResult,
-    b1_dim,
     extension_from_cocycle,
-    h1_class,
     is_split,
-    z1_dim,
     z1_space,  # unused here; bench/test_bench.py patches this import site
 )
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
     TheoremViolation,
     WitnessNotFound,
 )
-from .gf import FieldCtx, FieldElement, field_new
+from .gf import FieldCtx, field_new
 from .grp import HypothesisReport, MatrixGroup, additive_family, check_extension_hypothesis
 from .linalg import Matrix, hstack, kron, vstack
 from .poly import Monomial, Polynomial, det3_identity
@@ -117,8 +119,9 @@ def build_nonsplit_sequence(
       in Hom(V, W), hence a cocycle there.  On W it is
       s^[p] (s^-1)^[p] - I = 0, so it lies in U on every element once the
       blocks are right; the check on S' guards the computation.  The cocycle
-      is given by its values on S', and validate() checks them against the
-      Z1 system of U.
+      is given by its values on S', and validate() checks that they extend
+      to a cocycle on G, with no Z1 system (Cocycle.validate says which
+      check covers which element).
     """
     ctx = group.ctx
     p, n = ctx.p, group.n
@@ -181,18 +184,15 @@ class TensorVanishing:
     kron(A, B) @ vec(X) = vec(A @ X @ B^T) the equation reads
     W(s) @ X @ U(s)^T - X = w @ g_s^T, which holds because
     U(s) @ g_{s^-1} = -g_s.  Both are fixed by d, so the report names them
-    in its equation and ships only the class and the H1 dims.
+    in its equation and ships neither.
     """
 
     w: Matrix
     witness: Matrix
-    class_of_g: list[FieldElement]
-    z1_dim: int
-    b1_dim: int
 
 
 def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
-    """Check the closed-form X and w on S' (in Hom form) and take the H1 data.
+    """Check the closed-form X and w on S' (in Hom form).
 
     w fixed by S' is fixed by the whole group; both sides of the equation
     are then cocycles, so agreement on S' implies it on every element.
@@ -201,11 +201,6 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
     group = seq.group
     ctx = group.ctx
     d = seq.u_module.dim
-    # the class first: its Z1 size guard refuses an oversized module before
-    # the witness checks run
-    class_g = h1_class(seq.cocycle)
-    if not any(not c.is_zero for c in class_g):
-        raise TheoremViolation("the obstruction class of g vanished unexpectedly")
     w = Matrix.basis_column(ctx, d + 1, d)
     x = vstack([-Matrix.identity(ctx, d), Matrix.zeros(ctx, 1, d)])
     for s in group.spanning_ids:
@@ -215,7 +210,7 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
         lhs = w_act @ x @ seq.u_module.action(s).transpose() - x
         if lhs != w @ seq.cocycle.value(s).transpose():
             raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {s}")
-    return TensorVanishing(w, x.flatten(), class_g, z1_dim(seq.u_module), b1_dim(seq.u_module))
+    return TensorVanishing(w, x.flatten())
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ Fox derivative evaluated in the module.  A group certified elementary
 abelian on S' is presented by the powers s^p and the commutators [s, t];
 every other group takes one relator per non-tree edge of the Schreier
 graph over S'.  Either system reads the action on S' only, has Z1 on S' as
-its kernel, and is built once per module: Cocycle.validate checks that it
-kills x.  Z1 on S' is the kernel_basis of that system, which depends on Z1
-alone, not on the relators chosen.  B1 on S' is the column space of the
-stacked (s-1); the complement of B1 in Z1 and each class are computed on
-those coordinates, and only z1_space/b1_space expand to the stacked
-non-identity coordinates.  Split tests solve (s-1)u = g_s over S',
+its kernel, and is built once per module, only when Z1 itself is asked for
+(z1_dim, z1_space, h1_class).  Cocycle.validate builds no system: it
+evaluates the relators at x, or expands x along the tree and checks the
+Schreier rows' identity pair by pair.  Z1 on S' is the kernel_basis of that
+system, which depends on Z1 alone, not on the relators chosen.  B1 on S' is
+the column space of the stacked (s-1); the complement of B1 in Z1 and each
+class are computed on those coordinates, and only z1_space/b1_space expand
+to the stacked non-identity coordinates.  Split tests solve (s-1)u = g_s over S',
 returning either a witness u or an inconsistency row that re-verifies
 without the solver.
 """
@@ -121,30 +123,56 @@ class Cocycle:
         return _expand(self.module, self._known, i)
 
     def validate(self) -> None:
-        """Check that x solves the module's Z1 system; raises NotACocycle.
+        """Check that x is the restriction to S' of a cocycle on G; raises
+        NotACocycle.
 
-        That system (the relator or Schreier matrix that _z1_basis
-        eliminates, built once per module) has as kernel exactly the
-        restrictions to S' of the cocycles on G.  So for a homomorphic
-        action (every module constructor gives one) x solves it iff some
-        cocycle has the values x on S'; that cocycle obeys
-        g_st = A(s) g_t + g_s on every tree edge, so it is the expansion.
-        A full value list must equal the expansion as well.  Values and
-        module are immutable, so a pass is recorded on the object and later
-        calls return at once.
+        No Z1 system is built; each check evaluates one at x:
+
+        - When `_relators_present` certifies G elementary abelian on S', the
+          relators s^p and [s, t] present G, so x extends to a cocycle iff
+          each relator's rows vanish at x (see _relator_system):
+          N_s g_s = (A(s)-1)^(p-1) g_s = 0 for each s, and
+          (A(s)-1) g_t - (A(t)-1) g_s = 0 for each pair in S'.
+        - Otherwise x is expanded along the search tree, which sets
+          g_st = A(s) g_t + g_s on each tree edge, and the same identity is
+          checked on every other pair (s, t) of S' x G: the Schreier rows,
+          evaluated at x.  The expansion then obeys the identity on all of
+          S' x G, and with g_1 = 0, by induction on the length of w as a word
+          over S', g_wt = w g_t + g_w on G x G: a cocycle.
+
+        In both cases the cocycle is the expansion along the tree, and a
+        full value list must equal it on every element.  The action must be
+        homomorphic (every module constructor gives one).  Values and module
+        are immutable, so a pass is recorded on the object and later calls
+        return at once.
         """
         if self._checked:
             return
         module = self.module
+        group = module.group
         if self._x:
-            system = _cached(module, "z1_system", _z1_system)
-            if not (system @ vstack(self._x)).is_zero:
-                raise NotACocycle("the values on S' do not solve the Z1 system")
+            if _relators_present(group):
+                _check_relators(module, self._x)
+            else:
+                self._check_schreier_pairs()
         if self._given is not None:
-            for i in range(1, module.group.order):
+            for i in range(1, group.order):
                 if self._given[i] != self._expanded(i):
                     raise NotACocycle(f"value at element {i} is not the expansion from S'")
         self._checked = True
+
+    def _check_schreier_pairs(self) -> None:
+        """g_st = A(s) g_t + g_s on every non-tree pair of S' x G, with g
+        expanded along the tree; reads the action and the products on S'."""
+        module = self.module
+        group = module.group
+        parents = group.tree_parents
+        for t in range(group.order):
+            g_t = self._expanded(t)
+            for s, g_s in zip(group.spanning_ids, self._x):
+                st = group.mul(s, t)
+                if parents[st] != (s, t) and self._expanded(st) != module.action(s) @ g_t + g_s:
+                    raise NotACocycle(f"pair identity fails at elements ({s}, {t})")
 
     def vectorize(self) -> Matrix:
         """Stack the non-identity values into one long column."""
@@ -253,6 +281,22 @@ def _relators_present(group: MatrixGroup) -> bool:
     return True
 
 
+def _check_relators(module: GModule, x: Sequence[Matrix]) -> None:
+    """The relator rows of _relator_system evaluated at x, without building
+    them: (A(s)-1)^(p-1) g_s as p-1 products with a column, and
+    (A(s)-1) g_t - (A(t)-1) g_s."""
+    less = _cached(module, "less_one", _less_one)
+    for b, g_b in enumerate(x):
+        norm = g_b
+        for _ in range(module.group.ctx.p - 1):
+            norm = less[b] @ norm
+        if not norm.is_zero:
+            raise NotACocycle(f"the power relator of element {b} of S' fails")
+        for c in range(b):
+            if less[b] @ x[c] != less[c] @ g_b:
+                raise NotACocycle(f"the commutator relator of elements {c}, {b} of S' fails")
+
+
 def _relator_system(module: GModule) -> Matrix:
     """Z1 in the unknowns x = (g_s), s in S', from the relators of an
     elementary abelian G (see _relators_present).
@@ -333,7 +377,7 @@ def _z1_system(module: GModule) -> Matrix:
 
 
 # Each module's bases are eliminated once and kept in module.coh_cache: the
-# Z1 system (which Cocycle.validate also reads), Z1 and B1 on the S' blocks,
+# Z1 system, Z1 and B1 on the S' blocks,
 # the H1 matrix there, the (s-1) for s in S', and for z1_space/b1_space the
 # stacked non-identity columns.  Columns refer to
 # the field, not the module, so the cache forms no reference cycle and dies
@@ -362,8 +406,8 @@ def _z1_basis(module: GModule) -> tuple[Matrix, ...]:
 
 
 def _less_one(module: GModule) -> list[Matrix]:
-    """(s-1) for s in S': the relator rows, B1 and every split system
-    start from these."""
+    """(s-1) for s in S': the relator rows and checks, B1 and every split
+    system start from these."""
     ident = Matrix.identity(module.group.ctx, module.dim)
     return [module.action(s) - ident for s in module.group.spanning_ids]
 
@@ -683,9 +727,9 @@ def push_class(g: Cocycle, phi: Matrix, target: GModule) -> Cocycle:
         raise GroupMismatch("target module over a different group")
     if phi.rows != target.dim or phi.cols != g.module.dim:
         raise ModcohError(f"map must be {target.dim}x{g.module.dim}")
-    for i in g.module.group.generator_ids:
+    for i in g.module.group.spanning_ids:
         if target.action(i) @ phi != phi @ g.module.action(i):
-            raise NotEquivariant(f"map does not intertwine at generator id {i}")
+            raise NotEquivariant(f"map does not intertwine at element {i}")
     return Cocycle.on_spanning(target, [phi @ v for v in g.spanning_values])
 
 
@@ -699,8 +743,8 @@ def tensor_with_invariant(w_module: GModule, w: Matrix, g: Cocycle) -> Cocycle:
         raise GroupMismatch("invariant vector lives over a different group")
     if w.rows != w_module.dim or w.cols != 1:
         raise ModcohError(f"w must be a {w_module.dim}-dimensional column")
-    for i in w_module.group.generator_ids:
+    for i in w_module.group.spanning_ids:
         if w_module.action(i) @ w != w:
-            raise NotFixed(f"w is not fixed by generator id {i}")
+            raise NotFixed(f"w is not fixed by element {i}")
     t = tensor(w_module, g.module)
     return Cocycle.on_spanning(t, [kron(w, v) for v in g.spanning_values])

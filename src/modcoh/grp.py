@@ -2,14 +2,13 @@
 
 Closure is one breadth-first search from the identity by left
 multiplication with the generators, taken in the given order, so element
-ids are reproducible and can be cited by certificates.  The named families
-used by the pipeline live here too.
+ids are reproducible and can be cited by certificates.  A report names the
+group by its generators and order; the verifier repeats the same search.
+The named families used by the pipeline live here too.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -34,10 +33,10 @@ class MatrixGroup:
     Built by `closure`.  Element i is `elements[i]`, the identity is 0 and
     `inv[i]` is the id of the inverse of element i.
 
-    `spanning_ids` is S', the generator ids in order, each kept only if it
-    lies outside the subgroup generated by those kept before it.  S'
-    generates the group; for the additive family over GF(p^k) it has k
-    elements, against q - 1 published generators.
+    `spanning_ids` is S', the ids of the generators, in order, that lie
+    outside the subgroup generated by those kept before them.  S' generates
+    the group; the additive family over GF(p^k) publishes its k elements
+    and no other generator.
 
     `tree_parents` is the search tree that found the elements:
     parents[st] = (s, t) when the search first reached st as s @ t, with s
@@ -48,7 +47,7 @@ class MatrixGroup:
     """
 
     __slots__ = (
-        "ctx", "n", "generators", "generator_ids", "elements", "index", "inv",
+        "ctx", "n", "generators", "elements", "index", "inv",
         "spanning_ids", "tree_parents", "_rows",
     )
 
@@ -71,7 +70,6 @@ class MatrixGroup:
         self.generators = generators
         self.elements = elements
         self.index = index
-        self.generator_ids = [index[g] for g in generators]
         self.inv = inv
         self.spanning_ids = spanning_ids
         self.tree_parents = tree_parents
@@ -92,15 +90,6 @@ class MatrixGroup:
             a, index = self.elements[i], self.index
             row = self._rows[i] = [index[a @ b] for b in self.elements]
         return row[j]
-
-    def digest(self, elements_json: Optional[list[dict]] = None) -> str:
-        """SHA-256 of the field, n and the serialized elements; pass
-        `elements_json` when they are serialized already."""
-        if elements_json is None:
-            elements_json = [matrix_to_json(m) for m in self.elements]
-        payload = {"field": field_to_json(self.ctx), "n": self.n, "elements": elements_json}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def __repr__(self) -> str:
         return f"MatrixGroup(order={self.order}, n={self.n}, field={self.ctx!r})"
@@ -229,10 +218,13 @@ def additive_family(
 ) -> MatrixGroup:
     """Group {A(a) : a in U} for an additive subgroup U of the field.
 
-    Defaults to U = the whole field.  The generators are the matrices of
-    all nonzero parameters, in field encoding order, and reports publish
-    them all; S', a basis of U over F_p (k of them for U = GF(p^k)), drives
-    every system.
+    Defaults to U = the whole field.  The generators are the matrices of a
+    basis of U over F_p (k of them for U = GF(p^k)), chosen greedily in
+    field encoding order: each parameter outside the span of those chosen
+    before it.  A(a) A(b) = A(a + b), so the group the first j generators
+    make is {A(a) : a in their span}, and closure over all nonzero
+    parameters in encoding order keeps exactly this basis as S'.  Element
+    ids, S' and the search tree are therefore those of that closure.
     """
     if params is None:
         vals = set(range(ctx.q))
@@ -251,7 +243,15 @@ def additive_family(
                     raise NotAdditivelyClosed(
                         f"missing a+b for a = {ctx.el(a)!r}, b = {ctx.el(b)!r}"
                     )
-    gens = [family_matrix(ctx, ctx.el(v), n) for v in sorted(vals) if v != 0]
+    basis, span = [], {0}
+    for v in sorted(vals):
+        if v not in span:
+            basis.append(v)
+            multiples = [0]
+            for _ in range(ctx.p - 1):
+                multiples.append(ctx.add_i(multiples[-1], v))
+            span = {ctx.add_i(a, m) for a in span for m in multiples}
+    gens = [family_matrix(ctx, ctx.el(v), n) for v in basis]
     group = closure(ctx, n, gens, order_cap)
     if group.order != len(vals):
         raise ModcohError("family closure does not match the parameter set")
@@ -350,18 +350,16 @@ def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
 
 
 def group_to_json(group: MatrixGroup) -> dict:
-    """The group record; each element is serialized once, and the generators
-    and the digest reuse those objects."""
-    elements = [matrix_to_json(m) for m in group.elements]
+    """The group record: the field, n, the generators as given, and |G|.
+
+    It is also a group spec: `group_spec_from_json` reads it back to the
+    same closure.
+    """
     return {
         "field": field_to_json(group.ctx),
         "n": group.n,
-        "generators": [elements[i] for i in group.generator_ids],
-        "generator_ids": list(group.generator_ids),
-        "elements": elements,
-        "inverse": list(group.inv),
+        "generators": [matrix_to_json(m) for m in group.generators],
         "order": group.order,
-        "digest": group.digest(elements),
     }
 
 

@@ -215,7 +215,7 @@ def find_intertwiner(m: GModule, n: GModule, seed: int = 0) -> IntertwinerResult
     """Equivariant maps T: m -> n; searches the space for an invertible one."""
     m._check(n)
     ctx = m.group.ctx
-    gen_ids = m.group.generator_ids
+    gen_ids = m.group.spanning_ids
     rows = []
     ident_n = Matrix.identity(ctx, n.dim)
     ident_m = Matrix.identity(ctx, m.dim)

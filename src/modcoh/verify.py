@@ -1,28 +1,27 @@
 """Independent re-checker for pipeline reports.
 
 Deliberately shares only the field and matrix primitives with the builder.
-A v3 report states its objects and otherwise carries only what a solver
-found: the inconsistency row, the H1 class and the Z1 and B1 dims.
-Everything else is re-derived here from the group elements, without
-touching the solver paths that produced the report: the basis order, the
-symmetric-power action by substitution, U's action, the cocycle
-(s-1)iota, the split system over S', and the closed-form tensor witness
-X = [-I_d ; 0] with w = e_d.  The toy sequence for p = n = 2 is the main
-extension, so its record is the equation alone.  Every equation those
+A v4 report names the group by its generators and order, states its
+objects, and otherwise carries only what a solver found: the inconsistency
+row.  Everything else is re-derived here from the generators, without
+touching the solver paths that produced the report: the elements, the
+basis order, the symmetric-power action by substitution, U's action, the
+cocycle (s-1)iota, the split system over S', and the closed-form tensor
+witness X = [-I_d ; 0] with w = e_d.  The toy sequence for p = n = 2 is the
+main extension, so its record is the equation alone.  Every equation those
 values feed is then checked, and every payload object must have exactly
-the v3 fields, so no sealed field goes unchecked by accident.  The
-payload digest binds every field.
+the v4 fields, so no sealed field goes unchecked by accident.  The payload
+digest binds every field.
 
-The group equations are checked on a generating subset S' that the
-verifier picks itself: the generators in order, each kept only when the
-BFS from the identity by left multiplication with those kept before it has
-not reached it (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, section 7.6).  Every product of that BFS must lie in the
-element list and every listed element must be reached, so the list is
-exactly the group the generators generate, and the products it looks up
-are S' x G.  The actions A and U are derived on S' and its inverses only,
-and g = (s-1)iota by its formula on S' only.  Checks there hold on every
-element:
+The group is closed here from its generators by the search that
+grp.closure makes (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, section 7.6): from the identity by left multiplication with
+S', the generators in order, each kept only when the search has not
+reached it yet.  The search stops past the stated order, and must reach
+exactly that many elements, which order_cap bounds.  Its products are
+S' x G, so each element of S' finds its inverse in its own row.  The
+actions A and U are derived on S' and its inverses only, and g = (s-1)iota
+by its formula on S' only.  Checks there hold on every element:
 
 - The substitution action A is multiplicative for all n x n matrices.
   A product of block upper triangular matrices is block upper triangular,
@@ -30,9 +29,9 @@ element:
   multiplicative; so the block checks on S' and its inverses hold on
   every element, each a product of elements of S'.  The lower-right block
   S is then multiplicative too, and U(s) = kron(s^[p], S(s^-1)^T) is a
-  homomorphism once the inverse table is checked.  U(s) U(s^-1) = I is
-  checked on S' as a guard on the derivation.
-- g is expanded from S' along the BFS tree, g_st = U(s) g_t + g_s, and
+  homomorphism.  U(s) U(s^-1) = I is checked on S' as a guard on the
+  derivation.
+- g is expanded from S' along the search tree, g_st = U(s) g_t + g_s, and
   every other product of S' x G is checked against the same identity.
   With g_1 = 0 that gives a cocycle, by induction on word length in S',
   the only one with the formula's values on S'.  The formula is a
@@ -41,7 +40,8 @@ element:
   are homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
   So the tensor witness, the invariance of w and the toy identity
-  A(s) = [[U(s), g_s], [0, 1]] are checked on S' only.
+  A(s) = [[U(s), g_s], [0, 1]] are checked on S' only, and det = 1, which
+  decides whether the toy record is due, on the generators only.
 - A u with (s-1)u = g_s on G solves the S' rows, so a row that kills the
   S' system but not its right-hand side rules out every split.
 """
@@ -51,21 +51,21 @@ from __future__ import annotations
 import json
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CorruptReport, FailedCheck, ModcohError
-from .gf import FieldCtx, element_from_json, field_from_json
+from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
 from .linalg import Matrix, hstack, kron, matrix_from_json, vstack
 
-SCHEMA = "modcoh-report-v3"
+SCHEMA = "modcoh-report-v4"
 SPLIT_EQUATION = "y@system == 0 and y@rhs != 0 for (s-1)u = g_s over S'"
 TENSOR_EQUATION = (
     "W(s) @ X @ U(s)^T - X == w @ g_s^T for every element, X = [-I_d ; 0], w = e_d"
 )
 TOY_EQUATION = "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
 
-# the exact fields of the report and of each v3 payload object
+# the exact fields of the report and of each v4 payload object
 _REPORT_KEYS = frozenset({"schema", "payload", "digest"})
 _PAYLOAD_KEYS = frozenset({
     "params", "field", "group", "dims", "basis", "iota",
@@ -73,12 +73,10 @@ _PAYLOAD_KEYS = frozenset({
 })
 _PARAMS_KEYS = frozenset({"p", "k", "n", "order_cap", "seed"})
 _FIELD_KEYS = frozenset({"p", "k", "modulus"})
-_GROUP_KEYS = frozenset({
-    "field", "n", "generators", "generator_ids", "elements", "inverse", "order", "digest",
-})
+_GROUP_KEYS = frozenset({"field", "n", "generators", "order"})
 _MATRIX_KEYS = frozenset({"rows", "cols", "entries"})
 _NONSPLIT_KEYS = frozenset({"verdict", "inconsistency_row", "equation"})
-_TENSOR_KEYS = frozenset({"class_of_g", "z1_dim", "b1_dim", "equation"})
+_TENSOR_KEYS = frozenset({"equation"})
 _OBSTRUCTION_KEYS = frozenset({"components", "dim", "dim_by_formula"})
 _TOY_KEYS = frozenset({"equation"})
 
@@ -217,12 +215,13 @@ def _u_action(
     ctx: FieldCtx,
     elements: list[Matrix],
     sym_action: list[Optional[Matrix]],
-    inv_table: list[int],
+    inv_table: Mapping[int, int],
     n: int,
     ids: Iterable[int],
 ) -> list[Optional[Matrix]]:
     """U(s) = kron(frobenius(s), S^T) with S the lower-right block of A(s^-1),
-    at each element id in `ids`; None at every other id."""
+    at each element id in `ids`; None at every other id.  `inv_table` maps
+    each id in `ids` to the id of its inverse."""
     out: list[Optional[Matrix]] = [None] * len(elements)
     for i in ids:
         a_inv = sym_action[inv_table[i]]
@@ -235,7 +234,7 @@ def _cocycle(
     ctx: FieldCtx,
     elements: list[Matrix],
     sym_action: list[Optional[Matrix]],
-    inv_table: list[int],
+    inv_table: Mapping[int, int],
     iota: Matrix,
     ids: Iterable[int],
 ) -> list[Optional[Matrix]]:
@@ -288,42 +287,59 @@ def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
 
 
 def _generated(
-    elements: list[Matrix], index: dict, gen_ids: list[int]
-) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """S' and the ids of the products s @ t for s in S', t in G.
+    ctx: FieldCtx, n: int, generators: list[Matrix], order: int
+) -> tuple[list[Matrix], list[int], dict[tuple[int, int], int], dict[int, int]]:
+    """The elements of <generators>, S', the ids of the products s @ t for
+    s in S', t in G, and the inverse of each element of S' and back.
 
-    A generator is kept only when the BFS from the identity by left
-    multiplication with those kept before it has not reached it.  Fails
-    `group` when a product escapes the element list or a listed element is
-    never reached: the list is then exactly the group the generators make.
+    The search of grp.closure: a generator is kept, as the next element of
+    S', only when the search has not reached it; its row then catches up
+    with the elements found so far, and every row takes each element found
+    after them.  Element ids are the order of discovery, so they, S' and the
+    tree (the first product to reach each element) are the builder's.
+    Fails `group` past `order` elements, short of it, or when an element of
+    S' never meets the identity in its row, which a group element must.
     """
+    identity = Matrix.identity(ctx, n)
+    elements, index = [identity], {identity: 0}
     spanning: list[int] = []
-    reached = [0]
-    seen = {0}
+    kept: list[Matrix] = []
+    left: list[list[int]] = []
     mul_idx: dict[tuple[int, int], int] = {}
-    for gid in gen_ids:
-        if gid in seen:
+
+    def product(b: int, h: int) -> int:
+        x = kept[b] @ elements[h] if h else kept[b]
+        k = index.get(x)
+        if k is None:
+            if len(elements) == order:
+                _fail("group", f"the generators make more than the {order} elements stated")
+            k = index[x] = len(elements)
+            elements.append(x)
+        mul_idx[(spanning[b], h)] = k
+        return k
+
+    for g in generators:
+        if g in index:
             continue
-        spanning.append(gid)
-        frontier = list(reached)
-        while frontier:
-            new = []
-            for t in frontier:
-                for s in spanning:
-                    if (s, t) in mul_idx:
-                        continue
-                    k = index.get(elements[s] @ elements[t])
-                    if k is None:
-                        _fail("group", f"product of elements {s} and {t} escapes the element list")
-                    mul_idx[(s, t)] = k
-                    if k not in seen:
-                        seen.add(k)
-                        reached.append(k)
-                        new.append(k)
-            frontier = new
-    if len(reached) != len(elements):
-        _fail("group", f"the generators reach {len(reached)} of the {len(elements)} elements")
-    return spanning, mul_idx
+        # g is new, so its product with the identity gets the next id
+        spanning.append(len(elements))
+        kept.append(g)
+        left.append([])
+        done = len(elements)
+        left[-1].extend(product(len(kept) - 1, h) for h in range(done))
+        while done < len(elements):
+            for b, row in enumerate(left):
+                row.append(product(b, done))
+            done += 1
+    if len(elements) != order:
+        _fail("group", f"the generators reach {len(elements)} of the {order} elements stated")
+    inverse: dict[int, int] = {}
+    for s, row in zip(spanning, left):
+        if 0 not in row:
+            _fail("group", f"element {s} has no inverse in the group found")
+        s_inv = row.index(0)
+        inverse[s], inverse[s_inv] = s_inv, s
+    return elements, spanning, mul_idx, inverse
 
 
 def _hom_witness(ctx: FieldCtx, d: int) -> Matrix:
@@ -370,43 +386,23 @@ def _verify_payload(report: dict) -> int:
         _fail("params", "params disagree with the field spec")
     checks += 1
 
-    # group: exactly <generators> (closure under S', reachability), inverses, digest
+    # group: <generators>, closed here by the builder's search, has exactly
+    # the stated order, which the job's order cap bounds
     gobj = _record(payload["group"], "group", _GROUP_KEYS)
-    n = gobj["n"]
+    n, order, cap = gobj["n"], gobj["order"], params["order_cap"]
+    if type(n) is not int or n < 1:
+        _fail("group", f"n = {n!r} is not a positive integer")
     if params["n"] != n:
         _fail("params", "params n disagrees with the group")
     if gobj["field"] != field:
         _fail("group", "group field differs from the payload field")
-    elements = [_matrix(ctx, m) for m in gobj["elements"]]
+    if type(order) is not int or type(cap) is not int or not 1 <= order <= cap:
+        _fail("params", f"group order {order!r} is not within 1..order_cap = {cap!r}")
     generators = [_matrix(ctx, m) for m in gobj["generators"]]
-    order = len(elements)
-    if gobj["order"] != order:
-        _fail("group", "stored order differs from the element count")
-    if order == 0 or elements[0] != Matrix.identity(ctx, n):
-        _fail("group", "elements[0] is not the identity")
-    index = {}
-    for i, m in enumerate(elements):
-        if m in index:
-            _fail("group", f"duplicate element at ids {index[m]} and {i}")
+    for i, m in enumerate(generators):
         if m.rows != n or m.cols != n:
-            _fail("group", f"element {i} is not {n}x{n}")
-        index[m] = i
-    gen_ids = list(gobj["generator_ids"])
-    if len(gen_ids) != len(generators) or any(
-        type(i) is not int or i < 0 or i >= order or elements[i] != g
-        for i, g in zip(gen_ids, generators)
-    ):
-        _fail("group", "generator ids do not point at the generator matrices")
-    spanning, mul_idx = _generated(elements, index, gen_ids)
-    inv_table = list(gobj["inverse"])
-    if len(inv_table) != order:
-        _fail("group", "inverse table length mismatch")
-    ident_n = Matrix.identity(ctx, n)
-    for i, j in enumerate(inv_table):
-        if type(j) is not int or j < 0 or j >= order or elements[i] @ elements[j] != ident_n:
-            _fail("group", f"inverse table wrong at element {i}")
-    if gobj["digest"] != digest_of({"field": field, "n": n, "elements": gobj["elements"]}):
-        _fail("group", "group digest mismatch")
+            _fail("group", f"generator {i} is not {n}x{n}")
+    elements, spanning, mul_idx, inv_table = _generated(ctx, n, generators, order)
     checks += 1
 
     # dimension formulas
@@ -480,17 +476,6 @@ def _verify_payload(report: dict) -> int:
         # kron(A, B) @ vec(X) = vec(A @ X @ B^T) for the row-major vec
         if w_dual @ x @ u_action[s].transpose() - x != w @ cocycle[s].transpose():
             _fail("tensor-vanishing", f"witness equation fails at element {s}")
-    z1_dim, b1_dim = tv["z1_dim"], tv["b1_dim"]
-    if type(z1_dim) is not int or type(b1_dim) is not int:
-        _fail("tensor-vanishing", "z1_dim and b1_dim must be integers")
-    h1_dim = z1_dim - b1_dim
-    if h1_dim < 1:
-        _fail("tensor-vanishing", f"h1 = z1_dim - b1_dim = {h1_dim} is not >= 1")
-    class_of_g = [element_from_json(ctx, c) for c in tv["class_of_g"]]
-    if len(class_of_g) != h1_dim:
-        _fail("tensor-vanishing", f"class_of_g has {len(class_of_g)} coordinates, not {h1_dim}")
-    if all(c.is_zero for c in class_of_g):
-        _fail("tensor-vanishing", "class_of_g is zero")
     checks += 1
 
     # obstruction module: components and dimension of X = U* + U~ + U~ + U~
@@ -502,14 +487,17 @@ def _verify_payload(report: dict) -> int:
         _fail("obstruction", "record is not dual(u), ext(u) x 3 with dim 4d+3")
     checks += 1
 
-    checks += _verify_toy(ctx, payload["toy"], elements, spanning, sym_action, u_action, cocycle)
+    checks += _verify_toy(
+        ctx, payload["toy"], n, generators, spanning, sym_action, u_action, cocycle
+    )
     return checks
 
 
 def _verify_toy(
     ctx: FieldCtx,
     toy,
-    elements: list[Matrix],
+    n: int,
+    generators: list[Matrix],
     spanning: list[int],
     sym_action: list[Optional[Matrix]],
     u_action: list[Optional[Matrix]],
@@ -518,12 +506,14 @@ def _verify_toy(
     """The toy record: present exactly for 2x2 groups of determinant 1 over
     p = 2, where it states that the toy sequence is the main extension.
 
-    There the main basis, already checked, is x^2, y^2, xy, so the toy
-    sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on `sym_action`, and
-    it is the main one when S^2(s) = [[U(s), g_s], [0, 1]], on S'.
+    det is multiplicative, so the group has determinant 1 iff its
+    generators do.  There the main basis, already checked, is x^2, y^2, xy,
+    so the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on
+    `sym_action`, and it is the main one when
+    S^2(s) = [[U(s), g_s], [0, 1]], on S'.
     """
-    wants_toy = ctx.p == 2 and elements[0].rows == 2 and all(
-        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in elements
+    wants_toy = ctx.p == 2 and n == 2 and all(
+        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in generators
     )
     if wants_toy != (toy is not None):
         _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")

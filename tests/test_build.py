@@ -19,9 +19,9 @@ from modcoh.build import (
 from modcoh.cli import main
 from modcoh.coh import h1_class, is_split, tensor_with_invariant
 from modcoh.errors import BadCharacteristic, HypothesisNotSatisfied, ModcohError
-from modcoh.gf import field_new
+from modcoh.gf import field_new, field_to_json
 from modcoh.grp import additive_family, closure, paired_shear_family
-from modcoh.linalg import Matrix, kron, solve, vstack
+from modcoh.linalg import Matrix, kron, matrix_to_json, solve, vstack
 from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual, tensor
 
 F2 = field_new(2)
@@ -102,7 +102,7 @@ def test_tensor_vanishing_witness_all_elements(group):
     # the witness is vec(-(U~ -> U)) in dual(uext) (x) u: 3*2 = 6 resp. 5*4 = 20 dims
     x = vstack([-Matrix.identity(group.ctx, d), Matrix.zeros(group.ctx, 1, d)])
     assert tv.witness == x.flatten()
-    assert any(not c.is_zero for c in tv.class_of_g)
+    assert any(not c.is_zero for c in h1_class(seq.cocycle))
     # reference path: the dense tensor module, its cocycle and the solver's witness
     tg = tensor_with_invariant(dual(seq.extension.total), tv.w, seq.cocycle)
     solver = is_split(tg).witness
@@ -247,7 +247,10 @@ def test_zpxzp_p3_constructs_and_verifies(tmp_path):
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
 def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
+    # the pipeline builds none; the H1 numbers of its module, which only the
+    # h1 subcommand asks for, share one Z1 elimination
     import modcoh.coh as coh
+    from modcoh.coh import b1_dim, z1_dim
     from modcoh.report import run_pipeline
 
     built = []
@@ -267,6 +270,55 @@ def test_pipeline_builds_each_z1_system_once(monkeypatch, p, k):
               "seed": 0, "modulus": None}
     result = run_pipeline(additive_family(field_new(p, k)), params)
     assert (result.toy is not None) == (p == 2)
+    assert built == []
     # h1_class for the main class and the z1/b1 dims live on U and share one
     # Z1 elimination
-    assert built == [result.sequence.u_module]
+    u = result.sequence.u_module
+    assert any(not c.is_zero for c in h1_class(result.sequence.cocycle))
+    assert z1_dim(u) > b1_dim(u)
+    assert built == [u]
+
+
+def _group_file(tmp_path, name, p, gens):
+    spec = tmp_path / f"{name}.json"
+    ctx = field_new(p)
+    spec.write_text(json.dumps({
+        "field": field_to_json(ctx),
+        "n": len(gens[0]),
+        "generators": [matrix_to_json(Matrix.from_rows(ctx, g)) for g in gens],
+    }))
+    return f"file:{spec}"
+
+
+CONSTRUCT_PATHS = {
+    **{f"GF({p}^{k}) n={n}": ["--p", str(p), "--k", str(k), "--n", str(n)]
+       for p, k, n in [(2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 1, 2),
+                       (5, 1, 2), (7, 1, 2), (3, 1, 3), (2, 2, 3), (2, 3, 3)]},
+    "zpxzp p=3": ["--group", "zpxzp", "--p", "3"],
+    "SL_2(F_3) file": ["--p", "3", "--group",
+                       ("sl2_f3", 3, [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]])],
+    "GL_2(F_7) file": ["--p", "7", "--group",
+                       ("gl2_f7", 7, [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[3, 0], [0, 1]]])],
+}
+
+
+@pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
+def test_construct_builds_no_z1_system(monkeypatch, tmp_path, label):
+    # the report's claims need no cohomology space: no Z1 system, relator or
+    # Schreier, is built and no Z1 basis is eliminated on any construct path;
+    # the split test's own elimination is linalg.solve's
+    import modcoh.coh as coh
+
+    calls = []
+    for name in ("_z1_system", "_schreier_system", "_relator_system", "kernel_basis"):
+
+        def counting(*args, name=name, original=getattr(coh, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(coh, name, counting)
+    args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
+    out = tmp_path / "report.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    assert calls == []
+    assert main(["verify", str(out)]) == 0

@@ -158,9 +158,9 @@ def test_b1_trivial_and_fully_fixed_modules():
     ],
 )
 def test_b1_dimension_rank_nullity(mod):
-    # the invariants M^G are the kernel of the stacked s - 1 over the generators
+    # the invariants M^G are the kernel of the stacked s - 1 over S'
     ident = Matrix.identity(mod.group.ctx, mod.dim)
-    fixed = kernel_basis(vstack([mod.action(i) - ident for i in mod.group.generator_ids]))
+    fixed = kernel_basis(vstack([mod.action(i) - ident for i in mod.group.spanning_ids]))
     assert len(b1_space(mod)) == mod.dim - len(fixed)
 
 

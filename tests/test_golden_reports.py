@@ -2,7 +2,9 @@
 byte for byte.
 
 Reports are the regression oracle: a change that claims byte-identical
-reports must keep every SHA-256 below.  The instances are the ten family-a
+reports must keep every SHA-256 below.  The report digests are those of
+schema v4, which ships the group by its generators and order and no H1
+numbers; each inconsistency row is the one v3 shipped.  The instances are the ten family-a
 ladder reports of `tests/test_verify_generating_set.py`, `zpxzp` p=3 and
 SL_2(F_3) given by a `file:` spec, the first non-abelian group, each built
 by the CLI with its default seed and written with `--out`.  The
@@ -17,34 +19,64 @@ import pytest
 
 from modcoh.cli import main
 from modcoh.gf import field_new, field_to_json
+from modcoh.jsonutil import canonical_json
 from modcoh.linalg import Matrix, matrix_to_json
 
 GOLDEN = {
     "GF(2^2) n=2": (["--p", "2", "--k", "2", "--n", "2"],
-                    "6a4958f0087d581598cbe04b2038eaecf89de74bdde135664a5a74ff7e4d8ade"),
+                    "c570ef0cb094c8ccf9293abc793be0de663a95c02e9ee6c64d105915a40f8ec0"),
     "GF(2^3) n=2": (["--p", "2", "--k", "3", "--n", "2"],
-                    "fb6368ee21b2490bedf223f4437b5f4630ebd4f56f45965c872df2af66670a92"),
+                    "99288b57bf98cc7346f0c4fa11569397085363781e023ff4283821c5535ea914"),
     "GF(2^4) n=2": (["--p", "2", "--k", "4", "--n", "2"],
-                    "a4d099ec4c78c7c223162dd273917bfebb499401da18cd5fa485301f7b916b6e"),
+                    "b111e8345d8617139152603e43362a15d3b8c53dc065741eb1f30394777ff696"),
     "GF(3^2) n=2": (["--p", "3", "--k", "2", "--n", "2"],
-                    "01617d1fbef4352f7281b706eb5fc9b292a2542444a7cc17a20f9632a47034ca"),
+                    "38449132fae6b03a72297729114d4f94c2262dc56876ef50f95f625b85aa2592"),
     "GF(3^1) n=2": (["--p", "3", "--n", "2"],
-                    "87c3bf4ff1cefc8f58ece0399d4aa258f8969bf4bf8badf1e1e8924ca58fc810"),
+                    "c5f9240acf05fc3cbc70194d71503635812df567c599859311afcdd98e46a9e0"),
     "GF(5^1) n=2": (["--p", "5", "--n", "2"],
-                    "9c3e633a4c12e3c55730c5c79783f65c2a0d31c3c68f14c6a18046496e11f9fe"),
+                    "062b9ee8f778c05c6c8147d8035da65f096ba8a75d4eed150b716a21a8856968"),
     "GF(7^1) n=2": (["--p", "7", "--n", "2"],
-                    "3fa7cfaa9de3faff80faf1454b0f92449192e53e014c9dd693d76d0a5a989d8e"),
+                    "9c16017d6289187cf424e5c0157c9133ce79b64327517d7794634eb3699f17b3"),
     "GF(3^1) n=3": (["--p", "3", "--n", "3"],
-                    "48f6c63816b57f283ca4bcfb215fa95eaad7ba91c2cbfc4442cab987dc58a931"),
+                    "faff0d6e2298c24eb879c881046289bad48e496bd456528ce97b235366a6e2bd"),
     "GF(2^2) n=3": (["--p", "2", "--k", "2", "--n", "3"],
-                    "ffad71f1418d0e56e8bcee46a89ccd9da7184f459cf811d79b71d7a94531ae3b"),
+                    "ae5eabb2cce75dc74aa57aa6ff423681fd0de31ef6fa97dcdd19a52869c7ce18"),
     "GF(2^3) n=3": (["--p", "2", "--k", "3", "--n", "3"],
-                    "137af934c9ee4f2b461f4edc6324bd4ddecd3cabb4532dae163b3ad5d0c3bef1"),
+                    "62a01b5c43725b8524a61492fb3ce812c7c78e7f2d378470b65a5e2682087349"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
-                  "7260db81bb7f0857a4e08767a8eeafcc04929dfca13dfd373b2f46091702955f"),
+                  "f007bae72f25317bb4beedfb6ee8dd1609f29ac1b06e5eb1aa513d0ca91a613c"),
     # [[1,1],[0,1]], -I and [[1,0],[1,1]]: |G| = 24, |S'| = 3
     "SL_2(F_3) file": (["--p", "3", "--group", "file:{sl2_f3}"],
-                       "f7f93edd3df557a5dff52ebab7dc728ac6f130c5131dc4b71196ac526113abd5"),
+                       "c021065ed8518b56d29c0a3b1855c102b59b6fc55fcb778e60892dcf3a9eb50e"),
+}
+
+
+# the SHA-256 of each canonical inconsistency row, unchanged since schema v3
+INCONSISTENCY_ROWS = {
+    "GF(2^2) n=2":
+        "1e1e1991f8a145e4676b7e43d07e1884ffa4a3f9e9cb8281bc9e972453db0d3e",
+    "GF(2^3) n=2":
+        "de97e7f6e84999acc013835196788c83046205a78ab92650999c2b8663a4ab85",
+    "GF(2^4) n=2":
+        "7087f781e935715ce510f3d9a8191912e2ac733d4ea3251f6652fd75d162f0c0",
+    "GF(3^2) n=2":
+        "f819f6dbf4f54b644dc887e6f80c774eb11fd9bffca4870789ce850ae18138e2",
+    "GF(3^1) n=2":
+        "4be04076b767f5f1257876fd50e18e9e9788b6d7a57b1a132cfc0a9503aac66e",
+    "GF(5^1) n=2":
+        "5ec78391104ae81fb2a615dacf99a386c0cc9c7f9b19dcd5803d93506aa8a623",
+    "GF(7^1) n=2":
+        "043d9cc8d8e13ae8f45e6915f60974328c11481934791040d730e3cc2313f3c6",
+    "GF(3^1) n=3":
+        "229ad14ccc6f4c4a31f94232d3aa4df268108414fb833d405df551c0b49b7fcf",
+    "GF(2^2) n=3":
+        "ef1d4c3fa739726e9faffd1c680b5a1eb1887b43638982dcf0a48764fecb5871",
+    "GF(2^3) n=3":
+        "d0033f83bc4515191c023342eef0a34e22373c252257a6cc94646ac6c76efdf2",
+    "zpxzp p=3":
+        "e4a89f521c89d870f5a65f6e52632c5a1213bd406381fa71da7623f4f6b5004b",
+    "SL_2(F_3) file":
+        "b6c6299ed5b786228c5b878b564d5c50e9fd6a0d1d572d066535b27723066216",
 }
 
 
@@ -87,3 +119,5 @@ def test_report_bytes_match_the_golden_digest(label, tmp_path, sl2_f3):
     out = tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    row = json.loads(out.read_text())["payload"]["nonsplit_certificate"]["inconsistency_row"]
+    assert hashlib.sha256(canonical_json(row).encode()).hexdigest() == INCONSISTENCY_ROWS[label]

@@ -13,7 +13,7 @@ from modcoh.errors import (
     OrderCapExceeded,
     SingularGenerator,
 )
-from modcoh.gf import field_new
+from modcoh.gf import field_new, field_to_json
 from modcoh.grp import (
     MatrixGroup,
     additive_family,
@@ -24,6 +24,7 @@ from modcoh.grp import (
     group_to_json,
     paired_shear_family,
 )
+from modcoh.jsonutil import digest_of
 from modcoh.linalg import Matrix, inverse, is_invertible, matrix_to_json
 
 F2 = field_new(2)
@@ -109,7 +110,7 @@ def test_closure_matches_the_reference_closure(case):
     elements, index, inv, spanning, parents = reference_closure(ctx, n, gens)
     assert g.elements == elements
     assert g.index == index
-    assert g.generator_ids == [index[m] for m in gens]
+    assert g.generators == gens
     assert g.inv == inv
     # the S' rows come filled from closure, before any product is asked for
     assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(spanning)
@@ -170,7 +171,7 @@ def test_closure_trivial():
 
 def test_closure_empty_generators():
     g = closure(F3, 2, [])
-    assert g.order == 1 and g.generator_ids == []
+    assert g.order == 1 and g.generators == [] and g.spanning_ids == []
 
 
 def test_closure_shear_order_three():
@@ -212,12 +213,15 @@ def test_spanning_ids_of_the_additive_family(p, k):
     ctx = field_new(p, k)
     g = additive_family(ctx)
     s = g.spanning_ids
+    # the published generators are S', a basis over F_p of k elements
     assert len(s) == k
-    # an ordered subsequence of the published generators
-    it = iter(g.generator_ids)
-    assert all(any(x == y for y in it) for x in s)
-    assert s[0] == g.generator_ids[0]
-    assert closure(ctx, 2, [g.elements[i] for i in s]).order == g.order
+    assert [g.index[m] for m in g.generators] == s
+    # the closure over every nonzero parameter in encoding order keeps the
+    # same S', element ids and search tree
+    every = closure(ctx, 2, [family_matrix(ctx, ctx.el(v)) for v in range(1, ctx.q)])
+    assert every.spanning_ids == s
+    assert every.elements == g.elements
+    assert every.tree_parents == g.tree_parents
 
 
 def test_spanning_ids_drop_redundant_generators():
@@ -227,9 +231,9 @@ def test_spanning_ids_drop_redundant_generators():
     g = closure(F3, 3, [x, ident, y, x @ y, x])  # non-abelian, order 27
     assert g.order == 27
     assert g.spanning_ids == [g.index[x], g.index[y]]
-    assert g.generator_ids == [g.index[m] for m in (x, ident, y, x @ y, x)]
+    assert g.generators == [x, ident, y, x @ y, x]
     zpxzp = paired_shear_family(F3)
-    assert zpxzp.spanning_ids == zpxzp.generator_ids
+    assert zpxzp.spanning_ids == [zpxzp.index[m] for m in zpxzp.generators]
     assert closure(F3, 2, []).spanning_ids == []
 
 
@@ -326,28 +330,26 @@ def test_hypothesis_char3():
 
 
 def test_group_digest_and_spec_round_trip():
+    # the record is a group spec: read back, it closes to the same elements
     g = additive_family(F4)
-    assert g.digest() == additive_family(F4).digest()
     spec = group_to_json(g)
-    rebuilt = group_spec_from_json(
-        {"field": spec["field"], "n": spec["n"], "generators": spec["generators"]}
-    )
-    assert rebuilt.order == g.order
-    assert rebuilt.digest() == g.digest()
+    assert digest_of(spec) == digest_of(group_to_json(additive_family(F4)))
+    rebuilt = group_spec_from_json(spec)
+    assert rebuilt.order == spec["order"] == g.order
+    assert rebuilt.elements == g.elements
 
 
 @pytest.mark.parametrize("group", [additive_family(F4), additive_family(F9),
                                    paired_shear_family(F3)])
-def test_group_record_serializes_each_element_once(group):
-    # the generators and the digest reuse the element objects, and equal
-    # what serializing each of them again gives
-    spec = group_to_json(group)
-    elements = [matrix_to_json(m) for m in group.elements]
-    assert spec["elements"] == elements
-    assert spec["generators"] == [matrix_to_json(m) for m in group.generators]
-    assert all(spec["generators"][j] is spec["elements"][i]
-               for j, i in enumerate(group.generator_ids))
-    assert spec["digest"] == group.digest() == group.digest(elements)
+def test_group_record_is_the_generators_and_order(group):
+    # no element list, inverse table or element digest: a verifier closes
+    # the generators itself
+    assert group_to_json(group) == {
+        "field": field_to_json(group.ctx),
+        "n": group.n,
+        "generators": [matrix_to_json(m) for m in group.generators],
+        "order": group.order,
+    }
 
 
 def test_bfs_element_order_deterministic():

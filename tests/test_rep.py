@@ -64,7 +64,7 @@ def test_sym_power_columns_char3():
     sym, _ = sym_power(G3, 3)
     assert sym.dim == 4
     # element with matrix [[1, -1], [0, 1]] is the inverse of the generator
-    a_inv = sym.action(G3.inv[G3.generator_ids[0]])
+    a_inv = sym.action(G3.inv[G3.spanning_ids[0]])
     assert a_inv.column_vector(2) == Matrix.column(F3, [-1, 0, 1, 0])
     assert a_inv.column_vector(3) == Matrix.column(F3, [1, 0, -2, 1])
 
@@ -82,7 +82,7 @@ def test_sym_power_columns_embedded_n3():
     g3 = closure(F3, 3, [Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
     sym3, _ = sym_power(g3, 3)
     assert sym3.dim == 10
-    a_inv = sym3.action(g3.inv[g3.generator_ids[0]])
+    a_inv = sym3.action(g3.inv[g3.spanning_ids[0]])
     want = [0] * 10
     want[0], want[3] = -1, 1  # -x1^3 + x1^2 x2
     assert a_inv.column_vector(3) == Matrix.column(F3, want)
@@ -239,7 +239,7 @@ def test_intertwiner_self_contains_identity():
     assert res.matrix is not None
     ident_vec = Matrix.identity(F4, 2).flatten()
     assert in_span([b.flatten() for b in res.basis], ident_vec)
-    for gid in G4.generator_ids:
+    for gid in G4.spanning_ids:
         assert mod.action(gid) @ res.matrix == res.matrix @ mod.action(gid)
 
 

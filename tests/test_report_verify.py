@@ -15,18 +15,19 @@ import modcoh.verify
 from modcoh.build import build_nonsplit_sequence
 from modcoh.errors import CorruptReport, FailedCheck, ModcohError
 from modcoh.gf import field_from_json, field_new
-from modcoh.grp import additive_family, closure, group_to_json
+from modcoh.grp import additive_family, closure, group_spec_from_json, group_to_json
 from modcoh.jsonutil import digest_of
-from modcoh.linalg import Matrix, matrix_from_json
+from modcoh.linalg import Matrix, matrix_from_json, matrix_to_json
 from modcoh.report import run_pipeline, write_report
 from modcoh.verify import verify_report, verify_report_file
 
 F3 = field_new(3)
 F4 = field_new(2, 2)
 
-PARAMS2 = {"p": 2, "k": 2, "n": 2, "group": "family-a", "order_cap": 10000,
+# each job's order cap is its group's order, the tightest cap that holds
+PARAMS2 = {"p": 2, "k": 2, "n": 2, "group": "family-a", "order_cap": 4,
            "seed": 0, "modulus": None}
-PARAMS3 = {"p": 3, "k": 1, "n": 2, "group": "family-a", "order_cap": 10000,
+PARAMS3 = {"p": 3, "k": 1, "n": 2, "group": "family-a", "order_cap": 3,
            "seed": 0, "modulus": None}
 
 
@@ -41,6 +42,15 @@ def report3():
     return run_pipeline(group, PARAMS3).report
 
 
+@pytest.fixture(scope="module")
+def report_sl2():
+    # SL_2(F_3), non-abelian: the builder and the verifier check the cocycle
+    # pair by pair along the search tree
+    gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
+    group = closure(F3, 2, [Matrix.from_rows(F3, g) for g in gens])
+    return run_pipeline(group, dict(PARAMS3, order_cap=24)).report
+
+
 def tampered(report, mutate):
     """Deep-copy, apply the mutation, re-seal the digest."""
     copy = json.loads(json.dumps(report))
@@ -52,6 +62,15 @@ def tampered(report, mutate):
 def expect_failure(report, check_name):
     with pytest.raises(FailedCheck, match=check_name):
         verify_report(report)
+
+
+def closed(payload):
+    """The verifier's own closure of the report's generators: the elements,
+    S', the S' x G products and the inverses on S'."""
+    ctx = field_from_json(payload["field"])
+    gobj = payload["group"]
+    generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
+    return modcoh.verify._generated(ctx, gobj["n"], generators, gobj["order"])
 
 
 def test_fresh_reports_verify(report2, report3):
@@ -96,9 +115,9 @@ def test_tamper_sym_action(report3):
     other = closure(F3, 2, [Matrix.from_rows(F3, [[2, 0], [0, 1]])])
 
     def swap_group(p):
-        old_digest = p["group"]["digest"]
+        old = p["group"]
         p["group"] = json.loads(json.dumps(group_to_json(other)))
-        assert p["group"]["digest"] != old_digest
+        assert p["group"] != old
 
     expect_failure(tampered(report3, swap_group), "nonsplit: inconsistency row does not kill")
 
@@ -118,7 +137,7 @@ def test_sym_action_block_check_fires(report3, monkeypatch):
         return Matrix(ctx, mat.rows, mat.cols, data)
 
     monkeypatch.setattr(modcoh.verify, "_substitution_matrix", broken)
-    s = report3["payload"]["group"]["generator_ids"][0]
+    (s,) = closed(report3["payload"])[1]
     expect_failure(report3, f"sym-action: element {s}: bottom-left block is nonzero")
 
 
@@ -126,7 +145,7 @@ def test_tamper_u_action(report3, monkeypatch):
     # U is derived, so the check on it fires only on a faulty derivation: a
     # wrong U(s) at the element of S'
     original = modcoh.verify._u_action
-    s = report3["payload"]["group"]["generator_ids"][0]
+    (s,) = closed(report3["payload"])[1]
 
     def broken(ctx, elements, sym_action, inv_table, n, ids):
         out = original(ctx, elements, sym_action, inv_table, n, ids)
@@ -206,9 +225,6 @@ def test_tamper_witness(report3, monkeypatch):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda p: p["tensor_vanishing"].update(z1_dim=999),
-        lambda p: p["tensor_vanishing"].update(b1_dim=p["tensor_vanishing"]["z1_dim"]),
-        lambda p: p["tensor_vanishing"].update(class_of_g=[]),
         lambda p: p["obstruction"]["components"].reverse(),
         lambda p: p["tensor_vanishing"].update(equation="u == 0"),
         # w is stated by the equation text alone: its recipe and dimension
@@ -219,7 +235,7 @@ def test_tamper_witness(report3, monkeypatch):
             equation=p["tensor_vanishing"]["equation"].replace("w = e_d", "w = e_(d+1)")
         ),
     ],
-    ids=["z1_dim", "h1_dim", "class_of_g", "components", "equation", "w_recipe", "w_dim"],
+    ids=["components", "equation", "w_recipe", "w_dim"],
 )
 def test_tamper_bookkeeping(report3, mutate):
     with pytest.raises(FailedCheck, match="tensor-vanishing|obstruction"):
@@ -236,32 +252,60 @@ def test_tamper_obstruction_block(report3):
         expect_failure(tampered(report3, bump), "obstruction")
 
 
-def test_tamper_group_element(report3):
-    def flip(p):
-        p["group"]["elements"][1]["entries"][0][0][0] ^= 1
+@pytest.mark.parametrize(
+    "rows, check",
+    [
+        # a cyclic group of order 4 (trace 0, det 1)
+        ([[1, 1], [1, 2]], "group: the generators make more than the 3 elements stated"),
+        # a group of order 2
+        ([[2, 0], [0, 1]], "group: the generators reach 2 of the 3 elements"),
+        # {I, s, 0} is closed under s and has 3 elements, but s has no inverse
+        ([[0, 1], [0, 0]], "group: element 1 has no inverse"),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], "group: generator 0 is not 2x2"),
+    ],
+    ids=["larger", "smaller", "singular", "shape"],
+)
+def test_tamper_generator(report3, rows, check):
+    # another generator of the same order can make a report that is true for
+    # its own group; test_every_leaf_mutation_is_rejected tells those apart
+    def swap(p):
+        p["group"]["generators"][0] = matrix_to_json(Matrix.from_rows(F3, rows))
 
-    with pytest.raises((FailedCheck, CorruptReport)):
-        verify_report(tampered(report3, flip))
+    expect_failure(tampered(report3, swap), check)
 
 
 def test_generators_of_a_proper_subgroup_fail_group(report2):
-    # the element list must be exactly <generators>: one of GF(4)'s three
-    # generators makes a subgroup of order 2, and the BFS reaches only that
+    # the stated order must be exactly |<generators>|: one of GF(4)'s two
+    # generators makes a subgroup of order 2, and the search reaches only that
     def cut(p):
         p["group"]["generators"] = p["group"]["generators"][:1]
-        p["group"]["generator_ids"] = p["group"]["generator_ids"][:1]
 
     expect_failure(tampered(report2, cut), "group: the generators reach 2 of the 4 elements")
 
 
-def test_tamper_inverse_table(report3):
-    def swap(p):
-        p["group"]["inverse"][1], p["group"]["inverse"][2] = (
-            p["group"]["inverse"][2],
-            p["group"]["inverse"][1],
-        )
+@pytest.mark.parametrize(
+    "order, cap, check",
+    [
+        (2, 3, "group: the generators make more than the 2 elements stated"),
+        (4, 3, "params: group order 4 is not within 1..order_cap = 3"),
+        (4, 4, "group: the generators reach 3 of the 4 elements"),
+        (0, 3, "params: group order 0 is not within 1..order_cap"),
+        (True, 3, "params: group order True is not within 1..order_cap"),
+        ("3", 3, "params: group order '3' is not within 1..order_cap"),
+    ],
+    ids=["below", "above_cap", "above", "zero", "bool", "string"],
+)
+def test_tamper_order(report3, order, cap, check):
+    def restate(p):
+        p["group"]["order"] = order
+        p["params"]["order_cap"] = cap
 
-    expect_failure(tampered(report3, swap), "group")
+    expect_failure(tampered(report3, restate), check)
+
+
+def test_a_raised_order_cap_still_verifies(report3):
+    # the cap bounds the search; it is not a claim about the group
+    assert verify_report(tampered(report3, lambda p: p["params"].update(order_cap=10_000))) >= 11
 
 
 def test_toy_identity_is_checked_on_s_prime(report2):
@@ -269,17 +313,15 @@ def test_toy_identity_is_checked_on_s_prime(report2):
     # S^2 with [[U(s), g_s], [0, 1]] on S' and fires when they differ
     p = report2["payload"]
     ctx = field_from_json(p["field"])
-    elements = [matrix_from_json(ctx, m) for m in p["group"]["elements"]]
-    inv = p["group"]["inverse"]
-    index = {m: i for i, m in enumerate(elements)}
-    spanning, mul_idx = modcoh.verify._generated(elements, index, p["group"]["generator_ids"])
+    elements, spanning, mul_idx, inv = closed(p)
     read = spanning + [inv[s] for s in spanning]
     sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2, read)
     u = modcoh.verify._u_action(ctx, elements, sym, inv, 2, read)
     iota = matrix_from_json(ctx, p["iota"])
     g = modcoh.verify._cocycle(ctx, elements, sym, inv, iota, spanning)
     g = modcoh.verify._expand_cocycle(u, g, mul_idx)
-    args = (ctx, p["toy"], elements, spanning)
+    generators = [matrix_from_json(ctx, m) for m in p["group"]["generators"]]
+    args = (ctx, p["toy"], 2, generators, spanning)
     assert modcoh.verify._verify_toy(*args, sym, u, g) == 1
     sym[spanning[-1]] = sym[spanning[-1]].scale(ctx.gen())
     with pytest.raises(FailedCheck, match=r"toy: S\^2 is not the main extension"):
@@ -345,7 +387,7 @@ def test_split_verdict_cannot_be_forged(report3):
         verify_report(tampered(report3, forge))
 
 
-@pytest.mark.parametrize("schema", ["modcoh-report-v1", "modcoh-report-v2"])
+@pytest.mark.parametrize("schema", ["modcoh-report-v1", "modcoh-report-v2", "modcoh-report-v3"])
 def test_old_schema_report_is_corrupt(report3, schema):
     old = json.loads(json.dumps(report3))
     old["schema"] = schema
@@ -369,6 +411,13 @@ def test_old_schema_report_is_corrupt(report3, schema):
         (("tensor_vanishing",), "h1_dim"),
         (("nonsplit_certificate",), "generator_ids"),
         (("nonsplit_certificate",), "module"),
+        (("group",), "elements"),
+        (("group",), "inverse"),
+        (("group",), "generator_ids"),
+        (("group",), "digest"),
+        (("tensor_vanishing",), "class_of_g"),
+        (("tensor_vanishing",), "z1_dim"),
+        (("tensor_vanishing",), "b1_dim"),
         (("toy",), "pi"),
         (("toy",), "certificate"),
         (("toy",), "intertwiner"),
@@ -377,7 +426,8 @@ def test_old_schema_report_is_corrupt(report3, schema):
 )
 def test_readded_field_is_corrupt(report2, where, key):
     # a field the verifier does not read would be sealed but unchecked; the
-    # v3 schema dropped those it re-derives, and none may come back
+    # v3 and v4 schemas dropped those it re-derives or the claims do not
+    # need, and none may come back
     def add(p):
         node = p
         for part in where:
@@ -389,16 +439,13 @@ def test_readded_field_is_corrupt(report2, where, key):
 
 
 # Leaves that a mutation may change without rejection: the digest alone binds
-# params.seed and params.order_cap, a changed inconsistency row can be another
-# valid solution, and class_of_g is not re-derived.
+# params.seed, and a changed inconsistency row can be another valid solution.
 DIGEST_ONLY = [
     r"params\.seed",
-    r"params\.order_cap",
     r"nonsplit_certificate\.inconsistency_row\.entries\..*",
-    r"tensor_vanishing\.class_of_g\..*",
 ]
 # field-element encodings: a coefficient is bumped mod p, so it stays parseable
-CELL_KEYS = {"entries", "class_of_g"}
+CELL_KEYS = {"entries"}
 
 
 def _leaves(node, path=()):
@@ -411,20 +458,36 @@ def _leaves(node, path=()):
 
 
 def _mutated(value, path, p):
-    """Increment an int, negate a bool, extend a string or an empty list."""
+    """Decrement an int (bump a coefficient mod p), negate a bool, extend a
+    string or an empty list.  Decrementing reaches order_cap, an upper bound
+    that any raise keeps true; the reports are built at their tightest cap."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
-        return (value + 1) % p if CELL_KEYS.intersection(path) else value + 1
+        return (value + 1) % p if CELL_KEYS.intersection(path) else value - 1
     if isinstance(value, str):
         return value + "x"
     return 0 if value is None else value + [0]
 
 
-def test_every_leaf_mutation_is_rejected(report2, report3):
+def is_genuine(payload):
+    """Whether the builder makes exactly this payload for the group and the
+    params it states."""
+    params = payload["params"]
+    try:
+        group = group_spec_from_json(payload["group"], order_cap=params["order_cap"])
+        return run_pipeline(group, params).report["payload"] == payload
+    except ModcohError:
+        return False
+
+
+def test_every_leaf_mutation_is_rejected(report2, report3, report_sl2):
+    # a mutation that survives must leave the builder's own report for the
+    # group it names (a generator swapped for another of the same group, say)
+    # or be digest-only
     survivors = []
     mutations = 0
-    for report in (report2, report3):
+    for report in (report2, report3, report_sl2):
         p = report["payload"]["field"]["p"]
         for path, value in _leaves(report["payload"]):
 
@@ -435,11 +498,13 @@ def test_every_leaf_mutation_is_rejected(report2, report3):
                 node[path[-1]] = _mutated(value, path, p)
 
             mutations += 1
+            changed = tampered(report, mutate)
             try:
-                verify_report(tampered(report, mutate))
+                verify_report(changed)
             except ModcohError:
                 continue
-            survivors.append(".".join(map(str, path)))
+            if not is_genuine(changed["payload"]):
+                survivors.append(".".join(map(str, path)))
     assert mutations > 200
     unexpected = [s for s in survivors if not any(re.fullmatch(r, s) for r in DIGEST_ONLY)]
     assert unexpected == []

@@ -1,14 +1,14 @@
 """The verifier's checks on S' against the exhaustive checks they replace.
 
-`verify._verify_payload` proves the element list is exactly the group the
-generators generate by one BFS over a generating subset S', then checks the
-cocycle identity on S' x G and every other group equation on S' only.  The
-reference below keeps the loops it replaced, on v3 reports: closure and the
-cocycle identity over every ordered pair, the invariance of w = e_d, the
+`verify._verify_payload` closes the published generators by one search
+over a generating subset S', then checks the cocycle identity on S' x G
+and every other group equation on S' only.  The reference below keeps the
+exhaustive loops, on v4 reports: closure, inverses and the cocycle
+identity over every ordered pair, the invariance of w = e_d, the
 closed-form tensor witness X = [-I_d ; 0] and the toy identity
 S^2(s) = [[U(s), g_s], [0, 1]] on every element, and the split system over
 every published generator next to the one over S'.  It derives the actions
-with the verifier's own helpers.
+with the verifier's own helpers, on the elements of the verifier's closure.
 """
 
 import functools
@@ -61,10 +61,15 @@ class Derived:
         gobj = payload["group"]
         ctx = self.ctx = field_from_json(payload["field"])
         n = gobj["n"]
-        self.elements = [matrix_from_json(ctx, m) for m in gobj["elements"]]
-        self.gen_ids = gobj["generator_ids"]
-        self.inv = gobj["inverse"]
+        self.generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
+        self.closure = verify._generated(ctx, n, self.generators, gobj["order"])
+        self.elements = self.closure[0]
         self.order = len(self.elements)
+        self.index = {m: i for i, m in enumerate(self.elements)}
+        ident = Matrix.identity(ctx, n)
+        self.inv = [
+            next(j for j, b in enumerate(self.elements) if a @ b == ident) for a in self.elements
+        ]
         basis = [tuple(e) for e in payload["basis"]]
         every = range(self.order)
         sym = verify._sym_action(ctx, self.elements, basis, n, every)
@@ -80,8 +85,7 @@ class Derived:
 
     def mul(self, i, j):
         """Index of elements[i] @ elements[j], or None when it escapes the list."""
-        prod = self.elements[i] @ self.elements[j]
-        return next((k for k, m in enumerate(self.elements) if m == prod), None)
+        return self.index.get(self.elements[i] @ self.elements[j])
 
 
 @functools.cache
@@ -150,14 +154,16 @@ def test_u_action_is_a_homomorphism_on_all_pairs(label):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_verifier_picks_a_generating_subset(label):
-    # the verifier's own S' is the builder's choice, and its products are
-    # exactly S' x G
+    # the verifier's own closure numbers the elements as the builder does,
+    # its S' is the builder's, its products are exactly S' x G, and its
+    # inverses on S' are the inverses
     der = derived(label)
-    index = {m: i for i, m in enumerate(der.elements)}
-    spanning, mul_idx = verify._generated(der.elements, index, der.gen_ids)
+    elements, spanning, mul_idx, inverse = der.closure
+    assert elements == group(label).elements
     assert spanning == group(label).spanning_ids
     assert set(mul_idx) == {(s, t) for s in spanning for t in range(der.order)}
     assert all(mul_idx[(s, t)] == der.mul(s, t) for s, t in mul_idx)
+    assert inverse == {i: der.inv[i] for s in spanning for i in (s, der.inv[s])}
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -166,8 +172,7 @@ def test_verifier_expands_g_from_s_prime_to_the_formula(label):
     # tree, reading A and U on S' and its inverses: the expansion is the
     # formula on every element
     der = derived(label)
-    index = {m: i for i, m in enumerate(der.elements)}
-    spanning, mul_idx = verify._generated(der.elements, index, der.gen_ids)
+    _, spanning, mul_idx, _ = der.closure
     read = spanning + [der.inv[s] for s in spanning]
     basis = [tuple(e) for e in der.payload["basis"]]
     n = der.payload["group"]["n"]
@@ -184,7 +189,7 @@ def invariant_rows(label):
     witness equation, since W(s) X U(s)^T = X for those X."""
     der = derived(label)
     ident = Matrix.identity(der.ctx, der.d)
-    fixed = kernel_basis(vstack([der.u[s] - ident for s in der.gen_ids]))
+    fixed = kernel_basis(vstack([der.u[s] - ident for s in der.closure[1]]))
     zeros = Matrix.zeros(der.ctx, der.d, der.d)
     return [vstack([zeros, b.transpose()]) for b in fixed]
 
@@ -239,12 +244,12 @@ def test_toy_is_the_main_extension_and_s_prime_split_system_agrees(label):
         for i in range(g.order):
             assert sym.action(i) == total.action(i), i
     # the split system over S' is consistent exactly when the one over every
-    # published generator is
+    # element is
     system, rhs, ids = split_system(main.cocycle)
     assert ids == tuple(g.spanning_ids)
     ident = Matrix.identity(ctx, main.u_module.dim)
-    full = vstack([main.u_module.action(i) - ident for i in g.generator_ids])
-    full_rhs = vstack([main.cocycle.values[i] for i in g.generator_ids])
+    full = vstack([main.u_module.action(i) - ident for i in range(g.order)])
+    full_rhs = vstack(main.cocycle.values)
     consistent = solve(system, rhs).consistent
     assert consistent == solve(full, full_rhs).consistent
     assert consistent == main.split_result.split == (label == "GF(2^1) n=2")

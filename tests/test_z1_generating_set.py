@@ -4,8 +4,9 @@ elements.
 `coh._z1_basis` finds Z1 on the generating subset S' from the relator
 system (elementary abelian groups) or the Schreier-graph system (every
 other group); `coh._z1_columns` expands it to the stacked non-identity
-coordinates; `Cocycle.validate` checks the values on S' against the Z1
-system and a full value list against its expansion from S'.  The
+coordinates; `Cocycle.validate` evaluates the relators at the values on
+S', or checks the pair identity on S' x G along the tree, and checks a
+full value list against its expansion from S'.  The
 references here are the S' x G system in all stacked coordinates, whose
 kernel_basis is the Z1 basis z1_space must return, and the system over
 every ordered pair.
@@ -145,7 +146,7 @@ def test_z1_system_matches_all_pairs_on_zpxzp_p3(recipe):
 @pytest.mark.parametrize("recipe", ["trivial(2)", "natural", "dual(natural)"])
 def test_z1_system_matches_all_pairs_with_a_redundant_generator(recipe):
     group = heisenberg_with_redundant_generator()
-    assert len(group.generator_ids) == 3 and len(group.spanning_ids) == 2
+    assert len(group.generators) == 3 and len(group.spanning_ids) == 2
     assert_same_z1(resolve_module(group, recipe))
 
 
@@ -364,3 +365,43 @@ def test_validate_rejects_a_change_at_each_non_generator_element(make):
         assert not is_cocycle_on_all_pairs(bad)
         with pytest.raises(NotACocycle):
             bad.validate()
+
+
+@functools.cache
+def sl2(p):
+    """SL_2(F_p) from the two elementary shears."""
+    ctx = field_new(p)
+    return closure(ctx, 2, [Matrix.from_rows(ctx, [[1, 1], [0, 1]]),
+                            Matrix.from_rows(ctx, [[1, 0], [1, 1]])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5]), st.sampled_from(["natural", "sym(2)", "dual(sym(2))", "u"]),
+       st.data())
+def test_validate_agrees_with_the_schreier_system_on_sl2(p, recipe, data):
+    # off elementary abelian groups validate checks the pair identity along
+    # the tree; it accepts x exactly when the Schreier Z1 system kills x.
+    # x is random, or an element of Z1 changed by a random vector at one s
+    group = sl2(p)
+    assert not coh._relators_present(group)
+    module = module_for(group, recipe)
+    ctx, d, k = group.ctx, module.dim, len(group.spanning_ids)
+    system = coh._schreier_system(module)
+    vector = st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d).map(
+        lambda v: Matrix(ctx, d, 1, v)
+    )
+    if data.draw(st.booleans(), label="random x"):
+        x = [data.draw(vector) for _ in range(k)]
+    else:
+        z = Matrix.zeros(ctx, k * d, 1)
+        for basis_vector in kernel_basis(system):
+            z = z + basis_vector.scale(ctx.el(data.draw(st.integers(0, ctx.q - 1))))
+        x = [z.submatrix(b * d, (b + 1) * d, 0, 1) for b in range(k)]
+        b = data.draw(st.integers(0, k - 1), label="perturbed s")
+        x[b] = x[b] + data.draw(vector)
+    try:
+        Cocycle.on_spanning(module, x).validate()
+        accepted = True
+    except NotACocycle:
+        accepted = False
+    assert accepted == (system @ vstack(x)).is_zero
