@@ -148,12 +148,7 @@ def build_nonsplit_sequence(
     u_module = GModule(group, n * (N - n), u_action, "u")
 
     iota = hstack(Matrix.identity(ctx, n), Matrix.zeros(ctx, n, N - n))
-    values = []
-    for s in spanning:
-        full = twist.action(s) @ iota @ sym.action(inv[s]) - iota
-        if not full.submatrix(0, n, 0, n).is_zero:
-            raise TheoremViolation(f"(s-1)iota leaves U at element {s}")
-        values.append(full.submatrix(0, n, n, N).flatten())
+    values = [_iota_coboundary(group, twist, sym, iota, s) for s in spanning]
     g = Cocycle.on_spanning(u_module, values)
     g.validate()
     ext = extension_from_cocycle(g)
@@ -169,48 +164,91 @@ def build_nonsplit_sequence(
     )
 
 
+def _iota_coboundary(
+    group: MatrixGroup, twist: GModule, sym: GModule, iota: Matrix, i: int
+) -> Matrix:
+    """g_i = (i-1)iota = i^[p] iota A(i^-1) - iota in U's coordinates, read
+    off the twist at i and A at i^-1; raises TheoremViolation if it leaves U."""
+    n, N = group.n, sym.dim
+    full = twist.action(i) @ iota @ sym.action(group.inv[i]) - iota
+    if not full.submatrix(0, n, 0, n).is_zero:
+        raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
+    return full.submatrix(0, n, n, N).flatten()
+
+
 # ---------------------------------------------------------------------------
 # tensor-vanishing witness
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorVanishing:
     """w = pi kills the class of g after tensoring: (s-1)u = w (x) g_s.
 
     The witness is u = vec(X) (row-major) for the (d+1) x d matrix
     X = [-I_d ; 0], minus the projection U~ -> U, and w = e_d is the
-    coordinate functional of iota in dual(U~).  By
-    kron(A, B) @ vec(X) = vec(A @ X @ B^T) the equation reads
-    W(s) @ X @ U(s)^T - X = w @ g_s^T, which holds because
-    U(s) @ g_{s^-1} = -g_s.  Both are fixed by d, so the report names them
-    in its equation and ships neither.
+    coordinate functional of iota in dual(U~).  Both are fixed by d, so the
+    report names them in its equation and ships neither, and they are
+    formed here only when read.
+
+    By kron(A, B) @ vec(X) = vec(A @ X @ B^T) the equation reads
+    W(s) @ X @ U(s)^T - X = w @ g_s^T, with
+    W(s) = U~(s^-1)^T = [[U(s^-1)^T, 0], [g_{s^-1}^T, 1]].  Then
+    W(s) @ X @ U(s)^T = -[[(U(s) U(s^-1))^T], [(U(s) g_{s^-1})^T]], and
+    w @ g_s^T is zero but for its last row g_s^T.  So the equation holds
+    exactly when
+
+    - U(s) U(s^-1) = I (the top d rows), and
+    - U(s) g_{s^-1} = -g_s (the last row).
+
+    W(s) e_d = e_d, the invariance of w, is the last column of W(s) and
+    holds by the block form for any U and g.  The first fact needs no
+    d x d product: with U(s) = kron(s^[p], S(s^-1)^T), the mixed-product
+    rule gives U(s) U(s^-1) = kron(s^[p] (s^-1)^[p], (S(s) S(s^-1))^T)
+    = kron(I_n, (S(s) S(s^-1))^T), since the Frobenius twist is
+    multiplicative; so it holds iff S(s) S(s^-1) = I_{N-n} on the
+    lower-right blocks of the symmetric-power action.  The second is the
+    cocycle identity at (s, s^-1), one product with a column.
     """
 
-    w: Matrix
-    witness: Matrix
+    ctx: FieldCtx
+    d: int
+
+    @property
+    def w(self) -> Matrix:
+        return Matrix.basis_column(self.ctx, self.d + 1, self.d)
+
+    @property
+    def witness(self) -> Matrix:
+        ctx, d = self.ctx, self.d
+        return vstack([-Matrix.identity(ctx, d), Matrix.zeros(ctx, 1, d)]).flatten()
 
 
 def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
-    """Check the closed-form X and w on S' (in Hom form).
+    """Check the closed-form X and w on S', in the two facts the Hom form
+    reduces to (see TensorVanishing): S(s) S(s^-1) = I and
+    U(s) g_{s^-1} = -g_s.
 
-    w fixed by S' is fixed by the whole group; both sides of the equation
-    are then cocycles, so agreement on S' implies it on every element.
-    W(s) = U~(s^-1)^T is the dual of the extension, needed on S' only.
+    w is fixed by the block form, so both sides of the equation are
+    cocycles, and agreement on S' implies it on every element.  g_{s^-1}
+    is taken by its formula (s-1)iota: that is a cocycle (the coboundary
+    of iota in Hom(V, W)) with the validated cocycle's values on S', so the
+    two agree on every element.  Reads the symmetric-power action and the
+    twist on S' and its inverses, which the sequence already built, and U
+    on S' only; U~ is not read.
     """
     group = seq.group
-    ctx = group.ctx
-    d = seq.u_module.dim
-    w = Matrix.basis_column(ctx, d + 1, d)
-    x = vstack([-Matrix.identity(ctx, d), Matrix.zeros(ctx, 1, d)])
+    ctx, n, N = group.ctx, group.n, seq.sym_module.dim
+    ident = Matrix.identity(ctx, N - n)
     for s in group.spanning_ids:
-        w_act = seq.extension.total.action(group.inv[s]).transpose()
-        if w_act @ w != w:
-            raise TheoremViolation(f"pi is not invariant at element {s}")
-        lhs = w_act @ x @ seq.u_module.action(s).transpose() - x
-        if lhs != w @ seq.cocycle.value(s).transpose():
+        s_inv = group.inv[s]
+        lower = seq.sym_module.action(s).submatrix(n, N, n, N)
+        if lower @ seq.sym_module.action(s_inv).submatrix(n, N, n, N) != ident:
+            raise WitnessNotFound(f"U(s) U(s^-1) is not the identity at element {s}")
+        g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, seq.iota, s_inv)
+        if not (seq.u_module.action(s) @ g_inv + seq.cocycle.value(s)).is_zero:
             raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {s}")
-    return TensorVanishing(w, x.flatten())
+    return TensorVanishing(ctx, seq.u_module.dim)
 
 
 # ---------------------------------------------------------------------------

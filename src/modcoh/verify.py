@@ -6,12 +6,12 @@ objects, and otherwise carries only what a solver found: the inconsistency
 row.  Everything else is re-derived here from the generators, without
 touching the solver paths that produced the report: the elements, the
 basis order, the symmetric-power action by substitution, U's action, the
-cocycle (s-1)iota, the split system over S', and the closed-form tensor
-witness X = [-I_d ; 0] with w = e_d.  The toy sequence for p = n = 2 is the
-main extension, so its record is the equation alone.  Every equation those
-values feed is then checked, and every payload object must have exactly
-the v4 fields, so no sealed field goes unchecked by accident.  The payload
-digest binds every field.
+cocycle (s-1)iota, the split system over S', and the two facts the
+closed-form tensor witness X = [-I_d ; 0] with w = e_d reduces to.  The
+toy sequence for p = n = 2 is the main extension, so its record is the
+equation alone.  Every equation those values feed is then checked, and
+every payload object must have exactly the v4 fields, so no sealed field
+goes unchecked by accident.  The payload digest binds every field.
 
 The group is closed here from its generators by the search that
 grp.closure makes (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -20,8 +20,9 @@ S', the generators in order, each kept only when the search has not
 reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
 S' x G, so each element of S' finds its inverse in its own row.  The
-actions A and U are derived on S' and its inverses only, and g = (s-1)iota
-by its formula on S' only.  Checks there hold on every element:
+symmetric-power action A is derived on S' and its inverses, U on S' only,
+and g = (s-1)iota by its formula on S' and its inverses.  Checks there
+hold on every element:
 
 - The substitution action A is multiplicative for all n x n matrices.
   A product of block upper triangular matrices is block upper triangular,
@@ -29,19 +30,32 @@ by its formula on S' only.  Checks there hold on every element:
   multiplicative; so the block checks on S' and its inverses hold on
   every element, each a product of elements of S'.  The lower-right block
   S is then multiplicative too, and U(s) = kron(s^[p], S(s^-1)^T) is a
-  homomorphism.  U(s) U(s^-1) = I is checked on S' as a guard on the
-  derivation.
-- g is expanded from S' along the search tree, g_st = U(s) g_t + g_s, and
-  every other product of S' x G is checked against the same identity.
-  With g_1 = 0 that gives a cocycle, by induction on word length in S',
-  the only one with the formula's values on S'.  The formula is a
-  cocycle too (the coboundary of iota in Hom(V, W)), so the two agree on
-  every element.  Then the extension [[U, g], [0, 1]] and its dual W(s)
-  are homomorphisms too.
+  homomorphism.  By the mixed-product rule
+  U(s) U(s^-1) = kron(s^[p] (s^-1)^[p], (S(s) S(s^-1))^T)
+  = kron(I_n, (S(s) S(s^-1))^T), so U(s) U(s^-1) = I is checked on S' as
+  S(s) S(s^-1) = I, a guard on the derivation with no d x d product.
+- g has the formula's values on S'.  When the closure certifies G
+  elementary abelian on S' (s^p = 1 and st = ts on S', |G| = p^|S'|),
+  the relators s^p and [s, t] present G, and x = (g_s) extends to a
+  cocycle iff (U(s)-1)^(p-1) g_s = 0 and (U(s)-1) g_t = (U(t)-1) g_s on
+  S'.  Otherwise g is expanded from S' along the search tree,
+  g_st = U(s) g_t + g_s, and every other product of S' x G is checked
+  against the same identity; with g_1 = 0 that gives a cocycle, by
+  induction on word length in S'.  Either way there is exactly one
+  cocycle with the formula's values on S'.  The formula is a cocycle too
+  (the coboundary of iota in Hom(V, W)), so the two agree on every
+  element, and g_{s^-1} is taken by the formula.  Then the extension
+  [[U, g], [0, 1]] and its dual W(s) are homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
-  So the tensor witness, the invariance of w and the toy identity
+  So the tensor witness and the toy identity
   A(s) = [[U(s), g_s], [0, 1]] are checked on S' only, and det = 1, which
-  decides whether the toy record is due, on the generators only.
+  decides whether the toy record is due, on the generators only.  The
+  witness equation W(s) X U(s)^T - X = w g_s^T, with
+  W(s) = [[U(s^-1)^T, 0], [g_{s^-1}^T, 1]] and X = [-I_d ; 0], reads
+  -[[(U(s) U(s^-1))^T], [(U(s) g_{s^-1})^T]] + [[I_d], [0]] = [[0], [g_s^T]]
+  row block by row block, so it holds exactly when U(s) U(s^-1) = I (the
+  u-action check) and U(s) g_{s^-1} = -g_s; and W(s) e_d = e_d, the
+  invariance of w, is W(s)'s last column, true for any U and g.
 - A u with (s-1)u = g_s on G solves the S' rows, so a row that kills the
   S' system but not its right-hand side rules out every split.
 """
@@ -224,10 +238,14 @@ def _u_action(
     each id in `ids` to the id of its inverse."""
     out: list[Optional[Matrix]] = [None] * len(elements)
     for i in ids:
-        a_inv = sym_action[inv_table[i]]
-        s_block = a_inv.submatrix(n, a_inv.rows, n, a_inv.cols)
+        s_block = _lower_right(sym_action[inv_table[i]], n)
         out[i] = kron(_frob_matrix(ctx, elements[i]), s_block.transpose())
     return out
+
+
+def _lower_right(a: Matrix, n: int) -> Matrix:
+    """S, the action on V/W: the block of A below and right of the twist."""
+    return a.submatrix(n, a.rows, n, a.cols)
 
 
 def _cocycle(
@@ -273,6 +291,81 @@ def _expand_cocycle(
         elif values[k] != image:
             _fail("cocycle", f"pair identity fails at elements ({s}, {t})")
     return values
+
+
+def _check_inverse_pairs(
+    ctx: FieldCtx,
+    sym_action: list[Optional[Matrix]],
+    inv_table: Mapping[int, int],
+    spanning: list[int],
+    n: int,
+) -> None:
+    """U(s) U(s^-1) = I for s in S', without a d x d product.
+
+    U(s) = kron(s^[p], S(s^-1)^T), so by the mixed-product rule
+    U(s) U(s^-1) = kron(s^[p] (s^-1)^[p], (S(s) S(s^-1))^T)
+    = kron(I_n, (S(s) S(s^-1))^T): it is the identity iff
+    S(s) S(s^-1) = I_{N-n}, checked on the lower-right blocks of A.
+    """
+    for s in spanning:
+        block = _lower_right(sym_action[s], n) @ _lower_right(sym_action[inv_table[s]], n)
+        if block != Matrix.identity(ctx, block.rows):
+            _fail("u-action", f"S(s) S(s^-1), so U(s) U(s^-1), is not the identity at element {s}")
+
+
+def _check_tensor_witness(
+    u_action: list[Optional[Matrix]],
+    cocycle: list[Optional[Matrix]],
+    inv_table: Mapping[int, int],
+    spanning: list[int],
+) -> None:
+    """U(s) g_{s^-1} = -g_s for s in S': the last row of the witness
+    equation in Hom form, whose top d rows are U(s) U(s^-1) = I."""
+    for s in spanning:
+        if not (u_action[s] @ cocycle[inv_table[s]] + cocycle[s]).is_zero:
+            _fail("tensor-vanishing", f"witness equation fails at element {s}")
+
+
+def _elementary_abelian(
+    p: int, order: int, spanning: list[int], mul_idx: dict[tuple[int, int], int]
+) -> bool:
+    """Whether the powers s^p and commutators [s, t], s, t in S', present G.
+
+    Read off the S' x G products: s^p = 1 and st = ts for s, t in S', and
+    |G| = p^|S'|.  Then E = <S' | s^p, [s, t]> is (Z/p)^|S'|, and s -> s
+    extends to a homomorphism E -> G, onto because S' generates G; equal
+    orders make it an isomorphism.
+    """
+    if order != p ** len(spanning):
+        return False
+    for b, s in enumerate(spanning):
+        power = s
+        for _ in range(p - 1):
+            power = mul_idx[(s, power)]
+        if power != 0 or any(mul_idx[(s, t)] != mul_idx[(t, s)] for t in spanning[:b]):
+            return False
+    return True
+
+
+def _check_relators(
+    p: int, spanning: list[int], less_one: list[Matrix], values: list[Optional[Matrix]]
+) -> None:
+    """The relators of an elementary abelian G evaluated at g on S', with
+    less_one[b] = U(s) - 1 for the b-th element s of S'.
+
+    The power s^p gives (U(s)-1)^(p-1) g_s = 0, since the norm
+    sum_{i<p} U(s)^i is (U(s)-1)^(p-1) in characteristic p; the commutator
+    [s, t] gives (U(s)-1) g_t = (U(t)-1) g_s.
+    """
+    for b, s in enumerate(spanning):
+        norm = values[s]
+        for _ in range(p - 1):
+            norm = less_one[b] @ norm
+        if not norm.is_zero:
+            _fail("cocycle", f"the power relator of element {s} fails")
+        for c, t in enumerate(spanning[:b]):
+            if less_one[b] @ values[t] != less_one[c] @ values[s]:
+                _fail("cocycle", f"the commutator relator of elements {t}, {s} fails")
 
 
 def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
@@ -340,11 +433,6 @@ def _generated(
         s_inv = row.index(0)
         inverse[s], inverse[s_inv] = s_inv, s
     return elements, spanning, mul_idx, inverse
-
-
-def _hom_witness(ctx: FieldCtx, d: int) -> Matrix:
-    """The closed-form tensor witness in Hom form, X = [-I_d ; 0]."""
-    return vstack([-Matrix.identity(ctx, d), Matrix.zeros(ctx, 1, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +522,22 @@ def _verify_payload(report: dict) -> int:
         _fail("iota", "iota is not (I_n | 0)")
     checks += 1
 
-    u_action = _u_action(ctx, elements, sym_action, inv_table, n, read)
+    # U(s) U(s^-1) = I on S' by its factors, then U built on S' only
+    _check_inverse_pairs(ctx, sym_action, inv_table, spanning, n)
+    u_action = _u_action(ctx, elements, sym_action, inv_table, n, spanning)
     ident_u = Matrix.identity(ctx, dim_u)
-    for s in spanning:
-        if u_action[s] @ u_action[inv_table[s]] != ident_u:
-            _fail("u-action", f"U(s) U(s^-1) is not the identity at element {s}")
+    less_one = [u_action[s] - ident_u for s in spanning]
     checks += 1
 
-    # g_s by its formula on S', expanded along the BFS tree with every other
-    # product of S' x G checked: with g_1 = 0 that makes g a cocycle
-    cocycle = _expand_cocycle(
-        u_action, _cocycle(ctx, elements, sym_action, inv_table, iota, spanning), mul_idx
-    )
+    # g_s by its formula on S' and its inverses.  On an elementary abelian
+    # G the power and commutator relators are evaluated at the S' values;
+    # otherwise g is expanded along the BFS tree with every other product
+    # of S' x G checked.  Either makes g a cocycle
+    cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota, read)
+    if _elementary_abelian(p, order, spanning, mul_idx):
+        _check_relators(p, spanning, less_one, cocycle)
+    else:
+        _expand_cocycle(u_action, cocycle, mul_idx)
     checks += 1
 
     # non-split certificate: y kills the S' system (s-1)u = g_s, not its rhs
@@ -455,27 +547,21 @@ def _verify_payload(report: dict) -> int:
     if cert["equation"] != SPLIT_EQUATION:
         _fail("nonsplit", "equation text differs from the checked equation")
     y = _matrix(ctx, cert["inconsistency_row"])
-    if not (y @ vstack([u_action[s] - ident_u for s in spanning])).is_zero:
+    if not (y @ vstack(less_one)).is_zero:
         _fail("nonsplit", "inconsistency row does not kill the system")
     if (y @ vstack([cocycle[s] for s in spanning])).is_zero:
         _fail("nonsplit", "inconsistency row kills the right-hand side")
     checks += 1
 
-    # tensor vanishing: (s-1)u = w (x) g_s on S', in Hom form, for the closed
-    # forms X and w = e_d; both sides are cocycles once w is fixed, so it
-    # holds on every element
+    # tensor vanishing: (s-1)u = w (x) g_s on S' for the closed forms
+    # X = [-I_d ; 0] and w = e_d.  Its Hom form holds exactly when
+    # U(s) U(s^-1) = I, checked above, and U(s) g_{s^-1} = -g_s; w is fixed
+    # by the block form.  Both sides are cocycles, so it holds on every
+    # element
     tv = _record(payload["tensor_vanishing"], "tensor_vanishing", _TENSOR_KEYS)
     if tv["equation"] != TENSOR_EQUATION:
         _fail("tensor-vanishing", "equation text differs from the checked equation")
-    w = Matrix.basis_column(ctx, dim_u + 1, dim_u)
-    x = _hom_witness(ctx, dim_u)
-    for s in spanning:
-        w_dual = _ext_matrix(ctx, u_action[inv_table[s]], cocycle[inv_table[s]]).transpose()
-        if w_dual @ w != w:
-            _fail("tensor-vanishing", f"w is not fixed at element {s}")
-        # kron(A, B) @ vec(X) = vec(A @ X @ B^T) for the row-major vec
-        if w_dual @ x @ u_action[s].transpose() - x != w @ cocycle[s].transpose():
-            _fail("tensor-vanishing", f"witness equation fails at element {s}")
+    _check_tensor_witness(u_action, cocycle, inv_table, spanning)
     checks += 1
 
     # obstruction module: components and dimension of X = U* + U~ + U~ + U~

@@ -1,5 +1,6 @@
 """Pipeline stages: sequence construction, witnesses, assembly, toy, demo."""
 
+import dataclasses
 import functools
 import json
 from math import comb
@@ -17,12 +18,14 @@ from modcoh.build import (
     toy_example,
 )
 from modcoh.cli import main
-from modcoh.coh import h1_class, is_split, tensor_with_invariant
-from modcoh.errors import BadCharacteristic, HypothesisNotSatisfied, ModcohError
+from modcoh.coh import Cocycle, h1_class, is_split, tensor_with_invariant
+from modcoh.errors import (
+    BadCharacteristic, HypothesisNotSatisfied, ModcohError, WitnessNotFound,
+)
 from modcoh.gf import field_new, field_to_json
 from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import Matrix, kron, matrix_to_json, solve, vstack
-from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual, tensor
+from modcoh.rep import GModule, action_is_homomorphism, direct_sum_mod, dual, tensor
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -115,6 +118,29 @@ def test_tensor_vanishing_witness_all_elements(group):
         # the two witnesses differ by a G-fixed vector
         assert ((t_mod.action(i) - ident) @ (tv.witness - solver)).is_zero
     assert all(c.is_zero for c in h1_class(tg))
+
+
+def test_tensor_vanishing_witness_rejects_a_faulty_derivation():
+    # the builder checks the two facts the Hom form reduces to: a faulty
+    # lower-right block S at s^-1 breaks S(s) S(s^-1) = I, and a faulty g_s
+    # breaks U(s) g_{s^-1} = -g_s, g_{s^-1} being taken by its formula
+    seq = build_nonsplit_sequence(G3)
+    (s,) = G3.spanning_ids
+    s_inv, n = G3.inv[s], G3.n
+    a = seq.sym_module.action(s_inv)
+    cells = [a.raw(i, j) for i in range(a.rows) for j in range(a.cols)]
+    cells[n * a.cols + n] = F3.add_i(cells[n * a.cols + n], 1)
+    bumped = Matrix(F3, a.rows, a.cols, cells)
+    sym = GModule(
+        G3, a.rows, lambda i: bumped if i == s_inv else seq.sym_module.action(i), "sym(3)"
+    )
+    with pytest.raises(WitnessNotFound, match=r"U\(s\) U\(s\^-1\) is not the identity"):
+        tensor_vanishing_witness(dataclasses.replace(seq, sym_module=sym))
+
+    unit = Matrix.basis_column(F3, seq.u_module.dim, 0)
+    faulty = Cocycle.on_spanning(seq.u_module, [seq.cocycle.value(s) + unit])
+    with pytest.raises(WitnessNotFound, match="does not kill the class"):
+        tensor_vanishing_witness(dataclasses.replace(seq, cocycle=faulty))
 
 
 @functools.cache

@@ -13,16 +13,18 @@ import pytest
 
 import modcoh.verify
 from modcoh.build import build_nonsplit_sequence
-from modcoh.errors import CorruptReport, FailedCheck, ModcohError
+from modcoh.coh import Cocycle
+from modcoh.errors import CorruptReport, FailedCheck, ModcohError, NotACocycle
 from modcoh.gf import field_from_json, field_new
 from modcoh.grp import additive_family, closure, group_spec_from_json, group_to_json
 from modcoh.jsonutil import digest_of
-from modcoh.linalg import Matrix, matrix_from_json, matrix_to_json
+from modcoh.linalg import Matrix, kernel_basis, matrix_from_json, matrix_to_json
 from modcoh.report import run_pipeline, write_report
 from modcoh.verify import verify_report, verify_report_file
 
 F3 = field_new(3)
 F4 = field_new(2, 2)
+F9 = field_new(3, 2)
 
 # each job's order cap is its group's order, the tightest cap that holds
 PARAMS2 = {"p": 2, "k": 2, "n": 2, "group": "family-a", "order_cap": 4,
@@ -34,6 +36,12 @@ PARAMS3 = {"p": 3, "k": 1, "n": 2, "group": "family-a", "order_cap": 3,
 @pytest.fixture(scope="module")
 def report2():
     return run_pipeline(additive_family(F4), PARAMS2).report
+
+
+@pytest.fixture(scope="module")
+def report9():
+    # two generators over p = 3: the power and commutator relators both apply
+    return run_pipeline(additive_family(F9), dict(PARAMS3, k=2, order_cap=9)).report
 
 
 @pytest.fixture(scope="module")
@@ -141,49 +149,112 @@ def test_sym_action_block_check_fires(report3, monkeypatch):
     expect_failure(report3, f"sym-action: element {s}: bottom-left block is nonzero")
 
 
-def test_tamper_u_action(report3, monkeypatch):
-    # U is derived, so the check on it fires only on a faulty derivation: a
-    # wrong U(s) at the element of S'
-    original = modcoh.verify._u_action
-    (s,) = closed(report3["payload"])[1]
+def with_unit_added(ctx, m, i, j):
+    """m plus 1 at (i, j)."""
+    data = [m.raw(r, c) for r in range(m.rows) for c in range(m.cols)]
+    data[i * m.cols + j] = ctx.add_i(data[i * m.cols + j], 1)
+    return Matrix(ctx, m.rows, m.cols, data)
 
-    def broken(ctx, elements, sym_action, inv_table, n, ids):
-        out = original(ctx, elements, sym_action, inv_table, n, ids)
-        out[s] = out[s].scale(ctx.el(2))
+
+def test_tamper_u_action(report3, monkeypatch):
+    # U is derived, so the check on it fires only on a faulty derivation.
+    # It is checked in the form U(s) U(s^-1) = kron(I, (S(s) S(s^-1))^T)
+    # reduces to: a faulty lower-right block S of A, at the element of S'
+    # or at its inverse, fails it (the block checks read the other blocks)
+    original = modcoh.verify._sym_action
+    _, (s,), _, inv = closed(report3["payload"])
+    for faulty in (s, inv[s]):
+
+        def broken(ctx, elements, basis, n, ids, faulty=faulty):
+            out = original(ctx, elements, basis, n, ids)
+            out[faulty] = with_unit_added(ctx, out[faulty], n, n)
+            return out
+
+        monkeypatch.setattr(modcoh.verify, "_sym_action", broken)
+        expect_failure(report3, re.escape(
+            f"u-action: S(s) S(s^-1), so U(s) U(s^-1), is not the identity at element {s}"
+        ))
+
+
+_COCYCLE = modcoh.verify._cocycle
+
+
+def patched_cocycle(monkeypatch, changes):
+    """Make the verifier's g = (s-1)iota take the given values (and no
+    earlier patch's)."""
+
+    def broken(ctx, *args):
+        out = _COCYCLE(ctx, *args)
+        for element, value in changes.items():
+            # the same cells over the verifier's own field context
+            out[element] = Matrix(ctx, value.rows, value.cols, [
+                value.raw(r, c) for r in range(value.rows) for c in range(value.cols)
+            ])
         return out
 
-    monkeypatch.setattr(modcoh.verify, "_u_action", broken)
-    expect_failure(report3, re.escape(f"u-action: U(s) U(s^-1) is not the identity at element {s}"))
+    monkeypatch.setattr(modcoh.verify, "_cocycle", broken)
 
 
-def test_tamper_cocycle_value(report3, monkeypatch):
-    # g is derived: g_s by its formula on S', every other value expanded
-    # along the BFS tree.  A faulty g_s outside Z1, a faulty value at the
-    # identity and a faulty value given at an element off S' each fail the
-    # pair identity at some product of S' x G
-    group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
-    seq = build_nonsplit_sequence(group)
-    (s,) = group.spanning_ids
-    (x,) = [i for i in range(1, group.order) if i != s]
-    d = seq.u_module.dim
-    less = seq.u_module.action(s) - Matrix.identity(F3, d)
+def test_tamper_cocycle_value(report_sl2, monkeypatch):
+    # g is derived: g_s by its formula on S' and its inverses, every other
+    # value expanded along the BFS tree, since SL_2(F_3) is not elementary
+    # abelian.  A faulty g_s outside Z1, a faulty value at the identity and
+    # a faulty value given at an element off S' each fail the pair identity
+    # at some product of S' x G
+    gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
+    seq = build_nonsplit_sequence(closure(F3, 2, [Matrix.from_rows(F3, g) for g in gens]))
+    group, d = seq.group, seq.u_module.dim
+    s = group.spanning_ids[0]
+    read = set(group.spanning_ids) | {group.inv[t] for t in group.spanning_ids}
+    x = next(i for i in range(1, group.order) if i not in read)
     units = [Matrix.basis_column(F3, d, j) for j in range(d)]
-    # Z1 on S' is the kernel of N_s = (U(s) - 1)^2 for p = 3
-    off_z1 = next(e for e in units if not (less @ less @ e).is_zero)
-    original = modcoh.verify._cocycle
+
+    def in_z1(e):
+        x_on_s = [v + e if t == s else v
+                  for t, v in zip(group.spanning_ids, seq.cocycle.spanning_values)]
+        try:
+            Cocycle.on_spanning(seq.u_module, x_on_s).validate()
+            return True
+        except NotACocycle:
+            return False
+
+    off_z1 = next(e for e in units if not in_z1(e))
     for element, value in (
         (s, seq.cocycle.value(s) + off_z1),
         (0, units[0]),
         (x, seq.cocycle.value(x) + units[0]),
     ):
+        patched_cocycle(monkeypatch, {element: value})
+        expect_failure(report_sl2, "cocycle: pair identity fails")
 
-        def broken(*args, element=element, value=value):
-            out = original(*args)
-            out[element] = value
-            return out
 
-        monkeypatch.setattr(modcoh.verify, "_cocycle", broken)
-        expect_failure(report3, "cocycle: pair identity fails")
+def test_tamper_cocycle_value_on_the_relator_path(report3, report9, monkeypatch):
+    # family-a groups are elementary abelian on S', so the verifier
+    # evaluates the power and commutator relators at g on S' and names the
+    # one that fails.  Z1 of Z/3 on S' is the kernel of (U(s)-1)^2
+    seq = build_nonsplit_sequence(closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])]))
+    (s,) = seq.group.spanning_ids
+    d = seq.u_module.dim
+    less = seq.u_module.action(s) - Matrix.identity(F3, d)
+    units = (Matrix.basis_column(F3, d, j) for j in range(d))
+    off_z1 = next(e for e in units if not (less @ less @ e).is_zero)
+    patched_cocycle(monkeypatch, {s: seq.cocycle.value(s) + off_z1})
+    expect_failure(report3, re.escape(f"cocycle: the power relator of element {s} fails"))
+
+    # GF(9): a vector killed by (U(t)-1)^2 keeps the power relator of t, but
+    # one not fixed by U(s) moves (U(s)-1) g_t off (U(t)-1) g_s
+    seq = build_nonsplit_sequence(additive_family(F9))
+    s, t = seq.group.spanning_ids
+    ident = Matrix.identity(F9, seq.u_module.dim)
+    less_t = seq.u_module.action(t) - ident
+    moved = next(
+        v for v in kernel_basis(less_t @ less_t)
+        if not ((seq.u_module.action(s) - ident) @ v).is_zero
+    )
+    patched_cocycle(monkeypatch, {t: seq.cocycle.value(t) + moved})
+    expect_failure(
+        report9, re.escape(f"cocycle: the commutator relator of elements {s}, {t} fails")
+    )
 
 
 def test_cocycle_must_land_in_u():
@@ -212,14 +283,48 @@ def test_tamper_inconsistency_row(report3):
     expect_failure(tampered(report3, bump), "nonsplit")
 
 
-def test_tamper_witness(report3, monkeypatch):
-    # the closed-form witness X = [-I_d ; 0] is derived, not read, so its
-    # check fires only on a faulty derivation: 2X leaves 2 w g_s^T != w g_s^T
-    original = modcoh.verify._hom_witness
-    monkeypatch.setattr(
-        modcoh.verify, "_hom_witness", lambda ctx, d: original(ctx, d).scale(ctx.el(2))
-    )
-    expect_failure(report3, "tensor-vanishing: witness equation fails")
+def test_tamper_witness(report3, report_sl2, monkeypatch):
+    # X = [-I_d ; 0] and w = e_d are not formed: the witness equation is
+    # checked as U(s) U(s^-1) = I (test_tamper_u_action) and
+    # U(s) g_{s^-1} = -g_s.  The relator path reads g_{s^-1} only there, so a
+    # faulty g_{s^-1} fails tensor-vanishing; the pair path expands g onto
+    # s^-1 and fails the pair identity first
+    for report, check in (
+        (report3, "tensor-vanishing: witness equation fails"),
+        (report_sl2, "cocycle: pair identity fails"),
+    ):
+        _, spanning, _, inv = closed(report["payload"])
+        s_inv = inv[spanning[0]]
+        d = report["payload"]["dims"]["U"]
+        ctx = field_from_json(report["payload"]["field"])
+        original = modcoh.verify._cocycle
+
+        def broken(*args, s_inv=s_inv, d=d, ctx=ctx, original=original):
+            out = original(*args)
+            out[s_inv] = out[s_inv] + Matrix.basis_column(ctx, d, 0)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(modcoh.verify, "_cocycle", broken)
+            expect_failure(report, check)
+
+    # a faulty U(s), formed other than as kron(s^[p], S(s^-1)^T), fails the
+    # relators or the pair identity it enters first
+    for report, check in (
+        (report3, "cocycle: the power relator"),
+        (report_sl2, "cocycle: pair identity fails"),
+    ):
+        (s, *_) = closed(report["payload"])[1]
+        original = modcoh.verify._u_action
+
+        def scaled(ctx, elements, sym_action, inv_table, n, ids, s=s, original=original):
+            out = original(ctx, elements, sym_action, inv_table, n, ids)
+            out[s] = out[s].scale(ctx.el(2))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(modcoh.verify, "_u_action", scaled)
+            expect_failure(report, check)
 
 
 @pytest.mark.parametrize(

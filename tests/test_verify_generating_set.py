@@ -1,17 +1,23 @@
 """The verifier's checks on S' against the exhaustive checks they replace.
 
 `verify._verify_payload` closes the published generators by one search
-over a generating subset S', then checks the cocycle identity on S' x G
-and every other group equation on S' only.  The reference below keeps the
-exhaustive loops, on v4 reports: closure, inverses and the cocycle
-identity over every ordered pair, the invariance of w = e_d, the
-closed-form tensor witness X = [-I_d ; 0] and the toy identity
+over a generating subset S', then checks the cocycle by its relators on an
+elementary abelian group and by the identity on S' x G otherwise, and
+every other group equation on S' only, the tensor witness in the two facts
+its Hom form reduces to.  The reference below keeps the exhaustive loops,
+on v4 reports: closure, inverses and the cocycle identity over every
+ordered pair, the invariance of w = e_d, the closed-form tensor witness
+X = [-I_d ; 0] in dense Hom form and the toy identity
 S^2(s) = [[U(s), g_s], [0, 1]] on every element, and the split system over
 every published generator next to the one over S'.  It derives the actions
 with the verifier's own helpers, on the elements of the verifier's closure.
 """
 
 import functools
+import json
+import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,11 +26,14 @@ from hypothesis import strategies as st
 
 import modcoh.verify as verify
 from modcoh.errors import FailedCheck
-from modcoh.build import build_nonsplit_sequence
+from modcoh.build import TensorVanishing, build_nonsplit_sequence
+from modcoh.cli import JobSpec, build_group
 from modcoh.coh import extension_from_cocycle, split_system
-from modcoh.gf import field_from_json, field_new
+from modcoh.gf import field_from_json, field_new, field_to_json
 from modcoh.grp import additive_family, paired_shear_family
-from modcoh.linalg import Matrix, kernel_basis, matrix_from_json, solve, vstack
+from modcoh.linalg import (
+    Matrix, inverse, is_invertible, matrix_from_json, matrix_to_json, solve, vstack,
+)
 from modcoh.rep import sym_power
 from modcoh.report import run_pipeline
 
@@ -34,12 +43,31 @@ LADDER = [
     (5, 1, 2), (7, 1, 2), (3, 1, 3), (2, 2, 3), (2, 3, 3),
 ]
 LABELS = [f"GF({p}^{k}) n={n}" for p, k, n in LADDER] + ["zpxzp p=3"]
+# the first non-abelian group, read through a `file:` recipe; its cocycle
+# takes the verifier's pair path, every label above the relator path
+SL2_FILE = "SL2(F3) file"
+
+
+def sl2_f3_from_file():
+    """SL_2(F_3) by [[1,1],[0,1]], -I and [[1,0],[1,1]], through `file:`."""
+    F3 = field_new(3)
+    gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sl2_f3.json"
+        path.write_text(json.dumps({
+            "field": field_to_json(F3),
+            "n": 2,
+            "generators": [matrix_to_json(Matrix.from_rows(F3, g)) for g in gens],
+        }))
+        return build_group(JobSpec(p=3, group=f"file:{path}"))
 
 
 @functools.cache
 def group(label):
     if label == "zpxzp p=3":
         return paired_shear_family(field_new(3))
+    if label == SL2_FILE:
+        return sl2_f3_from_file()
     p, k, n = LADDER[LABELS.index(label)]
     return additive_family(field_new(p, k), n=n)
 
@@ -72,14 +100,12 @@ class Derived:
         ]
         basis = [tuple(e) for e in payload["basis"]]
         every = range(self.order)
-        sym = verify._sym_action(ctx, self.elements, basis, n, every)
-        self.u = verify._u_action(ctx, self.elements, sym, self.inv, n, every)
+        self.n = n
+        self.sym = verify._sym_action(ctx, self.elements, basis, n, every)
+        self.u = verify._u_action(ctx, self.elements, self.sym, self.inv, n, every)
         self.iota = matrix_from_json(ctx, payload["iota"])
-        self.g = verify._cocycle(ctx, self.elements, sym, self.inv, self.iota, every[1:])
+        self.g = verify._cocycle(ctx, self.elements, self.sym, self.inv, self.iota, every[1:])
         self.d = self.u[0].rows
-        self.w_dual = [
-            verify._ext_matrix(ctx, self.u[j], self.g[j]).transpose() for j in self.inv
-        ]
         self.w = Matrix.basis_column(ctx, self.d + 1, self.d)
         self.x = vstack([-Matrix.identity(ctx, self.d), Matrix.zeros(ctx, 1, self.d)])
 
@@ -93,12 +119,17 @@ def derived(label):
     return Derived(report(label))
 
 
-def witness_failures(der, x):
-    """Elements where W(s) X U(s)^T - X = w g_s^T fails."""
-    return [
-        i for i in range(der.order)
-        if der.w_dual[i] @ x @ der.u[i].transpose() - x != der.w @ der.g[i].transpose()
-    ]
+def witness_failures(der, u, g):
+    """Elements where the Hom form W(s) X U(s)^T - X = w g_s^T fails, with
+    W(s) = [[U(s^-1), g_{s^-1}], [0, 1]]^T and X = [-I_d ; 0], every matrix
+    dense: the equation the verifier checks in reduced form."""
+    x = der.x
+    out = []
+    for i in range(der.order):
+        w_dual = verify._ext_matrix(der.ctx, u[der.inv[i]], g[der.inv[i]]).transpose()
+        if w_dual @ x @ u[i].transpose() - x != der.w @ g[i].transpose():
+            out.append(i)
+    return out
 
 
 def reference_failures(der):
@@ -112,8 +143,11 @@ def reference_failures(der):
                 out.append(f"closure ({i}, {j})")
             elif g[k] != u[i] @ g[j] + g[i]:
                 out.append(f"pair identity ({i}, {j})")
-    out += [f"w fixed {i}" for i in range(order) if der.w_dual[i] @ der.w != der.w]
-    out += [f"witness {i}" for i in witness_failures(der, der.x)]
+    for i in range(order):
+        w_dual = verify._ext_matrix(ctx, u[der.inv[i]], g[der.inv[i]]).transpose()
+        if w_dual @ der.w != der.w:
+            out.append(f"w fixed {i}")
+    out += [f"witness {i}" for i in witness_failures(der, u, g)]
     if der.payload["toy"] is not None:
         basis = verify._ordered_basis(2, 2, 2)
         action = verify._sym_action(ctx, der.elements, basis, 2, range(order))
@@ -127,9 +161,10 @@ def reference_failures(der):
 def test_reference_checks_hold(label):
     assert reference_failures(derived(label)) == []
     assert verify.verify_report(report(label)) >= 12
-    # the verifier's X and w are the closed forms the builder checked
-    ctx, d = derived(label).ctx, derived(label).d
-    assert verify._hom_witness(ctx, d) == derived(label).x
+    # the X and w of the reference are the closed forms the builder checked
+    der = derived(label)
+    closed_forms = TensorVanishing(der.ctx, der.d)
+    assert (closed_forms.witness, closed_forms.w) == (der.x.flatten(), der.w)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -183,47 +218,130 @@ def test_verifier_expands_g_from_s_prime_to_the_formula(label):
     assert verify._expand_cocycle(u, on_s, mul_idx) == der.g
 
 
-@functools.cache
-def invariant_rows(label):
-    """Hom-form witnesses X = [0 ; b^T] with b in U^G: adding one keeps the
-    witness equation, since W(s) X U(s)^T = X for those X."""
+def with_lower_right(der, j, block):
+    """A(j) with its lower-right block S(j) replaced by `block`."""
+    a, n = der.sym[j], der.n
+    N = a.rows
+    data = [a.raw(r, c) for r in range(N) for c in range(N)]
+    for r in range(N - n):
+        data[(n + r) * N + n : (r + n + 1) * N] = block.row_list(r)
+    return Matrix(der.ctx, N, N, data)
+
+
+def bump(ctx, m, cells):
+    """m plus the (flat position, nonzero delta) cells."""
+    data = [m.raw(r, c) for r in range(m.rows) for c in range(m.cols)]
+    for pos, delta in cells:
+        data[pos] = ctx.add_i(data[pos], delta)
+    return Matrix(ctx, m.rows, m.cols, data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
+    # the reduced checks, S(s) S(s^-1) = I and U(s) g_{s^-1} = -g_s on S',
+    # reject a perturbed derivation exactly when the dense Hom form fails on
+    # some element.  The verifier forms U(s) only as kron(s^[p], S(s^-1)^T),
+    # so U(s) is perturbed through S(s^-1), U(s^-1) (which enters W(s))
+    # through S(s), and g at s^-1 directly.  A compensated draw then sets
+    # S(s) = S(s^-1)^-1 and g_{s^-1} = -U(s^-1) g_s, a derivation both
+    # sides must accept
+    label = data.draw(st.sampled_from(LABELS + [SL2_FILE]))
     der = derived(label)
-    ident = Matrix.identity(der.ctx, der.d)
-    fixed = kernel_basis(vstack([der.u[s] - ident for s in der.closure[1]]))
-    zeros = Matrix.zeros(der.ctx, der.d, der.d)
-    return [vstack([zeros, b.transpose()]) for b in fixed]
+    ctx, n = der.ctx, der.n
+    _, spanning, _, inv_table = der.closure
+    s = data.draw(st.sampled_from(spanning))
+    s_inv = der.inv[s]
+    site = data.draw(st.sampled_from(["U(s)", "U(s^-1)", "g_{s^-1}"]))
+    sym, g = list(der.sym), list(der.g)
+    k = sym[s].rows - n
+    cells = data.draw(st.lists(
+        st.tuples(st.integers(0, (der.d if site == "g_{s^-1}" else k * k) - 1),
+                  st.integers(1, ctx.q - 1)),
+        max_size=2,
+    ))
+    if site == "g_{s^-1}":
+        g[s_inv] = bump(ctx, g[s_inv], cells)
+    else:
+        j = s_inv if site == "U(s)" else s
+        sym[j] = with_lower_right(der, j, bump(ctx, verify._lower_right(sym[j], n), cells))
+    block = verify._lower_right(sym[s_inv], n)
+    compensated = s_inv != s and data.draw(st.booleans()) and is_invertible(block)
+    if compensated:
+        sym[s] = with_lower_right(der, s, inverse(block))
+        u_inv = verify._u_action(ctx, der.elements, sym, der.inv, n, [s_inv])[s_inv]
+        g[s_inv] = -(u_inv @ g[s])
+    u = list(der.u)
+    for i in (s, s_inv):
+        u[i] = verify._u_action(ctx, der.elements, sym, der.inv, n, [i])[i]
+
+    try:
+        verify._check_inverse_pairs(ctx, sym, inv_table, spanning, n)
+        verify._check_tensor_witness(u, g, inv_table, spanning)
+        accepted = True
+    except FailedCheck as exc:
+        assert str(exc).startswith(("u-action:", "tensor-vanishing: witness equation fails"))
+        accepted = False
+    assert accepted == (witness_failures(der, u, g) == [])
+    if compensated or (sym, g) == (der.sym, der.g):
+        assert accepted
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
-    # the verifier derives X itself; a perturbed derivation must be rejected
-    # on S' exactly when the equation fails on some element
+def test_relator_path_rejects_exactly_what_the_pair_path_rejects(data):
+    # on a group certified elementary abelian on S' the verifier evaluates
+    # the power and commutator relators at g on S'; the pair path expands
+    # g along the tree and checks every product of S' x G.  Values on S'
+    # moved by a coboundary (s-1)v stay a cocycle; a few bumped cells may
+    # leave Z1.  Both paths must accept exactly the same values
     label = data.draw(st.sampled_from(LABELS))
     der = derived(label)
-    ctx, rows, cols = der.ctx, der.d + 1, der.d
-    x = der.x
-    # a few invariant directions give perturbations both sides must accept
-    for y in invariant_rows(label)[:3]:
-        x = x + y.scale(ctx.el(data.draw(st.integers(0, ctx.q - 1))))
+    ctx, d = der.ctx, der.d
+    _, spanning, mul_idx, _ = der.closure
+    assert verify._elementary_abelian(ctx.p, der.order, spanning, mul_idx)
+    ident = Matrix.identity(ctx, d)
+    less_one = [der.u[s] - ident for s in spanning]
+    v = Matrix(ctx, d, 1, data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d)))
     cells = data.draw(st.lists(
-        st.tuples(st.integers(0, rows * cols - 1), st.integers(1, ctx.q - 1)), max_size=2,
+        st.tuples(st.integers(0, len(spanning) * d - 1), st.integers(1, ctx.q - 1)), max_size=2,
     ))
-    bump = [0] * (rows * cols)
-    for pos, delta in cells:
-        bump[pos] = ctx.add_i(bump[pos], delta)
-    x = x + Matrix(ctx, rows, cols, bump)
+    values = [der.g[0]] + [None] * (der.order - 1)
+    for b, s in enumerate(spanning):
+        mine = [(pos - b * d, delta) for pos, delta in cells if pos // d == b]
+        values[s] = bump(ctx, der.g[s] + less_one[b] @ v, mine)
 
-    with mock.patch.object(verify, "_hom_witness", lambda ctx, d: x):
-        try:
-            verify.verify_report(report(label))
-            accepted = True
-        except FailedCheck as exc:
-            assert str(exc).startswith("tensor-vanishing: witness equation fails")
-            accepted = False
-    assert accepted == (witness_failures(der, x) == [])
-    if not any(bump):
-        assert accepted
+    try:
+        verify._check_relators(ctx.p, spanning, less_one, values)
+        by_relators = True
+    except FailedCheck as exc:
+        assert re.match(r"cocycle: the (power|commutator) relator of elements? [\d, ]+ fails",
+                        str(exc))
+        by_relators = False
+    try:
+        verify._expand_cocycle(der.u, list(values), mul_idx)
+        by_pairs = True
+    except FailedCheck as exc:
+        assert str(exc).startswith("cocycle: pair identity fails")
+        by_pairs = False
+    assert by_relators == by_pairs
+    if not cells:
+        assert by_relators
+
+
+@pytest.mark.parametrize(
+    "label, path",
+    [(SL2_FILE, "pairs"), ("zpxzp p=3", "relators"), ("GF(3^1) n=2", "relators"),
+     ("GF(2^2) n=3", "relators")],
+)
+def test_verifier_takes_the_relator_path_on_elementary_abelian_groups_only(label, path):
+    # SL_2(F_3) is not elementary abelian, so its report still takes the
+    # pair path over S' x G; the family-a and zpxzp reports take the relators
+    calls = []
+    with mock.patch.object(verify, "_check_relators", lambda *a: calls.append("relators")), \
+            mock.patch.object(verify, "_expand_cocycle", lambda *a: calls.append("pairs")):
+        assert verify.verify_report(report(label)) >= 12
+    assert calls == [path]
 
 
 # the ladder plus GF(2), where the group hypothesis fails
