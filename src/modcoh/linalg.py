@@ -1,9 +1,15 @@
 """Exact dense linear algebra over a fixed finite field.
 
 Matrices are immutable, stored row-major as integer-encoded field elements.
-Elimination uses deterministic pivoting (first nonzero entry, scanning
-columns left to right and rows top to bottom), so echelon forms, kernels,
-solutions and inconsistency certificates are byte-reproducible.
+Elimination (`rref`, `kernel_basis`, `inverse`) uses deterministic pivoting
+(first nonzero entry, scanning columns left to right and rows top to
+bottom), so echelon forms and kernels are byte-reproducible.  `solve` takes
+the rows of [a | b] in order instead, reducing each against the independent
+rows before it, and stops at the first row whose dependency on them fails on
+b; the certificate it reads there is the only left-kernel vector with a 1 at
+that row and support on it and the independent rows before it, so solutions
+and certificates are byte-reproducible too.  Both share the per-field row
+kernels of `_row_ops`.
 """
 
 from __future__ import annotations
@@ -345,12 +351,11 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.ctx, R, C, out)
 
 
-def _eliminate(
-    ctx: FieldCtx, work: list[list[int]], pivot_cols_range: int
-) -> list[tuple[int, int]]:
-    """In-place reduced row echelon over the first `pivot_cols_range` columns.
+def _row_ops(ctx: FieldCtx):
+    """The two row kernels of elimination, one loop per kind of field.
 
-    Returns the pivot list as (row, col) pairs, in order.
+    `scale_row(row, pv)` is row / pv and `axpy(row, piv, f)` is
+    row - f * piv.
     """
     if ctx.k == 1:
         p = ctx.p
@@ -394,6 +399,17 @@ def _eliminate(
         def axpy(row, piv, f):
             return [sub(x, mul(f, y)) for x, y in zip(row, piv)]
 
+    return scale_row, axpy
+
+
+def _eliminate(
+    ctx: FieldCtx, work: list[list[int]], pivot_cols_range: int
+) -> list[tuple[int, int]]:
+    """In-place reduced row echelon over the first `pivot_cols_range` columns.
+
+    Returns the pivot list as (row, col) pairs, in order.
+    """
+    scale_row, axpy = _row_ops(ctx)
     nrows = len(work)
     pivots: list[tuple[int, int]] = []
     prow = 0
@@ -462,39 +478,100 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
 class SolveResult:
     """Outcome of an exact linear solve a @ x = b.
 
-    `kernel` always holds a basis of ker(a).  If consistent, `solution` is
-    one particular solution; otherwise `certificate` is a row vector y with
-    y @ a = 0 and y @ b != 0, re-checkable without the solver.
+    If consistent, `solution` is the particular solution with every free
+    variable 0; otherwise `certificate` is a row vector y with y @ a = 0 and
+    y @ b != 0, re-checkable without the solver.
     """
 
     consistent: bool
     solution: Optional[Matrix]
-    kernel: tuple[Matrix, ...]
     certificate: Optional[Matrix]
 
 
 def solve(a: Matrix, b: Matrix) -> SolveResult:
+    """Solve a @ x = b by one pass over the rows of [a | b], in order.
+
+    Each row is reduced against the independent rows kept before it, in the
+    order they were kept; a kept row is scaled to 1 at its pivot, the first
+    nonzero entry of its a-part, and is 0 at the pivots kept before it.  A
+    kept row remembers the factors it was reduced by, one per kept row before
+    it, so its combination T_j of the original rows can be unfolded later
+    without an identity block.  A row that reduces to 0 is dropped: it
+    depends on the kept rows and the dependency holds on b.
+
+    The first row f whose a-part reduces to 0 and whose b-part does not ends
+    the pass, and the rows after it are never read.  With c_j its factors,
+    y = e_f - sum_j c_j T_j has y @ a = 0 (the reduced a-part) and
+    y @ b != 0 (the reduced b-part).  Since the rows kept before f are
+    independent, y is the only vector with y[f] = 1, support on f and those
+    rows, and y @ a = 0.  kernel_basis(a.T) gives exactly that vector for
+    each row that depends on the rows before it, in row order, so y is also
+    its first vector with y @ b != 0.
+
+    If no row breaks, the solution is read off by back-substitution with
+    every free variable 0.  The pivot columns are those of the row space of
+    a, so this is the solution read off rref([a | b]).
+    """
     a._check(b)
     if a.rows != b.rows:
         raise ShapeMismatch(f"solve: {a.rows} equations vs {b.rows} right-hand rows")
-    ctx = a.ctx
-    # augmented [a | b] with pivots restricted to the columns of a
-    work = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
-    pivots = _eliminate(ctx, work, a.cols)
-    kernel = tuple(_kernel_from_rref(ctx, work, a.cols, pivots))
-    if any(
-        any(work[r][a.cols :]) for r in range(len(pivots), a.rows)
-    ):
-        # inconsistent: a certificate row lives in the left kernel of a
-        for y in kernel_basis(a.transpose()):
-            yt = y.transpose()
-            if not (yt @ b).is_zero:
-                return SolveResult(False, None, kernel, yt)
-        raise ModcohError("internal error: inconsistent system without a certificate")
-    sol = [0] * (a.cols * b.cols)
-    for r, c in pivots:
-        sol[c * b.cols : (c + 1) * b.cols] = work[r][a.cols :]
-    return SolveResult(True, Matrix(ctx, a.cols, b.cols, sol), kernel, None)
+    ctx, n = a.ctx, a.cols
+    scale_row, axpy = _row_ops(ctx)
+    cols = range(n)
+    # kept row j: pivot column, row scaled to 1 there, the original row it
+    # came from, the factors it was reduced by and its pivot before scaling
+    pcols: list[int] = []
+    krows: list[list[int]] = []
+    origin: list[int] = []
+    factors: list[list[int]] = []
+    pvals: list[int] = []
+    for i in range(a.rows):
+        row = a.row_list(i) + b.row_list(i)
+        facs = []
+        for pc, krow in zip(pcols, krows):
+            f = row[pc]
+            facs.append(f)
+            if f:
+                row = axpy(row, krow, f)
+        col = next(compress(cols, row), -1)
+        if col >= 0:
+            pv = row[col]
+            pcols.append(col)
+            krows.append(row if pv == 1 else scale_row(row, pv))
+            origin.append(i)
+            factors.append(facs)
+            pvals.append(pv)
+        elif any(row[n:]):
+            # y = e_i + sum_j u_j T_j with u = -facs and
+            # T_j = (e_origin[j] - sum_l factors[j][l] T_l) / pvals[j]:
+            # unfold the T_j from the last kept row down
+            mul, inv = ctx.mul_i, ctx.inv_i
+            y = [0] * a.rows
+            y[i] = 1
+            u = _negated(ctx, facs)
+            for j in range(len(u) - 1, -1, -1):
+                if u[j]:
+                    g = mul(u[j], inv(pvals[j]))
+                    y[origin[j]] = g
+                    u[:j] = axpy(u[:j], factors[j], g)
+            return SolveResult(False, None, Matrix(ctx, 1, a.rows, y))
+    # kept row j is 1 at its pivot and 0 at the pivots kept before it, so
+    # x_j = b_j - sum_{l > j} krows[j][pcols[l]] x_l, from the last row up
+    bc = b.cols
+    sol = [0] * (n * bc)
+    xs: list[list[int]] = []
+    for j in range(len(krows) - 1, -1, -1):
+        krow = krows[j]
+        x = krow[n:]
+        # xs holds x_l for l = last, last - 1, ..., j + 1
+        for pc, xl in zip(reversed(pcols), xs):
+            c = krow[pc]
+            if c:
+                x = axpy(x, xl, c)
+        xs.append(x)
+        c = pcols[j]
+        sol[c * bc : (c + 1) * bc] = x
+    return SolveResult(True, Matrix(ctx, n, bc, sol), None)
 
 
 def inverse(m: Matrix) -> Matrix:

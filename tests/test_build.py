@@ -332,19 +332,27 @@ CONSTRUCT_PATHS = {
 def test_construct_builds_no_z1_system(monkeypatch, tmp_path, label):
     # the report's claims need no cohomology space: no Z1 system, relator or
     # Schreier, is built and no Z1 basis is eliminated on any construct path;
-    # the split test's own elimination is linalg.solve's
+    # the split test is one linalg.solve, whose certificate needs no kernel
     import modcoh.coh as coh
+    import modcoh.linalg as linalg
 
     calls = []
-    for name in ("_z1_system", "_schreier_system", "_relator_system", "kernel_basis"):
+    for module, name in [
+        (coh, "_z1_system"),
+        (coh, "_schreier_system"),
+        (coh, "_relator_system"),
+        (coh, "kernel_basis"),
+        (linalg, "kernel_basis"),
+        (coh, "solve"),
+    ]:
 
-        def counting(*args, name=name, original=getattr(coh, name)):
+        def counting(*args, name=name, original=getattr(module, name)):
             calls.append(name)
             return original(*args)
 
-        monkeypatch.setattr(coh, name, counting)
+        monkeypatch.setattr(module, name, counting)
     args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
     out = tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
-    assert calls == []
+    assert calls == ["solve"]
     assert main(["verify", str(out)]) == 0

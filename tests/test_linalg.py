@@ -147,7 +147,7 @@ def test_rref_determinism():
 def test_solve_identity_and_certificates():
     v = Matrix.column(F3, [1, 2])
     res = solve(Matrix.identity(F3, 2), v)
-    assert res.consistent and res.solution == v and res.kernel == ()
+    assert res.consistent and res.solution == v and kernel_basis(Matrix.identity(F3, 2)) == []
     res = solve(Matrix.zeros(F3, 2, 2), v)
     assert not res.consistent
     y = res.certificate
@@ -169,8 +169,9 @@ def test_solve_vs_rank_comparison_random():
             assert res.consistent == (rank(a) == rank(aug))
             if res.consistent:
                 assert a @ res.solution == b
-                assert len(res.kernel) == cols - rank(a)
-                for k in res.kernel:
+                kernel = kernel_basis(a)
+                assert len(kernel) == cols - rank(a)
+                for k in kernel:
                     assert (a @ k).is_zero
             else:
                 y = res.certificate
@@ -303,9 +304,10 @@ def test_solve_certificate_equations(system):
     a, b, in_space = system
     res = solve(a, b)
     assert res.consistent == in_space
-    for k in res.kernel:
+    kernel = kernel_basis(a)
+    for k in kernel:
         assert (a @ k).is_zero
-    assert len(res.kernel) == a.cols - rank(a)
+    assert len(kernel) == a.cols - rank(a)
     if res.consistent:
         assert a @ res.solution == b
         assert res.certificate is None
@@ -314,3 +316,117 @@ def test_solve_certificate_equations(system):
         assert (y @ a).is_zero
         assert not (y @ b).is_zero
         assert res.solution is None
+
+
+# -- solve against the two-elimination reference --------------------------------
+
+
+def reference_solve(a, b):
+    """solve as two eliminations: the rref of [a | b] and, on inconsistency,
+    the first vector y of kernel_basis(a.T) with y @ b != 0."""
+    ctx = a.ctx
+    work = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
+    pivots = linalg._eliminate(ctx, work, a.cols)
+    if any(any(work[r][a.cols :]) for r in range(len(pivots), a.rows)):
+        for y in kernel_basis(a.transpose()):
+            yt = y.transpose()
+            if not (yt @ b).is_zero:
+                return False, None, yt
+        raise AssertionError("inconsistent system without a certificate")
+    sol = [0] * (a.cols * b.cols)
+    for r, c in pivots:
+        sol[c * b.cols : (c + 1) * b.cols] = work[r][a.cols :]
+    return True, Matrix(ctx, a.cols, b.cols, sol), None
+
+
+# k = 1, the p = 2 table fields, an odd-p table field, and GF(17^2) by a
+# custom modulus, whose q > 256 keeps the per-digit arithmetic
+ORACLE_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 4), (3, 2), (17, 2, (14, 0, 1))]
+
+
+def assert_solves_like_reference(a, b):
+    res = solve(a, b)
+    assert (res.consistent, res.solution, res.certificate) == reference_solve(a, b)
+    return res
+
+
+@st.composite
+def row_systems(draw):
+    """[a | b] row by row: random rows, zero rows, and rows that combine the
+    rows above them, whose b-part follows the same combination or not."""
+    ctx = field_new(*draw(st.sampled_from(ORACLE_FIELDS)))
+    rows, cols, rhs = draw(st.integers(1, 9)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    cell = st.integers(0, ctx.q - 1)
+    a_rows, b_rows = [], []
+    for i in range(rows):
+        kind = draw(st.sampled_from(["random", "zero", "combination"] if i else ["random", "zero"]))
+        if kind == "random":
+            ar = draw(st.lists(cell, min_size=cols, max_size=cols))
+            br = draw(st.lists(cell, min_size=rhs, max_size=rhs))
+        else:
+            ar, br = [0] * cols, [0] * rhs
+            if kind == "combination":
+                for j, c in enumerate(draw(st.lists(cell, min_size=i, max_size=i))):
+                    ar = [ctx.add_i(x, ctx.mul_i(c, y)) for x, y in zip(ar, a_rows[j])]
+                    br = [ctx.add_i(x, ctx.mul_i(c, y)) for x, y in zip(br, b_rows[j])]
+            if draw(st.booleans()):
+                br = [ctx.add_i(x, y) for x, y in zip(br, draw(st.lists(cell, min_size=rhs, max_size=rhs)))]
+        a_rows.append(ar)
+        b_rows.append(br)
+    return (
+        Matrix(ctx, rows, cols, [x for r in a_rows for x in r]),
+        Matrix(ctx, rows, rhs, [x for r in b_rows for x in r]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_systems())
+def test_solve_matches_the_two_elimination_reference(system):
+    a, b = system
+    res = assert_solves_like_reference(a, b)
+    if res.consistent:
+        assert a @ res.solution == b
+    else:
+        assert (res.certificate @ a).is_zero and not (res.certificate @ b).is_zero
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_solve_certificate_rows(field):
+    # plain integers, taken mod p: the same systems over every field
+    ctx = field_new(*field)
+    r1, r2, both = [1, 2, 0], [0, 1, 1], [1, 3, 1]
+    # inconsistent only at the last row: y = e_2 - e_0 - e_1
+    a = Matrix.from_rows(ctx, [r1, r2, both])
+    b = Matrix.from_rows(ctx, [[1, 0], [1, 1], [3, 1]])
+    res = assert_solves_like_reference(a, b)
+    assert res.certificate == Matrix.from_rows(ctx, [[-1, -1, 1]])
+    # the first dependent row (r1 + r2) holds on b, the next (r1) does not:
+    # the certificate is e_3 - e_0, not a combination with row 2
+    a = Matrix.from_rows(ctx, [r1, r2, both, r1, r2])
+    b = Matrix.from_rows(ctx, [[1], [1], [2], [0], [1]])
+    res = assert_solves_like_reference(a, b)
+    assert res.certificate == Matrix.from_rows(ctx, [[-1, 0, 0, 1, 0]])
+    # wide, tall and empty-a systems
+    for a, b in [
+        (Matrix.from_rows(ctx, [[1, 1, 0, 1]]), Matrix.from_rows(ctx, [[1, 0]])),
+        (Matrix.zeros(ctx, 3, 2), Matrix.from_rows(ctx, [[0], [0], [1]])),
+        (Matrix.zeros(ctx, 2, 0), Matrix.from_rows(ctx, [[0], [1]])),
+    ]:
+        assert_solves_like_reference(a, b)
+
+
+def test_solve_reads_no_row_after_the_inconsistent_one(monkeypatch):
+    a = Matrix.from_rows(F3, [[1, 0], [0, 1], [1, 1], [2, 0], [0, 2]])
+    b = Matrix.column(F3, [1, 1, 0, 1, 1])
+    read = []
+    row_list = Matrix.row_list
+
+    def counting(self, i):
+        read.append(i)
+        return row_list(self, i)
+
+    monkeypatch.setattr(Matrix, "row_list", counting)
+    res = solve(a, b)
+    monkeypatch.undo()
+    assert res.certificate == Matrix(F3, 1, 5, [2, 2, 1, 0, 0])
+    assert max(read) == 2
