@@ -164,15 +164,11 @@ class Cocycle:
     def _check_schreier_pairs(self) -> None:
         """g_st = A(s) g_t + g_s on every non-tree pair of S' x G, with g
         expanded along the tree; reads the action and the products on S'."""
-        module = self.module
-        group = module.group
-        parents = group.tree_parents
-        for t in range(group.order):
-            g_t = self._expanded(t)
-            for s, g_s in zip(group.spanning_ids, self._x):
-                st = group.mul(s, t)
-                if parents[st] != (s, t) and self._expanded(st) != module.action(s) @ g_t + g_s:
-                    raise NotACocycle(f"pair identity fails at elements ({s}, {t})")
+        if self._known is None:
+            self._known = _seeded(self.module, self._x)
+        for s, t, row in _schreier_rows(self.module, self._known, self._x):
+            if not row.is_zero:
+                raise NotACocycle(f"pair identity fails at elements ({s}, {t})")
 
     def vectorize(self) -> Matrix:
         """Stack the non-identity values into one long column."""
@@ -357,16 +353,22 @@ def _schreier_system(module: GModule) -> Matrix:
         for r in range(d):
             unit[r * n + b * d + r] = 1
         units.append(Matrix(g.ctx, d, n, unit))
-    coeff = _seeded(module, units)
+    return vstack(row for _, _, row in _schreier_rows(module, _seeded(module, units), units))
+
+
+def _schreier_rows(module: GModule, known: list[Optional[Matrix]], x: Sequence[Matrix]):
+    """(s, t, g_st - A(s) g_t - g_s) for each non-tree pair (s, t) of S' x G,
+    t by t, with g the expansion of x along the tree into `known` (seeded by
+    _seeded(module, x)).  x may be values or blocks of columns; reads the
+    action and the products on S' only."""
+    g = module.group
     parents = g.tree_parents
-    blocks = []
-    for t in range(m):
-        for s, unit in zip(spanning, units):
+    for t in range(g.order):
+        for s, x_s in zip(g.spanning_ids, x):
             st = g.mul(s, t)
             if parents[st] != (s, t):
-                image = module.action(s) @ _expand(module, coeff, t) + unit
-                blocks.append(_expand(module, coeff, st) - image)
-    return vstack(blocks)
+                image = module.action(s) @ _expand(module, known, t) + x_s
+                yield s, t, _expand(module, known, st) - image
 
 
 def _z1_system(module: GModule) -> Matrix:

@@ -1,15 +1,14 @@
 """Exact dense linear algebra over a fixed finite field.
 
 Matrices are immutable, stored row-major as integer-encoded field elements.
-Elimination (`rref`, `kernel_basis`, `inverse`) uses deterministic pivoting
-(first nonzero entry, scanning columns left to right and rows top to
-bottom), so echelon forms and kernels are byte-reproducible.  `solve` takes
-the rows of [a | b] in order instead, reducing each against the independent
-rows before it, and stops at the first row whose dependency on them fails on
-b; the certificate it reads there is the only left-kernel vector with a 1 at
-that row and support on it and the independent rows before it, so solutions
-and certificates are byte-reproducible too.  Both share the per-field row
-kernels of `_row_ops`.
+Elimination has one rule: rows are taken in order, and each is reduced
+against the rows kept before it, pivoting on its first nonzero entry
+(`_forward`).  `rank` counts the kept rows; `rref` and `kernel_basis`
+back-reduce them (`_back_reduce`) and read off the reduced row echelon form,
+which is unique; `solve` stops at the first row whose dependency fails on
+the right-hand side, and reads its certificate from that row's reduction
+factors; `inverse` is `solve(m, I)`.  Echelon forms, kernels, solutions and
+certificates are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ class Matrix:
         n, m, k = self.rows, other.cols, self.cols
         a, b = self._d, other._d
         out = [0] * (n * m)
-        # one inner loop per kind of field, as in _eliminate; both zero skips
+        # one inner loop per kind of field, as in _row_ops; both zero skips
         # stay, since the operands are mostly sparse.  Rows of _SCAN_MIN or
         # more entries find their nonzero ones with compress, at C speed;
         # shorter rows are cheaper to scan in the loop itself
@@ -402,76 +401,100 @@ def _row_ops(ctx: FieldCtx):
     return scale_row, axpy
 
 
-def _eliminate(
-    ctx: FieldCtx, work: list[list[int]], pivot_cols_range: int
-) -> list[tuple[int, int]]:
-    """In-place reduced row echelon over the first `pivot_cols_range` columns.
+def _forward(ctx: FieldCtx, rows: Iterable[list[int]], n: int):
+    """One pass over `rows`, in order, pivoting on their first n entries.
 
-    Returns the pivot list as (row, col) pairs, in order.
+    Each row is reduced against the rows kept before it, in the order they
+    were kept.  A row whose first n entries do not all reduce to 0 is kept,
+    scaled to 1 at its pivot, the first nonzero of them; so a kept row is 0
+    at the pivots kept before it.  A row that reduces to 0 is dropped: it
+    depends on the kept rows.  The first row whose first n entries reduce
+    to 0 while its other entries do not ends the pass, and no row after it
+    is read.
+
+    Returns (pcols, krows, steps, stop): the pivot columns and the kept
+    rows, in the order kept; for each kept row, the index of the row it came
+    from, the factors it was reduced by (one per kept row before it) and
+    its pivot before scaling; and None, or the index and factors of the row
+    that ended the pass.
     """
     scale_row, axpy = _row_ops(ctx)
-    nrows = len(work)
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(pivot_cols_range):
-        found = -1
-        for r in range(prow, nrows):
-            if work[r][col]:
-                found = r
-                break
-        if found < 0:
-            continue
-        if found != prow:
-            work[prow], work[found] = work[found], work[prow]
-        piv = work[prow]
-        if piv[col] != 1:
-            work[prow] = piv = scale_row(piv, piv[col])
-        for r in range(nrows):
-            f = work[r][col]
-            if f and r != prow:
-                work[r] = axpy(work[r], piv, f)
-        pivots.append((prow, col))
-        prow += 1
-        if prow == nrows:
-            break
-    return pivots
+    cols = range(n)
+    pcols: list[int] = []
+    krows: list[list[int]] = []
+    steps: list[tuple[int, list[int], int]] = []
+    for i, row in enumerate(rows):
+        facs = []
+        for pc, krow in zip(pcols, krows):
+            f = row[pc]
+            facs.append(f)
+            if f:
+                row = axpy(row, krow, f)
+        col = next(compress(cols, row), -1)
+        if col >= 0:
+            pv = row[col]
+            pcols.append(col)
+            krows.append(row if pv == 1 else scale_row(row, pv))
+            steps.append((i, facs, pv))
+        elif any(row[n:]):
+            return pcols, krows, steps, (i, facs)
+    return pcols, krows, steps, None
+
+
+def _back_reduce(ctx: FieldCtx, pcols: list[int], krows: list[list[int]]) -> None:
+    """Clear each kept row at the pivots kept after it, last row first, in
+    place.  The rows after row j are cleared first, so each is 0 at every
+    pivot but its own, and clearing row j at one of them leaves its entries
+    at the others as they were.  The kept rows become the nonzero rows of
+    the reduced row echelon form, in the order kept."""
+    _, axpy = _row_ops(ctx)
+    for j in range(len(krows) - 2, -1, -1):
+        row = krows[j]
+        for l in range(len(krows) - 1, j, -1):
+            c = row[pcols[l]]
+            if c:
+                row = axpy(row, krows[l], c)
+        krows[j] = row
+
+
+def _reduced(m: Matrix) -> tuple[list[int], list[list[int]]]:
+    """The pivot columns and nonzero rows of rref(m), in the order kept."""
+    pcols, krows, _, _ = _forward(m.ctx, map(m.row_list, range(m.rows)), m.cols)
+    _back_reduce(m.ctx, pcols, krows)
+    return pcols, krows
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form; returns (R, pivot columns, rank)."""
-    work = [m.row_list(i) for i in range(m.rows)]
-    pivots = _eliminate(m.ctx, work, m.cols)
-    flat = [x for row in work for x in row]
-    cols = tuple(c for _, c in pivots)
-    return Matrix(m.ctx, m.rows, m.cols, flat), cols, len(pivots)
+    pcols, krows = _reduced(m)
+    order = sorted(range(len(pcols)), key=pcols.__getitem__)
+    flat = [x for j in order for x in krows[j]]
+    flat.extend([0] * ((m.rows - len(order)) * m.cols))
+    return Matrix(m.ctx, m.rows, m.cols, flat), tuple(sorted(pcols)), len(pcols)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
-
-
-def _kernel_from_rref(
-    ctx: FieldCtx, work: list[list[int]], ncols: int, pivots: list[tuple[int, int]]
-) -> list[Matrix]:
-    """Kernel basis read off an eliminated row list (first ncols columns)."""
-    pivot_set = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for (_, c), v in zip(pivots, _negated(ctx, [work[r][free] for r, _ in pivots])):
-            vec[c] = v
-        basis.append(Matrix(ctx, ncols, 1, vec))
-    return basis
+    """The number of rows the forward pass keeps."""
+    return len(_forward(m.ctx, map(m.row_list, range(m.rows)), m.cols)[0])
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:
-    """Deterministic basis of the right kernel, as column vectors."""
-    work = [m.row_list(i) for i in range(m.rows)]
-    pivots = _eliminate(m.ctx, work, m.cols)
-    return _kernel_from_rref(m.ctx, work, m.cols, pivots)
+    """Deterministic basis of the right kernel, as column vectors: one per
+    free column c, with a 1 at c and minus column c of rref(m) at the
+    pivots."""
+    ctx, n = m.ctx, m.cols
+    pcols, krows = _reduced(m)
+    pivot_set = set(pcols)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        vec = [0] * n
+        vec[free] = 1
+        for c, v in zip(pcols, _negated(ctx, [row[free] for row in krows])):
+            vec[c] = v
+        basis.append(Matrix(ctx, n, 1, vec))
+    return basis
 
 
 @dataclass(frozen=True)
@@ -489,15 +512,12 @@ class SolveResult:
 
 
 def solve(a: Matrix, b: Matrix) -> SolveResult:
-    """Solve a @ x = b by one pass over the rows of [a | b], in order.
+    """Solve a @ x = b by one forward pass over the rows of [a | b].
 
-    Each row is reduced against the independent rows kept before it, in the
-    order they were kept; a kept row is scaled to 1 at its pivot, the first
-    nonzero entry of its a-part, and is 0 at the pivots kept before it.  A
-    kept row remembers the factors it was reduced by, one per kept row before
-    it, so its combination T_j of the original rows can be unfolded later
-    without an identity block.  A row that reduces to 0 is dropped: it
-    depends on the kept rows and the dependency holds on b.
+    The pass pivots on the a-part.  Each kept row records the factors it
+    was reduced by, so its combination T_j of the original rows can be
+    unfolded later without an identity block.  A dropped row depends on
+    the kept rows, and the dependency holds on b.
 
     The first row f whose a-part reduces to 0 and whose b-part does not ends
     the pass, and the rows after it are never read.  With c_j its factors,
@@ -508,81 +528,49 @@ def solve(a: Matrix, b: Matrix) -> SolveResult:
     each row that depends on the rows before it, in row order, so y is also
     its first vector with y @ b != 0.
 
-    If no row breaks, the solution is read off by back-substitution with
-    every free variable 0.  The pivot columns are those of the row space of
-    a, so this is the solution read off rref([a | b]).
+    If no row breaks, the kept rows are back-reduced to the nonzero rows of
+    rref([a | b]), whose pivots all lie in the a-part, and x is read off
+    them with every free variable 0.
     """
     a._check(b)
     if a.rows != b.rows:
         raise ShapeMismatch(f"solve: {a.rows} equations vs {b.rows} right-hand rows")
     ctx, n = a.ctx, a.cols
-    scale_row, axpy = _row_ops(ctx)
-    cols = range(n)
-    # kept row j: pivot column, row scaled to 1 there, the original row it
-    # came from, the factors it was reduced by and its pivot before scaling
-    pcols: list[int] = []
-    krows: list[list[int]] = []
-    origin: list[int] = []
-    factors: list[list[int]] = []
-    pvals: list[int] = []
-    for i in range(a.rows):
-        row = a.row_list(i) + b.row_list(i)
-        facs = []
-        for pc, krow in zip(pcols, krows):
-            f = row[pc]
-            facs.append(f)
-            if f:
-                row = axpy(row, krow, f)
-        col = next(compress(cols, row), -1)
-        if col >= 0:
-            pv = row[col]
-            pcols.append(col)
-            krows.append(row if pv == 1 else scale_row(row, pv))
-            origin.append(i)
-            factors.append(facs)
-            pvals.append(pv)
-        elif any(row[n:]):
-            # y = e_i + sum_j u_j T_j with u = -facs and
-            # T_j = (e_origin[j] - sum_l factors[j][l] T_l) / pvals[j]:
-            # unfold the T_j from the last kept row down
-            mul, inv = ctx.mul_i, ctx.inv_i
-            y = [0] * a.rows
-            y[i] = 1
-            u = _negated(ctx, facs)
-            for j in range(len(u) - 1, -1, -1):
-                if u[j]:
-                    g = mul(u[j], inv(pvals[j]))
-                    y[origin[j]] = g
-                    u[:j] = axpy(u[:j], factors[j], g)
-            return SolveResult(False, None, Matrix(ctx, 1, a.rows, y))
-    # kept row j is 1 at its pivot and 0 at the pivots kept before it, so
-    # x_j = b_j - sum_{l > j} krows[j][pcols[l]] x_l, from the last row up
+    rows = (a.row_list(i) + b.row_list(i) for i in range(a.rows))
+    pcols, krows, steps, stop = _forward(ctx, rows, n)
+    if stop is not None:
+        # y = e_f + sum_j u_j T_j with u = -facs and, for kept row j from
+        # row r with factors c and pivot pv, T_j = (e_r - sum_l c_l T_l) / pv:
+        # unfold the T_j from the last kept row down
+        f, facs = stop
+        _, axpy = _row_ops(ctx)
+        mul, inv = ctx.mul_i, ctx.inv_i
+        y = [0] * a.rows
+        y[f] = 1
+        u = _negated(ctx, facs)
+        for j in range(len(u) - 1, -1, -1):
+            if u[j]:
+                r, c, pv = steps[j]
+                g = mul(u[j], inv(pv))
+                y[r] = g
+                u[:j] = axpy(u[:j], c, g)
+        return SolveResult(False, None, Matrix(ctx, 1, a.rows, y))
+    _back_reduce(ctx, pcols, krows)
     bc = b.cols
     sol = [0] * (n * bc)
-    xs: list[list[int]] = []
-    for j in range(len(krows) - 1, -1, -1):
-        krow = krows[j]
-        x = krow[n:]
-        # xs holds x_l for l = last, last - 1, ..., j + 1
-        for pc, xl in zip(reversed(pcols), xs):
-            c = krow[pc]
-            if c:
-                x = axpy(x, xl, c)
-        xs.append(x)
-        c = pcols[j]
-        sol[c * bc : (c + 1) * bc] = x
+    for c, row in zip(pcols, krows):
+        sol[c * bc : (c + 1) * bc] = row[n:]
     return SolveResult(True, Matrix(ctx, n, bc, sol), None)
 
 
 def inverse(m: Matrix) -> Matrix:
+    """solve(m, I): m @ x = I is consistent exactly when m is invertible."""
     if not m.is_square:
         raise ShapeMismatch(f"inverse of non-square {m.rows}x{m.cols}")
-    n = m.rows
-    work = [m.row_list(i) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    pivots = _eliminate(m.ctx, work, n)
-    if len(pivots) < n:
-        raise Singular(f"matrix of rank {len(pivots)} < {n}")
-    return Matrix(m.ctx, n, n, [x for row in work for x in row[n:]])
+    res = solve(m, Matrix.identity(m.ctx, m.rows))
+    if not res.consistent:
+        raise Singular(f"matrix of rank {rank(m)} < {m.rows}")
+    return res.solution
 
 
 def is_invertible(m: Matrix) -> bool:

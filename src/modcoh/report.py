@@ -32,13 +32,7 @@ from .gf import field_to_json
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
 from .linalg import matrix_to_json
-
-SCHEMA = "modcoh-report-v4"
-SPLIT_EQUATION = "y@system == 0 and y@rhs != 0 for (s-1)u = g_s over S'"
-TENSOR_EQUATION = (
-    "W(s) @ X @ U(s)^T - X == w @ g_s^T for every element, X = [-I_d ; 0], w = e_d"
-)
-TOY_EQUATION = "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
+from .verify import SCHEMA, SPLIT_EQUATION, TENSOR_EQUATION, TOY_EQUATION
 
 
 @dataclass

@@ -72,6 +72,8 @@ from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
 from .linalg import Matrix, hstack, kron, matrix_from_json, vstack
 
+# the schema and the equation texts of the report, defined here only:
+# report.py imports them, so the verifier needs nothing from the builder
 SCHEMA = "modcoh-report-v4"
 SPLIT_EQUATION = "y@system == 0 and y@rhs != 0 for (s-1)u = g_s over S'"
 TENSOR_EQUATION = (

@@ -16,12 +16,13 @@ from modcoh.errors import ModcohError, ReducibleModulus
 from modcoh.gf import BUILTIN_MODULI, _TABLE_LIMIT, element_from_json, field_new
 from modcoh.linalg import (
     Matrix,
-    _eliminate,
-    _kernel_from_rref,
+    inverse,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    rank,
     rref,
+    solve,
 )
 
 FIELDS = sorted(BUILTIN_MODULI) + [(3, 1), (5, 1), (7, 1)]
@@ -123,8 +124,8 @@ def test_field_axioms(case):
 
 
 class GenericCtx:
-    """The same field with no tables: `_eliminate` and the negation in
-    `_kernel_from_rref` take their per-cell paths."""
+    """The same field with no tables: the row kernels of `_row_ops` and the
+    negation in `kernel_basis` and `solve` take their per-cell paths."""
 
     _mul_t = None
     _neg_t = None
@@ -151,20 +152,27 @@ def matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_specialised_elimination_matches_generic(m):
-    generic = GenericCtx(m.ctx)
-    work = [m.row_list(i) for i in range(m.rows)]
-    pivots = _eliminate(generic, work, m.cols)
-    reduced, cols, rank = rref(m)
-    assert [reduced.row_list(i) for i in range(m.rows)] == work
-    assert cols == tuple(c for _, c in pivots) and rank == len(pivots)
-    want = [
-        [v.raw(i, 0) for i in range(v.rows)]
-        for v in _kernel_from_rref(generic, work, m.cols, pivots)
-    ]
-    got = [[v.raw(i, 0) for i in range(v.rows)] for v in kernel_basis(m)]
-    assert got == want
+    # the same cells over GenericCtx: every elimination runs the forward
+    # pass and the back-reduction on the per-cell path
+    g = Matrix(GenericCtx(m.ctx), m.rows, m.cols, list(m._d))
+    reduced, cols, r = rref(m)
+    g_reduced, g_cols, g_r = rref(g)
+    assert g_reduced._d == reduced._d
+    assert (g_cols, g_r) == (cols, r) and rank(g) == r
+    got = [v._d for v in kernel_basis(m)]
+    assert [v._d for v in kernel_basis(g)] == got
     for v in kernel_basis(m):
         assert (m @ v).is_zero
+    # a solve that stops at a certificate row or reads a solution, and an
+    # inverse when m is square and of full rank
+    e_last = [0] * (m.rows - 1) + [1]
+    res = solve(m, Matrix(m.ctx, m.rows, 1, e_last))
+    g_res = solve(g, Matrix(g.ctx, m.rows, 1, e_last))
+    assert g_res.consistent == res.consistent
+    want = res.solution if res.consistent else res.certificate
+    assert (g_res.solution if g_res.consistent else g_res.certificate)._d == want._d
+    if m.is_square and r == m.rows:
+        assert inverse(g)._d == inverse(m)._d
 
 
 # ---------------------------------------------------------------------------

@@ -124,25 +124,25 @@ def test_closure_makes_s_prime_products_and_no_inverse(monkeypatch):
     # family-a over GF(16): 15 published generators, |S'| = 4, |G| = 16
     ctx = field_new(2, 4)
     gens = [family_matrix(ctx, ctx.el(v)) for v in range(1, 16)]
-    products, eliminations = [], []
-    matmul, eliminate = Matrix.__matmul__, modcoh.linalg._eliminate
+    products, passes = [], []
+    matmul, forward = Matrix.__matmul__, modcoh.linalg._forward
 
     def counting_matmul(a, b):
         products.append(1)
         return matmul(a, b)
 
-    def counting_eliminate(*args):
-        eliminations.append(1)
-        return eliminate(*args)
+    def counting_forward(*args):
+        passes.append(1)
+        return forward(*args)
 
     monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(modcoh.linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(modcoh.linalg, "_forward", counting_forward)
     g = closure(ctx, 2, gens)
     assert len(g.spanning_ids) == 4 and g.order == 16
     assert len(products) <= 4 * 16
-    # rank and inverse both eliminate: one is_invertible per generator, and
-    # no inverse per element
-    assert len(eliminations) == len(gens)
+    # rank and inverse both run the forward pass: one is_invertible per
+    # generator, and no inverse per element
+    assert len(passes) == len(gens)
 
 
 def test_closure_makes_one_product_per_s_prime_and_non_identity_element(monkeypatch):

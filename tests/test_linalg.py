@@ -14,6 +14,7 @@ from modcoh.linalg import (
     Matrix,
     direct_sum,
     inverse,
+    is_invertible,
     kernel_basis,
     kron,
     matrix_from_json,
@@ -318,7 +319,76 @@ def test_solve_certificate_equations(system):
         assert res.solution is None
 
 
-# -- solve against the two-elimination reference --------------------------------
+# -- the column-scan Gauss-Jordan elimination, as the oracle -----------------
+
+
+def reference_eliminate(ctx, work, pivot_cols_range):
+    """In-place reduced row echelon over the first `pivot_cols_range` columns.
+
+    For each column in turn, the first row at or below the next pivot row
+    that is nonzero there is swapped up, scaled to 1, and cleared from every
+    other row.  Returns the pivot list as (row, col) pairs, in order.
+    """
+    scale_row, axpy = linalg._row_ops(ctx)
+    nrows = len(work)
+    pivots = []
+    prow = 0
+    for col in range(pivot_cols_range):
+        found = -1
+        for r in range(prow, nrows):
+            if work[r][col]:
+                found = r
+                break
+        if found < 0:
+            continue
+        if found != prow:
+            work[prow], work[found] = work[found], work[prow]
+        piv = work[prow]
+        if piv[col] != 1:
+            work[prow] = piv = scale_row(piv, piv[col])
+        for r in range(nrows):
+            f = work[r][col]
+            if f and r != prow:
+                work[r] = axpy(work[r], piv, f)
+        pivots.append((prow, col))
+        prow += 1
+        if prow == nrows:
+            break
+    return pivots
+
+
+def reference_rref(m):
+    work = [m.row_list(i) for i in range(m.rows)]
+    pivots = reference_eliminate(m.ctx, work, m.cols)
+    flat = [x for row in work for x in row]
+    return Matrix(m.ctx, m.rows, m.cols, flat), tuple(c for _, c in pivots), len(pivots)
+
+
+def reference_kernel_basis(m):
+    """One column per free column c: 1 at c, minus column c of the rref at
+    the pivots."""
+    ctx = m.ctx
+    work = [m.row_list(i) for i in range(m.rows)]
+    pivots = reference_eliminate(ctx, work, m.cols)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(m.cols):
+        if free not in pivot_cols:
+            vec = [0] * m.cols
+            vec[free] = 1
+            for r, c in pivots:
+                vec[c] = ctx.neg_i(work[r][free])
+            basis.append(Matrix(ctx, m.cols, 1, vec))
+    return basis
+
+
+def reference_inverse(m):
+    n = m.rows
+    work = [m.row_list(i) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    pivots = reference_eliminate(m.ctx, work, n)
+    if len(pivots) < n:
+        raise Singular(f"matrix of rank {len(pivots)} < {n}")
+    return Matrix(m.ctx, n, n, [x for row in work for x in row[n:]])
 
 
 def reference_solve(a, b):
@@ -326,9 +396,9 @@ def reference_solve(a, b):
     the first vector y of kernel_basis(a.T) with y @ b != 0."""
     ctx = a.ctx
     work = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
-    pivots = linalg._eliminate(ctx, work, a.cols)
+    pivots = reference_eliminate(ctx, work, a.cols)
     if any(any(work[r][a.cols :]) for r in range(len(pivots), a.rows)):
-        for y in kernel_basis(a.transpose()):
+        for y in reference_kernel_basis(a.transpose()):
             yt = y.transpose()
             if not (yt @ b).is_zero:
                 return False, None, yt
@@ -430,3 +500,84 @@ def test_solve_reads_no_row_after_the_inconsistent_one(monkeypatch):
     monkeypatch.undo()
     assert res.certificate == Matrix(F3, 1, 5, [2, 2, 1, 0, 0])
     assert max(read) == 2
+
+
+# -- rref, kernel_basis, rank and inverse against the reference ----------------
+
+
+def unit_triangular(ctx, n, cells, lower):
+    return Matrix(ctx, n, n, [
+        1 if i == j else cells[i * n + j] if (j < i if lower else j > i) else 0
+        for i in range(n) for j in range(n)
+    ])
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(kind, m): "random" is any shape (m < n and m > n) with some rows and
+    columns zeroed, "square" is invertible or has a dependent last row, and
+    "tall" is m > n of full column rank, P [U; 0] with P invertible and U
+    unit upper triangular."""
+    ctx = field_new(*draw(st.sampled_from(ORACLE_FIELDS)))
+    # a small alphabet makes rank deficiency common
+    alphabet = draw(st.sampled_from([2, ctx.q]))
+
+    def cells(count):
+        return draw(st.lists(st.integers(0, alphabet - 1), min_size=count, max_size=count))
+
+    kind = draw(st.sampled_from(["random", "square", "tall"]))
+    if kind == "random":
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        data = cells(rows * cols)
+        zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+        data = [
+            0 if i in zero_rows or j in zero_cols else data[i * cols + j]
+            for i in range(rows) for j in range(cols)
+        ]
+        return kind, Matrix(ctx, rows, cols, data)
+    if kind == "square":
+        n = draw(st.integers(1, 6))
+        m = unit_triangular(ctx, n, cells(n * n), True) @ unit_triangular(
+            ctx, n, cells(n * n), False
+        )
+        if draw(st.booleans()):
+            # the last row a combination of the others
+            coeffs = Matrix(ctx, 1, n - 1, cells(n - 1))
+            top = m.submatrix(0, n - 1, 0, n)
+            m = vstack([top, coeffs @ top]) if n > 1 else Matrix.zeros(ctx, 1, 1)
+        return kind, m
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.integers(cols + 1, 8))
+    p = unit_triangular(ctx, rows, cells(rows * rows), True) @ unit_triangular(
+        ctx, rows, cells(rows * rows), False
+    )
+    u = unit_triangular(ctx, cols, cells(cols * cols), False)
+    return kind, p @ vstack([u, Matrix.zeros(ctx, rows - cols, cols)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_inputs())
+def test_elimination_matches_the_gauss_jordan_reference(case):
+    kind, m = case
+    reduced, pivots, r = reference_rref(m)
+    assert rref(m) == (reduced, pivots, r)
+    assert rank(m) == r
+    kernel = kernel_basis(m)
+    assert kernel == reference_kernel_basis(m)
+    assert all((m @ v).is_zero for v in kernel)
+    if kind == "tall":
+        assert r == m.cols and kernel == []
+    assert is_invertible(m) == (m.is_square and r == m.rows)
+    if not m.is_square:
+        with pytest.raises(ShapeMismatch):
+            inverse(m)
+    elif r == m.rows:
+        inv = inverse(m)
+        assert inv == reference_inverse(m)
+        assert m @ inv == Matrix.identity(m.ctx, m.rows)
+    else:
+        with pytest.raises(Singular, match=f"rank {r} <"):
+            inverse(m)
+        with pytest.raises(Singular):
+            reference_inverse(m)
