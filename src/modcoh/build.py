@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Optional, Union
 
@@ -378,6 +379,11 @@ def det_identity_demo(seed: int = 0, trials: int = 100) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# deepest parenthesis nesting of a recipe: the parser and the actions of the
+# modules it builds take one stack frame per level
+_MAX_RECIPE_DEPTH = 64
+
+
 def resolve_module(group: MatrixGroup, recipe: str) -> GModule:
     """Build a module from a recipe string.
 
@@ -385,6 +391,9 @@ def resolve_module(group: MatrixGroup, recipe: str) -> GModule:
     Combinators: dual(r), tensor(r,s), hom(r,s), sum(r,...).
     """
     text = recipe.replace(" ", "")
+    depth = max(accumulate({"(": 1, ")": -1}.get(c, 0) for c in text), default=0)
+    if depth > _MAX_RECIPE_DEPTH:
+        raise ModcohError(f"recipe nested deeper than {_MAX_RECIPE_DEPTH} levels")
     mod, pos = _parse_recipe(group, text, 0, {})
     if pos != len(text):
         raise ModcohError(f"trailing characters in recipe {recipe!r}")

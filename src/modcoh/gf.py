@@ -6,16 +6,12 @@ single integer in [0, p^k) whose little-endian base-p digits are the
 coefficient vector, which keeps equality, hashing and table lookups cheap;
 the coefficient view is available through :attr:`FieldElement.coeffs`.
 
-For k > 1 the per-element operations avoid digit loops wherever they can.
-In characteristic 2 the digit vector is a bit vector, so addition and
-subtraction are XOR and negation is the identity.  For q <= _TABLE_LIMIT
-the context precomputes full multiplication and inverse tables and, for odd
-p, addition and negation tables, plus a table of digit tuples that serves
-:meth:`FieldCtx.decode`, :attr:`FieldElement.coeffs` and the JSON encoding,
-and its inverse, a digits-to-value dict that serves the JSON decoding.
-Larger odd-characteristic extensions fall back to the digit loops
-(``_add_digits``, ``_neg_digits``, ``_decode_digits``), which also serve
-the tests as the reference the tables are checked against.
+Each kind of field is a :class:`FieldCtx` class, picked once by
+:func:`field_new`: :class:`PrimeCtx` (k = 1), :class:`Char2Ctx` (p = 2,
+k > 1: XOR and tables), :class:`OddTableCtx` (odd p, k > 1, q <=
+_TABLE_LIMIT: tables) and :class:`FieldCtx` itself, the digit loops, for
+larger odd q.  A kind supplies the element operations and the row kernels
+that `linalg` runs, so no other module reads a table or branches on the kind.
 
 Contexts are interned: :func:`field_new` returns the same object for the
 same (p, k, modulus), so mixed-field operands are rejected with an identity
@@ -24,7 +20,7 @@ check on every binary operation.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -49,17 +45,6 @@ BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 _MAX_EXT_DEGREE = 8
 _TABLE_LIMIT = 256  # precompute operation tables for fields up to this size
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +93,6 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return x
 
 
-def _ppow_x(e: int, m: Sequence[int], p: int) -> list[int]:
-    """x^e mod m over GF(p), binary exponentiation."""
-    result = [1]
-    base = _pmod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -134,76 +107,53 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over GF(p)."""
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Rabin's irreducibility test for a monic polynomial over GF(p), in
+    the digit-loop arithmetic of GF(p)[x] / (modulus)."""
     k = len(modulus) - 1
     if k == 1:
         return True
-    x = _pmod([0, 1], modulus, p)
-    if _ppow_x(p**k, modulus, p) != x:
+    ring = FieldCtx(p, k, modulus)
+    x = ring.encode((0, 1))
+    if ring.pow_i(x, p**k) != x:
         return False
     for r in _prime_factors(k):
-        h = list(_ppow_x(p ** (k // r), modulus, p))
-        # h := x^(p^(k/r)) - x
-        while len(h) < 2:
-            h.append(0)
-        h[1] = (h[1] - 1) % p
-        g = _pgcd(h, modulus, p)
-        if len(g) > 1:
+        h = ring.sub_i(ring.pow_i(x, p ** (k // r)), x)
+        if len(_pgcd(ring.decode(h), modulus, p)) > 1:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# field context
+# field contexts, one class per kind of field
 # ---------------------------------------------------------------------------
+
+# row length from which matmul finds the nonzero entries of a row with
+# itertools.compress instead of testing each one in the loop
+_SCAN_MIN = 9
 
 _CTX_CACHE: dict[tuple[int, int, tuple[int, ...]], "FieldCtx"] = {}
 
 
 class FieldCtx:
-    """Arithmetic context for GF(p^k); construct through :func:`field_new`."""
+    """Arithmetic context for GF(p^k); construct through :func:`field_new`.
 
-    __slots__ = (
-        "p",
-        "k",
-        "modulus",
-        "q",
-        "_mul_t",
-        "_inv_t",
-        "_frob_t",
-        "_add_t",
-        "_neg_t",
-        "_digits_t",
-        "_value_t",
-    )
+    This class is the digit-loop kind, correct for every field: its element
+    operations work on base-p digits and its row kernels call them cell by
+    cell.  The other kinds override what they do faster.
+    """
+
+    __slots__ = ("p", "k", "modulus", "q")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.modulus = modulus
         self.q = p**k
-        self._mul_t: Optional[list[list[int]]] = None
-        self._inv_t: Optional[list[int]] = None
-        self._frob_t: Optional[list[int]] = None
-        # addition and negation tables: odd p, k > 1 and q <= _TABLE_LIMIT only
-        self._add_t: Optional[list[list[int]]] = None
-        self._neg_t: Optional[list[int]] = None
-        self._digits_t: Optional[list[tuple[int, ...]]] = None
-        self._value_t: Optional[dict[tuple[int, ...], int]] = None
-        if k > 1 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
 
     # -- encoding ----------------------------------------------------------
 
     def decode(self, v: int) -> tuple[int, ...]:
-        if self.k == 1:
-            return (v,)
-        if self._digits_t is not None:
-            return self._digits_t[v]
-        return self._decode_digits(v)
-
-    def _decode_digits(self, v: int) -> tuple[int, ...]:
         p = self.p
         out = []
         for _ in range(self.k):
@@ -217,96 +167,34 @@ class FieldCtx:
             v = v * self.p + d
         return v
 
-    def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        digits = [self._decode_digits(a) for a in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                prod = _pmod(_pmul(da, digits[b], p), self.modulus, p)
-                v = self.encode(tuple(prod) + (0,) * (self.k - len(prod)))
-                mul[a][b] = v
-                mul[b][a] = v
-        self._mul_t = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_t = inv
-        self._frob_t = [self.pow_i(a, p) for a in range(q)]
-        if p != 2:
-            self._add_t = [[self._add_digits(a, b) for b in range(q)] for a in range(q)]
-            self._neg_t = [self._neg_digits(a) for a in range(q)]
-        self._digits_t = digits
-        self._value_t = {d: v for v, d in enumerate(digits)}
+    def encode_cells(self, cells: list[list[int]], digits: list[int]) -> list[int]:
+        """The values of canonical `cells`, whose concatenation is `digits`."""
+        return list(map(self.encode, cells))
 
     # -- integer-encoded operations ----------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._add_digits(a, b)
+        p = self.p
+        return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg_i(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self._neg_digits(a)
+        p = self.p
+        return self.encode([-x % p for x in self.decode(a)])
 
     def sub_i(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._add_t is not None:
-            return self._add_t[a][self._neg_t[b]]
-        return self._add_digits(a, self._neg_digits(b))
-
-    def _add_digits(self, a: int, b: int) -> int:
         p = self.p
-        v, mult = 0, 1
-        for _ in range(self.k):
-            v += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return v
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        v, mult = 0, 1
-        for _ in range(self.k):
-            v += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return v
+        return self.encode([(x - y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
     def mul_i(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        prod = _pmod(_pmul(self.decode(a), self.decode(b), self.p), self.modulus, self.p)
-        return self.encode(tuple(prod) + (0,) * (self.k - len(prod)))
+        prod = _pmul(self.decode(a), self.decode(b), self.p)
+        return self.encode(_pmod(prod, self.modulus, self.p))
 
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self!r}")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv_t is not None:
-            return self._inv_t[a]
+        return self._inv(a)
+
+    def _inv(self, a: int) -> int:
         return self.pow_i(a, self.q - 2)
 
     def pow_i(self, a: int, e: int) -> int:
@@ -321,11 +209,48 @@ class FieldCtx:
         return r
 
     def frob_i(self, a: int) -> int:
-        if self.k == 1:
-            return a
-        if self._frob_t is not None:
-            return self._frob_t[a]
         return self.pow_i(a, self.p)
+
+    # -- row kernels -------------------------------------------------------
+
+    def add_rows(self, a: list[int], b: list[int]) -> list[int]:
+        return list(map(self.add_i, a, b))
+
+    def sub_rows(self, a: list[int], b: list[int]) -> list[int]:
+        return list(map(self.sub_i, a, b))
+
+    def neg_row(self, a: list[int]) -> list[int]:
+        return list(map(self.neg_i, a))
+
+    def scale_row(self, row: list[int], c: int) -> list[int]:
+        """c * row."""
+        mul = self.mul_i
+        return [mul(c, x) for x in row]
+
+    def axpy(self, row: list[int], piv: list[int], f: int) -> list[int]:
+        """row - f * piv."""
+        mul, sub = self.mul_i, self.sub_i
+        return [sub(x, mul(f, y)) for x, y in zip(row, piv)]
+
+    def matmul(self, a: list[int], b: list[int], n: int, k: int, m: int) -> list[int]:
+        """The n x m product of row-major a (n x k) and b (k x m).  Every kind
+        skips zeros on both sides, as the operands are mostly sparse, and
+        finds the nonzero entries of rows of _SCAN_MIN or more with compress."""
+        out = [0] * (n * m)
+        cols = range(k)
+        scan = k >= _SCAN_MIN
+        mul, add = self.mul_i, self.add_i
+        for i in range(n):
+            arow, orow = i * k, i * m
+            for t in compress(cols, a[arow : arow + k]) if scan else cols:
+                av = a[arow + t]
+                if av:
+                    brow = t * m
+                    for j in range(m):
+                        bv = b[brow + j]
+                        if bv:
+                            out[orow + j] = add(out[orow + j], mul(av, bv))
+        return out
 
     # -- element constructors ----------------------------------------------
 
@@ -358,6 +283,209 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
+
+
+class PrimeCtx(FieldCtx):
+    """GF(p), k = 1: integer arithmetic reduced mod p."""
+
+    __slots__ = ()
+
+    def decode(self, v: int) -> tuple[int, ...]:
+        return (v,)
+
+    def encode_cells(self, cells: list[list[int]], digits: list[int]) -> list[int]:
+        return digits
+
+    def add_i(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def neg_i(self, a: int) -> int:
+        return (-a) % self.p
+
+    def sub_i(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def mul_i(self, a: int, b: int) -> int:
+        return (a * b) % self.p
+
+    def _inv(self, a: int) -> int:
+        return pow(a, self.p - 2, self.p)
+
+    def frob_i(self, a: int) -> int:
+        return a
+
+    def add_rows(self, a: list[int], b: list[int]) -> list[int]:
+        p = self.p
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def sub_rows(self, a: list[int], b: list[int]) -> list[int]:
+        p = self.p
+        return [(x - y) % p for x, y in zip(a, b)]
+
+    def neg_row(self, a: list[int]) -> list[int]:
+        p = self.p
+        return [-x % p for x in a]
+
+    def scale_row(self, row: list[int], c: int) -> list[int]:
+        p = self.p
+        return [c * x % p for x in row]
+
+    def axpy(self, row: list[int], piv: list[int], f: int) -> list[int]:
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, piv)]
+
+    def matmul(self, a: list[int], b: list[int], n: int, k: int, m: int) -> list[int]:
+        # accumulate plain integer products, reduce once at the end
+        out = [0] * (n * m)
+        cols = range(k)
+        scan = k >= _SCAN_MIN
+        for i in range(n):
+            arow, orow = i * k, i * m
+            for t in compress(cols, a[arow : arow + k]) if scan else cols:
+                av = a[arow + t]
+                if av:
+                    brow = t * m
+                    for j in range(m):
+                        bv = b[brow + j]
+                        if bv:
+                            out[orow + j] += av * bv
+        p = self.p
+        return [x % p for x in out]
+
+
+class _TableCtx(FieldCtx):
+    """k > 1 and q <= _TABLE_LIMIT: products, inverses and digits from tables."""
+
+    __slots__ = ("_mul_t", "_inv_t", "_frob_t", "_digits_t", "_value_t")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        super().__init__(p, k, modulus)
+        q = self.q
+        self._digits_t = [FieldCtx.decode(self, v) for v in range(q)]
+        self._value_t = {d: v for v, d in enumerate(self._digits_t)}
+        # the digit-loop products, each read off the digit table
+        mul = self._mul_t = [[0] * q for _ in range(q)]
+        for a in range(q):
+            for b in range(a, q):
+                mul[a][b] = mul[b][a] = FieldCtx.mul_i(self, a, b)
+        self._inv_t = [0] + [mul[a].index(1) for a in range(1, q)]
+        self._frob_t = [self.pow_i(a, p) for a in range(q)]
+
+    def decode(self, v: int) -> tuple[int, ...]:
+        return self._digits_t[v]
+
+    def encode_cells(self, cells: list[list[int]], digits: list[int]) -> list[int]:
+        return list(map(self._value_t.__getitem__, map(tuple, cells)))
+
+    def mul_i(self, a: int, b: int) -> int:
+        return self._mul_t[a][b]
+
+    def _inv(self, a: int) -> int:
+        return self._inv_t[a]
+
+    def frob_i(self, a: int) -> int:
+        return self._frob_t[a]
+
+    def scale_row(self, row: list[int], c: int) -> list[int]:
+        return list(map(self._mul_t[c].__getitem__, row))
+
+
+class Char2Ctx(_TableCtx):
+    """GF(2^k), k > 1: the digit vector is a bit vector, so addition and
+    subtraction are XOR and negation is the identity."""
+
+    __slots__ = ()
+
+    def add_i(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub_i = add_i
+
+    def neg_i(self, a: int) -> int:
+        return a
+
+    def add_rows(self, a: list[int], b: list[int]) -> list[int]:
+        return [x ^ y for x, y in zip(a, b)]
+
+    sub_rows = add_rows
+
+    def neg_row(self, a: list[int]) -> list[int]:
+        return list(a)
+
+    def axpy(self, row: list[int], piv: list[int], f: int) -> list[int]:
+        m = self._mul_t[f]
+        return [x ^ m[y] for x, y in zip(row, piv)]
+
+    def matmul(self, a: list[int], b: list[int], n: int, k: int, m: int) -> list[int]:
+        mul_t = self._mul_t
+        out = [0] * (n * m)
+        cols = range(k)
+        scan = k >= _SCAN_MIN
+        for i in range(n):
+            arow, orow = i * k, i * m
+            for t in compress(cols, a[arow : arow + k]) if scan else cols:
+                av = a[arow + t]
+                if av:
+                    mrow, brow = mul_t[av], t * m
+                    for j in range(m):
+                        bv = b[brow + j]
+                        if bv:
+                            out[orow + j] ^= mrow[bv]
+        return out
+
+
+class OddTableCtx(_TableCtx):
+    """Odd p, k > 1 and q <= _TABLE_LIMIT: addition and negation tables too."""
+
+    __slots__ = ("_add_t", "_neg_t")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        super().__init__(p, k, modulus)
+        q = self.q
+        self._add_t = [[FieldCtx.add_i(self, a, b) for b in range(q)] for a in range(q)]
+        self._neg_t = [FieldCtx.neg_i(self, a) for a in range(q)]
+
+    def add_i(self, a: int, b: int) -> int:
+        return self._add_t[a][b]
+
+    def neg_i(self, a: int) -> int:
+        return self._neg_t[a]
+
+    def sub_i(self, a: int, b: int) -> int:
+        return self._add_t[a][self._neg_t[b]]
+
+    def add_rows(self, a: list[int], b: list[int]) -> list[int]:
+        add_t = self._add_t
+        return [add_t[x][y] for x, y in zip(a, b)]
+
+    def sub_rows(self, a: list[int], b: list[int]) -> list[int]:
+        add_t, neg_t = self._add_t, self._neg_t
+        return [add_t[x][neg_t[y]] for x, y in zip(a, b)]
+
+    def neg_row(self, a: list[int]) -> list[int]:
+        return list(map(self._neg_t.__getitem__, a))
+
+    def axpy(self, row: list[int], piv: list[int], f: int) -> list[int]:
+        # x - f*y = x + (-f)*y
+        add_t, m = self._add_t, self._mul_t[self._neg_t[f]]
+        return [add_t[x][m[y]] for x, y in zip(row, piv)]
+
+    def matmul(self, a: list[int], b: list[int], n: int, k: int, m: int) -> list[int]:
+        mul_t, add_t = self._mul_t, self._add_t
+        out = [0] * (n * m)
+        cols = range(k)
+        scan = k >= _SCAN_MIN
+        for i in range(n):
+            arow, orow = i * k, i * m
+            for t in compress(cols, a[arow : arow + k]) if scan else cols:
+                av = a[arow + t]
+                if av:
+                    mrow, brow = mul_t[av], t * m
+                    for j in range(m):
+                        bv = b[brow + j]
+                        if bv:
+                            out[orow + j] = add_t[out[orow + j]][mrow[bv]]
+        return out
 
 
 class FieldElement:
@@ -425,8 +553,6 @@ class FieldElement:
         return self.val != 0
 
     def __repr__(self) -> str:
-        if self.ctx.k == 1:
-            return str(self.val)
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -446,7 +572,7 @@ def field_new(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> Fi
     polynomial over GF(p).  If omitted it is looked up in the built-in
     table (k = 1 never needs one).
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or _prime_factors(p) != [p]:
         raise NotPrime(f"p = {p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ModcohError(f"extension degree k = {k} must be a positive integer")
@@ -463,13 +589,19 @@ def field_new(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> Fi
         mod = tuple(c % p for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ModcohError(f"modulus must be monic of degree k = {k}")
-        if not _is_irreducible(mod, p):
-            raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
+    # only irreducible moduli are interned, so a known one is not re-tested
     key = (p, k, mod)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
-        ctx = FieldCtx(p, k, mod)
-        _CTX_CACHE[key] = ctx
+        if modulus is not None and not _is_irreducible(mod, p):
+            raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
+        if k == 1:
+            kind = PrimeCtx
+        elif p**k > _TABLE_LIMIT:
+            kind = FieldCtx
+        else:
+            kind = Char2Ctx if p == 2 else OddTableCtx
+        ctx = _CTX_CACHE[key] = kind(p, k, mod)
     return ctx
 
 
@@ -516,11 +648,7 @@ def values_from_json(ctx: FieldCtx, cells: list) -> list[int]:
     if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= ctx.p:
         raise ModcohError(f"non-canonical element encoding for {ctx!r}: "
                           f"coefficients must be integers in [0, {ctx.p})")
-    if ctx.k == 1:
-        return flat
-    if ctx._value_t is not None:
-        return list(map(ctx._value_t.__getitem__, map(tuple, cells)))
-    return list(map(ctx.encode, cells))
+    return ctx.encode_cells(cells, flat)
 
 
 def element_from_json(ctx: FieldCtx, coeffs: list[int]) -> FieldElement:

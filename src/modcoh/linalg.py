@@ -9,6 +9,9 @@ which is unique; `solve` stops at the first row whose dependency fails on
 the right-hand side, and reads its certificate from that row's reduction
 factors; `inverse` is `solve(m, I)`.  Echelon forms, kernels, solutions and
 certificates are byte-reproducible.
+
+Every loop over cells is a row kernel of the field context, whose class
+`gf` picks once per kind of field, so nothing here branches on the kind.
 """
 
 from __future__ import annotations
@@ -19,11 +22,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MixedContexts, ModcohError, ShapeMismatch, Singular
 from .gf import FieldCtx, FieldElement, values_from_json
-
-
-# row length from which matmul finds the nonzero entries of a row with
-# itertools.compress instead of testing each one in the loop
-_SCAN_MIN = 9
 
 
 class Matrix:
@@ -132,120 +130,28 @@ class Matrix:
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        ctx, pairs = self.ctx, zip(self._d, other._d)
-        if ctx.k == 1:
-            p = ctx.p
-            data = [(a + b) % p for a, b in pairs]
-        elif ctx.p == 2:
-            data = [a ^ b for a, b in pairs]
-        elif ctx._add_t is not None:
-            add_t = ctx._add_t
-            data = [add_t[a][b] for a, b in pairs]
-        else:
-            add = ctx.add_i
-            data = [add(a, b) for a, b in pairs]
-        return Matrix(ctx, self.rows, self.cols, data)
+        return Matrix(self.ctx, self.rows, self.cols, self.ctx.add_rows(self._d, other._d))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        ctx, pairs = self.ctx, zip(self._d, other._d)
-        if ctx.k == 1:
-            p = ctx.p
-            data = [(a - b) % p for a, b in pairs]
-        elif ctx.p == 2:
-            data = [a ^ b for a, b in pairs]
-        elif ctx._add_t is not None:
-            add_t, neg_t = ctx._add_t, ctx._neg_t
-            data = [add_t[a][neg_t[b]] for a, b in pairs]
-        else:
-            sub = ctx.sub_i
-            data = [sub(a, b) for a, b in pairs]
-        return Matrix(ctx, self.rows, self.cols, data)
+        return Matrix(self.ctx, self.rows, self.cols, self.ctx.sub_rows(self._d, other._d))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ctx, self.rows, self.cols, _negated(self.ctx, self._d))
+        return Matrix(self.ctx, self.rows, self.cols, self.ctx.neg_row(self._d))
 
     def scale(self, c: FieldElement) -> "Matrix":
         if c.ctx is not self.ctx:
             raise MixedContexts("scalar from a different field")
-        ctx, cells, v = self.ctx, self._d, c.val
-        if ctx.k == 1:
-            p = ctx.p
-            data = [v * a % p for a in cells]
-        elif ctx._mul_t is not None:
-            data = list(map(ctx._mul_t[v].__getitem__, cells))
-        else:
-            mul = ctx.mul_i
-            data = [mul(v, a) for a in cells]
-        return Matrix(ctx, self.rows, self.cols, data)
+        return Matrix(self.ctx, self.rows, self.cols, self.ctx.scale_row(self._d, c.val))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ctx = self.ctx
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self._d, other._d
-        out = [0] * (n * m)
-        # one inner loop per kind of field, as in _row_ops; both zero skips
-        # stay, since the operands are mostly sparse.  Rows of _SCAN_MIN or
-        # more entries find their nonzero ones with compress, at C speed;
-        # shorter rows are cheaper to scan in the loop itself
-        cols = range(k)
-        scan = k >= _SCAN_MIN
-        if ctx.k == 1:
-            # accumulate plain integer products, reduce once at the end
-            for i in range(n):
-                arow, orow = i * k, i * m
-                for t in compress(cols, a[arow : arow + k]) if scan else cols:
-                    av = a[arow + t]
-                    if av:
-                        brow = t * m
-                        for j in range(m):
-                            bv = b[brow + j]
-                            if bv:
-                                out[orow + j] += av * bv
-            p = ctx.p
-            return Matrix(ctx, n, m, [x % p for x in out])
-        mul_t = ctx._mul_t
-        if mul_t is not None and ctx.p == 2:
-            for i in range(n):
-                arow, orow = i * k, i * m
-                for t in compress(cols, a[arow : arow + k]) if scan else cols:
-                    av = a[arow + t]
-                    if av:
-                        mrow, brow = mul_t[av], t * m
-                        for j in range(m):
-                            bv = b[brow + j]
-                            if bv:
-                                out[orow + j] ^= mrow[bv]
-        elif mul_t is not None:
-            add_t = ctx._add_t
-            for i in range(n):
-                arow, orow = i * k, i * m
-                for t in compress(cols, a[arow : arow + k]) if scan else cols:
-                    av = a[arow + t]
-                    if av:
-                        mrow, brow = mul_t[av], t * m
-                        for j in range(m):
-                            bv = b[brow + j]
-                            if bv:
-                                out[orow + j] = add_t[out[orow + j]][mrow[bv]]
-        else:
-            mul, add = ctx.mul_i, ctx.add_i
-            for i in range(n):
-                arow, orow = i * k, i * m
-                for t in compress(cols, a[arow : arow + k]) if scan else cols:
-                    av = a[arow + t]
-                    if av:
-                        brow = t * m
-                        for j in range(m):
-                            bv = b[brow + j]
-                            if bv:
-                                out[orow + j] = add(out[orow + j], mul(av, bv))
-        return Matrix(ctx, n, m, out)
+        n, m = self.rows, other.cols
+        return Matrix(self.ctx, n, m, self.ctx.matmul(self._d, other._d, n, self.cols, m))
 
     def transpose(self) -> "Matrix":
         r, c, d = self.rows, self.cols, self._d
@@ -274,19 +180,6 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # free functions (the operation surface)
 # ---------------------------------------------------------------------------
-
-
-def _negated(ctx: FieldCtx, cells: list[int]) -> list[int]:
-    """-x for each integer-encoded x, one loop per kind of field."""
-    if ctx.k == 1:
-        p = ctx.p
-        return [-a % p for a in cells]
-    if ctx.p == 2:
-        return list(cells)
-    if ctx._neg_t is not None:
-        return list(map(ctx._neg_t.__getitem__, cells))
-    neg = ctx.neg_i
-    return [neg(a) for a in cells]
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -319,23 +212,15 @@ def vstack(blocks: Iterable[Matrix]) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with block layout a_ij * b."""
     a._check(b)
-    mul = a.ctx.mul_i
-    R, C = a.rows * b.rows, a.cols * b.cols
-    out = [0] * (R * C)
+    scale_row, zero = a.ctx.scale_row, [0] * b.cols
+    brows = [b.row_list(r) for r in range(b.rows)]
+    out: list[int] = []
     for i in range(a.rows):
-        for j in range(a.cols):
-            av = a._d[i * a.cols + j]
-            if not av:
-                continue
-            base = i * b.rows * C + j * b.cols
-            for r in range(b.rows):
-                off = base + r * C
-                brow = r * b.cols
-                for c in range(b.cols):
-                    bv = b._d[brow + c]
-                    if bv:
-                        out[off + c] = mul(av, bv)
-    return Matrix(a.ctx, R, C, out)
+        arow = a.row_list(i)
+        for brow in brows:
+            for av in arow:
+                out += scale_row(brow, av) if av else zero
+    return Matrix(a.ctx, a.rows * b.rows, a.cols * b.cols, out)
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -348,57 +233,6 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
         off = (a.rows + i) * C + a.cols
         out[off : off + b.cols] = b.row_list(i)
     return Matrix(a.ctx, R, C, out)
-
-
-def _row_ops(ctx: FieldCtx):
-    """The two row kernels of elimination, one loop per kind of field.
-
-    `scale_row(row, pv)` is row / pv and `axpy(row, piv, f)` is
-    row - f * piv.
-    """
-    if ctx.k == 1:
-        p = ctx.p
-
-        def scale_row(row, pv):
-            pinv = pow(pv, p - 2, p)
-            return [(pinv * x) % p for x in row]
-
-        def axpy(row, piv, f):
-            return [(x - f * y) % p for x, y in zip(row, piv)]
-
-    elif ctx._mul_t is not None:
-        # table fields: one row of the multiplication table per call
-        mul_t, inv_t = ctx._mul_t, ctx._inv_t
-
-        def scale_row(row, pv):
-            m = mul_t[inv_t[pv]]
-            return [m[x] for x in row]
-
-        if ctx.p == 2:
-
-            def axpy(row, piv, f):
-                m = mul_t[f]
-                return [x ^ m[y] for x, y in zip(row, piv)]
-
-        else:
-            add_t, neg_t = ctx._add_t, ctx._neg_t
-
-            def axpy(row, piv, f):
-                # x - f*y = x + (-f)*y
-                m = mul_t[neg_t[f]]
-                return [add_t[x][m[y]] for x, y in zip(row, piv)]
-
-    else:
-        mul, sub, inv = ctx.mul_i, ctx.sub_i, ctx.inv_i
-
-        def scale_row(row, pv):
-            pinv = inv(pv)
-            return [mul(pinv, x) for x in row]
-
-        def axpy(row, piv, f):
-            return [sub(x, mul(f, y)) for x, y in zip(row, piv)]
-
-    return scale_row, axpy
 
 
 def _forward(ctx: FieldCtx, rows: Iterable[list[int]], n: int):
@@ -418,7 +252,7 @@ def _forward(ctx: FieldCtx, rows: Iterable[list[int]], n: int):
     its pivot before scaling; and None, or the index and factors of the row
     that ended the pass.
     """
-    scale_row, axpy = _row_ops(ctx)
+    scale_row, axpy, inv = ctx.scale_row, ctx.axpy, ctx.inv_i
     cols = range(n)
     pcols: list[int] = []
     krows: list[list[int]] = []
@@ -434,7 +268,7 @@ def _forward(ctx: FieldCtx, rows: Iterable[list[int]], n: int):
         if col >= 0:
             pv = row[col]
             pcols.append(col)
-            krows.append(row if pv == 1 else scale_row(row, pv))
+            krows.append(row if pv == 1 else scale_row(row, inv(pv)))
             steps.append((i, facs, pv))
         elif any(row[n:]):
             return pcols, krows, steps, (i, facs)
@@ -447,13 +281,12 @@ def _back_reduce(ctx: FieldCtx, pcols: list[int], krows: list[list[int]]) -> Non
     pivot but its own, and clearing row j at one of them leaves its entries
     at the others as they were.  The kept rows become the nonzero rows of
     the reduced row echelon form, in the order kept."""
-    _, axpy = _row_ops(ctx)
     for j in range(len(krows) - 2, -1, -1):
         row = krows[j]
         for l in range(len(krows) - 1, j, -1):
             c = row[pcols[l]]
             if c:
-                row = axpy(row, krows[l], c)
+                row = ctx.axpy(row, krows[l], c)
         krows[j] = row
 
 
@@ -491,7 +324,7 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
             continue
         vec = [0] * n
         vec[free] = 1
-        for c, v in zip(pcols, _negated(ctx, [row[free] for row in krows])):
+        for c, v in zip(pcols, ctx.neg_row([row[free] for row in krows])):
             vec[c] = v
         basis.append(Matrix(ctx, n, 1, vec))
     return basis
@@ -543,11 +376,10 @@ def solve(a: Matrix, b: Matrix) -> SolveResult:
         # row r with factors c and pivot pv, T_j = (e_r - sum_l c_l T_l) / pv:
         # unfold the T_j from the last kept row down
         f, facs = stop
-        _, axpy = _row_ops(ctx)
-        mul, inv = ctx.mul_i, ctx.inv_i
+        axpy, mul, inv = ctx.axpy, ctx.mul_i, ctx.inv_i
         y = [0] * a.rows
         y[f] = 1
-        u = _negated(ctx, facs)
+        u = ctx.neg_row(facs)
         for j in range(len(u) - 1, -1, -1):
             if u[j]:
                 r, c, pv = steps[j]
@@ -581,12 +413,11 @@ def is_invertible(m: Matrix) -> bool:
 
 
 def matrix_to_json(m: Matrix) -> dict:
+    decode = m.ctx.decode
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [
-            [list(m[i, j].coeffs) for j in range(m.cols)] for i in range(m.rows)
-        ],
+        "entries": [[list(decode(v)) for v in m.row_list(i)] for i in range(m.rows)],
     }
 
 

@@ -59,6 +59,22 @@ def test_input_error_exit_codes(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("depth", [65, 600, 1200])
+def test_deeply_nested_recipe_is_one_error_line(depth, capsys):
+    # 600 nested duals once overflowed the stack in the module actions, and
+    # 1200 in the recipe parser
+    recipe = "dual(" * depth + "natural" + ")" * depth
+    assert run(["h1", "--p", "3", "--n", "2", "--module", recipe]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nested deeper" in err[0]
+
+
+def test_recipe_at_the_depth_bound_resolves(capsys):
+    recipe = "dual(" * 64 + "natural" + ")" * 64
+    assert run(["h1", "--p", "3", "--n", "2", "--module", recipe]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+
+
 def test_determinism_double_run(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

@@ -1,9 +1,12 @@
-"""The fast field layer: tables, XOR and the specialised elimination.
+"""The fast field layer: the kinds of field and their row kernels.
 
 Builder and verifier both rest on `gf`, so a wrong table entry would corrupt
-both sides alike.  The tables and the characteristic-2 XOR path are checked
-exhaustively against the digit loops they replace, and the specialised
-elimination against the generic per-cell path.
+both sides alike.  `field_new` picks one kind of field per context; the
+digit-loop kind, `FieldCtx` itself, is correct for every field, so it is
+built directly on the same field as the reference.  The element operations
+of the prime, table and characteristic-2 kinds are checked exhaustively
+against it, their row kernels on random rows, and elimination over them
+against elimination over it.
 """
 
 import json
@@ -13,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcoh.errors import ModcohError, ReducibleModulus
-from modcoh.gf import BUILTIN_MODULI, _TABLE_LIMIT, element_from_json, field_new
+from modcoh.gf import (
+    BUILTIN_MODULI,
+    _TABLE_LIMIT,
+    Char2Ctx,
+    FieldCtx,
+    OddTableCtx,
+    PrimeCtx,
+    element_from_json,
+    field_new,
+)
 from modcoh.linalg import (
     Matrix,
     inverse,
@@ -28,10 +40,15 @@ from modcoh.linalg import (
 FIELDS = sorted(BUILTIN_MODULI) + [(3, 1), (5, 1), (7, 1)]
 
 
+def digit_kind(ctx):
+    """The same field as the digit-loop kind, built directly, not interned."""
+    return FieldCtx(ctx.p, ctx.k, ctx.modulus)
+
+
 def mul_oracle(ctx, a, b):
     """Schoolbook product of digit vectors reduced by long division."""
     p, k = ctx.p, ctx.k
-    da, db = ctx._decode_digits(a), ctx._decode_digits(b)
+    da, db = FieldCtx.decode(ctx, a), FieldCtx.decode(ctx, b)
     prod = [0] * (2 * k - 1)
     for i, x in enumerate(da):
         for j, y in enumerate(db):
@@ -48,19 +65,20 @@ def mul_oracle(ctx, a, b):
 @pytest.mark.parametrize("p,k", FIELDS, ids=[f"q{p**k}" for p, k in FIELDS])
 def test_fast_ops_match_digit_loops_on_all_pairs(p, k):
     ctx = field_new(p, k)
-    if k > 1:
-        assert ctx._mul_t is not None and ctx._digits_t is not None
-        assert (ctx._add_t is None) == (p == 2)  # characteristic 2 uses XOR
+    assert type(ctx) is (PrimeCtx if k == 1 else Char2Ctx if p == 2 else OddTableCtx)
+    ref = digit_kind(ctx)
     for a in range(ctx.q):
-        assert ctx.neg_i(a) == ctx._neg_digits(a)
-        assert ctx.decode(a) == ctx._decode_digits(a)
-        assert ctx.el(a).coeffs == ctx._decode_digits(a)
+        assert ctx.neg_i(a) == ref.neg_i(a)
+        assert ctx.decode(a) == ref.decode(a)
+        assert ctx.el(a).coeffs == ref.decode(a)
+        assert ctx.frob_i(a) == ref.frob_i(a)
         if a:
             assert mul_oracle(ctx, a, ctx.inv_i(a)) == 1
+            assert ctx.inv_i(a) == ref.inv_i(a)
         for b in range(ctx.q):
-            assert ctx.add_i(a, b) == ctx._add_digits(a, b)
-            assert ctx.sub_i(a, b) == ctx._add_digits(a, ctx._neg_digits(b))
-            assert ctx.mul_i(a, b) == mul_oracle(ctx, a, b)
+            assert ctx.add_i(a, b) == ref.add_i(a, b)
+            assert ctx.sub_i(a, b) == ref.sub_i(a, b)
+            assert ctx.mul_i(a, b) == ref.mul_i(a, b) == mul_oracle(ctx, a, b)
 
 
 def _field_beyond_tables():
@@ -77,7 +95,7 @@ def _field_beyond_tables():
 def test_large_odd_field_keeps_the_digit_loops():
     ctx = _field_beyond_tables()
     assert ctx.q > _TABLE_LIMIT
-    assert ctx._mul_t is None and ctx._add_t is None and ctx._digits_t is None
+    assert type(ctx) is FieldCtx
     for a in range(0, ctx.q, 7):
         b = (a * 31 + 5) % ctx.q
         assert ctx.add_i(a, ctx.neg_i(a)) == 0
@@ -119,28 +137,46 @@ def test_field_axioms(case):
 
 
 # ---------------------------------------------------------------------------
-# specialised elimination against the generic path
+# row kernels and elimination against the digit-loop kind
 # ---------------------------------------------------------------------------
 
+# prime, characteristic-2 and odd-table kinds, with the digit-loop kind of
+# each field built beside them
+KERNEL_FIELDS = [(3, 1), (7, 1), (2, 2), (3, 2), (2, 4)]
 
-class GenericCtx:
-    """The same field with no tables: the row kernels of `_row_ops` and the
-    negation in `kernel_basis` and `solve` take their per-cell paths."""
 
-    _mul_t = None
-    _neg_t = None
+@st.composite
+def kernel_cases(draw):
+    ctx = field_new(*draw(st.sampled_from(KERNEL_FIELDS)))
+    # zeros drawn often, so the zero skips are taken; inner dimensions of
+    # 9 or more take the compress scan in matmul
+    cell = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
+    length = draw(st.integers(0, 12))
+    x, y = (draw(st.lists(cell, min_size=length, max_size=length)) for _ in range(2))
+    n, k, m = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    a = draw(st.lists(cell, min_size=n * k, max_size=n * k))
+    b = draw(st.lists(cell, min_size=k * m, max_size=k * m))
+    return ctx, x, y, draw(cell), (a, b, n, k, m)
 
-    def __init__(self, ctx):
-        self.p, self.k = ctx.p, ctx.k
-        self.inv_i = ctx.inv_i
-        self.neg_i = ctx._neg_digits
-        self.mul_i = lambda a, b: mul_oracle(ctx, a, b)
-        self.sub_i = lambda a, b: ctx._add_digits(a, ctx._neg_digits(b))
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_row_kernels_match_the_digit_kind(case):
+    ctx, x, y, f, product = case
+    ref = digit_kind(ctx)
+    assert ctx.add_rows(x, y) == ref.add_rows(x, y)
+    assert ctx.sub_rows(x, y) == ref.sub_rows(x, y)
+    assert ctx.scale_row(x, f) == ref.scale_row(x, f)
+    assert ctx.axpy(x, y, f) == ref.axpy(x, y, f)
+    assert ctx.matmul(*product) == ref.matmul(*product)
+    # solve writes into the negated factors, so each kernel returns a new list
+    neg = ctx.neg_row(x)
+    assert neg == ref.neg_row(x) and neg is not x
 
 
 @st.composite
 def matrices(draw):
-    ctx = field_new(*draw(st.sampled_from([(2, 2), (3, 2), (2, 4)])))
+    ctx = field_new(*draw(st.sampled_from(KERNEL_FIELDS)))
     rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     # a small alphabet makes rank deficiency and zero columns common
     alphabet = draw(st.sampled_from([2, 3, ctx.q]))
@@ -152,9 +188,9 @@ def matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_specialised_elimination_matches_generic(m):
-    # the same cells over GenericCtx: every elimination runs the forward
-    # pass and the back-reduction on the per-cell path
-    g = Matrix(GenericCtx(m.ctx), m.rows, m.cols, list(m._d))
+    # the same cells over the digit-loop kind: every elimination runs the
+    # forward pass and the back-reduction on its per-cell kernels
+    g = Matrix(digit_kind(m.ctx), m.rows, m.cols, list(m._d))
     reduced, cols, r = rref(m)
     g_reduced, g_cols, g_r = rref(g)
     assert g_reduced._d == reduced._d

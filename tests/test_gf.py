@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from modcoh import gf
 from modcoh.errors import (
     DivisionByZero,
     MixedContexts,
@@ -60,6 +61,24 @@ def test_context_interning():
     assert field_new(2, 2) is field_new(2, 2)
     assert field_new(3) is field_new(3, 1)
     assert field_new(2, 2) is not field_new(2, 3)
+
+
+def test_known_modulus_is_not_retested(monkeypatch):
+    # x^2 - 2 is irreducible over GF(13) (2 is not a square mod 13) and
+    # x^2 - 1 = (x - 1)(x + 1) is not
+    tested = []
+    irreducible = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible", lambda m, p: tested.append(m) or irreducible(m, p))
+    monkeypatch.delitem(gf._CTX_CACHE, (13, 2, (11, 0, 1)), raising=False)
+    first = field_new(13, 2, [11, 0, 1])
+    assert len(tested) == 1
+    assert field_new(13, 2, [11, 0, 1]) is first and field_new(13, 2, [-2, 13, 1]) is first
+    assert len(tested) == 1
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus):
+            field_new(13, 2, [12, 0, 1])
+    assert len(tested) == 3
+    assert (13, 2, (12, 0, 1)) not in gf._CTX_CACHE
 
 
 def test_construction_errors():

@@ -5,8 +5,9 @@ Reports are the regression oracle: a change that claims byte-identical
 reports must keep every SHA-256 below.  The report digests are those of
 schema v4, which ships the group by its generators and order and no H1
 numbers; each inconsistency row is the one v3 shipped.  The instances are the ten family-a
-ladder reports of `tests/test_verify_generating_set.py`, `zpxzp` p=3 and
-SL_2(F_3) given by a `file:` spec, the first non-abelian group, each built
+ladder reports of `tests/test_verify_generating_set.py`, `zpxzp` p=3,
+GF(17^2) n=2, the one field beyond the tables, and SL_2(F_3) given by a
+`file:` spec, the first non-abelian group, each built
 by the CLI with its default seed and written with `--out`.  The
 Z1 and B1 bases that `h1 --dump-basis` prints in stacked non-identity
 coordinates are pinned on three modules.
@@ -45,6 +46,9 @@ GOLDEN = {
                     "62a01b5c43725b8524a61492fb3ce812c7c78e7f2d378470b65a5e2682087349"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
                   "f007bae72f25317bb4beedfb6ee8dd1609f29ac1b06e5eb1aa513d0ca91a613c"),
+    # GF(17^2) = F_17[x]/(x^2 - 3), q > 256: the digit-loop kind of field
+    "GF(17^2) n=2": (["--p", "17", "--k", "2", "--modulus", "14,0,1", "--n", "2"],
+                     "4d47fb1b377a05549626895e790a8d2781f6e86b37892dcb1df8b929a3302d2b"),
     # [[1,1],[0,1]], -I and [[1,0],[1,1]]: |G| = 24, |S'| = 3
     "SL_2(F_3) file": (["--p", "3", "--group", "file:{sl2_f3}"],
                        "c021065ed8518b56d29c0a3b1855c102b59b6fc55fcb778e60892dcf3a9eb50e"),
@@ -75,6 +79,8 @@ INCONSISTENCY_ROWS = {
         "d0033f83bc4515191c023342eef0a34e22373c252257a6cc94646ac6c76efdf2",
     "zpxzp p=3":
         "e4a89f521c89d870f5a65f6e52632c5a1213bd406381fa71da7623f4f6b5004b",
+    "GF(17^2) n=2":
+        "c5714ed2939570641a56337ed3e2ed4c8f6df5c2d4ea7fd7197fa31adaab5c93",
     "SL_2(F_3) file":
         "b6c6299ed5b786228c5b878b564d5c50e9fd6a0d1d572d066535b27723066216",
 }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh import linalg
+from modcoh import gf
 from modcoh.errors import MixedContexts, ShapeMismatch, Singular
 from modcoh.gf import field_new
 from modcoh.grp import family_matrix
@@ -85,7 +85,7 @@ def test_matmul_matches_per_cell_field_arithmetic(p, deg, modulus, n, k, m, data
     ctx = field_new(p, deg, modulus)
     # zeros drawn often, so both zero skips are taken; rows of 9 or more
     # entries take the compress scan
-    assert linalg._SCAN_MIN == 9
+    assert gf._SCAN_MIN == 9
     cell = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
     a = Matrix(ctx, n, k, data.draw(st.lists(cell, min_size=n * k, max_size=n * k)))
     b = Matrix(ctx, k, m, data.draw(st.lists(cell, min_size=k * m, max_size=k * m)))
@@ -329,7 +329,6 @@ def reference_eliminate(ctx, work, pivot_cols_range):
     that is nonzero there is swapped up, scaled to 1, and cleared from every
     other row.  Returns the pivot list as (row, col) pairs, in order.
     """
-    scale_row, axpy = linalg._row_ops(ctx)
     nrows = len(work)
     pivots = []
     prow = 0
@@ -345,11 +344,11 @@ def reference_eliminate(ctx, work, pivot_cols_range):
             work[prow], work[found] = work[found], work[prow]
         piv = work[prow]
         if piv[col] != 1:
-            work[prow] = piv = scale_row(piv, piv[col])
+            work[prow] = piv = ctx.scale_row(piv, ctx.inv_i(piv[col]))
         for r in range(nrows):
             f = work[r][col]
             if f and r != prow:
-                work[r] = axpy(work[r], piv, f)
+                work[r] = ctx.axpy(work[r], piv, f)
         pivots.append((prow, col))
         prow += 1
         if prow == nrows:
