@@ -354,7 +354,8 @@ class PrimeCtx(FieldCtx):
 
 
 class _TableCtx(FieldCtx):
-    """k > 1 and q <= _TABLE_LIMIT: products, inverses and digits from tables."""
+    """k > 1 and q <= _TABLE_LIMIT: products, inverses and digits from
+    tables, filled from logarithms to a generator of F_q^x."""
 
     __slots__ = ("_mul_t", "_inv_t", "_frob_t", "_digits_t", "_value_t")
 
@@ -363,13 +364,27 @@ class _TableCtx(FieldCtx):
         q = self.q
         self._digits_t = [FieldCtx.decode(self, v) for v in range(q)]
         self._value_t = {d: v for v, d in enumerate(self._digits_t)}
-        # the digit-loop products, each read off the digit table
-        mul = self._mul_t = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                mul[a][b] = mul[b][a] = FieldCtx.mul_i(self, a, b)
-        self._inv_t = [0] + [mul[a].index(1) for a in range(1, q)]
-        self._frob_t = [self.pow_i(a, p) for a in range(q)]
+        # logarithms to a generator g of the cyclic group F_q^x, the first
+        # element whose (q-1)/r-th power is not 1 for any prime r | q-1; its
+        # powers exp[i] = g^i are q - 2 digit-loop products
+        digits = FieldCtx(p, k, modulus)
+        factors = _prime_factors(q - 1)
+        g = next(
+            a for a in range(2, q) if all(digits.pow_i(a, (q - 1) // r) != 1 for r in factors)
+        )
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(digits.mul_i(exp[-1], g))
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        # ab = g^(log a + log b), inverse g^-(log a), Frobenius g^(p log a);
+        # exp is doubled so that a sum of two logs needs no reduction
+        exp += exp
+        logs = log[1:]
+        self._mul_t = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        self._inv_t = [0] + [exp[q - 1 - la] for la in logs]
+        self._frob_t = [0] + [exp[p * la % (q - 1)] for la in logs]
 
     def decode(self, v: int) -> tuple[int, ...]:
         return self._digits_t[v]
@@ -441,9 +456,15 @@ class OddTableCtx(_TableCtx):
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         super().__init__(p, k, modulus)
-        q = self.q
-        self._add_t = [[FieldCtx.add_i(self, a, b) for b in range(q)] for a in range(q)]
-        self._neg_t = [FieldCtx.neg_i(self, a) for a in range(q)]
+        # digit by digit: the lowest digit of a + b is (a + b) mod p, and the
+        # higher ones are those of the sum of a // p and b // p, read off the
+        # table of GF(p^(j-1)) while the table of GF(p^j) is filled
+        add = [[0]]
+        for _ in range(k):
+            m = len(add) * p
+            add = [[(a + b) % p + p * add[a // p][b // p] for b in range(m)] for a in range(m)]
+        self._add_t = add
+        self._neg_t = [FieldCtx.neg_i(self, a) for a in range(self.q)]
 
     def add_i(self, a: int, b: int) -> int:
         return self._add_t[a][b]

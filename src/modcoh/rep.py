@@ -10,6 +10,11 @@ generating subset S' and its inverses therefore builds nothing else.
 Tensor products act by Kronecker products; Hom(M, N) is realized as
 tensor(N, dual(M)) with matrices flattened row-major, so the action on an
 (N.dim x M.dim) matrix F is F -> N(s) @ F @ M(s)^-1.
+
+The symmetric power S^d is built by substitution: a table of the powers
+l_j^1..l_j^d of the substituted variables, then one product per column.
+Its polynomials are dicts keyed by integer monomial codes (`monomial_code`),
+so a term product is a sum of two integers.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
 from .errors import GroupMismatch, ModcohError
+from .gf import FieldCtx
 from .grp import MatrixGroup
 from .linalg import Matrix, direct_sum, is_invertible, kernel_basis, kron, vstack
-from .poly import Monomial, Polynomial, monomial_basis
+from .poly import Monomial, monomial_basis
 
 INTERTWINER_EXHAUST_CAP = 4096
 INTERTWINER_SAMPLES = 1000
@@ -96,7 +102,7 @@ def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
     """Action on homogeneous degree-d polynomials, with its ordered basis."""
     ctx, n = group.ctx, group.n
     basis = monomial_basis(n, d, ctx.p)
-    pos = {m: i for i, m in enumerate(basis)}
+    pos = {monomial_code(m, d): i for i, m in enumerate(basis)}
     elements = group.elements
 
     def action(i: int) -> Matrix:
@@ -105,35 +111,69 @@ def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
     return GModule(group, len(basis), action, f"sym({d})"), basis
 
 
+def monomial_code(exps: Sequence[int], d: int) -> int:
+    """The integer sum_i e_i (d+1)^i of a monomial of degree at most d.
+
+    Each exponent is at most d, so these are the base-(d+1) digits: codes
+    are unique, and the product of two monomials whose degrees sum to at
+    most d has the sum of their codes, with no carry.
+    """
+    code = 0
+    for e in reversed(exps):
+        code = code * (d + 1) + e
+    return code
+
+
+def _code_product(ctx: FieldCtx, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two polynomials stored as {monomial code: nonzero value},
+    whose degrees sum to at most d: each term product adds the codes."""
+    add, mul = ctx.add_i, ctx.mul_i
+    out: dict[int, int] = {}
+    get = out.get
+    for c1, v1 in a.items():
+        for c2, v2 in b.items():
+            out[c1 + c2] = add(get(c1 + c2, 0), mul(v1, v2))
+    return {c: v for c, v in out.items() if v}
+
+
 def _substitution_matrix(
-    sigma: Matrix, basis: Sequence[Monomial], pos: dict[Monomial, int]
+    sigma: Matrix, basis: Sequence[Monomial], pos: dict[int, int]
 ) -> Matrix:
     """Columns: each basis monomial with x_j replaced by l_j = sum_i sigma_ij x_i.
 
     Substitution is a ring homomorphism, so the column of x^e is
     prod_j l_j^(e_j), read off a table of the powers l_j^1..l_j^d built by
     repeated multiplication once per element (one product per column when
-    n = 2).
+    n = 2).  Polynomials are dicts keyed by `monomial_code`: every monomial
+    met has degree at most d, so a term product is a sum of codes, and
+    `pos` maps the code of each basis monomial to its position.
     """
     ctx, n = sigma.ctx, sigma.rows
-    d = basis[0].degree
-    units = [Monomial(int(i == r) for r in range(n)) for i in range(n)]
+    add, mul = ctx.add_i, ctx.mul_i
+    d = sum(basis[0])
     powers = []
     for j in range(n):
-        lin = Polynomial(ctx, n, {units[i]: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)})
+        lin = {(d + 1) ** i: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)}
         row = [None, lin]  # row[e] = l_j^e
         for _ in range(d - 1):
-            row.append(row[-1] * lin)
+            row.append(_code_product(ctx, row[-1], lin))
         powers.append(row)
     N = len(basis)
     data = [0] * (N * N)
     for col, mono in enumerate(basis):
-        image = None
-        for j, e in enumerate(mono):
-            if e:
-                image = powers[j][e] if image is None else image * powers[j][e]
-        for m, c in image.terms.items():
-            data[pos[m] * N + col] = c
+        factors = [powers[j][e] for j, e in enumerate(mono) if e]
+        image = factors.pop()
+        for f in factors[1:]:
+            image = _code_product(ctx, image, f)
+        if not factors:
+            for c, v in image.items():
+                data[pos[c] * N + col] = v
+            continue
+        # the last product goes straight into the column
+        for c1, v1 in factors[0].items():
+            for c2, v2 in image.items():
+                at = pos[c1 + c2] * N + col
+                data[at] = add(data[at], mul(v1, v2))
     return Matrix(ctx, N, N, data)
 
 

@@ -21,8 +21,10 @@ reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
 S' x G, so each element of S' finds its inverse in its own row.  The
 symmetric-power action A is derived on S' and its inverses, U on S' only,
-and g = (s-1)iota by its formula on S' and its inverses.  Checks there
-hold on every element:
+and g = (s-1)iota by its formula on S' and its inverses.  A is built as
+the builder builds it, in code of its own: a table of the powers of the
+substituted variables, over monomials coded as base-(d+1) integers.
+Checks there hold on every element:
 
 - The substitution action A is multiplicative for all n x n matrices.
   A product of block upper triangular matrices is block upper triangular,
@@ -143,19 +145,26 @@ def _ordered_basis(n: int, d: int, p: int) -> list[tuple[int, ...]]:
     return prefix + rest
 
 
+def _code(exps: Sequence[int], d: int) -> int:
+    """sum_i e_i (d+1)^i: the base-(d+1) digits of a monomial of degree at
+    most d, so unique, and additive under products of degree at most d."""
+    code = 0
+    for e in reversed(exps):
+        code = code * (d + 1) + e
+    return code
+
+
 def _convolve(ctx: FieldCtx, a: dict, b: dict) -> dict:
-    """Product of two monomial-dict polynomials, independent of the polynomial module."""
+    """Product of two polynomials stored as {monomial code: nonzero value},
+    independent of the polynomial module; the code of a term product is the
+    sum of the codes."""
     add, mul = ctx.add_i, ctx.mul_i
     out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(int.__add__, m1, m2))
-            s = add(out.get(m, 0), mul(c1, c2))
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+    get = out.get
+    for c1, v1 in a.items():
+        for c2, v2 in b.items():
+            out[c1 + c2] = add(get(c1 + c2, 0), mul(v1, v2))
+    return {c: v for c, v in out.items() if v}
 
 
 def _substitution_matrix(
@@ -165,28 +174,40 @@ def _substitution_matrix(
 
     The column is prod_j l_j^(e_j), taken from a table of the powers
     l_j^1..l_j^d that repeated multiplication builds once per element.
+    Polynomials are keyed by `_code`, exact because every monomial met has
+    degree at most d, and `basis_pos` maps the code of each basis monomial
+    to its position.
     """
     n = sigma.rows
+    add, mul = ctx.add_i, ctx.mul_i
     d = sum(basis[0])
-    units = [tuple(int(i == r) for r in range(n)) for i in range(n)]
     powers = []
     for j in range(n):
-        lin = {units[i]: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)}
+        lin = {(d + 1) ** i: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)}
         row = [None, lin]  # row[e] = l_j^e
         for _ in range(d - 1):
             row.append(_convolve(ctx, row[-1], lin))
         powers.append(row)
     N = len(basis)
     data = [0] * (N * N)
-    for col, exps in enumerate(basis):
-        image = None
-        for j, e in enumerate(exps):
-            if e:
-                image = powers[j][e] if image is None else _convolve(ctx, image, powers[j][e])
-        for mono, coeff in image.items():
-            if mono not in basis_pos:
-                raise FailedCheck(f"sym-action: image monomial {mono} outside the basis")
-            data[basis_pos[mono] * N + col] = coeff
+    try:
+        for col, exps in enumerate(basis):
+            factors = [powers[j][e] for j, e in enumerate(exps) if e]
+            image = factors.pop()
+            for f in factors[1:]:
+                image = _convolve(ctx, image, f)
+            if not factors:
+                for c, v in image.items():
+                    data[basis_pos[c] * N + col] = v
+                continue
+            # the last product goes straight into the column
+            for c1, v1 in factors[0].items():
+                for c2, v2 in image.items():
+                    at = basis_pos[c1 + c2] * N + col
+                    data[at] = add(data[at], mul(v1, v2))
+    except KeyError as exc:
+        mono = tuple(exc.args[0] // (d + 1) ** i % (d + 1) for i in range(n))
+        _fail("sym-action", f"image monomial {mono} outside the basis")
     return Matrix(ctx, N, N, data)
 
 
@@ -213,7 +234,8 @@ def _sym_action(
     Checks the block structure on the way: the top-left n x n block is the
     entrywise Frobenius of the element and the bottom-left block is zero.
     """
-    pos = {m: i for i, m in enumerate(basis)}
+    d = sum(basis[0])
+    pos = {_code(m, d): i for i, m in enumerate(basis)}
     N = len(basis)
     out: list[Optional[Matrix]] = [None] * len(elements)
     for idx in ids:

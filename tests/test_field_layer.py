@@ -62,11 +62,21 @@ def mul_oracle(ctx, a, b):
     return ctx.encode(prod[:k])
 
 
-@pytest.mark.parametrize("p,k", FIELDS, ids=[f"q{p**k}" for p, k in FIELDS])
-def test_fast_ops_match_digit_loops_on_all_pairs(p, k):
-    ctx = field_new(p, k)
+# the table fields are filled from logarithms to a generator; GF(2^8) by the
+# AES modulus x^8 + x^4 + x^3 + x + 1, where x has order 51, so the generator
+# search passes over it, and GF(3^5) by x^5 + 2x + 1 add two custom moduli
+AES = (1, 1, 0, 1, 1, 0, 0, 0, 1)
+ALL_PAIRS_FIELDS = [(p, k, None) for p, k in FIELDS] + [(2, 8, AES), (3, 5, (1, 2, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("p,k,modulus", ALL_PAIRS_FIELDS,
+                         ids=[f"q{p**k}" for p, k, _ in ALL_PAIRS_FIELDS])
+def test_fast_ops_match_digit_loops_on_all_pairs(p, k, modulus):
+    ctx = field_new(p, k, modulus)
     assert type(ctx) is (PrimeCtx if k == 1 else Char2Ctx if p == 2 else OddTableCtx)
     ref = digit_kind(ctx)
+    if modulus == AES:
+        assert ref.pow_i(ref.encode((0, 1)), 51) == 1
     for a in range(ctx.q):
         assert ctx.neg_i(a) == ref.neg_i(a)
         assert ctx.decode(a) == ref.decode(a)

@@ -1,9 +1,12 @@
 """Module constructions: symmetric powers, duals, Hom, intertwiners."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modcoh import verify
 from modcoh.build import build_nonsplit_sequence
 from modcoh.coh import cocycle_from_extension
 from modcoh.errors import GroupMismatch
@@ -20,6 +23,7 @@ from modcoh.rep import (
     find_intertwiner,
     frobenius_twist,
     hom,
+    monomial_code,
     natural_module,
     sym_power,
     tensor,
@@ -99,11 +103,20 @@ def test_sym_power_is_representation(group, d):
     assert action_is_homomorphism(sym)
 
 
+# one field of each kind: PrimeCtx, Char2Ctx, OddTableCtx and the digit
+# loops of FieldCtx (GF(17^2) by a custom modulus, x^2 - 3)
+KERNEL_FIELDS = [(3, 1, None), (5, 1, None), (2, 2, None), (3, 2, None), (17, 2, (14, 0, 1))]
+KERNEL_MAX_DIM = 120
+
+
 @st.composite
 def substitutions(draw):
-    """A random n x n matrix, singular ones included, with d = p."""
-    ctx = field_new(*draw(st.sampled_from([(3, 1), (2, 2), (5, 1), (3, 2)])))
-    n = draw(st.sampled_from([2, 3]))
+    """A random n x n matrix, singular ones included, and a degree d from 1
+    to p + 2 with at most KERNEL_MAX_DIM monomials, d = p among them."""
+    ctx = field_new(*draw(st.sampled_from(KERNEL_FIELDS)))
+    n = draw(st.integers(2, 4))
+    top = max(d for d in range(1, ctx.p + 3) if comb(n + d - 1, d) <= KERNEL_MAX_DIM)
+    d = draw(st.one_of(st.just(min(ctx.p, top)), st.integers(1, top)))
     cells = draw(st.lists(st.integers(0, ctx.q - 1), min_size=n * n, max_size=n * n))
     r = draw(st.integers(0, n - 1))
     zeroed = draw(st.sampled_from(["none", "row", "column"]))
@@ -111,23 +124,32 @@ def substitutions(draw):
         cells[n * r : n * r + n] = [0] * n
     elif zeroed == "column":
         cells[r::n] = [0] * n  # the linear form l_r is 0
-    return Matrix(ctx, n, n, cells)
+    return Matrix(ctx, n, n, cells), d
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(substitutions())
-def test_power_table_columns_equal_substitution(sigma):
-    # every column of the power-table action is the substituted basis monomial
+def test_power_table_columns_equal_substitution(case):
+    # every column of the builder's and of the verifier's power-table action
+    # is the substituted basis monomial
+    sigma, d = case
     ctx, n = sigma.ctx, sigma.rows
-    basis = monomial_basis(n, ctx.p, ctx.p)
+    basis = monomial_basis(n, d, ctx.p)
     pos = {m: i for i, m in enumerate(basis)}
-    action = _substitution_matrix(sigma, basis, pos)
+    vbasis = verify._ordered_basis(n, d, ctx.p)
+    assert vbasis == [tuple(m) for m in basis]
+    built = _substitution_matrix(sigma, basis, {monomial_code(m, d): i for m, i in pos.items()})
+    checked = verify._substitution_matrix(
+        ctx, sigma, vbasis, {verify._code(m, d): i for i, m in enumerate(vbasis)}
+    )
     for j, mono in enumerate(basis):
         image = substitute_linear(Polynomial.from_monomial(ctx, mono, ctx.one()), sigma)
         want = [0] * len(basis)
         for m, c in image.terms.items():
             want[pos[m]] = c
-        assert action.column_vector(j) == Matrix(ctx, len(basis), 1, want), (sigma, mono)
+        want = Matrix(ctx, len(basis), 1, want)
+        assert built.column_vector(j) == want, (sigma, d, mono)
+        assert checked.column_vector(j) == want, (sigma, d, mono)
 
 
 def test_block_structure_degree_p():

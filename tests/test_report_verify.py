@@ -149,6 +149,27 @@ def test_sym_action_block_check_fires(report3, monkeypatch):
     expect_failure(report3, f"sym-action: element {s}: bottom-left block is nonzero")
 
 
+@pytest.mark.parametrize("ctx,rows", [
+    (F3, [[1, 1], [1, 2]]),
+    (F4, [[1, 2, 0], [0, 1, 3], [1, 0, 1]]),
+])
+def test_substitution_guard_names_a_monomial_outside_the_basis(ctx, rows):
+    # sigma is invertible, so each monomial is in the image of some column;
+    # with it left out of basis_pos the derivation stops at that monomial
+    sigma = Matrix.from_rows(ctx, rows)
+    n = sigma.rows
+    assert not kernel_basis(sigma)
+    basis = modcoh.verify._ordered_basis(n, ctx.p, ctx.p)
+    full = {modcoh.verify._code(m, ctx.p): i for i, m in enumerate(basis)}
+    for mono in basis:
+        pos = dict(full)
+        del pos[modcoh.verify._code(mono, ctx.p)]
+        with pytest.raises(FailedCheck, match=re.escape(
+            f"sym-action: image monomial {mono} outside the basis"
+        )):
+            modcoh.verify._substitution_matrix(ctx, sigma, basis, pos)
+
+
 def with_unit_added(ctx, m, i, j):
     """m plus 1 at (i, j)."""
     data = [m.raw(r, c) for r in range(m.rows) for c in range(m.cols)]
