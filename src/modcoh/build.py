@@ -117,12 +117,12 @@ def build_nonsplit_sequence(
       U = Hom(V/W, W), the maps V -> W vanishing on W, flattened row-major;
       it is a homomorphism because S and the twist are.
     - g_s = (s-1)iota = s^[p] iota A(s^-1) - iota is the coboundary of iota
-      in Hom(V, W), hence a cocycle there.  On W it is
+      in Hom(V, W), hence a cocycle there on all of G.  On W it is
       s^[p] (s^-1)^[p] - I = 0, so it lies in U on every element once the
-      blocks are right; the check on S' guards the computation.  The cocycle
-      is given by its values on S', and validate() checks that they extend
-      to a cocycle on G, with no Z1 system (Cocycle.validate says which
-      check covers which element).
+      blocks are right; the check on S' guards the computation.  So its
+      values on S' fix a cocycle of U with no check on the rest of G
+      (Cocycle.restricted_coboundary), and construct makes no validate
+      pass.
     """
     ctx = group.ctx
     p, n = ctx.p, group.n
@@ -150,8 +150,7 @@ def build_nonsplit_sequence(
 
     iota = hstack(Matrix.identity(ctx, n), Matrix.zeros(ctx, n, N - n))
     values = [_iota_coboundary(group, twist, sym, iota, s) for s in spanning]
-    g = Cocycle.on_spanning(u_module, values)
-    g.validate()
+    g = Cocycle.restricted_coboundary(u_module, values)
     ext = extension_from_cocycle(g)
 
     verdict = is_split(g)
@@ -232,11 +231,12 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
 
     w is fixed by the block form, so both sides of the equation are
     cocycles, and agreement on S' implies it on every element.  g_{s^-1}
-    is taken by its formula (s-1)iota: that is a cocycle (the coboundary
-    of iota in Hom(V, W)) with the validated cocycle's values on S', so the
-    two agree on every element.  Reads the symmetric-power action and the
-    twist on S' and its inverses, which the sequence already built, and U
-    on S' only; U~ is not read.
+    is taken by its formula (s-1)iota, the coboundary of iota in
+    Hom(V, W), of which the sequence's cocycle is the restriction to U, so
+    the two agree on every element.  The second fact is the cocycle
+    identity at (s, s^-1), with g_1 = 0.  Reads the symmetric-power action
+    and the twist on S' and its inverses, which the sequence already
+    built, and U on S' only; U~ is not read.
     """
     group = seq.group
     ctx, n, N = group.ctx, group.n, seq.sym_module.dim

@@ -14,8 +14,12 @@ graph over S'.  Either system reads the action on S' only, has Z1 on S' as
 its kernel, and is built once per module, only when Z1 itself is asked for
 (z1_dim, z1_space, h1_class).  Cocycle.validate builds no system: it
 evaluates the relators at x, or expands x along the tree and checks the
-Schreier rows' identity pair by pair.  Z1 on S' is the kernel_basis of that
-system, which depends on Z1 alone, not on the relators chosen.  B1 on S' is
+Schreier rows' identity pair by pair.  A cocycle that is one by
+construction skips it: the pipeline's g = (s-1)iota is the coboundary of
+iota in a larger module, read in a submodule
+(Cocycle.restricted_coboundary), so construct makes no validate pass.
+Z1 on S' is the kernel_basis of that system, which depends on Z1 alone,
+not on the relators chosen.  B1 on S' is
 the column space of the stacked (s-1); the complement of B1 in Z1 and each
 class are computed on those coordinates, and only z1_space/b1_space expand
 to the stacked non-identity coordinates.  Split tests solve (s-1)u = g_s over S',
@@ -73,6 +77,22 @@ class Cocycle:
             raise ModcohError("need one value per element of S'")
         g = cls.__new__(cls)
         g._setup(module, x, None)
+        return g
+
+    @classmethod
+    def restricted_coboundary(cls, module: GModule, x: Sequence[Matrix]) -> "Cocycle":
+        """The cocycle with values x_s = (s-1)v on S', for a vector v of a
+        larger module M of which `module` is a submodule; the caller forms x
+        from v and checks that each x_s lies in `module`.
+
+        s -> (s-1)v is the coboundary of v in M, so a cocycle on all of G:
+        (st-1)v = s(t-1)v + (s-1)v.  It lies in the submodule on S', hence
+        on every element, a word in S', since g_st = s g_t + g_s and the
+        submodule is stable.  So x is the restriction to S' of a cocycle of
+        `module`, and the pass is recorded: validate() returns at once.
+        """
+        g = cls.on_spanning(module, x)
+        g._checked = True
         return g
 
     def _setup(

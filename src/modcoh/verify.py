@@ -19,7 +19,7 @@ Theory, 2005, section 7.6): from the identity by left multiplication with
 S', the generators in order, each kept only when the search has not
 reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
-S' x G, so each element of S' finds its inverse in its own row.  The
+S' x G, so each element of S' meets its inverse in its own row.  The
 symmetric-power action A is derived on S' and its inverses, U on S' only,
 and g = (s-1)iota by its formula on S' and its inverses.  A is built as
 the builder builds it, in code of its own: a table of the powers of the
@@ -36,18 +36,15 @@ Checks there hold on every element:
   U(s) U(s^-1) = kron(s^[p] (s^-1)^[p], (S(s) S(s^-1))^T)
   = kron(I_n, (S(s) S(s^-1))^T), so U(s) U(s^-1) = I is checked on S' as
   S(s) S(s^-1) = I, a guard on the derivation with no d x d product.
-- g has the formula's values on S'.  When the closure certifies G
-  elementary abelian on S' (s^p = 1 and st = ts on S', |G| = p^|S'|),
-  the relators s^p and [s, t] present G, and x = (g_s) extends to a
-  cocycle iff (U(s)-1)^(p-1) g_s = 0 and (U(s)-1) g_t = (U(t)-1) g_s on
-  S'.  Otherwise g is expanded from S' along the search tree,
-  g_st = U(s) g_t + g_s, and every other product of S' x G is checked
-  against the same identity; with g_1 = 0 that gives a cocycle, by
-  induction on word length in S'.  Either way there is exactly one
-  cocycle with the formula's values on S'.  The formula is a cocycle too
-  (the coboundary of iota in Hom(V, W)), so the two agree on every
-  element, and g_{s^-1} is taken by the formula.  Then the extension
-  [[U, g], [0, 1]] and its dual W(s) are homomorphisms too.
+- g_s = (s-1)iota = s^[p] iota A(s^-1) - iota is the coboundary of iota
+  in Hom(V, W), so a cocycle on all of G:
+  (st-1)iota = s(t-1)iota + (s-1)iota.  It is checked to lie in U on S'
+  and its inverses, a guard on the derivation; U is stable and every
+  element is a word in S', so by g_st = s g_t + g_s it lies in U on every
+  element, a cocycle of U.  iota is checked to be (I_n | 0), so no report
+  field feeds g, and g is read by its formula on S' and its inverses
+  only.  Then the extension [[U, g], [0, 1]] and its dual W(s) are
+  homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
   So the tensor witness and the toy identity
   A(s) = [[U(s), g_s], [0, 1]] are checked on S' only, and det = 1, which
@@ -56,8 +53,9 @@ Checks there hold on every element:
   W(s) = [[U(s^-1)^T, 0], [g_{s^-1}^T, 1]] and X = [-I_d ; 0], reads
   -[[(U(s) U(s^-1))^T], [(U(s) g_{s^-1})^T]] + [[I_d], [0]] = [[0], [g_s^T]]
   row block by row block, so it holds exactly when U(s) U(s^-1) = I (the
-  u-action check) and U(s) g_{s^-1} = -g_s; and W(s) e_d = e_d, the
-  invariance of w, is W(s)'s last column, true for any U and g.
+  u-action check) and U(s) g_{s^-1} = -g_s, the cocycle identity at
+  (s, s^-1) with g_1 = 0; and W(s) e_d = e_d, the invariance of w, is
+  W(s)'s last column, true for any U and g.
 - A u with (s-1)u = g_s on G solves the S' rows, so a row that kills the
   S' system but not its right-hand side rules out every split.
 """
@@ -281,40 +279,15 @@ def _cocycle(
     ids: Iterable[int],
 ) -> list[Optional[Matrix]]:
     """g_s = (s-1)iota in U's coordinates at each non-identity id s in
-    `ids`, checking that it lands in U; 0 at the identity and None at every
-    other id."""
+    `ids`, checking that it lands in U; None at every other id."""
     n, N = iota.rows, iota.cols
     out: list[Optional[Matrix]] = [None] * len(elements)
-    out[0] = Matrix.zeros(ctx, n * (N - n), 1)
     for s in ids:
         full = _frob_matrix(ctx, elements[s]) @ iota @ sym_action[inv_table[s]] - iota
         if not full.submatrix(0, n, 0, n).is_zero:
             _fail("cocycle", f"(s-1)iota leaves U at element {s}")
         out[s] = full.submatrix(0, n, n, N).flatten()
     return out
-
-
-def _expand_cocycle(
-    u_action: list[Optional[Matrix]],
-    values: list[Optional[Matrix]],
-    mul_idx: dict[tuple[int, int], int],
-) -> list[Matrix]:
-    """Fill in g on every element from the values already known, checking
-    every other product.
-
-    `mul_idx` lists the S' x G products in the order _generated met them,
-    so g_t is known when (s, t) comes up.  The first product to reach an
-    unknown element is a tree edge and sets g_st = U(s) g_t + g_s; every
-    other one is checked against that identity, and so is each product
-    reaching a value given beforehand.
-    """
-    for (s, t), k in mul_idx.items():
-        image = u_action[s] @ values[t] + values[s]
-        if values[k] is None:
-            values[k] = image
-        elif values[k] != image:
-            _fail("cocycle", f"pair identity fails at elements ({s}, {t})")
-    return values
 
 
 def _check_inverse_pairs(
@@ -350,48 +323,6 @@ def _check_tensor_witness(
             _fail("tensor-vanishing", f"witness equation fails at element {s}")
 
 
-def _elementary_abelian(
-    p: int, order: int, spanning: list[int], mul_idx: dict[tuple[int, int], int]
-) -> bool:
-    """Whether the powers s^p and commutators [s, t], s, t in S', present G.
-
-    Read off the S' x G products: s^p = 1 and st = ts for s, t in S', and
-    |G| = p^|S'|.  Then E = <S' | s^p, [s, t]> is (Z/p)^|S'|, and s -> s
-    extends to a homomorphism E -> G, onto because S' generates G; equal
-    orders make it an isomorphism.
-    """
-    if order != p ** len(spanning):
-        return False
-    for b, s in enumerate(spanning):
-        power = s
-        for _ in range(p - 1):
-            power = mul_idx[(s, power)]
-        if power != 0 or any(mul_idx[(s, t)] != mul_idx[(t, s)] for t in spanning[:b]):
-            return False
-    return True
-
-
-def _check_relators(
-    p: int, spanning: list[int], less_one: list[Matrix], values: list[Optional[Matrix]]
-) -> None:
-    """The relators of an elementary abelian G evaluated at g on S', with
-    less_one[b] = U(s) - 1 for the b-th element s of S'.
-
-    The power s^p gives (U(s)-1)^(p-1) g_s = 0, since the norm
-    sum_{i<p} U(s)^i is (U(s)-1)^(p-1) in characteristic p; the commutator
-    [s, t] gives (U(s)-1) g_t = (U(t)-1) g_s.
-    """
-    for b, s in enumerate(spanning):
-        norm = values[s]
-        for _ in range(p - 1):
-            norm = less_one[b] @ norm
-        if not norm.is_zero:
-            _fail("cocycle", f"the power relator of element {s} fails")
-        for c, t in enumerate(spanning[:b]):
-            if less_one[b] @ values[t] != less_one[c] @ values[s]:
-                _fail("cocycle", f"the commutator relator of elements {t}, {s} fails")
-
-
 def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
     """The block matrix [[U(s), g_s], [0, 1]]."""
     d = act.rows
@@ -405,35 +336,35 @@ def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
 
 def _generated(
     ctx: FieldCtx, n: int, generators: list[Matrix], order: int
-) -> tuple[list[Matrix], list[int], dict[tuple[int, int], int], dict[int, int]]:
-    """The elements of <generators>, S', the ids of the products s @ t for
-    s in S', t in G, and the inverse of each element of S' and back.
+) -> tuple[list[Matrix], list[int], dict[int, int]]:
+    """The elements of <generators>, S', and the inverse of each element of
+    S' and back.
 
     The search of grp.closure: a generator is kept, as the next element of
     S', only when the search has not reached it; its row then catches up
     with the elements found so far, and every row takes each element found
-    after them.  Element ids are the order of discovery, so they, S' and the
-    tree (the first product to reach each element) are the builder's.
-    Fails `group` past `order` elements, short of it, or when an element of
-    S' never meets the identity in its row, which a group element must.
+    after them.  Element ids are the order of discovery, so they and S' are
+    the builder's.  The rows are S' x G, so an element of S' meets its
+    inverse in its own row; the products are not kept.  Fails `group` past
+    `order` elements, short of it, or when an element of S' never meets the
+    identity in its row, which a group element must.
     """
     identity = Matrix.identity(ctx, n)
     elements, index = [identity], {identity: 0}
     spanning: list[int] = []
     kept: list[Matrix] = []
-    left: list[list[int]] = []
-    mul_idx: dict[tuple[int, int], int] = {}
+    inverse: dict[int, int] = {}
 
-    def product(b: int, h: int) -> int:
+    def product(b: int, h: int) -> None:
         x = kept[b] @ elements[h] if h else kept[b]
         k = index.get(x)
         if k is None:
             if len(elements) == order:
                 _fail("group", f"the generators make more than the {order} elements stated")
-            k = index[x] = len(elements)
+            index[x] = len(elements)
             elements.append(x)
-        mul_idx[(spanning[b], h)] = k
-        return k
+        elif k == 0:
+            inverse[spanning[b]], inverse[h] = h, spanning[b]
 
     for g in generators:
         if g in index:
@@ -441,22 +372,19 @@ def _generated(
         # g is new, so its product with the identity gets the next id
         spanning.append(len(elements))
         kept.append(g)
-        left.append([])
         done = len(elements)
-        left[-1].extend(product(len(kept) - 1, h) for h in range(done))
+        for h in range(done):
+            product(len(kept) - 1, h)
         while done < len(elements):
-            for b, row in enumerate(left):
-                row.append(product(b, done))
+            for b in range(len(kept)):
+                product(b, done)
             done += 1
     if len(elements) != order:
         _fail("group", f"the generators reach {len(elements)} of the {order} elements stated")
-    inverse: dict[int, int] = {}
-    for s, row in zip(spanning, left):
-        if 0 not in row:
+    for s in spanning:
+        if s not in inverse:
             _fail("group", f"element {s} has no inverse in the group found")
-        s_inv = row.index(0)
-        inverse[s], inverse[s_inv] = s_inv, s
-    return elements, spanning, mul_idx, inverse
+    return elements, spanning, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +442,7 @@ def _verify_payload(report: dict) -> int:
     for i, m in enumerate(generators):
         if m.rows != n or m.cols != n:
             _fail("group", f"generator {i} is not {n}x{n}")
-    elements, spanning, mul_idx, inv_table = _generated(ctx, n, generators, order)
+    elements, spanning, inv_table = _generated(ctx, n, generators, order)
     checks += 1
 
     # dimension formulas
@@ -553,15 +481,9 @@ def _verify_payload(report: dict) -> int:
     less_one = [u_action[s] - ident_u for s in spanning]
     checks += 1
 
-    # g_s by its formula on S' and its inverses.  On an elementary abelian
-    # G the power and commutator relators are evaluated at the S' values;
-    # otherwise g is expanded along the BFS tree with every other product
-    # of S' x G checked.  Either makes g a cocycle
+    # g_s by its formula on S' and its inverses, checked to lie in U: the
+    # coboundary of iota in Hom(V, W), so a cocycle of U on all of G
     cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota, read)
-    if _elementary_abelian(p, order, spanning, mul_idx):
-        _check_relators(p, spanning, less_one, cocycle)
-    else:
-        _expand_cocycle(u_action, cocycle, mul_idx)
     checks += 1
 
     # non-split certificate: y kills the S' system (s-1)u = g_s, not its rhs
@@ -611,7 +533,7 @@ def _verify_toy(
     spanning: list[int],
     sym_action: list[Optional[Matrix]],
     u_action: list[Optional[Matrix]],
-    cocycle: list[Matrix],
+    cocycle: list[Optional[Matrix]],
 ) -> int:
     """The toy record: present exactly for 2x2 groups of determinant 1 over
     p = 2, where it states that the toy sequence is the main extension.

@@ -74,7 +74,7 @@ def expect_failure(report, check_name):
 
 def closed(payload):
     """The verifier's own closure of the report's generators: the elements,
-    S', the S' x G products and the inverses on S'."""
+    S' and the inverses on S'."""
     ctx = field_from_json(payload["field"])
     gobj = payload["group"]
     generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
@@ -183,7 +183,7 @@ def test_tamper_u_action(report3, monkeypatch):
     # reduces to: a faulty lower-right block S of A, at the element of S'
     # or at its inverse, fails it (the block checks read the other blocks)
     original = modcoh.verify._sym_action
-    _, (s,), _, inv = closed(report3["payload"])
+    _, (s,), inv = closed(report3["payload"])
     for faulty in (s, inv[s]):
 
         def broken(ctx, elements, basis, n, ids, faulty=faulty):
@@ -217,17 +217,14 @@ def patched_cocycle(monkeypatch, changes):
 
 
 def test_tamper_cocycle_value(report_sl2, monkeypatch):
-    # g is derived: g_s by its formula on S' and its inverses, every other
-    # value expanded along the BFS tree, since SL_2(F_3) is not elementary
-    # abelian.  A faulty g_s outside Z1, a faulty value at the identity and
-    # a faulty value given at an element off S' each fail the pair identity
-    # at some product of S' x G
+    # g is derived by its formula on S' and its inverses only, a cocycle by
+    # proof, and read nowhere else.  A faulty g_s outside Z1 moves the
+    # right-hand side of the split system, which the inconsistency row then
+    # kills
     gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
     seq = build_nonsplit_sequence(closure(F3, 2, [Matrix.from_rows(F3, g) for g in gens]))
     group, d = seq.group, seq.u_module.dim
     s = group.spanning_ids[0]
-    read = set(group.spanning_ids) | {group.inv[t] for t in group.spanning_ids}
-    x = next(i for i in range(1, group.order) if i not in read)
     units = [Matrix.basis_column(F3, d, j) for j in range(d)]
 
     def in_z1(e):
@@ -240,19 +237,15 @@ def test_tamper_cocycle_value(report_sl2, monkeypatch):
             return False
 
     off_z1 = next(e for e in units if not in_z1(e))
-    for element, value in (
-        (s, seq.cocycle.value(s) + off_z1),
-        (0, units[0]),
-        (x, seq.cocycle.value(x) + units[0]),
-    ):
-        patched_cocycle(monkeypatch, {element: value})
-        expect_failure(report_sl2, "cocycle: pair identity fails")
+    patched_cocycle(monkeypatch, {s: seq.cocycle.value(s) + off_z1})
+    expect_failure(report_sl2, "nonsplit: inconsistency row kills the right-hand side")
 
 
-def test_tamper_cocycle_value_on_the_relator_path(report3, report9, monkeypatch):
-    # family-a groups are elementary abelian on S', so the verifier
-    # evaluates the power and commutator relators at g on S' and names the
-    # one that fails.  Z1 of Z/3 on S' is the kernel of (U(s)-1)^2
+def test_tamper_cocycle_value_fails_the_witness_identity(report3, report9, monkeypatch):
+    # values of g on S' that break the power or the commutator relator of an
+    # elementary abelian group fail U(s) g_{s^-1} = -g_s, the cocycle
+    # identity at (s, s^-1) that the tensor witness reduces to.  Z1 of Z/3
+    # on S' is the kernel of (U(s)-1)^2
     seq = build_nonsplit_sequence(closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])]))
     (s,) = seq.group.spanning_ids
     d = seq.u_module.dim
@@ -260,7 +253,7 @@ def test_tamper_cocycle_value_on_the_relator_path(report3, report9, monkeypatch)
     units = (Matrix.basis_column(F3, d, j) for j in range(d))
     off_z1 = next(e for e in units if not (less @ less @ e).is_zero)
     patched_cocycle(monkeypatch, {s: seq.cocycle.value(s) + off_z1})
-    expect_failure(report3, re.escape(f"cocycle: the power relator of element {s} fails"))
+    expect_failure(report3, f"tensor-vanishing: witness equation fails at element {s}$")
 
     # GF(9): a vector killed by (U(t)-1)^2 keeps the power relator of t, but
     # one not fixed by U(s) moves (U(s)-1) g_t off (U(t)-1) g_s
@@ -273,9 +266,7 @@ def test_tamper_cocycle_value_on_the_relator_path(report3, report9, monkeypatch)
         if not ((seq.u_module.action(s) - ident) @ v).is_zero
     )
     patched_cocycle(monkeypatch, {t: seq.cocycle.value(t) + moved})
-    expect_failure(
-        report9, re.escape(f"cocycle: the commutator relator of elements {s}, {t} fails")
-    )
+    expect_failure(report9, f"tensor-vanishing: witness equation fails at element {t}$")
 
 
 def test_cocycle_must_land_in_u():
@@ -307,14 +298,10 @@ def test_tamper_inconsistency_row(report3):
 def test_tamper_witness(report3, report_sl2, monkeypatch):
     # X = [-I_d ; 0] and w = e_d are not formed: the witness equation is
     # checked as U(s) U(s^-1) = I (test_tamper_u_action) and
-    # U(s) g_{s^-1} = -g_s.  The relator path reads g_{s^-1} only there, so a
-    # faulty g_{s^-1} fails tensor-vanishing; the pair path expands g onto
-    # s^-1 and fails the pair identity first
-    for report, check in (
-        (report3, "tensor-vanishing: witness equation fails"),
-        (report_sl2, "cocycle: pair identity fails"),
-    ):
-        _, spanning, _, inv = closed(report["payload"])
+    # U(s) g_{s^-1} = -g_s.  g_{s^-1} is read only there, so a faulty
+    # g_{s^-1} fails tensor-vanishing
+    for report in (report3, report_sl2):
+        _, spanning, inv = closed(report["payload"])
         s_inv = inv[spanning[0]]
         d = report["payload"]["dims"]["U"]
         ctx = field_from_json(report["payload"]["field"])
@@ -327,14 +314,11 @@ def test_tamper_witness(report3, report_sl2, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(modcoh.verify, "_cocycle", broken)
-            expect_failure(report, check)
+            expect_failure(report, "tensor-vanishing: witness equation fails")
 
-    # a faulty U(s), formed other than as kron(s^[p], S(s^-1)^T), fails the
-    # relators or the pair identity it enters first
-    for report, check in (
-        (report3, "cocycle: the power relator"),
-        (report_sl2, "cocycle: pair identity fails"),
-    ):
+    # a faulty U(s), formed other than as kron(s^[p], S(s^-1)^T), moves the
+    # split system, which the inconsistency row then no longer kills
+    for report in (report3, report_sl2):
         (s, *_) = closed(report["payload"])[1]
         original = modcoh.verify._u_action
 
@@ -345,7 +329,7 @@ def test_tamper_witness(report3, report_sl2, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(modcoh.verify, "_u_action", scaled)
-            expect_failure(report, check)
+            expect_failure(report, "nonsplit: inconsistency row does not kill the system")
 
 
 @pytest.mark.parametrize(
@@ -439,13 +423,13 @@ def test_toy_identity_is_checked_on_s_prime(report2):
     # S^2 with [[U(s), g_s], [0, 1]] on S' and fires when they differ
     p = report2["payload"]
     ctx = field_from_json(p["field"])
-    elements, spanning, mul_idx, inv = closed(p)
+    elements, spanning, inv = closed(p)
     read = spanning + [inv[s] for s in spanning]
     sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2, read)
-    u = modcoh.verify._u_action(ctx, elements, sym, inv, 2, read)
+    u = modcoh.verify._u_action(ctx, elements, sym, inv, 2, spanning)
     iota = matrix_from_json(ctx, p["iota"])
+    # the toy reads g on S' only
     g = modcoh.verify._cocycle(ctx, elements, sym, inv, iota, spanning)
-    g = modcoh.verify._expand_cocycle(u, g, mul_idx)
     generators = [matrix_from_json(ctx, m) for m in p["group"]["generators"]]
     args = (ctx, p["toy"], 2, generators, spanning)
     assert modcoh.verify._verify_toy(*args, sym, u, g) == 1

@@ -1,13 +1,13 @@
 """The verifier's checks on S' against the exhaustive checks they replace.
 
 `verify._verify_payload` closes the published generators by one search
-over a generating subset S', then checks the cocycle by its relators on an
-elementary abelian group and by the identity on S' x G otherwise, and
-every other group equation on S' only, the tensor witness in the two facts
+over a generating subset S', takes g = (s-1)iota by its formula on S' and
+its inverses, a cocycle by proof (the coboundary of iota in Hom(V, W)), and
+checks every group equation on S' only, the tensor witness in the two facts
 its Hom form reduces to.  The reference below keeps the exhaustive loops,
-on v4 reports: closure, inverses and the cocycle identity over every
-ordered pair, the invariance of w = e_d, the closed-form tensor witness
-X = [-I_d ; 0] in dense Hom form and the toy identity
+on v4 reports: closure, inverses and the cocycle identity of the formula
+over every ordered pair, the invariance of w = e_d, the closed-form tensor
+witness X = [-I_d ; 0] in dense Hom form and the toy identity
 S^2(s) = [[U(s), g_s], [0, 1]] on every element, and the split system over
 every published generator next to the one over S'.  It derives the actions
 with the verifier's own helpers, on the elements of the verifier's closure.
@@ -24,11 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcoh.coh as coh
 import modcoh.verify as verify
-from modcoh.errors import FailedCheck
+from modcoh.errors import FailedCheck, NotACocycle
 from modcoh.build import TensorVanishing, build_nonsplit_sequence
 from modcoh.cli import JobSpec, build_group
-from modcoh.coh import extension_from_cocycle, split_system
+from modcoh.coh import Cocycle, extension_from_cocycle, split_system
 from modcoh.gf import field_from_json, field_new, field_to_json
 from modcoh.grp import additive_family, paired_shear_family
 from modcoh.linalg import (
@@ -43,8 +44,8 @@ LADDER = [
     (5, 1, 2), (7, 1, 2), (3, 1, 3), (2, 2, 3), (2, 3, 3),
 ]
 LABELS = [f"GF({p}^{k}) n={n}" for p, k, n in LADDER] + ["zpxzp p=3"]
-# the first non-abelian group, read through a `file:` recipe; its cocycle
-# takes the verifier's pair path, every label above the relator path
+# the first non-abelian group, read through a `file:` recipe; every label
+# above is elementary abelian
 SL2_FILE = "SL2(F3) file"
 
 
@@ -79,9 +80,15 @@ def report(label):
     return run_pipeline(group(label), params).report
 
 
+@functools.cache
+def sequence(label):
+    return build_nonsplit_sequence(group(label))
+
+
 class Derived:
     """Everything the verifier derives from a report's group, on every
-    element, with its own helpers; g by its formula (s-1)iota everywhere."""
+    element, with its own helpers; g by its formula (s-1)iota everywhere,
+    and g_1 = 0."""
 
     def __init__(self, rep):
         payload = rep["payload"]
@@ -106,6 +113,7 @@ class Derived:
         self.iota = matrix_from_json(ctx, payload["iota"])
         self.g = verify._cocycle(ctx, self.elements, self.sym, self.inv, self.iota, every[1:])
         self.d = self.u[0].rows
+        self.g[0] = Matrix.zeros(ctx, self.d, 1)
         self.w = Matrix.basis_column(ctx, self.d + 1, self.d)
         self.x = vstack([-Matrix.identity(ctx, self.d), Matrix.zeros(ctx, 1, self.d)])
 
@@ -157,8 +165,10 @@ def reference_failures(der):
     return out
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", LABELS + [SL2_FILE])
 def test_reference_checks_hold(label):
+    # the all-pairs loop checks the cocycle identity of the formula
+    # g = (x-1)iota, which the verifier reads on S' and its inverses only
     assert reference_failures(derived(label)) == []
     assert verify.verify_report(report(label)) >= 12
     # the X and w of the reference are the closed forms the builder checked
@@ -187,35 +197,42 @@ def test_u_action_is_a_homomorphism_on_all_pairs(label):
             assert der.u[der.mul(i, j)] == der.u[i] @ der.u[j], (i, j)
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", LABELS + [SL2_FILE])
 def test_verifier_picks_a_generating_subset(label):
     # the verifier's own closure numbers the elements as the builder does,
-    # its S' is the builder's, its products are exactly S' x G, and its
-    # inverses on S' are the inverses
+    # its S' is the builder's, and its inverses on S' are the inverses
     der = derived(label)
-    elements, spanning, mul_idx, inverse = der.closure
+    elements, spanning, inverse = der.closure
     assert elements == group(label).elements
     assert spanning == group(label).spanning_ids
-    assert set(mul_idx) == {(s, t) for s in spanning for t in range(der.order)}
-    assert all(mul_idx[(s, t)] == der.mul(s, t) for s, t in mul_idx)
     assert inverse == {i: der.inv[i] for s in spanning for i in (s, der.inv[s])}
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", LABELS + [SL2_FILE])
 def test_verifier_expands_g_from_s_prime_to_the_formula(label):
-    # the verifier takes (s-1)iota on S' only and expands it along its BFS
-    # tree, reading A and U on S' and its inverses: the expansion is the
+    # the verifier takes (s-1)iota on S' and its inverses only, reading A on
+    # S' and its inverses.  The cocycle its values on S' fix, expanded along
+    # the search tree by g_st = U(s) g_t + g_s with U on S' only, is the
     # formula on every element
     der = derived(label)
-    _, spanning, mul_idx, _ = der.closure
+    _, spanning, _ = der.closure
     read = spanning + [der.inv[s] for s in spanning]
     basis = [tuple(e) for e in der.payload["basis"]]
     n = der.payload["group"]["n"]
     sym = verify._sym_action(der.ctx, der.elements, basis, n, read)
-    u = verify._u_action(der.ctx, der.elements, sym, der.inv, n, read)
-    assert [i for i, a in enumerate(u) if a is not None] == sorted(set(read))
-    on_s = verify._cocycle(der.ctx, der.elements, sym, der.inv, der.iota, spanning)
-    assert verify._expand_cocycle(u, on_s, mul_idx) == der.g
+    u = verify._u_action(der.ctx, der.elements, sym, der.inv, n, spanning)
+    g = verify._cocycle(der.ctx, der.elements, sym, der.inv, der.iota, read)
+    assert [i for i, v in enumerate(g) if v is not None] == sorted(set(read))
+    assert all(g[i] == der.g[i] for i in read)
+    expanded = [der.g[0]] + [None] * (der.order - 1)
+    for s in spanning:
+        expanded[s] = g[s]
+    parents = group(label).tree_parents
+    for k in range(1, der.order):
+        if expanded[k] is None:
+            s, t = parents[k]
+            expanded[k] = u[s] @ expanded[t] + g[s]
+    assert expanded == der.g
 
 
 def with_lower_right(der, j, block):
@@ -249,7 +266,7 @@ def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
     label = data.draw(st.sampled_from(LABELS + [SL2_FILE]))
     der = derived(label)
     ctx, n = der.ctx, der.n
-    _, spanning, _, inv_table = der.closure
+    _, spanning, inv_table = der.closure
     s = data.draw(st.sampled_from(spanning))
     s_inv = der.inv[s]
     site = data.draw(st.sampled_from(["U(s)", "U(s^-1)", "g_{s^-1}"]))
@@ -290,58 +307,55 @@ def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_relator_path_rejects_exactly_what_the_pair_path_rejects(data):
-    # on a group certified elementary abelian on S' the verifier evaluates
-    # the power and commutator relators at g on S'; the pair path expands
-    # g along the tree and checks every product of S' x G.  Values on S'
-    # moved by a coboundary (s-1)v stay a cocycle; a few bumped cells may
-    # leave Z1.  Both paths must accept exactly the same values
+    # Cocycle.validate has two engines: on a group certified elementary
+    # abelian on S' it evaluates the power and commutator relators at x;
+    # the pair path expands x along the tree and checks every other
+    # product of S' x G.  Values on S' moved by a coboundary (s-1)v stay a
+    # cocycle; a few bumped cells may leave Z1.  Both engines must accept
+    # exactly the same values
     label = data.draw(st.sampled_from(LABELS))
-    der = derived(label)
-    ctx, d = der.ctx, der.d
-    _, spanning, mul_idx, _ = der.closure
-    assert verify._elementary_abelian(ctx.p, der.order, spanning, mul_idx)
+    module = sequence(label).u_module
+    ctx, d, spanning = module.group.ctx, module.dim, module.group.spanning_ids
+    assert coh._relators_present(module.group)
     ident = Matrix.identity(ctx, d)
-    less_one = [der.u[s] - ident for s in spanning]
     v = Matrix(ctx, d, 1, data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d)))
     cells = data.draw(st.lists(
         st.tuples(st.integers(0, len(spanning) * d - 1), st.integers(1, ctx.q - 1)), max_size=2,
     ))
-    values = [der.g[0]] + [None] * (der.order - 1)
-    for b, s in enumerate(spanning):
+    x = []
+    for b, (s, g_s) in enumerate(zip(spanning, sequence(label).cocycle.spanning_values)):
         mine = [(pos - b * d, delta) for pos, delta in cells if pos // d == b]
-        values[s] = bump(ctx, der.g[s] + less_one[b] @ v, mine)
+        x.append(bump(ctx, g_s + (module.action(s) - ident) @ v, mine))
 
     try:
-        verify._check_relators(ctx.p, spanning, less_one, values)
+        coh._check_relators(module, x)
         by_relators = True
-    except FailedCheck as exc:
-        assert re.match(r"cocycle: the (power|commutator) relator of elements? [\d, ]+ fails",
+    except NotACocycle as exc:
+        assert re.match(r"the (power|commutator) relator of elements? [\d, ]+ of S' fails",
                         str(exc))
         by_relators = False
     try:
-        verify._expand_cocycle(der.u, list(values), mul_idx)
+        Cocycle.on_spanning(module, x)._check_schreier_pairs()
         by_pairs = True
-    except FailedCheck as exc:
-        assert str(exc).startswith("cocycle: pair identity fails")
+    except NotACocycle as exc:
+        assert str(exc).startswith("pair identity fails")
         by_pairs = False
     assert by_relators == by_pairs
     if not cells:
         assert by_relators
 
 
-@pytest.mark.parametrize(
-    "label, path",
-    [(SL2_FILE, "pairs"), ("zpxzp p=3", "relators"), ("GF(3^1) n=2", "relators"),
-     ("GF(2^2) n=3", "relators")],
-)
-def test_verifier_takes_the_relator_path_on_elementary_abelian_groups_only(label, path):
-    # SL_2(F_3) is not elementary abelian, so its report still takes the
-    # pair path over S' x G; the family-a and zpxzp reports take the relators
+@pytest.mark.parametrize("label", LABELS + [SL2_FILE])
+def test_construct_cocycle_is_valid_without_a_validate_pass(label):
+    # g = (s-1)iota is a cocycle by proof, so the builder makes neither of
+    # validate's checks; re-checking its values on S' still passes
     calls = []
-    with mock.patch.object(verify, "_check_relators", lambda *a: calls.append("relators")), \
-            mock.patch.object(verify, "_expand_cocycle", lambda *a: calls.append("pairs")):
-        assert verify.verify_report(report(label)) >= 12
-    assert calls == [path]
+    with mock.patch.object(coh, "_check_relators", lambda *a: calls.append("relators")), \
+            mock.patch.object(Cocycle, "_check_schreier_pairs",
+                              lambda self: calls.append("pairs")):
+        seq = build_nonsplit_sequence(group(label))
+    assert calls == []
+    Cocycle.on_spanning(seq.u_module, seq.cocycle.spanning_values).validate()
 
 
 # the ladder plus GF(2), where the group hypothesis fails
