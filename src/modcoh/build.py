@@ -8,15 +8,15 @@ identity on W, and g_s = (s-1) iota is a cocycle whose class obstructs the
 splitting of 0 -> U -> U + K iota -> K -> 0.  The remaining stages check
 the closed-form tensor-vanishing witness, record the components and
 dimension of the large direct-sum module, and show that the degree-2 toy
-sequence is the main extension.  The witness and the toy identity are
-checked on the generating subset S', not searched for by a solver, and
-neither is stored: the report states them as equations that the verifier
-re-checks.
+sequence is the main extension.  The non-split row, the witness and the
+toy identity are closed forms, checked on the elements they name, not
+searched for by a solver, and none is stored: the report states them as
+equations that the verifier re-checks.
 
-No stage computes a cohomology space.  The class of g is nonzero by the
-split test's inconsistency row, its product with w vanishes by the
-closed-form witness, and dim X has a closed formula; Z1, B1 and H1 are
-left to the `h1` subcommand.
+No stage computes a cohomology space or calls a solver.  The class of g
+is nonzero by the restriction certificate on the hypothesis elements, its
+product with w vanishes by the closed-form witness, and dim X has a
+closed formula; Z1, B1 and H1 are left to the `h1` subcommand.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .coh import (
     Cocycle,
     ExtensionClass,
-    NonSplitCertificate,
-    SplitResult,
     extension_from_cocycle,
     is_split,
     z1_space,  # unused here; bench/test_bench.py patches this import site
@@ -64,7 +62,8 @@ from .rep import (
 
 @dataclass
 class NonSplitSequence:
-    """Everything the certificates cite: modules, iota, cocycle, verdict."""
+    """Everything the certificates cite: modules, iota, cocycle and the
+    non-split certificate, None when the group hypothesis fails."""
 
     group: MatrixGroup
     hypothesis: HypothesisReport
@@ -75,8 +74,7 @@ class NonSplitSequence:
     iota: Matrix
     cocycle: Cocycle
     extension: ExtensionClass
-    split_result: SplitResult
-    certificate: Optional[NonSplitCertificate]
+    certificate: Optional[RestrictionCertificate]
 
     @property
     def dims(self) -> dict[str, int]:
@@ -95,10 +93,13 @@ class NonSplitSequence:
 def build_nonsplit_sequence(
     group: MatrixGroup, require_hypothesis: bool = True
 ) -> NonSplitSequence:
-    """Construct U, iota, the cocycle and the split-test certificate.
+    """Construct U, iota, the cocycle and the non-split certificate.
 
     With `require_hypothesis` the group must contain the pattern elements
-    that force non-splitness; a split verdict is then a hard error.
+    that force non-splitness.  When they are present, the certificate is
+    the closed-form row on them (RestrictionCertificate), and a row that
+    fails its check is a TheoremViolation; otherwise it is None and no
+    verdict is taken here.
 
     Every module is built on demand, and this stage reads the actions only
     on S' and its inverses: A(s) for the block checks, U(s) and g_s for
@@ -123,6 +124,9 @@ def build_nonsplit_sequence(
       values on S' fix a cocycle of U with no check on the rest of G
       (Cocycle.restricted_coboundary), and construct makes no validate
       pass.
+
+    The certificate reads A(h^-1) and the twist at each element h of its
+    subgroup H as well.
     """
     ctx = group.ctx
     p, n = ctx.p, group.n
@@ -152,16 +156,16 @@ def build_nonsplit_sequence(
     values = [_iota_coboundary(group, twist, sym, iota, s) for s in spanning]
     g = Cocycle.restricted_coboundary(u_module, values)
     ext = extension_from_cocycle(g)
+    cert = None
+    if hyp.ok:
+        cert = restriction_certificate(group, hyp)
+        on_s = dict(zip(spanning, values))
 
-    verdict = is_split(g)
-    if hyp.ok and verdict.split:
-        raise TheoremViolation(
-            "the sequence split although the group hypothesis holds; "
-            f"witness = {verdict.witness!r}"
-        )
-    return NonSplitSequence(
-        group, hyp, sym, basis, twist, u_module, iota, g, ext, verdict, verdict.certificate
-    )
+        def g_at(h: int) -> Matrix:
+            return on_s[h] if h in on_s else _iota_coboundary(group, twist, sym, iota, h)
+
+        _check_restriction(group, twist, sym, cert, g_at)
+    return NonSplitSequence(group, hyp, sym, basis, twist, u_module, iota, g, ext, cert)
 
 
 def _iota_coboundary(
@@ -174,6 +178,109 @@ def _iota_coboundary(
     if not full.submatrix(0, n, 0, n).is_zero:
         raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
     return full.submatrix(0, n, n, N).flatten()
+
+
+# ---------------------------------------------------------------------------
+# the non-split certificate
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RestrictionCertificate:
+    """A row y over a subgroup H with sum_h y_h (U(h) - 1) = 0 and
+    sum_h y_h g_h != 0, so g is not a coboundary on H, hence not on G.
+
+    If g_h = (h-1)u for one u and every h, then
+    sum_h y_h g_h = sum_h y_h (U(h) - 1) u = 0.  `ids` is H and `terms`
+    are y's nonzero slots: (element id h, coordinate of U, coefficient as
+    its field encoding).
+
+    U = Hom(V/W, W) is flattened row-major, so slot (i, j) is
+    i (N - n) + j for the W-row i and the V/W monomial j.  Row (i, j) of
+    U(h) = kron(h^[p], S(h^-1)^T) is row i of h^[p] (x) column j of S(h^-1),
+    and g_h = h^[p] iota A(h^-1) - iota = (0 | h^[p] T), with T the
+    top-right block of A(h^-1).  The basis pins the first V/W monomials, so
+    H and y are closed forms (`restriction_certificate`):
+
+    - p >= 3: H = {u}, u = x12(1), and y = 2 e(0,m1) + e(1,m2) with
+      m1 = x1^(p-1) x2 and m2 = x1^(p-2) x2^2.  u^[p] = u, and u^-1
+      substitutes x2 -> x2 - x1, sending m1 to m1 - x1^p and m2 to
+      m2 - 2 m1 + x1^p.  So columns m1 and m2 of S(u^-1) are e_m1 and
+      e_m2 - 2 e_m1, and those of T are -e_0 and e_0.  Rows (0, m1) and
+      (1, m2) of U(u) are (e_0 + e_1) (x) e_m1 and e_1 (x) (e_m2 - 2 e_m1),
+      so y U(u) = 2 e(0,m1) + 2 e(1,m1) + e(1,m2) - 2 e(1,m1) = y.  And
+      g_u = u T is (e_0 + e_1).(-e_0) = -1 at (0, m1) and e_1.e_0 = 0 at
+      (1, m2), so y g_u = -2 != 0.
+    - p = 2: H = {A(b1), A(b2)}, A(b) = [[b+1, b], [b, b+1]] the pattern
+      involution of a = b + 1, with b1 != b2 both nonzero, and
+      y = ((b2/b1)^2 e(0,m), e(0,m)) with m = x1 x2.  A(b)^[2] = A(b^2), and
+      A(b) = A(b)^-1 sends m to (b^2+b)(x1^2 + x2^2) + m, as
+      (b+1)^2 + b^2 = 1.  So column m of S(A(b)) is e_m, T has b^2+b in
+      rows 0 and 1 of column m, and e(0,m) (U(A(b)) - 1) =
+      b^2 (e(0,m) + e(1,m)), while g_A(b) at (0, m) is
+      (b^2+1 + b^2)(b^2+b) = b^2+b.  The two rows sum to
+      ((b2/b1)^2 b1^2 + b2^2)(e(0,m) + e(1,m)) = 0, and
+      y g = (b2/b1)^2 (b1^2+b1) + b2^2+b2 = b2 (b1 + b2) / b1 != 0.
+      One involution is not enough: c e(0,m) (U(A(b)) - 1) = 0 forces c = 0.
+    """
+
+    ids: tuple[int, ...]
+    terms: tuple[tuple[int, int, int], ...]
+
+
+def restriction_certificate(group: MatrixGroup, hyp: HypothesisReport) -> RestrictionCertificate:
+    """H and y by the rule that the report's equation text states: the
+    shear for p >= 3; for p = 2 the two pattern involutions with the least
+    nonzero b = a + 1 in field encoding order.  `hyp` must hold; three
+    distinct a leave at least two nonzero b.
+    """
+    ctx, n, p = group.ctx, group.n, group.ctx.p
+    m = comb(n + p - 1, p) - n  # dim V/W: slot (1, m2) is m + 1
+    if p > 2:
+        (u,) = hyp.ids
+        return RestrictionCertificate((u,), ((u, 0, ctx.from_int(2).val), (u, m + 1, 1)))
+    one = ctx.one()
+    (b1, h1), (b2, h2) = sorted(
+        ((a + one, h) for a, h in zip(hyp.values, hyp.ids) if a != one),
+        key=lambda bh: bh[0].val,
+    )[:2]
+    return RestrictionCertificate((h1, h2), ((h1, 0, ((b2 / b1) ** 2).val), (h2, 0, 1)))
+
+
+def _check_restriction(
+    group: MatrixGroup,
+    twist: GModule,
+    sym: GModule,
+    cert: RestrictionCertificate,
+    g_value: Callable[[int], Matrix],
+) -> None:
+    """sum_h y_h (U(h) - 1) = 0 and sum_h y_h g_h != 0, reading each row of
+    U(h) off its factors (RestrictionCertificate): no d x d matrix is
+    formed.  `g_value(h)` is g_h.  Raises TheoremViolation if either
+    fails."""
+    ctx, n, N = group.ctx, group.n, sym.dim
+    m = N - n
+    add, mul = ctx.add_i, ctx.mul_i
+    residual = [0] * (n * m)
+    value = 0
+    for h, slot, c in cert.terms:
+        i, j = divmod(slot, m)
+        twist_row = twist.action(h).row_list(i)
+        s_inv = sym.action(group.inv[h])
+        column = [s_inv.raw(n + r, n + j) for r in range(m)]
+        for a, t in enumerate(twist_row):
+            if t:
+                f = mul(c, t)
+                for r, v in enumerate(column):
+                    if v:
+                        at = a * m + r
+                        residual[at] = add(residual[at], mul(f, v))
+        residual[slot] = ctx.sub_i(residual[slot], c)
+        value = add(value, mul(c, g_value(h).raw(slot, 0)))
+    if any(residual):
+        raise TheoremViolation(f"the non-split row does not kill U(h) - 1 on H = {cert.ids}")
+    if not value:
+        raise TheoremViolation(f"the non-split row kills g on H = {cert.ids}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +396,7 @@ class ToyReport:
     """The toy sequence, which is the main extension: its verdict is main's."""
 
     main: NonSplitSequence
+    split: bool
 
 
 def toy_example(
@@ -311,8 +419,9 @@ def toy_example(
     r_s = -s^[2] r_{s^-1} = g_s in characteristic 2, where
     r_s = A(s)[0:2, 2] is the toy cocycle (s-1)v0.  Both sides are
     homomorphisms, so the equality is checked on S' and a failure is a
-    TheoremViolation; the toy verdict, with or without the group
-    hypothesis, is then `main.split_result`.
+    TheoremViolation; the toy verdict is then main's.  Under the group
+    hypothesis main's certificate proves it non-split; without it (GF(2)),
+    and only then, the verdict is `is_split(main.cocycle)`.
     """
     if isinstance(group_or_degree, int):
         group = additive_family(field_new(2, group_or_degree))
@@ -330,7 +439,7 @@ def toy_example(
             raise BadProjection(f"pi = (0, 0, 1) is not invariant: det != 1 at element {s}")
         if sym != main.extension.total.action(s):
             raise TheoremViolation(f"S^2 is not the main extension at element {s}")
-    return ToyReport(main)
+    return ToyReport(main, main.certificate is None and is_split(main.cocycle).split)
 
 
 # ---------------------------------------------------------------------------

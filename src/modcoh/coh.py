@@ -696,9 +696,6 @@ class SplitResult:
     split: bool
     witness: Optional[Matrix]
     certificate: Optional[NonSplitCertificate]
-    system: Matrix
-    rhs: Matrix
-    spanning_ids: tuple[int, ...]
 
 
 def split_system(g: Cocycle) -> tuple[Matrix, Matrix, tuple[int, ...]]:
@@ -725,17 +722,16 @@ def is_split(e: Union[Cocycle, ExtensionClass]) -> SplitResult:
     """
     g = e.cocycle if isinstance(e, ExtensionClass) else e
     g.validate()
-    system, rhs, ids = split_system(g)
+    system, rhs, _ = split_system(g)
     if system.rows == 0:
-        zero = Matrix.zeros(g.module.group.ctx, g.module.dim, 1)
-        return SplitResult(True, zero, None, system, rhs, ids)
+        return SplitResult(True, Matrix.zeros(g.module.group.ctx, g.module.dim, 1), None)
     res = solve(system, rhs)
     if res.consistent:
-        return SplitResult(True, res.solution, None, system, rhs, ids)
+        return SplitResult(True, res.solution, None)
     cert = NonSplitCertificate(system, rhs, res.certificate)
     if not cert.verify():
         raise ModcohError("internal error: inconsistency certificate does not re-verify")
-    return SplitResult(False, None, cert, system, rhs, ids)
+    return SplitResult(False, None, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,17 @@ def paired_shear_family(ctx: FieldCtx, order_cap: int = DEFAULT_ORDER_CAP) -> Ma
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Whether a group supports the non-split construction in degree p."""
+    """Whether a group supports the non-split construction in degree p.
+
+    `ids` are the element ids found: the pattern elements in the order of
+    `values` (p = 2), or the shear (p >= 3).  The non-split certificate
+    takes its subgroup H from them, so G is scanned once.
+    """
 
     ok: bool
     case: str  # "involution-pattern" (p = 2) or "unipotent-shear" (p >= 3)
     values: tuple[FieldElement, ...]  # distinct pattern parameters found (p = 2)
+    ids: tuple[int, ...]
     detail: str
 
 
@@ -324,24 +330,26 @@ def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
     ctx = group.ctx
     if ctx.p == 2:
         found = []
-        for m in group.elements:
+        for i, m in enumerate(group.elements):
             a = _matches_involution_pattern(m)
             if a is not None:
-                found.append(a)
-        found.sort(key=lambda x: x.val)
+                found.append((a.val, a, i))
+        found.sort()
         ok = len(found) >= 3
         return HypothesisReport(
             ok,
             "involution-pattern",
-            tuple(found),
+            tuple(a for _, a, _ in found),
+            tuple(i for _, _, i in found),
             f"{len(found)} distinct pattern parameter(s); need >= 3",
         )
-    target = family_matrix(ctx, ctx.one(), group.n)
-    ok = target in group.index
+    shear = group.index.get(family_matrix(ctx, ctx.one(), group.n))
+    ok = shear is not None
     return HypothesisReport(
         ok,
         "unipotent-shear",
         (),
+        () if shear is None else (shear,),
         "unipotent shear present" if ok else "unipotent shear missing",
     )
 

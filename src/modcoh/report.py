@@ -1,13 +1,13 @@
-"""Assemble the pipeline report: the objects it states and the evidence a
-solver found.
+"""Assemble the pipeline report: the objects it states and the equations
+it claims.
 
-Schema v4.  The payload states its objects (params, field, the group by
+Schema v5.  The payload states its objects (params, field, the group by
 its generators and order, dims, basis, iota and the obstruction module's
-components) and otherwise carries only what a solver found: the
-inconsistency row of the S' split system.  Each claim keeps its equation
-text.  Everything the verifier rebuilds from the generators (the elements,
-S' and the search tree, the symmetric-power, U and X actions, the cocycle
-values, the split system, the closed-form tensor witness X = [-I_d ; 0]
+components) and, for each claim, its equation text; it ships no solver
+output.  Everything the verifier rebuilds from the generators (the
+elements, S' and the search tree, the symmetric-power, U and X actions,
+the cocycle values, the closed-form non-split row y on the subgroup H that
+the equation text names, the closed-form tensor witness X = [-I_d ; 0]
 with w = e_d, and the toy sequence, which is the main extension) is left
 out, and so is every cohomology number: the claims need none.  All output
 is canonical JSON; the payload digest binds every field.
@@ -32,7 +32,7 @@ from .gf import field_to_json
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
 from .linalg import matrix_to_json
-from .verify import SCHEMA, SPLIT_EQUATION, TENSOR_EQUATION, TOY_EQUATION
+from .verify import PATTERN_EQUATION, SCHEMA, SHEAR_EQUATION, TENSOR_EQUATION, TOY_EQUATION
 
 
 @dataclass
@@ -47,8 +47,8 @@ class PipelineResult:
 def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineResult:
     """Run every stage on a built group and assemble the wrapped report.
 
-    No stage draws random numbers; `seed` is accepted for callers that pass
-    it, and the report records only `params["seed"]`.
+    No stage draws random numbers; `seed`, and `params["seed"]` if
+    present, are accepted for callers that pass them and ignored.
     """
     seq = build_nonsplit_sequence(group)
     witness = tensor_vanishing_witness(seq)
@@ -62,7 +62,7 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
 
     payload = {
         # the job's other keys (group recipe, modulus) are the group and field
-        "params": {key: params[key] for key in ("p", "k", "n", "order_cap", "seed")},
+        "params": {key: params[key] for key in ("p", "k", "n", "order_cap")},
         "field": field_to_json(group.ctx),
         "group": group_to_json(group),
         "dims": seq.dims,
@@ -70,8 +70,7 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
         "iota": matrix_to_json(seq.iota),
         "nonsplit_certificate": {
             "verdict": "NonSplit",
-            "inconsistency_row": matrix_to_json(seq.certificate.row),
-            "equation": SPLIT_EQUATION,
+            "equation": SHEAR_EQUATION if group.ctx.p > 2 else PATTERN_EQUATION,
         },
         "tensor_vanishing": {"equation": TENSOR_EQUATION},
         "obstruction": {

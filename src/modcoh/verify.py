@@ -1,17 +1,18 @@
 """Independent re-checker for pipeline reports.
 
 Deliberately shares only the field and matrix primitives with the builder.
-A v4 report names the group by its generators and order, states its
-objects, and otherwise carries only what a solver found: the inconsistency
-row.  Everything else is re-derived here from the generators, without
-touching the solver paths that produced the report: the elements, the
+A v5 report names the group by its generators and order and states its
+objects; each claim is an equation text, and no solver output is shipped.
+Everything else is re-derived here from the generators: the elements, the
 basis order, the symmetric-power action by substitution, U's action, the
-cocycle (s-1)iota, the split system over S', and the two facts the
-closed-form tensor witness X = [-I_d ; 0] with w = e_d reduces to.  The
-toy sequence for p = n = 2 is the main extension, so its record is the
-equation alone.  Every equation those values feed is then checked, and
-every payload object must have exactly the v4 fields, so no sealed field
-goes unchecked by accident.  The payload digest binds every field.
+cocycle (s-1)iota, the closed-form non-split row y on the subgroup H that
+the construction's hypothesis names, and the two facts the closed-form
+tensor witness X = [-I_d ; 0] with w = e_d reduces to.  The toy sequence
+for p = n = 2 is the main extension, so its record is the equation alone.
+Every equation those values feed is then checked, and every payload
+object must have exactly the v5 fields, so no sealed field goes unchecked
+by accident.  The payload digest binds every field, and every field is
+checked by something other than the digest.
 
 The group is closed here from its generators by the search that
 grp.closure makes (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -20,8 +21,9 @@ S', the generators in order, each kept only when the search has not
 reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
 S' x G, so each element of S' meets its inverse in its own row.  The
-symmetric-power action A is derived on S' and its inverses, U on S' only,
-and g = (s-1)iota by its formula on S' and its inverses.  A is built as
+symmetric-power action A is derived on S', its inverses and the inverses
+of H's elements, U on S' only, and g = (s-1)iota by its formula on S', its
+inverses and H.  A is built as
 the builder builds it, in code of its own: a table of the powers of the
 substituted variables, over monomials coded as base-(d+1) integers.
 Checks there hold on every element:
@@ -38,12 +40,12 @@ Checks there hold on every element:
   S(s) S(s^-1) = I, a guard on the derivation with no d x d product.
 - g_s = (s-1)iota = s^[p] iota A(s^-1) - iota is the coboundary of iota
   in Hom(V, W), so a cocycle on all of G:
-  (st-1)iota = s(t-1)iota + (s-1)iota.  It is checked to lie in U on S'
-  and its inverses, a guard on the derivation; U is stable and every
-  element is a word in S', so by g_st = s g_t + g_s it lies in U on every
-  element, a cocycle of U.  iota is checked to be (I_n | 0), so no report
-  field feeds g, and g is read by its formula on S' and its inverses
-  only.  Then the extension [[U, g], [0, 1]] and its dual W(s) are
+  (st-1)iota = s(t-1)iota + (s-1)iota.  It is checked to lie in U where
+  it is read, a guard on the derivation; U is stable and every element is
+  a word in S', so by g_st = s g_t + g_s it lies in U on every element, a
+  cocycle of U.  iota is checked to be (I_n | 0), so no report field
+  feeds g, and g is read by its formula on S', its inverses and H only.
+  Then the extension [[U, g], [0, 1]] and its dual W(s) are
   homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
   So the tensor witness and the toy identity
@@ -56,8 +58,13 @@ Checks there hold on every element:
   u-action check) and U(s) g_{s^-1} = -g_s, the cocycle identity at
   (s, s^-1) with g_1 = 0; and W(s) e_d = e_d, the invariance of w, is
   W(s)'s last column, true for any U and g.
-- A u with (s-1)u = g_s on G solves the S' rows, so a row that kills the
-  S' system but not its right-hand side rules out every split.
+- If g_h = (h-1)u for one u and every h in G, then for a subgroup H and
+  rows y_h with sum_h y_h (U(h) - 1) = 0, sum_h y_h g_h = 0.  So such a y
+  with sum_h y_h g_h != 0 rules out every split.  H and y are closed forms
+  fixed by p and the basis (the shear x12(1) for p >= 3, two pattern
+  involutions for p = 2; the builder's RestrictionCertificate proves
+  both), and each term reads one row of U(h) = kron(h^[p], S(h^-1)^T), a
+  row of h^[p] times a column of S(h^-1), with no d x d matrix.
 """
 
 from __future__ import annotations
@@ -70,28 +77,36 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
-from .linalg import Matrix, hstack, kron, matrix_from_json, vstack
+from .linalg import Matrix, hstack, kron, matrix_from_json
 
 # the schema and the equation texts of the report, defined here only:
 # report.py imports them, so the verifier needs nothing from the builder
-SCHEMA = "modcoh-report-v4"
-SPLIT_EQUATION = "y@system == 0 and y@rhs != 0 for (s-1)u = g_s over S'"
+SCHEMA = "modcoh-report-v5"
+SHEAR_EQUATION = (
+    "y@(U(u)-1) == 0 and y@g_u != 0 for u = x12(1), "
+    "y = 2e(0,x1^(p-1)x2) + e(1,x1^(p-2)x2^2)"
+)
+PATTERN_EQUATION = (
+    "y1@(U(h1)-1) + y2@(U(h2)-1) == 0 and y1@g_h1 + y2@g_h2 != 0 for "
+    "hi = [[bi+1, bi], [bi, bi+1]], b1 < b2 the two least nonzero b, "
+    "y1 = (b2/b1)^2 e(0,x1x2), y2 = e(0,x1x2)"
+)
 TENSOR_EQUATION = (
     "W(s) @ X @ U(s)^T - X == w @ g_s^T for every element, X = [-I_d ; 0], w = e_d"
 )
 TOY_EQUATION = "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
 
-# the exact fields of the report and of each v4 payload object
+# the exact fields of the report and of each v5 payload object
 _REPORT_KEYS = frozenset({"schema", "payload", "digest"})
 _PAYLOAD_KEYS = frozenset({
     "params", "field", "group", "dims", "basis", "iota",
     "nonsplit_certificate", "tensor_vanishing", "obstruction", "toy",
 })
-_PARAMS_KEYS = frozenset({"p", "k", "n", "order_cap", "seed"})
+_PARAMS_KEYS = frozenset({"p", "k", "n", "order_cap"})
 _FIELD_KEYS = frozenset({"p", "k", "modulus"})
 _GROUP_KEYS = frozenset({"field", "n", "generators", "order"})
 _MATRIX_KEYS = frozenset({"rows", "cols", "entries"})
-_NONSPLIT_KEYS = frozenset({"verdict", "inconsistency_row", "equation"})
+_NONSPLIT_KEYS = frozenset({"verdict", "equation"})
 _TENSOR_KEYS = frozenset({"equation"})
 _OBSTRUCTION_KEYS = frozenset({"components", "dim", "dim_by_formula"})
 _TOY_KEYS = frozenset({"equation"})
@@ -323,6 +338,80 @@ def _check_tensor_witness(
             _fail("tensor-vanishing", f"witness equation fails at element {s}")
 
 
+def _restriction_row(
+    ctx: FieldCtx, n: int, m: int, elements: list[Matrix], index: Mapping[Matrix, int]
+) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """H by the rule of the equation text, as the inverse of each of its
+    elements, and y's nonzero slots (h, coordinate of U, coefficient), for
+    m = dim V/W; ({}, []) when the group has no such H.  `index` maps each
+    element to its id.
+
+    p >= 3: the shear u = x12(1), whose inverse is x12(-1), and
+    y = 2 e(0,m1) + e(1,m2) at U's slots 0 and m + 1.  p = 2: the pattern
+    involutions A(b) = [[b+1, b], [b, b+1]], each its own inverse, with the
+    two least nonzero b in field encoding order, and
+    y = ((b2/b1)^2 e(0,m), e(0,m)) at slot 0.
+    """
+    if n < 2:
+        return {}, []
+    if ctx.p > 2:
+        u, back = (index.get(_padded(ctx, n, [[1, c], [0, 1]])) for c in (1, ctx.neg_i(1)))
+        if u is None:
+            return {}, []
+        return {u: back}, [(u, 0, ctx.add_i(1, 1)), (u, m + 1, 1)]
+    found = []
+    for h, x in enumerate(elements):
+        b = x.raw(0, 1)
+        if b and x == _padded(ctx, n, [[ctx.add_i(b, 1), b], [b, ctx.add_i(b, 1)]]):
+            found.append((b, h))
+    if len(found) < 2:
+        return {}, []
+    (b1, h1), (b2, h2) = sorted(found)[:2]
+    c = ctx.mul_i(b2, ctx.inv_i(b1))
+    return {h1: h1, h2: h2}, [(h1, 0, ctx.mul_i(c, c)), (h2, 0, 1)]
+
+
+def _padded(ctx: FieldCtx, n: int, block: list[list[int]]) -> Matrix:
+    """The 2x2 `block` in the top-left of I_n."""
+    data = [int(i == j) for i in range(n) for j in range(n)]
+    for i in range(2):
+        data[i * n: i * n + 2] = block[i]
+    return Matrix(ctx, n, n, data)
+
+
+def _check_restriction(
+    ctx: FieldCtx,
+    elements: list[Matrix],
+    sym_action: list[Optional[Matrix]],
+    inv_table: Mapping[int, int],
+    cocycle: list[Optional[Matrix]],
+    terms: list[tuple[int, int, int]],
+    n: int,
+) -> None:
+    """sum_h y_h (U(h) - 1) = 0 and sum_h y_h g_h != 0 for y's slots
+    `terms`.  Row (i, j) of U(h) = kron(h^[p], S(h^-1)^T) is row i of h^[p]
+    (x) column j of S(h^-1), read off h and A(h^-1)."""
+    add, mul, frob = ctx.add_i, ctx.mul_i, ctx.frob_i
+    m = sym_action[inv_table[terms[0][0]]].rows - n  # dim V/W; terms is not empty
+    residual = [0] * (n * m)
+    value = 0
+    for h, slot, c in terms:
+        i, j = divmod(slot, m)
+        a_inv = sym_action[inv_table[h]]
+        column = [a_inv.raw(n + r, n + j) for r in range(m)]
+        for a in range(n):
+            f = mul(c, frob(elements[h].raw(i, a)))
+            if f:
+                for r, v in enumerate(column):
+                    residual[a * m + r] = add(residual[a * m + r], mul(f, v))
+        residual[slot] = ctx.sub_i(residual[slot], c)
+        value = add(value, mul(c, cocycle[h].raw(slot, 0)))
+    if any(residual):
+        _fail("nonsplit", "y does not kill U(h) - 1 on H")
+    if not value:
+        _fail("nonsplit", "y kills g on H")
+
+
 def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
     """The block matrix [[U(s), g_s], [0, 1]]."""
     d = act.rows
@@ -336,9 +425,9 @@ def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
 
 def _generated(
     ctx: FieldCtx, n: int, generators: list[Matrix], order: int
-) -> tuple[list[Matrix], list[int], dict[int, int]]:
-    """The elements of <generators>, S', and the inverse of each element of
-    S' and back.
+) -> tuple[list[Matrix], list[int], dict[int, int], dict[Matrix, int]]:
+    """The elements of <generators>, S', the inverse of each element of S'
+    and back, and the id of each element.
 
     The search of grp.closure: a generator is kept, as the next element of
     S', only when the search has not reached it; its row then catches up
@@ -384,7 +473,7 @@ def _generated(
     for s in spanning:
         if s not in inverse:
             _fail("group", f"element {s} has no inverse in the group found")
-    return elements, spanning, inverse
+    return elements, spanning, inverse, index
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +531,7 @@ def _verify_payload(report: dict) -> int:
     for i, m in enumerate(generators):
         if m.rows != n or m.cols != n:
             _fail("group", f"generator {i} is not {n}x{n}")
-    elements, spanning, inv_table = _generated(ctx, n, generators, order)
+    elements, spanning, inv_table, index = _generated(ctx, n, generators, order)
     checks += 1
 
     # dimension formulas
@@ -462,10 +551,14 @@ def _verify_payload(report: dict) -> int:
         _fail("basis", "stored basis violates the prescribed monomial order")
     checks += 1
 
-    # symmetric-power action by independent substitution on S' and its
-    # inverses, with its block structure
-    read = list(dict.fromkeys(spanning + [inv_table[s] for s in spanning]))
-    sym_action = _sym_action(ctx, elements, basis, n, read)
+    # H and the non-split row y, fixed by p and the basis; then the
+    # symmetric-power action by independent substitution on S', its
+    # inverses and the inverses of H, with its block structure
+    h_inverse, terms = _restriction_row(ctx, n, N - n, elements, index)
+    inv_table = {**inv_table, **h_inverse}
+    read = spanning + [inv_table[s] for s in spanning]
+    sym_ids = dict.fromkeys(read + list(h_inverse.values()))
+    sym_action = _sym_action(ctx, elements, basis, n, sym_ids)
     checks += 1
 
     # iota
@@ -477,26 +570,25 @@ def _verify_payload(report: dict) -> int:
     # U(s) U(s^-1) = I on S' by its factors, then U built on S' only
     _check_inverse_pairs(ctx, sym_action, inv_table, spanning, n)
     u_action = _u_action(ctx, elements, sym_action, inv_table, n, spanning)
-    ident_u = Matrix.identity(ctx, dim_u)
-    less_one = [u_action[s] - ident_u for s in spanning]
     checks += 1
 
-    # g_s by its formula on S' and its inverses, checked to lie in U: the
-    # coboundary of iota in Hom(V, W), so a cocycle of U on all of G
-    cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota, read)
+    # g_s by its formula on S', its inverses and H, checked to lie in U:
+    # the coboundary of iota in Hom(V, W), so a cocycle of U on all of G
+    cocycle_ids = dict.fromkeys(read + list(h_inverse))
+    cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota, cocycle_ids)
     checks += 1
 
-    # non-split certificate: y kills the S' system (s-1)u = g_s, not its rhs
+    # non-split certificate: the closed-form y on H kills U(h) - 1, not g
     cert = _record(payload["nonsplit_certificate"], "nonsplit", _NONSPLIT_KEYS)
     if cert["verdict"] != "NonSplit":
         _fail("nonsplit", f"verdict {cert['verdict']!r} is not NonSplit")
-    if cert["equation"] != SPLIT_EQUATION:
+    if cert["equation"] != (SHEAR_EQUATION if p > 2 else PATTERN_EQUATION):
         _fail("nonsplit", "equation text differs from the checked equation")
-    y = _matrix(ctx, cert["inconsistency_row"])
-    if not (y @ vstack(less_one)).is_zero:
-        _fail("nonsplit", "inconsistency row does not kill the system")
-    if (y @ vstack([cocycle[s] for s in spanning])).is_zero:
-        _fail("nonsplit", "inconsistency row kills the right-hand side")
+    if not terms:
+        _fail("nonsplit", "the group has no " + (
+            "shear x12(1)" if p > 2 else "two pattern involutions A(b) with b != 0"
+        ))
+    _check_restriction(ctx, elements, sym_action, inv_table, cocycle, terms, n)
     checks += 1
 
     # tensor vanishing: (s-1)u = w (x) g_s on S' for the closed forms

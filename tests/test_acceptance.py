@@ -27,7 +27,7 @@ from modcoh.coh import (
 from modcoh.errors import CorruptReport, FailedCheck
 from modcoh.gf import field_new
 from modcoh.grp import additive_family, closure, family_matrix, paired_shear_family
-from modcoh.linalg import Matrix, hstack, kron, solve
+from modcoh.linalg import Matrix, hstack, kron, solve, vstack
 from modcoh.rep import direct_sum_mod, dual, natural_module, sym_power, trivial_module
 from modcoh.report import run_pipeline
 from modcoh.verify import verify_report, verify_report_file
@@ -55,27 +55,37 @@ def _passed(num, text):
     print(f"CRITERION {num}: PASS - {text}")
 
 
+def _restriction_system(seq):
+    """The closed-form y over H, with the stacked U(h) - I and g_h, formed
+    densely as a reference for the builder's two-row check."""
+    ctx, d, cert = seq.group.ctx, seq.u_module.dim, seq.certificate
+    cells = [0] * (len(cert.ids) * d)
+    for h, slot, c in cert.terms:
+        cells[cert.ids.index(h) * d + slot] = c
+    ident = Matrix.identity(ctx, d)
+    system = vstack([seq.u_module.action(h) - ident for h in cert.ids])
+    rhs = vstack([seq.cocycle.value(h) for h in cert.ids])
+    return Matrix(ctx, 1, len(cells), cells), system, rhs
+
+
 def test_criterion_01_nonsplit_char2(case_a):
     start = time.perf_counter()
     group, seq = case_a
-    assert not seq.split_result.split
-    cert = seq.certificate
-    # independent re-verification of the certificate
-    assert (cert.row @ cert.system).is_zero
-    assert not (cert.row @ cert.rhs).is_zero
-    # S' system rows in the unknowns (z11, z21):
-    # (a^2+1) z11 + (a^2+1) z21 = a^2 + a for each parameter in S'
-    one = F4.one()
-    seen = set()
-    for t, gid in enumerate(seq.split_result.spanning_ids):
-        a = group.elements[gid][0, 0]
-        seen.add(a.val)
-        coeff, rhs = a * a + one, a * a + a
+    # H is the two pattern involutions A(b) = [[b+1, b], [b, b+1]] with the
+    # least nonzero b: GF(4) has three, and y = ((b2/b1)^2 e_0, e_0)
+    h1, h2 = seq.certificate.ids
+    b1, b2 = (group.elements[h][0, 1] for h in (h1, h2))
+    assert [b1.val, b2.val] == [1, 2]
+    assert seq.certificate.terms == ((h1, 0, ((b2 / b1) ** 2).val), (h2, 0, 1))
+    # independent re-verification of the certificate, densely
+    y, system, rhs = _restriction_system(seq)
+    assert (y @ system).is_zero
+    assert not (y @ rhs).is_zero
+    # rows in the unknowns (z11, z21): b^2 z11 + b^2 z21 = b^2 + b for each b
+    for t, b in enumerate((b1, b2)):
         for r in range(2):
-            row = 2 * t + r
-            assert [cert.system[row, 0], cert.system[row, 1]] == [coeff, coeff]
-            assert cert.rhs[row, 0] == rhs
-    assert len(seen) == 2  # S' is two of the three non-identity parameters
+            assert [system[2 * t + r, 0], system[2 * t + r, 1]] == [b * b, b * b]
+            assert rhs[2 * t + r, 0] == b * b + b
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed(1, f"NonSplit over GF(4), parameter equations reproduced ({elapsed:.3f}s < 1s)")
@@ -84,16 +94,19 @@ def test_criterion_01_nonsplit_char2(case_a):
 def test_criterion_02_nonsplit_char3(case_b):
     start = time.perf_counter()
     group, seq = case_b
-    assert not seq.split_result.split
-    cert = seq.certificate
-    assert (cert.row @ cert.system).is_zero
-    assert not (cert.row @ cert.rhs).is_zero
+    # H = {u}, the shear, and y = 2 e_0 + e_3: slots (0, x1^2 x2), (1, x1 x2^2)
+    (u,) = seq.certificate.ids
+    assert group.elements[u] == Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    assert seq.certificate.terms == ((u, 0, 2), (u, 3, 1))
+    y, system, rhs = _restriction_system(seq)
+    assert (y @ system).is_zero
+    assert not (y @ rhs).is_zero
     # unknowns (z11, z12, z21, z22) row-major; the clash sits in rows 0 and 3:
     # z21 = -1 and -2 z21 = 0 (canonical mod 3: coefficients 1 and 1, rhs 2 and 0)
-    assert [cert.system.raw(0, j) for j in range(4)] == [0, 0, 1, 0]
-    assert cert.rhs[0, 0] == -F3.one()
-    assert [cert.system.raw(3, j) for j in range(4)] == [0, 0, (-2) % 3, 0]
-    assert cert.rhs[3, 0].is_zero
+    assert [system.raw(0, j) for j in range(4)] == [0, 0, 1, 0]
+    assert rhs[0, 0] == -F3.one()
+    assert [system.raw(3, j) for j in range(4)] == [0, 0, (-2) % 3, 0]
+    assert rhs[3, 0].is_zero
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed(2, f"NonSplit over GF(3), z21 clash recovered from rows 0/3 ({elapsed:.3f}s < 1s)")
@@ -248,7 +261,7 @@ def _in_span(vectors, v):
 def test_criterion_07_toy_example(case_a):
     group, seq = case_a
     toy = toy_example(group, main=seq)
-    assert not toy.main.split_result.split
+    assert toy.main is seq and not toy.split
     # the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 is the main extension,
     # so its class is the main class: S^2 = [[U(s), g_s], [0, 1]] on every element
     sym, ext = sym_power(group, 2)[0], extension_from_cocycle(seq.cocycle).total

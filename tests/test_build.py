@@ -18,7 +18,7 @@ from modcoh.build import (
     toy_example,
 )
 from modcoh.cli import main
-from modcoh.coh import Cocycle, h1_class, is_split, tensor_with_invariant
+from modcoh.coh import Cocycle, h1_class, is_split, split_system, tensor_with_invariant
 from modcoh.errors import (
     BadCharacteristic, HypothesisNotSatisfied, ModcohError, WitnessNotFound,
 )
@@ -38,13 +38,13 @@ G3 = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
 def test_dims_char2():
     seq = build_nonsplit_sequence(G4)
     assert seq.dims == {"N": 3, "V": 3, "W": 2, "U": 2, "U_ext": 3, "X": 11}
-    assert not seq.split_result.split
+    assert len(seq.certificate.ids) == 2
 
 
 def test_dims_char3():
     seq = build_nonsplit_sequence(G3)
     assert seq.dims == {"N": 4, "V": 4, "W": 2, "U": 4, "U_ext": 5, "X": 19}
-    assert not seq.split_result.split
+    assert seq.certificate.ids == tuple(G3.spanning_ids)
 
 
 def test_hypothesis_rejected_over_gf2():
@@ -56,6 +56,7 @@ def test_construction_without_hypothesis_flag():
     seq = build_nonsplit_sequence(additive_family(F2), require_hypothesis=False)
     assert seq.u_module.dim == 2
     assert not seq.hypothesis.ok
+    assert seq.certificate is None
 
 
 def test_cocycle_lands_in_u_and_validates():
@@ -72,12 +73,13 @@ def test_iota_shape():
 
 
 def test_generator_system_char2_rows():
-    # each S' block row reads (a^2+1)(z11 + z21) = a^2 + a
+    # each S' block row of the solver's split system reads
+    # (a^2+1)(z11 + z21) = a^2 + a
     seq = build_nonsplit_sequence(G4)
-    A, b = seq.split_result.system, seq.split_result.rhs
+    A, b, ids = split_system(seq.cocycle)
     one = F4.one()
-    assert seq.split_result.spanning_ids == tuple(G4.spanning_ids)
-    for t, gid in enumerate(seq.split_result.spanning_ids):
+    assert ids == tuple(G4.spanning_ids)
+    for t, gid in enumerate(ids):
         a = G4.elements[gid][0, 0]
         coeff = a * a + one
         rhs = a * a + a
@@ -90,7 +92,7 @@ def test_generator_system_char2_rows():
 def test_generator_system_char3_rows():
     # row 0: z21 = -1; row 3: -2 z21 = 0
     seq = build_nonsplit_sequence(G3)
-    A, b = seq.split_result.system, seq.split_result.rhs
+    A, b, _ = split_system(seq.cocycle)
     assert [A.raw(0, j) for j in range(4)] == [0, 0, 1, 0]
     assert b[0, 0] == -F3.one()
     assert [A.raw(3, j) for j in range(4)] == [0, 0, (-2) % 3, 0]
@@ -196,10 +198,10 @@ def test_obstruction_components():
 def test_toy_nonsplit_and_equivalence(k, monkeypatch):
     import modcoh.build as build
 
-    main = toy_example(k).main
-    group = main.group
+    toy = toy_example(k)
+    main, group = toy.main, toy.main.group
     assert group.order == 2**k
-    assert main.hypothesis.ok and not main.split_result.split
+    assert main.hypothesis.ok and not toy.split
     # the toy is the main extension: S^2 = [[U(s), g_s], [0, 1]] on every element
     for i in range(group.order):
         assert main.sym_module.action(i) == main.extension.total.action(i)
@@ -210,14 +212,15 @@ def test_toy_nonsplit_and_equivalence(k, monkeypatch):
     # given the main sequence, the toy runs no split test and reads off no cocycle
     monkeypatch.setattr(build, "is_split", forbidden)
     monkeypatch.setattr("modcoh.coh.cocycle_from_extension", forbidden)
-    assert toy_example(group, main=main).main is main
+    again = toy_example(group, main=main)
+    assert again.main is main and not again.split
 
 
 def test_toy_without_hypothesis_records_verdict():
     # over GF(2) the sequence degenerates; the toy verdict is the main one
     toy = toy_example(1)
-    assert not toy.main.hypothesis.ok
-    assert toy.main.split_result.split
+    assert not toy.main.hypothesis.ok and toy.main.certificate is None
+    assert toy.split
 
 
 def test_toy_rejects_wrong_characteristic():
@@ -259,7 +262,7 @@ def test_paired_shear_pipeline_smoke():
     group = paired_shear_family(F3)
     seq = build_nonsplit_sequence(group)
     assert seq.dims["N"] == comb(6, 3) == 20
-    assert not seq.split_result.split
+    assert seq.certificate.ids == (group.spanning_ids[0],)
     assert assemble_obstruction_module(seq).dim == 4 * 4 * (20 - 4) + 3
 
 
@@ -330,9 +333,11 @@ CONSTRUCT_PATHS = {
 
 @pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
 def test_construct_builds_no_z1_system(monkeypatch, tmp_path, label):
-    # the report's claims need no cohomology space: no Z1 system, relator or
-    # Schreier, is built and no Z1 basis is eliminated on any construct path;
-    # the split test is one linalg.solve, whose certificate needs no kernel
+    # the report's claims need no cohomology space and no solver: no Z1
+    # system, relator or Schreier, is built, no Z1 basis is eliminated and
+    # no split system is solved on any construct path; the non-split
+    # certificate is a closed form, and neither does verify solve
+    import modcoh.build as build
     import modcoh.coh as coh
     import modcoh.linalg as linalg
 
@@ -344,6 +349,9 @@ def test_construct_builds_no_z1_system(monkeypatch, tmp_path, label):
         (coh, "kernel_basis"),
         (linalg, "kernel_basis"),
         (coh, "solve"),
+        (linalg, "solve"),
+        (coh, "is_split"),
+        (build, "is_split"),
     ]:
 
         def counting(*args, name=name, original=getattr(module, name)):
@@ -354,5 +362,5 @@ def test_construct_builds_no_z1_system(monkeypatch, tmp_path, label):
     args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
     out = tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
-    assert calls == ["solve"]
     assert main(["verify", str(out)]) == 0
+    assert calls == []

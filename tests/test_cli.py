@@ -165,7 +165,7 @@ def test_detcheck(capsys):
 def test_construct_stdout(capsys):
     assert run(["construct", "--p", "3", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["schema"] == "modcoh-report-v4"
+    assert out["schema"] == "modcoh-report-v5"
 
 
 def test_theorem_violation_exit_code(monkeypatch, tmp_path):

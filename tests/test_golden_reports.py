@@ -3,12 +3,13 @@ byte for byte.
 
 Reports are the regression oracle: a change that claims byte-identical
 reports must keep every SHA-256 below.  The report digests are those of
-schema v4, which ships the group by its generators and order and no H1
-numbers; each inconsistency row is the one v3 shipped.  The instances are the ten family-a
+schema v5, which ships the group by its generators and order, no H1
+numbers and no solver output: the non-split record is its verdict and its
+equation text, and params carry no seed.  The instances are the ten family-a
 ladder reports of `tests/test_verify_generating_set.py`, `zpxzp` p=3,
 GF(17^2) n=2, the one field beyond the tables, and SL_2(F_3) given by a
 `file:` spec, the first non-abelian group, each built
-by the CLI with its default seed and written with `--out`.  The
+by the CLI and written with `--out`.  The
 Z1 and B1 bases that `h1 --dump-basis` prints in stacked non-identity
 coordinates are pinned on three modules.
 """
@@ -20,69 +21,37 @@ import pytest
 
 from modcoh.cli import main
 from modcoh.gf import field_new, field_to_json
-from modcoh.jsonutil import canonical_json
 from modcoh.linalg import Matrix, matrix_to_json
 
 GOLDEN = {
     "GF(2^2) n=2": (["--p", "2", "--k", "2", "--n", "2"],
-                    "c570ef0cb094c8ccf9293abc793be0de663a95c02e9ee6c64d105915a40f8ec0"),
+                    "52a9e52c4fb35e1bc29b30d34e23ecce4dced02e9e54841ad24967fdece78d59"),
     "GF(2^3) n=2": (["--p", "2", "--k", "3", "--n", "2"],
-                    "99288b57bf98cc7346f0c4fa11569397085363781e023ff4283821c5535ea914"),
+                    "31b66ed933fe23e9c69b7a04ad5e6f4421750e9bcae2e2fb351b10fe56fb71ae"),
     "GF(2^4) n=2": (["--p", "2", "--k", "4", "--n", "2"],
-                    "b111e8345d8617139152603e43362a15d3b8c53dc065741eb1f30394777ff696"),
+                    "dad63cd2ff1b56dba52536df156f7db39563dfac23bdd98e2bdf779eb7ef5ce9"),
     "GF(3^2) n=2": (["--p", "3", "--k", "2", "--n", "2"],
-                    "38449132fae6b03a72297729114d4f94c2262dc56876ef50f95f625b85aa2592"),
+                    "bd7d6c753460d53721a07cc440d45b174fed731aabb83bb70aef4227474d8f57"),
     "GF(3^1) n=2": (["--p", "3", "--n", "2"],
-                    "c5f9240acf05fc3cbc70194d71503635812df567c599859311afcdd98e46a9e0"),
+                    "dd04e7234881af1ef718d7d8863afecdb20f5b002d7d672dbd78b5f617e3316f"),
     "GF(5^1) n=2": (["--p", "5", "--n", "2"],
-                    "062b9ee8f778c05c6c8147d8035da65f096ba8a75d4eed150b716a21a8856968"),
+                    "e0547bfb61ba71d61a363232c9bc17bcbdece9c85e914ed8662d9c9ee6c1301a"),
     "GF(7^1) n=2": (["--p", "7", "--n", "2"],
-                    "9c16017d6289187cf424e5c0157c9133ce79b64327517d7794634eb3699f17b3"),
+                    "62b32954d2551daff69ee80c0b6b9511987220656b8f9e43dff273136ae0be3a"),
     "GF(3^1) n=3": (["--p", "3", "--n", "3"],
-                    "faff0d6e2298c24eb879c881046289bad48e496bd456528ce97b235366a6e2bd"),
+                    "58b180203fae669f8de71b365cd8bb5bcafc009dfc123395647a0ee229a28581"),
     "GF(2^2) n=3": (["--p", "2", "--k", "2", "--n", "3"],
-                    "ae5eabb2cce75dc74aa57aa6ff423681fd0de31ef6fa97dcdd19a52869c7ce18"),
+                    "7896f5b56b541d006b3fd15c79de2bd41e0730a74480eaabc650766dc3f5563a"),
     "GF(2^3) n=3": (["--p", "2", "--k", "3", "--n", "3"],
-                    "62a01b5c43725b8524a61492fb3ce812c7c78e7f2d378470b65a5e2682087349"),
+                    "e14a165511fcbd93818225d0d531a7b1a902ed73180446954c402a0f59445678"),
     "zpxzp p=3": (["--group", "zpxzp", "--p", "3"],
-                  "f007bae72f25317bb4beedfb6ee8dd1609f29ac1b06e5eb1aa513d0ca91a613c"),
+                  "73043c8d5b33376207cf8be0e13cad9de5a02cb71df708f3830603107d91e046"),
     # GF(17^2) = F_17[x]/(x^2 - 3), q > 256: the digit-loop kind of field
     "GF(17^2) n=2": (["--p", "17", "--k", "2", "--modulus", "14,0,1", "--n", "2"],
-                     "4d47fb1b377a05549626895e790a8d2781f6e86b37892dcb1df8b929a3302d2b"),
+                     "3f8912a1cd3e5a75df785baf3561e23e4a24900c117ec59d1acefa6620cdd51d"),
     # [[1,1],[0,1]], -I and [[1,0],[1,1]]: |G| = 24, |S'| = 3
     "SL_2(F_3) file": (["--p", "3", "--group", "file:{sl2_f3}"],
-                       "c021065ed8518b56d29c0a3b1855c102b59b6fc55fcb778e60892dcf3a9eb50e"),
-}
-
-
-# the SHA-256 of each canonical inconsistency row, unchanged since schema v3
-INCONSISTENCY_ROWS = {
-    "GF(2^2) n=2":
-        "1e1e1991f8a145e4676b7e43d07e1884ffa4a3f9e9cb8281bc9e972453db0d3e",
-    "GF(2^3) n=2":
-        "de97e7f6e84999acc013835196788c83046205a78ab92650999c2b8663a4ab85",
-    "GF(2^4) n=2":
-        "7087f781e935715ce510f3d9a8191912e2ac733d4ea3251f6652fd75d162f0c0",
-    "GF(3^2) n=2":
-        "f819f6dbf4f54b644dc887e6f80c774eb11fd9bffca4870789ce850ae18138e2",
-    "GF(3^1) n=2":
-        "4be04076b767f5f1257876fd50e18e9e9788b6d7a57b1a132cfc0a9503aac66e",
-    "GF(5^1) n=2":
-        "5ec78391104ae81fb2a615dacf99a386c0cc9c7f9b19dcd5803d93506aa8a623",
-    "GF(7^1) n=2":
-        "043d9cc8d8e13ae8f45e6915f60974328c11481934791040d730e3cc2313f3c6",
-    "GF(3^1) n=3":
-        "229ad14ccc6f4c4a31f94232d3aa4df268108414fb833d405df551c0b49b7fcf",
-    "GF(2^2) n=3":
-        "ef1d4c3fa739726e9faffd1c680b5a1eb1887b43638982dcf0a48764fecb5871",
-    "GF(2^3) n=3":
-        "d0033f83bc4515191c023342eef0a34e22373c252257a6cc94646ac6c76efdf2",
-    "zpxzp p=3":
-        "e4a89f521c89d870f5a65f6e52632c5a1213bd406381fa71da7623f4f6b5004b",
-    "GF(17^2) n=2":
-        "c5714ed2939570641a56337ed3e2ed4c8f6df5c2d4ea7fd7197fa31adaab5c93",
-    "SL_2(F_3) file":
-        "b6c6299ed5b786228c5b878b564d5c50e9fd6a0d1d572d066535b27723066216",
+                       "84ef2daffe198d93f4c0ab5578a2c81dfd200a1264f431993abcb9c9154e3401"),
 }
 
 
@@ -125,5 +94,3 @@ def test_report_bytes_match_the_golden_digest(label, tmp_path, sl2_f3):
     out = tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
-    row = json.loads(out.read_text())["payload"]["nonsplit_certificate"]["inconsistency_row"]
-    assert hashlib.sha256(canonical_json(row).encode()).hexdigest() == INCONSISTENCY_ROWS[label]

@@ -13,8 +13,7 @@ import pytest
 
 import modcoh.verify
 from modcoh.build import build_nonsplit_sequence
-from modcoh.coh import Cocycle
-from modcoh.errors import CorruptReport, FailedCheck, ModcohError, NotACocycle
+from modcoh.errors import CorruptReport, FailedCheck, ModcohError
 from modcoh.gf import field_from_json, field_new
 from modcoh.grp import additive_family, closure, group_spec_from_json, group_to_json
 from modcoh.jsonutil import digest_of
@@ -78,7 +77,7 @@ def closed(payload):
     ctx = field_from_json(payload["field"])
     gobj = payload["group"]
     generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
-    return modcoh.verify._generated(ctx, gobj["n"], generators, gobj["order"])
+    return modcoh.verify._generated(ctx, gobj["n"], generators, gobj["order"])[:3]
 
 
 def test_fresh_reports_verify(report2, report3):
@@ -117,17 +116,35 @@ def test_tamper_basis_order(report3):
     expect_failure(tampered(report3, swap), "basis")
 
 
-def test_tamper_sym_action(report3):
-    # the actions are derived from the group elements: swap in another valid
-    # group, resealed, and the derived system no longer fits the stored row
-    other = closure(F3, 2, [Matrix.from_rows(F3, [[2, 0], [0, 1]])])
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 0], [1, 1]]], ids=["diagonal", "lower"])
+def test_group_without_the_shear_fails_nonsplit(report3, rows):
+    # the non-split row lives on H = {x12(1)}, which the verifier finds in
+    # its own closure: another valid group without the shear, resealed with
+    # its order, passes every check before the certificate and fails it
+    other = closure(F3, 2, [Matrix.from_rows(F3, rows)])
 
     def swap_group(p):
         old = p["group"]
         p["group"] = json.loads(json.dumps(group_to_json(other)))
         assert p["group"] != old
 
-    expect_failure(tampered(report3, swap_group), "nonsplit: inconsistency row does not kill")
+    expect_failure(tampered(report3, swap_group), r"nonsplit: the group has no shear x12\(1\)")
+
+
+def test_group_with_one_pattern_involution_fails_nonsplit(report2):
+    # p = 2: H is two pattern involutions A(b) with b != 0.  <A(1)> has one
+    # (and the identity, b = 0), so an element of H is missing; it has
+    # determinant 1, so the toy record still applies
+    one = F4.one()
+    other = closure(F4, 2, [Matrix.from_rows(F4, [[0, one], [one, 0]])])
+    assert other.order == 2
+
+    def swap_group(p):
+        p["group"] = json.loads(json.dumps(group_to_json(other)))
+
+    expect_failure(
+        tampered(report2, swap_group), "nonsplit: the group has no two pattern involutions"
+    )
 
 
 def test_sym_action_block_check_fires(report3, monkeypatch):
@@ -217,28 +234,17 @@ def patched_cocycle(monkeypatch, changes):
 
 
 def test_tamper_cocycle_value(report_sl2, monkeypatch):
-    # g is derived by its formula on S' and its inverses only, a cocycle by
-    # proof, and read nowhere else.  A faulty g_s outside Z1 moves the
-    # right-hand side of the split system, which the inconsistency row then
-    # kills
+    # g is derived by its formula on S', its inverses and H only, a cocycle
+    # by proof.  The non-split row y = 2 e_0 + e_3 reads g at the shear u,
+    # where y g_u = -2, so a faulty g_u + e_0 has y g_u = 0 and fails it
+    # (test_tamper_cocycle_value_fails_the_witness_identity catches the
+    # faulty values that y does not see)
     gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
     seq = build_nonsplit_sequence(closure(F3, 2, [Matrix.from_rows(F3, g) for g in gens]))
-    group, d = seq.group, seq.u_module.dim
-    s = group.spanning_ids[0]
-    units = [Matrix.basis_column(F3, d, j) for j in range(d)]
-
-    def in_z1(e):
-        x_on_s = [v + e if t == s else v
-                  for t, v in zip(group.spanning_ids, seq.cocycle.spanning_values)]
-        try:
-            Cocycle.on_spanning(seq.u_module, x_on_s).validate()
-            return True
-        except NotACocycle:
-            return False
-
-    off_z1 = next(e for e in units if not in_z1(e))
-    patched_cocycle(monkeypatch, {s: seq.cocycle.value(s) + off_z1})
-    expect_failure(report_sl2, "nonsplit: inconsistency row kills the right-hand side")
+    (u,) = seq.certificate.ids
+    assert seq.certificate.terms == ((u, 0, 2), (u, 3, 1))
+    patched_cocycle(monkeypatch, {u: seq.cocycle.value(u) + Matrix.basis_column(F3, 4, 0)})
+    expect_failure(report_sl2, "nonsplit: y kills g on H")
 
 
 def test_tamper_cocycle_value_fails_the_witness_identity(report3, report9, monkeypatch):
@@ -287,12 +293,24 @@ def test_tamper_iota(report3):
     expect_failure(tampered(report3, flip), "iota")
 
 
-def test_tamper_inconsistency_row(report3):
-    def bump(p):
-        cell = p["nonsplit_certificate"]["inconsistency_row"]["entries"][0][0]
-        cell[0] = (cell[0] + 1) % 3
-
-    expect_failure(tampered(report3, bump), "nonsplit")
+@pytest.mark.parametrize(
+    "mutate, check",
+    [
+        (lambda p: p["nonsplit_certificate"].update(
+            equation=p["nonsplit_certificate"]["equation"].replace("x12(1)", "x21(1)")
+        ), "equation text differs"),
+        (lambda p: p["nonsplit_certificate"].update(equation=modcoh.verify.PATTERN_EQUATION),
+         "equation text differs"),
+        (lambda p: p["nonsplit_certificate"].update(verdict="Split"), "verdict 'Split'"),
+    ],
+    ids=["equation", "other_case_equation", "verdict"],
+)
+def test_tamper_nonsplit_record(report3, mutate, check):
+    # the record ships no y and no element of H: both are fixed by p, the
+    # basis and the rule its equation text states, so there is no wrong y
+    # entry or element id to tamper with; the text and the verdict are
+    # checked as stated
+    expect_failure(tampered(report3, mutate), f"nonsplit: {check}")
 
 
 def test_tamper_witness(report3, report_sl2, monkeypatch):
@@ -316,8 +334,8 @@ def test_tamper_witness(report3, report_sl2, monkeypatch):
             m.setattr(modcoh.verify, "_cocycle", broken)
             expect_failure(report, "tensor-vanishing: witness equation fails")
 
-    # a faulty U(s), formed other than as kron(s^[p], S(s^-1)^T), moves the
-    # split system, which the inconsistency row then no longer kills
+    # a faulty U(s), formed other than as kron(s^[p], S(s^-1)^T), breaks
+    # U(s) g_{s^-1} = -g_s; the non-split check reads U(h)'s factors, not U
     for report in (report3, report_sl2):
         (s, *_) = closed(report["payload"])[1]
         original = modcoh.verify._u_action
@@ -329,7 +347,7 @@ def test_tamper_witness(report3, report_sl2, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(modcoh.verify, "_u_action", scaled)
-            expect_failure(report, "nonsplit: inconsistency row does not kill the system")
+            expect_failure(report, "tensor-vanishing: witness equation fails")
 
 
 @pytest.mark.parametrize(
@@ -446,20 +464,20 @@ def test_toy_record_cannot_be_dropped(report2):
 def test_toy_record_does_not_depend_on_the_seed():
     # over GF(128) an intertwiner search would have to sample, so a seeded
     # search made the toy record vary with the seed; the toy is now an
-    # equation, and the seed changes nothing in the payload but params.seed
+    # equation, no stage draws random numbers, and the seed is accepted and
+    # ignored: reports for every seed are identical
     ctx = field_new(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])
     group = additive_family(ctx, params=[ctx.el(1), ctx.el(2), ctx.el(3)])
     assert group.order == 4
-    payloads = []
+    reports = []
     for seed in (0, 1, 2):
         params = {"p": 2, "k": 7, "n": 2, "order_cap": 10000, "seed": seed}
         report = run_pipeline(group, params, seed=seed).report
         assert verify_report(report) == 13
         assert report["payload"]["toy"] == {"equation": modcoh.verify.TOY_EQUATION}
-        payload = json.loads(json.dumps(report["payload"]))
-        assert payload["params"].pop("seed") == seed
-        payloads.append(payload)
-    assert payloads[0] == payloads[1] == payloads[2]
+        assert report["payload"]["params"] == {"p": 2, "k": 7, "n": 2, "order_cap": 10000}
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_tamper_bool_coefficient(report2):
@@ -477,7 +495,7 @@ def test_tamper_bool_coefficient(report2):
     "mutate",
     [
         lambda p: p["iota"]["entries"][0][0].__setitem__(0, 1.0),
-        lambda p: p["nonsplit_certificate"]["inconsistency_row"].update(rows=True),
+        lambda p: p["iota"].update(rows=True),
     ],
     ids=["float_coefficient", "bool_rows"],
 )
@@ -487,17 +505,19 @@ def test_malformed_matrix_is_corrupt(report3, mutate):
 
 
 def test_split_verdict_cannot_be_forged(report3):
-    # flipping the verdict string alone must fail the re-checks
+    # a Split verdict with a witness in place of the equation is corrupt
     def forge(p):
         cert = p["nonsplit_certificate"]
         cert["verdict"] = "Split"
-        cert["witness"] = cert.pop("inconsistency_row")
+        cert["witness"] = cert.pop("equation")
 
-    with pytest.raises((FailedCheck, CorruptReport)):
+    with pytest.raises(CorruptReport, match="fields"):
         verify_report(tampered(report3, forge))
 
 
-@pytest.mark.parametrize("schema", ["modcoh-report-v1", "modcoh-report-v2", "modcoh-report-v3"])
+@pytest.mark.parametrize(
+    "schema", ["modcoh-report-v1", "modcoh-report-v2", "modcoh-report-v3", "modcoh-report-v4"]
+)
 def test_old_schema_report_is_corrupt(report3, schema):
     old = json.loads(json.dumps(report3))
     old["schema"] = schema
@@ -521,6 +541,9 @@ def test_old_schema_report_is_corrupt(report3, schema):
         (("tensor_vanishing",), "h1_dim"),
         (("nonsplit_certificate",), "generator_ids"),
         (("nonsplit_certificate",), "module"),
+        (("nonsplit_certificate",), "inconsistency_row"),
+        (("nonsplit_certificate",), "subgroup"),
+        (("params",), "seed"),
         (("group",), "elements"),
         (("group",), "inverse"),
         (("group",), "generator_ids"),
@@ -536,7 +559,7 @@ def test_old_schema_report_is_corrupt(report3, schema):
 )
 def test_readded_field_is_corrupt(report2, where, key):
     # a field the verifier does not read would be sealed but unchecked; the
-    # v3 and v4 schemas dropped those it re-derives or the claims do not
+    # v3, v4 and v5 schemas dropped those it re-derives or the claims do not
     # need, and none may come back
     def add(p):
         node = p
@@ -548,12 +571,10 @@ def test_readded_field_is_corrupt(report2, where, key):
         verify_report(tampered(report2, add))
 
 
-# Leaves that a mutation may change without rejection: the digest alone binds
-# params.seed, and a changed inconsistency row can be another valid solution.
-DIGEST_ONLY = [
-    r"params\.seed",
-    r"nonsplit_certificate\.inconsistency_row\.entries\..*",
-]
+# Leaves that a mutation may change without rejection because the digest
+# alone binds them: none, since v5 ships neither params.seed nor a solver's
+# row, and every other field is checked by something besides the digest.
+DIGEST_ONLY: list[str] = []
 # field-element encodings: a coefficient is bumped mod p, so it stays parseable
 CELL_KEYS = {"entries"}
 
@@ -615,7 +636,7 @@ def test_every_leaf_mutation_is_rejected(report2, report3, report_sl2):
                 continue
             if not is_genuine(changed["payload"]):
                 survivors.append(".".join(map(str, path)))
-    assert mutations > 200
+    assert mutations > 180
     unexpected = [s for s in survivors if not any(re.fullmatch(r, s) for r in DIGEST_ONLY)]
     assert unexpected == []
 

@@ -4,12 +4,14 @@
 over a generating subset S', takes g = (s-1)iota by its formula on S' and
 its inverses, a cocycle by proof (the coboundary of iota in Hom(V, W)), and
 checks every group equation on S' only, the tensor witness in the two facts
-its Hom form reduces to.  The reference below keeps the exhaustive loops,
-on v4 reports: closure, inverses and the cocycle identity of the formula
+its Hom form reduces to, and the closed-form non-split row on H by two rows
+of U(h) read off their factors.  The reference below keeps the exhaustive
+loops, on v5 reports: closure, inverses and the cocycle identity of the formula
 over every ordered pair, the invariance of w = e_d, the closed-form tensor
 witness X = [-I_d ; 0] in dense Hom form and the toy identity
 S^2(s) = [[U(s), g_s], [0, 1]] on every element, and the split system over
-every published generator next to the one over S'.  It derives the actions
+every published generator next to the one over S', and the non-split row
+against the dense stacked U(h) - I and g_h.  It derives the actions
 with the verifier's own helpers, on the elements of the verifier's closure.
 """
 
@@ -17,6 +19,7 @@ import functools
 import json
 import re
 import tempfile
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -24,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcoh.build as build
 import modcoh.coh as coh
 import modcoh.verify as verify
-from modcoh.errors import FailedCheck, NotACocycle
-from modcoh.build import TensorVanishing, build_nonsplit_sequence
+from modcoh.errors import FailedCheck, NotACocycle, TheoremViolation
+from modcoh.build import RestrictionCertificate, TensorVanishing, build_nonsplit_sequence
 from modcoh.cli import JobSpec, build_group
 from modcoh.coh import Cocycle, extension_from_cocycle, split_system
 from modcoh.gf import field_from_json, field_new, field_to_json
@@ -97,7 +101,7 @@ class Derived:
         ctx = self.ctx = field_from_json(payload["field"])
         n = gobj["n"]
         self.generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
-        self.closure = verify._generated(ctx, n, self.generators, gobj["order"])
+        self.closure = verify._generated(ctx, n, self.generators, gobj["order"])[:3]
         self.elements = self.closure[0]
         self.order = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
@@ -384,4 +388,104 @@ def test_toy_is_the_main_extension_and_s_prime_split_system_agrees(label):
     full_rhs = vstack(main.cocycle.values)
     consistent = solve(system, rhs).consistent
     assert consistent == solve(full, full_rhs).consistent
-    assert consistent == main.split_result.split == (label == "GF(2^1) n=2")
+    assert consistent == (label == "GF(2^1) n=2") == (main.certificate is None)
+
+
+def dense_restriction(seq, terms):
+    """Whether y, given by its nonzero slots (h, coordinate of U,
+    coefficient), kills the stacked U(h) - I over its elements but not the
+    stacked g_h, every matrix dense: the reference for the two-row checks."""
+    ctx, d = seq.group.ctx, seq.u_module.dim
+    ids = list(dict.fromkeys(h for h, _, _ in terms))
+    cells = [0] * (len(ids) * d)
+    for h, slot, c in terms:
+        at = ids.index(h) * d + slot
+        cells[at] = ctx.add_i(cells[at], c)
+    ident = Matrix.identity(ctx, d)
+    system = vstack([seq.u_module.action(h) - ident for h in ids])
+    rhs = vstack([seq.cocycle.value(h) for h in ids])
+    y = Matrix(ctx, 1, len(cells), cells)
+    return (y @ system).is_zero and not (y @ rhs).is_zero
+
+
+def builder_accepts(seq, terms):
+    ids = tuple(dict.fromkeys(h for h, _, _ in terms))
+    cert = RestrictionCertificate(ids, tuple(terms))
+    try:
+        build._check_restriction(seq.group, seq.twist, seq.sym_module, cert, seq.cocycle.value)
+    except TheoremViolation:
+        return False
+    return True
+
+
+def verifier_accepts(seq, terms):
+    """The verifier's two-row check, on A and g derived by its own helpers
+    at the elements of y and their inverses."""
+    g = seq.group
+    ids = list(dict.fromkeys(h for h, _, _ in terms))
+    inv = {h: g.inv[h] for h in ids}
+    basis = [tuple(m) for m in seq.basis]
+    sym = verify._sym_action(g.ctx, g.elements, basis, g.n, dict.fromkeys(inv.values()))
+    cocycle = verify._cocycle(g.ctx, g.elements, sym, inv, seq.iota, ids)
+    try:
+        verify._check_restriction(g.ctx, g.elements, sym, inv, cocycle, terms, g.n)
+    except FailedCheck:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(LABELS + [SL2_FILE]), st.data())
+def test_two_row_checks_agree_with_the_dense_reference(label, data):
+    # the builder and the verifier find the same H and y, which pass; a
+    # scaled y passes too, and a y with a term added, changed or dropped
+    # passes both two-row checks exactly when the dense system says so
+    seq = sequence(label)
+    group, ctx, d = seq.group, seq.group.ctx, seq.u_module.dim
+    h_inverse, terms = verify._restriction_row(
+        ctx, group.n, seq.sym_module.dim - group.n, group.elements, group.index
+    )
+    assert tuple(terms) == seq.certificate.terms
+    assert h_inverse == {h: group.inv[h] for h in seq.certificate.ids}
+    mode = data.draw(st.sampled_from(["scaled", "added", "changed", "dropped"]), label="mode")
+    if mode == "scaled":
+        c = data.draw(st.integers(1, ctx.q - 1), label="c")
+        terms = [(h, slot, ctx.mul_i(c, v)) for h, slot, v in terms]
+    elif mode == "added":
+        terms.append((
+            data.draw(st.integers(0, group.order - 1), label="h"),
+            data.draw(st.integers(0, d - 1), label="slot"),
+            data.draw(st.integers(1, ctx.q - 1), label="c"),
+        ))
+    else:
+        at = data.draw(st.integers(0, len(terms) - 1), label="term")
+        if mode == "dropped":
+            del terms[at]
+        else:
+            h, slot, _ = terms[at]
+            terms[at] = (h, slot, data.draw(st.integers(0, ctx.q - 1), label="c"))
+    want = dense_restriction(seq, terms)
+    assert builder_accepts(seq, terms) == want == verifier_accepts(seq, terms)
+    if mode == "scaled":
+        assert want
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_pattern_row_holds_on_every_pair_of_involutions(k, n):
+    # the p = 2 row needs b1 != b2, both nonzero, not the two least: it holds
+    # on every ordered pair, while one involution alone never suffices (its
+    # one-element split system is consistent)
+    seq = build_nonsplit_sequence(additive_family(field_new(2, k), n=n))
+    one = seq.group.ctx.one()
+    hyp = seq.hypothesis
+    involutions = [(a + one, h) for a, h in zip(hyp.values, hyp.ids) if a != one]
+    assert len(involutions) == 2**k - 1
+    pairs = 0
+    for (b1, h1), (b2, h2) in permutations(involutions, 2):
+        terms = [(h1, 0, ((b2 / b1) ** 2).val), (h2, 0, 1)]
+        assert builder_accepts(seq, terms) and verifier_accepts(seq, terms)
+        pairs += 1
+    assert pairs == (2**k - 1) * (2**k - 2)
+    ident = Matrix.identity(seq.group.ctx, seq.u_module.dim)
+    for _, h in involutions:
+        assert solve(seq.u_module.action(h) - ident, seq.cocycle.value(h)).consistent
