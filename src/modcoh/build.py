@@ -16,7 +16,9 @@ equations that the verifier re-checks.
 No stage computes a cohomology space or calls a solver.  The class of g
 is nonzero by the restriction certificate on the hypothesis elements, its
 product with w vanishes by the closed-form witness, and dim X has a
-closed formula; Z1, B1 and H1 are left to the `h1` subcommand.
+closed formula; Z1, B1 and H1 are left to the `h1` subcommand.  U(s) is
+read through its Kronecker factors: only `h1` and the p = n = 2 toy form
+`u_module`'s d x d action.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ def build_nonsplit_sequence(
     verdict is taken here.
 
     Every module is built on demand, and this stage reads the actions only
-    on S' and its inverses: A(s) for the block checks, U(s) and g_s for
-    s in S', and A(s^-1), which U(s) and g_s are made from.  The checks
-    there cover every element:
+    on S' and its inverses: A(s) for the block checks, and the twist at s
+    and A(s^-1), which g_s is made from; U only for the p = n = 2 toy.
+    The checks there cover every element:
 
     - Substitution is multiplicative for all n x n matrices, so A is a
       homomorphism.  A product of block upper triangular matrices is block
@@ -178,6 +180,15 @@ def _iota_coboundary(
     if not full.submatrix(0, n, 0, n).is_zero:
         raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
     return full.submatrix(0, n, n, N).flatten()
+
+
+def _u_apply(twist_s: Matrix, a_inv: Matrix, v: Matrix) -> Matrix:
+    """U(s) @ v from U's factors s^[p] = `twist_s` and S(s^-1), the block of
+    `a_inv` = A(s^-1): v = vec(F) for an n x (N-n) matrix F, and
+    kron(A, B) vec(F) = vec(A F B^T) makes it vec(s^[p] F S(s^-1))."""
+    n = twist_s.rows
+    f = v.reshape(n, v.rows // n)
+    return (twist_s @ f @ a_inv.submatrix(n, a_inv.rows, n, a_inv.cols)).flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +326,8 @@ class TensorVanishing:
     = kron(I_n, (S(s) S(s^-1))^T), since the Frobenius twist is
     multiplicative; so it holds iff S(s) S(s^-1) = I_{N-n} on the
     lower-right blocks of the symmetric-power action.  The second is the
-    cocycle identity at (s, s^-1), one product with a column.
+    cocycle identity at (s, s^-1): with g_s = vec(G_s), it is
+    s^[p] G_{s^-1} S(s^-1) = -G_s on n x (N-n) blocks.
     """
 
     ctx: FieldCtx
@@ -343,20 +355,20 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
     the two agree on every element.  The second fact is the cocycle
     identity at (s, s^-1), with g_1 = 0.  Reads the symmetric-power action
     and the twist on S' and its inverses, which the sequence already
-    built, and U on S' only; U~ is not read.
+    built; neither U nor U~ is formed.
     """
     group = seq.group
     ctx, n, N = group.ctx, group.n, seq.sym_module.dim
     ident = Matrix.identity(ctx, N - n)
     for s in group.spanning_ids:
-        s_inv = group.inv[s]
+        a_inv = seq.sym_module.action(group.inv[s])
         lower = seq.sym_module.action(s).submatrix(n, N, n, N)
-        if lower @ seq.sym_module.action(s_inv).submatrix(n, N, n, N) != ident:
+        if lower @ a_inv.submatrix(n, N, n, N) != ident:
             raise WitnessNotFound(f"U(s) U(s^-1) is not the identity at element {s}")
-        g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, seq.iota, s_inv)
-        if not (seq.u_module.action(s) @ g_inv + seq.cocycle.value(s)).is_zero:
+        g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, seq.iota, group.inv[s])
+        if not (_u_apply(seq.twist.action(s), a_inv, g_inv) + seq.cocycle.value(s)).is_zero:
             raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {s}")
-    return TensorVanishing(ctx, seq.u_module.dim)
+    return TensorVanishing(ctx, n * (N - n))
 
 
 # ---------------------------------------------------------------------------

@@ -303,20 +303,16 @@ class HypothesisReport:
     detail: str
 
 
-def _matches_involution_pattern(m: Matrix) -> Optional[FieldElement]:
-    """Matching a for [[a, a+1], [a+1, a]] + identity elsewhere, or None."""
-    ctx = m.ctx
-    a = m[0, 0]
-    a1 = a + ctx.one()
-    if m[0, 1] != a1 or m[1, 0] != a1 or m[1, 1] != a:
+def _matches_involution_pattern(m: Matrix) -> Optional[int]:
+    """The encoding of a for [[a, a+1], [a+1, a]] + identity elsewhere, or
+    None; compared on raw encodings, where one is 1."""
+    a = m.raw(0, 0)
+    a1 = m.ctx.add_i(a, 1)
+    if m.raw(0, 1) != a1 or m.raw(1, 0) != a1 or m.raw(1, 1) != a:
         return None
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i < 2 and j < 2:
-                continue
-            want = 1 if i == j else 0
-            if m.raw(i, j) != want:
-                return None
+    n = m.rows
+    if any(m.raw(i, j) != (i == j) for i in range(n) for j in range(n) if i >= 2 or j >= 2):
+        return None
     return a
 
 
@@ -329,18 +325,14 @@ def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
     """
     ctx = group.ctx
     if ctx.p == 2:
-        found = []
-        for i, m in enumerate(group.elements):
-            a = _matches_involution_pattern(m)
-            if a is not None:
-                found.append((a.val, a, i))
-        found.sort()
+        matches = enumerate(map(_matches_involution_pattern, group.elements))
+        found = sorted((a, i) for i, a in matches if a is not None)
         ok = len(found) >= 3
         return HypothesisReport(
             ok,
             "involution-pattern",
-            tuple(a for _, a, _ in found),
-            tuple(i for _, _, i in found),
+            tuple(ctx.el(a) for a, _ in found),
+            tuple(i for _, i in found),
             f"{len(found)} distinct pattern parameter(s); need >= 3",
         )
     shear = group.index.get(family_matrix(ctx, ctx.one(), group.n))

@@ -5,12 +5,13 @@ Schema v5.  The payload states its objects (params, field, the group by
 its generators and order, dims, basis, iota and the obstruction module's
 components) and, for each claim, its equation text; it ships no solver
 output.  Everything the verifier rebuilds from the generators (the
-elements, S' and the search tree, the symmetric-power, U and X actions,
-the cocycle values, the closed-form non-split row y on the subgroup H that
-the equation text names, the closed-form tensor witness X = [-I_d ; 0]
-with w = e_d, and the toy sequence, which is the main extension) is left
-out, and so is every cohomology number: the claims need none.  All output
-is canonical JSON; the payload digest binds every field.
+elements, S' and the search tree, the symmetric-power action, the cocycle
+values, the closed-form non-split row y on the subgroup H that the
+equation text names, the closed-form tensor witness X = [-I_d ; 0] with
+w = e_d, and the toy sequence, which is the main extension) is left out,
+and so is every cohomology number: the claims need none.  Neither side
+forms the U or X actions: U is read through its Kronecker factors.  All
+output is canonical JSON; the payload digest binds every field.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Deliberately shares only the field and matrix primitives with the builder.
 A v5 report names the group by its generators and order and states its
 objects; each claim is an equation text, and no solver output is shipped.
 Everything else is re-derived here from the generators: the elements, the
-basis order, the symmetric-power action by substitution, U's action, the
-cocycle (s-1)iota, the closed-form non-split row y on the subgroup H that
-the construction's hypothesis names, and the two facts the closed-form
+basis order, the symmetric-power action by substitution, which gives U's
+action by its factors, the cocycle (s-1)iota, the closed-form non-split
+row y on the subgroup H that the construction's hypothesis names, and the two facts the closed-form
 tensor witness X = [-I_d ; 0] with w = e_d reduces to.  The toy sequence
 for p = n = 2 is the main extension, so its record is the equation alone.
 Every equation those values feed is then checked, and every payload
@@ -22,11 +22,11 @@ reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
 S' x G, so each element of S' meets its inverse in its own row.  The
 symmetric-power action A is derived on S', its inverses and the inverses
-of H's elements, U on S' only, and g = (s-1)iota by its formula on S', its
-inverses and H.  A is built as
-the builder builds it, in code of its own: a table of the powers of the
-substituted variables, over monomials coded as base-(d+1) integers.
-Checks there hold on every element:
+of H's elements, and g = (s-1)iota by its formula on S', its inverses and
+H.  A is built as the builder builds it, in code of its own: a table of
+the powers of the substituted variables, over monomials coded as
+base-(d+1) integers.  U is formed only for the p = n = 2 toy.  Checks
+there hold on every element:
 
 - The substitution action A is multiplicative for all n x n matrices.
   A product of block upper triangular matrices is block upper triangular,
@@ -57,7 +57,8 @@ Checks there hold on every element:
   row block by row block, so it holds exactly when U(s) U(s^-1) = I (the
   u-action check) and U(s) g_{s^-1} = -g_s, the cocycle identity at
   (s, s^-1) with g_1 = 0; and W(s) e_d = e_d, the invariance of w, is
-  W(s)'s last column, true for any U and g.
+  W(s)'s last column, true for any U and g.  With g_s = vec(G_s), the
+  cocycle identity is s^[p] G_{s^-1} S(s^-1) = -G_s on n x (N-n) blocks.
 - If g_h = (h-1)u for one u and every h in G, then for a subgroup H and
   rows y_h with sum_h y_h (U(h) - 1) = 0, sum_h y_h g_h = 0.  So such a y
   with sum_h y_h g_h != 0 rules out every split.  H and y are closed forms
@@ -262,27 +263,18 @@ def _sym_action(
     return out
 
 
-def _u_action(
-    ctx: FieldCtx,
-    elements: list[Matrix],
-    sym_action: list[Optional[Matrix]],
-    inv_table: Mapping[int, int],
-    n: int,
-    ids: Iterable[int],
-) -> list[Optional[Matrix]]:
-    """U(s) = kron(frobenius(s), S^T) with S the lower-right block of A(s^-1),
-    at each element id in `ids`; None at every other id.  `inv_table` maps
-    each id in `ids` to the id of its inverse."""
-    out: list[Optional[Matrix]] = [None] * len(elements)
-    for i in ids:
-        s_block = _lower_right(sym_action[inv_table[i]], n)
-        out[i] = kron(_frob_matrix(ctx, elements[i]), s_block.transpose())
-    return out
-
-
 def _lower_right(a: Matrix, n: int) -> Matrix:
     """S, the action on V/W: the block of A below and right of the twist."""
     return a.submatrix(n, a.rows, n, a.cols)
+
+
+def _u_apply(ctx: FieldCtx, sigma: Matrix, a_inv: Matrix, v: Matrix) -> Matrix:
+    """U(s) @ v from U's factors, for s = `sigma` and `a_inv` = A(s^-1):
+    v = vec(F) for an n x (N-n) matrix F, and kron(A, B) vec(F) =
+    vec(A F B^T) makes it vec(s^[p] F S(s^-1))."""
+    n = sigma.rows
+    f = v.reshape(n, v.rows // n)
+    return (_frob_matrix(ctx, sigma) @ f @ _lower_right(a_inv, n)).flatten()
 
 
 def _cocycle(
@@ -312,13 +304,8 @@ def _check_inverse_pairs(
     spanning: list[int],
     n: int,
 ) -> None:
-    """U(s) U(s^-1) = I for s in S', without a d x d product.
-
-    U(s) = kron(s^[p], S(s^-1)^T), so by the mixed-product rule
-    U(s) U(s^-1) = kron(s^[p] (s^-1)^[p], (S(s) S(s^-1))^T)
-    = kron(I_n, (S(s) S(s^-1))^T): it is the identity iff
-    S(s) S(s^-1) = I_{N-n}, checked on the lower-right blocks of A.
-    """
+    """U(s) U(s^-1) = I for s in S', which by the mixed-product rule (module
+    docstring) is S(s) S(s^-1) = I_{N-n} on the lower-right blocks of A."""
     for s in spanning:
         block = _lower_right(sym_action[s], n) @ _lower_right(sym_action[inv_table[s]], n)
         if block != Matrix.identity(ctx, block.rows):
@@ -326,15 +313,19 @@ def _check_inverse_pairs(
 
 
 def _check_tensor_witness(
-    u_action: list[Optional[Matrix]],
+    ctx: FieldCtx,
+    elements: list[Matrix],
+    sym_action: list[Optional[Matrix]],
     cocycle: list[Optional[Matrix]],
     inv_table: Mapping[int, int],
     spanning: list[int],
 ) -> None:
     """U(s) g_{s^-1} = -g_s for s in S': the last row of the witness
-    equation in Hom form, whose top d rows are U(s) U(s^-1) = I."""
+    equation in Hom form, whose top d rows are U(s) U(s^-1) = I, applied
+    by its factors."""
     for s in spanning:
-        if not (u_action[s] @ cocycle[inv_table[s]] + cocycle[s]).is_zero:
+        moved = _u_apply(ctx, elements[s], sym_action[inv_table[s]], cocycle[inv_table[s]])
+        if not (moved + cocycle[s]).is_zero:
             _fail("tensor-vanishing", f"witness equation fails at element {s}")
 
 
@@ -567,9 +558,8 @@ def _verify_payload(report: dict) -> int:
         _fail("iota", "iota is not (I_n | 0)")
     checks += 1
 
-    # U(s) U(s^-1) = I on S' by its factors, then U built on S' only
+    # U(s) U(s^-1) = I on S' by its factors; U itself is never formed
     _check_inverse_pairs(ctx, sym_action, inv_table, spanning, n)
-    u_action = _u_action(ctx, elements, sym_action, inv_table, n, spanning)
     checks += 1
 
     # g_s by its formula on S', its inverses and H, checked to lie in U:
@@ -599,7 +589,7 @@ def _verify_payload(report: dict) -> int:
     tv = _record(payload["tensor_vanishing"], "tensor_vanishing", _TENSOR_KEYS)
     if tv["equation"] != TENSOR_EQUATION:
         _fail("tensor-vanishing", "equation text differs from the checked equation")
-    _check_tensor_witness(u_action, cocycle, inv_table, spanning)
+    _check_tensor_witness(ctx, elements, sym_action, cocycle, inv_table, spanning)
     checks += 1
 
     # obstruction module: components and dimension of X = U* + U~ + U~ + U~
@@ -612,7 +602,7 @@ def _verify_payload(report: dict) -> int:
     checks += 1
 
     checks += _verify_toy(
-        ctx, payload["toy"], n, generators, spanning, sym_action, u_action, cocycle
+        ctx, payload["toy"], n, generators, elements, spanning, sym_action, inv_table, cocycle
     )
     return checks
 
@@ -622,9 +612,10 @@ def _verify_toy(
     toy,
     n: int,
     generators: list[Matrix],
+    elements: list[Matrix],
     spanning: list[int],
     sym_action: list[Optional[Matrix]],
-    u_action: list[Optional[Matrix]],
+    inv_table: Mapping[int, int],
     cocycle: list[Optional[Matrix]],
 ) -> int:
     """The toy record: present exactly for 2x2 groups of determinant 1 over
@@ -634,7 +625,8 @@ def _verify_toy(
     generators do.  There the main basis, already checked, is x^2, y^2, xy,
     so the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on
     `sym_action`, and it is the main one when
-    S^2(s) = [[U(s), g_s], [0, 1]], on S'.
+    S^2(s) = [[U(s), g_s], [0, 1]], on S'.  U(s) = kron(s^[2], S(s^-1)) is
+    2 x 2, as S(s^-1) is 1 x 1: the only U(s) the verifier forms.
     """
     wants_toy = ctx.p == 2 and n == 2 and all(
         m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in generators
@@ -646,7 +638,8 @@ def _verify_toy(
     if _record(toy, "toy", _TOY_KEYS)["equation"] != TOY_EQUATION:
         _fail("toy", "equation text differs from the checked equation")
     for s in spanning:
-        if sym_action[s] != _ext_matrix(ctx, u_action[s], cocycle[s]):
+        u = kron(_frob_matrix(ctx, elements[s]), _lower_right(sym_action[inv_table[s]], n))
+        if sym_action[s] != _ext_matrix(ctx, u, cocycle[s]):
             _fail("toy", f"S^2 is not the main extension at element {s}")
     return 1
 

@@ -364,3 +364,34 @@ def test_construct_builds_no_z1_system(monkeypatch, tmp_path, label):
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
+def test_construct_and_verify_form_u_only_for_the_toy(monkeypatch, tmp_path, label):
+    # U(s) = kron(s^[p], S(s^-1)^T) is read through its factors, so no
+    # Kronecker product is formed on any construct or verify path, but for
+    # the 2 x 2 U(s) of the p = n = 2 toy record
+    import modcoh.build as build
+    import modcoh.coh as coh
+    import modcoh.linalg as linalg
+    import modcoh.rep as rep
+    import modcoh.verify as verify
+
+    shapes = []
+    for module in (linalg, coh, rep, build, verify):
+
+        def counting(a, b, original=module.kron):
+            shapes.append((a.rows * b.rows, a.cols * b.cols))
+            return original(a, b)
+
+        monkeypatch.setattr(module, "kron", counting)
+    args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
+    out = tmp_path / "report.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    if payload["toy"] is None:
+        assert shapes == []
+    else:
+        assert (payload["params"]["p"], payload["group"]["n"]) == (2, 2)
+        assert shapes and set(shapes) == {(2, 2)}

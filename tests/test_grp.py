@@ -13,9 +13,10 @@ from modcoh.errors import (
     OrderCapExceeded,
     SingularGenerator,
 )
-from modcoh.gf import field_new, field_to_json
+from modcoh.gf import FieldElement, field_new, field_to_json
 from modcoh.grp import (
     MatrixGroup,
+    _matches_involution_pattern,
     additive_family,
     check_extension_hypothesis,
     closure,
@@ -319,6 +320,56 @@ def test_hypothesis_char2():
     assert rep.ok and len(rep.values) == 4
     rep = check_extension_hypothesis(additive_family(F2))
     assert not rep.ok and len(rep.values) == 2
+
+
+def pattern_by_field_elements(m):
+    """The FieldElement form of the involution-pattern match: a for
+    [[a, a+1], [a+1, a]] + identity elsewhere, or None."""
+    ctx = m.ctx
+    a = m[0, 0]
+    a1 = a + ctx.one()
+    if m[0, 1] != a1 or m[1, 0] != a1 or m[1, 1] != a:
+        return None
+    for i in range(m.rows):
+        for j in range(m.cols):
+            if (i >= 2 or j >= 2) and m[i, j] != (ctx.one() if i == j else ctx.zero()):
+                return None
+    return a
+
+
+def sl2_f4():
+    gen = F4.gen()
+    return closure(F4, 2, [Matrix.from_rows(F4, r) for r in (
+        [[1, 1], [0, 1]], [[1, gen], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [gen, 1]],
+    )])
+
+
+@pytest.mark.parametrize("label", [
+    "GF(4) n=2", "GF(8) n=2", "GF(16) n=2", "GF(4) n=3", "GF(8) n=3", "SL2(F4)",
+])
+def test_pattern_match_on_encodings_equals_the_field_element_form(label):
+    # the scan compares raw encodings and makes a FieldElement only for a
+    # match; on every element it finds what the FieldElement form finds,
+    # and the report keeps its values, ids and order
+    if label == "SL2(F4)":
+        g = sl2_f4()
+        assert g.order == 60
+    else:
+        k, n = {"GF(4) n=2": (2, 2), "GF(8) n=2": (3, 2), "GF(16) n=2": (4, 2),
+                "GF(4) n=3": (2, 3), "GF(8) n=3": (3, 3)}[label]
+        g = additive_family(field_new(2, k), n=n)
+    found = []
+    for i, m in enumerate(g.elements):
+        want = pattern_by_field_elements(m)
+        assert _matches_involution_pattern(m) == (None if want is None else want.val), i
+        if want is not None:
+            found.append((want.val, want, i))
+    found.sort()
+    rep = check_extension_hypothesis(g)
+    assert rep.values == tuple(a for _, a, _ in found)
+    assert all(isinstance(a, FieldElement) for a in rep.values)
+    assert rep.ids == tuple(i for _, _, i in found)
+    assert rep.ok == (len(found) >= 3)
 
 
 def test_hypothesis_char3():

@@ -334,19 +334,20 @@ def test_tamper_witness(report3, report_sl2, monkeypatch):
             m.setattr(modcoh.verify, "_cocycle", broken)
             expect_failure(report, "tensor-vanishing: witness equation fails")
 
-    # a faulty U(s), formed other than as kron(s^[p], S(s^-1)^T), breaks
-    # U(s) g_{s^-1} = -g_s; the non-split check reads U(h)'s factors, not U
+    # a faulty U(s), applied at one element of S' other than as
+    # s^[p] F S(s^-1) = kron(s^[p], S(s^-1)^T) vec(F), breaks
+    # U(s) g_{s^-1} = -g_s; the non-split check reads U(h)'s rows, not
+    # _u_apply
     for report in (report3, report_sl2):
-        (s, *_) = closed(report["payload"])[1]
-        original = modcoh.verify._u_action
+        elements, (s, *_), _ = closed(report["payload"])
+        original = modcoh.verify._u_apply
 
-        def scaled(ctx, elements, sym_action, inv_table, n, ids, s=s, original=original):
-            out = original(ctx, elements, sym_action, inv_table, n, ids)
-            out[s] = out[s].scale(ctx.el(2))
-            return out
+        def scaled(ctx, sigma, a_inv, v, at=elements[s], original=original):
+            out = original(ctx, sigma, a_inv, v)
+            return out.scale(ctx.el(2)) if sigma == at else out
 
         with monkeypatch.context() as m:
-            m.setattr(modcoh.verify, "_u_action", scaled)
+            m.setattr(modcoh.verify, "_u_apply", scaled)
             expect_failure(report, "tensor-vanishing: witness equation fails")
 
 
@@ -444,16 +445,15 @@ def test_toy_identity_is_checked_on_s_prime(report2):
     elements, spanning, inv = closed(p)
     read = spanning + [inv[s] for s in spanning]
     sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2, read)
-    u = modcoh.verify._u_action(ctx, elements, sym, inv, 2, spanning)
     iota = matrix_from_json(ctx, p["iota"])
     # the toy reads g on S' only
     g = modcoh.verify._cocycle(ctx, elements, sym, inv, iota, spanning)
     generators = [matrix_from_json(ctx, m) for m in p["group"]["generators"]]
-    args = (ctx, p["toy"], 2, generators, spanning)
-    assert modcoh.verify._verify_toy(*args, sym, u, g) == 1
+    args = (ctx, p["toy"], 2, generators, elements, spanning)
+    assert modcoh.verify._verify_toy(*args, sym, inv, g) == 1
     sym[spanning[-1]] = sym[spanning[-1]].scale(ctx.gen())
     with pytest.raises(FailedCheck, match=r"toy: S\^2 is not the main extension"):
-        modcoh.verify._verify_toy(*args, sym, u, g)
+        modcoh.verify._verify_toy(*args, sym, inv, g)
 
 
 def test_toy_record_cannot_be_dropped(report2):

@@ -37,7 +37,7 @@ from modcoh.coh import Cocycle, extension_from_cocycle, split_system
 from modcoh.gf import field_from_json, field_new, field_to_json
 from modcoh.grp import additive_family, paired_shear_family
 from modcoh.linalg import (
-    Matrix, inverse, is_invertible, matrix_from_json, matrix_to_json, solve, vstack,
+    Matrix, inverse, is_invertible, kron, matrix_from_json, matrix_to_json, solve, vstack,
 )
 from modcoh.rep import sym_power
 from modcoh.report import run_pipeline
@@ -89,10 +89,22 @@ def sequence(label):
     return build_nonsplit_sequence(group(label))
 
 
+def dense_u(ctx, elements, sym, inv, n, ids):
+    """U(s) = kron(s^[p], S(s^-1)^T), the dense d x d matrix, at each id in
+    `ids`, with S the lower-right block of the verifier's A(s^-1); None at
+    every other id.  The reference for the factored apply: neither the
+    builder nor the verifier forms it but for the p = n = 2 toy."""
+    out = [None] * len(elements)
+    for i in ids:
+        s_block = verify._lower_right(sym[inv[i]], n)
+        out[i] = kron(verify._frob_matrix(ctx, elements[i]), s_block.transpose())
+    return out
+
+
 class Derived:
     """Everything the verifier derives from a report's group, on every
-    element, with its own helpers; g by its formula (s-1)iota everywhere,
-    and g_1 = 0."""
+    element, with its own helpers, and the dense U(s) of `dense_u`; g by its
+    formula (s-1)iota everywhere, and g_1 = 0."""
 
     def __init__(self, rep):
         payload = rep["payload"]
@@ -113,7 +125,7 @@ class Derived:
         every = range(self.order)
         self.n = n
         self.sym = verify._sym_action(ctx, self.elements, basis, n, every)
-        self.u = verify._u_action(ctx, self.elements, self.sym, self.inv, n, every)
+        self.u = dense_u(ctx, self.elements, self.sym, self.inv, n, every)
         self.iota = matrix_from_json(ctx, payload["iota"])
         self.g = verify._cocycle(ctx, self.elements, self.sym, self.inv, self.iota, every[1:])
         self.d = self.u[0].rows
@@ -193,12 +205,38 @@ def test_verifier_sym_action_equals_the_builders(label):
     assert derived_action == sym.actions()
 
 
+def u_apply(der, i, v):
+    """The verifier's U(i) @ v, from U(i)'s factors."""
+    return verify._u_apply(der.ctx, der.elements[i], der.sym[der.inv[i]], v)
+
+
 @pytest.mark.parametrize("label", LABELS)
-def test_u_action_is_a_homomorphism_on_all_pairs(label):
+def test_u_apply_is_a_homomorphism_on_all_pairs(label):
+    # U(ij) e = U(i) (U(j) e) for every unit vector e, so for every vector:
+    # the factored apply is an action, with no d x d matrix
     der = derived(label)
+    units = [Matrix.basis_column(der.ctx, der.d, b) for b in range(der.d)]
     for i in range(der.order):
         for j in range(der.order):
-            assert der.u[der.mul(i, j)] == der.u[i] @ der.u[j], (i, j)
+            for e in units:
+                assert u_apply(der, der.mul(i, j), e) == u_apply(der, i, u_apply(der, j, e)), (i, j)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_factored_apply_equals_the_dense_kron(data):
+    # for v = vec(F), F a random n x (N-n) matrix, and any element s, the
+    # builder's and the verifier's U(s) @ v from the factors s^[p] and
+    # S(s^-1) are the dense kron(s^[p], S(s^-1)^T) @ v
+    label = data.draw(st.sampled_from(LABELS + [SL2_FILE]))
+    der, seq = derived(label), sequence(label)
+    ctx, d = der.ctx, der.d
+    s = data.draw(st.integers(0, der.order - 1))
+    v = Matrix(ctx, d, 1, data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d)))
+    want = der.u[s] @ v
+    assert verify._u_apply(ctx, der.elements[s], der.sym[der.inv[s]], v) == want
+    a_inv = seq.sym_module.action(group(label).inv[s])
+    assert build._u_apply(seq.twist.action(s), a_inv, v) == want
 
 
 @pytest.mark.parametrize("label", LABELS + [SL2_FILE])
@@ -216,15 +254,14 @@ def test_verifier_picks_a_generating_subset(label):
 def test_verifier_expands_g_from_s_prime_to_the_formula(label):
     # the verifier takes (s-1)iota on S' and its inverses only, reading A on
     # S' and its inverses.  The cocycle its values on S' fix, expanded along
-    # the search tree by g_st = U(s) g_t + g_s with U on S' only, is the
-    # formula on every element
+    # the search tree by g_st = U(s) g_t + g_s with U(s) applied from its
+    # factors on S' only, is the formula on every element
     der = derived(label)
     _, spanning, _ = der.closure
     read = spanning + [der.inv[s] for s in spanning]
     basis = [tuple(e) for e in der.payload["basis"]]
     n = der.payload["group"]["n"]
     sym = verify._sym_action(der.ctx, der.elements, basis, n, read)
-    u = verify._u_action(der.ctx, der.elements, sym, der.inv, n, spanning)
     g = verify._cocycle(der.ctx, der.elements, sym, der.inv, der.iota, read)
     assert [i for i, v in enumerate(g) if v is not None] == sorted(set(read))
     assert all(g[i] == der.g[i] for i in read)
@@ -235,7 +272,8 @@ def test_verifier_expands_g_from_s_prime_to_the_formula(label):
     for k in range(1, der.order):
         if expanded[k] is None:
             s, t = parents[k]
-            expanded[k] = u[s] @ expanded[t] + g[s]
+            moved = verify._u_apply(der.ctx, der.elements[s], sym[der.inv[s]], expanded[t])
+            expanded[k] = moved + g[s]
     assert expanded == der.g
 
 
@@ -262,11 +300,11 @@ def bump(ctx, m, cells):
 def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
     # the reduced checks, S(s) S(s^-1) = I and U(s) g_{s^-1} = -g_s on S',
     # reject a perturbed derivation exactly when the dense Hom form fails on
-    # some element.  The verifier forms U(s) only as kron(s^[p], S(s^-1)^T),
-    # so U(s) is perturbed through S(s^-1), U(s^-1) (which enters W(s))
-    # through S(s), and g at s^-1 directly.  A compensated draw then sets
-    # S(s) = S(s^-1)^-1 and g_{s^-1} = -U(s^-1) g_s, a derivation both
-    # sides must accept
+    # some element.  The verifier applies U(s) only from its factors s^[p]
+    # and S(s^-1), so U(s) is perturbed through S(s^-1), U(s^-1) (which
+    # enters W(s)) through S(s), and g at s^-1 directly.  A compensated
+    # draw then sets S(s) = S(s^-1)^-1 and g_{s^-1} = -U(s^-1) g_s, a
+    # derivation both sides must accept
     label = data.draw(st.sampled_from(LABELS + [SL2_FILE]))
     der = derived(label)
     ctx, n = der.ctx, der.n
@@ -290,15 +328,15 @@ def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
     compensated = s_inv != s and data.draw(st.booleans()) and is_invertible(block)
     if compensated:
         sym[s] = with_lower_right(der, s, inverse(block))
-        u_inv = verify._u_action(ctx, der.elements, sym, der.inv, n, [s_inv])[s_inv]
+        u_inv = dense_u(ctx, der.elements, sym, der.inv, n, [s_inv])[s_inv]
         g[s_inv] = -(u_inv @ g[s])
     u = list(der.u)
     for i in (s, s_inv):
-        u[i] = verify._u_action(ctx, der.elements, sym, der.inv, n, [i])[i]
+        u[i] = dense_u(ctx, der.elements, sym, der.inv, n, [i])[i]
 
     try:
         verify._check_inverse_pairs(ctx, sym, inv_table, spanning, n)
-        verify._check_tensor_witness(u, g, inv_table, spanning)
+        verify._check_tensor_witness(ctx, der.elements, sym, g, inv_table, spanning)
         accepted = True
     except FailedCheck as exc:
         assert str(exc).startswith(("u-action:", "tensor-vanishing: witness equation fails"))
