@@ -54,13 +54,37 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "JobSpec":
+        if not isinstance(obj, dict):
+            raise ModcohError("a job spec is a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
             raise ModcohError(f"unknown job fields: {sorted(unknown)}")
         if "p" not in obj:
             raise ModcohError("job spec needs p")
+        for key, val in obj.items():
+            kind, ok = _JOB_FIELD_TYPES[key]
+            if not ok(val):
+                raise ModcohError(f"job field {key} = {val!r} is not {kind}")
         return cls(**obj)
+
+
+def _is_int(val) -> bool:
+    return type(val) is int  # not bool, which JSON true and false load as
+
+
+# what each job field must hold, and the test of it
+_JOB_FIELD_TYPES = {
+    "p": ("an integer", _is_int),
+    "k": ("an integer", _is_int),
+    "modulus": ("a list of integers or null", lambda v: v is None or (
+        isinstance(v, list) and all(_is_int(c) for c in v))),
+    "n": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "group": ("a string", lambda v: isinstance(v, str)),
+    "order_cap": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "out": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def build_group(spec: JobSpec) -> MatrixGroup:
@@ -197,11 +221,24 @@ def cmd_h1(args: argparse.Namespace) -> int:
         "b1": b1,
         "h1": z1 - b1,
     }
-    if args.dump_basis:
-        out["z1_basis"] = [matrix_to_json(c.vectorize()) for c in z1_space(module)]
-        out["b1_basis"] = [matrix_to_json(c.vectorize()) for c in b1_space(module)]
-    print(canonical_json(out))
+    # each basis vector becomes its canonical text as it is made, so no
+    # nested cell lists are held for the whole basis
+    texts = {
+        key: [canonical_json(matrix_to_json(c.vectorize())) for c in space(module)]
+        for key, space in (("z1_basis", z1_space), ("b1_basis", b1_space))
+    } if args.dump_basis else {}
+    print(_canonical_json_spliced(out, texts))
     return 0
+
+
+def _canonical_json_spliced(obj: dict, lists: dict[str, list[str]]) -> str:
+    """canonical_json of `obj` with each key of `lists` set to the list whose
+    items have the given canonical texts.  A JSON object is the comma-join
+    of its sorted "key":value pairs, and a list the comma-join of its items,
+    so the texts are spliced in as they are."""
+    items = {key: canonical_json(val) for key, val in obj.items()}
+    items.update({key: "[" + ",".join(texts) + "]" for key, texts in lists.items()})
+    return "{" + ",".join(f"{canonical_json(key)}:{items[key]}" for key in sorted(items)) + "}"
 
 
 def cmd_detcheck(args: argparse.Namespace) -> int:

@@ -123,9 +123,10 @@ def test_tensor_vanishing_witness_all_elements(group):
 
 
 def test_tensor_vanishing_witness_rejects_a_faulty_derivation():
-    # the builder checks the two facts the Hom form reduces to: a faulty
-    # lower-right block S at s^-1 breaks S(s) S(s^-1) = I, and a faulty g_s
-    # breaks U(s) g_{s^-1} = -g_s, g_{s^-1} being taken by its formula
+    # the builder checks U(s) g_{s^-1} = -g_s, the fact of the Hom form
+    # that A's multiplicativity does not prove: a faulty lower-right block
+    # S at s^-1 breaks it through U(s) = kron(s^[p], S(s^-1)^T), and so
+    # does a faulty g_s, g_{s^-1} being taken by its formula
     seq = build_nonsplit_sequence(G3)
     (s,) = G3.spanning_ids
     s_inv, n = G3.inv[s], G3.n
@@ -136,7 +137,7 @@ def test_tensor_vanishing_witness_rejects_a_faulty_derivation():
     sym = GModule(
         G3, a.rows, lambda i: bumped if i == s_inv else seq.sym_module.action(i), "sym(3)"
     )
-    with pytest.raises(WitnessNotFound, match=r"U\(s\) U\(s\^-1\) is not the identity"):
+    with pytest.raises(WitnessNotFound, match="does not kill the class"):
         tensor_vanishing_witness(dataclasses.replace(seq, sym_module=sym))
 
     unit = Matrix.basis_column(F3, seq.u_module.dim, 0)
@@ -395,3 +396,46 @@ def test_construct_and_verify_form_u_only_for_the_toy(monkeypatch, tmp_path, lab
     else:
         assert (payload["params"]["p"], payload["group"]["n"]) == (2, 2)
         assert shapes and set(shapes) == {(2, 2)}
+
+
+@pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
+def test_construct_and_verify_form_no_inverse_pair_product(monkeypatch, tmp_path, label):
+    # S(s) S(s^-1) = I on S', so U(s) U(s^-1) = I, is proved: A is
+    # multiplicative, s s^-1 = 1 and the bottom-left blocks are zero.  So no
+    # product on any construct or verify path has a left factor with N - n
+    # rows, nor an (N-n) x (N-n) identity.  Where N - n = n (p = 3, n = 2
+    # and p = 2, n = 3) shape cannot tell S(s) from a group element, so
+    # there the left factor must not be a lower-right block cut from an
+    # N x N matrix
+    cut = set()
+    kept = []  # keeps each cut block alive, so its id is not reused
+    products, identities = [], []
+    submatrix, matmul, identity = Matrix.submatrix, Matrix.__matmul__, Matrix.identity.__func__
+
+    def cutting(m, r0, r1, c0, c1):
+        out = submatrix(m, r0, r1, c0, c1)
+        if m.rows == m.cols and (r1, c1) == (m.rows, m.cols) and r0 == c0 > 0:
+            cut.add(id(out))
+            kept.append(out)
+        return out
+
+    def multiplying(a, b):
+        products.append((a.rows, id(a) in cut))
+        return matmul(a, b)
+
+    def making_identity(cls, ctx, n):
+        identities.append(n)
+        return identity(cls, ctx, n)
+
+    monkeypatch.setattr(Matrix, "submatrix", cutting)
+    monkeypatch.setattr(Matrix, "__matmul__", multiplying)
+    monkeypatch.setattr(Matrix, "identity", classmethod(making_identity))
+    args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
+    out = tmp_path / "report.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    dims = json.loads(out.read_text())["payload"]["dims"]
+    m, n = dims["N"] - dims["W"], dims["W"]
+    assert products
+    assert [rows for rows, is_cut in products if rows == m and (m != n or is_cut)] == []
+    assert m == n or m not in identities

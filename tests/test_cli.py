@@ -162,6 +162,35 @@ def test_detcheck(capsys):
     assert out["all_zero"] and out["structured_zero"]
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_detcheck_needs_a_positive_trial_count(trials, capsys):
+    # with no trials, all_zero would hold vacuously, and with -1 trials it
+    # would claim that the identity fails
+    assert run(["detcheck", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: ") and "trials" in err[0]
+
+
+@pytest.mark.parametrize("job", [
+    {"p": 3, "n": "2"},
+    {"p": 3, "order_cap": "10"},
+    {"p": 3, "group": 5},
+    {"p": 3, "modulus": "1,1"},
+    {"p": True},
+    [3],
+], ids=["n_str", "order_cap_str", "group_int", "modulus_str", "p_bool", "not_an_object"])
+def test_job_file_with_a_mistyped_field_is_one_error_line(job, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert run(["construct", "--job", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_construct_stdout(capsys):
     assert run(["construct", "--p", "3", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -177,9 +177,10 @@ def built_ids(module):
 
 @pytest.mark.parametrize("p,k,n", EXT_N2 + PRIME)
 def test_pipeline_builds_actions_on_s_prime_and_inverses_only(p, k, n):
-    # A on S' and its inverses (g_s is made from A(s^-1), and the witness
-    # check reads S(s) S(s^-1)); U is read through its factors, so U and
-    # U~ are built on S' for the p = n = 2 toy and on no element otherwise
+    # A on S' and its inverses (the block checks read both, g_s is made
+    # from A(s^-1), and the witness check reads S(s^-1)); U is read
+    # through its factors, so U and U~ are built on S' for the p = n = 2
+    # toy and on no element otherwise
     g = additive_family(field_new(p, k), n=n)
     params = {"p": p, "k": k, "n": n, "order_cap": 10_000, "seed": 0}
     result = run_pipeline(g, params)

@@ -81,8 +81,8 @@ def closed(payload):
 
 
 def test_fresh_reports_verify(report2, report3):
-    assert verify_report(report2) >= 13
-    assert verify_report(report3) >= 11
+    assert verify_report(report2) == 12
+    assert verify_report(report3) == 11
 
 
 def test_write_and_verify_file(tmp_path, report3):
@@ -194,24 +194,24 @@ def with_unit_added(ctx, m, i, j):
     return Matrix(ctx, m.rows, m.cols, data)
 
 
-def test_tamper_u_action(report3, monkeypatch):
-    # U is derived, so the check on it fires only on a faulty derivation.
-    # It is checked in the form U(s) U(s^-1) = kron(I, (S(s) S(s^-1))^T)
-    # reduces to: a faulty lower-right block S of A, at the element of S'
-    # or at its inverse, fails it (the block checks read the other blocks)
+def test_tamper_u_action(report_sl2, monkeypatch):
+    # U(s) U(s^-1) = I is proved, not checked: A is multiplicative and the
+    # closure found s s^-1 = 1.  So a faulty lower-right block S(s) of A,
+    # at an element of S', is read by nothing; a faulty S(s^-1) still
+    # fails tensor-vanishing, as U(s) = kron(s^[p], S(s^-1)^T) applies it
+    # to g_{s^-1}.  s = x21(1), whose inverse the non-split row on the
+    # shear x12(1) does not read
     original = modcoh.verify._sym_action
-    _, (s,), inv = closed(report3["payload"])
-    for faulty in (s, inv[s]):
+    _, spanning, inv = closed(report_sl2["payload"])
+    s = spanning[-1]
 
-        def broken(ctx, elements, basis, n, ids, faulty=faulty):
-            out = original(ctx, elements, basis, n, ids)
-            out[faulty] = with_unit_added(ctx, out[faulty], n, n)
-            return out
+    def broken(ctx, elements, basis, n, ids):
+        out = original(ctx, elements, basis, n, ids)
+        out[inv[s]] = with_unit_added(ctx, out[inv[s]], n, n)
+        return out
 
-        monkeypatch.setattr(modcoh.verify, "_sym_action", broken)
-        expect_failure(report3, re.escape(
-            f"u-action: S(s) S(s^-1), so U(s) U(s^-1), is not the identity at element {s}"
-        ))
+    monkeypatch.setattr(modcoh.verify, "_sym_action", broken)
+    expect_failure(report_sl2, f"tensor-vanishing: witness equation fails at element {s}$")
 
 
 _COCYCLE = modcoh.verify._cocycle
@@ -314,10 +314,10 @@ def test_tamper_nonsplit_record(report3, mutate, check):
 
 
 def test_tamper_witness(report3, report_sl2, monkeypatch):
-    # X = [-I_d ; 0] and w = e_d are not formed: the witness equation is
-    # checked as U(s) U(s^-1) = I (test_tamper_u_action) and
-    # U(s) g_{s^-1} = -g_s.  g_{s^-1} is read only there, so a faulty
-    # g_{s^-1} fails tensor-vanishing
+    # X = [-I_d ; 0] and w = e_d are not formed: of the witness equation,
+    # U(s) U(s^-1) = I is proved (test_tamper_u_action) and
+    # U(s) g_{s^-1} = -g_s is checked.  g_{s^-1} is read only there, so a
+    # faulty g_{s^-1} fails tensor-vanishing
     for report in (report3, report_sl2):
         _, spanning, inv = closed(report["payload"])
         s_inv = inv[spanning[0]]
@@ -473,7 +473,7 @@ def test_toy_record_does_not_depend_on_the_seed():
     for seed in (0, 1, 2):
         params = {"p": 2, "k": 7, "n": 2, "order_cap": 10000, "seed": seed}
         report = run_pipeline(group, params, seed=seed).report
-        assert verify_report(report) == 13
+        assert verify_report(report) == 12
         assert report["payload"]["toy"] == {"equation": modcoh.verify.TOY_EQUATION}
         assert report["payload"]["params"] == {"p": 2, "k": 7, "n": 2, "order_cap": 10000}
         reports.append(report)
