@@ -10,11 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .build import det_identity_demo, resolve_module
-from .coh import b1_dim, b1_space, z1_dim, z1_space
+from .coh import (
+    b1_dim,
+    b1_stacked,
+    z1_dim,
+    z1_space,  # unused here; bench/test_bench.py patches this import site
+    z1_stacked,
+)
 from .errors import (
     CorruptReport,
     FailedCheck,
@@ -31,7 +37,7 @@ from .grp import (
     paired_shear_family,
 )
 from .jsonutil import canonical_json
-from .linalg import matrix_to_json
+from .linalg import matrix_json_text
 from .report import run_pipeline, write_report
 from .verify import verify_report_file
 
@@ -50,7 +56,12 @@ class JobSpec:
     out: str = "-"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """`dataclasses.asdict` without its deep copy: every field is
+        immutable but `modulus`, which is copied as a new list."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.modulus is not None:
+            obj["modulus"] = list(self.modulus)
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "JobSpec":
@@ -221,11 +232,11 @@ def cmd_h1(args: argparse.Namespace) -> int:
         "b1": b1,
         "h1": z1 - b1,
     }
-    # each basis vector becomes its canonical text as it is made, so no
-    # nested cell lists are held for the whole basis
+    # each stacked basis vector is written as its canonical text, with no
+    # cocycle and no nested cell lists made on the way
     texts = {
-        key: [canonical_json(matrix_to_json(c.vectorize())) for c in space(module)]
-        for key, space in (("z1_basis", z1_space), ("b1_basis", b1_space))
+        key: list(map(matrix_json_text, stacked(module)))
+        for key, stacked in (("z1_basis", z1_stacked), ("b1_basis", b1_stacked))
     } if args.dump_basis else {}
     print(_canonical_json_spliced(out, texts))
     return 0

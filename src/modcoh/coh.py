@@ -21,8 +21,9 @@ iota in a larger module, read in a submodule
 Z1 on S' is the kernel_basis of that system, which depends on Z1 alone,
 not on the relators chosen.  B1 on S' is
 the column space of the stacked (s-1); the complement of B1 in Z1 and each
-class are computed on those coordinates, and only z1_space/b1_space expand
-to the stacked non-identity coordinates.  Split tests solve (s-1)u = g_s over S',
+class are computed on those coordinates, and only z1_stacked/b1_stacked
+(and z1_space/b1_space, which read them) expand to the stacked non-identity
+coordinates.  Split tests solve (s-1)u = g_s over S',
 returning either a witness u or an inconsistency row that re-verifies
 without the solver.
 """
@@ -400,8 +401,8 @@ def _z1_system(module: GModule) -> Matrix:
 
 # Each module's bases are eliminated once and kept in module.coh_cache: the
 # Z1 system, Z1 and B1 on the S' blocks,
-# the H1 matrix there, the (s-1) for s in S', and for z1_space/b1_space the
-# stacked non-identity columns.  Columns refer to
+# the H1 matrix there, the (s-1) for s in S', and for z1_stacked/b1_stacked
+# the stacked non-identity columns.  Columns refer to
 # the field, not the module, so the cache forms no reference cycle and dies
 # with the module.
 
@@ -527,14 +528,26 @@ def _b1_columns(module: GModule) -> tuple[Matrix, ...]:
     return _column_basis(_expanded(module, bb))
 
 
+def z1_stacked(module: GModule) -> tuple[Matrix, ...]:
+    """The basis of `z1_space`, each cocycle as its stacked non-identity
+    values (`Cocycle.vectorize`)."""
+    return _cached(module, "z1_stacked", _z1_columns)
+
+
+def b1_stacked(module: GModule) -> tuple[Matrix, ...]:
+    """The basis of `b1_space`, each cocycle as its stacked non-identity
+    values (`Cocycle.vectorize`)."""
+    return _cached(module, "b1_stacked", _b1_columns)
+
+
 def z1_space(module: GModule) -> list[Cocycle]:
     """Deterministic basis of Z1(G, M)."""
-    return [Cocycle.from_vector(module, v) for v in _cached(module, "z1_stacked", _z1_columns)]
+    return [Cocycle.from_vector(module, v) for v in z1_stacked(module)]
 
 
 def b1_space(module: GModule) -> list[Cocycle]:
     """Deterministic basis of B1(G, M), the coboundaries."""
-    return [Cocycle.from_vector(module, v) for v in _cached(module, "b1_stacked", _b1_columns)]
+    return [Cocycle.from_vector(module, v) for v in b1_stacked(module)]
 
 
 def z1_dim(module: GModule) -> int:

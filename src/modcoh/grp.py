@@ -1,16 +1,21 @@
 """Finite matrix groups enumerated from generators.
 
-Closure is one breadth-first search from the identity by left
+A group is enumerated by one breadth-first search from the identity by left
 multiplication with the generators, taken in the given order, so element
-ids are reproducible and can be cited by certificates.  A report names the
-group by its generators and order; the verifier repeats the same search.
-The named families used by the pipeline live here too.
+ids are reproducible and can be cited by certificates (`_search`).
+`closure` runs it on matrices.  The named families used by the pipeline
+run it on their parameters, whose addition is the matrix product of the
+family, and form one matrix per element; they find the elements, ids and
+search tree that `closure` finds from their generators.  A report names
+the group by its generators and order; the verifier closes the generators
+itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import matmul
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
     BadCharacteristic,
@@ -30,13 +35,12 @@ DEFAULT_ORDER_CAP = 10_000
 class MatrixGroup:
     """Finite subgroup of GL_n over a fixed field, with enumerated elements.
 
-    Built by `closure`.  Element i is `elements[i]`, the identity is 0 and
-    `inv[i]` is the id of the inverse of element i.
+    Built by `closure` or by a named family.  Element i is `elements[i]`,
+    the identity is 0 and `inv[i]` is the id of the inverse of element i.
 
     `spanning_ids` is S', the ids of the generators, in order, that lie
     outside the subgroup generated by those kept before them.  S' generates
-    the group; the additive family over GF(p^k) publishes its k elements
-    and no other generator.
+    the group; the named families publish S' and no other generator.
 
     `tree_parents` is the search tree that found the elements:
     parents[st] = (s, t) when the search first reached st as s @ t, with s
@@ -61,10 +65,10 @@ class MatrixGroup:
         inv: list[int],
         spanning_ids: list[int],
         tree_parents: list[Optional[tuple[int, int]]],
-        rows: list[Optional[list[int]]],
+        spanning_rows: list[list[int]],
     ):
-        """`index` maps each element to its id; `rows[i]` is the row of
-        `mul(i, .)`, or None until first use."""
+        """`index` maps each element to its id; `spanning_rows[b]` is the
+        row of `mul(spanning_ids[b], .)`, found by the search."""
         self.ctx = ctx
         self.n = n
         self.generators = generators
@@ -73,7 +77,9 @@ class MatrixGroup:
         self.inv = inv
         self.spanning_ids = spanning_ids
         self.tree_parents = tree_parents
-        self._rows = rows
+        self._rows: list[Optional[list[int]]] = [None] * len(elements)
+        for s, row in zip(spanning_ids, spanning_rows):
+            self._rows[s] = row
 
     @property
     def order(self) -> int:
@@ -83,7 +89,7 @@ class MatrixGroup:
         """Index of elements[i] @ elements[j].
 
         Products are tabulated one row per left factor, on first use; the
-        rows of S' come from `closure`.
+        rows of S' come from the search.
         """
         row = self._rows[i]
         if row is None:
@@ -95,43 +101,37 @@ class MatrixGroup:
         return f"MatrixGroup(order={self.order}, n={self.n}, field={self.ctx!r})"
 
 
-def closure(
-    ctx: FieldCtx,
-    n: int,
-    generators: Sequence[Matrix],
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> MatrixGroup:
-    """The group generated by `generators`, in one breadth-first search.
+def _search(
+    identity: Hashable,
+    generators: Iterable[Hashable],
+    product: Callable[[Hashable, Hashable], Hashable],
+    order_cap: int,
+) -> tuple:
+    """The group that `generators` make under `product`, in one
+    breadth-first search from `identity`.
 
-    The search starts at the identity and multiplies by S' on the left (see
-    `MatrixGroup`): it takes the generators in order, skips each one it has
-    already reached, and otherwise keeps it, multiplies every element found
-    so far by it, and goes on taking each later element times every kept
-    generator.  Element ids are the order of discovery and the search tree
-    is `tree_parents`.  The set found holds every generator and is closed
-    under S', so it is the group, found with |S'|(|G| - 1) products; they
-    are the S' rows of the multiplication table, and the inverses follow
-    from those rows with no further product.
+    The search multiplies by S' on the left (see `MatrixGroup`): it takes
+    the generators in order, skips each one it has already reached, and
+    otherwise keeps it, multiplies every element found so far by it, and
+    goes on taking each later element times every kept generator.  Element
+    ids are the order of discovery.  The set found holds every generator
+    and is closed under S', so it is the group, found with |S'|(|G| - 1)
+    products; they are the S' rows of the multiplication table, and the
+    inverses follow from those rows with no further product.  (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005.)
+
+    Returns the elements in order of discovery, their ids, S', the S' rows,
+    the search tree and the inverse ids.
     """
-    gens = list(generators)
-    for g in gens:
-        if g.ctx is not ctx:
-            raise MixedContexts("generator over a different field")
-        if g.rows != n or g.cols != n:
-            raise ShapeMismatch(f"generator is {g.rows}x{g.cols}, expected {n}x{n}")
-        if not is_invertible(g):
-            raise SingularGenerator(f"singular generator {g!r}")
-
-    # found[x] = kept[letter[x]] @ found[parent[x]] for x > 0, and
-    # left[b][h] is the id of kept[b] @ found[h]
-    identity = Matrix.identity(ctx, n)
+    # found[x] = kept[letter[x]] * found[parent[x]] for x > 0, and
+    # left[b][h] is the id of kept[b] * found[h]
     found, index = [identity], {identity: 0}
     parent, letter = [0], [-1]
-    kept: list[Matrix] = []
+    kept: list = []
     left: list[list[int]] = []
 
-    def product(b: int, h: int) -> int:
-        x = kept[b] @ found[h] if h else kept[b]
+    def visit(b: int, h: int) -> int:
+        x = product(kept[b], found[h]) if h else kept[b]
         i = index.get(x)
         if i is None:
             i = index[x] = len(found)
@@ -142,7 +142,7 @@ def closure(
                 raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
         return i
 
-    for g in gens:
+    for g in generators:
         if g in index:
             continue
         kept.append(g)
@@ -150,18 +150,18 @@ def closure(
         # the new row catches up with the elements found so far, then every
         # row takes each element found after them
         done = len(found)
-        left[-1].extend(product(len(kept) - 1, h) for h in range(done))
+        left[-1].extend(visit(len(kept) - 1, h) for h in range(done))
         while done < len(found):
             for b, row in enumerate(left):
-                row.append(product(b, done))
+                row.append(visit(b, done))
             done += 1
 
     size = len(found)
     spanning = [row[0] for row in left]
     parents: list[Optional[tuple[int, int]]] = [None]
     parents.extend((spanning[b], h) for b, h in zip(letter[1:], parent[1:]))
-    # x = s @ h has x^-1 = h^-1 @ s^-1.  Right multiplication by s^-1
-    # commutes with the S' rows, so right[b][x] = x @ s^-1 follows the tree
+    # x = s * h has x^-1 = h^-1 * s^-1.  Right multiplication by s^-1
+    # commutes with the S' rows, so right[b][x] = x * s^-1 follows the tree
     # from right[b][0] = s^-1, the element that row b sends to the identity
     right = []
     for row in left:
@@ -172,10 +172,50 @@ def closure(
     inv = [0] * size
     for x in range(1, size):
         inv[x] = right[letter[x]][inv[parent[x]]]
-    rows: list[Optional[list[int]]] = [None] * size
-    for s, row in zip(spanning, left):
-        rows[s] = row
+    return found, index, spanning, left, parents, inv
+
+
+def closure(
+    ctx: FieldCtx,
+    n: int,
+    generators: Sequence[Matrix],
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> MatrixGroup:
+    """The group generated by `generators`: `_search` on the matrices, one
+    matrix product per step.  Element ids are the order of discovery and
+    the search tree is `tree_parents`.
+    """
+    gens = list(generators)
+    for g in gens:
+        if g.ctx is not ctx:
+            raise MixedContexts("generator over a different field")
+        if g.rows != n or g.cols != n:
+            raise ShapeMismatch(f"generator is {g.rows}x{g.cols}, expected {n}x{n}")
+        if not is_invertible(g):
+            raise SingularGenerator(f"singular generator {g!r}")
+    found, index, spanning, rows, parents, inv = _search(
+        Matrix.identity(ctx, n), gens, matmul, order_cap
+    )
     return MatrixGroup(ctx, n, gens, found, index, inv, spanning, parents, rows)
+
+
+def _parameter_group(
+    ctx: FieldCtx,
+    n: int,
+    matrix: Callable[[Hashable], Matrix],
+    identity: Hashable,
+    generators: Iterable[Hashable],
+    product: Callable[[Hashable, Hashable], Hashable],
+    order_cap: int,
+) -> MatrixGroup:
+    """The group of a family, `_search` run on its parameters, whose
+    `product` is the matrix product of their images under `matrix`: one
+    matrix per element, and S' as the generators."""
+    params, _, spanning, rows, parents, inv = _search(identity, generators, product, order_cap)
+    elements = list(map(matrix, params))
+    index = {m: i for i, m in enumerate(elements)}
+    gens = [elements[s] for s in spanning]
+    return MatrixGroup(ctx, n, gens, elements, index, inv, spanning, parents, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +233,18 @@ def family_matrix(ctx: FieldCtx, a: FieldElement, n: int = 2) -> Matrix:
         raise MixedContexts("parameter from a different field")
     if n < 2:
         raise ShapeMismatch("family needs n >= 2")
-    one = ctx.one()
+    return _family_matrix(ctx, a.val, n)
+
+
+def _family_matrix(ctx: FieldCtx, a: int, n: int) -> Matrix:
+    """`family_matrix` of the parameter with encoding `a`."""
+    data = [0] * (n * n)
+    data[:: n + 1] = [1] * n
+    data[1] = a
     if ctx.p == 2:
-        block = [[a + one, a], [a, a + one]]
-    else:
-        block = [[one, a], [ctx.zero(), one]]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < 2 and j < 2:
-                row.append(block[i][j])
-            else:
-                row.append(one if i == j else ctx.zero())
-        rows.append(row)
-    return Matrix.from_rows(ctx, rows)
+        data[0] = data[n + 1] = ctx.add_i(a, 1)
+        data[n] = a
+    return Matrix(ctx, n, n, data)
 
 
 def additive_family(
@@ -218,16 +255,19 @@ def additive_family(
 ) -> MatrixGroup:
     """Group {A(a) : a in U} for an additive subgroup U of the field.
 
-    Defaults to U = the whole field.  The generators are the matrices of a
-    basis of U over F_p (k of them for U = GF(p^k)), chosen greedily in
-    field encoding order: each parameter outside the span of those chosen
-    before it.  A(a) A(b) = A(a + b), so the group the first j generators
-    make is {A(a) : a in their span}, and closure over all nonzero
-    parameters in encoding order keeps exactly this basis as S'.  Element
-    ids, S' and the search tree are therefore those of that closure.
+    Defaults to U = the whole field.  a -> A(a) is injective and
+    A(a) A(b) = A(a + b), so the search runs on the parameters, one field
+    addition per step, over every parameter in encoding order.  It keeps a
+    basis of U over F_p (k elements for U = GF(p^k)), each parameter
+    outside the span of those kept before it, and the group publishes
+    their matrices as its generators.  Element ids, S', the S' rows and
+    the search tree are those of `closure` over these generators, and of
+    `closure` over the matrices of all nonzero parameters in encoding order.
     """
+    if n < 2:
+        raise ShapeMismatch("family needs n >= 2")
     if params is None:
-        vals = set(range(ctx.q))
+        vals = range(ctx.q)
     else:
         vals = set()
         for a in params:
@@ -243,43 +283,33 @@ def additive_family(
                     raise NotAdditivelyClosed(
                         f"missing a+b for a = {ctx.el(a)!r}, b = {ctx.el(b)!r}"
                     )
-    basis, span = [], {0}
-    for v in sorted(vals):
-        if v not in span:
-            basis.append(v)
-            multiples = [0]
-            for _ in range(ctx.p - 1):
-                multiples.append(ctx.add_i(multiples[-1], v))
-            span = {ctx.add_i(a, m) for a in span for m in multiples}
-    gens = [family_matrix(ctx, ctx.el(v), n) for v in basis]
-    group = closure(ctx, n, gens, order_cap)
-    if group.order != len(vals):
-        raise ModcohError("family closure does not match the parameter set")
-    return group
+        vals = sorted(vals)
+    return _parameter_group(
+        ctx, n, lambda a: _family_matrix(ctx, a, n), 0, vals, ctx.add_i, order_cap
+    )
 
 
 def paired_shear_family(ctx: FieldCtx, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGroup:
-    """Order-p^2 group of 4x4 block pairs of shears over the prime subfield."""
+    """Order-p^2 group of 4x4 block pairs of shears over the prime subfield.
+
+    The element of the pair (a, b) is block diagonal, with blocks
+    [[1, a], [0, 1]] and [[1, b], [0, 1]].  The pairs add under the matrix
+    product, so the search runs on them,
+    with generators (1, 0) and (0, 1), and the group is that of `closure`
+    over the two generator matrices.
+    """
     if ctx.p < 3:
         raise BadCharacteristic("the 4x4 paired-shear family needs p >= 3")
-    zero, one = ctx.zero(), ctx.one()
+    add = ctx.add_i
 
-    def element(a: FieldElement, b: FieldElement) -> Matrix:
-        return Matrix.from_rows(
-            ctx,
-            [
-                [one, a, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, one, b],
-                [zero, zero, zero, one],
-            ],
-        )
+    def pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        return add(x[0], y[0]), add(x[1], y[1])
 
-    gens = [element(one, zero), element(zero, one)]
-    group = closure(ctx, 4, gens, order_cap)
-    if group.order != ctx.p**2:
-        raise ModcohError("paired-shear closure has unexpected order")
-    return group
+    def element(pair: tuple[int, int]) -> Matrix:
+        data = [1, pair[0], 0, 0, 0, 1, 0, 0, 0, 0, 1, pair[1], 0, 0, 0, 1]
+        return Matrix(ctx, 4, 4, data)
+
+    return _parameter_group(ctx, 4, element, (0, 0), [(1, 0), (0, 1)], pair_sum, order_cap)
 
 
 # ---------------------------------------------------------------------------

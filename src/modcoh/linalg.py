@@ -421,6 +421,18 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
+def matrix_json_text(m: Matrix) -> str:
+    """The canonical JSON text of `matrix_to_json(m)`, written directly:
+    each distinct value is decoded and written once, and the rows are
+    joined from those texts."""
+    decode, c = m.ctx.decode, m.cols
+    text = {v: "[" + ",".join(map(str, decode(v))) + "]" for v in set(m._d)}
+    cells = list(map(text.__getitem__, m._d))
+    rows = cells if c == 1 else [",".join(cells[i * c : (i + 1) * c]) for i in range(m.rows)]
+    entries = "[" + "],[".join(rows) + "]" if rows else ""
+    return f'{{"cols":{c},"entries":[{entries}],"rows":{m.rows}}}'
+
+
 def matrix_from_json(ctx: FieldCtx, obj: dict) -> Matrix:
     """Strict parse of a serialized matrix.
 

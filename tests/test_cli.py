@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -23,6 +24,17 @@ def test_jobspec_round_trip():
         JobSpec.from_dict({"p": 2, "bogus": 1})
     with pytest.raises(ModcohError):
         JobSpec.from_dict({"k": 2})
+
+
+@pytest.mark.parametrize("modulus", [None, [1, 1, 0, 0, 0, 0, 0, 1]])
+def test_jobspec_to_dict_equals_asdict_and_copies_the_modulus(modulus):
+    spec = JobSpec(p=2, k=7, modulus=modulus, n=2, seed=1, out="x.json")
+    obj = spec.to_dict()
+    assert obj == asdict(spec)
+    assert list(obj) == list(asdict(spec))
+    if modulus is not None:
+        obj["modulus"].append(5)
+        assert spec.modulus == [1, 1, 0, 0, 0, 0, 0, 1]
 
 
 def test_construct_and_verify(tmp_path):

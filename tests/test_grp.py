@@ -225,6 +225,95 @@ def test_spanning_ids_of_the_additive_family(p, k):
     assert every.tree_parents == g.tree_parents
 
 
+def assert_same_group(group, reference):
+    """Every field of two MatrixGroups agrees, the filled S' rows too."""
+    for name in ("ctx", "n", "generators", "elements", "index", "inv",
+                 "spanning_ids", "tree_parents", "_rows"):
+        assert getattr(group, name) == getattr(reference, name), name
+
+
+# the fields of the benchmark ladder, GF(5^2), and GF(128) by the modulus
+# the CI step gives
+FAMILY_FIELDS = [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None), (7, 1, None),
+                 (2, 3, None), (3, 2, None), (2, 4, None), (5, 2, None),
+                 (2, 7, [1, 1, 0, 0, 0, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p,k,modulus", FAMILY_FIELDS,
+                         ids=[f"GF({p}^{k})" for p, k, _ in FAMILY_FIELDS])
+def test_additive_family_is_the_closure_of_its_generators(p, k, modulus, n):
+    # the search on the parameters finds what the search on the matrices
+    # finds, field by field
+    ctx = field_new(p, k, modulus)
+    group = additive_family(ctx, n=n)
+    assert_same_group(group, closure(ctx, n, group.generators))
+
+
+@pytest.mark.parametrize("ctx,basis", [
+    (F4, []), (F4, [1]), (F9, [1]), (F9, [3]), (field_new(2, 4), [2, 9]),
+    (field_new(2, 4), [5, 6, 12]), (field_new(5, 2), [7]),
+])
+def test_additive_subgroup_is_the_closure_of_its_generators(ctx, basis):
+    # a subgroup passed as params, listed in no particular order
+    span = {0}
+    for v in basis:
+        multiples = [0]
+        for _ in range(ctx.p - 1):
+            multiples.append(ctx.add_i(multiples[-1], v))
+        span = {ctx.add_i(a, m) for a in span for m in multiples}
+    params = [ctx.el(v) for v in sorted(span, reverse=True)]
+    group = additive_family(ctx, params=params, n=3)
+    assert group.order == len(span)
+    assert len(group.spanning_ids) == len(basis)
+    assert_same_group(group, closure(ctx, 3, group.generators))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_paired_shear_family_is_the_closure_of_its_generators(p):
+    ctx = field_new(p)
+    group = paired_shear_family(ctx)
+    shears = [Matrix.from_rows(ctx, [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, b], [0, 0, 0, 1]])
+              for a, b in ((1, 0), (0, 1))]
+    assert group.generators == shears
+    assert_same_group(group, closure(ctx, 4, shears))
+
+
+@pytest.mark.parametrize("cap", range(0, 11))
+def test_families_exceed_the_order_cap_where_closure_does(cap):
+    def outcome(build):
+        try:
+            return build().order
+        except OrderCapExceeded:
+            return "cap"
+
+    ctx = field_new(3, 2)
+    gens = additive_family(ctx).generators
+    assert outcome(lambda: additive_family(ctx, order_cap=cap)) == outcome(
+        lambda: closure(ctx, 2, gens, order_cap=cap))
+    shears = paired_shear_family(F3).generators
+    assert outcome(lambda: paired_shear_family(F3, order_cap=cap)) == outcome(
+        lambda: closure(F3, 4, shears, order_cap=cap))
+
+
+def test_families_make_no_matrix_product(monkeypatch):
+    # the families search their parameters; a matrix product while they
+    # enumerate would mean they searched the matrices
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting_matmul(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    additive_family(field_new(2, 4))
+    additive_family(F9, n=3)
+    additive_family(F4, params=[F4.zero(), F4.one()])
+    paired_shear_family(field_new(5))
+    assert products == []
+
+
 def test_spanning_ids_drop_redundant_generators():
     x = Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     y = Matrix.from_rows(F3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])

@@ -10,6 +10,7 @@ from modcoh import gf
 from modcoh.errors import MixedContexts, ShapeMismatch, Singular
 from modcoh.gf import field_new
 from modcoh.grp import family_matrix
+from modcoh.jsonutil import canonical_json
 from modcoh.linalg import (
     Matrix,
     direct_sum,
@@ -18,6 +19,7 @@ from modcoh.linalg import (
     kernel_basis,
     kron,
     matrix_from_json,
+    matrix_json_text,
     matrix_to_json,
     rank,
     rref,
@@ -255,6 +257,21 @@ def test_matrix_serialization_round_trip():
     obj = matrix_to_json(m)
     assert obj["rows"] == 2 and obj["cols"] == 3
     assert all(len(entry) == 2 for row in obj["entries"] for entry in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, F3, F4, field_new(3, 2), field_new(2, 4)]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_matrix_json_text_is_the_canonical_text_of_matrix_to_json(ctx, rows, cols, data):
+    # empty shapes and single columns included: the h1 basis dump writes
+    # each stacked vector this way
+    d = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=rows * cols, max_size=rows * cols))
+    m = Matrix(ctx, rows, cols, d)
+    assert matrix_json_text(m) == canonical_json(matrix_to_json(m))
 
 
 def test_flatten_reshape_row_major():
