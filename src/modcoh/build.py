@@ -174,9 +174,10 @@ def _iota_coboundary(
     group: MatrixGroup, twist: GModule, sym: GModule, iota: Matrix, i: int
 ) -> Matrix:
     """g_i = (i-1)iota = i^[p] iota A(i^-1) - iota in U's coordinates, read
-    off the twist at i and A at i^-1; raises TheoremViolation if it leaves U."""
+    off the twist at i and A at i^-1; raises TheoremViolation if it leaves U.
+    iota = (I_n | 0), so iota A(i^-1) is the top n rows of A(i^-1)."""
     n, N = group.n, sym.dim
-    full = twist.action(i) @ iota @ sym.action(group.inv[i]) - iota
+    full = twist.action(i) @ sym.action(group.inv[i]).submatrix(0, n, 0, N) - iota
     if not full.submatrix(0, n, 0, n).is_zero:
         raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
     return full.submatrix(0, n, n, N).flatten()
@@ -352,19 +353,25 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
 
     w is fixed by the block form, so both sides of the equation are
     cocycles, and agreement on S' implies it on every element.  g_{s^-1}
-    is taken by its formula (s-1)iota, the coboundary of iota in
-    Hom(V, W), of which the sequence's cocycle is the restriction to U, so
-    the two agree on every element.  The fact is the cocycle identity at
-    (s, s^-1), with g_1 = 0.  Reads the symmetric-power action
-    and the twist on S' and its inverses, which the sequence already
-    built; neither U nor U~ is formed.
+    is the sequence's value when s^-1 is in S' (every s of a p = 2 family
+    is an involution), and otherwise its formula (s-1)iota, the coboundary
+    of iota in Hom(V, W), of which the sequence's cocycle is the
+    restriction to U, so the two agree on every element.  The fact is the
+    cocycle identity at (s, s^-1), with g_1 = 0.  Reads the
+    symmetric-power action and the twist on S' and its inverses, which the
+    sequence already built; neither U nor U~ is formed.
     """
     group = seq.group
     ctx, n, N = group.ctx, group.n, seq.sym_module.dim
+    on_s = dict(zip(group.spanning_ids, seq.cocycle.spanning_values))
     for s in group.spanning_ids:
-        a_inv = seq.sym_module.action(group.inv[s])
-        g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, seq.iota, group.inv[s])
-        if not (_u_apply(seq.twist.action(s), a_inv, g_inv) + seq.cocycle.value(s)).is_zero:
+        s_inv = group.inv[s]
+        a_inv = seq.sym_module.action(s_inv)
+        if s_inv in on_s:
+            g_inv = on_s[s_inv]
+        else:
+            g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, seq.iota, s_inv)
+        if not (_u_apply(seq.twist.action(s), a_inv, g_inv) + on_s[s]).is_zero:
             raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {s}")
     return TensorVanishing(ctx, n * (N - n))
 

@@ -323,7 +323,7 @@ class HypothesisReport:
 
     `ids` are the element ids found: the pattern elements in the order of
     `values` (p = 2), or the shear (p >= 3).  The non-split certificate
-    takes its subgroup H from them, so G is scanned once.
+    takes its subgroup H from them, so they are looked up once.
     """
 
     ok: bool
@@ -335,7 +335,8 @@ class HypothesisReport:
 
 def _matches_involution_pattern(m: Matrix) -> Optional[int]:
     """The encoding of a for [[a, a+1], [a+1, a]] + identity elsewhere, or
-    None; compared on raw encodings, where one is 1."""
+    None; compared on raw encodings, where one is 1.  The element-by-element
+    form of the lookup that `check_extension_hypothesis` makes."""
     a = m.raw(0, 0)
     a1 = m.ctx.add_i(a, 1)
     if m.raw(0, 1) != a1 or m.raw(1, 0) != a1 or m.raw(1, 1) != a:
@@ -347,29 +348,35 @@ def _matches_involution_pattern(m: Matrix) -> Optional[int]:
 
 
 def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
-    """Scan the enumerated elements for the required pattern.
+    """Look the required pattern up among the enumerated elements.
 
     p = 2: at least three distinct parameters a with [[a, a+1], [a+1, a]]
-    (plus identity padding) in the group.  p >= 3: the specific unipotent
-    shear [[1, 1], [0, 1]] (plus identity padding) is an element.
+    (plus identity padding) in the group; the q candidates, one per a in
+    encoding order, are looked up in `group.index`.  p >= 3: the specific
+    unipotent shear [[1, 1], [0, 1]] (plus identity padding) is an element.
+    Neither pattern fits in a group of n < 2.
     """
-    ctx = group.ctx
+    ctx, n = group.ctx, group.n
+    case = "involution-pattern" if ctx.p == 2 else "unipotent-shear"
+    if n < 2:
+        return HypothesisReport(False, case, (), (), "the pattern needs n >= 2")
     if ctx.p == 2:
-        matches = enumerate(map(_matches_involution_pattern, group.elements))
-        found = sorted((a, i) for i, a in matches if a is not None)
-        ok = len(found) >= 3
+        # [[a, a+1], [a+1, a]] is the family matrix of a + 1
+        candidates = ((a, group.index.get(_family_matrix(ctx, ctx.add_i(a, 1), n)))
+                      for a in range(ctx.q))
+        found = [(a, i) for a, i in candidates if i is not None]
         return HypothesisReport(
-            ok,
-            "involution-pattern",
+            len(found) >= 3,
+            case,
             tuple(ctx.el(a) for a, _ in found),
             tuple(i for _, i in found),
             f"{len(found)} distinct pattern parameter(s); need >= 3",
         )
-    shear = group.index.get(family_matrix(ctx, ctx.one(), group.n))
+    shear = group.index.get(_family_matrix(ctx, 1, n))
     ok = shear is not None
     return HypothesisReport(
         ok,
-        "unipotent-shear",
+        case,
         (),
         () if shear is None else (shear,),
         "unipotent shear present" if ok else "unipotent shear missing",

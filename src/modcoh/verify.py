@@ -21,13 +21,17 @@ Theory, 2005, section 7.6): from the identity by left multiplication with
 S', the generators in order, each kept only when the search has not
 reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
-S' x G, so each element of S' meets its inverse in its own row.  The
-symmetric-power action A is derived on S', its inverses and the inverses
-of H's elements, and g = (s-1)iota by its formula on S', its inverses and
-H.  A is built as the builder builds it, in code of its own: a table of
-the powers of the substituted variables, over monomials coded as
-base-(d+1) integers.  U is formed only for the p = n = 2 toy.  Checks
-there hold on every element:
+S' x G, so each element of S' meets its inverse in its own row.  It runs
+on raw encodings: an element is a row-major tuple, each product one
+ctx.matmul, and the ids it finds are still the builder's.  H is looked up
+among those tuples, and a Matrix is made only for the elements read: S',
+H and their inverses, with the Frobenius twist s^[p] of each, formed once
+and shared by every check.  The symmetric-power action A is derived on
+S', its inverses and the inverses of H's elements, and g = (s-1)iota by
+its formula on S', its inverses and H.  A is built as the builder builds
+it, in code of its own: a table of the powers of the substituted
+variables, over monomials coded as base-(d+1) integers.  U is formed only
+for the p = n = 2 toy.  Checks there hold on every element:
 
 - The substitution action A is multiplicative for all n x n matrices,
   A(sigma) A(tau) = A(sigma tau), with A(I) = I: substitution is an
@@ -47,7 +51,8 @@ there hold on every element:
   it is read, a guard on the derivation; U is stable and every element is
   a word in S', so by g_st = s g_t + g_s it lies in U on every element, a
   cocycle of U.  iota is checked to be (I_n | 0), so no report field
-  feeds g, and g is read by its formula on S', its inverses and H only.
+  feeds g, and g is read by its formula on S', its inverses and H only:
+  iota A(s^-1) is the top n rows of A(s^-1), and no product forms it.
   Then the extension [[U, g], [0, 1]] and its dual W(s) are
   homomorphisms too.
 - Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
@@ -76,7 +81,7 @@ from __future__ import annotations
 import json
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, field_from_json
@@ -114,6 +119,9 @@ _NONSPLIT_KEYS = frozenset({"verdict", "equation"})
 _TENSOR_KEYS = frozenset({"equation"})
 _OBSTRUCTION_KEYS = frozenset({"components", "dim", "dim_by_formula"})
 _TOY_KEYS = frozenset({"equation"})
+
+# a group element as the closure holds it: its n x n encodings, row-major
+Element = tuple[int, ...]
 
 
 def _fail(name: str, detail: str) -> None:
@@ -240,25 +248,26 @@ def _frob_matrix(ctx: FieldCtx, m: Matrix) -> Matrix:
 
 def _sym_action(
     ctx: FieldCtx,
-    elements: list[Matrix],
+    elements: Mapping[int, Matrix],
+    twist: Mapping[int, Matrix],
     basis: list[tuple[int, ...]],
     n: int,
     ids: Iterable[int],
-) -> list[Optional[Matrix]]:
+) -> dict[int, Matrix]:
     """The action on the basis by substitution at each element id in `ids`,
-    one power table each; None at every other id.
+    one power table each, keyed by id.
 
     Checks the block structure on the way: the top-left n x n block is the
-    entrywise Frobenius of the element and the bottom-left block is zero.
+    element's Frobenius twist, `twist[id]`, and the bottom-left block is
+    zero.
     """
     d = sum(basis[0])
     pos = {_code(m, d): i for i, m in enumerate(basis)}
     N = len(basis)
-    out: list[Optional[Matrix]] = [None] * len(elements)
+    out: dict[int, Matrix] = {}
     for idx in ids:
-        sigma = elements[idx]
-        mat = _substitution_matrix(ctx, sigma, basis, pos)
-        if mat.submatrix(0, n, 0, n) != _frob_matrix(ctx, sigma):
+        mat = _substitution_matrix(ctx, elements[idx], basis, pos)
+        if mat.submatrix(0, n, 0, n) != twist[idx]:
             _fail("sym-action", f"element {idx}: top-left block is not the Frobenius twist")
         if not mat.submatrix(n, N, 0, n).is_zero:
             _fail("sym-action", f"element {idx}: bottom-left block is nonzero")
@@ -271,40 +280,43 @@ def _lower_right(a: Matrix, n: int) -> Matrix:
     return a.submatrix(n, a.rows, n, a.cols)
 
 
-def _u_apply(ctx: FieldCtx, sigma: Matrix, a_inv: Matrix, v: Matrix) -> Matrix:
-    """U(s) @ v from U's factors, for s = `sigma` and `a_inv` = A(s^-1):
-    v = vec(F) for an n x (N-n) matrix F, and kron(A, B) vec(F) =
-    vec(A F B^T) makes it vec(s^[p] F S(s^-1))."""
-    n = sigma.rows
+def _u_apply(twist_s: Matrix, a_inv: Matrix, v: Matrix) -> Matrix:
+    """U(s) @ v from U's factors s^[p] = `twist_s` and S(s^-1), the block
+    of `a_inv` = A(s^-1): v = vec(F) for an n x (N-n) matrix F, and
+    kron(A, B) vec(F) = vec(A F B^T) makes it vec(s^[p] F S(s^-1))."""
+    n = twist_s.rows
     f = v.reshape(n, v.rows // n)
-    return (_frob_matrix(ctx, sigma) @ f @ _lower_right(a_inv, n)).flatten()
+    return (twist_s @ f @ _lower_right(a_inv, n)).flatten()
 
 
 def _cocycle(
-    ctx: FieldCtx,
-    elements: list[Matrix],
-    sym_action: list[Optional[Matrix]],
+    twist: Mapping[int, Matrix],
+    sym_action: Mapping[int, Matrix],
     inv_table: Mapping[int, int],
-    iota: Matrix,
     ids: Iterable[int],
-) -> list[Optional[Matrix]]:
+) -> dict[int, Matrix]:
     """g_s = (s-1)iota in U's coordinates at each non-identity id s in
-    `ids`, checking that it lands in U; None at every other id."""
-    n, N = iota.rows, iota.cols
-    out: list[Optional[Matrix]] = [None] * len(elements)
+    `ids`, keyed by id, checking that it lands in U.
+
+    iota = (I_n | 0), which the caller has checked, so iota A(s^-1) is the
+    top n rows of A(s^-1) and (s-1)iota = s^[p] A(s^-1)[0:n, :] - iota:
+    its left n x n block must be 0, and g_s is its right block, flattened.
+    """
+    out: dict[int, Matrix] = {}
     for s in ids:
-        full = _frob_matrix(ctx, elements[s]) @ iota @ sym_action[inv_table[s]] - iota
-        if not full.submatrix(0, n, 0, n).is_zero:
+        t, a_inv = twist[s], sym_action[inv_table[s]]
+        n = t.rows
+        full = t @ a_inv.submatrix(0, n, 0, a_inv.cols)
+        if full.submatrix(0, n, 0, n) != Matrix.identity(t.ctx, n):
             _fail("cocycle", f"(s-1)iota leaves U at element {s}")
-        out[s] = full.submatrix(0, n, n, N).flatten()
+        out[s] = full.submatrix(0, n, n, a_inv.cols).flatten()
     return out
 
 
 def _check_tensor_witness(
-    ctx: FieldCtx,
-    elements: list[Matrix],
-    sym_action: list[Optional[Matrix]],
-    cocycle: list[Optional[Matrix]],
+    twist: Mapping[int, Matrix],
+    sym_action: Mapping[int, Matrix],
+    cocycle: Mapping[int, Matrix],
     inv_table: Mapping[int, int],
     spanning: list[int],
 ) -> None:
@@ -313,65 +325,71 @@ def _check_tensor_witness(
     U(s) U(s^-1) = I, hold by proof (module docstring).  The only reader
     of g on the inverses of S'."""
     for s in spanning:
-        moved = _u_apply(ctx, elements[s], sym_action[inv_table[s]], cocycle[inv_table[s]])
+        s_inv = inv_table[s]
+        moved = _u_apply(twist[s], sym_action[s_inv], cocycle[s_inv])
         if not (moved + cocycle[s]).is_zero:
             _fail("tensor-vanishing", f"witness equation fails at element {s}")
 
 
 def _restriction_row(
-    ctx: FieldCtx, n: int, m: int, elements: list[Matrix], index: Mapping[Matrix, int]
+    ctx: FieldCtx, n: int, m: int, index: Mapping[Element, int]
 ) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
     """H by the rule of the equation text, as the inverse of each of its
     elements, and y's nonzero slots (h, coordinate of U, coefficient), for
     m = dim V/W; ({}, []) when the group has no such H.  `index` maps each
-    element to its id.
+    element, a row-major tuple of encodings, to its id, and H is found by
+    looking its candidates up there.
 
     p >= 3: the shear u = x12(1), whose inverse is x12(-1), and
     y = 2 e(0,m1) + e(1,m2) at U's slots 0 and m + 1.  p = 2: the pattern
     involutions A(b) = [[b+1, b], [b, b+1]], each its own inverse, with the
-    two least nonzero b in field encoding order, and
-    y = ((b2/b1)^2 e(0,m), e(0,m)) at slot 0.
+    two least nonzero b in field encoding order, taken b = 1, 2, ... up to
+    the second one in the group, and y = ((b2/b1)^2 e(0,m), e(0,m)) at
+    slot 0.
     """
     if n < 2:
         return {}, []
     if ctx.p > 2:
-        u, back = (index.get(_padded(ctx, n, [[1, c], [0, 1]])) for c in (1, ctx.neg_i(1)))
+        u, back = (index.get(_padded(n, [[1, c], [0, 1]])) for c in (1, ctx.neg_i(1)))
         if u is None:
             return {}, []
         return {u: back}, [(u, 0, ctx.add_i(1, 1)), (u, m + 1, 1)]
     found = []
-    for h, x in enumerate(elements):
-        b = x.raw(0, 1)
-        if b and x == _padded(ctx, n, [[ctx.add_i(b, 1), b], [b, ctx.add_i(b, 1)]]):
+    for b in range(1, ctx.q):
+        a = ctx.add_i(b, 1)
+        h = index.get(_padded(n, [[a, b], [b, a]]))
+        if h is not None:
             found.append((b, h))
+            if len(found) == 2:
+                break
     if len(found) < 2:
         return {}, []
-    (b1, h1), (b2, h2) = sorted(found)[:2]
+    (b1, h1), (b2, h2) = found
     c = ctx.mul_i(b2, ctx.inv_i(b1))
     return {h1: h1, h2: h2}, [(h1, 0, ctx.mul_i(c, c)), (h2, 0, 1)]
 
 
-def _padded(ctx: FieldCtx, n: int, block: list[list[int]]) -> Matrix:
-    """The 2x2 `block` in the top-left of I_n."""
+def _padded(n: int, block: list[list[int]]) -> Element:
+    """The 2x2 `block` in the top-left of I_n, row-major."""
     data = [int(i == j) for i in range(n) for j in range(n)]
     for i in range(2):
         data[i * n: i * n + 2] = block[i]
-    return Matrix(ctx, n, n, data)
+    return tuple(data)
 
 
 def _check_restriction(
     ctx: FieldCtx,
-    elements: list[Matrix],
-    sym_action: list[Optional[Matrix]],
+    twist: Mapping[int, Matrix],
+    sym_action: Mapping[int, Matrix],
     inv_table: Mapping[int, int],
-    cocycle: list[Optional[Matrix]],
+    cocycle: Mapping[int, Matrix],
     terms: list[tuple[int, int, int]],
     n: int,
 ) -> None:
     """sum_h y_h (U(h) - 1) = 0 and sum_h y_h g_h != 0 for y's slots
     `terms`.  Row (i, j) of U(h) = kron(h^[p], S(h^-1)^T) is row i of h^[p]
-    (x) column j of S(h^-1), read off h and A(h^-1)."""
-    add, mul, frob = ctx.add_i, ctx.mul_i, ctx.frob_i
+    (x) column j of S(h^-1), read off the twist at h and A(h^-1)."""
+    add, mul = ctx.add_i, ctx.mul_i
     m = sym_action[inv_table[terms[0][0]]].rows - n  # dim V/W; terms is not empty
     residual = [0] * (n * m)
     value = 0
@@ -380,7 +398,7 @@ def _check_restriction(
         a_inv = sym_action[inv_table[h]]
         column = [a_inv.raw(n + r, n + j) for r in range(m)]
         for a in range(n):
-            f = mul(c, frob(elements[h].raw(i, a)))
+            f = mul(c, twist[h].raw(i, a))
             if f:
                 for r, v in enumerate(column):
                     residual[a * m + r] = add(residual[a * m + r], mul(f, v))
@@ -405,27 +423,30 @@ def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
 
 def _generated(
     ctx: FieldCtx, n: int, generators: list[Matrix], order: int
-) -> tuple[list[Matrix], list[int], dict[int, int], dict[Matrix, int]]:
-    """The elements of <generators>, S', the inverse of each element of S'
-    and back, and the id of each element.
+) -> tuple[list[Element], list[int], dict[int, int], dict[Element, int]]:
+    """The elements of <generators> as row-major tuples of encodings, S',
+    the inverse of each element of S' and back, and the id of each element.
 
     The search of grp.closure: a generator is kept, as the next element of
     S', only when the search has not reached it; its row then catches up
     with the elements found so far, and every row takes each element found
     after them.  Element ids are the order of discovery, so they and S' are
     the builder's.  The rows are S' x G, so an element of S' meets its
-    inverse in its own row; the products are not kept.  Fails `group` past
-    `order` elements, short of it, or when an element of S' never meets the
-    identity in its row, which a group element must.
+    inverse in its own row; the products are not kept.  Each product is
+    ctx.matmul on the tuples, and no Matrix is made: the caller forms one
+    only for the elements it reads.  Fails `group` past `order` elements,
+    short of it, or when an element of S' never meets the identity in its
+    row, which a group element must.
     """
-    identity = Matrix.identity(ctx, n)
+    identity = tuple(int(i == j) for i in range(n) for j in range(n))
     elements, index = [identity], {identity: 0}
     spanning: list[int] = []
-    kept: list[Matrix] = []
+    kept: list[Element] = []
     inverse: dict[int, int] = {}
+    matmul = ctx.matmul
 
     def product(b: int, h: int) -> None:
-        x = kept[b] @ elements[h] if h else kept[b]
+        x = tuple(matmul(kept[b], elements[h], n, n, n)) if h else kept[b]
         k = index.get(x)
         if k is None:
             if len(elements) == order:
@@ -435,7 +456,8 @@ def _generated(
         elif k == 0:
             inverse[spanning[b]], inverse[h] = h, spanning[b]
 
-    for g in generators:
+    for m in generators:
+        g = tuple(m.raw(i, j) for i in range(n) for j in range(n))
         if g in index:
             continue
         # g is new, so its product with the identity gets the next id
@@ -534,11 +556,16 @@ def _verify_payload(report: dict) -> int:
     # H and the non-split row y, fixed by p and the basis; then the
     # symmetric-power action by independent substitution on S', its
     # inverses and the inverses of H, with its block structure
-    h_inverse, terms = _restriction_row(ctx, n, N - n, elements, index)
+    h_inverse, terms = _restriction_row(ctx, n, N - n, index)
     inv_table = {**inv_table, **h_inverse}
     read = spanning + [inv_table[s] for s in spanning]
     sym_ids = dict.fromkeys(read + list(h_inverse.values()))
-    sym_action = _sym_action(ctx, elements, basis, n, sym_ids)
+    cocycle_ids = dict.fromkeys(read + list(h_inverse))
+    # a Matrix and its Frobenius twist s^[p] only for the elements read,
+    # S', H and their inverses; every later check shares the twist
+    matrices = {i: Matrix(ctx, n, n, list(elements[i])) for i in {**sym_ids, **cocycle_ids}}
+    twist = {i: _frob_matrix(ctx, m) for i, m in matrices.items()}
+    sym_action = _sym_action(ctx, matrices, twist, basis, n, sym_ids)
     checks += 1
 
     # iota
@@ -549,8 +576,7 @@ def _verify_payload(report: dict) -> int:
 
     # g_s by its formula on S', its inverses and H, checked to lie in U:
     # the coboundary of iota in Hom(V, W), so a cocycle of U on all of G
-    cocycle_ids = dict.fromkeys(read + list(h_inverse))
-    cocycle = _cocycle(ctx, elements, sym_action, inv_table, iota, cocycle_ids)
+    cocycle = _cocycle(twist, sym_action, inv_table, cocycle_ids)
     checks += 1
 
     # non-split certificate: the closed-form y on H kills U(h) - 1, not g
@@ -563,7 +589,7 @@ def _verify_payload(report: dict) -> int:
         _fail("nonsplit", "the group has no " + (
             "shear x12(1)" if p > 2 else "two pattern involutions A(b) with b != 0"
         ))
-    _check_restriction(ctx, elements, sym_action, inv_table, cocycle, terms, n)
+    _check_restriction(ctx, twist, sym_action, inv_table, cocycle, terms, n)
     checks += 1
 
     # tensor vanishing: (s-1)u = w (x) g_s on S' for the closed forms
@@ -574,7 +600,7 @@ def _verify_payload(report: dict) -> int:
     tv = _record(payload["tensor_vanishing"], "tensor_vanishing", _TENSOR_KEYS)
     if tv["equation"] != TENSOR_EQUATION:
         _fail("tensor-vanishing", "equation text differs from the checked equation")
-    _check_tensor_witness(ctx, elements, sym_action, cocycle, inv_table, spanning)
+    _check_tensor_witness(twist, sym_action, cocycle, inv_table, spanning)
     checks += 1
 
     # obstruction module: components and dimension of X = U* + U~ + U~ + U~
@@ -587,7 +613,7 @@ def _verify_payload(report: dict) -> int:
     checks += 1
 
     checks += _verify_toy(
-        ctx, payload["toy"], n, generators, elements, spanning, sym_action, inv_table, cocycle
+        ctx, payload["toy"], n, generators, spanning, twist, sym_action, inv_table, cocycle
     )
     return checks
 
@@ -597,11 +623,11 @@ def _verify_toy(
     toy,
     n: int,
     generators: list[Matrix],
-    elements: list[Matrix],
     spanning: list[int],
-    sym_action: list[Optional[Matrix]],
+    twist: Mapping[int, Matrix],
+    sym_action: Mapping[int, Matrix],
     inv_table: Mapping[int, int],
-    cocycle: list[Optional[Matrix]],
+    cocycle: Mapping[int, Matrix],
 ) -> int:
     """The toy record: present exactly for 2x2 groups of determinant 1 over
     p = 2, where it states that the toy sequence is the main extension.
@@ -623,7 +649,7 @@ def _verify_toy(
     if _record(toy, "toy", _TOY_KEYS)["equation"] != TOY_EQUATION:
         _fail("toy", "equation text differs from the checked equation")
     for s in spanning:
-        u = kron(_frob_matrix(ctx, elements[s]), _lower_right(sym_action[inv_table[s]], n))
+        u = kron(twist[s], _lower_right(sym_action[inv_table[s]], n))
         if sym_action[s] != _ext_matrix(ctx, u, cocycle[s]):
             _fail("toy", f"S^2 is not the main extension at element {s}")
     return 1

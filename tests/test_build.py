@@ -439,3 +439,49 @@ def test_construct_and_verify_form_no_inverse_pair_product(monkeypatch, tmp_path
     assert products
     assert [rows for rows, is_cut in products if rows == m and (m != n or is_cut)] == []
     assert m == n or m not in identities
+
+
+@pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
+def test_verify_closes_the_group_on_tuples(monkeypatch, tmp_path, label):
+    # the verifier's closure multiplies row-major tuples of encodings with
+    # ctx.matmul: it makes no Matrix and calls no Matrix product.  A Matrix
+    # is made only for the elements that are read, S', H and their inverses
+    import modcoh.verify as verify
+
+    args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
+    out = tmp_path / "report.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+
+    made, products, seen = [], [], {}
+    init, matmul = Matrix.__init__, Matrix.__matmul__
+
+    def making(m, ctx, rows, cols, data):
+        made.append((rows, cols))
+        init(m, ctx, rows, cols, data)
+
+    def multiplying(a, b):
+        products.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    def recording(name, original):
+        def wrapped(*a):
+            before = (len(made), len(products))
+            seen[name] = (original(*a), a, (len(made), len(products)) == before)
+            return seen[name][0]
+        return wrapped
+
+    monkeypatch.setattr(Matrix, "__init__", making)
+    monkeypatch.setattr(Matrix, "__matmul__", multiplying)
+    for name in ("_generated", "_restriction_row", "_sym_action"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    assert main(["verify", str(out)]) == 0
+
+    (elements, spanning, inverse, index), _, untouched = seen["_generated"]
+    assert untouched
+    assert all(type(e) is tuple for e in elements) and len(index) == len(elements)
+    h_inverse = seen["_restriction_row"][0][0]
+    read = {*spanning, *(inverse[s] for s in spanning), *h_inverse, *h_inverse.values()}
+    matrices = seen["_sym_action"][1][1]
+    assert set(matrices) == read
+    assert all(matrices[i] == Matrix(m.ctx, m.rows, m.cols, list(elements[i]))
+               for i, m in matrices.items())

@@ -461,6 +461,16 @@ def test_pattern_match_on_encodings_equals_the_field_element_form(label):
     assert rep.ok == (len(found) >= 3)
 
 
+@pytest.mark.parametrize("ctx", [F4, F3], ids=["p=2", "p=3"])
+def test_hypothesis_fails_for_n_below_2(ctx):
+    # neither pattern fits in a 1 x 1 group: the check says so, with no
+    # entry (0, 1) to read and no family matrix to form
+    group = closure(ctx, 1, [Matrix.from_rows(ctx, [[ctx.p - 1]])])
+    rep = check_extension_hypothesis(group)
+    assert (rep.ok, rep.values, rep.ids) == (False, (), ())
+    assert rep.case == ("involution-pattern" if ctx.p == 2 else "unipotent-shear")
+
+
 def test_hypothesis_char3():
     good = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
     assert check_extension_hypothesis(good).ok

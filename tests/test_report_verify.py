@@ -72,8 +72,8 @@ def expect_failure(report, check_name):
 
 
 def closed(payload):
-    """The verifier's own closure of the report's generators: the elements,
-    S' and the inverses on S'."""
+    """The verifier's own closure of the report's generators: the elements
+    as row-major tuples of encodings, S' and the inverses on S'."""
     ctx = field_from_json(payload["field"])
     gobj = payload["group"]
     generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
@@ -205,8 +205,8 @@ def test_tamper_u_action(report_sl2, monkeypatch):
     _, spanning, inv = closed(report_sl2["payload"])
     s = spanning[-1]
 
-    def broken(ctx, elements, basis, n, ids):
-        out = original(ctx, elements, basis, n, ids)
+    def broken(ctx, elements, twist, basis, n, ids):
+        out = original(ctx, elements, twist, basis, n, ids)
         out[inv[s]] = with_unit_added(ctx, out[inv[s]], n, n)
         return out
 
@@ -221,8 +221,9 @@ def patched_cocycle(monkeypatch, changes):
     """Make the verifier's g = (s-1)iota take the given values (and no
     earlier patch's)."""
 
-    def broken(ctx, *args):
-        out = _COCYCLE(ctx, *args)
+    def broken(*args):
+        out = _COCYCLE(*args)
+        ctx = next(iter(out.values())).ctx
         for element, value in changes.items():
             # the same cells over the verifier's own field context
             out[element] = Matrix(ctx, value.rows, value.cols, [
@@ -276,14 +277,17 @@ def test_tamper_cocycle_value_fails_the_witness_identity(report3, report9, monke
 
 
 def test_cocycle_must_land_in_u():
-    # (s-1)iota has a nonzero W part for an iota that is not (I | 0)
+    # (s-1)iota = s^[p] A(s^-1)[0:n, :] - iota has a nonzero W part when
+    # s^[p] (s^-1)^[p] != I, here for a faulty twist at s
     group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
     basis = modcoh.verify._ordered_basis(2, 3, 3)
     every = range(group.order)
-    sym = modcoh.verify._sym_action(F3, group.elements, basis, 2, every)
-    bad_iota = Matrix.from_rows(F3, [[1, 0, 0, 0], [1, 1, 0, 0]])
+    twist = {i: modcoh.verify._frob_matrix(F3, m) for i, m in enumerate(group.elements)}
+    sym = modcoh.verify._sym_action(F3, group.elements, twist, basis, 2, every)
+    assert modcoh.verify._cocycle(twist, sym, list(group.inv), [1])
+    twist[1] = with_unit_added(F3, twist[1], 1, 0)
     with pytest.raises(FailedCheck, match=re.escape("cocycle: (s-1)iota leaves U at element 1")):
-        modcoh.verify._cocycle(F3, group.elements, sym, list(group.inv), bad_iota, [1])
+        modcoh.verify._cocycle(twist, sym, list(group.inv), [1])
 
 
 def test_tamper_iota(report3):
@@ -340,11 +344,14 @@ def test_tamper_witness(report3, report_sl2, monkeypatch):
     # _u_apply
     for report in (report3, report_sl2):
         elements, (s, *_), _ = closed(report["payload"])
+        ctx = field_from_json(report["payload"]["field"])
+        n = report["payload"]["group"]["n"]
+        at = modcoh.verify._frob_matrix(ctx, Matrix(ctx, n, n, list(elements[s])))
         original = modcoh.verify._u_apply
 
-        def scaled(ctx, sigma, a_inv, v, at=elements[s], original=original):
-            out = original(ctx, sigma, a_inv, v)
-            return out.scale(ctx.el(2)) if sigma == at else out
+        def scaled(twist_s, a_inv, v, at=at, original=original):
+            out = original(twist_s, a_inv, v)
+            return out.scale(twist_s.ctx.el(2)) if twist_s == at else out
 
         with monkeypatch.context() as m:
             m.setattr(modcoh.verify, "_u_apply", scaled)
@@ -444,12 +451,14 @@ def test_toy_identity_is_checked_on_s_prime(report2):
     ctx = field_from_json(p["field"])
     elements, spanning, inv = closed(p)
     read = spanning + [inv[s] for s in spanning]
-    sym = modcoh.verify._sym_action(ctx, elements, [tuple(e) for e in p["basis"]], 2, read)
-    iota = matrix_from_json(ctx, p["iota"])
+    matrices = {i: Matrix(ctx, 2, 2, list(elements[i])) for i in read}
+    twist = {i: modcoh.verify._frob_matrix(ctx, m) for i, m in matrices.items()}
+    basis = [tuple(e) for e in p["basis"]]
+    sym = modcoh.verify._sym_action(ctx, matrices, twist, basis, 2, read)
     # the toy reads g on S' only
-    g = modcoh.verify._cocycle(ctx, elements, sym, inv, iota, spanning)
+    g = modcoh.verify._cocycle(twist, sym, inv, spanning)
     generators = [matrix_from_json(ctx, m) for m in p["group"]["generators"]]
-    args = (ctx, p["toy"], 2, generators, elements, spanning)
+    args = (ctx, p["toy"], 2, generators, spanning, twist)
     assert modcoh.verify._verify_toy(*args, sym, inv, g) == 1
     sym[spanning[-1]] = sym[spanning[-1]].scale(ctx.gen())
     with pytest.raises(FailedCheck, match=r"toy: S\^2 is not the main extension"):

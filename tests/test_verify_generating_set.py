@@ -37,7 +37,7 @@ from modcoh.build import RestrictionCertificate, TensorVanishing, build_nonsplit
 from modcoh.cli import JobSpec, build_group
 from modcoh.coh import Cocycle, extension_from_cocycle, split_system
 from modcoh.gf import field_from_json, field_new, field_to_json
-from modcoh.grp import additive_family, paired_shear_family
+from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import (
     Matrix, inverse, is_invertible, kron, matrix_from_json, matrix_to_json, solve, vstack,
 )
@@ -104,10 +104,26 @@ def dense_u(ctx, elements, sym, inv, n, ids):
     return out
 
 
+def twists(ctx, elements, ids):
+    """s^[p] at each id in `ids`, keyed by id, as the verifier forms it."""
+    return {i: verify._frob_matrix(ctx, elements[i]) for i in ids}
+
+
+def raw_index(group):
+    """The id of each element of a builder's group, keyed by its row-major
+    tuple of encodings, as the verifier's closure keys it."""
+    n = group.n
+    return {
+        tuple(m.raw(i, j) for i in range(n) for j in range(n)): k
+        for k, m in enumerate(group.elements)
+    }
+
+
 class Derived:
     """Everything the verifier derives from a report's group, on every
     element, with its own helpers, and the dense U(s) of `dense_u`; g by its
-    formula (s-1)iota everywhere, and g_1 = 0."""
+    formula (s-1)iota everywhere, and g_1 = 0.  The closure's row-major
+    tuples are made matrices here, for every element."""
 
     def __init__(self, rep):
         payload = rep["payload"]
@@ -117,7 +133,7 @@ class Derived:
         n = gobj["n"]
         self.generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
         self.closure = verify._generated(ctx, n, self.generators, gobj["order"])[:3]
-        self.elements = self.closure[0]
+        self.elements = [Matrix(ctx, n, n, list(e)) for e in self.closure[0]]
         self.order = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
         ident = Matrix.identity(ctx, n)
@@ -127,12 +143,14 @@ class Derived:
         basis = [tuple(e) for e in payload["basis"]]
         every = range(self.order)
         self.n = n
-        self.sym = verify._sym_action(ctx, self.elements, basis, n, every)
+        self.twist = twists(ctx, self.elements, every)
+        sym = verify._sym_action(ctx, self.elements, self.twist, basis, n, every)
+        self.sym = [sym[i] for i in every]
         self.u = dense_u(ctx, self.elements, self.sym, self.inv, n, every)
         self.iota = matrix_from_json(ctx, payload["iota"])
-        self.g = verify._cocycle(ctx, self.elements, self.sym, self.inv, self.iota, every[1:])
+        g = verify._cocycle(self.twist, self.sym, self.inv, every[1:])
         self.d = self.u[0].rows
-        self.g[0] = Matrix.zeros(ctx, self.d, 1)
+        self.g = [Matrix.zeros(ctx, self.d, 1)] + [g[i] for i in every[1:]]
         self.w = Matrix.basis_column(ctx, self.d + 1, self.d)
         self.x = vstack([-Matrix.identity(ctx, self.d), Matrix.zeros(ctx, 1, self.d)])
 
@@ -177,7 +195,7 @@ def reference_failures(der):
     out += [f"witness {i}" for i in witness_failures(der, u, g)]
     if der.payload["toy"] is not None:
         basis = verify._ordered_basis(2, 2, 2)
-        action = verify._sym_action(ctx, der.elements, basis, 2, range(order))
+        action = verify._sym_action(ctx, der.elements, der.twist, basis, 2, range(order))
         for i in range(order):
             if action[i] != verify._ext_matrix(ctx, u[i], g[i]):
                 out.append(f"toy identity {i}")
@@ -202,10 +220,12 @@ def test_verifier_sym_action_equals_the_builders(label):
     # and the builder's polynomials give the same matrices on every element
     g = group(label)
     sym, basis = sym_power(g, g.ctx.p)
+    every = range(g.order)
     derived_action = verify._sym_action(
-        g.ctx, list(g.elements), [tuple(m) for m in basis], g.n, range(g.order)
+        g.ctx, g.elements, twists(g.ctx, g.elements, every), [tuple(m) for m in basis], g.n,
+        every,
     )
-    assert derived_action == sym.actions()
+    assert [derived_action[i] for i in every] == sym.actions()
 
 
 # the fields of the multiplicativity test: prime, characteristic 2 and odd
@@ -254,7 +274,7 @@ def test_substitution_is_multiplicative_for_all_matrices(data):
 
 def u_apply(der, i, v):
     """The verifier's U(i) @ v, from U(i)'s factors."""
-    return verify._u_apply(der.ctx, der.elements[i], der.sym[der.inv[i]], v)
+    return verify._u_apply(der.twist[i], der.sym[der.inv[i]], v)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -281,7 +301,7 @@ def test_factored_apply_equals_the_dense_kron(data):
     s = data.draw(st.integers(0, der.order - 1))
     v = Matrix(ctx, d, 1, data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d)))
     want = der.u[s] @ v
-    assert verify._u_apply(ctx, der.elements[s], der.sym[der.inv[s]], v) == want
+    assert verify._u_apply(der.twist[s], der.sym[der.inv[s]], v) == want
     a_inv = seq.sym_module.action(group(label).inv[s])
     assert build._u_apply(seq.twist.action(s), a_inv, v) == want
 
@@ -292,7 +312,8 @@ def test_verifier_picks_a_generating_subset(label):
     # its S' is the builder's, and its inverses on S' are the inverses
     der = derived(label)
     elements, spanning, inverse = der.closure
-    assert elements == group(label).elements
+    assert dict(zip(elements, range(der.order))) == raw_index(group(label))
+    assert der.elements == group(label).elements
     assert spanning == group(label).spanning_ids
     assert inverse == {i: der.inv[i] for s in spanning for i in (s, der.inv[s])}
 
@@ -308,9 +329,9 @@ def test_verifier_expands_g_from_s_prime_to_the_formula(label):
     read = spanning + [der.inv[s] for s in spanning]
     basis = [tuple(e) for e in der.payload["basis"]]
     n = der.payload["group"]["n"]
-    sym = verify._sym_action(der.ctx, der.elements, basis, n, read)
-    g = verify._cocycle(der.ctx, der.elements, sym, der.inv, der.iota, read)
-    assert [i for i, v in enumerate(g) if v is not None] == sorted(set(read))
+    sym = verify._sym_action(der.ctx, der.elements, der.twist, basis, n, read)
+    g = verify._cocycle(der.twist, sym, der.inv, read)
+    assert sorted(g) == sorted(set(read))
     assert all(g[i] == der.g[i] for i in read)
     expanded = [der.g[0]] + [None] * (der.order - 1)
     for s in spanning:
@@ -319,7 +340,7 @@ def test_verifier_expands_g_from_s_prime_to_the_formula(label):
     for k in range(1, der.order):
         if expanded[k] is None:
             s, t = parents[k]
-            moved = verify._u_apply(der.ctx, der.elements[s], sym[der.inv[s]], expanded[t])
+            moved = verify._u_apply(der.twist[s], sym[der.inv[s]], expanded[t])
             expanded[k] = moved + g[s]
     assert expanded == der.g
 
@@ -394,7 +415,7 @@ def test_witness_perturbation_rejected_exactly_when_reference_rejects(data):
         g[s_inv] = -(inverse(u[s]) @ g[s])
 
     try:
-        verify._check_tensor_witness(ctx, der.elements, sym, g, inv_table, spanning)
+        verify._check_tensor_witness(der.twist, sym, g, inv_table, spanning)
         accepted = True
     except FailedCheck as exc:
         assert str(exc).startswith("tensor-vanishing: witness equation fails")
@@ -521,10 +542,11 @@ def verifier_accepts(seq, terms):
     ids = list(dict.fromkeys(h for h, _, _ in terms))
     inv = {h: g.inv[h] for h in ids}
     basis = [tuple(m) for m in seq.basis]
-    sym = verify._sym_action(g.ctx, g.elements, basis, g.n, dict.fromkeys(inv.values()))
-    cocycle = verify._cocycle(g.ctx, g.elements, sym, inv, seq.iota, ids)
+    twist = twists(g.ctx, g.elements, {*ids, *inv.values()})
+    sym = verify._sym_action(g.ctx, g.elements, twist, basis, g.n, dict.fromkeys(inv.values()))
+    cocycle = verify._cocycle(twist, sym, inv, ids)
     try:
-        verify._check_restriction(g.ctx, g.elements, sym, inv, cocycle, terms, g.n)
+        verify._check_restriction(g.ctx, twist, sym, inv, cocycle, terms, g.n)
     except FailedCheck:
         return False
     return True
@@ -539,7 +561,7 @@ def test_two_row_checks_agree_with_the_dense_reference(label, data):
     seq = sequence(label)
     group, ctx, d = seq.group, seq.group.ctx, seq.u_module.dim
     h_inverse, terms = verify._restriction_row(
-        ctx, group.n, seq.sym_module.dim - group.n, group.elements, group.index
+        ctx, group.n, seq.sym_module.dim - group.n, raw_index(group)
     )
     assert tuple(terms) == seq.certificate.terms
     assert h_inverse == {h: group.inv[h] for h in seq.certificate.ids}
@@ -564,6 +586,77 @@ def test_two_row_checks_agree_with_the_dense_reference(label, data):
     assert builder_accepts(seq, terms) == want == verifier_accepts(seq, terms)
     if mode == "scaled":
         assert want
+
+
+def scanned_restriction_row(ctx, n, m, elements, index):
+    """H and y as the verifier once found them, on matrices: p = 2 by
+    testing every element for the pattern A(b) = [[b+1, b], [b, b+1]] and
+    taking the two least b, p >= 3 by looking the shear up.  The reference
+    for the lookup on row-major tuples, which stops at the second b."""
+    if n < 2:
+        return {}, []
+
+    def padded(block):
+        data = [int(i == j) for i in range(n) for j in range(n)]
+        for i in range(2):
+            data[i * n: i * n + 2] = block[i]
+        return Matrix(ctx, n, n, data)
+
+    if ctx.p > 2:
+        u, back = (index.get(padded([[1, c], [0, 1]])) for c in (1, ctx.neg_i(1)))
+        if u is None:
+            return {}, []
+        return {u: back}, [(u, 0, ctx.add_i(1, 1)), (u, m + 1, 1)]
+    found = []
+    for h, x in enumerate(elements):
+        b = x.raw(0, 1)
+        if b and x == padded([[ctx.add_i(b, 1), b], [b, ctx.add_i(b, 1)]]):
+            found.append((b, h))
+    if len(found) < 2:
+        return {}, []
+    (b1, h1), (b2, h2) = sorted(found)[:2]
+    c = ctx.mul_i(b2, ctx.inv_i(b1))
+    return {h1: h1, h2: h2}, [(h1, 0, ctx.mul_i(c, c)), (h2, 0, 1)]
+
+
+def sl2_f4():
+    """SL_2(F_4), |G| = 60, non-abelian over p = 2: its pattern involutions
+    are not among its generators."""
+    F4 = field_new(2, 2)
+    gen = F4.gen()
+    return closure(F4, 2, [Matrix.from_rows(F4, r) for r in (
+        [[1, 1], [0, 1]], [[1, gen], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [gen, 1]],
+    )])
+
+
+ROW_GROUPS = {
+    **{f"GF(2^{k}) n={n}": (lambda k=k, n=n: additive_family(field_new(2, k), n=n))
+       for k, n in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]},
+    "SL2(F4)": sl2_f4,
+    "GF(2) n=2": lambda: additive_family(field_new(2)),
+    "diag(2, 1) over GF(3)": lambda: closure(
+        field_new(3), 2, [Matrix.from_rows(field_new(3), [[2, 0], [0, 1]])]
+    ),
+    "SL2(F3)": lambda: group(SL2_FILE),
+}
+
+
+@pytest.mark.parametrize("label", list(ROW_GROUPS))
+def test_restriction_row_lookup_equals_the_scan(label):
+    # the verifier finds H by looking candidates up in its tuple index: the
+    # p = 2 pattern of b = 1, 2, ... in encoding order up to the second hit,
+    # the shear for p >= 3.  It finds what testing every element found,
+    # none at all in GF(2) (one pattern involution) and in a p = 3 group
+    # without the shear
+    g = ROW_GROUPS[label]()
+    ctx, n = g.ctx, g.n
+    m = comb(n + ctx.p - 1, ctx.p) - n
+    found = verify._restriction_row(ctx, n, m, raw_index(g))
+    assert found == scanned_restriction_row(ctx, n, m, g.elements, g.index)
+    assert (found == ({}, [])) == (label in ("GF(2) n=2", "diag(2, 1) over GF(3)"))
+    if label == "SL2(F4)":
+        assert g.order == 60
+        assert not set(found[0]) & set(g.spanning_ids)
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
