@@ -6,12 +6,13 @@ U is the space of maps V -> W vanishing on W (coordinates: the matrix Z
 with zero first columns, flattened row-major), iota restricts to the
 identity on W, and g_s = (s-1) iota is a cocycle whose class obstructs the
 splitting of 0 -> U -> U + K iota -> K -> 0.  The remaining stages check
-the closed-form tensor-vanishing witness, record the components and
-dimension of the large direct-sum module, and show that the degree-2 toy
-sequence is the main extension.  The non-split row, the witness and the
-toy identity are closed forms, checked on the elements they name, not
+the closed-form tensor-vanishing witness and the dimension of the large
+direct-sum module against its closed formula, and show that the degree-2
+toy sequence is the main extension.  The non-split row, the witness and
+the toy identity are closed forms, checked on the elements they name, not
 searched for by a solver, and none is stored: the report states them as
-equations that the verifier re-checks.
+equations that the verifier re-checks, and ships neither the basis nor
+iota, which n and p fix.
 
 No stage computes a cohomology space or calls a solver.  The class of g
 is nonzero by the restriction certificate on the hypothesis elements, its
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .gf import FieldCtx, field_new
 from .grp import HypothesisReport, MatrixGroup, additive_family, check_extension_hypothesis
-from .linalg import Matrix, hstack, kron, vstack
+from .linalg import Matrix, kron, vstack
 from .poly import Monomial, Polynomial, det3_identity
 from .rep import (
     GModule,
@@ -64,8 +65,9 @@ from .rep import (
 
 @dataclass
 class NonSplitSequence:
-    """Everything the certificates cite: modules, iota, cocycle and the
-    non-split certificate, None when the group hypothesis fails."""
+    """Everything the certificates cite: modules, cocycle and the non-split
+    certificate, None when the group hypothesis fails.  iota = (I_n | 0) is
+    fixed by n, so it is not held."""
 
     group: MatrixGroup
     hypothesis: HypothesisReport
@@ -73,7 +75,6 @@ class NonSplitSequence:
     basis: list[Monomial]
     twist: GModule
     u_module: GModule
-    iota: Matrix
     cocycle: Cocycle
     extension: ExtensionClass
     certificate: Optional[RestrictionCertificate]
@@ -95,7 +96,7 @@ class NonSplitSequence:
 def build_nonsplit_sequence(
     group: MatrixGroup, require_hypothesis: bool = True
 ) -> NonSplitSequence:
-    """Construct U, iota, the cocycle and the non-split certificate.
+    """Construct U, the cocycle (s-1)iota and the non-split certificate.
 
     With `require_hypothesis` the group must contain the pattern elements
     that force non-splitness.  When they are present, the certificate is
@@ -130,8 +131,7 @@ def build_nonsplit_sequence(
     The certificate reads A(h^-1) and the twist at each element h of its
     subgroup H as well.
     """
-    ctx = group.ctx
-    p, n = ctx.p, group.n
+    p, n = group.ctx.p, group.n
     hyp = check_extension_hypothesis(group)
     if require_hypothesis and not hyp.ok:
         raise HypothesisNotSatisfied(f"{hyp.case}: {hyp.detail}")
@@ -154,8 +154,7 @@ def build_nonsplit_sequence(
 
     u_module = GModule(group, n * (N - n), u_action, "u")
 
-    iota = hstack(Matrix.identity(ctx, n), Matrix.zeros(ctx, n, N - n))
-    values = [_iota_coboundary(group, twist, sym, iota, s) for s in spanning]
+    values = [_iota_coboundary(group, twist, sym, s) for s in spanning]
     g = Cocycle.restricted_coboundary(u_module, values)
     ext = extension_from_cocycle(g)
     cert = None
@@ -164,21 +163,21 @@ def build_nonsplit_sequence(
         on_s = dict(zip(spanning, values))
 
         def g_at(h: int) -> Matrix:
-            return on_s[h] if h in on_s else _iota_coboundary(group, twist, sym, iota, h)
+            return on_s[h] if h in on_s else _iota_coboundary(group, twist, sym, h)
 
         _check_restriction(group, twist, sym, cert, g_at)
-    return NonSplitSequence(group, hyp, sym, basis, twist, u_module, iota, g, ext, cert)
+    return NonSplitSequence(group, hyp, sym, basis, twist, u_module, g, ext, cert)
 
 
-def _iota_coboundary(
-    group: MatrixGroup, twist: GModule, sym: GModule, iota: Matrix, i: int
-) -> Matrix:
+def _iota_coboundary(group: MatrixGroup, twist: GModule, sym: GModule, i: int) -> Matrix:
     """g_i = (i-1)iota = i^[p] iota A(i^-1) - iota in U's coordinates, read
     off the twist at i and A at i^-1; raises TheoremViolation if it leaves U.
-    iota = (I_n | 0), so iota A(i^-1) is the top n rows of A(i^-1)."""
+    iota = (I_n | 0), so iota A(i^-1) is the top n rows of A(i^-1): the
+    left n x n block of i^[p] A(i^-1)[0:n, :] must be I_n, and g_i is its
+    right block, flattened."""
     n, N = group.n, sym.dim
-    full = twist.action(i) @ sym.action(group.inv[i]).submatrix(0, n, 0, N) - iota
-    if not full.submatrix(0, n, 0, n).is_zero:
+    full = twist.action(i) @ sym.action(group.inv[i]).submatrix(0, n, 0, N)
+    if full.submatrix(0, n, 0, n) != Matrix.identity(group.ctx, n):
         raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
     return full.submatrix(0, n, n, N).flatten()
 
@@ -370,7 +369,7 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
         if s_inv in on_s:
             g_inv = on_s[s_inv]
         else:
-            g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, seq.iota, s_inv)
+            g_inv = _iota_coboundary(group, seq.twist, seq.sym_module, s_inv)
         if not (_u_apply(seq.twist.action(s), a_inv, g_inv) + on_s[s]).is_zero:
             raise WitnessNotFound(f"-(U~ -> U) does not kill the class at element {s}")
     return TensorVanishing(ctx, n * (N - n))
@@ -391,8 +390,10 @@ class ObstructionReport:
 def assemble_obstruction_module(seq: NonSplitSequence) -> ObstructionReport:
     """Labels and dimension of X = dual(U) + U~ + U~ + U~, with the closed formula.
 
-    The action is not assembled: the report carries no X matrices, and the
-    verifier checks the components and dimensions against U.
+    The action is not assembled, and the report carries none of this
+    record: the components are fixed, and dim X is the report's dims.X,
+    which the verifier checks against the same formula.  The comparison
+    here guards the module bookkeeping.
     """
     u, total = seq.u_module, seq.extension.total
     dim = u.dim + 3 * total.dim

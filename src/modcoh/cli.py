@@ -186,7 +186,12 @@ def _jobspec_from_args(args: argparse.Namespace) -> JobSpec:
         "out": getattr(args, "out", None),
     }
     if args.modulus is not None:
-        overrides["modulus"] = [int(c) for c in args.modulus.split(",")]
+        try:
+            overrides["modulus"] = [int(c) for c in args.modulus.split(",")]
+        except ValueError as exc:
+            raise ModcohError(
+                f"--modulus {args.modulus!r} is not a comma-separated list of integers"
+            ) from exc
     for key, val in overrides.items():
         if val is not None:
             merged[key] = val
@@ -198,11 +203,7 @@ def _jobspec_from_args(args: argparse.Namespace) -> JobSpec:
 def cmd_construct(args: argparse.Namespace) -> int:
     spec = _jobspec_from_args(args)
     group = build_group(spec)
-    params = spec.to_dict()
-    params.pop("out")
-    if params["n"] is None:
-        params["n"] = group.n
-    result = run_pipeline(group, params)
+    result = run_pipeline(group, spec.to_dict())
     if spec.out == "-":
         print(canonical_json(result.report))
     else:

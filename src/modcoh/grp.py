@@ -333,20 +333,6 @@ class HypothesisReport:
     detail: str
 
 
-def _matches_involution_pattern(m: Matrix) -> Optional[int]:
-    """The encoding of a for [[a, a+1], [a+1, a]] + identity elsewhere, or
-    None; compared on raw encodings, where one is 1.  The element-by-element
-    form of the lookup that `check_extension_hypothesis` makes."""
-    a = m.raw(0, 0)
-    a1 = m.ctx.add_i(a, 1)
-    if m.raw(0, 1) != a1 or m.raw(1, 0) != a1 or m.raw(1, 1) != a:
-        return None
-    n = m.rows
-    if any(m.raw(i, j) != (i == j) for i in range(n) for j in range(n) if i >= 2 or j >= 2):
-        return None
-    return a
-
-
 def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
     """Look the required pattern up among the enumerated elements.
 

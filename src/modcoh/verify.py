@@ -1,19 +1,20 @@
 """Independent re-checker for pipeline reports.
 
 Deliberately shares only the field and matrix primitives with the builder.
-A v5 report names the group by its generators and order and states its
-objects; each claim is an equation text, and no solver output is shipped.
-Everything else is re-derived here from the generators: the elements, the
-basis order, the symmetric-power action by substitution, which gives U's
-action by its factors, the cocycle (s-1)iota, the closed-form non-split
-row y on the subgroup H that the construction's hypothesis names, and the
-one fact of the closed-form tensor witness X = [-I_d ; 0] with w = e_d
-that A's multiplicativity does not already prove.  The toy sequence
-for p = n = 2 is the main extension, so its record is the equation alone.
-Every equation those values feed is then checked, and every payload
-object must have exactly the v5 fields, so no sealed field goes unchecked
-by accident.  The payload digest binds every field, and every field is
-checked by something other than the digest.
+A v6 report names the group by its field, generators and order, states
+the order cap and the dimensions, and makes each claim an equation text;
+it ships nothing that n and p fix, and no solver output.  Everything else
+is re-derived here from the generators: the elements, the basis in its
+prescribed order, the symmetric-power action by substitution, which gives
+U's action by its factors, the cocycle (s-1)iota for iota = (I_n | 0), the
+closed-form non-split row y on the subgroup H that the construction's
+hypothesis names, and the one fact of the closed-form tensor witness
+X = [-I_d ; 0] with w = e_d that A's multiplicativity does not already
+prove.  The toy sequence for p = n = 2 is the main extension, so its
+record is the equation alone.  Every equation those values feed is then
+checked, and every payload object must have exactly the v6 fields, so no
+sealed field goes unchecked by accident.  The payload digest binds every
+field, and every field is checked by something other than the digest.
 
 The group is closed here from its generators by the search that
 grp.closure makes (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -50,7 +51,7 @@ for the p = n = 2 toy.  Checks there hold on every element:
   (st-1)iota = s(t-1)iota + (s-1)iota.  It is checked to lie in U where
   it is read, a guard on the derivation; U is stable and every element is
   a word in S', so by g_st = s g_t + g_s it lies in U on every element, a
-  cocycle of U.  iota is checked to be (I_n | 0), so no report field
+  cocycle of U.  iota = (I_n | 0) is fixed by n, so no report field
   feeds g, and g is read by its formula on S', its inverses and H only:
   iota A(s^-1) is the top n rows of A(s^-1), and no product forms it.
   Then the extension [[U, g], [0, 1]] and its dual W(s) are
@@ -86,11 +87,11 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
-from .linalg import Matrix, hstack, kron, matrix_from_json
+from .linalg import Matrix, kron, matrix_from_json
 
 # the schema and the equation texts of the report, defined here only:
 # report.py imports them, so the verifier needs nothing from the builder
-SCHEMA = "modcoh-report-v5"
+SCHEMA = "modcoh-report-v6"
 SHEAR_EQUATION = (
     "y@(U(u)-1) == 0 and y@g_u != 0 for u = x12(1), "
     "y = 2e(0,x1^(p-1)x2) + e(1,x1^(p-2)x2^2)"
@@ -105,19 +106,17 @@ TENSOR_EQUATION = (
 )
 TOY_EQUATION = "S^2(s) == [[U(s), g_s], [0, 1]] for every element"
 
-# the exact fields of the report and of each v5 payload object
+# the exact fields of the report and of each v6 payload object
 _REPORT_KEYS = frozenset({"schema", "payload", "digest"})
 _PAYLOAD_KEYS = frozenset({
-    "params", "field", "group", "dims", "basis", "iota",
-    "nonsplit_certificate", "tensor_vanishing", "obstruction", "toy",
+    "params", "group", "dims", "nonsplit_certificate", "tensor_vanishing", "toy",
 })
-_PARAMS_KEYS = frozenset({"p", "k", "n", "order_cap"})
+_PARAMS_KEYS = frozenset({"order_cap"})
 _FIELD_KEYS = frozenset({"p", "k", "modulus"})
 _GROUP_KEYS = frozenset({"field", "n", "generators", "order"})
 _MATRIX_KEYS = frozenset({"rows", "cols", "entries"})
 _NONSPLIT_KEYS = frozenset({"verdict", "equation"})
 _TENSOR_KEYS = frozenset({"equation"})
-_OBSTRUCTION_KEYS = frozenset({"components", "dim", "dim_by_formula"})
 _TOY_KEYS = frozenset({"equation"})
 
 # a group element as the closure holds it: its n x n encodings, row-major
@@ -298,9 +297,9 @@ def _cocycle(
     """g_s = (s-1)iota in U's coordinates at each non-identity id s in
     `ids`, keyed by id, checking that it lands in U.
 
-    iota = (I_n | 0), which the caller has checked, so iota A(s^-1) is the
-    top n rows of A(s^-1) and (s-1)iota = s^[p] A(s^-1)[0:n, :] - iota:
-    its left n x n block must be 0, and g_s is its right block, flattened.
+    iota = (I_n | 0), so iota A(s^-1) is the top n rows of A(s^-1) and
+    (s-1)iota = s^[p] A(s^-1)[0:n, :] - iota: its left n x n block must be
+    0, and g_s is its right block, flattened.
     """
     out: dict[int, Matrix] = {}
     for s in ids:
@@ -507,26 +506,20 @@ def _verify_payload(report: dict) -> int:
         _fail("digest", "payload digest mismatch")
     checks += 1
 
-    field = _record(payload["field"], "field", _FIELD_KEYS)
+    # field: the group's, the report's only field spec
+    gobj = _record(payload["group"], "group", _GROUP_KEYS)
     try:
-        ctx = field_from_json(field)
+        ctx = field_from_json(_record(gobj["field"], "field", _FIELD_KEYS))
     except ModcohError as exc:
         raise FailedCheck(f"field: {exc}") from exc
-    params = _record(payload["params"], "params", _PARAMS_KEYS)
-    if (params["p"], params["k"]) != (ctx.p, ctx.k):
-        _fail("params", "params disagree with the field spec")
     checks += 1
 
     # group: <generators>, closed here by the builder's search, has exactly
     # the stated order, which the job's order cap bounds
-    gobj = _record(payload["group"], "group", _GROUP_KEYS)
+    params = _record(payload["params"], "params", _PARAMS_KEYS)
     n, order, cap = gobj["n"], gobj["order"], params["order_cap"]
     if type(n) is not int or n < 1:
         _fail("group", f"n = {n!r} is not a positive integer")
-    if params["n"] != n:
-        _fail("params", "params n disagrees with the group")
-    if gobj["field"] != field:
-        _fail("group", "group field differs from the payload field")
     if type(order) is not int or type(cap) is not int or not 1 <= order <= cap:
         _fail("params", f"group order {order!r} is not within 1..order_cap = {cap!r}")
     generators = [_matrix(ctx, m) for m in gobj["generators"]]
@@ -547,12 +540,6 @@ def _verify_payload(report: dict) -> int:
             _fail("dims", f"dims[{key!r}] = {dims[key]} but the formula gives {val}")
     checks += 1
 
-    # basis order
-    basis = [tuple(e) for e in payload["basis"]]
-    if basis != _ordered_basis(n, p, p):
-        _fail("basis", "stored basis violates the prescribed monomial order")
-    checks += 1
-
     # H and the non-split row y, fixed by p and the basis; then the
     # symmetric-power action by independent substitution on S', its
     # inverses and the inverses of H, with its block structure
@@ -565,13 +552,8 @@ def _verify_payload(report: dict) -> int:
     # S', H and their inverses; every later check shares the twist
     matrices = {i: Matrix(ctx, n, n, list(elements[i])) for i in {**sym_ids, **cocycle_ids}}
     twist = {i: _frob_matrix(ctx, m) for i, m in matrices.items()}
+    basis = _ordered_basis(n, p, p)
     sym_action = _sym_action(ctx, matrices, twist, basis, n, sym_ids)
-    checks += 1
-
-    # iota
-    iota = _matrix(ctx, payload["iota"])
-    if iota != hstack(Matrix.identity(ctx, n), Matrix.zeros(ctx, n, N - n)):
-        _fail("iota", "iota is not (I_n | 0)")
     checks += 1
 
     # g_s by its formula on S', its inverses and H, checked to lie in U:
@@ -603,15 +585,6 @@ def _verify_payload(report: dict) -> int:
     _check_tensor_witness(twist, sym_action, cocycle, inv_table, spanning)
     checks += 1
 
-    # obstruction module: components and dimension of X = U* + U~ + U~ + U~
-    if _record(payload["obstruction"], "obstruction", _OBSTRUCTION_KEYS) != {
-        "components": ["dual(u)", "ext(u)", "ext(u)", "ext(u)"],
-        "dim": 4 * dim_u + 3,
-        "dim_by_formula": 4 * dim_u + 3,
-    }:
-        _fail("obstruction", "record is not dual(u), ext(u) x 3 with dim 4d+3")
-    checks += 1
-
     checks += _verify_toy(
         ctx, payload["toy"], n, generators, spanning, twist, sym_action, inv_table, cocycle
     )
@@ -633,8 +606,8 @@ def _verify_toy(
     p = 2, where it states that the toy sequence is the main extension.
 
     det is multiplicative, so the group has determinant 1 iff its
-    generators do.  There the main basis, already checked, is x^2, y^2, xy,
-    so the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on
+    generators do.  There the main basis, in its prescribed order, is
+    x^2, y^2, xy, so the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on
     `sym_action`, and it is the main one when
     S^2(s) = [[U(s), g_s], [0, 1]], on S'.  U(s) = kron(s^[2], S(s^-1)) is
     2 x 2, as S(s^-1) is 1 x 1: the only U(s) the verifier forms.

@@ -313,16 +313,16 @@ def test_criterion_09_certificate_integrity(reports):
     from modcoh.cli import main as cli_main
 
     for name, (path, report) in reports.items():
-        assert verify_report_file(str(path)) >= 11
+        assert verify_report_file(str(path)) >= 8
         assert cli_main(["verify", str(path)]) == 0
     # 100 random single-field mutations must all be rejected; the n = 3
-    # report has over 100 integer leaves (the n = 2 one has 75 since the
-    # group is shipped by its generators)
+    # report has 54 integer leaves (the n = 2 one has 34 since schema v6
+    # ships neither the basis nor iota), so the draws cover most of them
     rng = random.Random(20260810)
     _, report = reports["p2n3"]
     leaves = []
     _collect_int_leaves(report["payload"], leaves)
-    assert len(leaves) > 100
+    assert len(leaves) > 50
     rejected = 0
     for trial in range(100):
         mutated = json.loads(json.dumps(report))

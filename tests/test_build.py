@@ -68,8 +68,14 @@ def test_cocycle_lands_in_u_and_validates():
 
 
 def test_iota_shape():
+    # iota = (I_n | 0) is fixed by n, so the sequence does not hold it: its
+    # cocycle is the coboundary (s-1)iota in Hom(V, W), with no W part
     seq = build_nonsplit_sequence(G4)
-    assert seq.iota == Matrix.from_rows(F4, [[1, 0, 0], [0, 1, 0]])
+    iota = Matrix.from_rows(F4, [[1, 0, 0], [0, 1, 0]])
+    for s in range(1, G4.order):
+        full = seq.twist.action(s) @ iota @ seq.sym_module.action(G4.inv[s]) - iota
+        assert full.submatrix(0, 2, 0, 2).is_zero
+        assert seq.cocycle.value(s) == full.submatrix(0, 2, 2, 3).flatten()
 
 
 def test_generator_system_char2_rows():
@@ -394,7 +400,7 @@ def test_construct_and_verify_form_u_only_for_the_toy(monkeypatch, tmp_path, lab
     if payload["toy"] is None:
         assert shapes == []
     else:
-        assert (payload["params"]["p"], payload["group"]["n"]) == (2, 2)
+        assert (payload["group"]["field"]["p"], payload["group"]["n"]) == (2, 2)
         assert shapes and set(shapes) == {(2, 2)}
 
 

@@ -108,7 +108,7 @@ def test_tamper_detection(tmp_path):
     out = tmp_path / "report.json"
     run(["construct", "--p", "3", "--out", str(out)])
     report = json.loads(out.read_text())
-    report["payload"]["iota"]["entries"][0][0][0] ^= 1
+    report["payload"]["group"]["generators"][0]["entries"][0][0][0] ^= 1
     out.write_text(json.dumps(report))
     assert run(["verify", str(out)]) == 1
 
@@ -203,10 +203,20 @@ def test_job_file_with_a_mistyped_field_is_one_error_line(job, tmp_path, capsys)
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("modulus", ["a,b", "1,,1"], ids=["not_integers", "empty_item"])
+def test_modulus_with_a_non_integer_item_is_one_error_line(modulus, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["construct", "--p", "2", "--k", "2", "--modulus", modulus, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "--modulus" in err
+    assert not out.exists()
+
+
 def test_construct_stdout(capsys):
     assert run(["construct", "--p", "3", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["schema"] == "modcoh-report-v5"
+    assert out["schema"] == "modcoh-report-v6"
 
 
 def test_theorem_violation_exit_code(monkeypatch, tmp_path):

@@ -16,7 +16,6 @@ from modcoh.errors import (
 from modcoh.gf import FieldElement, field_new, field_to_json
 from modcoh.grp import (
     MatrixGroup,
-    _matches_involution_pattern,
     additive_family,
     check_extension_hypothesis,
     closure,
@@ -423,6 +422,20 @@ def pattern_by_field_elements(m):
         for j in range(m.cols):
             if (i >= 2 or j >= 2) and m[i, j] != (ctx.one() if i == j else ctx.zero()):
                 return None
+    return a
+
+
+def _matches_involution_pattern(m):
+    """The encoding of a for [[a, a+1], [a+1, a]] + identity elsewhere, or
+    None; compared on raw encodings, where one is 1.  The element-by-element
+    form of the lookup that `check_extension_hypothesis` makes."""
+    a = m.raw(0, 0)
+    a1 = m.ctx.add_i(a, 1)
+    if m.raw(0, 1) != a1 or m.raw(1, 0) != a1 or m.raw(1, 1) != a:
+        return None
+    n = m.rows
+    if any(m.raw(i, j) != (i == j) for i in range(n) for j in range(n) if i >= 2 or j >= 2):
+        return None
     return a
 
 
