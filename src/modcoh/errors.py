@@ -87,10 +87,6 @@ class TheoremViolation(ModcohError):
     """A computation contradicted a proved statement; always a hard error."""
 
 
-class WitnessNotFound(TheoremViolation):
-    pass
-
-
 # report verification
 class CorruptReport(ModcohError):
     pass

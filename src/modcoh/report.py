@@ -6,30 +6,27 @@ field, generators and order, and dims, and for each claim its equation
 text; it ships no solver output, and nothing that n and p fix or that
 another field repeats.  Everything the verifier rebuilds from the
 generators (the elements, S' and the search tree, the monomial basis,
-iota = (I_n | 0), the symmetric-power action, the cocycle values, the
+iota = (I_n | 0), the symmetric-power action, the cocycle values and the
 closed-form non-split row y on the subgroup H that the equation text
-names, the closed-form tensor witness X = [-I_d ; 0] with w = e_d, the
-components and dimension of X = U* + U~ + U~ + U~, and the toy sequence,
-which is the main extension) is left out, and so is every cohomology
-number: the claims need none.  Neither side forms the U or X actions: U
-is read through its Kronecker factors.  All output is canonical JSON; the
-payload digest binds every field.
+names) is left out, and so is every cohomology number: the claims need
+none.  Of the claims, the non-split certificate depends on the group and
+is checked on both sides; the closed-form tensor witness X = [-I_d ; 0]
+with w = e_d, and the toy sequence being the main extension, hold by
+proof (build.TensorVanishing, build.toy_example), and the dimension of
+X = U* + U~ + U~ + U~ is a formula.  Neither side forms the U or X
+actions.  All output is canonical JSON; the payload digest binds every
+field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .build import (
     NonSplitSequence,
     ObstructionReport,
-    TensorVanishing,
-    ToyReport,
     assemble_obstruction_module,
     build_nonsplit_sequence,
-    tensor_vanishing_witness,
-    toy_example,
 )
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
@@ -39,9 +36,7 @@ from .verify import PATTERN_EQUATION, SCHEMA, SHEAR_EQUATION, TENSOR_EQUATION, T
 @dataclass
 class PipelineResult:
     sequence: NonSplitSequence
-    witness: TensorVanishing
     obstruction: ObstructionReport
-    toy: Optional[ToyReport]
     report: dict
 
 
@@ -54,14 +49,13 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
     present, are accepted for callers that pass them and ignored.
     """
     seq = build_nonsplit_sequence(group)
-    witness = tensor_vanishing_witness(seq)
     obstruction = assemble_obstruction_module(seq)
-    toy = None
-    # det is multiplicative, so det = 1 on the generators holds on the group
-    if group.ctx.p == 2 and group.n == 2 and all(
+    # the tensor witness and the toy identity hold by proof, so no stage
+    # checks them (build.TensorVanishing, build.toy_example); det is
+    # multiplicative, so det = 1 on the generators holds on the group
+    toy = group.ctx.p == 2 and group.n == 2 and all(
         m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == group.ctx.one() for m in group.generators
-    ):
-        toy = toy_example(group, main=seq)
+    )
 
     payload = {
         "params": {"order_cap": params["order_cap"]},
@@ -72,10 +66,10 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
             "equation": SHEAR_EQUATION if group.ctx.p > 2 else PATTERN_EQUATION,
         },
         "tensor_vanishing": {"equation": TENSOR_EQUATION},
-        "toy": None if toy is None else {"equation": TOY_EQUATION},
+        "toy": {"equation": TOY_EQUATION} if toy else None,
     }
     report = {"schema": SCHEMA, "payload": payload, "digest": digest_of(payload)}
-    return PipelineResult(seq, witness, obstruction, toy, report)
+    return PipelineResult(seq, obstruction, report)
 
 
 def write_report(report: dict, path: str) -> None:

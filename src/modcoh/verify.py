@@ -3,18 +3,21 @@
 Deliberately shares only the field and matrix primitives with the builder.
 A v6 report names the group by its field, generators and order, states
 the order cap and the dimensions, and makes each claim an equation text;
-it ships nothing that n and p fix, and no solver output.  Everything else
-is re-derived here from the generators: the elements, the basis in its
-prescribed order, the symmetric-power action by substitution, which gives
-U's action by its factors, the cocycle (s-1)iota for iota = (I_n | 0), the
-closed-form non-split row y on the subgroup H that the construction's
-hypothesis names, and the one fact of the closed-form tensor witness
-X = [-I_d ; 0] with w = e_d that A's multiplicativity does not already
-prove.  The toy sequence for p = n = 2 is the main extension, so its
-record is the equation alone.  Every equation those values feed is then
-checked, and every payload object must have exactly the v6 fields, so no
-sealed field goes unchecked by accident.  The payload digest binds every
-field, and every field is checked by something other than the digest.
+it ships nothing that n and p fix, and no solver output.  The verifier
+checks two kinds of thing, and proves the rest below:
+
+- the premises the proofs rest on: the group closes to its stated order
+  within the cap, the dims are the formulas of n and p, A is block upper
+  triangular with top-left block s^[p] on S', and g lies in U where it is
+  read;
+- the instance claim: the closed-form non-split row y on the subgroup H
+  that the construction's hypothesis names.
+
+The verdict, the equation texts and the presence of H, which need nothing
+derived, are checked before any basis or action is formed.  Every payload
+object must have exactly the v6 fields, so no sealed field goes unchecked
+by accident.  The payload digest binds every field, and every field is
+checked by something other than the digest.
 
 The group is closed here from its generators by the search that
 grp.closure makes (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -26,55 +29,56 @@ S' x G, so each element of S' meets its inverse in its own row.  It runs
 on raw encodings: an element is a row-major tuple, each product one
 ctx.matmul, and the ids it finds are still the builder's.  H is looked up
 among those tuples, and a Matrix is made only for the elements read: S',
-H and their inverses, with the Frobenius twist s^[p] of each, formed once
-and shared by every check.  The symmetric-power action A is derived on
-S', its inverses and the inverses of H's elements, and g = (s-1)iota by
-its formula on S', its inverses and H.  A is built as the builder builds
+H and the inverses of H.  The symmetric-power action A is derived on S'
+and the inverses of H, the Frobenius twist s^[p] on S' and H, and
+g = (s-1)iota by its formula on H only.  A is built as the builder builds
 it, in code of its own: a table of the powers of the substituted
-variables, over monomials coded as base-(d+1) integers.  U is formed only
-for the p = n = 2 toy.  Checks there hold on every element:
+variables, over monomials coded as base-(d+1) integers.  No U(s) and no
+Kronecker product is formed.  What is proved:
 
 - The substitution action A is multiplicative for all n x n matrices,
   A(sigma) A(tau) = A(sigma tau), with A(I) = I: substitution is an
   algebra map.  A product of block upper triangular matrices is block
   upper triangular, with the product of the top-left blocks, and the
-  Frobenius twist is multiplicative; so the block checks on S' and its
-  inverses hold on every element, each a product of elements of S'.  The
+  Frobenius twist is multiplicative; so the block form on S' holds on
+  every element, each a product of elements of S' (in a finite group
+  s^-1 is a power of s, so S'^-1 needs no check of its own).  The
   lower-right block S is then multiplicative too, and
   U(s) = kron(s^[p], S(s^-1)^T) is a homomorphism.  In particular the
   closure found s s^-1 = 1, so A(s) A(s^-1) = I, and with the bottom-left
   blocks zero its lower-right block is S(s) S(s^-1) = I; by the
-  mixed-product rule U(s) U(s^-1) = kron(I_n, (S(s) S(s^-1))^T) = I, with
-  no product formed.
+  mixed-product rule U(s) U(s^-1) = kron(I_n, (S(s) S(s^-1))^T) = I.
 - g_s = (s-1)iota = s^[p] iota A(s^-1) - iota is the coboundary of iota
   in Hom(V, W), so a cocycle on all of G:
-  (st-1)iota = s(t-1)iota + (s-1)iota.  It is checked to lie in U where
-  it is read, a guard on the derivation; U is stable and every element is
-  a word in S', so by g_st = s g_t + g_s it lies in U on every element, a
-  cocycle of U.  iota = (I_n | 0) is fixed by n, so no report field
-  feeds g, and g is read by its formula on S', its inverses and H only:
-  iota A(s^-1) is the top n rows of A(s^-1), and no product forms it.
-  Then the extension [[U, g], [0, 1]] and its dual W(s) are
-  homomorphisms too.
-- Two cocycles, or two homomorphisms, that agree on S' agree everywhere.
-  So the tensor witness and the toy identity
-  A(s) = [[U(s), g_s], [0, 1]] are checked on S' only, and det = 1, which
-  decides whether the toy record is due, on the generators only.  The
-  witness equation W(s) X U(s)^T - X = w g_s^T, with
-  W(s) = [[U(s^-1)^T, 0], [g_{s^-1}^T, 1]] and X = [-I_d ; 0], reads
+  (st-1)iota = s(t-1)iota + (s-1)iota.  U is stable and W is fixed by
+  the block form, so g lies in U on every element and is a cocycle of U.
+  iota = (I_n | 0) is fixed by n, so no report field feeds g: iota A(s^-1)
+  is the top n rows of A(s^-1), and no product forms it.
+- The tensor witness.  With W(s) = [[U(s^-1)^T, 0], [g_{s^-1}^T, 1]],
+  X = [-I_d ; 0] and w = e_d, W(s) X U(s)^T - X = w g_s^T reads
   -[[(U(s) U(s^-1))^T], [(U(s) g_{s^-1})^T]] + [[I_d], [0]] = [[0], [g_s^T]]
-  row block by row block, so it holds exactly when U(s) U(s^-1) = I,
-  proved above, and U(s) g_{s^-1} = -g_s, the cocycle identity at
-  (s, s^-1) with g_1 = 0, which is checked; and W(s) e_d = e_d, the
-  invariance of w, is W(s)'s last column, true for any U and g.  With g_s = vec(G_s), the
-  cocycle identity is s^[p] G_{s^-1} S(s^-1) = -G_s on n x (N-n) blocks.
+  row block by row block.  Its top d rows are U(s) U(s^-1) = I, proved
+  above; its last row is U(s) g_{s^-1} = -g_s, the cocycle identity
+  g_1 = g_{s s^-1} = U(s) g_{s^-1} + g_s at (s, s^-1) of that same
+  coboundary, restricted to the stable U.  W(s) e_d = e_d, the invariance
+  of w, is W(s)'s last column, true for any U and g.  So the equation
+  holds on every element, and its record is checked as stated.
+- The toy identity, for p = n = 2 and det s = 1.  The basis is x^2, y^2,
+  xy; the xy coefficient of (ax + cy)(bx + dy) is ad + bc = det s = 1, so
+  S(s^-1) = 1 and U(s) = s^[2].  The top-right block of
+  A(s) A(s^-1) = I reads A(s)[0:2, 2] + s^[2] A(s^-1)[0:2, 2] = 0, so
+  A(s)[0:2, 2] = -g_s = g_s in characteristic 2, and
+  A(s) = [[U(s), g_s], [0, 1]].  det is multiplicative, so the record is
+  due exactly when the generators have determinant 1, and it too is
+  checked as stated.
 - If g_h = (h-1)u for one u and every h in G, then for a subgroup H and
   rows y_h with sum_h y_h (U(h) - 1) = 0, sum_h y_h g_h = 0.  So such a y
   with sum_h y_h g_h != 0 rules out every split.  H and y are closed forms
   fixed by p and the basis (the shear x12(1) for p >= 3, two pattern
   involutions for p = 2; the builder's RestrictionCertificate proves
   both), and each term reads one row of U(h) = kron(h^[p], S(h^-1)^T), a
-  row of h^[p] times a column of S(h^-1), with no d x d matrix.
+  row of h^[p] times a column of S(h^-1), with no d x d matrix.  This is
+  the claim that depends on the group, and it is checked.
 """
 
 from __future__ import annotations
@@ -87,7 +91,11 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
-from .linalg import Matrix, kron, matrix_from_json
+from .linalg import (
+    Matrix,
+    kron,  # unused here; bench/test_bench.py patches this import site
+    matrix_from_json,
+)
 
 # the schema and the equation texts of the report, defined here only:
 # report.py imports them, so the verifier needs nothing from the builder
@@ -256,36 +264,23 @@ def _sym_action(
     """The action on the basis by substitution at each element id in `ids`,
     one power table each, keyed by id.
 
-    Checks the block structure on the way: the top-left n x n block is the
-    element's Frobenius twist, `twist[id]`, and the bottom-left block is
-    zero.
+    Checks the block structure at each id whose twist is given: the
+    top-left n x n block is the element's Frobenius twist, `twist[id]`, and
+    the bottom-left block is zero.
     """
     d = sum(basis[0])
     pos = {_code(m, d): i for i, m in enumerate(basis)}
     N = len(basis)
     out: dict[int, Matrix] = {}
     for idx in ids:
-        mat = _substitution_matrix(ctx, elements[idx], basis, pos)
+        mat = out[idx] = _substitution_matrix(ctx, elements[idx], basis, pos)
+        if idx not in twist:
+            continue
         if mat.submatrix(0, n, 0, n) != twist[idx]:
             _fail("sym-action", f"element {idx}: top-left block is not the Frobenius twist")
         if not mat.submatrix(n, N, 0, n).is_zero:
             _fail("sym-action", f"element {idx}: bottom-left block is nonzero")
-        out[idx] = mat
     return out
-
-
-def _lower_right(a: Matrix, n: int) -> Matrix:
-    """S, the action on V/W: the block of A below and right of the twist."""
-    return a.submatrix(n, a.rows, n, a.cols)
-
-
-def _u_apply(twist_s: Matrix, a_inv: Matrix, v: Matrix) -> Matrix:
-    """U(s) @ v from U's factors s^[p] = `twist_s` and S(s^-1), the block
-    of `a_inv` = A(s^-1): v = vec(F) for an n x (N-n) matrix F, and
-    kron(A, B) vec(F) = vec(A F B^T) makes it vec(s^[p] F S(s^-1))."""
-    n = twist_s.rows
-    f = v.reshape(n, v.rows // n)
-    return (twist_s @ f @ _lower_right(a_inv, n)).flatten()
 
 
 def _cocycle(
@@ -310,24 +305,6 @@ def _cocycle(
             _fail("cocycle", f"(s-1)iota leaves U at element {s}")
         out[s] = full.submatrix(0, n, n, a_inv.cols).flatten()
     return out
-
-
-def _check_tensor_witness(
-    twist: Mapping[int, Matrix],
-    sym_action: Mapping[int, Matrix],
-    cocycle: Mapping[int, Matrix],
-    inv_table: Mapping[int, int],
-    spanning: list[int],
-) -> None:
-    """U(s) g_{s^-1} = -g_s for s in S', applied by its factors: the last
-    row of the witness equation in Hom form, whose top d rows,
-    U(s) U(s^-1) = I, hold by proof (module docstring).  The only reader
-    of g on the inverses of S'."""
-    for s in spanning:
-        s_inv = inv_table[s]
-        moved = _u_apply(twist[s], sym_action[s_inv], cocycle[s_inv])
-        if not (moved + cocycle[s]).is_zero:
-            _fail("tensor-vanishing", f"witness equation fails at element {s}")
 
 
 def _restriction_row(
@@ -407,17 +384,6 @@ def _check_restriction(
         _fail("nonsplit", "y does not kill U(h) - 1 on H")
     if not value:
         _fail("nonsplit", "y kills g on H")
-
-
-def _ext_matrix(ctx: FieldCtx, act: Matrix, val: Matrix) -> Matrix:
-    """The block matrix [[U(s), g_s], [0, 1]]."""
-    d = act.rows
-    data = []
-    for r in range(d):
-        data.extend(act.row_list(r))
-        data.append(val.raw(r, 0))
-    data.extend([0] * d + [1])
-    return Matrix(ctx, d + 1, d + 1, data)
 
 
 def _generated(
@@ -526,7 +492,7 @@ def _verify_payload(report: dict) -> int:
     for i, m in enumerate(generators):
         if m.rows != n or m.cols != n:
             _fail("group", f"generator {i} is not {n}x{n}")
-    elements, spanning, inv_table, index = _generated(ctx, n, generators, order)
+    elements, spanning, _, index = _generated(ctx, n, generators, order)
     checks += 1
 
     # dimension formulas
@@ -540,77 +506,52 @@ def _verify_payload(report: dict) -> int:
             _fail("dims", f"dims[{key!r}] = {dims[key]} but the formula gives {val}")
     checks += 1
 
-    # H and the non-split row y, fixed by p and the basis; then the
-    # symmetric-power action by independent substitution on S', its
-    # inverses and the inverses of H, with its block structure
-    h_inverse, terms = _restriction_row(ctx, n, N - n, index)
-    inv_table = {**inv_table, **h_inverse}
-    read = spanning + [inv_table[s] for s in spanning]
-    sym_ids = dict.fromkeys(read + list(h_inverse.values()))
-    cocycle_ids = dict.fromkeys(read + list(h_inverse))
-    # a Matrix and its Frobenius twist s^[p] only for the elements read,
-    # S', H and their inverses; every later check shares the twist
-    matrices = {i: Matrix(ctx, n, n, list(elements[i])) for i in {**sym_ids, **cocycle_ids}}
-    twist = {i: _frob_matrix(ctx, m) for i, m in matrices.items()}
-    basis = _ordered_basis(n, p, p)
-    sym_action = _sym_action(ctx, matrices, twist, basis, n, sym_ids)
-    checks += 1
-
-    # g_s by its formula on S', its inverses and H, checked to lie in U:
-    # the coboundary of iota in Hom(V, W), so a cocycle of U on all of G
-    cocycle = _cocycle(twist, sym_action, inv_table, cocycle_ids)
-    checks += 1
-
-    # non-split certificate: the closed-form y on H kills U(h) - 1, not g
+    # the claims' records, which need nothing derived: the non-split
+    # verdict and equation text and the subgroup H that text names, looked
+    # up in the closure, then the tensor-vanishing and toy equations, which
+    # are proved (module docstring).  All of them come before the basis,
+    # whose C(n+p-1, p) monomials a group without H never needs
     cert = _record(payload["nonsplit_certificate"], "nonsplit", _NONSPLIT_KEYS)
     if cert["verdict"] != "NonSplit":
         _fail("nonsplit", f"verdict {cert['verdict']!r} is not NonSplit")
     if cert["equation"] != (SHEAR_EQUATION if p > 2 else PATTERN_EQUATION):
         _fail("nonsplit", "equation text differs from the checked equation")
+    h_inverse, terms = _restriction_row(ctx, n, N - n, index)
     if not terms:
         _fail("nonsplit", "the group has no " + (
             "shear x12(1)" if p > 2 else "two pattern involutions A(b) with b != 0"
         ))
-    _check_restriction(ctx, twist, sym_action, inv_table, cocycle, terms, n)
-    checks += 1
-
-    # tensor vanishing: (s-1)u = w (x) g_s on S' for the closed forms
-    # X = [-I_d ; 0] and w = e_d.  Its Hom form holds exactly when
-    # U(s) U(s^-1) = I, which A's multiplicativity proves, and
-    # U(s) g_{s^-1} = -g_s; w is fixed by the block form.  Both sides are
-    # cocycles, so it holds on every element
     tv = _record(payload["tensor_vanishing"], "tensor_vanishing", _TENSOR_KEYS)
     if tv["equation"] != TENSOR_EQUATION:
         _fail("tensor-vanishing", "equation text differs from the checked equation")
-    _check_tensor_witness(twist, sym_action, cocycle, inv_table, spanning)
+    checks += 1
+    checks += _verify_toy(ctx, payload["toy"], n, generators)
+
+    # the symmetric-power action by independent substitution on S', with
+    # its block form, and on the inverses of H; a Matrix only for S', H and
+    # the inverses of H, and the Frobenius twist s^[p] on S' and H
+    sym_ids = dict.fromkeys([*spanning, *h_inverse.values()])
+    matrices = {i: Matrix(ctx, n, n, list(elements[i])) for i in [*sym_ids, *h_inverse]}
+    twist = {i: _frob_matrix(ctx, matrices[i]) for i in [*spanning, *h_inverse]}
+    sym_action = _sym_action(ctx, matrices, twist, _ordered_basis(n, p, p), n, sym_ids)
     checks += 1
 
-    checks += _verify_toy(
-        ctx, payload["toy"], n, generators, spanning, twist, sym_action, inv_table, cocycle
-    )
+    # g_h by its formula on H, checked to lie in U: the coboundary of iota
+    # in Hom(V, W), so a cocycle of U on all of G
+    cocycle = _cocycle(twist, sym_action, h_inverse, h_inverse)
+    checks += 1
+
+    # non-split certificate: the closed-form y on H kills U(h) - 1, not g
+    _check_restriction(ctx, twist, sym_action, h_inverse, cocycle, terms, n)
+    checks += 1
     return checks
 
 
-def _verify_toy(
-    ctx: FieldCtx,
-    toy,
-    n: int,
-    generators: list[Matrix],
-    spanning: list[int],
-    twist: Mapping[int, Matrix],
-    sym_action: Mapping[int, Matrix],
-    inv_table: Mapping[int, int],
-    cocycle: Mapping[int, Matrix],
-) -> int:
+def _verify_toy(ctx: FieldCtx, toy, n: int, generators: list[Matrix]) -> int:
     """The toy record: present exactly for 2x2 groups of determinant 1 over
-    p = 2, where it states that the toy sequence is the main extension.
-
-    det is multiplicative, so the group has determinant 1 iff its
-    generators do.  There the main basis, in its prescribed order, is
-    x^2, y^2, xy, so the toy sequence 0 -> <x^2, y^2> -> S^2 -> K -> 0 lives on
-    `sym_action`, and it is the main one when
-    S^2(s) = [[U(s), g_s], [0, 1]], on S'.  U(s) = kron(s^[2], S(s^-1)) is
-    2 x 2, as S(s^-1) is 1 x 1: the only U(s) the verifier forms.
+    p = 2, where it states that the toy sequence is the main extension,
+    which is proved (module docstring).  det is multiplicative, so the
+    group has determinant 1 iff its generators do.
     """
     wants_toy = ctx.p == 2 and n == 2 and all(
         m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in generators
@@ -621,10 +562,6 @@ def _verify_toy(
         return 0
     if _record(toy, "toy", _TOY_KEYS)["equation"] != TOY_EQUATION:
         _fail("toy", "equation text differs from the checked equation")
-    for s in spanning:
-        u = kron(twist[s], _lower_right(sym_action[inv_table[s]], n))
-        if sym_action[s] != _ext_matrix(ctx, u, cocycle[s]):
-            _fail("toy", f"S^2 is not the main extension at element {s}")
     return 1
 
 

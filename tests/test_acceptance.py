@@ -178,7 +178,7 @@ def test_criterion_05_dimension_formulas(case_a, case_b):
             total = seq.extension.total
             x_module = direct_sum_mod([dual(seq.u_module), total, total, total])
             assert x_module.dim == expected
-            assert x_module.label == "sum(" + ",".join(rep.components) + ")"
+            assert x_module.label == "sum(dual(u),ext(u),ext(u),ext(u))"
     _passed(5, "dim X = 11, 19 and the closed formula for (p, n) in {2,3,5} x {2,3}")
 
 

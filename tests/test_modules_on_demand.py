@@ -177,22 +177,20 @@ def built_ids(module):
 
 @pytest.mark.parametrize("p,k,n", EXT_N2 + PRIME)
 def test_pipeline_builds_actions_on_s_prime_and_inverses_only(p, k, n):
-    # A on S' and its inverses (the block checks read both, g_s is made
-    # from A(s^-1), and the witness check reads S(s^-1)); U is read
-    # through its factors, so U and U~ are built on S' for the p = n = 2
-    # toy and on no element otherwise
+    # A on S' and its inverses: the block checks read S', and g_s is made
+    # from A(s^-1).  U is read through its factors, and the tensor witness
+    # and the p = n = 2 toy identity are proved, so U and U~ are built on
+    # no element
     g = additive_family(field_new(p, k), n=n)
     params = {"p": p, "k": k, "n": n, "order_cap": 10_000, "seed": 0}
     result = run_pipeline(g, params)
     seq = result.sequence
-    spanning = set(g.spanning_ids)
-    read = spanning | {g.inv[s] for s in g.spanning_ids}
+    read = set(g.spanning_ids) | {g.inv[s] for s in g.spanning_ids}
     assert read < set(range(g.order))
     assert built_ids(seq.sym_module) == read
-    toy_ids = spanning if result.toy is not None else set()
-    assert (result.toy is not None) == (p == n == 2)
-    assert built_ids(seq.u_module) == toy_ids
-    assert built_ids(seq.extension.total) == toy_ids
+    assert (result.report["payload"]["toy"] is not None) == (p == n == 2)
+    assert built_ids(seq.u_module) == set()
+    assert built_ids(seq.extension.total) == set()
 
 
 DUMP_RECIPES = ["natural", "twist", "u", "uext", "dual(natural)", "tensor(natural,twist)",
