@@ -7,12 +7,13 @@ with zero first columns, flattened row-major), iota restricts to the
 identity on W, and g_s = (s-1) iota is a cocycle whose class obstructs the
 splitting of 0 -> U -> U + K iota -> K -> 0.
 
-The construction checks the premises its proofs rest on (the block form
-of the symmetric-power action A on S', and g in U where it is made) and
-the one claim that depends on the group, the closed-form non-split row on
-the subgroup H; the dimension of the large direct-sum module is compared
-with its closed formula as a guard.  The rest is proved, not re-computed:
-the closed-form tensor-vanishing witness (TensorVanishing) and the
+The construction checks the one claim that depends on the group, the
+closed-form non-split row y on the subgroup H, from the images of at most
+two pinned monomials under the elements of H^-1 (RestrictionCertificate):
+no basis, no symmetric-power action and no d x d matrix is formed.  The
+dimensions are closed formulas, and the rest is proved, not re-computed:
+the block form of the symmetric-power action A (the Frobenius), g lying
+in U, the closed-form tensor-vanishing witness (TensorVanishing) and the
 identity of the degree-2 toy sequence with the main extension
 (toy_example).  None of these is stored: the report states them as
 equations, which the verifier checks or proves the same way, and ships
@@ -21,18 +22,19 @@ neither the basis nor iota, which n and p fix.
 No stage computes a cohomology space or calls a solver.  The class of g
 is nonzero by the restriction certificate on the hypothesis elements, its
 product with w vanishes by the closed-form witness, and dim X has a
-closed formula; Z1, B1 and H1 are left to the `h1` subcommand.  U(s) is
-never formed on construct: only the module recipes of `h1` form
-`u_module`'s d x d action.
+closed formula; Z1, B1 and H1 are left to the `h1` subcommand.  The
+modules V, U and U~ and the cocycle on S' are made only when `h1`, a
+module recipe or the toy reads them (NonSplitSequence).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import comb
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .coh import (
     Cocycle,
@@ -59,6 +61,8 @@ from .rep import (
     direct_sum_mod,
     frobenius_twist,
     hom,
+    monomial_code,
+    monomial_image,
     natural_module,
     sym_power,
     tensor,
@@ -68,108 +72,107 @@ from .rep import (
 
 @dataclass
 class NonSplitSequence:
-    """Everything the certificates cite: modules, cocycle and the non-split
-    certificate, None when the group hypothesis fails.  iota = (I_n | 0) is
-    fixed by n, so it is not held."""
+    """The group, its hypothesis and the non-split certificate, None when
+    the group hypothesis fails.  The report reads only these and the dims,
+    which are formulas.  The modules and the cocycle are made on first read
+    (`h1`, the module recipes, the toy and the tests read them), each with
+    the guard checks of its own code: the block form of A and g in U on S'.
+    iota = (I_n | 0) is fixed by n, so it is not held."""
 
     group: MatrixGroup
     hypothesis: HypothesisReport
-    sym_module: GModule
-    twist: GModule
-    u_module: GModule
-    cocycle: Cocycle
-    extension: ExtensionClass
     certificate: Optional[RestrictionCertificate]
 
     @property
     def dims(self) -> dict[str, int]:
-        n = self.group.n
-        N = self.sym_module.dim
-        return {
-            "N": N,
-            "V": N,
-            "W": self.twist.dim,
-            "U": self.u_module.dim,
-            "U_ext": self.extension.total.dim,
-            "X": 4 * self.u_module.dim + 3,
-        }
+        """By their formulas: N = C(n+p-1, p) degree-p monomials, W the n
+        pure powers, U = Hom(V/W, W), U~ = U + K and X = U* + 3 U~."""
+        n, p = self.group.n, self.group.ctx.p
+        N = comb(n + p - 1, p)
+        dim_u = n * (N - n)
+        return {"N": N, "V": N, "W": n, "U": dim_u, "U_ext": dim_u + 1, "X": 4 * dim_u + 3}
+
+    @cached_property
+    def twist(self) -> GModule:
+        return frobenius_twist(self.group)
+
+    @cached_property
+    def sym_module(self) -> GModule:
+        """V = S^p(K^n) by substitution.  Its block form is proved (the
+        Frobenius, RestrictionCertificate) and checked on S' as a guard of
+        the substitution code: a zero bottom-left block and the top-left
+        block s^[p].  A is a homomorphism, so the blocks hold on every
+        element once they hold on S'; W is a submodule acting by s^[p], and
+        S, the lower-right block, is the action on V/W."""
+        group, twist = self.group, self.twist
+        n, p = group.n, group.ctx.p
+        sym, _ = sym_power(group, p)
+        N = sym.dim
+        if N != comb(n + p - 1, p):
+            raise TheoremViolation(f"dim V = {N} != C({n + p - 1},{p})")
+        for i in group.spanning_ids:
+            a = sym.action(i)
+            if a.submatrix(0, n, 0, n) != twist.action(i):
+                raise TheoremViolation(f"top-left block of A_s is not the twist at element {i}")
+            if not a.submatrix(n, N, 0, n).is_zero:
+                raise TheoremViolation(f"bottom-left block of A_s is nonzero at element {i}")
+        return sym
+
+    @cached_property
+    def u_module(self) -> GModule:
+        """U(s) = kron(s^[p], S(s^-1)^T), the action F -> s^[p] F S(s)^-1 on
+        U = Hom(V/W, W), flattened row-major; a homomorphism because S and
+        the twist are."""
+        group, sym, twist = self.group, self.sym_module, self.twist
+        n, N, inv = group.n, sym.dim, group.inv
+
+        def u_action(i: int) -> Matrix:
+            s_block = sym.action(inv[i]).submatrix(n, N, n, N)
+            return kron(twist.action(i), s_block.transpose())
+
+        return GModule(group, n * (N - n), u_action, "u")
+
+    @cached_property
+    def cocycle(self) -> Cocycle:
+        """g on S', from the twist at s and A(s^-1).  g_s = (s-1)iota =
+        s^[p] iota A(s^-1) - iota is the coboundary of iota in Hom(V, W),
+        hence a cocycle there on all of G, and it lies in U on every
+        element (RestrictionCertificate); the check on S' guards the
+        computation.  So its values on S' fix a cocycle of U with no check
+        on the rest of G (Cocycle.restricted_coboundary), and no validate
+        pass is made."""
+        values = [
+            _iota_coboundary(self.group, self.twist, self.sym_module, s)
+            for s in self.group.spanning_ids
+        ]
+        return Cocycle.restricted_coboundary(self.u_module, values)
+
+    @cached_property
+    def extension(self) -> ExtensionClass:
+        return extension_from_cocycle(self.cocycle)
 
 
 def build_nonsplit_sequence(
     group: MatrixGroup, require_hypothesis: bool = True
 ) -> NonSplitSequence:
-    """Construct U, the cocycle (s-1)iota and the non-split certificate.
+    """Check the hypothesis and the non-split certificate of the group.
 
     With `require_hypothesis` the group must contain the pattern elements
     that force non-splitness.  When they are present, the certificate is
     the closed-form row on them (RestrictionCertificate), and a row that
     fails its check is a TheoremViolation; otherwise it is None and no
-    verdict is taken here.
-
-    Every module is built on demand, and this stage reads the actions only
-    on S' and its inverses: A(s) for the block checks, and the twist at s
-    and A(s^-1), which g_s is made from; U on no element.  The checks there
-    cover every element:
-
-    - Substitution is multiplicative for all n x n matrices, so A is a
-      homomorphism.  A product of block upper triangular matrices is block
-      upper triangular, with the product of the top-left blocks, and the
-      Frobenius twist is multiplicative too.  So a zero bottom-left block
-      and a top-left block s^[p] on S' hold on every element, each being a
-      product of elements of S'; s^-1 is a power of s in a finite group, so
-      S'^-1 needs no check of its own.
-      Then W is a submodule acting by s^[p], and S, the lower-right block,
-      is the action on V/W.
-    - U(s) = kron(s^[p], S(s^-1)^T) is the action F -> s^[p] F S(s)^-1 on
-      U = Hom(V/W, W), the maps V -> W vanishing on W, flattened row-major;
-      it is a homomorphism because S and the twist are.
-    - g_s = (s-1)iota = s^[p] iota A(s^-1) - iota is the coboundary of iota
-      in Hom(V, W), hence a cocycle there on all of G.  On W it is
-      s^[p] (s^-1)^[p] - I = 0, so it lies in U on every element once the
-      blocks are right; the check on S' guards the computation.  So its
-      values on S' fix a cocycle of U with no check on the rest of G
-      (Cocycle.restricted_coboundary), and construct makes no validate
-      pass.
-
-    The certificate reads A(h^-1) and the twist at each element h of its
-    subgroup H as well.
+    verdict is taken here.  The check reads the images of the pinned
+    monomials under H^-1 and the rows of the twist on H, and nothing else:
+    no module is built here (NonSplitSequence).
     """
-    p, n = group.ctx.p, group.n
     hyp = check_extension_hypothesis(group)
     if require_hypothesis and not hyp.ok:
         raise HypothesisNotSatisfied(f"{hyp.case}: {hyp.detail}")
-    sym, _ = sym_power(group, p)
-    N = sym.dim
-    if N != comb(n + p - 1, p):
-        raise TheoremViolation(f"dim V = {N} != C({n + p - 1},{p})")
-    twist = frobenius_twist(group)
-    spanning, inv = group.spanning_ids, group.inv
-    for i in spanning:
-        a = sym.action(i)
-        if a.submatrix(0, n, 0, n) != twist.action(i):
-            raise TheoremViolation(f"top-left block of A_s is not the twist at element {i}")
-        if not a.submatrix(n, N, 0, n).is_zero:
-            raise TheoremViolation(f"bottom-left block of A_s is nonzero at element {i}")
-
-    def u_action(i: int) -> Matrix:
-        s_block = sym.action(inv[i]).submatrix(n, N, n, N)
-        return kron(twist.action(i), s_block.transpose())
-
-    u_module = GModule(group, n * (N - n), u_action, "u")
-
-    values = [_iota_coboundary(group, twist, sym, s) for s in spanning]
-    g = Cocycle.restricted_coboundary(u_module, values)
-    ext = extension_from_cocycle(g)
     cert = None
     if hyp.ok:
         cert = restriction_certificate(group, hyp)
-        on_s = dict(zip(spanning, values))
-
-        def g_at(h: int) -> Matrix:
-            return on_s[h] if h in on_s else _iota_coboundary(group, twist, sym, h)
-
-        _check_restriction(group, twist, sym, cert, g_at)
-    return NonSplitSequence(group, hyp, sym, twist, u_module, g, ext, cert)
+        _check_restriction(group, cert)
+    return NonSplitSequence(group, hyp, cert)
 
 
 def _iota_coboundary(group: MatrixGroup, twist: GModule, sym: GModule, i: int) -> Matrix:
@@ -197,15 +200,31 @@ class RestrictionCertificate:
 
     If g_h = (h-1)u for one u and every h, then
     sum_h y_h g_h = sum_h y_h (U(h) - 1) u = 0.  `ids` is H and `terms`
-    are y's nonzero slots: (element id h, coordinate of U, coefficient as
-    its field encoding).
+    are y's nonzero coordinates c e(i, m): (element id h, W-row i, V/W
+    monomial m as its exponents, coefficient c as its field encoding).
 
-    U = Hom(V/W, W) is flattened row-major, so slot (i, j) is
-    i (N - n) + j for the W-row i and the V/W monomial j.  Row (i, j) of
-    U(h) = kron(h^[p], S(h^-1)^T) is row i of h^[p] (x) column j of S(h^-1),
-    and g_h = h^[p] iota A(h^-1) - iota = (0 | h^[p] T), with T the
-    top-right block of A(h^-1).  The basis pins the first V/W monomials, so
-    H and y are closed forms (`restriction_certificate`):
+    U = Hom(V/W, W), so its coordinate (i, m) pairs the W-row i with the
+    V/W monomial m.  Row (i, m) of U(h) = kron(h^[p], S(h^-1)^T) is row i
+    of h^[p] (x) column m of S(h^-1), and g_h = h^[p] iota A(h^-1) - iota
+    = (0 | h^[p] T), with T the top-right block of A(h^-1).  Column m of
+    A(h^-1) is the image of m under the substitution x_j -> sum_i
+    (h^-1)_ij x_i: its coefficients on the non-pure monomials are column m
+    of S(h^-1), and those on the x_a^p column m of T.  So each term reads
+    one monomial image (`_check_restriction`), and three facts, proved
+    here, stand for the checks the dense action once made:
+
+    - The block form is the Frobenius.  In characteristic p,
+      (sum_i sigma_ij x_i)^p = sum_i sigma_ij^p x_i^p, so for every n x n
+      sigma the image of x_j^p is sum_i sigma_ij^p x_i^p: the pure-power
+      columns of A(sigma) are sigma^[p] over a zero bottom-left block.
+    - g lies in U.  The left block of g_h is h^[p] (h^-1)^[p] - I, which is
+      0 as the twist is multiplicative and h h^-1 = 1.
+    - Every degree-p monomial lies in the basis, which is all of them; so
+      every monomial of an image is a coordinate, and a residual kept by
+      (W-row, monomial) needs no basis order.
+
+    The basis pins the first V/W monomials, so H and y are closed forms
+    (`restriction_certificate`):
 
     - p >= 3: H = {u}, u = x12(1), and y = 2 e(0,m1) + e(1,m2) with
       m1 = x1^(p-1) x2 and m2 = x1^(p-2) x2^2.  u^[p] = u, and u^-1
@@ -230,7 +249,7 @@ class RestrictionCertificate:
     """
 
     ids: tuple[int, ...]
-    terms: tuple[tuple[int, int, int], ...]
+    terms: tuple[tuple[int, int, tuple[int, ...], int], ...]
 
 
 def restriction_certificate(group: MatrixGroup, hyp: HypothesisReport) -> RestrictionCertificate:
@@ -240,49 +259,43 @@ def restriction_certificate(group: MatrixGroup, hyp: HypothesisReport) -> Restri
     distinct a leave at least two nonzero b.
     """
     ctx, n, p = group.ctx, group.n, group.ctx.p
-    m = comb(n + p - 1, p) - n  # dim V/W: slot (1, m2) is m + 1
+    pad = (0,) * (n - 2)
     if p > 2:
         (u,) = hyp.ids
-        return RestrictionCertificate((u,), ((u, 0, ctx.from_int(2).val), (u, m + 1, 1)))
+        m1, m2 = (p - 1, 1) + pad, (p - 2, 2) + pad
+        return RestrictionCertificate((u,), ((u, 0, m1, ctx.from_int(2).val), (u, 1, m2, 1)))
     one = ctx.one()
     (b1, h1), (b2, h2) = sorted(
         ((a + one, h) for a, h in zip(hyp.values, hyp.ids) if a != one),
         key=lambda bh: bh[0].val,
     )[:2]
-    return RestrictionCertificate((h1, h2), ((h1, 0, ((b2 / b1) ** 2).val), (h2, 0, 1)))
+    m = (1, 1) + pad
+    return RestrictionCertificate((h1, h2), ((h1, 0, m, ((b2 / b1) ** 2).val), (h2, 0, m, 1)))
 
 
-def _check_restriction(
-    group: MatrixGroup,
-    twist: GModule,
-    sym: GModule,
-    cert: RestrictionCertificate,
-    g_value: Callable[[int], Matrix],
-) -> None:
-    """sum_h y_h (U(h) - 1) = 0 and sum_h y_h g_h != 0, reading each row of
-    U(h) off its factors (RestrictionCertificate): no d x d matrix is
-    formed.  `g_value(h)` is g_h.  Raises TheoremViolation if either
-    fails."""
-    ctx, n, N = group.ctx, group.n, sym.dim
-    m = N - n
-    add, mul = ctx.add_i, ctx.mul_i
-    residual = [0] * (n * m)
+def _check_restriction(group: MatrixGroup, cert: RestrictionCertificate) -> None:
+    """sum_h y_h (U(h) - 1) = 0 and sum_h y_h g_h != 0, each term read off
+    the image of its monomial under h^-1 and row i of h^[p]
+    (RestrictionCertificate).  The residual is kept by (W-row, monomial
+    code); the codes of the x_a^p are T's rows, not coordinates of U.
+    Raises TheoremViolation if either identity fails."""
+    ctx, n, p = group.ctx, group.n, group.ctx.p
+    add, mul, frob = ctx.add_i, ctx.mul_i, ctx.frob_i
+    pure = [p * (p + 1) ** a for a in range(n)]  # the codes of x_a^p
+    residual: dict[tuple[int, int], int] = {}
     value = 0
-    for h, slot, c in cert.terms:
-        i, j = divmod(slot, m)
-        twist_row = twist.action(h).row_list(i)
-        s_inv = sym.action(group.inv[h])
-        column = [s_inv.raw(n + r, n + j) for r in range(m)]
-        for a, t in enumerate(twist_row):
+    for h, i, mono, c in cert.terms:
+        image = monomial_image(group.elements[group.inv[h]], mono)
+        for a in range(n):
+            t = frob(group.elements[h].raw(i, a))
             if t:
                 f = mul(c, t)
-                for r, v in enumerate(column):
-                    if v:
-                        at = a * m + r
-                        residual[at] = add(residual[at], mul(f, v))
-        residual[slot] = ctx.sub_i(residual[slot], c)
-        value = add(value, mul(c, g_value(h).raw(slot, 0)))
-    if any(residual):
+                for code, v in image.items():
+                    residual[a, code] = add(residual.get((a, code), 0), mul(f, v))
+                value = add(value, mul(f, image.get(pure[a], 0)))
+        at = (i, monomial_code(mono, p))
+        residual[at] = ctx.sub_i(residual.get(at, 0), c)
+    if any(v for (_, code), v in residual.items() if code not in pure):
         raise TheoremViolation(f"the non-split row does not kill U(h) - 1 on H = {cert.ids}")
     if not value:
         raise TheoremViolation(f"the non-split row kills g on H = {cert.ids}")
@@ -346,7 +359,7 @@ class TensorVanishing:
 def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
     """The closed-form X and w of the sequence's U, which hold by proof
     (TensorVanishing): no action is read."""
-    return TensorVanishing(seq.group.ctx, seq.u_module.dim)
+    return TensorVanishing(seq.group.ctx, seq.dims["U"])
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +375,13 @@ class ObstructionReport:
 def assemble_obstruction_module(seq: NonSplitSequence) -> ObstructionReport:
     """Dimension of X = dual(U) + U~ + U~ + U~, checked against the closed formula.
 
-    The module is the recipe sum(dual(u),uext,uext,uext); its action is not
-    assembled.  dim X is the report's dims.X, which the verifier checks
-    against the same formula; the comparison here guards the module
-    bookkeeping.
+    The module is the recipe sum(dual(u),uext,uext,uext); neither it nor
+    U or U~ is built, as dim U~ = dim U + 1.  dim X is the report's dims.X,
+    which the verifier checks against the same formula; the comparison here
+    guards the recipe's bookkeeping.
     """
-    u, total = seq.u_module, seq.extension.total
-    dim = u.dim + 3 * total.dim
+    dims = seq.dims
+    dim = dims["U"] + 3 * dims["U_ext"]
     n, p = seq.group.n, seq.group.ctx.p
     by_formula = 4 * n * (comb(n + p - 1, p) - n) + 3
     if dim != by_formula:

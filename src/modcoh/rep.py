@@ -14,7 +14,8 @@ tensor(N, dual(M)) with matrices flattened row-major, so the action on an
 The symmetric power S^d is built by substitution: a table of the powers
 l_j^1..l_j^d of the substituted variables, then one product per column.
 Its polynomials are dicts keyed by integer monomial codes (`monomial_code`),
-so a term product is a sum of two integers.
+so a term product is a sum of two integers.  `monomial_image` gives one
+column of that action, the image of one monomial, with no basis formed.
 """
 
 from __future__ import annotations
@@ -134,6 +135,21 @@ def _code_product(ctx: FieldCtx, a: dict[int, int], b: dict[int, int]) -> dict[i
         for c2, v2 in b.items():
             out[c1 + c2] = add(get(c1 + c2, 0), mul(v1, v2))
     return {c: v for c, v in out.items() if v}
+
+
+def monomial_image(sigma: Matrix, exps: Sequence[int]) -> dict[int, int]:
+    """x^exps with x_j replaced by l_j = sum_i sigma_ij x_i, as
+    {monomial code: nonzero value} over the codes of degree d = sum(exps):
+    prod_j l_j^(e_j), one linear factor at a time.  Its coefficients are
+    the column of x^exps in `_substitution_matrix`, with no basis formed."""
+    ctx, n = sigma.ctx, sigma.rows
+    d = sum(exps)
+    image = {0: 1}
+    for j, e in enumerate(exps):
+        lin = {(d + 1) ** i: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)}
+        for _ in range(e):
+            image = _code_product(ctx, image, lin)
+    return image
 
 
 def _substitution_matrix(

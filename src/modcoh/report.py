@@ -4,18 +4,22 @@ it claims.
 Schema v6.  The payload states the job's order cap, the group by its
 field, generators and order, and dims, and for each claim its equation
 text; it ships no solver output, and nothing that n and p fix or that
-another field repeats.  Everything the verifier rebuilds from the
-generators (the elements, S' and the search tree, the monomial basis,
-iota = (I_n | 0), the symmetric-power action, the cocycle values and the
-closed-form non-split row y on the subgroup H that the equation text
-names) is left out, and so is every cohomology number: the claims need
-none.  Of the claims, the non-split certificate depends on the group and
-is checked on both sides; the closed-form tensor witness X = [-I_d ; 0]
-with w = e_d, and the toy sequence being the main extension, hold by
-proof (build.TensorVanishing, build.toy_example), and the dimension of
-X = U* + U~ + U~ + U~ is a formula.  Neither side forms the U or X
-actions.  All output is canonical JSON; the payload digest binds every
-field.
+another field repeats.  Everything that n, p and the generators fix (the
+elements, S' and the search tree, the monomial basis, iota = (I_n | 0),
+the symmetric-power action, the cocycle values and the closed-form
+non-split row y on the subgroup H that the equation text names) is left
+out, and so is every cohomology number: the claims need none.  The
+verifier checks the group (closure and order, and H in G by lookup) and
+the dims against their formulas; both sides check the one claim that
+depends on the group, the non-split certificate, from the images of at
+most two pinned monomials under the elements of H^-1
+(build.RestrictionCertificate).  The rest holds by proof: the block form of the symmetric-power action (the
+Frobenius), g lying in U, the closed-form tensor witness X = [-I_d ; 0]
+with w = e_d and the toy sequence being the main extension
+(build.TensorVanishing, build.toy_example); the dimension of
+X = U* + U~ + U~ + U~ is a formula.  Neither side forms a monomial basis
+or an action of V, U, U~ or X.  All output is canonical JSON; the payload
+digest binds every field.
 """
 
 from __future__ import annotations

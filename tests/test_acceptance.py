@@ -57,11 +57,15 @@ def _passed(num, text):
 
 def _restriction_system(seq):
     """The closed-form y over H, with the stacked U(h) - I and g_h, formed
-    densely as a reference for the builder's two-row check."""
+    densely as a reference for the builder's check on monomial images.
+    Coordinate e(i, m) of U = Hom(V/W, W) is i (N - n) + (position of m
+    in the basis) - n."""
     ctx, d, cert = seq.group.ctx, seq.u_module.dim, seq.certificate
+    n, p = seq.group.n, ctx.p
+    basis = [tuple(m) for m in sym_power(seq.group, p)[1]]
     cells = [0] * (len(cert.ids) * d)
-    for h, slot, c in cert.terms:
-        cells[cert.ids.index(h) * d + slot] = c
+    for h, i, mono, c in cert.terms:
+        cells[cert.ids.index(h) * d + i * (len(basis) - n) + basis.index(mono) - n] = c
     ident = Matrix.identity(ctx, d)
     system = vstack([seq.u_module.action(h) - ident for h in cert.ids])
     rhs = vstack([seq.cocycle.value(h) for h in cert.ids])
@@ -72,11 +76,11 @@ def test_criterion_01_nonsplit_char2(case_a):
     start = time.perf_counter()
     group, seq = case_a
     # H is the two pattern involutions A(b) = [[b+1, b], [b, b+1]] with the
-    # least nonzero b: GF(4) has three, and y = ((b2/b1)^2 e_0, e_0)
+    # least nonzero b: GF(4) has three, and y = ((b2/b1)^2 e(0,xy), e(0,xy))
     h1, h2 = seq.certificate.ids
     b1, b2 = (group.elements[h][0, 1] for h in (h1, h2))
     assert [b1.val, b2.val] == [1, 2]
-    assert seq.certificate.terms == ((h1, 0, ((b2 / b1) ** 2).val), (h2, 0, 1))
+    assert seq.certificate.terms == ((h1, 0, (1, 1), ((b2 / b1) ** 2).val), (h2, 0, (1, 1), 1))
     # independent re-verification of the certificate, densely
     y, system, rhs = _restriction_system(seq)
     assert (y @ system).is_zero
@@ -94,10 +98,10 @@ def test_criterion_01_nonsplit_char2(case_a):
 def test_criterion_02_nonsplit_char3(case_b):
     start = time.perf_counter()
     group, seq = case_b
-    # H = {u}, the shear, and y = 2 e_0 + e_3: slots (0, x1^2 x2), (1, x1 x2^2)
+    # H = {u}, the shear, and y = 2 e(0,x1^2 x2) + e(1,x1 x2^2): slots 0 and 3
     (u,) = seq.certificate.ids
     assert group.elements[u] == Matrix.from_rows(F3, [[1, 1], [0, 1]])
-    assert seq.certificate.terms == ((u, 0, 2), (u, 3, 1))
+    assert seq.certificate.terms == ((u, 0, (2, 1), 2), (u, 1, (1, 2), 1))
     y, system, rhs = _restriction_system(seq)
     assert (y @ system).is_zero
     assert not (y @ rhs).is_zero
@@ -313,7 +317,7 @@ def test_criterion_09_certificate_integrity(reports):
     from modcoh.cli import main as cli_main
 
     for name, (path, report) in reports.items():
-        assert verify_report_file(str(path)) >= 8
+        assert verify_report_file(str(path)) == (7 if report["payload"]["toy"] else 6)
         assert cli_main(["verify", str(path)]) == 0
     # 100 random single-field mutations must all be rejected; the n = 3
     # report has 54 integer leaves (the n = 2 one has 34 since schema v6

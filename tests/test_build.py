@@ -379,35 +379,62 @@ def test_construct_and_verify_form_u_only_for_the_toy(monkeypatch, tmp_path, lab
 
 
 @pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
+def test_construct_and_verify_form_no_symmetric_power_matrix(monkeypatch, tmp_path, label):
+    # the certificate reads the images of its pinned monomials under H^-1,
+    # and the block form of A and g in U are proved: neither construct nor
+    # verify calls the builder's dense substitution or builds an action of
+    # V = S^p, U or U~, and verify makes no Matrix with more than n rows
+    import modcoh.rep as rep
+
+    substituted, acted, made = [], [], []
+    substitution, action, init = rep._substitution_matrix, rep.GModule.action, Matrix.__init__
+
+    def substituting(*args):
+        substituted.append(args[0].rows)
+        return substitution(*args)
+
+    def acting(module, i):
+        acted.append(module.label)
+        return action(module, i)
+
+    def making(m, ctx, rows, cols, data):
+        made.append(rows)
+        init(m, ctx, rows, cols, data)
+
+    monkeypatch.setattr(rep, "_substitution_matrix", substituting)
+    monkeypatch.setattr(rep.GModule, "action", acting)
+    args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
+    out = tmp_path / "report.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    monkeypatch.setattr(Matrix, "__init__", making)
+    assert main(["verify", str(out)]) == 0
+    n = json.loads(out.read_text())["payload"]["group"]["n"]
+    assert substituted == []
+    assert [label for label in acted if label.startswith("sym(") or label in ("u", "ext(u)")] == []
+    assert made and max(made) == n
+
+
+@pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
 def test_construct_and_verify_form_no_inverse_pair_product(monkeypatch, tmp_path, label):
     # S(s) S(s^-1) = I on S', so U(s) U(s^-1) = I, is proved: A is
-    # multiplicative, s s^-1 = 1 and the bottom-left blocks are zero.  So no
+    # multiplicative, s s^-1 = 1 and the bottom-left blocks are zero.  No
     # product on any construct or verify path has a left factor with N - n
-    # rows, nor an (N-n) x (N-n) identity.  Where N - n = n (p = 3, n = 2
-    # and p = 2, n = 3) shape cannot tell S(s) from a group element, so
-    # there the left factor must not be a lower-right block cut from an
-    # N x N matrix
-    cut = set()
-    kept = []  # keeps each cut block alive, so its id is not reused
+    # rows, nor an (N-n) x (N-n) identity.  The certificate reads monomial
+    # images, so no path forms a product with more than n rows at all; the
+    # n x n products left are the closure's of a `file:` group, as no path
+    # forms an N x N matrix to cut S(s) from when N - n = n
+    # (test_construct_and_verify_form_no_symmetric_power_matrix)
     products, identities = [], []
-    submatrix, matmul, identity = Matrix.submatrix, Matrix.__matmul__, Matrix.identity.__func__
-
-    def cutting(m, r0, r1, c0, c1):
-        out = submatrix(m, r0, r1, c0, c1)
-        if m.rows == m.cols and (r1, c1) == (m.rows, m.cols) and r0 == c0 > 0:
-            cut.add(id(out))
-            kept.append(out)
-        return out
+    matmul, identity = Matrix.__matmul__, Matrix.identity.__func__
 
     def multiplying(a, b):
-        products.append((a.rows, id(a) in cut))
+        products.append(a.rows)
         return matmul(a, b)
 
     def making_identity(cls, ctx, n):
         identities.append(n)
         return identity(cls, ctx, n)
 
-    monkeypatch.setattr(Matrix, "submatrix", cutting)
     monkeypatch.setattr(Matrix, "__matmul__", multiplying)
     monkeypatch.setattr(Matrix, "identity", classmethod(making_identity))
     args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
@@ -416,26 +443,25 @@ def test_construct_and_verify_form_no_inverse_pair_product(monkeypatch, tmp_path
     assert main(["verify", str(out)]) == 0
     dims = json.loads(out.read_text())["payload"]["dims"]
     m, n = dims["N"] - dims["W"], dims["W"]
-    assert products
-    assert [rows for rows, is_cut in products if rows == m and (m != n or is_cut)] == []
+    assert [rows for rows in products if rows > n] == []
     assert m == n or m not in identities
 
 
 @pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
 def test_verify_closes_the_group_on_tuples(monkeypatch, tmp_path, label):
     # the verifier's closure multiplies row-major tuples of encodings with
-    # ctx.matmul: it makes no Matrix and calls no Matrix product.  A Matrix
-    # is made only for the elements that are read, S', H and the inverses
-    # of H; A is derived on S' and the inverses of H, the twist on S' and
-    # H, and g on H.  S'^-1 is read nowhere
+    # ctx.matmul: it makes no Matrix and calls no Matrix product.  No Matrix
+    # is made but the n x n generators, and a monomial image is formed only
+    # at the inverses of H, one per term of y, for the pinned monomials:
+    # x1^(p-1) x2 and x1^(p-2) x2^2 for p >= 3, x1 x2 for p = 2
     import modcoh.verify as verify
 
     args = [a if isinstance(a, str) else _group_file(tmp_path, *a) for a in CONSTRUCT_PATHS[label]]
     out = tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
 
-    made, products, seen = [], [], {}
-    init, matmul = Matrix.__init__, Matrix.__matmul__
+    made, products, seen, images = [], [], {}, []
+    init, matmul, image = Matrix.__init__, Matrix.__matmul__, verify._image
 
     def making(m, ctx, rows, cols, data):
         made.append((rows, cols))
@@ -452,20 +478,25 @@ def test_verify_closes_the_group_on_tuples(monkeypatch, tmp_path, label):
             return seen[name][0]
         return wrapped
 
+    def imaging(ctx, sigma, n, exps):
+        images.append((sigma, tuple(exps)))
+        return image(ctx, sigma, n, exps)
+
     monkeypatch.setattr(Matrix, "__init__", making)
     monkeypatch.setattr(Matrix, "__matmul__", multiplying)
-    for name in ("_generated", "_restriction_row", "_sym_action", "_cocycle"):
+    for name in ("_generated", "_restriction_row"):
         monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    monkeypatch.setattr(verify, "_image", imaging)
     assert main(["verify", str(out)]) == 0
 
-    (elements, spanning, _, index), _, untouched = seen["_generated"]
+    (elements, _, _, index), (_, n, *_), untouched = seen["_generated"]
     assert untouched
     assert all(type(e) is tuple for e in elements) and len(index) == len(elements)
-    h_inverse = seen["_restriction_row"][0][0]
-    _, matrices, twist, _, _, sym_ids = seen["_sym_action"][1]
-    assert set(matrices) == {*spanning, *h_inverse, *h_inverse.values()}
-    assert set(twist) == {*spanning, *h_inverse}
-    assert set(sym_ids) == set(seen["_sym_action"][0]) == {*spanning, *h_inverse.values()}
-    assert set(seen["_cocycle"][0]) == set(h_inverse)
-    assert all(matrices[i] == Matrix(m.ctx, m.rows, m.cols, list(elements[i]))
-               for i, m in matrices.items())
+    assert products == [] and set(made) == {(n, n)}
+    h_inverse, terms = seen["_restriction_row"][0]
+    p = seen["_restriction_row"][1][0].p
+    pad = (0,) * (n - 2)
+    pinned = {(p - 1, 1) + pad, (p - 2, 2) + pad} if p > 2 else {(1, 1) + pad}
+    assert len(images) == len(terms)
+    assert {e for _, e in images} == pinned
+    assert {sigma for sigma, _ in images} == {elements[h_inverse[h]] for h, *_ in terms}

@@ -177,18 +177,21 @@ def built_ids(module):
 
 @pytest.mark.parametrize("p,k,n", EXT_N2 + PRIME)
 def test_pipeline_builds_actions_on_s_prime_and_inverses_only(p, k, n):
-    # A on S' and its inverses: the block checks read S', and g_s is made
-    # from A(s^-1).  U is read through its factors, and the tensor witness
-    # and the p = n = 2 toy identity are proved, so U and U~ are built on
-    # no element
+    # the report path builds no module: the certificate reads monomial
+    # images, and the dims are formulas.  The sequence makes V, U and U~ on
+    # first read, for h1 and the module recipes; g on S' then reads A on S'
+    # and its inverses only (the block checks read S', and g_s is made from
+    # A(s^-1)), and U and U~ on no element
     g = additive_family(field_new(p, k), n=n)
     params = {"p": p, "k": k, "n": n, "order_cap": 10_000, "seed": 0}
     result = run_pipeline(g, params)
     seq = result.sequence
+    assert (result.report["payload"]["toy"] is not None) == (p == n == 2)
+    assert not {"twist", "sym_module", "u_module", "cocycle", "extension"} & set(vars(seq))
+    seq.cocycle
     read = set(g.spanning_ids) | {g.inv[s] for s in g.spanning_ids}
     assert read < set(range(g.order))
     assert built_ids(seq.sym_module) == read
-    assert (result.report["payload"]["toy"] is not None) == (p == n == 2)
     assert built_ids(seq.u_module) == set()
     assert built_ids(seq.extension.total) == set()
 

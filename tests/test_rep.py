@@ -3,7 +3,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modcoh import verify
@@ -12,7 +12,7 @@ from modcoh.coh import cocycle_from_extension
 from modcoh.errors import GroupMismatch
 from modcoh.gf import field_new, frobenius
 from modcoh.grp import additive_family, closure
-from modcoh.linalg import Matrix, hstack, inverse, solve
+from modcoh.linalg import Matrix, hstack, inverse, is_invertible, solve
 from modcoh.poly import Polynomial, monomial_basis, substitute_linear
 from modcoh.rep import (
     GModule,
@@ -24,6 +24,7 @@ from modcoh.rep import (
     frobenius_twist,
     hom,
     monomial_code,
+    monomial_image,
     natural_module,
     sym_power,
     tensor,
@@ -130,26 +131,41 @@ def substitutions(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(substitutions())
 def test_power_table_columns_equal_substitution(case):
-    # every column of the builder's and of the verifier's power-table action
-    # is the substituted basis monomial
+    # every column of the builder's power-table action is the substituted
+    # basis monomial; the monomial images of both sides are its columns
+    # (test_monomial_images_are_the_columns_of_the_dense_action)
     sigma, d = case
     ctx, n = sigma.ctx, sigma.rows
     basis = monomial_basis(n, d, ctx.p)
     pos = {m: i for i, m in enumerate(basis)}
-    vbasis = verify._ordered_basis(n, d, ctx.p)
-    assert vbasis == [tuple(m) for m in basis]
     built = _substitution_matrix(sigma, basis, {monomial_code(m, d): i for m, i in pos.items()})
-    checked = verify._substitution_matrix(
-        ctx, sigma, vbasis, {verify._code(m, d): i for i, m in enumerate(vbasis)}
-    )
     for j, mono in enumerate(basis):
         image = substitute_linear(Polynomial.from_monomial(ctx, mono, ctx.one()), sigma)
         want = [0] * len(basis)
         for m, c in image.terms.items():
             want[pos[m]] = c
-        want = Matrix(ctx, len(basis), 1, want)
-        assert built.column_vector(j) == want, (sigma, d, mono)
-        assert checked.column_vector(j) == want, (sigma, d, mono)
+        assert built.column_vector(j) == Matrix(ctx, len(basis), 1, want), (sigma, d, mono)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(substitutions(), st.data())
+def test_monomial_images_are_the_columns_of_the_dense_action(case, data):
+    # on an invertible sigma over each kind of field, the image of a
+    # monomial under the builder's and the verifier's image helper is that
+    # monomial's column of _substitution_matrix, the dense action that h1
+    # and the module recipes keep
+    sigma, d = case
+    assume(is_invertible(sigma))
+    ctx, n = sigma.ctx, sigma.rows
+    basis = monomial_basis(n, d, ctx.p)
+    code_pos = {monomial_code(m, d): i for i, m in enumerate(basis)}
+    dense = _substitution_matrix(sigma, basis, code_pos)
+    cells = tuple(sigma.raw(i, j) for i in range(n) for j in range(n))
+    j = data.draw(st.integers(0, len(basis) - 1))
+    column = {i: dense.raw(i, j) for i in range(len(basis)) if dense.raw(i, j)}
+    for image in (monomial_image(sigma, basis[j]), verify._image(ctx, cells, n, tuple(basis[j]))):
+        assert all(c in code_pos for c in image)
+        assert {code_pos[c]: v for c, v in image.items()} == column
 
 
 def test_block_structure_degree_p():

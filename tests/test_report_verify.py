@@ -5,6 +5,7 @@ they exercise the mathematical re-checks rather than the checksum.
 """
 
 import ast
+import itertools
 import json
 import pathlib
 import re
@@ -12,14 +13,19 @@ from math import comb
 
 import pytest
 
+import modcoh.build
+import modcoh.rep
 import modcoh.verify
 from modcoh.build import build_nonsplit_sequence
-from modcoh.errors import CorruptReport, FailedCheck, ModcohError
-from modcoh.gf import field_from_json, field_new
-from modcoh.grp import additive_family, closure, group_spec_from_json, group_to_json
+from modcoh.errors import CorruptReport, FailedCheck, ModcohError, TheoremViolation
+from modcoh.gf import field_new
+from modcoh.grp import (
+    additive_family, closure, group_spec_from_json, group_to_json, paired_shear_family,
+)
 from modcoh.jsonutil import digest_of
-from modcoh.linalg import Matrix, kernel_basis, matrix_from_json, matrix_to_json
+from modcoh.linalg import Matrix, kernel_basis, matrix_to_json
 from modcoh.report import run_pipeline, write_report
+from modcoh.rep import GModule, frobenius_twist
 from modcoh.verify import verify_report, verify_report_file
 
 F3 = field_new(3)
@@ -65,18 +71,9 @@ def expect_failure(report, check_name):
         verify_report(report)
 
 
-def closed(payload):
-    """The verifier's own closure of the report's generators: the elements
-    as row-major tuples of encodings, S' and the inverses on S'."""
-    gobj = payload["group"]
-    ctx = field_from_json(gobj["field"])
-    generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
-    return modcoh.verify._generated(ctx, gobj["n"], generators, gobj["order"])[:3]
-
-
 def test_fresh_reports_verify(report2, report3):
-    assert verify_report(report2) == 9
-    assert verify_report(report3) == 8
+    assert verify_report(report2) == 7
+    assert verify_report(report3) == 6
     for report in (report2, report3):
         assert report["schema"] == "modcoh-report-v6"
         assert set(report["payload"]) == {
@@ -88,7 +85,7 @@ def test_fresh_reports_verify(report2, report3):
 def test_write_and_verify_file(tmp_path, report3):
     path = tmp_path / "r.json"
     write_report(report3, str(path))
-    assert verify_report_file(str(path)) >= 8
+    assert verify_report_file(str(path)) >= 6
     assert path.read_text().endswith("\n")
 
 
@@ -142,14 +139,14 @@ def test_group_with_one_pattern_involution_fails_nonsplit(report2):
 
 def test_nonsplit_record_is_checked_before_the_basis(monkeypatch):
     # a report of about 5 kB: the group {I_30} over p = 7, its order, cap and
-    # dims as the formulas give them.  The basis of degree 7 in 30
-    # variables has C(36, 7) = 8,347,680 monomials, so the verdict, the
-    # equation text and H, which need none of it, are checked first, and
-    # this group has no shear
-    def no_basis(*args):
-        raise AssertionError("the basis was derived")
+    # dims as the formulas give them.  Degree 7 in 30 variables has
+    # C(36, 7) = 8,347,680 monomials; the verifier forms no basis, and the
+    # verdict, the equation text and H, which need no monomial image, are
+    # checked before any image is formed.  This group has no shear
+    def no_image(*args):
+        raise AssertionError("a monomial image was formed")
 
-    monkeypatch.setattr(modcoh.verify, "_ordered_basis", no_basis)
+    monkeypatch.setattr(modcoh.verify, "_image", no_image)
     F7, n, p = field_new(7), 30, 7
     N = comb(n + p - 1, p)
     dim_u = n * (N - n)
@@ -168,44 +165,130 @@ def test_nonsplit_record_is_checked_before_the_basis(monkeypatch):
         verify_report(report)
 
 
-def test_sym_action_block_check_fires(report3, monkeypatch):
-    # a substitution that breaks the block structure at the element of S' is
-    # caught by the checks that run on the derived matrices
-    original = modcoh.verify._substitution_matrix
-    gen = matrix_from_json(F3, report3["payload"]["group"]["generators"][0])
+def test_sym_action_block_check_fires(monkeypatch):
+    # construct reads no symmetric-power action: the block form is the
+    # Frobenius, proved.  The action V that h1 and the module recipes read
+    # keeps its block checks on S' as a guard of the substitution code, so a
+    # substitution that breaks the block structure at the element of S'
+    # passes construct and is caught when V is made
+    group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
+    (s,) = group.spanning_ids
+    original = modcoh.rep._substitution_matrix
 
-    def broken(ctx, sigma, basis, basis_pos):
-        mat = original(ctx, sigma, basis, basis_pos)
-        if sigma != gen:
+    def broken(sigma, basis, pos):
+        mat = original(sigma, basis, pos)
+        if sigma != group.elements[s]:
             return mat
         data = [mat.raw(i, j) for i in range(mat.rows) for j in range(mat.cols)]
         data[2 * mat.cols] = 1  # row n = 2 of the pure power x^3's column: bottom-left
-        return Matrix(ctx, mat.rows, mat.cols, data)
+        return Matrix(F3, mat.rows, mat.cols, data)
 
-    monkeypatch.setattr(modcoh.verify, "_substitution_matrix", broken)
-    (s,) = closed(report3["payload"])[1]
-    expect_failure(report3, f"sym-action: element {s}: bottom-left block is nonzero")
+    monkeypatch.setattr(modcoh.rep, "_substitution_matrix", broken)
+    seq = build_nonsplit_sequence(group)
+    with pytest.raises(TheoremViolation, match=f"bottom-left block of A_s is nonzero at element {s}"):
+        seq.sym_module
+
+
+# p >= 3 groups whose certificate reads m1 = x1^(p-1) x2 under u^-1, the
+# inverse of the shear u = x12(1)
+SHEAR_GROUPS = {
+    "SL2(F3)": lambda: closure(F3, 2, [Matrix.from_rows(F3, g) for g in (
+        [[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]],
+    )]),
+    "GF(3) n=2": lambda: closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])]),
+    "GF(5) n=2": lambda: additive_family(field_new(5)),
+    "zpxzp p=3": lambda: paired_shear_family(F3),
+}
+
+
+def rejects_corrupted_m1_image(monkeypatch, group, code, check, violation):
+    """Both sides, with 1 added at monomial `code` of m1's image in the
+    verifier's and the builder's monomial-image helper, reject the
+    certificate: verify with FailedCheck `check`, construct with
+    TheoremViolation `violation`.  The report is made before the helpers
+    are corrupted."""
+    ctx, n = group.ctx, group.n
+    report = run_pipeline(group, {"order_cap": group.order}).report
+    m1 = (ctx.p - 1, 1) + (0,) * (n - 2)
+
+    def corrupted(original):
+        def broken(*args):
+            image = original(*args)
+            if tuple(args[-1]) == m1:
+                image = dict(image)
+                image[code] = ctx.add_i(image.get(code, 0), 1)
+            return image
+        return broken
+
+    monkeypatch.setattr(modcoh.verify, "_image", corrupted(modcoh.verify._image))
+    monkeypatch.setattr(modcoh.build, "monomial_image", corrupted(modcoh.build.monomial_image))
+    expect_failure(report, re.escape(check))
+    with pytest.raises(TheoremViolation, match=re.escape(violation)):
+        build_nonsplit_sequence(group)
+
+
+def test_tamper_cocycle_value(monkeypatch):
+    # g_u = u^[p] T is read off the x_a^p coefficients of the images under
+    # u^-1: m1 goes to m1 - x1^p, so g_u = -1 at (0, m1) and y g_u = -2.
+    # One more x1^p in m1's image makes g_u = 0 there, and y g_u = 0
+    for label, make in SHEAR_GROUPS.items():
+        group = make()
+        with monkeypatch.context() as patch:
+            rejects_corrupted_m1_image(
+                patch, group, group.ctx.p, "nonsplit: y kills g on H", "kills g on H"
+            )
+        assert verify_report(run_pipeline(group, {"order_cap": group.order}).report) == 6, label
+
+
+def test_corrupted_non_pure_coefficient_is_rejected(monkeypatch):
+    # the non-pure coefficients of m1's image are column m1 of S(u^-1); one
+    # more m1 in it makes y U(u) - y = 2 e(0,m1) + 2 e(1,m1), not 0
+    for label, make in SHEAR_GROUPS.items():
+        group = make()
+        m1_code = 2 * group.ctx.p  # p - 1 + (p + 1), base p + 1
+        with monkeypatch.context() as patch:
+            rejects_corrupted_m1_image(
+                patch, group, m1_code, "nonsplit: y does not kill U(h) - 1 on H",
+                "does not kill U(h) - 1 on H",
+            )
+
+
+def test_cocycle_must_land_in_u():
+    # on the path that makes g on S' (h1 and the module recipes),
+    # (s-1)iota = s^[p] A(s^-1)[0:n, :] - iota must have no W part; it has
+    # one when s^[p] (s^-1)^[p] != I, here for a faulty twist at s
+    group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
+    sym = build_nonsplit_sequence(group).sym_module
+    twist = frobenius_twist(group)
+    assert modcoh.build._iota_coboundary(group, twist, sym, 1)
+    faulty = GModule(group, 2, lambda i: with_unit_added(F3, twist.action(i), 1, 0), "faulty")
+    with pytest.raises(TheoremViolation, match=re.escape("(s-1)iota leaves U at element 1")):
+        modcoh.build._iota_coboundary(group, faulty, sym, 1)
 
 
 @pytest.mark.parametrize("ctx,rows", [
     (F3, [[1, 1], [1, 2]]),
     (F4, [[1, 2, 0], [0, 1, 3], [1, 0, 1]]),
 ])
-def test_substitution_guard_names_a_monomial_outside_the_basis(ctx, rows):
-    # sigma is invertible, so each monomial is in the image of some column;
-    # with it left out of basis_pos the derivation stops at that monomial
+def test_every_image_monomial_lies_in_the_basis(ctx, rows):
+    # the verifier keys y and the residual by monomial, with no basis and no
+    # out-of-basis guard: every image of a degree-p monomial under sigma has
+    # only degree-p terms, and for invertible sigma the images are the
+    # columns of an invertible A(sigma) over all C(n+p-1, p) of them
     sigma = Matrix.from_rows(ctx, rows)
-    n = sigma.rows
+    n, p = sigma.rows, ctx.p
     assert not kernel_basis(sigma)
-    basis = modcoh.verify._ordered_basis(n, ctx.p, ctx.p)
-    full = {modcoh.verify._code(m, ctx.p): i for i, m in enumerate(basis)}
-    for mono in basis:
-        pos = dict(full)
-        del pos[modcoh.verify._code(mono, ctx.p)]
-        with pytest.raises(FailedCheck, match=re.escape(
-            f"sym-action: image monomial {mono} outside the basis"
-        )):
-            modcoh.verify._substitution_matrix(ctx, sigma, basis, pos)
+    raw = tuple(sigma.raw(i, j) for i in range(n) for j in range(n))
+    basis = [e for e in itertools.product(range(p + 1), repeat=n) if sum(e) == p]
+    assert len(basis) == comb(n + p - 1, p)
+    pos = {modcoh.verify._code(e, p): i for i, e in enumerate(basis)}
+    data = [0] * (len(basis) ** 2)
+    for col, exps in enumerate(basis):
+        image = modcoh.verify._image(ctx, raw, n, exps)
+        assert image and set(image) <= set(pos), exps
+        for code, value in image.items():
+            data[pos[code] * len(basis) + col] = value
+    assert not kernel_basis(Matrix(ctx, len(basis), len(basis), data))
 
 
 def with_unit_added(ctx, m, i, j):
@@ -213,52 +296,6 @@ def with_unit_added(ctx, m, i, j):
     data = [m.raw(r, c) for r in range(m.rows) for c in range(m.cols)]
     data[i * m.cols + j] = ctx.add_i(data[i * m.cols + j], 1)
     return Matrix(ctx, m.rows, m.cols, data)
-
-
-_COCYCLE = modcoh.verify._cocycle
-
-
-def patched_cocycle(monkeypatch, changes):
-    """Make the verifier's g = (s-1)iota take the given values (and no
-    earlier patch's)."""
-
-    def broken(*args):
-        out = _COCYCLE(*args)
-        ctx = next(iter(out.values())).ctx
-        for element, value in changes.items():
-            # the same cells over the verifier's own field context
-            out[element] = Matrix(ctx, value.rows, value.cols, [
-                value.raw(r, c) for r in range(value.rows) for c in range(value.cols)
-            ])
-        return out
-
-    monkeypatch.setattr(modcoh.verify, "_cocycle", broken)
-
-
-def test_tamper_cocycle_value(report_sl2, monkeypatch):
-    # g is derived by its formula on H only, a cocycle by proof.  The
-    # non-split row y = 2 e_0 + e_3 reads g at the shear u, where
-    # y g_u = -2, so a faulty g_u + e_0 has y g_u = 0 and fails it
-    gens = [[[1, 1], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [1, 1]]]
-    seq = build_nonsplit_sequence(closure(F3, 2, [Matrix.from_rows(F3, g) for g in gens]))
-    (u,) = seq.certificate.ids
-    assert seq.certificate.terms == ((u, 0, 2), (u, 3, 1))
-    patched_cocycle(monkeypatch, {u: seq.cocycle.value(u) + Matrix.basis_column(F3, 4, 0)})
-    expect_failure(report_sl2, "nonsplit: y kills g on H")
-
-
-def test_cocycle_must_land_in_u():
-    # (s-1)iota = s^[p] A(s^-1)[0:n, :] - iota has a nonzero W part when
-    # s^[p] (s^-1)^[p] != I, here for a faulty twist at s
-    group = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
-    basis = modcoh.verify._ordered_basis(2, 3, 3)
-    every = range(group.order)
-    twist = {i: modcoh.verify._frob_matrix(F3, m) for i, m in enumerate(group.elements)}
-    sym = modcoh.verify._sym_action(F3, group.elements, twist, basis, 2, every)
-    assert modcoh.verify._cocycle(twist, sym, list(group.inv), [1])
-    twist[1] = with_unit_added(F3, twist[1], 1, 0)
-    with pytest.raises(FailedCheck, match=re.escape("cocycle: (s-1)iota leaves U at element 1")):
-        modcoh.verify._cocycle(twist, sym, list(group.inv), [1])
 
 
 @pytest.mark.parametrize(
@@ -353,7 +390,7 @@ def test_tamper_order(report3, order, cap, check):
 
 def test_a_raised_order_cap_still_verifies(report3):
     # the cap bounds the search; it is not a claim about the group
-    assert verify_report(tampered(report3, lambda p: p["params"].update(order_cap=10_000))) == 8
+    assert verify_report(tampered(report3, lambda p: p["params"].update(order_cap=10_000))) == 6
 
 
 def test_toy_record_cannot_be_dropped(report2):
@@ -373,7 +410,7 @@ def test_toy_record_does_not_depend_on_the_seed():
     for seed in (0, 1, 2):
         params = {"p": 2, "k": 7, "n": 2, "order_cap": 10000, "seed": seed}
         report = run_pipeline(group, params, seed=seed).report
-        assert verify_report(report) == 9
+        assert verify_report(report) == 7
         assert report["payload"]["toy"] == {"equation": modcoh.verify.TOY_EQUATION}
         assert report["payload"]["params"] == {"order_cap": 10000}
         reports.append(report)
