@@ -8,7 +8,6 @@ from .poly import Monomial, Polynomial, det3_identity, monomial_basis, substitut
 from .grp import (
     MatrixGroup,
     additive_family,
-    check_extension_hypothesis,
     closure,
     paired_shear_family,
 )

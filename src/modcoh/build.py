@@ -10,7 +10,10 @@ splitting of 0 -> U -> U + K iota -> K -> 0.
 The construction checks the one claim that depends on the group, the
 closed-form non-split row y on the subgroup H, from the images of at most
 two pinned monomials under the elements of H^-1 (RestrictionCertificate):
-no basis, no symmetric-power action and no d x d matrix is formed.  The
+no basis, no symmetric-power action and no d x d matrix is formed.  H is
+found by the rule the report's equation text states, at most q lookups
+of its candidate matrices in the group's index and none after the second
+hit; the group hypothesis is that H exists (restriction_certificate).  The
 dimensions are closed formulas, and the rest is proved, not re-computed:
 the block form of the symmetric-power action A (the Frobenius), g lying
 in U, the closed-form tensor-vanishing witness (TensorVanishing) and the
@@ -20,9 +23,9 @@ equations, which the verifier checks or proves the same way, and ships
 neither the basis nor iota, which n and p fix.
 
 No stage computes a cohomology space or calls a solver.  The class of g
-is nonzero by the restriction certificate on the hypothesis elements, its
-product with w vanishes by the closed-form witness, and dim X has a
-closed formula; Z1, B1 and H1 are left to the `h1` subcommand.  The
+is nonzero by the restriction certificate on H, its product with w
+vanishes by the closed-form witness, and dim X has a closed formula; Z1,
+B1 and H1 are left to the `h1` subcommand.  The
 modules V, U and U~ and the cocycle on S' are made only when `h1`, a
 module recipe or the toy reads them (NonSplitSequence).
 """
@@ -52,7 +55,7 @@ from .errors import (
     TheoremViolation,
 )
 from .gf import FieldCtx, field_new
-from .grp import HypothesisReport, MatrixGroup, additive_family, check_extension_hypothesis
+from .grp import MatrixGroup, _family_matrix, additive_family
 from .linalg import Matrix, kron, vstack
 from .poly import Monomial, Polynomial, det3_identity
 from .rep import (
@@ -72,15 +75,14 @@ from .rep import (
 
 @dataclass
 class NonSplitSequence:
-    """The group, its hypothesis and the non-split certificate, None when
-    the group hypothesis fails.  The report reads only these and the dims,
-    which are formulas.  The modules and the cocycle are made on first read
-    (`h1`, the module recipes, the toy and the tests read them), each with
-    the guard checks of its own code: the block form of A and g in U on S'.
-    iota = (I_n | 0) is fixed by n, so it is not held."""
+    """The group and its non-split certificate, None when the group has no
+    subgroup H for it (the hypothesis fails).  The report reads only these
+    and the dims, which are formulas.  The modules and the cocycle are made
+    on first read (`h1`, the module recipes, the toy and the tests read
+    them), each with the guard checks of its own code: the block form of A
+    and g in U on S'.  iota = (I_n | 0) is fixed by n, so it is not held."""
 
     group: MatrixGroup
-    hypothesis: HypothesisReport
     certificate: Optional[RestrictionCertificate]
 
     @property
@@ -155,24 +157,29 @@ class NonSplitSequence:
 def build_nonsplit_sequence(
     group: MatrixGroup, require_hypothesis: bool = True
 ) -> NonSplitSequence:
-    """Check the hypothesis and the non-split certificate of the group.
+    """Find the non-split certificate of the group and check it.
 
-    With `require_hypothesis` the group must contain the pattern elements
-    that force non-splitness.  When they are present, the certificate is
-    the closed-form row on them (RestrictionCertificate), and a row that
-    fails its check is a TheoremViolation; otherwise it is None and no
-    verdict is taken here.  The check reads the images of the pinned
+    The hypothesis is that the certificate exists: the group holds the
+    subgroup H its closed-form row y needs (`restriction_certificate`).
+    With `require_hypothesis` a group without it raises
+    HypothesisNotSatisfied, naming what is missing; otherwise the
+    certificate is None and no verdict is taken here.  A row that fails its
+    check is a TheoremViolation.  The check reads the images of the pinned
     monomials under H^-1 and the rows of the twist on H, and nothing else:
     no module is built here (NonSplitSequence).
     """
-    hyp = check_extension_hypothesis(group)
-    if require_hypothesis and not hyp.ok:
-        raise HypothesisNotSatisfied(f"{hyp.case}: {hyp.detail}")
-    cert = None
-    if hyp.ok:
-        cert = restriction_certificate(group, hyp)
+    cert = restriction_certificate(group)
+    if cert is not None:
         _check_restriction(group, cert)
-    return NonSplitSequence(group, hyp, cert)
+    elif require_hypothesis:
+        if group.n < 2:
+            missing = "the shear and the pattern involutions need n >= 2"
+        elif group.ctx.p > 2:
+            missing = "the group has no unipotent shear x12(1)"
+        else:
+            missing = "the group has fewer than two pattern involutions A(b), b != 0"
+        raise HypothesisNotSatisfied(missing)
+    return NonSplitSequence(group, cert)
 
 
 def _iota_coboundary(group: MatrixGroup, twist: GModule, sym: GModule, i: int) -> Matrix:
@@ -252,25 +259,36 @@ class RestrictionCertificate:
     terms: tuple[tuple[int, int, tuple[int, ...], int], ...]
 
 
-def restriction_certificate(group: MatrixGroup, hyp: HypothesisReport) -> RestrictionCertificate:
-    """H and y by the rule that the report's equation text states: the
-    shear for p >= 3; for p = 2 the two pattern involutions with the least
-    nonzero b = a + 1 in field encoding order.  `hyp` must hold; three
-    distinct a leave at least two nonzero b.
+def restriction_certificate(group: MatrixGroup) -> Optional[RestrictionCertificate]:
+    """H and y by the rule that the report's equation text states, or None
+    when the group has no such H.  H is looked up in `group.index`: for
+    p >= 3 the shear x12(1); for p = 2 the pattern involutions A(b) of the
+    two least nonzero b in field encoding order, taken b = 1, 2, ... up to
+    the second one in the group.  Neither fits in a group of n < 2.
     """
     ctx, n, p = group.ctx, group.n, group.ctx.p
+    if n < 2:
+        return None
     pad = (0,) * (n - 2)
     if p > 2:
-        (u,) = hyp.ids
+        u = group.index.get(_family_matrix(ctx, 1, n))
+        if u is None:
+            return None
         m1, m2 = (p - 1, 1) + pad, (p - 2, 2) + pad
-        return RestrictionCertificate((u,), ((u, 0, m1, ctx.from_int(2).val), (u, 1, m2, 1)))
-    one = ctx.one()
-    (b1, h1), (b2, h2) = sorted(
-        ((a + one, h) for a, h in zip(hyp.values, hyp.ids) if a != one),
-        key=lambda bh: bh[0].val,
-    )[:2]
+        return RestrictionCertificate((u,), ((u, 0, m1, ctx.add_i(1, 1)), (u, 1, m2, 1)))
+    found = []
+    for b in range(1, ctx.q):
+        h = group.index.get(_family_matrix(ctx, b, n))
+        if h is not None:
+            found.append((b, h))
+            if len(found) == 2:
+                break
+    else:
+        return None
+    (b1, h1), (b2, h2) = found
+    c = ctx.mul_i(b2, ctx.inv_i(b1))
     m = (1, 1) + pad
-    return RestrictionCertificate((h1, h2), ((h1, 0, m, ((b2 / b1) ** 2).val), (h2, 0, m, 1)))
+    return RestrictionCertificate((h1, h2), ((h1, 0, m, ctx.mul_i(c, c)), (h2, 0, m, 1)))
 
 
 def _check_restriction(group: MatrixGroup, cert: RestrictionCertificate) -> None:
@@ -376,9 +394,8 @@ def assemble_obstruction_module(seq: NonSplitSequence) -> ObstructionReport:
     """Dimension of X = dual(U) + U~ + U~ + U~, checked against the closed formula.
 
     The module is the recipe sum(dual(u),uext,uext,uext); neither it nor
-    U or U~ is built, as dim U~ = dim U + 1.  dim X is the report's dims.X,
-    which the verifier checks against the same formula; the comparison here
-    guards the recipe's bookkeeping.
+    U or U~ is built, as dim U~ = dim U + 1.  The report path does not call
+    it: dims.X is the formula itself, which the verifier checks.
     """
     dims = seq.dims
     dim = dims["U"] + 3 * dims["U_ext"]

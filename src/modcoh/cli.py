@@ -112,6 +112,11 @@ def build_group(spec: JobSpec) -> MatrixGroup:
         with open(path, "r") as handle:
             obj = json.load(handle)
         group = group_spec_from_json(obj, order_cap=spec.order_cap)
+        if group.ctx is not ctx:
+            raise ModcohError(
+                f"group file is over {group.ctx!r} with modulus {list(group.ctx.modulus)}, "
+                f"but --p/--k/--modulus give {ctx!r} with modulus {list(ctx.modulus)}"
+            )
         if spec.n is not None and group.n != spec.n:
             raise ModcohError(f"group file is {group.n}x{group.n}, but --n {spec.n} given")
         return group

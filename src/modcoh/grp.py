@@ -8,12 +8,13 @@ run it on their parameters, whose addition is the matrix product of the
 family, and form one matrix per element; they find the elements, ids and
 search tree that `closure` finds from their generators.  A report names
 the group by its generators and order; the verifier closes the generators
-itself.
+itself.  The family matrices are also the candidates for the subgroup H of
+the non-split certificate, which `build.restriction_certificate` looks up
+in a group's `index`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import matmul
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -237,7 +238,8 @@ def family_matrix(ctx: FieldCtx, a: FieldElement, n: int = 2) -> Matrix:
 
 
 def _family_matrix(ctx: FieldCtx, a: int, n: int) -> Matrix:
-    """`family_matrix` of the parameter with encoding `a`."""
+    """`family_matrix` of the parameter with encoding `a`: for a = 1 the
+    shear x12(1) (p >= 3), and for p = 2 the pattern involution A(a)."""
     data = [0] * (n * n)
     data[:: n + 1] = [1] * n
     data[1] = a
@@ -310,63 +312,6 @@ def paired_shear_family(ctx: FieldCtx, order_cap: int = DEFAULT_ORDER_CAP) -> Ma
         return Matrix(ctx, 4, 4, data)
 
     return _parameter_group(ctx, 4, element, (0, 0), [(1, 0), (0, 1)], pair_sum, order_cap)
-
-
-# ---------------------------------------------------------------------------
-# hypothesis check for the extension construction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Whether a group supports the non-split construction in degree p.
-
-    `ids` are the element ids found: the pattern elements in the order of
-    `values` (p = 2), or the shear (p >= 3).  The non-split certificate
-    takes its subgroup H from them, so they are looked up once.
-    """
-
-    ok: bool
-    case: str  # "involution-pattern" (p = 2) or "unipotent-shear" (p >= 3)
-    values: tuple[FieldElement, ...]  # distinct pattern parameters found (p = 2)
-    ids: tuple[int, ...]
-    detail: str
-
-
-def check_extension_hypothesis(group: MatrixGroup) -> HypothesisReport:
-    """Look the required pattern up among the enumerated elements.
-
-    p = 2: at least three distinct parameters a with [[a, a+1], [a+1, a]]
-    (plus identity padding) in the group; the q candidates, one per a in
-    encoding order, are looked up in `group.index`.  p >= 3: the specific
-    unipotent shear [[1, 1], [0, 1]] (plus identity padding) is an element.
-    Neither pattern fits in a group of n < 2.
-    """
-    ctx, n = group.ctx, group.n
-    case = "involution-pattern" if ctx.p == 2 else "unipotent-shear"
-    if n < 2:
-        return HypothesisReport(False, case, (), (), "the pattern needs n >= 2")
-    if ctx.p == 2:
-        # [[a, a+1], [a+1, a]] is the family matrix of a + 1
-        candidates = ((a, group.index.get(_family_matrix(ctx, ctx.add_i(a, 1), n)))
-                      for a in range(ctx.q))
-        found = [(a, i) for a, i in candidates if i is not None]
-        return HypothesisReport(
-            len(found) >= 3,
-            case,
-            tuple(ctx.el(a) for a, _ in found),
-            tuple(i for _, i in found),
-            f"{len(found)} distinct pattern parameter(s); need >= 3",
-        )
-    shear = group.index.get(_family_matrix(ctx, 1, n))
-    ok = shear is not None
-    return HypothesisReport(
-        ok,
-        case,
-        (),
-        () if shear is None else (shear,),
-        "unipotent shear present" if ok else "unipotent shear missing",
-    )
 
 
 # -- serialization -------------------------------------------------------------

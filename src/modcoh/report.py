@@ -26,12 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import (
-    NonSplitSequence,
-    ObstructionReport,
-    assemble_obstruction_module,
-    build_nonsplit_sequence,
-)
+from .build import NonSplitSequence, build_nonsplit_sequence
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
 from .verify import PATTERN_EQUATION, SCHEMA, SHEAR_EQUATION, TENSOR_EQUATION, TOY_EQUATION
@@ -40,7 +35,6 @@ from .verify import PATTERN_EQUATION, SCHEMA, SHEAR_EQUATION, TENSOR_EQUATION, T
 @dataclass
 class PipelineResult:
     sequence: NonSplitSequence
-    obstruction: ObstructionReport
     report: dict
 
 
@@ -53,7 +47,6 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
     present, are accepted for callers that pass them and ignored.
     """
     seq = build_nonsplit_sequence(group)
-    obstruction = assemble_obstruction_module(seq)
     # the tensor witness and the toy identity hold by proof, so no stage
     # checks them (build.TensorVanishing, build.toy_example); det is
     # multiplicative, so det = 1 on the generators holds on the group
@@ -73,7 +66,7 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
         "toy": {"equation": TOY_EQUATION} if toy else None,
     }
     report = {"schema": SCHEMA, "payload": payload, "digest": digest_of(payload)}
-    return PipelineResult(seq, obstruction, report)
+    return PipelineResult(seq, report)
 
 
 def write_report(report: dict, path: str) -> None:

@@ -6,9 +6,10 @@ the order cap and the dimensions, and makes each claim an equation text;
 it ships nothing that n and p fix, and no solver output.  The verifier
 checks two kinds of thing, and proves the rest below:
 
-- the premises the proofs rest on: the group closes to its stated order
-  within the cap, the dims are the formulas of n and p, and H, which the
-  equation text names, lies in G by lookup in the closure;
+- the premises the proofs rest on: the group, from a nonempty list of
+  generators, closes to its stated order within the cap, the dims are the
+  formulas of n and p, and H, which the equation text names, lies in G by
+  lookup in the closure;
 - the instance claim: the closed-form non-split row y on H, y's two
   identities read off the images of at most two pinned monomials under
   the elements of H^-1.
@@ -379,6 +380,10 @@ def _verify_payload(report: dict) -> int:
     if type(order) is not int or type(cap) is not int or not 1 <= order <= cap:
         _fail("params", f"group order {order!r} is not within 1..order_cap = {cap!r}")
     generators = [_matrix(ctx, m) for m in gobj["generators"]]
+    # no H fits in the trivial group, and with a generator the report holds
+    # the n^2 cells that closing it costs
+    if not generators:
+        _fail("group", "the generator list is empty")
     for i, m in enumerate(generators):
         if m.rows != n or m.cols != n:
             _fail("group", f"generator {i} is not {n}x{n}")

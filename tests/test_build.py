@@ -2,6 +2,7 @@
 
 import functools
 import json
+from dataclasses import fields
 from math import comb
 
 import pytest
@@ -52,10 +53,32 @@ def test_hypothesis_rejected_over_gf2():
 
 
 def test_construction_without_hypothesis_flag():
+    # the certificate is the hypothesis: GF(2) has one pattern involution,
+    # so no H, and the sequence holds the group and no certificate
     seq = build_nonsplit_sequence(additive_family(F2), require_hypothesis=False)
     assert seq.u_module.dim == 2
-    assert not seq.hypothesis.ok
+    assert [f.name for f in fields(seq)] == ["group", "certificate"]
     assert seq.certificate is None
+    with pytest.raises(HypothesisNotSatisfied, match="two pattern involutions"):
+        build_nonsplit_sequence(seq.group)
+
+
+def test_family_a_over_gf16_forms_at_most_two_candidates(monkeypatch):
+    # H is found by looking the pattern matrices of b = 1, 2, ... up in the
+    # group's index, stopping at the second hit: family-a holds A(1) and
+    # A(2), so two candidate matrices are formed, not one per field element
+    group = additive_family(field_new(2, 4))
+    made = []
+    original = Matrix.__init__
+
+    def making(self, ctx, rows, cols, data):
+        made.append((rows, cols))
+        original(self, ctx, rows, cols, data)
+
+    monkeypatch.setattr(Matrix, "__init__", making)
+    seq = build_nonsplit_sequence(group)
+    assert len(seq.certificate.ids) == 2
+    assert len(made) <= 2
 
 
 def test_cocycle_lands_in_u_and_validates():
@@ -187,7 +210,7 @@ def test_toy_nonsplit_and_equivalence(k, monkeypatch):
     toy = toy_example(k)
     main, group = toy.main, toy.main.group
     assert group.order == 2**k
-    assert main.hypothesis.ok and not toy.split
+    assert main.certificate is not None and not toy.split
     # the toy is the main extension: S^2 = [[U(s), g_s], [0, 1]] on every element
     for i in range(group.order):
         assert main.sym_module.action(i) == main.extension.total.action(i)
@@ -205,7 +228,7 @@ def test_toy_nonsplit_and_equivalence(k, monkeypatch):
 def test_toy_without_hypothesis_records_verdict():
     # over GF(2) the sequence degenerates; the toy verdict is the main one
     toy = toy_example(1)
-    assert not toy.main.hypothesis.ok and toy.main.certificate is None
+    assert toy.main.certificate is None
     assert toy.split
 
 

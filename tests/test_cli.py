@@ -128,6 +128,44 @@ def test_group_file_recipe(tmp_path):
     assert report["payload"]["group"]["order"] == 3
 
 
+def _write_group_file(path, ctx, gens):
+    path.write_text(json.dumps({
+        "field": field_to_json(ctx),
+        "n": len(gens[0]),
+        "generators": [matrix_to_json(Matrix.from_rows(ctx, g)) for g in gens],
+    }))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--p", "5"],
+    ["h1", "--p", "2", "--k", "3", "--module", "trivial"],
+    ["h1", "--p", "7", "--k", "2", "--module", "trivial"],
+], ids=["construct-p", "h1-p-k", "h1-k"])
+def test_group_file_over_another_field_is_rejected(tmp_path, capsys, argv):
+    # the file's field must be the one --p, --k and --modulus name; a file
+    # over F_7 is not read as a group over GF(5), GF(8) or GF(49)
+    F7 = field_new(7)
+    group = _write_group_file(tmp_path / "sl2_f7.json", F7, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+    assert run(argv + ["--group", group]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: group file is over GF(7)")
+    assert captured.out == ""
+
+
+def test_group_file_over_another_modulus_is_rejected(tmp_path, capsys):
+    # GF(8) by x^3 + x^2 + 1 is not the default GF(8) by x^3 + x + 1: the
+    # encodings name other elements, so the modulus must match too
+    F8 = field_new(2, 3, [1, 0, 1, 1])
+    t, u = F8.gen(), F8.gen() + F8.one()
+    group = _write_group_file(tmp_path / "g.json", F8, [[[0, 1], [1, 0]], [[u, t], [t, u]]])
+    assert run(["construct", "--p", "2", "--k", "3", "--group", group]) == 1
+    assert "modulus" in capsys.readouterr().err
+    assert run(["construct", "--p", "2", "--k", "3", "--modulus", "1,0,1,1",
+                "--group", group, "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_h1_trivial_module_trivial_group(tmp_path, capsys):
     F3 = field_new(3)
     gf_path = tmp_path / "trivial_group.json"

@@ -1,23 +1,25 @@
-"""Group closure, named families, hypothesis scan."""
+"""Group closure, named families, and the lookup of the certificate's subgroup H."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcoh.linalg
+import modcoh.verify as verify
+from modcoh.build import build_nonsplit_sequence, restriction_certificate
 from modcoh.errors import (
     BadCharacteristic,
+    HypothesisNotSatisfied,
     MixedContexts,
     ModcohError,
     NotAdditivelyClosed,
     OrderCapExceeded,
     SingularGenerator,
 )
-from modcoh.gf import FieldElement, field_new, field_to_json
+from modcoh.gf import field_new, field_to_json
 from modcoh.grp import (
     MatrixGroup,
     additive_family,
-    check_extension_hypothesis,
     closure,
     family_matrix,
     group_spec_from_json,
@@ -390,7 +392,7 @@ def test_family_rejects_non_closed_subset():
 def test_family_embedded_in_bigger_n():
     g = additive_family(F4, n=3)
     assert g.order == 4 and g.n == 3
-    assert check_extension_hypothesis(g).ok
+    assert len(restriction_certificate(g).ids) == 2
 
 
 @pytest.mark.parametrize("p,expected", [(3, 9), (5, 25)])
@@ -404,10 +406,13 @@ def test_paired_shear_needs_odd_characteristic():
 
 
 def test_hypothesis_char2():
-    rep = check_extension_hypothesis(additive_family(F4))
-    assert rep.ok and len(rep.values) == 4
-    rep = check_extension_hypothesis(additive_family(F2))
-    assert not rep.ok and len(rep.values) == 2
+    # the certificate is the hypothesis: GF(4) has the three pattern
+    # involutions A(b), b != 0, GF(2) only A(1), one short of the two H needs
+    for ctx, involutions in ((F4, 3), (F2, 1)):
+        g = additive_family(ctx)
+        found = [a for a in map(_matches_involution_pattern, g.elements) if a is not None]
+        assert len(found) == involutions + 1  # and the identity, a = 1
+        assert (restriction_certificate(g) is None) == (involutions < 2)
 
 
 def pattern_by_field_elements(m):
@@ -428,7 +433,7 @@ def pattern_by_field_elements(m):
 def _matches_involution_pattern(m):
     """The encoding of a for [[a, a+1], [a+1, a]] + identity elsewhere, or
     None; compared on raw encodings, where one is 1.  The element-by-element
-    form of the lookup that `check_extension_hypothesis` makes."""
+    form of the lookup that `build.restriction_certificate` makes."""
     a = m.raw(0, 0)
     a1 = m.ctx.add_i(a, 1)
     if m.raw(0, 1) != a1 or m.raw(1, 0) != a1 or m.raw(1, 1) != a:
@@ -452,7 +457,8 @@ def sl2_f4():
 def test_pattern_match_on_encodings_equals_the_field_element_form(label):
     # the scan compares raw encodings and makes a FieldElement only for a
     # match; on every element it finds what the FieldElement form finds,
-    # and the report keeps its values, ids and order
+    # and the builder's H is the pair of the two least b = a + 1 != 0 it
+    # finds, which the builder's lookup of b = 1, 2, ... stops at
     if label == "SL2(F4)":
         g = sl2_f4()
         assert g.order == 60
@@ -466,30 +472,91 @@ def test_pattern_match_on_encodings_equals_the_field_element_form(label):
         assert _matches_involution_pattern(m) == (None if want is None else want.val), i
         if want is not None:
             found.append((want.val, want, i))
-    found.sort()
-    rep = check_extension_hypothesis(g)
-    assert rep.values == tuple(a for _, a, _ in found)
-    assert all(isinstance(a, FieldElement) for a in rep.values)
-    assert rep.ids == tuple(i for _, _, i in found)
-    assert rep.ok == (len(found) >= 3)
+    bs = sorted((g.ctx.add_i(a, 1), i) for a, _, i in found if a != 1)
+    assert restriction_certificate(g).ids == tuple(i for _, i in bs[:2])
 
 
 @pytest.mark.parametrize("ctx", [F4, F3], ids=["p=2", "p=3"])
 def test_hypothesis_fails_for_n_below_2(ctx):
-    # neither pattern fits in a 1 x 1 group: the check says so, with no
-    # entry (0, 1) to read and no family matrix to form
+    # neither pattern fits in a 1 x 1 group: there is no certificate, and
+    # the message says why, with no entry (0, 1) to read and no family
+    # matrix to form
     group = closure(ctx, 1, [Matrix.from_rows(ctx, [[ctx.p - 1]])])
-    rep = check_extension_hypothesis(group)
-    assert (rep.ok, rep.values, rep.ids) == (False, (), ())
-    assert rep.case == ("involution-pattern" if ctx.p == 2 else "unipotent-shear")
+    assert restriction_certificate(group) is None
+    with pytest.raises(HypothesisNotSatisfied, match="n >= 2"):
+        build_nonsplit_sequence(group)
 
 
 def test_hypothesis_char3():
     good = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
-    assert check_extension_hypothesis(good).ok
+    assert restriction_certificate(good).ids == (1,)
     diag = closure(F3, 2, [Matrix.from_rows(F3, [[2, 0], [0, 1]])])
-    assert not check_extension_hypothesis(diag).ok
-    assert check_extension_hypothesis(paired_shear_family(F3)).ok
+    assert restriction_certificate(diag) is None
+    with pytest.raises(HypothesisNotSatisfied, match="shear"):
+        build_nonsplit_sequence(diag)
+    assert restriction_certificate(paired_shear_family(F3)) is not None
+
+
+def scanned_certificate(group):
+    """H and y's terms from testing every element, or None when the group
+    has no H: for p >= 3 the element equal to the shear x12(1); for p = 2
+    the pattern involutions that `_matches_involution_pattern` finds, the
+    two least nonzero b = a + 1 taken after a sort, with y's coefficient
+    (b2/b1)^2 in FieldElements."""
+    ctx, n, p = group.ctx, group.n, group.ctx.p
+    if n < 2:
+        return None
+    pad = (0,) * (n - 2)
+    if p > 2:
+        shear = [h for h, m in enumerate(group.elements) if all(
+            m.raw(i, j) == int(i == j or (i, j) == (0, 1)) for i in range(n) for j in range(n)
+        )]
+        if not shear:
+            return None
+        (u,) = shear
+        return (u,), ((u, 0, (p - 1, 1) + pad, ctx.from_int(2).val), (u, 1, (p - 2, 2) + pad, 1))
+    found = []
+    for h, m in enumerate(group.elements):
+        a = _matches_involution_pattern(m)
+        if a is not None and a != 1:
+            found.append((ctx.add_i(a, 1), h))
+    if len(found) < 2:
+        return None
+    (b1, h1), (b2, h2) = sorted(found)[:2]
+    c = (ctx.el(b2) / ctx.el(b1)) ** 2
+    m = (1, 1) + pad
+    return (h1, h2), ((h1, 0, m, c.val), (h2, 0, m, 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([field_new(2, 2), field_new(2, 3), field_new(2, 4), F9, field_new(5, 2)]),
+    st.sampled_from([2, 3]),
+    st.data(),
+)
+def test_certificate_lookup_equals_the_scan_on_additive_subgroups(ctx, n, data):
+    # on the family of a random additive subgroup U of the field, the
+    # builder's lookup finds the H and y that testing every element finds,
+    # and that the verifier's separate lookup on tuples finds; None exactly
+    # when the scan finds no shear (p >= 3) or fewer than two involutions
+    spanning = data.draw(st.lists(st.integers(0, ctx.q - 1), max_size=3), label="spanning")
+    span = {0}
+    for v in spanning:
+        for x in list(span):
+            for _ in range(ctx.p - 1):
+                x = ctx.add_i(x, v)
+                span.add(x)
+    group = additive_family(ctx, params=[ctx.el(a) for a in span], n=n)
+    want = scanned_certificate(group)
+    cert = restriction_certificate(group)
+    assert (None if cert is None else (cert.ids, cert.terms)) == want
+    index = {tuple(m.raw(i, j) for i in range(n) for j in range(n)): h
+             for h, m in enumerate(group.elements)}
+    h_inverse, terms = verify._restriction_row(ctx, n, index)
+    assert (None if not terms else (tuple(h_inverse), tuple(terms))) == want
+    assert all(group.inv[h] == back for h, back in h_inverse.items())
+    if ctx.p > 2:
+        assert (want is None) == (1 not in span)
 
 
 def test_group_digest_and_spec_round_trip():

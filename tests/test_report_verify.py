@@ -165,6 +165,32 @@ def test_nonsplit_record_is_checked_before_the_basis(monkeypatch):
         verify_report(report)
 
 
+def test_empty_generator_list_is_rejected_before_the_closure(monkeypatch):
+    # a report with no generators, order 1 and dims that match the formulas
+    # for n = 30 holds no n x n matrix, yet closing it would form the n^2
+    # identity and H's candidates; the verifier fails `group` first
+    def no_closure(*args):
+        raise AssertionError("the group was closed")
+
+    monkeypatch.setattr(modcoh.verify, "_generated", no_closure)
+    F7, n, p = field_new(7), 30, 7
+    N = comb(n + p - 1, p)
+    dim_u = n * (N - n)
+    payload = {
+        "params": {"order_cap": 1},
+        "group": {"field": group_to_json(additive_family(F7))["field"], "n": n,
+                  "generators": [], "order": 1},
+        "dims": {"N": N, "V": N, "W": n, "U": dim_u, "U_ext": dim_u + 1, "X": 4 * dim_u + 3},
+        "nonsplit_certificate": {"verdict": "NonSplit", "equation": modcoh.verify.SHEAR_EQUATION},
+        "tensor_vanishing": {"equation": modcoh.verify.TENSOR_EQUATION},
+        "toy": None,
+    }
+    report = {"schema": modcoh.verify.SCHEMA, "payload": payload, "digest": digest_of(payload)}
+    assert len(json.dumps(report)) < 1_000
+    with pytest.raises(FailedCheck, match=re.escape("group: the generator list is empty")):
+        verify_report(report)
+
+
 def test_sym_action_block_check_fires(monkeypatch):
     # construct reads no symmetric-power action: the block form is the
     # Frobenius, proved.  The action V that h1 and the module recipes read

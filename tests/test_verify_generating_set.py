@@ -38,7 +38,7 @@ from modcoh.build import RestrictionCertificate, TensorVanishing, build_nonsplit
 from modcoh.cli import JobSpec, build_group
 from modcoh.coh import Cocycle, extension_from_cocycle, split_system
 from modcoh.gf import field_from_json, field_new, field_to_json
-from modcoh.grp import additive_family, closure, paired_shear_family
+from modcoh.grp import additive_family, closure, family_matrix, paired_shear_family
 from modcoh.linalg import (
     Matrix, hstack, inverse, is_invertible, kron, matrix_from_json, matrix_to_json, solve,
     vstack,
@@ -769,9 +769,13 @@ def test_pattern_row_holds_on_every_pair_of_involutions(k, n):
     # on every ordered pair, while one involution alone never suffices (its
     # one-element split system is consistent)
     seq = build_nonsplit_sequence(additive_family(field_new(2, k), n=n))
-    one = seq.group.ctx.one()
-    hyp = seq.hypothesis
-    involutions = [(a + one, h) for a, h in zip(hyp.values, hyp.ids) if a != one]
+    ctx = seq.group.ctx
+    # every pattern involution A(b) = [[b+1, b], [b, b+1]], b != 0, found by
+    # testing each element of the group
+    involutions = [
+        (ctx.el(x.raw(0, 1)), h) for h, x in enumerate(seq.group.elements)
+        if x.raw(0, 1) and x == family_matrix(ctx, ctx.el(x.raw(0, 1)), n)
+    ]
     assert len(involutions) == 2**k - 1
     pairs = 0
     for (b1, h1), (b2, h2) in permutations(involutions, 2):
