@@ -28,7 +28,7 @@ from .errors import (
     ModcohError,
     TheoremViolation,
 )
-from .gf import field_new
+from .gf import field_from_json, field_new
 from .grp import (
     DEFAULT_ORDER_CAP,
     MatrixGroup,
@@ -111,15 +111,19 @@ def build_group(spec: JobSpec) -> MatrixGroup:
         path = spec.group[len("file:"):]
         with open(path, "r") as handle:
             obj = json.load(handle)
-        group = group_spec_from_json(obj, order_cap=spec.order_cap)
-        if group.ctx is not ctx:
+        # the field and n are checked before the closure, which may be long
+        try:
+            file_ctx, n = field_from_json(obj["field"]), obj["n"]
+        except KeyError as exc:
+            raise ModcohError(f"bad group spec: missing {exc}") from exc
+        if file_ctx is not ctx:
             raise ModcohError(
-                f"group file is over {group.ctx!r} with modulus {list(group.ctx.modulus)}, "
+                f"group file is over {file_ctx!r} with modulus {list(file_ctx.modulus)}, "
                 f"but --p/--k/--modulus give {ctx!r} with modulus {list(ctx.modulus)}"
             )
-        if spec.n is not None and group.n != spec.n:
-            raise ModcohError(f"group file is {group.n}x{group.n}, but --n {spec.n} given")
-        return group
+        if spec.n is not None and n != spec.n:
+            raise ModcohError(f"group file is {n}x{n}, but --n {spec.n} given")
+        return group_spec_from_json(obj, order_cap=spec.order_cap)
     raise ModcohError(f"unknown group recipe {spec.group!r}")
 
 

@@ -11,7 +11,8 @@ Each kind of field is a :class:`FieldCtx` class, picked once by
 k > 1: XOR and tables), :class:`OddTableCtx` (odd p, k > 1, q <=
 _TABLE_LIMIT: tables) and :class:`FieldCtx` itself, the digit loops, for
 larger odd q.  A kind supplies the element operations and the row kernels
-that `linalg` runs, so no other module reads a table or branches on the kind.
+that `linalg` runs, and `left_mul`, the prepared left product of both
+group closures, so no other module reads a table or branches on the kind.
 
 Contexts are interned: :func:`field_new` returns the same object for the
 same (p, k, modulus), so mixed-field operands are rejected with an identity
@@ -21,7 +22,7 @@ check on every binary operation.
 from __future__ import annotations
 
 from itertools import chain, compress
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -133,6 +134,16 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 _SCAN_MIN = 9
 
 _CTX_CACHE: dict[tuple[int, int, tuple[int, ...]], "FieldCtx"] = {}
+
+
+def _terms(a: Sequence[int], n: int, row: Callable) -> list[list[tuple]]:
+    """Cell (i, j) of a x, for n x n row-major a and x, as its nonzero terms
+    (row(a_it), t n + j), the index of the cell of x that a_it multiplies."""
+    return [
+        [(row(a[i * n + t]), t * n + j) for t in range(n) if a[i * n + t]]
+        for i in range(n)
+        for j in range(n)
+    ]
 
 
 class FieldCtx:
@@ -252,6 +263,13 @@ class FieldCtx:
                             out[orow + j] = add(out[orow + j], mul(av, bv))
         return out
 
+    def left_mul(self, a: Sequence[int], n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """x -> a x as a tuple, for fixed n x n row-major a and any x: the
+        closures multiply by a few generators.  The other kinds resolve a's
+        nonzero cells, and their table rows, once."""
+        matmul = self.matmul
+        return lambda x: tuple(matmul(a, x, n, n, n))
+
     # -- element constructors ----------------------------------------------
 
     def el(self, v: int) -> "FieldElement":
@@ -352,6 +370,20 @@ class PrimeCtx(FieldCtx):
         p = self.p
         return [x % p for x in out]
 
+    def left_mul(self, a: Sequence[int], n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        p, cells = self.p, _terms(a, n, int)
+
+        def left(x):
+            out = []
+            for cell in cells:
+                v = 0
+                for c, k in cell:
+                    v += c * x[k]
+                out.append(v % p)
+            return tuple(out)
+
+        return left
+
 
 class _TableCtx(FieldCtx):
     """k > 1 and q <= _TABLE_LIMIT: products, inverses and digits from
@@ -448,6 +480,20 @@ class Char2Ctx(_TableCtx):
                             out[orow + j] ^= mrow[bv]
         return out
 
+    def left_mul(self, a: Sequence[int], n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        cells = _terms(a, n, self._mul_t.__getitem__)
+
+        def left(x):
+            out = []
+            for cell in cells:
+                v = 0
+                for mrow, k in cell:
+                    v ^= mrow[x[k]]
+                out.append(v)
+            return tuple(out)
+
+        return left
+
 
 class OddTableCtx(_TableCtx):
     """Odd p, k > 1 and q <= _TABLE_LIMIT: addition and negation tables too."""
@@ -507,6 +553,20 @@ class OddTableCtx(_TableCtx):
                         if bv:
                             out[orow + j] = add_t[out[orow + j]][mrow[bv]]
         return out
+
+    def left_mul(self, a: Sequence[int], n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        add_t, cells = self._add_t, _terms(a, n, self._mul_t.__getitem__)
+
+        def left(x):
+            out = []
+            for cell in cells:
+                v = 0
+                for mrow, k in cell:
+                    v = add_t[v][mrow[x[k]]]
+                out.append(v)
+            return tuple(out)
+
+        return left
 
 
 class FieldElement:

@@ -3,10 +3,11 @@
 A group is enumerated by one breadth-first search from the identity by left
 multiplication with the generators, taken in the given order, so element
 ids are reproducible and can be cited by certificates (`_search`).
-`closure` runs it on matrices.  The named families used by the pipeline
-run it on their parameters, whose addition is the matrix product of the
-family, and form one matrix per element; they find the elements, ids and
-search tree that `closure` finds from their generators.  A report names
+`closure` runs it on row-major tuples of encodings.  The named families
+used by the pipeline run it on their parameters, whose addition is the
+matrix product of the family.  Both form one matrix per element after it;
+the families find the elements, ids and search tree that `closure` finds
+from their generators.  A report names
 the group by its generators and order; the verifier closes the generators
 itself.  The family matrices are also the candidates for the subgroup H of
 the non-split certificate, which `build.restriction_certificate` looks up
@@ -15,7 +16,7 @@ in a group's `index`.
 
 from __future__ import annotations
 
-from operator import matmul
+from functools import partial
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -105,11 +106,11 @@ class MatrixGroup:
 def _search(
     identity: Hashable,
     generators: Iterable[Hashable],
-    product: Callable[[Hashable, Hashable], Hashable],
+    left_mul: Callable[[Hashable], Callable[[Hashable], Hashable]],
     order_cap: int,
 ) -> tuple:
-    """The group that `generators` make under `product`, in one
-    breadth-first search from `identity`.
+    """The group that `generators` make, in one breadth-first search from
+    `identity`; `left_mul(g)`, asked for once per kept generator, is x -> g x.
 
     The search multiplies by S' on the left (see `MatrixGroup`): it takes
     the generators in order, skips each one it has already reached, and
@@ -121,18 +122,19 @@ def _search(
     inverses follow from those rows with no further product.  (Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, 2005.)
 
-    Returns the elements in order of discovery, their ids, S', the S' rows,
-    the search tree and the inverse ids.
+    Returns the elements in order of discovery, S', the S' rows, the
+    search tree and the inverse ids.
     """
     # found[x] = kept[letter[x]] * found[parent[x]] for x > 0, and
     # left[b][h] is the id of kept[b] * found[h]
     found, index = [identity], {identity: 0}
     parent, letter = [0], [-1]
     kept: list = []
+    muls: list = []
     left: list[list[int]] = []
 
     def visit(b: int, h: int) -> int:
-        x = product(kept[b], found[h]) if h else kept[b]
+        x = muls[b](found[h]) if h else kept[b]
         i = index.get(x)
         if i is None:
             i = index[x] = len(found)
@@ -147,6 +149,7 @@ def _search(
         if g in index:
             continue
         kept.append(g)
+        muls.append(left_mul(g))
         left.append([])
         # the new row catches up with the elements found so far, then every
         # row takes each element found after them
@@ -173,7 +176,7 @@ def _search(
     inv = [0] * size
     for x in range(1, size):
         inv[x] = right[letter[x]][inv[parent[x]]]
-    return found, index, spanning, left, parents, inv
+    return found, spanning, left, parents, inv
 
 
 def closure(
@@ -182,9 +185,10 @@ def closure(
     generators: Sequence[Matrix],
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> MatrixGroup:
-    """The group generated by `generators`: `_search` on the matrices, one
-    matrix product per step.  Element ids are the order of discovery and
-    the search tree is `tree_parents`.
+    """The group generated by `generators`: `_search` on their row-major
+    tuples of encodings under `ctx.left_mul`, then one matrix made in place
+    of each tuple, so G is never held twice.  Element ids are the order of
+    discovery and the search tree is `tree_parents`.
     """
     gens = list(generators)
     for g in gens:
@@ -194,9 +198,16 @@ def closure(
             raise ShapeMismatch(f"generator is {g.rows}x{g.cols}, expected {n}x{n}")
         if not is_invertible(g):
             raise SingularGenerator(f"singular generator {g!r}")
-    found, index, spanning, rows, parents, inv = _search(
-        Matrix.identity(ctx, n), gens, matmul, order_cap
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    found, spanning, rows, parents, inv = _search(
+        tuple(int(i == j) for i, j in cells),
+        [tuple(g.raw(i, j) for i, j in cells) for g in gens],
+        lambda g: ctx.left_mul(g, n),
+        order_cap,
     )
+    for i, x in enumerate(found):
+        found[i] = Matrix(ctx, n, n, list(x))
+    index = {m: i for i, m in enumerate(found)}
     return MatrixGroup(ctx, n, gens, found, index, inv, spanning, parents, rows)
 
 
@@ -212,7 +223,9 @@ def _parameter_group(
     """The group of a family, `_search` run on its parameters, whose
     `product` is the matrix product of their images under `matrix`: one
     matrix per element, and S' as the generators."""
-    params, _, spanning, rows, parents, inv = _search(identity, generators, product, order_cap)
+    params, spanning, rows, parents, inv = _search(
+        identity, generators, lambda g: partial(product, g), order_cap
+    )
     elements = list(map(matrix, params))
     index = {m: i for i, m in enumerate(elements)}
     gens = [elements[s] for s in spanning]

@@ -8,8 +8,13 @@ import os
 import tempfile
 
 
+# json.dumps with options builds an encoder per call; this one is built once.
+# A cyclic object still raises, a RecursionError in place of a ValueError
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def sha256_hex(text: str) -> str:

@@ -434,7 +434,13 @@ def matrix_json_text(m: Matrix) -> str:
 
 
 def matrix_from_json(ctx: FieldCtx, obj: dict) -> Matrix:
-    """Strict parse of a serialized matrix.
+    """Strict parse of a serialized matrix."""
+    return Matrix(ctx, *matrix_values_from_json(ctx, obj))
+
+
+def matrix_values_from_json(ctx: FieldCtx, obj: dict) -> tuple[int, int, list[int]]:
+    """Strict parse of a serialized matrix into its rows, cols and
+    row-major values, with no Matrix made.
 
     `rows` and `cols` must be ints and `entries` a list of `rows` lists of
     `cols` cells; the cells are checked and decoded in one pass.
@@ -451,4 +457,4 @@ def matrix_from_json(ctx: FieldCtx, obj: dict) -> Matrix:
         or (entries and (set(map(type, entries)) != {list} or set(map(len, entries)) != {cols}))
     ):
         raise ModcohError("matrix shape mismatch in serialized form")
-    return Matrix(ctx, rows, cols, values_from_json(ctx, list(chain.from_iterable(entries))))
+    return rows, cols, values_from_json(ctx, list(chain.from_iterable(entries)))

@@ -27,10 +27,11 @@ S', the generators in order, each kept only when the search has not
 reached it yet.  The search stops past the stated order, and must reach
 exactly that many elements, which order_cap bounds.  Its products are
 S' x G, so each element of S' meets its inverse in its own row.  It runs
-on raw encodings: an element is a row-major tuple, each product one
-ctx.matmul, and the ids it finds are still the builder's.  H is looked up
-among those tuples.  No Matrix is made but the n x n generators, and no
-basis, no symmetric-power action A, no U(s) and no Kronecker product is
+on raw encodings: an element is a row-major tuple, the generators are
+parsed straight into them, each element of S' multiplies by the left
+product ctx.left_mul prepared for it once, and the ids it finds are still
+the builder's.  H is looked up among those tuples.  No Matrix is made, and
+no basis, no symmetric-power action A, no U(s) and no Kronecker product is
 formed: the image of a monomial x^e under sigma, x_j -> sum_i sigma_ij x_i,
 is the product of the linear forms, kept as a dict over monomials coded
 as base-(p+1) integers, and its coefficients are the column of x^e in
@@ -99,9 +100,8 @@ from .errors import CorruptReport, FailedCheck, ModcohError
 from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
 from .linalg import (
-    Matrix,
     kron,  # unused here; bench/test_bench.py patches this import site
-    matrix_from_json,
+    matrix_values_from_json,
 )
 
 # the schema and the equation texts of the report, defined here only:
@@ -148,10 +148,6 @@ def _record(obj, name: str, keys: Iterable[str]) -> dict:
         found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
         raise CorruptReport(f"{name}: fields {found} are not {sorted(keys)}")
     return obj
-
-
-def _matrix(ctx: FieldCtx, obj) -> Matrix:
-    return matrix_from_json(ctx, _record(obj, "matrix", _MATRIX_KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -279,53 +275,48 @@ def _check_restriction(
 
 
 def _generated(
-    ctx: FieldCtx, n: int, generators: list[Matrix], order: int
+    ctx: FieldCtx, n: int, generators: list[Element], order: int
 ) -> tuple[list[Element], list[int], dict[int, int], dict[Element, int]]:
-    """The elements of <generators> as row-major tuples of encodings, S',
-    the inverse of each element of S' and back, and the id of each element.
+    """The elements of <generators>, each a row-major tuple of encodings,
+    S', the inverse of each element of S' and back, and the id of each
+    element.
 
     The search of grp.closure: a generator is kept, as the next element of
     S', only when the search has not reached it; its row then catches up
     with the elements found so far, and every row takes each element found
     after them.  Element ids are the order of discovery, so they and S' are
     the builder's.  The rows are S' x G, so an element of S' meets its
-    inverse in its own row; the products are not kept.  Each product is
-    ctx.matmul on the tuples, and no Matrix is made.  Fails `group` past `order` elements,
-    short of it, or when an element of S' never meets the identity in its
-    row, which a group element must.
+    inverse in its own row; the products are not kept.  Each product is the
+    ctx.left_mul of its element of S', prepared once.  Fails `group` past
+    `order` elements, short of it, or when an element of S' never meets
+    the identity in its row, which a group element must.
     """
     identity = tuple(int(i == j) for i in range(n) for j in range(n))
     elements, index = [identity], {identity: 0}
     spanning: list[int] = []
-    kept: list[Element] = []
+    muls: list = []
     inverse: dict[int, int] = {}
-    matmul = ctx.matmul
-
-    def product(b: int, h: int) -> None:
-        x = tuple(matmul(kept[b], elements[h], n, n, n)) if h else kept[b]
-        k = index.get(x)
-        if k is None:
-            if len(elements) == order:
-                _fail("group", f"the generators make more than the {order} elements stated")
-            index[x] = len(elements)
-            elements.append(x)
-        elif k == 0:
-            inverse[spanning[b]], inverse[h] = h, spanning[b]
-
-    for m in generators:
-        g = tuple(m.raw(i, j) for i in range(n) for j in range(n))
+    for g in generators:
         if g in index:
             continue
-        # g is new, so its product with the identity gets the next id
+        # g is new, so g = g 1 gets the next id; the elements h found before
+        # g take its row only, and every later one takes every row
         spanning.append(len(elements))
-        kept.append(g)
-        done = len(elements)
-        for h in range(done):
-            product(len(kept) - 1, h)
-        while done < len(elements):
-            for b in range(len(kept)):
-                product(b, done)
-            done += 1
+        muls.append(ctx.left_mul(g, n))
+        first, h = len(elements), 0
+        while h < len(elements):
+            x0 = elements[h]
+            for b in range(len(muls)) if h >= first else (len(muls) - 1,):
+                x = muls[b](x0) if h else g
+                k = index.get(x)
+                if k is None:
+                    if len(elements) == order:
+                        _fail("group", f"the generators make more than the {order} elements stated")
+                    index[x] = len(elements)
+                    elements.append(x)
+                elif k == 0:
+                    inverse[spanning[b]], inverse[h] = h, spanning[b]
+            h += 1
     if len(elements) != order:
         _fail("group", f"the generators reach {len(elements)} of the {order} elements stated")
     for s in spanning:
@@ -379,14 +370,18 @@ def _verify_payload(report: dict) -> int:
         _fail("group", f"n = {n!r} is not a positive integer")
     if type(order) is not int or type(cap) is not int or not 1 <= order <= cap:
         _fail("params", f"group order {order!r} is not within 1..order_cap = {cap!r}")
-    generators = [_matrix(ctx, m) for m in gobj["generators"]]
+    parsed = [
+        matrix_values_from_json(ctx, _record(m, "matrix", _MATRIX_KEYS))
+        for m in gobj["generators"]
+    ]
     # no H fits in the trivial group, and with a generator the report holds
     # the n^2 cells that closing it costs
-    if not generators:
+    if not parsed:
         _fail("group", "the generator list is empty")
-    for i, m in enumerate(generators):
-        if m.rows != n or m.cols != n:
+    for i, (rows, cols, _) in enumerate(parsed):
+        if rows != n or cols != n:
             _fail("group", f"generator {i} is not {n}x{n}")
+    generators = [tuple(values) for _, _, values in parsed]
     elements, _, _, index = _generated(ctx, n, generators, order)
     checks += 1
 
@@ -428,14 +423,15 @@ def _verify_payload(report: dict) -> int:
     return checks
 
 
-def _verify_toy(ctx: FieldCtx, toy, n: int, generators: list[Matrix]) -> int:
+def _verify_toy(ctx: FieldCtx, toy, n: int, generators: list[Element]) -> int:
     """The toy record: present exactly for 2x2 groups of determinant 1 over
     p = 2, where it states that the toy sequence is the main extension,
     which is proved (module docstring).  det is multiplicative, so the
     group has determinant 1 iff its generators do.
     """
+    mul = ctx.mul_i
     wants_toy = ctx.p == 2 and n == 2 and all(
-        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == ctx.one() for m in generators
+        ctx.sub_i(mul(a, d), mul(b, c)) == 1 for a, b, c, d in generators
     )
     if wants_toy != (toy is not None):
         _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")

@@ -406,7 +406,7 @@ def test_construct_and_verify_form_no_symmetric_power_matrix(monkeypatch, tmp_pa
     # the certificate reads the images of its pinned monomials under H^-1,
     # and the block form of A and g in U are proved: neither construct nor
     # verify calls the builder's dense substitution or builds an action of
-    # V = S^p, U or U~, and verify makes no Matrix with more than n rows
+    # V = S^p, U or U~, and verify makes no Matrix at all
     import modcoh.rep as rep
 
     substituted, acted, made = [], [], []
@@ -431,10 +431,9 @@ def test_construct_and_verify_form_no_symmetric_power_matrix(monkeypatch, tmp_pa
     assert main(["construct", *args, "--out", str(out)]) == 0
     monkeypatch.setattr(Matrix, "__init__", making)
     assert main(["verify", str(out)]) == 0
-    n = json.loads(out.read_text())["payload"]["group"]["n"]
     assert substituted == []
     assert [label for label in acted if label.startswith("sym(") or label in ("u", "ext(u)")] == []
-    assert made and max(made) == n
+    assert made == []
 
 
 @pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
@@ -443,9 +442,9 @@ def test_construct_and_verify_form_no_inverse_pair_product(monkeypatch, tmp_path
     # multiplicative, s s^-1 = 1 and the bottom-left blocks are zero.  No
     # product on any construct or verify path has a left factor with N - n
     # rows, nor an (N-n) x (N-n) identity.  The certificate reads monomial
-    # images, so no path forms a product with more than n rows at all; the
-    # n x n products left are the closure's of a `file:` group, as no path
-    # forms an N x N matrix to cut S(s) from when N - n = n
+    # images, so no path forms a product with more than n rows at all (the
+    # closures multiply tuples by ctx.left_mul), as no path forms an N x N
+    # matrix to cut S(s) from when N - n = n
     # (test_construct_and_verify_form_no_symmetric_power_matrix)
     products, identities = [], []
     matmul, identity = Matrix.__matmul__, Matrix.identity.__func__
@@ -472,9 +471,9 @@ def test_construct_and_verify_form_no_inverse_pair_product(monkeypatch, tmp_path
 
 @pytest.mark.parametrize("label", list(CONSTRUCT_PATHS))
 def test_verify_closes_the_group_on_tuples(monkeypatch, tmp_path, label):
-    # the verifier's closure multiplies row-major tuples of encodings with
-    # ctx.matmul: it makes no Matrix and calls no Matrix product.  No Matrix
-    # is made but the n x n generators, and a monomial image is formed only
+    # the verifier parses the generators into row-major tuples of encodings
+    # and closes them with the left products ctx.left_mul prepares: it makes
+    # no Matrix and calls no Matrix product.  A monomial image is formed only
     # at the inverses of H, one per term of y, for the pinned monomials:
     # x1^(p-1) x2 and x1^(p-2) x2^2 for p >= 3, x1 x2 for p = 2
     import modcoh.verify as verify
@@ -515,7 +514,7 @@ def test_verify_closes_the_group_on_tuples(monkeypatch, tmp_path, label):
     (elements, _, _, index), (_, n, *_), untouched = seen["_generated"]
     assert untouched
     assert all(type(e) is tuple for e in elements) and len(index) == len(elements)
-    assert products == [] and set(made) == {(n, n)}
+    assert products == [] and made == []
     h_inverse, terms = seen["_restriction_row"][0]
     p = seen["_restriction_row"][1][0].p
     pad = (0,) * (n - 2)

@@ -154,6 +154,35 @@ def test_group_file_over_another_field_is_rejected(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+def test_group_file_field_is_checked_before_the_closure(tmp_path, capsys, monkeypatch):
+    # an SL_3(F_3) file under --p 5 --order-cap 10: the field error wins over
+    # the order cap, and the group is not enumerated at all
+    import modcoh.grp as grp
+
+    searches = []
+    search = grp._search
+
+    def searching(*args):
+        searches.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(grp, "_search", searching)
+    F3 = field_new(3)
+    shears = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+              [[1, 0, 0], [0, 1, 0], [1, 0, 1]]]
+    group = _write_group_file(tmp_path / "sl3_f3.json", F3, shears)
+    out = tmp_path / "r.json"
+    argv = ["construct", "--p", "5", "--order-cap", "10", "--group", group, "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: group file is over GF(3)")
+    assert searches == [] and not out.exists()
+    # and so is --n
+    assert run(["construct", "--p", "3", "--n", "2", "--order-cap", "10", "--group", group]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: group file is 3x3, but --n 2 given"] and searches == []
+
+
 def test_group_file_over_another_modulus_is_rejected(tmp_path, capsys):
     # GF(8) by x^3 + x^2 + 1 is not the default GF(8) by x^3 + x + 1: the
     # encodings name other elements, so the modulus must match too

@@ -184,6 +184,37 @@ def test_row_kernels_match_the_digit_kind(case):
     assert neg == ref.neg_row(x) and neg is not x
 
 
+# one field of each kind: a prime field with a large p, characteristic 2,
+# two odd table fields, and GF(3^6) beyond the tables, which runs matmul
+LEFT_MUL_FIELDS = [(10007, 1, None), (2, 4, None), (3, 2, None), (5, 2, None),
+                   (3, 6, (2, 1, 0, 0, 0, 0, 1))]
+
+
+@st.composite
+def left_mul_cases(draw):
+    ctx = field_new(*draw(st.sampled_from(LEFT_MUL_FIELDS)))
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
+    a, x, y = (tuple(draw(st.lists(cell, min_size=n * n, max_size=n * n))) for _ in range(3))
+    return ctx, n, a, x, y
+
+
+def test_left_mul_fields_cover_every_kind():
+    kinds = {type(field_new(*f)) for f in LEFT_MUL_FIELDS}
+    assert kinds == {PrimeCtx, Char2Ctx, OddTableCtx, FieldCtx}
+
+
+@settings(max_examples=300, deadline=None)
+@given(left_mul_cases())
+def test_left_mul_matches_matmul(case):
+    # one prepared kernel, applied to two right factors
+    ctx, n, a, x, y = case
+    left = ctx.left_mul(a, n)
+    for b in (x, y):
+        got = left(b)
+        assert type(got) is tuple and got == tuple(ctx.matmul(a, b, n, n, n))
+
+
 @st.composite
 def matrices(draw):
     ctx = field_new(*draw(st.sampled_from(KERNEL_FIELDS)))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcoh.grp as grp
 import modcoh.linalg
 import modcoh.verify as verify
 from modcoh.build import build_nonsplit_sequence, restriction_certificate
@@ -122,26 +123,43 @@ def test_closure_matches_the_reference_closure(case):
     assert g.tree_parents == parents
 
 
+def count_left_products(monkeypatch, ctx):
+    """The left factors `ctx.left_mul` prepares, and one entry per product
+    the prepared maps make, filled as the closure runs."""
+    prepared, products = [], []
+    left_mul = type(ctx).left_mul
+
+    def preparing(ctx, a, n):
+        prepared.append(a)
+        left = left_mul(ctx, a, n)
+
+        def counting(x):
+            products.append(1)
+            return left(x)
+
+        return counting
+
+    monkeypatch.setattr(type(ctx), "left_mul", preparing)
+    return prepared, products
+
+
 def test_closure_makes_s_prime_products_and_no_inverse(monkeypatch):
     # family-a over GF(16): 15 published generators, |S'| = 4, |G| = 16
     ctx = field_new(2, 4)
     gens = [family_matrix(ctx, ctx.el(v)) for v in range(1, 16)]
-    products, passes = [], []
-    matmul, forward = Matrix.__matmul__, modcoh.linalg._forward
-
-    def counting_matmul(a, b):
-        products.append(1)
-        return matmul(a, b)
+    prepared, products = count_left_products(monkeypatch, ctx)
+    passes = []
+    forward = modcoh.linalg._forward
 
     def counting_forward(*args):
         passes.append(1)
         return forward(*args)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(modcoh.linalg, "_forward", counting_forward)
     g = closure(ctx, 2, gens)
     assert len(g.spanning_ids) == 4 and g.order == 16
-    assert len(products) <= 4 * 16
+    # one prepared product per element of S', each applied at most |G| times
+    assert len(prepared) == 4 and len(products) <= 4 * 16
     # rank and inverse both run the forward pass: one is_invertible per
     # generator, and no inverse per element
     assert len(passes) == len(gens)
@@ -149,20 +167,77 @@ def test_closure_makes_s_prime_products_and_no_inverse(monkeypatch):
 
 def test_closure_makes_one_product_per_s_prime_and_non_identity_element(monkeypatch):
     # SL_2(F_5): |G| = 120 and S' = both shears, so |S'|(|G| - 1) = 238
-    # products, s @ I being taken as s
+    # products, s @ I being taken as s, each by the left product that
+    # ctx.left_mul prepared once for its element of S'; no Matrix product
     F5 = field_new(5)
     gens = [Matrix.from_rows(F5, [[1, 1], [0, 1]]), Matrix.from_rows(F5, [[1, 0], [1, 1]])]
-    products = []
+    prepared, products = count_left_products(monkeypatch, F5)
+    matrix_products = []
     matmul = Matrix.__matmul__
 
     def counting_matmul(a, b):
-        products.append(1)
+        matrix_products.append(1)
         return matmul(a, b)
 
     monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
     g = closure(F5, 2, gens)
     assert g.order == 120 and len(g.spanning_ids) == 2
-    assert len(products) == 2 * (120 - 1)
+    assert prepared == [(1, 1, 0, 1), (1, 0, 1, 1)]
+    assert len(products) == 2 * (120 - 1) and matrix_products == []
+
+
+def matrix_search(ctx, n, gens):
+    """The reference for both closures: `_search` over Matrix products, as
+    closure ran it before its products were prepared tuple kernels."""
+    return grp._search(Matrix.identity(ctx, n), gens, lambda g: g.__matmul__, 10_000)
+
+
+def _rows(ctx, gens):
+    return [[[ctx.el(v) for v in row] for row in g] for g in gens]
+
+
+# SL_2(F_3), GL_2(F_7), SL_3(F_3), SL_2(F_9) over an odd table field, and
+# the published generators of two families, over GF(8) n=3 and zpxzp p=3
+SL3_SHEARS = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+              [[1, 0, 0], [0, 1, 0], [1, 0, 1]]]
+REFERENCE_GROUPS = {
+    "SL_2(F_3)": lambda: (F3, _rows(F3, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])),
+    "GL_2(F_7)": lambda: (field_new(7), _rows(field_new(7), [[[1, 1], [0, 1]], [[1, 0], [1, 1]],
+                                                             [[3, 0], [0, 1]]])),
+    "SL_3(F_3)": lambda: (F3, _rows(F3, SL3_SHEARS)),
+    "SL_2(F_9)": lambda: (F9, _rows(F9, [[[1, 1], [0, 1]], [[1, 3], [0, 1]],
+                                         [[1, 0], [1, 1]], [[1, 0], [3, 1]]])),
+    "family-a GF(8) n=3": lambda: additive_family(field_new(2, 3), n=3),
+    "zpxzp p=3": lambda: paired_shear_family(F3),
+}
+
+
+@pytest.mark.parametrize("label", list(REFERENCE_GROUPS))
+def test_both_closures_equal_the_matrix_search(label):
+    made = REFERENCE_GROUPS[label]()
+    if isinstance(made, MatrixGroup):
+        ctx, n, gens = made.ctx, made.n, made.generators
+    else:
+        ctx, rows = made
+        n, gens = len(rows[0]), [Matrix.from_rows(ctx, r) for r in rows]
+    found, spanning, s_rows, parents, inv = matrix_search(ctx, n, gens)
+    assert len(found) > len(spanning) > 0
+
+    g = closure(ctx, n, gens)
+    assert g.elements == found and g.index == {m: i for i, m in enumerate(found)}
+    assert g.spanning_ids == spanning and g.tree_parents == parents and g.inv == inv
+    assert [g._rows[s] for s in spanning] == s_rows
+
+    def flat(m):
+        return tuple(m.raw(i, j) for i in range(n) for j in range(n))
+
+    tuples = list(map(flat, found))
+    elements, v_spanning, v_inverse, v_index = verify._generated(
+        ctx, n, list(map(flat, gens)), len(found)
+    )
+    assert elements == tuples and v_index == {t: i for i, t in enumerate(tuples)}
+    assert v_spanning == spanning
+    assert v_inverse == {**{inv[s]: s for s in spanning}, **{s: inv[s] for s in spanning}}
 
 
 def test_closure_trivial():

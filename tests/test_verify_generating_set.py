@@ -40,7 +40,7 @@ from modcoh.coh import Cocycle, extension_from_cocycle, split_system
 from modcoh.gf import field_from_json, field_new, field_to_json
 from modcoh.grp import additive_family, closure, family_matrix, paired_shear_family
 from modcoh.linalg import (
-    Matrix, hstack, inverse, is_invertible, kron, matrix_from_json, matrix_to_json, solve,
+    Matrix, hstack, inverse, is_invertible, kron, matrix_to_json, matrix_values_from_json, solve,
     vstack,
 )
 import modcoh.rep as rep
@@ -205,8 +205,8 @@ class Derived:
         gobj = payload["group"]
         ctx = self.ctx = field_from_json(gobj["field"])
         n = gobj["n"]
-        self.generators = [matrix_from_json(ctx, m) for m in gobj["generators"]]
-        self.closure = verify._generated(ctx, n, self.generators, gobj["order"])[:3]
+        generators = [tuple(matrix_values_from_json(ctx, m)[2]) for m in gobj["generators"]]
+        self.closure = verify._generated(ctx, n, generators, gobj["order"])[:3]
         self.elements = [Matrix(ctx, n, n, list(e)) for e in self.closure[0]]
         self.order = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
