@@ -8,22 +8,24 @@ identity on W, and g_s = (s-1) iota is a cocycle whose class obstructs the
 splitting of 0 -> U -> U + K iota -> K -> 0.
 
 The construction checks the one claim that depends on the group, the
-closed-form non-split row y on the subgroup H, from the images of at most
-two pinned monomials under the elements of H^-1 (RestrictionCertificate):
-no basis, no symmetric-power action and no d x d matrix is formed.  H is
-found by the rule the report's equation text states, at most q lookups
-of its candidate matrices in the group's index and none after the second
-hit; the group hypothesis is that H exists (restriction_certificate).  The
-dimensions are closed formulas, and the rest is proved, not re-computed:
-the block form of the symmetric-power action A (the Frobenius), g lying
-in U, the closed-form tensor-vanishing witness (TensorVanishing) and the
-identity of the degree-2 toy sequence with the main extension
+closed-form non-split row y on the subgroup H, with the verifier's own
+functions: `verify._restriction_row` finds H by the rule the report's
+equation text states, at most q lookups of its candidates in the group's
+index and none after the second hit, and y; `verify._check_restriction`
+reads y's two identities off the images of at most two pinned monomials
+under the elements of H^-1, and proves them there.  No basis, no
+symmetric-power action and no d x d matrix is formed.  The group
+hypothesis is that H exists.  The dimensions are closed formulas, and the
+rest is proved, not re-computed: the block form of the symmetric-power
+action A (the Frobenius), g lying in U (both in verify's module
+docstring), the closed-form tensor-vanishing witness (TensorVanishing)
+and the identity of the degree-2 toy sequence with the main extension
 (toy_example).  None of these is stored: the report states them as
 equations, which the verifier checks or proves the same way, and ships
 neither the basis nor iota, which n and p fix.
 
 No stage computes a cohomology space or calls a solver.  The class of g
-is nonzero by the restriction certificate on H, its product with w
+is nonzero by the certificate on H, its product with w
 vanishes by the closed-form witness, and dim X has a closed formula; Z1,
 B1 and H1 are left to the `h1` subcommand.  The
 modules V, U and U~ and the cocycle on S' are made only when `h1`, a
@@ -49,13 +51,14 @@ from .coh import (
 from .errors import (
     BadCharacteristic,
     BadProjection,
+    FailedCheck,
     GroupMismatch,
     HypothesisNotSatisfied,
     ModcohError,
     TheoremViolation,
 )
 from .gf import FieldCtx, field_new
-from .grp import MatrixGroup, _family_matrix, additive_family
+from .grp import MatrixGroup, additive_family
 from .linalg import Matrix, kron, vstack
 from .poly import Monomial, Polynomial, det3_identity
 from .rep import (
@@ -64,26 +67,28 @@ from .rep import (
     direct_sum_mod,
     frobenius_twist,
     hom,
-    monomial_code,
-    monomial_image,
     natural_module,
     sym_power,
     tensor,
     trivial_module,
 )
+from . import verify
 
 
 @dataclass
 class NonSplitSequence:
-    """The group and its non-split certificate, None when the group has no
-    subgroup H for it (the hypothesis fails).  The report reads only these
-    and the dims, which are formulas.  The modules and the cocycle are made
-    on first read (`h1`, the module recipes, the toy and the tests read
-    them), each with the guard checks of its own code: the block form of A
-    and g in U on S'.  iota = (I_n | 0) is fixed by n, so it is not held."""
+    """The group and its non-split certificate (h_inverse, terms), None when
+    the group has no subgroup H for it (the hypothesis fails).  H is the
+    keys of h_inverse, each mapped to the id of its inverse, and terms are
+    y's nonzero coordinates (verify._restriction_row).  The report reads
+    only these and the dims, which are formulas.  The modules and the
+    cocycle are made on first read (`h1`, the module recipes, the toy and
+    the tests read them), each with the guard checks of its own code: the
+    block form of A and g in U on S'.  iota = (I_n | 0) is fixed by n, so
+    it is not held."""
 
     group: MatrixGroup
-    certificate: Optional[RestrictionCertificate]
+    certificate: Optional[tuple[dict[int, int], list]]
 
     @property
     def dims(self) -> dict[str, int]:
@@ -101,7 +106,7 @@ class NonSplitSequence:
     @cached_property
     def sym_module(self) -> GModule:
         """V = S^p(K^n) by substitution.  Its block form is proved (the
-        Frobenius, RestrictionCertificate) and checked on S' as a guard of
+        Frobenius, verify's module docstring) and checked on S' as a guard of
         the substitution code: a zero bottom-left block and the top-left
         block s^[p].  A is a homomorphism, so the blocks hold on every
         element once they hold on S'; W is a submodule acting by s^[p], and
@@ -139,7 +144,7 @@ class NonSplitSequence:
         """g on S', from the twist at s and A(s^-1).  g_s = (s-1)iota =
         s^[p] iota A(s^-1) - iota is the coboundary of iota in Hom(V, W),
         hence a cocycle there on all of G, and it lies in U on every
-        element (RestrictionCertificate); the check on S' guards the
+        element (verify's module docstring); the check on S' guards the
         computation.  So its values on S' fix a cocycle of U with no check
         on the rest of G (Cocycle.restricted_coboundary), and no validate
         pass is made."""
@@ -160,21 +165,28 @@ def build_nonsplit_sequence(
     """Find the non-split certificate of the group and check it.
 
     The hypothesis is that the certificate exists: the group holds the
-    subgroup H its closed-form row y needs (`restriction_certificate`).
+    subgroup H its closed-form row y needs (`verify._restriction_row`).
     With `require_hypothesis` a group without it raises
     HypothesisNotSatisfied, naming what is missing; otherwise the
     certificate is None and no verdict is taken here.  A row that fails its
-    check is a TheoremViolation.  The check reads the images of the pinned
-    monomials under H^-1 and the rows of the twist on H, and nothing else:
-    no module is built here (NonSplitSequence).
+    check (`verify._check_restriction`) is a TheoremViolation naming H.
+    The check reads the images of the pinned monomials under H^-1 and the
+    rows of the twist on H, and nothing else: no module is built here
+    (NonSplitSequence).
     """
-    cert = restriction_certificate(group)
-    if cert is not None:
-        _check_restriction(group, cert)
+    ctx, n = group.ctx, group.n
+    h_inverse, terms = verify._restriction_row(ctx, n, group.index)
+    cert = None
+    if terms:
+        try:
+            verify._check_restriction(ctx, group.elements, h_inverse, terms, n)
+        except FailedCheck as exc:
+            raise TheoremViolation(f"{exc}, H = {list(h_inverse)}") from exc
+        cert = h_inverse, terms
     elif require_hypothesis:
-        if group.n < 2:
+        if n < 2:
             missing = "the shear and the pattern involutions need n >= 2"
-        elif group.ctx.p > 2:
+        elif ctx.p > 2:
             missing = "the group has no unipotent shear x12(1)"
         else:
             missing = "the group has fewer than two pattern involutions A(b), b != 0"
@@ -193,130 +205,6 @@ def _iota_coboundary(group: MatrixGroup, twist: GModule, sym: GModule, i: int) -
     if full.submatrix(0, n, 0, n) != Matrix.identity(group.ctx, n):
         raise TheoremViolation(f"(s-1)iota leaves U at element {i}")
     return full.submatrix(0, n, n, N).flatten()
-
-
-# ---------------------------------------------------------------------------
-# the non-split certificate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RestrictionCertificate:
-    """A row y over a subgroup H with sum_h y_h (U(h) - 1) = 0 and
-    sum_h y_h g_h != 0, so g is not a coboundary on H, hence not on G.
-
-    If g_h = (h-1)u for one u and every h, then
-    sum_h y_h g_h = sum_h y_h (U(h) - 1) u = 0.  `ids` is H and `terms`
-    are y's nonzero coordinates c e(i, m): (element id h, W-row i, V/W
-    monomial m as its exponents, coefficient c as its field encoding).
-
-    U = Hom(V/W, W), so its coordinate (i, m) pairs the W-row i with the
-    V/W monomial m.  Row (i, m) of U(h) = kron(h^[p], S(h^-1)^T) is row i
-    of h^[p] (x) column m of S(h^-1), and g_h = h^[p] iota A(h^-1) - iota
-    = (0 | h^[p] T), with T the top-right block of A(h^-1).  Column m of
-    A(h^-1) is the image of m under the substitution x_j -> sum_i
-    (h^-1)_ij x_i: its coefficients on the non-pure monomials are column m
-    of S(h^-1), and those on the x_a^p column m of T.  So each term reads
-    one monomial image (`_check_restriction`), and three facts, proved
-    here, stand for the checks the dense action once made:
-
-    - The block form is the Frobenius.  In characteristic p,
-      (sum_i sigma_ij x_i)^p = sum_i sigma_ij^p x_i^p, so for every n x n
-      sigma the image of x_j^p is sum_i sigma_ij^p x_i^p: the pure-power
-      columns of A(sigma) are sigma^[p] over a zero bottom-left block.
-    - g lies in U.  The left block of g_h is h^[p] (h^-1)^[p] - I, which is
-      0 as the twist is multiplicative and h h^-1 = 1.
-    - Every degree-p monomial lies in the basis, which is all of them; so
-      every monomial of an image is a coordinate, and a residual kept by
-      (W-row, monomial) needs no basis order.
-
-    The basis pins the first V/W monomials, so H and y are closed forms
-    (`restriction_certificate`):
-
-    - p >= 3: H = {u}, u = x12(1), and y = 2 e(0,m1) + e(1,m2) with
-      m1 = x1^(p-1) x2 and m2 = x1^(p-2) x2^2.  u^[p] = u, and u^-1
-      substitutes x2 -> x2 - x1, sending m1 to m1 - x1^p and m2 to
-      m2 - 2 m1 + x1^p.  So columns m1 and m2 of S(u^-1) are e_m1 and
-      e_m2 - 2 e_m1, and those of T are -e_0 and e_0.  Rows (0, m1) and
-      (1, m2) of U(u) are (e_0 + e_1) (x) e_m1 and e_1 (x) (e_m2 - 2 e_m1),
-      so y U(u) = 2 e(0,m1) + 2 e(1,m1) + e(1,m2) - 2 e(1,m1) = y.  And
-      g_u = u T is (e_0 + e_1).(-e_0) = -1 at (0, m1) and e_1.e_0 = 0 at
-      (1, m2), so y g_u = -2 != 0.
-    - p = 2: H = {A(b1), A(b2)}, A(b) = [[b+1, b], [b, b+1]] the pattern
-      involution of a = b + 1, with b1 != b2 both nonzero, and
-      y = ((b2/b1)^2 e(0,m), e(0,m)) with m = x1 x2.  A(b)^[2] = A(b^2), and
-      A(b) = A(b)^-1 sends m to (b^2+b)(x1^2 + x2^2) + m, as
-      (b+1)^2 + b^2 = 1.  So column m of S(A(b)) is e_m, T has b^2+b in
-      rows 0 and 1 of column m, and e(0,m) (U(A(b)) - 1) =
-      b^2 (e(0,m) + e(1,m)), while g_A(b) at (0, m) is
-      (b^2+1 + b^2)(b^2+b) = b^2+b.  The two rows sum to
-      ((b2/b1)^2 b1^2 + b2^2)(e(0,m) + e(1,m)) = 0, and
-      y g = (b2/b1)^2 (b1^2+b1) + b2^2+b2 = b2 (b1 + b2) / b1 != 0.
-      One involution is not enough: c e(0,m) (U(A(b)) - 1) = 0 forces c = 0.
-    """
-
-    ids: tuple[int, ...]
-    terms: tuple[tuple[int, int, tuple[int, ...], int], ...]
-
-
-def restriction_certificate(group: MatrixGroup) -> Optional[RestrictionCertificate]:
-    """H and y by the rule that the report's equation text states, or None
-    when the group has no such H.  H is looked up in `group.index`: for
-    p >= 3 the shear x12(1); for p = 2 the pattern involutions A(b) of the
-    two least nonzero b in field encoding order, taken b = 1, 2, ... up to
-    the second one in the group.  Neither fits in a group of n < 2.
-    """
-    ctx, n, p = group.ctx, group.n, group.ctx.p
-    if n < 2:
-        return None
-    pad = (0,) * (n - 2)
-    if p > 2:
-        u = group.index.get(_family_matrix(ctx, 1, n))
-        if u is None:
-            return None
-        m1, m2 = (p - 1, 1) + pad, (p - 2, 2) + pad
-        return RestrictionCertificate((u,), ((u, 0, m1, ctx.add_i(1, 1)), (u, 1, m2, 1)))
-    found = []
-    for b in range(1, ctx.q):
-        h = group.index.get(_family_matrix(ctx, b, n))
-        if h is not None:
-            found.append((b, h))
-            if len(found) == 2:
-                break
-    else:
-        return None
-    (b1, h1), (b2, h2) = found
-    c = ctx.mul_i(b2, ctx.inv_i(b1))
-    m = (1, 1) + pad
-    return RestrictionCertificate((h1, h2), ((h1, 0, m, ctx.mul_i(c, c)), (h2, 0, m, 1)))
-
-
-def _check_restriction(group: MatrixGroup, cert: RestrictionCertificate) -> None:
-    """sum_h y_h (U(h) - 1) = 0 and sum_h y_h g_h != 0, each term read off
-    the image of its monomial under h^-1 and row i of h^[p]
-    (RestrictionCertificate).  The residual is kept by (W-row, monomial
-    code); the codes of the x_a^p are T's rows, not coordinates of U.
-    Raises TheoremViolation if either identity fails."""
-    ctx, n, p = group.ctx, group.n, group.ctx.p
-    add, mul, frob = ctx.add_i, ctx.mul_i, ctx.frob_i
-    pure = [p * (p + 1) ** a for a in range(n)]  # the codes of x_a^p
-    residual: dict[tuple[int, int], int] = {}
-    value = 0
-    for h, i, mono, c in cert.terms:
-        image = monomial_image(group.elements[group.inv[h]], mono)
-        for a in range(n):
-            t = frob(group.elements[h].raw(i, a))
-            if t:
-                f = mul(c, t)
-                for code, v in image.items():
-                    residual[a, code] = add(residual.get((a, code), 0), mul(f, v))
-                value = add(value, mul(f, image.get(pure[a], 0)))
-        at = (i, monomial_code(mono, p))
-        residual[at] = ctx.sub_i(residual.get(at, 0), c)
-    if any(v for (_, code), v in residual.items() if code not in pure):
-        raise TheoremViolation(f"the non-split row does not kill U(h) - 1 on H = {cert.ids}")
-    if not value:
-        raise TheoremViolation(f"the non-split row kills g on H = {cert.ids}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ multiplication with the generators, taken in the given order, so element
 ids are reproducible and can be cited by certificates (`_search`).
 `closure` runs it on row-major tuples of encodings.  The named families
 used by the pipeline run it on their parameters, whose addition is the
-matrix product of the family.  Both form one matrix per element after it;
-the families find the elements, ids and search tree that `closure` finds
-from their generators.  A report names
+matrix product of the family, and map each parameter to its tuple; they
+find the elements, ids and search tree that `closure` finds from their
+generators.  A group holds its elements as those tuples and makes a
+`Matrix` of one only when asked (`MatrixGroup.matrix`).  A report names
 the group by its generators and order; the verifier closes the generators
-itself.  The family matrices are also the candidates for the subgroup H of
-the non-split certificate, which `build.restriction_certificate` looks up
-in a group's `index`.
+itself.  The family tuples are also the candidates for the subgroup H of
+the non-split certificate, which `verify._restriction_row` looks up in a
+group's `index`.
 """
 
 from __future__ import annotations
@@ -33,12 +34,18 @@ from .linalg import Matrix, is_invertible, matrix_to_json
 
 DEFAULT_ORDER_CAP = 10_000
 
+# a group element as the closure holds it: its n x n encodings, row-major
+Element = tuple[int, ...]
+
 
 class MatrixGroup:
     """Finite subgroup of GL_n over a fixed field, with enumerated elements.
 
     Built by `closure` or by a named family.  Element i is `elements[i]`,
-    the identity is 0 and `inv[i]` is the id of the inverse of element i.
+    the row-major tuple of its encodings, and `matrix(i)` is it as a
+    `Matrix`; `index` maps each tuple to its id.  The identity is 0 and
+    `inv[i]` is the id of the inverse of element i.  The generators, which
+    `group_to_json` writes, are `Matrix` objects.
 
     `spanning_ids` is S', the ids of the generators, in order, that lie
     outside the subgroup generated by those kept before them.  S' generates
@@ -62,8 +69,8 @@ class MatrixGroup:
         ctx: FieldCtx,
         n: int,
         generators: list[Matrix],
-        elements: list[Matrix],
-        index: dict[Matrix, int],
+        elements: list[Element],
+        index: dict[Element, int],
         inv: list[int],
         spanning_ids: list[int],
         tree_parents: list[Optional[tuple[int, int]]],
@@ -87,16 +94,21 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] @ elements[j].
+    def matrix(self, i: int) -> Matrix:
+        """Element i as a new `Matrix`."""
+        return Matrix(self.ctx, self.n, self.n, list(self.elements[i]))
 
-        Products are tabulated one row per left factor, on first use; the
-        rows of S' come from the search.
+    def mul(self, i: int, j: int) -> int:
+        """Index of the product of elements i and j.
+
+        Products are tabulated one row per left factor, on first use, by
+        the left product `ctx.left_mul` of element i; the rows of S' come
+        from the search.
         """
         row = self._rows[i]
         if row is None:
-            a, index = self.elements[i], self.index
-            row = self._rows[i] = [index[a @ b] for b in self.elements]
+            left, index = self.ctx.left_mul(self.elements[i], self.n), self.index
+            row = self._rows[i] = [index[left(b)] for b in self.elements]
         return row[j]
 
     def __repr__(self) -> str:
@@ -122,8 +134,8 @@ def _search(
     inverses follow from those rows with no further product.  (Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, 2005.)
 
-    Returns the elements in order of discovery, S', the S' rows, the
-    search tree and the inverse ids.
+    Returns the elements in order of discovery with their ids, S', the S'
+    rows, the search tree and the inverse ids.
     """
     # found[x] = kept[letter[x]] * found[parent[x]] for x > 0, and
     # left[b][h] is the id of kept[b] * found[h]
@@ -176,7 +188,7 @@ def _search(
     inv = [0] * size
     for x in range(1, size):
         inv[x] = right[letter[x]][inv[parent[x]]]
-    return found, spanning, left, parents, inv
+    return found, index, spanning, left, parents, inv
 
 
 def closure(
@@ -186,8 +198,8 @@ def closure(
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> MatrixGroup:
     """The group generated by `generators`: `_search` on their row-major
-    tuples of encodings under `ctx.left_mul`, then one matrix made in place
-    of each tuple, so G is never held twice.  Element ids are the order of
+    tuples of encodings under `ctx.left_mul`, whose tuples and ids the
+    group keeps as its elements and index.  Element ids are the order of
     discovery and the search tree is `tree_parents`.
     """
     gens = list(generators)
@@ -199,36 +211,33 @@ def closure(
         if not is_invertible(g):
             raise SingularGenerator(f"singular generator {g!r}")
     cells = [(i, j) for i in range(n) for j in range(n)]
-    found, spanning, rows, parents, inv = _search(
+    found, index, spanning, rows, parents, inv = _search(
         tuple(int(i == j) for i, j in cells),
         [tuple(g.raw(i, j) for i, j in cells) for g in gens],
         lambda g: ctx.left_mul(g, n),
         order_cap,
     )
-    for i, x in enumerate(found):
-        found[i] = Matrix(ctx, n, n, list(x))
-    index = {m: i for i, m in enumerate(found)}
     return MatrixGroup(ctx, n, gens, found, index, inv, spanning, parents, rows)
 
 
 def _parameter_group(
     ctx: FieldCtx,
     n: int,
-    matrix: Callable[[Hashable], Matrix],
+    element: Callable[[Hashable], Element],
     identity: Hashable,
     generators: Iterable[Hashable],
     product: Callable[[Hashable, Hashable], Hashable],
     order_cap: int,
 ) -> MatrixGroup:
     """The group of a family, `_search` run on its parameters, whose
-    `product` is the matrix product of their images under `matrix`: one
-    matrix per element, and S' as the generators."""
-    params, spanning, rows, parents, inv = _search(
+    `product` is the matrix product of their images under `element`: one
+    row-major tuple per element, and the matrices of S' as the generators."""
+    params, _, spanning, rows, parents, inv = _search(
         identity, generators, lambda g: partial(product, g), order_cap
     )
-    elements = list(map(matrix, params))
-    index = {m: i for i, m in enumerate(elements)}
-    gens = [elements[s] for s in spanning]
+    elements = list(map(element, params))
+    index = {x: i for i, x in enumerate(elements)}
+    gens = [Matrix(ctx, n, n, list(elements[s])) for s in spanning]
     return MatrixGroup(ctx, n, gens, elements, index, inv, spanning, parents, rows)
 
 
@@ -247,19 +256,19 @@ def family_matrix(ctx: FieldCtx, a: FieldElement, n: int = 2) -> Matrix:
         raise MixedContexts("parameter from a different field")
     if n < 2:
         raise ShapeMismatch("family needs n >= 2")
-    return _family_matrix(ctx, a.val, n)
+    return Matrix(ctx, n, n, list(_family_matrix(ctx, a.val, n)))
 
 
-def _family_matrix(ctx: FieldCtx, a: int, n: int) -> Matrix:
-    """`family_matrix` of the parameter with encoding `a`: for a = 1 the
-    shear x12(1) (p >= 3), and for p = 2 the pattern involution A(a)."""
+def _family_matrix(ctx: FieldCtx, a: int, n: int) -> Element:
+    """`family_matrix` of the parameter with encoding `a`, as its row-major
+    tuple of encodings."""
     data = [0] * (n * n)
     data[:: n + 1] = [1] * n
     data[1] = a
     if ctx.p == 2:
         data[0] = data[n + 1] = ctx.add_i(a, 1)
         data[n] = a
-    return Matrix(ctx, n, n, data)
+    return tuple(data)
 
 
 def additive_family(
@@ -320,9 +329,8 @@ def paired_shear_family(ctx: FieldCtx, order_cap: int = DEFAULT_ORDER_CAP) -> Ma
     def pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         return add(x[0], y[0]), add(x[1], y[1])
 
-    def element(pair: tuple[int, int]) -> Matrix:
-        data = [1, pair[0], 0, 0, 0, 1, 0, 0, 0, 0, 1, pair[1], 0, 0, 0, 1]
-        return Matrix(ctx, 4, 4, data)
+    def element(pair: tuple[int, int]) -> Element:
+        return (1, pair[0], 0, 0, 0, 1, 0, 0, 0, 0, 1, pair[1], 0, 0, 0, 1)
 
     return _parameter_group(ctx, 4, element, (0, 0), [(1, 0), (0, 1)], pair_sum, order_cap)
 

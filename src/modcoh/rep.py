@@ -14,8 +14,9 @@ tensor(N, dual(M)) with matrices flattened row-major, so the action on an
 The symmetric power S^d is built by substitution: a table of the powers
 l_j^1..l_j^d of the substituted variables, then one product per column.
 Its polynomials are dicts keyed by integer monomial codes (`monomial_code`),
-so a term product is a sum of two integers.  `monomial_image` gives one
-column of that action, the image of one monomial, with no basis formed.
+so a term product is a sum of two integers.  The modules read a group
+element as a `Matrix` (`MatrixGroup.matrix`), or, for the twist, as its
+tuple of encodings.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def trivial_module(group: MatrixGroup, dim: int = 1) -> GModule:
 
 
 def natural_module(group: MatrixGroup) -> GModule:
-    return GModule(group, group.n, group.elements.__getitem__, "natural")
+    return GModule(group, group.n, group.matrix, "natural")
 
 
 def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
@@ -104,10 +105,9 @@ def sym_power(group: MatrixGroup, d: int) -> tuple[GModule, list[Monomial]]:
     ctx, n = group.ctx, group.n
     basis = monomial_basis(n, d, ctx.p)
     pos = {monomial_code(m, d): i for i, m in enumerate(basis)}
-    elements = group.elements
 
     def action(i: int) -> Matrix:
-        return _substitution_matrix(elements[i], basis, pos)
+        return _substitution_matrix(group.matrix(i), basis, pos)
 
     return GModule(group, len(basis), action, f"sym({d})"), basis
 
@@ -135,21 +135,6 @@ def _code_product(ctx: FieldCtx, a: dict[int, int], b: dict[int, int]) -> dict[i
         for c2, v2 in b.items():
             out[c1 + c2] = add(get(c1 + c2, 0), mul(v1, v2))
     return {c: v for c, v in out.items() if v}
-
-
-def monomial_image(sigma: Matrix, exps: Sequence[int]) -> dict[int, int]:
-    """x^exps with x_j replaced by l_j = sum_i sigma_ij x_i, as
-    {monomial code: nonzero value} over the codes of degree d = sum(exps):
-    prod_j l_j^(e_j), one linear factor at a time.  Its coefficients are
-    the column of x^exps in `_substitution_matrix`, with no basis formed."""
-    ctx, n = sigma.ctx, sigma.rows
-    d = sum(exps)
-    image = {0: 1}
-    for j, e in enumerate(exps):
-        lin = {(d + 1) ** i: sigma.raw(i, j) for i in range(n) if sigma.raw(i, j)}
-        for _ in range(e):
-            image = _code_product(ctx, image, lin)
-    return image
 
 
 def _substitution_matrix(
@@ -194,16 +179,14 @@ def _substitution_matrix(
 
 
 def frobenius_twist(group: MatrixGroup) -> GModule:
-    """Entrywise p-th power of the natural action."""
-    ctx, elements = group.ctx, group.elements
+    """Entrywise p-th power of the natural action, read off the tuples."""
+    ctx, n, elements = group.ctx, group.n, group.elements
     frob = ctx.frob_i
 
     def action(i: int) -> Matrix:
-        m = elements[i]
-        data = [frob(m.raw(r, c)) for r in range(m.rows) for c in range(m.cols)]
-        return Matrix(ctx, m.rows, m.cols, data)
+        return Matrix(ctx, n, n, list(map(frob, elements[i])))
 
-    return GModule(group, group.n, action, "twist")
+    return GModule(group, n, action, "twist")
 
 
 def dual(mod: GModule) -> GModule:

@@ -11,12 +11,14 @@ non-split row y on the subgroup H that the equation text names) is left
 out, and so is every cohomology number: the claims need none.  The
 verifier checks the group (closure and order, and H in G by lookup) and
 the dims against their formulas; both sides check the one claim that
-depends on the group, the non-split certificate, from the images of at
-most two pinned monomials under the elements of H^-1
-(build.RestrictionCertificate).  The rest holds by proof: the block form of the symmetric-power action (the
+depends on the group, the non-split certificate, with the same functions
+(verify._restriction_row and verify._check_restriction), from the images
+of at most two pinned monomials under the elements of H^-1.  The rest
+holds by proof: the block form of the symmetric-power action (the
 Frobenius), g lying in U, the closed-form tensor witness X = [-I_d ; 0]
 with w = e_d and the toy sequence being the main extension
-(build.TensorVanishing, build.toy_example); the dimension of
+(build.TensorVanishing, build.toy_example), whose record both sides
+decide by one rule (verify._toy_due); the dimension of
 X = U* + U~ + U~ + U~ is a formula.  Neither side forms a monomial basis
 or an action of V, U, U~ or X.  All output is canonical JSON; the payload
 digest binds every field.
@@ -29,7 +31,14 @@ from dataclasses import dataclass
 from .build import NonSplitSequence, build_nonsplit_sequence
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
-from .verify import PATTERN_EQUATION, SCHEMA, SHEAR_EQUATION, TENSOR_EQUATION, TOY_EQUATION
+from .verify import (
+    PATTERN_EQUATION,
+    SCHEMA,
+    SHEAR_EQUATION,
+    TENSOR_EQUATION,
+    TOY_EQUATION,
+    _toy_due,
+)
 
 
 @dataclass
@@ -48,11 +57,10 @@ def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineRes
     """
     seq = build_nonsplit_sequence(group)
     # the tensor witness and the toy identity hold by proof, so no stage
-    # checks them (build.TensorVanishing, build.toy_example); det is
-    # multiplicative, so det = 1 on the generators holds on the group
-    toy = group.ctx.p == 2 and group.n == 2 and all(
-        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == group.ctx.one() for m in group.generators
-    )
+    # checks them (build.TensorVanishing, build.toy_example); the toy
+    # record is due by the verifier's rule on the determinants of the
+    # generators, which S' decides as well: it generates the group
+    toy = _toy_due(group.ctx, group.n, (group.elements[s] for s in group.spanning_ids))
 
     payload = {
         "params": {"order_cap": params["order_cap"]},

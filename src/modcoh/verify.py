@@ -1,6 +1,8 @@
 """Independent re-checker for pipeline reports.
 
-Deliberately shares only the field and matrix primitives with the builder.
+Deliberately shares only the field and matrix primitives with the builder,
+which checks its own certificate with `_restriction_row` and
+`_check_restriction` from here.
 A v6 report names the group by its field, generators and order, states
 the order cap and the dimensions, and makes each claim an equation text;
 it ships nothing that n and p fix, and no solver output.  The verifier
@@ -82,7 +84,7 @@ A(sigma).  What is proved:
   rows y_h with sum_h y_h (U(h) - 1) = 0, sum_h y_h g_h = 0.  So such a y
   with sum_h y_h g_h != 0 rules out every split.  H and y are closed forms
   fixed by p (the shear x12(1) for p >= 3, two pattern involutions for
-  p = 2; the builder's RestrictionCertificate proves both), and each term
+  p = 2; `_restriction_row` works both out), and each term
   c e(i, m) reads row i of h^[p] and the image of m under h^-1: its
   non-pure coefficients are column m of S(h^-1), which row (i, m) of
   U(h) pairs with row i of h^[p], and its coefficients on the x_a^p are
@@ -199,14 +201,32 @@ def _restriction_row(
     elements, and y's nonzero terms c e(i, m) as (h, W-row i, V/W monomial
     m as its exponents, c); ({}, []) when the group has no such H.
     `index` maps each element, a row-major tuple of encodings, to its id,
-    and H is found by looking its candidates up there.
+    and H is found by looking its candidates up there.  T below is the
+    top-right block of A(h^-1), so g_h = h^[p] T (module docstring).
 
-    p >= 3: the shear u = x12(1), whose inverse is x12(-1), and
-    y = 2 e(0,m1) + e(1,m2) with m1 = x1^(p-1) x2, m2 = x1^(p-2) x2^2.
-    p = 2: the pattern involutions A(b) = [[b+1, b], [b, b+1]], each its
-    own inverse, with the two least nonzero b in field encoding order,
-    taken b = 1, 2, ... up to the second one in the group, and
-    y = ((b2/b1)^2 e(0,m), e(0,m)) with m = x1 x2.
+    - p >= 3: H = {u}, u = x12(1), whose inverse is x12(-1), and
+      y = 2 e(0,m1) + e(1,m2) with m1 = x1^(p-1) x2 and m2 = x1^(p-2) x2^2.
+      u^[p] = u, and u^-1 substitutes x2 -> x2 - x1, sending m1 to
+      m1 - x1^p and m2 to m2 - 2 m1 + x1^p.  So columns m1 and m2 of
+      S(u^-1) are e_m1 and e_m2 - 2 e_m1, and those of T are -e_0 and e_0.
+      Rows (0, m1) and (1, m2) of U(u) are (e_0 + e_1) (x) e_m1 and
+      e_1 (x) (e_m2 - 2 e_m1), so
+      y U(u) = 2 e(0,m1) + 2 e(1,m1) + e(1,m2) - 2 e(1,m1) = y.  And
+      g_u = u T is (e_0 + e_1).(-e_0) = -1 at (0, m1) and e_1.e_0 = 0 at
+      (1, m2), so y g_u = -2 != 0.
+    - p = 2: H = {A(b1), A(b2)}, A(b) = [[b+1, b], [b, b+1]] the pattern
+      involution, its own inverse, for the two least nonzero b in field
+      encoding order, taken b = 1, 2, ... up to the second one in the
+      group, and y = ((b2/b1)^2 e(0,m), e(0,m)) with m = x1 x2.
+      A(b)^[2] = A(b^2), and A(b) sends m to (b^2+b)(x1^2 + x2^2) + m, as
+      (b+1)^2 + b^2 = 1.  So column m of S(A(b)) is e_m, T has b^2+b in
+      rows 0 and 1 of column m, and
+      e(0,m) (U(A(b)) - 1) = b^2 (e(0,m) + e(1,m)), while g_A(b) at (0, m)
+      is (b^2+1 + b^2)(b^2+b) = b^2+b.  The two rows sum to
+      ((b2/b1)^2 b1^2 + b2^2)(e(0,m) + e(1,m)) = 0, and
+      y g = (b2/b1)^2 (b1^2+b1) + b2^2+b2 = b2 (b1 + b2) / b1 != 0.
+      One involution is not enough: c e(0,m) (U(A(b)) - 1) = 0 forces
+      c = 0.
     """
     if n < 2:
         return {}, []
@@ -423,17 +443,23 @@ def _verify_payload(report: dict) -> int:
     return checks
 
 
-def _verify_toy(ctx: FieldCtx, toy, n: int, generators: list[Element]) -> int:
-    """The toy record: present exactly for 2x2 groups of determinant 1 over
-    p = 2, where it states that the toy sequence is the main extension,
-    which is proved (module docstring).  det is multiplicative, so the
-    group has determinant 1 iff its generators do.
+def _toy_due(ctx: FieldCtx, n: int, generators: Iterable[Element]) -> bool:
+    """Whether the report holds the toy record: exactly for 2x2 groups of
+    determinant 1 over p = 2, where the toy sequence is the main extension
+    (module docstring).  det is multiplicative, so the group has
+    determinant 1 iff its generators, row-major tuples of encodings, do.
     """
     mul = ctx.mul_i
-    wants_toy = ctx.p == 2 and n == 2 and all(
+    return ctx.p == 2 and n == 2 and all(
         ctx.sub_i(mul(a, d), mul(b, c)) == 1 for a, b, c, d in generators
     )
-    if wants_toy != (toy is not None):
+
+
+def _verify_toy(ctx: FieldCtx, toy, n: int, generators: list[Element]) -> int:
+    """The toy record: present exactly when `_toy_due`, and then stating
+    that the toy sequence is the main extension, which is proved (module
+    docstring)."""
+    if _toy_due(ctx, n, generators) != (toy is not None):
         _fail("toy", "toy record present exactly for 2x2 groups of determinant 1 over p = 2")
     if toy is None:
         return 0

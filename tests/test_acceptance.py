@@ -60,15 +60,15 @@ def _restriction_system(seq):
     densely as a reference for the builder's check on monomial images.
     Coordinate e(i, m) of U = Hom(V/W, W) is i (N - n) + (position of m
     in the basis) - n."""
-    ctx, d, cert = seq.group.ctx, seq.u_module.dim, seq.certificate
-    n, p = seq.group.n, ctx.p
+    ctx, d, (h_inverse, terms) = seq.group.ctx, seq.u_module.dim, seq.certificate
+    n, p, ids = seq.group.n, ctx.p, list(h_inverse)
     basis = [tuple(m) for m in sym_power(seq.group, p)[1]]
-    cells = [0] * (len(cert.ids) * d)
-    for h, i, mono, c in cert.terms:
-        cells[cert.ids.index(h) * d + i * (len(basis) - n) + basis.index(mono) - n] = c
+    cells = [0] * (len(ids) * d)
+    for h, i, mono, c in terms:
+        cells[ids.index(h) * d + i * (len(basis) - n) + basis.index(mono) - n] = c
     ident = Matrix.identity(ctx, d)
-    system = vstack([seq.u_module.action(h) - ident for h in cert.ids])
-    rhs = vstack([seq.cocycle.value(h) for h in cert.ids])
+    system = vstack([seq.u_module.action(h) - ident for h in ids])
+    rhs = vstack([seq.cocycle.value(h) for h in ids])
     return Matrix(ctx, 1, len(cells), cells), system, rhs
 
 
@@ -77,10 +77,12 @@ def test_criterion_01_nonsplit_char2(case_a):
     group, seq = case_a
     # H is the two pattern involutions A(b) = [[b+1, b], [b, b+1]] with the
     # least nonzero b: GF(4) has three, and y = ((b2/b1)^2 e(0,xy), e(0,xy))
-    h1, h2 = seq.certificate.ids
-    b1, b2 = (group.elements[h][0, 1] for h in (h1, h2))
+    h_inverse, terms = seq.certificate
+    h1, h2 = h_inverse
+    assert h_inverse == {h1: h1, h2: h2}  # involutions
+    b1, b2 = (group.matrix(h)[0, 1] for h in (h1, h2))
     assert [b1.val, b2.val] == [1, 2]
-    assert seq.certificate.terms == ((h1, 0, (1, 1), ((b2 / b1) ** 2).val), (h2, 0, (1, 1), 1))
+    assert terms == [(h1, 0, (1, 1), ((b2 / b1) ** 2).val), (h2, 0, (1, 1), 1)]
     # independent re-verification of the certificate, densely
     y, system, rhs = _restriction_system(seq)
     assert (y @ system).is_zero
@@ -99,9 +101,11 @@ def test_criterion_02_nonsplit_char3(case_b):
     start = time.perf_counter()
     group, seq = case_b
     # H = {u}, the shear, and y = 2 e(0,x1^2 x2) + e(1,x1 x2^2): slots 0 and 3
-    (u,) = seq.certificate.ids
-    assert group.elements[u] == Matrix.from_rows(F3, [[1, 1], [0, 1]])
-    assert seq.certificate.terms == ((u, 0, (2, 1), 2), (u, 1, (1, 2), 1))
+    h_inverse, terms = seq.certificate
+    (u,) = h_inverse
+    assert h_inverse == {u: group.inv[u]}
+    assert group.matrix(u) == Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    assert terms == [(u, 0, (2, 1), 2), (u, 1, (1, 2), 1)]
     y, system, rhs = _restriction_system(seq)
     assert (y @ system).is_zero
     assert not (y @ rhs).is_zero
@@ -125,8 +129,8 @@ def test_criterion_03_symmetric_power_structure(case_a, case_b):
             assert a.submatrix(n, N, 0, n).is_zero
     group_a, seq_a = case_a
     one = F4.one()
-    for i, m in enumerate(group_a.elements):
-        a = m[0, 0]
+    for i in range(group_a.order):
+        a = group_a.matrix(i)[0, 0]
         c = a * a + a
         assert seq_a.sym_module.action(group_a.inv[i]).column_vector(2) == Matrix.column(
             F4, [c, c, one]

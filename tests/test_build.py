@@ -17,7 +17,8 @@ from modcoh.build import (
     tensor_vanishing_witness,
     toy_example,
 )
-from modcoh.cli import main
+from modcoh import verify
+from modcoh.cli import JobSpec, build_group, main
 from modcoh.coh import h1_class, is_split, split_system, tensor_with_invariant
 from modcoh.errors import (
     BadCharacteristic, HypothesisNotSatisfied, ModcohError,
@@ -26,6 +27,7 @@ from modcoh.gf import field_new, field_to_json
 from modcoh.grp import additive_family, closure, paired_shear_family
 from modcoh.linalg import Matrix, kron, matrix_to_json, solve, vstack
 from modcoh.rep import action_is_homomorphism, direct_sum_mod, dual, tensor
+from modcoh.report import run_pipeline
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -38,13 +40,13 @@ G3 = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
 def test_dims_char2():
     seq = build_nonsplit_sequence(G4)
     assert seq.dims == {"N": 3, "V": 3, "W": 2, "U": 2, "U_ext": 3, "X": 11}
-    assert len(seq.certificate.ids) == 2
+    assert len(seq.certificate[0]) == 2
 
 
 def test_dims_char3():
     seq = build_nonsplit_sequence(G3)
     assert seq.dims == {"N": 4, "V": 4, "W": 2, "U": 4, "U_ext": 5, "X": 19}
-    assert seq.certificate.ids == tuple(G3.spanning_ids)
+    assert tuple(seq.certificate[0]) == tuple(G3.spanning_ids)
 
 
 def test_hypothesis_rejected_over_gf2():
@@ -64,10 +66,43 @@ def test_construction_without_hypothesis_flag():
 
 
 def test_family_a_over_gf16_forms_at_most_two_candidates(monkeypatch):
-    # H is found by looking the pattern matrices of b = 1, 2, ... up in the
+    # H is found by looking the pattern tuples of b = 1, 2, ... up in the
     # group's index, stopping at the second hit: family-a holds A(1) and
-    # A(2), so two candidate matrices are formed, not one per field element
+    # A(2), so two candidates are formed, not one per field element, and
+    # no Matrix at all
     group = additive_family(field_new(2, 4))
+    made, candidates = [], []
+    original, padded = Matrix.__init__, verify._padded
+
+    def making(self, ctx, rows, cols, data):
+        made.append((rows, cols))
+        original(self, ctx, rows, cols, data)
+
+    def forming(n, block):
+        candidates.append(block)
+        return padded(n, block)
+
+    monkeypatch.setattr(Matrix, "__init__", making)
+    monkeypatch.setattr(verify, "_padded", forming)
+    seq = build_nonsplit_sequence(group)
+    assert len(seq.certificate[0]) == 2
+    assert len(candidates) == 2 and made == []
+
+
+@pytest.mark.parametrize("recipe,p,order", [("sl2-file", 13, 2184), ("zpxzp", 23, 529)])
+def test_construct_makes_no_matrix_per_element(monkeypatch, tmp_path, recipe, p, order):
+    # the group holds its elements as tuples of encodings and the
+    # certificate is read off them, so building the group and running the
+    # pipeline make a Matrix per generator and a few more, not one per
+    # element
+    if recipe == "sl2-file":
+        ctx = field_new(p)
+        path = tmp_path / "sl2.json"
+        path.write_text(json.dumps({"field": field_to_json(ctx), "n": 2, "generators": [
+            matrix_to_json(Matrix.from_rows(ctx, g)) for g in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])
+        ]}))
+        recipe = f"file:{path}"
+    spec = JobSpec(p=p, group=recipe)
     made = []
     original = Matrix.__init__
 
@@ -76,9 +111,26 @@ def test_family_a_over_gf16_forms_at_most_two_candidates(monkeypatch):
         original(self, ctx, rows, cols, data)
 
     monkeypatch.setattr(Matrix, "__init__", making)
-    seq = build_nonsplit_sequence(group)
-    assert len(seq.certificate.ids) == 2
-    assert len(made) <= 2
+    group = build_group(spec)
+    run_pipeline(group, spec.to_dict())
+    assert group.order == order
+    assert len(made) <= len(group.generators) + 4
+
+
+@pytest.mark.parametrize("diagonal,toy", [(False, True), (True, False)])
+def test_toy_record_follows_the_determinant_of_the_generators(diagonal, toy):
+    # SL_2(F_4) by its four shears, whose S' is not all of them, has the toy
+    # record; with diag(t, 1) added, GL_2(F_4) has a generator of
+    # determinant t and no toy record.  Both reports verify
+    t = F4.gen()
+    rows = [[[1, 1], [0, 1]], [[1, t], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [t, 1]]]
+    if diagonal:
+        rows.append([[t, 0], [0, 1]])
+    group = closure(F4, 2, [Matrix.from_rows(F4, r) for r in rows])
+    assert group.order == (180 if diagonal else 60)
+    report = run_pipeline(group, {"order_cap": group.order}).report
+    assert (report["payload"]["toy"] is not None) == toy
+    assert verify.verify_report(report) == 6 + toy
 
 
 def test_cocycle_lands_in_u_and_validates():
@@ -108,7 +160,7 @@ def test_generator_system_char2_rows():
     one = F4.one()
     assert ids == tuple(G4.spanning_ids)
     for t, gid in enumerate(ids):
-        a = G4.elements[gid][0, 0]
+        a = G4.matrix(gid)[0, 0]
         coeff = a * a + one
         rhs = a * a + a
         for r in range(2):
@@ -271,7 +323,7 @@ def test_paired_shear_pipeline_smoke():
     group = paired_shear_family(F3)
     seq = build_nonsplit_sequence(group)
     assert seq.dims["N"] == comb(6, 3) == 20
-    assert seq.certificate.ids == (group.spanning_ids[0],)
+    assert tuple(seq.certificate[0]) == (group.spanning_ids[0],)
     assert assemble_obstruction_module(seq).dim == 4 * 4 * (20 - 4) + 3
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import modcoh.grp as grp
 import modcoh.linalg
 import modcoh.verify as verify
-from modcoh.build import build_nonsplit_sequence, restriction_certificate
+from modcoh.build import build_nonsplit_sequence
 from modcoh.errors import (
     BadCharacteristic,
     HypothesisNotSatisfied,
@@ -34,6 +34,22 @@ F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
 F9 = field_new(3, 2)
+
+
+def row_major(m):
+    """A Matrix as the row-major tuple of encodings that a group holds."""
+    return tuple(m.raw(i, j) for i in range(m.rows) for j in range(m.cols))
+
+
+def matrices(group):
+    """Every element of the group as a Matrix, in id order."""
+    return [group.matrix(i) for i in range(group.order)]
+
+
+def restriction_row(group):
+    """H, as each element's id mapped to its inverse's, and y's terms, by
+    the lookup of `verify._restriction_row` in the group's own index."""
+    return verify._restriction_row(group.ctx, group.n, group.index)
 
 
 def brute_closure_oracle(generators, identity):
@@ -111,14 +127,18 @@ def test_closure_matches_the_reference_closure(case):
     ctx, n, gens = case
     g = closure(ctx, n, gens)
     elements, index, inv, spanning, parents = reference_closure(ctx, n, gens)
-    assert g.elements == elements
-    assert g.index == index
+    assert g.elements == list(map(row_major, elements))
+    assert g.index == {row_major(m): i for m, i in index.items()}
+    assert matrices(g) == elements
     assert g.generators == gens
     assert g.inv == inv
-    # the S' rows come filled from closure, before any product is asked for
+    # the S' rows come filled from closure, before any product is asked for,
+    # and the other rows, tabulated on tuples, are the Matrix products
     assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(spanning)
     for s in spanning:
         assert g._rows[s] == [index[elements[s] @ h] for h in elements]
+    for i in range(g.order):
+        assert [g.mul(i, j) for j in range(g.order)] == [index[elements[i] @ h] for h in elements]
     assert g.spanning_ids == spanning
     assert g.tree_parents == parents
 
@@ -189,7 +209,10 @@ def test_closure_makes_one_product_per_s_prime_and_non_identity_element(monkeypa
 def matrix_search(ctx, n, gens):
     """The reference for both closures: `_search` over Matrix products, as
     closure ran it before its products were prepared tuple kernels."""
-    return grp._search(Matrix.identity(ctx, n), gens, lambda g: g.__matmul__, 10_000)
+    found, _, spanning, rows, parents, inv = grp._search(
+        Matrix.identity(ctx, n), gens, lambda g: g.__matmul__, 10_000
+    )
+    return found, spanning, rows, parents, inv
 
 
 def _rows(ctx, gens):
@@ -224,16 +247,13 @@ def test_both_closures_equal_the_matrix_search(label):
     assert len(found) > len(spanning) > 0
 
     g = closure(ctx, n, gens)
-    assert g.elements == found and g.index == {m: i for i, m in enumerate(found)}
+    tuples = list(map(row_major, found))
+    assert g.elements == tuples and g.index == {t: i for i, t in enumerate(tuples)}
     assert g.spanning_ids == spanning and g.tree_parents == parents and g.inv == inv
     assert [g._rows[s] for s in spanning] == s_rows
 
-    def flat(m):
-        return tuple(m.raw(i, j) for i in range(n) for j in range(n))
-
-    tuples = list(map(flat, found))
     elements, v_spanning, v_inverse, v_index = verify._generated(
-        ctx, n, list(map(flat, gens)), len(found)
+        ctx, n, list(map(row_major, gens)), len(found)
     )
     assert elements == tuples and v_index == {t: i for i, t in enumerate(tuples)}
     assert v_spanning == spanning
@@ -243,7 +263,7 @@ def test_both_closures_equal_the_matrix_search(label):
 def test_closure_trivial():
     g = closure(F3, 2, [Matrix.identity(F3, 2)])
     assert g.order == 1
-    assert g.elements[0] == Matrix.identity(F3, 2)
+    assert g.matrix(0) == Matrix.identity(F3, 2)
 
 
 def test_closure_empty_generators():
@@ -262,12 +282,12 @@ def test_closure_two_involutions_gf4():
     g = closure(F4, 2, gens)
     assert g.order == 4
     oracle = brute_closure_oracle(gens, Matrix.identity(F4, 2))
-    assert set(g.elements) == oracle
+    assert set(matrices(g)) == oracle
 
 
 def test_closure_idempotent():
     g = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
-    again = closure(F3, 2, list(g.elements))
+    again = closure(F3, 2, matrices(g))
     assert set(again.elements) == set(g.elements)
 
 
@@ -275,14 +295,14 @@ def test_inverse_table():
     g = additive_family(F4)
     ident = Matrix.identity(F4, 2)
     for i in range(g.order):
-        assert g.elements[i] @ g.elements[g.inv[i]] == ident
+        assert g.matrix(i) @ g.matrix(g.inv[i]) == ident
 
 
 def test_mul_index_table():
     g = additive_family(F4)
     for i in range(g.order):
         for j in range(g.order):
-            assert g.elements[g.mul(i, j)] == g.elements[i] @ g.elements[j]
+            assert g.matrix(g.mul(i, j)) == g.matrix(i) @ g.matrix(j)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
@@ -292,7 +312,7 @@ def test_spanning_ids_of_the_additive_family(p, k):
     s = g.spanning_ids
     # the published generators are S', a basis over F_p of k elements
     assert len(s) == k
-    assert [g.index[m] for m in g.generators] == s
+    assert [g.index[row_major(m)] for m in g.generators] == s
     # the closure over every nonzero parameter in encoding order keeps the
     # same S', element ids and search tree
     every = closure(ctx, 2, [family_matrix(ctx, ctx.el(v)) for v in range(1, ctx.q)])
@@ -396,10 +416,10 @@ def test_spanning_ids_drop_redundant_generators():
     ident = Matrix.identity(F3, 3)
     g = closure(F3, 3, [x, ident, y, x @ y, x])  # non-abelian, order 27
     assert g.order == 27
-    assert g.spanning_ids == [g.index[x], g.index[y]]
+    assert g.spanning_ids == [g.index[row_major(x)], g.index[row_major(y)]]
     assert g.generators == [x, ident, y, x @ y, x]
     zpxzp = paired_shear_family(F3)
-    assert zpxzp.spanning_ids == [zpxzp.index[m] for m in zpxzp.generators]
+    assert zpxzp.spanning_ids == [zpxzp.index[row_major(m)] for m in zpxzp.generators]
     assert closure(F3, 2, []).spanning_ids == []
 
 
@@ -407,7 +427,7 @@ def test_mul_tabulates_only_the_rows_it_is_asked_for():
     g = additive_family(field_new(2, 3))
     s = g.spanning_ids
     assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(s)
-    assert g.mul(5, 3) == g.index[g.elements[5] @ g.elements[3]]
+    assert g.mul(5, 3) == g.index[row_major(g.matrix(5) @ g.matrix(3))]
     assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(set(s) | {5})
 
 
@@ -467,7 +487,7 @@ def test_family_rejects_non_closed_subset():
 def test_family_embedded_in_bigger_n():
     g = additive_family(F4, n=3)
     assert g.order == 4 and g.n == 3
-    assert len(restriction_certificate(g).ids) == 2
+    assert len(restriction_row(g)[0]) == 2
 
 
 @pytest.mark.parametrize("p,expected", [(3, 9), (5, 25)])
@@ -485,9 +505,9 @@ def test_hypothesis_char2():
     # involutions A(b), b != 0, GF(2) only A(1), one short of the two H needs
     for ctx, involutions in ((F4, 3), (F2, 1)):
         g = additive_family(ctx)
-        found = [a for a in map(_matches_involution_pattern, g.elements) if a is not None]
+        found = [a for a in map(_matches_involution_pattern, matrices(g)) if a is not None]
         assert len(found) == involutions + 1  # and the identity, a = 1
-        assert (restriction_certificate(g) is None) == (involutions < 2)
+        assert (restriction_row(g) == ({}, [])) == (involutions < 2)
 
 
 def pattern_by_field_elements(m):
@@ -508,7 +528,7 @@ def pattern_by_field_elements(m):
 def _matches_involution_pattern(m):
     """The encoding of a for [[a, a+1], [a+1, a]] + identity elsewhere, or
     None; compared on raw encodings, where one is 1.  The element-by-element
-    form of the lookup that `build.restriction_certificate` makes."""
+    form of the lookup that `verify._restriction_row` makes."""
     a = m.raw(0, 0)
     a1 = m.ctx.add_i(a, 1)
     if m.raw(0, 1) != a1 or m.raw(1, 0) != a1 or m.raw(1, 1) != a:
@@ -532,8 +552,8 @@ def sl2_f4():
 def test_pattern_match_on_encodings_equals_the_field_element_form(label):
     # the scan compares raw encodings and makes a FieldElement only for a
     # match; on every element it finds what the FieldElement form finds,
-    # and the builder's H is the pair of the two least b = a + 1 != 0 it
-    # finds, which the builder's lookup of b = 1, 2, ... stops at
+    # and H is the pair of the two least b = a + 1 != 0 it finds, which the
+    # lookup of b = 1, 2, ... stops at
     if label == "SL2(F4)":
         g = sl2_f4()
         assert g.order == 60
@@ -542,13 +562,13 @@ def test_pattern_match_on_encodings_equals_the_field_element_form(label):
                 "GF(4) n=3": (2, 3), "GF(8) n=3": (3, 3)}[label]
         g = additive_family(field_new(2, k), n=n)
     found = []
-    for i, m in enumerate(g.elements):
+    for i, m in enumerate(matrices(g)):
         want = pattern_by_field_elements(m)
         assert _matches_involution_pattern(m) == (None if want is None else want.val), i
         if want is not None:
             found.append((want.val, want, i))
     bs = sorted((g.ctx.add_i(a, 1), i) for a, _, i in found if a != 1)
-    assert restriction_certificate(g).ids == tuple(i for _, i in bs[:2])
+    assert tuple(restriction_row(g)[0]) == tuple(i for _, i in bs[:2])
 
 
 @pytest.mark.parametrize("ctx", [F4, F3], ids=["p=2", "p=3"])
@@ -557,19 +577,19 @@ def test_hypothesis_fails_for_n_below_2(ctx):
     # the message says why, with no entry (0, 1) to read and no family
     # matrix to form
     group = closure(ctx, 1, [Matrix.from_rows(ctx, [[ctx.p - 1]])])
-    assert restriction_certificate(group) is None
+    assert restriction_row(group) == ({}, [])
     with pytest.raises(HypothesisNotSatisfied, match="n >= 2"):
         build_nonsplit_sequence(group)
 
 
 def test_hypothesis_char3():
     good = closure(F3, 2, [Matrix.from_rows(F3, [[1, 1], [0, 1]])])
-    assert restriction_certificate(good).ids == (1,)
+    assert tuple(restriction_row(good)[0]) == (1,)
     diag = closure(F3, 2, [Matrix.from_rows(F3, [[2, 0], [0, 1]])])
-    assert restriction_certificate(diag) is None
+    assert restriction_row(diag) == ({}, [])
     with pytest.raises(HypothesisNotSatisfied, match="shear"):
         build_nonsplit_sequence(diag)
-    assert restriction_certificate(paired_shear_family(F3)) is not None
+    assert restriction_row(paired_shear_family(F3))[1]
 
 
 def scanned_certificate(group):
@@ -584,14 +604,14 @@ def scanned_certificate(group):
     pad = (0,) * (n - 2)
     if p > 2:
         shear = [h for h, m in enumerate(group.elements) if all(
-            m.raw(i, j) == int(i == j or (i, j) == (0, 1)) for i in range(n) for j in range(n)
+            m[i * n + j] == int(i == j or (i, j) == (0, 1)) for i in range(n) for j in range(n)
         )]
         if not shear:
             return None
         (u,) = shear
         return (u,), ((u, 0, (p - 1, 1) + pad, ctx.from_int(2).val), (u, 1, (p - 2, 2) + pad, 1))
     found = []
-    for h, m in enumerate(group.elements):
+    for h, m in enumerate(matrices(group)):
         a = _matches_involution_pattern(m)
         if a is not None and a != 1:
             found.append((ctx.add_i(a, 1), h))
@@ -611,9 +631,9 @@ def scanned_certificate(group):
 )
 def test_certificate_lookup_equals_the_scan_on_additive_subgroups(ctx, n, data):
     # on the family of a random additive subgroup U of the field, the
-    # builder's lookup finds the H and y that testing every element finds,
-    # and that the verifier's separate lookup on tuples finds; None exactly
-    # when the scan finds no shear (p >= 3) or fewer than two involutions
+    # lookup in the group's index finds the H and y that testing every
+    # element finds; none exactly when the scan finds no shear (p >= 3) or
+    # fewer than two involutions
     spanning = data.draw(st.lists(st.integers(0, ctx.q - 1), max_size=3), label="spanning")
     span = {0}
     for v in spanning:
@@ -623,11 +643,7 @@ def test_certificate_lookup_equals_the_scan_on_additive_subgroups(ctx, n, data):
                 span.add(x)
     group = additive_family(ctx, params=[ctx.el(a) for a in span], n=n)
     want = scanned_certificate(group)
-    cert = restriction_certificate(group)
-    assert (None if cert is None else (cert.ids, cert.terms)) == want
-    index = {tuple(m.raw(i, j) for i in range(n) for j in range(n)): h
-             for h, m in enumerate(group.elements)}
-    h_inverse, terms = verify._restriction_row(ctx, n, index)
+    h_inverse, terms = restriction_row(group)
     assert (None if not terms else (tuple(h_inverse), tuple(terms))) == want
     assert all(group.inv[h] == back for h, back in h_inverse.items())
     if ctx.p > 2:
@@ -661,4 +677,4 @@ def test_bfs_element_order_deterministic():
     g1 = additive_family(F9)
     g2 = additive_family(F9)
     assert g1.elements == g2.elements
-    assert g1.elements[0] == Matrix.identity(F9, 2)
+    assert g1.matrix(0) == Matrix.identity(F9, 2)

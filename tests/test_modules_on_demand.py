@@ -66,7 +66,7 @@ def eager_sym(label):
     pos = {m: i for i, m in enumerate(basis)}
     N = len(basis)
     out = []
-    for sigma in g.elements:
+    for sigma in map(g.matrix, range(g.order)):
         data = [0] * (N * N)
         for col, mono in enumerate(basis):
             image = substitute_linear(Polynomial.from_monomial(ctx, mono, ctx.one()), sigma)
@@ -81,7 +81,7 @@ def eager_twist(label):
     return [
         Matrix.from_rows(m.ctx, [[m[i, j].frobenius() for j in range(m.cols)]
                                  for i in range(m.rows)])
-        for m in group(label).elements
+        for m in map(group(label).matrix, range(group(label).order))
     ]
 
 

@@ -24,7 +24,6 @@ from modcoh.rep import (
     frobenius_twist,
     hom,
     monomial_code,
-    monomial_image,
     natural_module,
     sym_power,
     tensor,
@@ -58,8 +57,8 @@ def test_sym_power_column_char2():
     # column n+1 of A_{s^-1} is (a^2+a, a^2+a, 1)^T for the pattern value a
     sym, _ = sym_power(G4, 2)
     one = F4.one()
-    for i, m in enumerate(G4.elements):
-        a = m[0, 0]  # pattern [[a, a+1], [a+1, a]] after a -> a (involution)
+    for i in range(G4.order):
+        a = G4.matrix(i)[0, 0]  # pattern [[a, a+1], [a+1, a]] after a -> a (involution)
         col = sym.action(G4.inv[i]).column_vector(2)
         c = a * a + a
         assert col == Matrix.column(F4, [c, c, one])
@@ -79,8 +78,8 @@ def test_sym_power_columns_embedded_n3():
     g4 = additive_family(F4, n=3)
     sym, basis = sym_power(g4, 2)
     assert sym.dim == 6
-    for i, m in enumerate(g4.elements):
-        a = m[0, 0]
+    for i in range(g4.order):
+        a = g4.matrix(i)[0, 0]
         c = a * a + a
         col = sym.action(g4.inv[i]).column_vector(3)  # image of x1*x2
         assert col == Matrix.column(F4, [c, c, F4.zero(), F4.one(), F4.zero(), F4.zero()])
@@ -132,8 +131,8 @@ def substitutions(draw):
 @given(substitutions())
 def test_power_table_columns_equal_substitution(case):
     # every column of the builder's power-table action is the substituted
-    # basis monomial; the monomial images of both sides are its columns
-    # (test_monomial_images_are_the_columns_of_the_dense_action)
+    # basis monomial; the monomial images the certificate check reads are
+    # its columns (test_monomial_images_are_the_columns_of_the_dense_action)
     sigma, d = case
     ctx, n = sigma.ctx, sigma.rows
     basis = monomial_basis(n, d, ctx.p)
@@ -151,9 +150,10 @@ def test_power_table_columns_equal_substitution(case):
 @given(substitutions(), st.data())
 def test_monomial_images_are_the_columns_of_the_dense_action(case, data):
     # on an invertible sigma over each kind of field, the image of a
-    # monomial under the builder's and the verifier's image helper is that
-    # monomial's column of _substitution_matrix, the dense action that h1
-    # and the module recipes keep
+    # monomial under verify._image, the one image helper, which the builder
+    # and the verifier check the certificate with, is that monomial's
+    # column of _substitution_matrix, the dense action that h1 and the
+    # module recipes keep
     sigma, d = case
     assume(is_invertible(sigma))
     ctx, n = sigma.ctx, sigma.rows
@@ -163,9 +163,9 @@ def test_monomial_images_are_the_columns_of_the_dense_action(case, data):
     cells = tuple(sigma.raw(i, j) for i in range(n) for j in range(n))
     j = data.draw(st.integers(0, len(basis) - 1))
     column = {i: dense.raw(i, j) for i in range(len(basis)) if dense.raw(i, j)}
-    for image in (monomial_image(sigma, basis[j]), verify._image(ctx, cells, n, tuple(basis[j]))):
-        assert all(c in code_pos for c in image)
-        assert {code_pos[c]: v for c, v in image.items()} == column
+    image = verify._image(ctx, cells, n, tuple(basis[j]))
+    assert all(c in code_pos for c in image)
+    assert {code_pos[c]: v for c, v in image.items()} == column
 
 
 def test_block_structure_degree_p():
@@ -181,14 +181,15 @@ def test_block_structure_degree_p():
 
 def test_frobenius_twist_entries():
     twist = frobenius_twist(G4)
-    for i, m in enumerate(G4.elements):
+    for i in range(G4.order):
+        m = G4.matrix(i)
         for r in range(2):
             for c in range(2):
                 assert twist.action(i)[r, c] == frobenius(m[r, c])
     # over the prime field the twist is the natural module
-    twist3 = frobenius_twist(G3)
+    twist3, natural3 = frobenius_twist(G3), natural_module(G3)
     for i in range(G3.order):
-        assert twist3.action(i) == G3.elements[i]
+        assert twist3.action(i) == natural3.action(i) == G3.matrix(i)
 
 
 def test_dual_of_trivial_and_involution():
@@ -213,7 +214,8 @@ def determinant_oracle(m):
 def test_determinant_module_is_trivial():
     # the families lie in SL_2, so the 1x1 determinant action is trivial
     for group in (G4, G3):
-        dets = [Matrix.from_rows(group.ctx, [[determinant_oracle(m)]]) for m in group.elements]
+        dets = [Matrix.from_rows(group.ctx, [[determinant_oracle(group.matrix(i))]])
+                for i in range(group.order)]
         det_mod = GModule(group, 1, dets.__getitem__, "det")
         assert det_mod.actions() == trivial_module(group, 1).actions()
         assert dual(det_mod).actions() == det_mod.actions()

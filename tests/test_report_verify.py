@@ -203,7 +203,7 @@ def test_sym_action_block_check_fires(monkeypatch):
 
     def broken(sigma, basis, pos):
         mat = original(sigma, basis, pos)
-        if sigma != group.elements[s]:
+        if sigma != group.matrix(s):
             return mat
         data = [mat.raw(i, j) for i in range(mat.rows) for j in range(mat.cols)]
         data[2 * mat.cols] = 1  # row n = 2 of the pure power x^3's column: bottom-left
@@ -227,12 +227,12 @@ SHEAR_GROUPS = {
 }
 
 
-def rejects_corrupted_m1_image(monkeypatch, group, code, check, violation):
-    """Both sides, with 1 added at monomial `code` of m1's image in the
-    verifier's and the builder's monomial-image helper, reject the
-    certificate: verify with FailedCheck `check`, construct with
-    TheoremViolation `violation`.  The report is made before the helpers
-    are corrupted."""
+def rejects_corrupted_m1_image(monkeypatch, group, code, check):
+    """Both sides, with 1 added at monomial `code` of m1's image in
+    `verify._image`, the one image helper, reject the certificate: verify
+    with FailedCheck `check`, construct with a TheoremViolation that states
+    `check` and names H.  The report is made before the helper is
+    corrupted."""
     ctx, n = group.ctx, group.n
     report = run_pipeline(group, {"order_cap": group.order}).report
     m1 = (ctx.p - 1, 1) + (0,) * (n - 2)
@@ -247,9 +247,9 @@ def rejects_corrupted_m1_image(monkeypatch, group, code, check, violation):
         return broken
 
     monkeypatch.setattr(modcoh.verify, "_image", corrupted(modcoh.verify._image))
-    monkeypatch.setattr(modcoh.build, "monomial_image", corrupted(modcoh.build.monomial_image))
     expect_failure(report, re.escape(check))
-    with pytest.raises(TheoremViolation, match=re.escape(violation)):
+    u = group.index[tuple(int(i == j or (i, j) == (0, 1)) for i in range(n) for j in range(n))]
+    with pytest.raises(TheoremViolation, match=re.escape(f"{check}, H = [{u}]")):
         build_nonsplit_sequence(group)
 
 
@@ -260,9 +260,7 @@ def test_tamper_cocycle_value(monkeypatch):
     for label, make in SHEAR_GROUPS.items():
         group = make()
         with monkeypatch.context() as patch:
-            rejects_corrupted_m1_image(
-                patch, group, group.ctx.p, "nonsplit: y kills g on H", "kills g on H"
-            )
+            rejects_corrupted_m1_image(patch, group, group.ctx.p, "nonsplit: y kills g on H")
         assert verify_report(run_pipeline(group, {"order_cap": group.order}).report) == 6, label
 
 
@@ -274,9 +272,30 @@ def test_corrupted_non_pure_coefficient_is_rejected(monkeypatch):
         m1_code = 2 * group.ctx.p  # p - 1 + (p + 1), base p + 1
         with monkeypatch.context() as patch:
             rejects_corrupted_m1_image(
-                patch, group, m1_code, "nonsplit: y does not kill U(h) - 1 on H",
-                "does not kill U(h) - 1 on H",
+                patch, group, m1_code, "nonsplit: y does not kill U(h) - 1 on H"
             )
+
+
+def test_theorem_violation_in_construct_exits_3_and_writes_no_report(
+    monkeypatch, tmp_path, capsys
+):
+    # with the one image helper corrupted as in test_tamper_cocycle_value,
+    # construct stops before any report is written, exits 3 and names H
+    from modcoh.cli import main
+
+    original = modcoh.verify._image
+
+    def broken(ctx, sigma, n, exps):
+        image = dict(original(ctx, sigma, n, exps))
+        image[ctx.p] = ctx.add_i(image.get(ctx.p, 0), 1)  # one more x1^p
+        return image
+
+    monkeypatch.setattr(modcoh.verify, "_image", broken)
+    out = tmp_path / "report.json"
+    assert main(["construct", "--p", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "INTERNAL THEOREM VIOLATION: nonsplit: y kills g on H, H = [1]\n"
 
 
 def test_cocycle_must_land_in_u():
