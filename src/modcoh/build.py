@@ -35,7 +35,6 @@ module recipe or the toy reads them (NonSplitSequence).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
@@ -75,7 +74,6 @@ from .rep import (
 from . import verify
 
 
-@dataclass
 class NonSplitSequence:
     """The group and its non-split certificate (h_inverse, terms), None when
     the group has no subgroup H for it (the hypothesis fails).  H is the
@@ -85,10 +83,14 @@ class NonSplitSequence:
     cocycle are made on first read (`h1`, the module recipes, the toy and
     the tests read them), each with the guard checks of its own code: the
     block form of A and g in U on S'.  iota = (I_n | 0) is fixed by n, so
-    it is not held."""
+    it is not held.  The cached modules need the instance dict, so the
+    class has no __slots__."""
 
-    group: MatrixGroup
-    certificate: Optional[tuple[dict[int, int], list]]
+    def __init__(
+        self, group: MatrixGroup, certificate: Optional[tuple[dict[int, int], list]]
+    ):
+        self.group = group
+        self.certificate = certificate
 
     @property
     def dims(self) -> dict[str, int]:
@@ -212,7 +214,6 @@ def _iota_coboundary(group: MatrixGroup, twist: GModule, sym: GModule, i: int) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TensorVanishing:
     """w = pi kills the class of g after tensoring: (s-1)u = w (x) g_s.
 
@@ -249,8 +250,11 @@ class TensorVanishing:
     So the equation holds on every element.
     """
 
-    ctx: FieldCtx
-    d: int
+    __slots__ = ("ctx", "d")
+
+    def __init__(self, ctx: FieldCtx, d: int):
+        self.ctx = ctx
+        self.d = d
 
     @property
     def w(self) -> Matrix:
@@ -273,9 +277,11 @@ def tensor_vanishing_witness(seq: NonSplitSequence) -> TensorVanishing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ObstructionReport:
-    dim: int
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        self.dim = dim
 
 
 def assemble_obstruction_module(seq: NonSplitSequence) -> ObstructionReport:
@@ -299,12 +305,14 @@ def assemble_obstruction_module(seq: NonSplitSequence) -> ObstructionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ToyReport:
     """The toy sequence, which is the main extension: its verdict is main's."""
 
-    main: NonSplitSequence
-    split: bool
+    __slots__ = ("main", "split")
+
+    def __init__(self, main: NonSplitSequence, split: bool):
+        self.main = main
+        self.split = split
 
 
 def toy_example(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from typing import Optional
 
 from .build import det_identity_demo, resolve_module
@@ -42,49 +41,11 @@ from .report import run_pipeline, write_report
 from .verify import verify_report_file
 
 
-@dataclass
-class JobSpec:
-    """One construct job; mirrors the flags and round-trips through JSON."""
-
-    p: int
-    k: int = 1
-    modulus: Optional[list[int]] = None
-    n: Optional[int] = None
-    group: str = "family-a"
-    order_cap: int = DEFAULT_ORDER_CAP
-    seed: int = 0
-    out: str = "-"
-
-    def to_dict(self) -> dict:
-        """`dataclasses.asdict` without its deep copy: every field is
-        immutable but `modulus`, which is copied as a new list."""
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.modulus is not None:
-            obj["modulus"] = list(self.modulus)
-        return obj
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "JobSpec":
-        if not isinstance(obj, dict):
-            raise ModcohError("a job spec is a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ModcohError(f"unknown job fields: {sorted(unknown)}")
-        if "p" not in obj:
-            raise ModcohError("job spec needs p")
-        for key, val in obj.items():
-            kind, ok = _JOB_FIELD_TYPES[key]
-            if not ok(val):
-                raise ModcohError(f"job field {key} = {val!r} is not {kind}")
-        return cls(**obj)
-
-
 def _is_int(val) -> bool:
     return type(val) is int  # not bool, which JSON true and false load as
 
 
-# what each job field must hold, and the test of it
+# the fields of a JobSpec in flag order: what each must hold, and the test of it
 _JOB_FIELD_TYPES = {
     "p": ("an integer", _is_int),
     "k": ("an integer", _is_int),
@@ -96,6 +57,61 @@ _JOB_FIELD_TYPES = {
     "seed": ("an integer", _is_int),
     "out": ("a string", lambda v: isinstance(v, str)),
 }
+
+
+class JobSpec:
+    """One construct job; mirrors the flags and round-trips through JSON.
+    Its fields are the keys of `_JOB_FIELD_TYPES`, in flag order."""
+
+    __slots__ = tuple(_JOB_FIELD_TYPES)
+
+    def __init__(
+        self,
+        p: int,
+        k: int = 1,
+        modulus: Optional[list[int]] = None,
+        n: Optional[int] = None,
+        group: str = "family-a",
+        order_cap: int = DEFAULT_ORDER_CAP,
+        seed: int = 0,
+        out: str = "-",
+    ):
+        self.p = p
+        self.k = k
+        self.modulus = modulus
+        self.n = n
+        self.group = group
+        self.order_cap = order_cap
+        self.seed = seed
+        self.out = out
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not JobSpec:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def to_dict(self) -> dict:
+        """Every field by name, in flag order; every field is immutable but
+        `modulus`, which is copied as a new list."""
+        obj = {name: getattr(self, name) for name in _JOB_FIELD_TYPES}
+        if self.modulus is not None:
+            obj["modulus"] = list(self.modulus)
+        return obj
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "JobSpec":
+        if not isinstance(obj, dict):
+            raise ModcohError("a job spec is a JSON object")
+        unknown = obj.keys() - _JOB_FIELD_TYPES.keys()
+        if unknown:
+            raise ModcohError(f"unknown job fields: {sorted(unknown)}")
+        if "p" not in obj:
+            raise ModcohError("job spec needs p")
+        for key, val in obj.items():
+            kind, ok = _JOB_FIELD_TYPES[key]
+            if not ok(val):
+                raise ModcohError(f"job field {key} = {val!r} is not {kind}")
+        return cls(**obj)
 
 
 def build_group(spec: JobSpec) -> MatrixGroup:

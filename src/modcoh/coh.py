@@ -30,7 +30,6 @@ without the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -608,13 +607,15 @@ def _complement_basis(bb: Sequence[Matrix], zb: Sequence[Matrix]) -> list[Matrix
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExtensionClass:
     """A short exact sequence 0 -> base -> total -> K -> 0 in block form."""
 
-    base: GModule
-    cocycle: Cocycle
-    total: GModule
+    __slots__ = ("base", "cocycle", "total")
+
+    def __init__(self, base: GModule, cocycle: Cocycle, total: GModule):
+        self.base = base
+        self.cocycle = cocycle
+        self.total = total
 
 
 def extension_from_cocycle(g: Cocycle) -> ExtensionClass:
@@ -688,7 +689,6 @@ def cocycle_from_extension(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NonSplitCertificate:
     """Inconsistency witness for the S' system (s-1)u = g_s.
 
@@ -696,19 +696,26 @@ class NonSplitCertificate:
     both equations by plain matrix products.
     """
 
-    system: Matrix
-    rhs: Matrix
-    row: Matrix
+    __slots__ = ("system", "rhs", "row")
+
+    def __init__(self, system: Matrix, rhs: Matrix, row: Matrix):
+        self.system = system
+        self.rhs = rhs
+        self.row = row
 
     def verify(self) -> bool:
         return (self.row @ self.system).is_zero and not (self.row @ self.rhs).is_zero
 
 
-@dataclass(frozen=True)
 class SplitResult:
-    split: bool
-    witness: Optional[Matrix]
-    certificate: Optional[NonSplitCertificate]
+    __slots__ = ("split", "witness", "certificate")
+
+    def __init__(
+        self, split: bool, witness: Optional[Matrix], certificate: Optional[NonSplitCertificate]
+    ):
+        self.split = split
+        self.witness = witness
+        self.certificate = certificate
 
 
 def split_system(g: Cocycle) -> tuple[Matrix, Matrix, tuple[int, ...]]:

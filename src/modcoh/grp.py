@@ -57,11 +57,16 @@ class MatrixGroup:
     parent is reached before its child, so it has the smaller id, and a
     value defined on S' and the identity extends to every element along
     these edges.
+
+    The group keeps the tree as the search leaves it, `_parent[x]` = t and
+    `_letter[x]` = the position of s in S', and makes `tree_parents` and
+    `inv` from it and the S' rows on first read: the report path reads
+    neither, and only `h1`, the module recipes and the toy do.
     """
 
     __slots__ = (
-        "ctx", "n", "generators", "elements", "index", "inv",
-        "spanning_ids", "tree_parents", "_rows",
+        "ctx", "n", "generators", "elements", "index", "spanning_ids",
+        "_parent", "_letter", "_rows", "_inv", "_tree_parents",
     )
 
     def __init__(
@@ -71,28 +76,65 @@ class MatrixGroup:
         generators: list[Matrix],
         elements: list[Element],
         index: dict[Element, int],
-        inv: list[int],
         spanning_ids: list[int],
-        tree_parents: list[Optional[tuple[int, int]]],
         spanning_rows: list[list[int]],
+        parent: list[int],
+        letter: list[int],
     ):
         """`index` maps each element to its id; `spanning_rows[b]` is the
-        row of `mul(spanning_ids[b], .)`, found by the search."""
+        row of `mul(spanning_ids[b], .)`, and element x > 0 is
+        `spanning_ids[letter[x]]` times element `parent[x]`, as the search
+        found them."""
         self.ctx = ctx
         self.n = n
         self.generators = generators
         self.elements = elements
         self.index = index
-        self.inv = inv
         self.spanning_ids = spanning_ids
-        self.tree_parents = tree_parents
+        self._parent = parent
+        self._letter = letter
         self._rows: list[Optional[list[int]]] = [None] * len(elements)
         for s, row in zip(spanning_ids, spanning_rows):
             self._rows[s] = row
+        self._inv: Optional[list[int]] = None
+        self._tree_parents: Optional[list[Optional[tuple[int, int]]]] = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def tree_parents(self) -> list[Optional[tuple[int, int]]]:
+        if self._tree_parents is None:
+            spanning = self.spanning_ids
+            parents: list[Optional[tuple[int, int]]] = [None]
+            parents.extend(
+                (spanning[b], h) for b, h in zip(self._letter[1:], self._parent[1:])
+            )
+            self._tree_parents = parents
+        return self._tree_parents
+
+    @property
+    def inv(self) -> list[int]:
+        """The id of each element's inverse, from the search tree and the S'
+        rows with no product.  x = s h has x^-1 = h^-1 s^-1.  Right
+        multiplication by s^-1 commutes with the S' rows, so
+        right[b][x] = x s^-1 follows the tree from right[b][0] = s^-1, the
+        element that row b sends to the identity."""
+        if self._inv is None:
+            parent, letter = self._parent, self._letter
+            left = [self._rows[s] for s in self.spanning_ids]
+            right = []
+            for row in left:
+                r = [row.index(0)]
+                for x in range(1, len(parent)):
+                    r.append(left[letter[x]][r[parent[x]]])
+                right.append(r)
+            inv = [0] * len(parent)
+            for x in range(1, len(parent)):
+                inv[x] = right[letter[x]][inv[parent[x]]]
+            self._inv = inv
+        return self._inv
 
     def matrix(self, i: int) -> Matrix:
         """Element i as a new `Matrix`."""
@@ -135,7 +177,9 @@ def _search(
     and O'Brien, Handbook of Computational Group Theory, 2005.)
 
     Returns the elements in order of discovery with their ids, S', the S'
-    rows, the search tree and the inverse ids.
+    rows, and the search tree as `parent` and `letter`: element x > 0 was
+    found as S'[letter[x]] times element parent[x].  The tree parents and
+    the inverses follow from these (`MatrixGroup.tree_parents`, `.inv`).
     """
     # found[x] = kept[letter[x]] * found[parent[x]] for x > 0, and
     # left[b][h] is the id of kept[b] * found[h]
@@ -172,23 +216,8 @@ def _search(
                 row.append(visit(b, done))
             done += 1
 
-    size = len(found)
     spanning = [row[0] for row in left]
-    parents: list[Optional[tuple[int, int]]] = [None]
-    parents.extend((spanning[b], h) for b, h in zip(letter[1:], parent[1:]))
-    # x = s * h has x^-1 = h^-1 * s^-1.  Right multiplication by s^-1
-    # commutes with the S' rows, so right[b][x] = x * s^-1 follows the tree
-    # from right[b][0] = s^-1, the element that row b sends to the identity
-    right = []
-    for row in left:
-        r = [row.index(0)]
-        for x in range(1, size):
-            r.append(left[letter[x]][r[parent[x]]])
-        right.append(r)
-    inv = [0] * size
-    for x in range(1, size):
-        inv[x] = right[letter[x]][inv[parent[x]]]
-    return found, index, spanning, left, parents, inv
+    return found, index, spanning, left, parent, letter
 
 
 def closure(
@@ -211,13 +240,13 @@ def closure(
         if not is_invertible(g):
             raise SingularGenerator(f"singular generator {g!r}")
     cells = [(i, j) for i in range(n) for j in range(n)]
-    found, index, spanning, rows, parents, inv = _search(
+    found, index, spanning, rows, parent, letter = _search(
         tuple(int(i == j) for i, j in cells),
         [tuple(g.raw(i, j) for i, j in cells) for g in gens],
         lambda g: ctx.left_mul(g, n),
         order_cap,
     )
-    return MatrixGroup(ctx, n, gens, found, index, inv, spanning, parents, rows)
+    return MatrixGroup(ctx, n, gens, found, index, spanning, rows, parent, letter)
 
 
 def _parameter_group(
@@ -232,13 +261,13 @@ def _parameter_group(
     """The group of a family, `_search` run on its parameters, whose
     `product` is the matrix product of their images under `element`: one
     row-major tuple per element, and the matrices of S' as the generators."""
-    params, _, spanning, rows, parents, inv = _search(
+    params, _, spanning, rows, parent, letter = _search(
         identity, generators, lambda g: partial(product, g), order_cap
     )
     elements = list(map(element, params))
     index = {x: i for i, x in enumerate(elements)}
     gens = [Matrix(ctx, n, n, list(elements[s])) for s in spanning]
-    return MatrixGroup(ctx, n, gens, elements, index, inv, spanning, parents, rows)
+    return MatrixGroup(ctx, n, gens, elements, index, spanning, rows, parent, letter)
 
 
 # ---------------------------------------------------------------------------

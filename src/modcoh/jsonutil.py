@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import tempfile
 
 
@@ -26,7 +27,17 @@ def digest_of(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename."""
+    """Write via a sibling temp file and rename.  A path that exists and is
+    not a regular file, such as a device or a FIFO, is written in place:
+    the rename would replace it with a file its reader never sees."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".modcoh-", suffix=".tmp")
     try:

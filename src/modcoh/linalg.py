@@ -16,7 +16,6 @@ Every loop over cells is a row kernel of the field context, whose class
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Optional, Sequence, Union
 
@@ -330,7 +329,6 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     return basis
 
 
-@dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact linear solve a @ x = b.
 
@@ -339,9 +337,14 @@ class SolveResult:
     y @ b != 0, re-checkable without the solver.
     """
 
-    consistent: bool
-    solution: Optional[Matrix]
-    certificate: Optional[Matrix]
+    __slots__ = ("consistent", "solution", "certificate")
+
+    def __init__(
+        self, consistent: bool, solution: Optional[Matrix], certificate: Optional[Matrix]
+    ):
+        self.consistent = consistent
+        self.solution = solution
+        self.certificate = certificate
 
 
 def solve(a: Matrix, b: Matrix) -> SolveResult:

@@ -22,7 +22,6 @@ tuple of encodings.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
@@ -235,7 +234,6 @@ def direct_sum_mod(mods: Sequence[GModule]) -> GModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntertwinerResult:
     """Solution space of N(s) T = T M(s) plus an invertible pick, if any.
 
@@ -244,10 +242,19 @@ class IntertwinerResult:
     invertible element; `searched` says which strategy ran.
     """
 
-    space_dim: int
-    basis: tuple[Matrix, ...]
-    matrix: Optional[Matrix]
-    searched: str  # "none", "exhaustive", or "sampled"
+    __slots__ = ("space_dim", "basis", "matrix", "searched")
+
+    def __init__(
+        self,
+        space_dim: int,
+        basis: tuple[Matrix, ...],
+        matrix: Optional[Matrix],
+        searched: str,  # "none", "exhaustive", or "sampled"
+    ):
+        self.space_dim = space_dim
+        self.basis = basis
+        self.matrix = matrix
+        self.searched = searched
 
 
 def find_intertwiner(m: GModule, n: GModule, seed: int = 0) -> IntertwinerResult:

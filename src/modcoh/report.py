@@ -26,8 +26,6 @@ digest binds every field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .build import NonSplitSequence, build_nonsplit_sequence
 from .grp import MatrixGroup, group_to_json
 from .jsonutil import atomic_write_text, canonical_json, digest_of
@@ -41,10 +39,12 @@ from .verify import (
 )
 
 
-@dataclass
 class PipelineResult:
-    sequence: NonSplitSequence
-    report: dict
+    __slots__ = ("sequence", "report")
+
+    def __init__(self, sequence: NonSplitSequence, report: dict):
+        self.sequence = sequence
+        self.report = report
 
 
 def run_pipeline(group: MatrixGroup, params: dict, seed: int = 0) -> PipelineResult:

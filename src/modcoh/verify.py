@@ -166,32 +166,35 @@ def _code(exps: Sequence[int], d: int) -> int:
     return code
 
 
-def _convolve(ctx: FieldCtx, a: dict, b: dict) -> dict:
-    """Product of two polynomials stored as {monomial code: nonzero value},
-    independent of the polynomial module; the code of a term product is the
-    sum of the codes."""
-    add, mul = ctx.add_i, ctx.mul_i
-    out: dict = {}
-    get = out.get
-    for c1, v1 in a.items():
-        for c2, v2 in b.items():
-            out[c1 + c2] = add(get(c1 + c2, 0), mul(v1, v2))
-    return {c: v for c, v in out.items() if v}
-
-
 def _image(ctx: FieldCtx, sigma: Element, n: int, exps: Sequence[int]) -> dict:
     """x^exps under x_j -> l_j = sum_i sigma_ij x_i, for sigma a row-major
-    tuple of encodings: prod_j l_j^(e_j), one linear factor at a time, as
-    {monomial code: nonzero value} over the codes of degree d = sum(exps).
-    Its coefficients are the column of x^exps in the substitution action
-    on the degree-d monomials, with no basis formed."""
+    tuple of encodings: prod_j l_j^(e_j) as {monomial code: nonzero value}
+    over the codes of degree d = sum(exps), independent of the polynomial
+    module; the code of a term product is the sum of the codes.  A one-term
+    l_j = v x_i is raised in one step, v^e x_i^e, and a longer one is
+    multiplied in e times.  Its coefficients are the column of x^exps in
+    the substitution action on the degree-d monomials, with no basis
+    formed."""
+    add, mul = ctx.add_i, ctx.mul_i
     d = sum(exps)
     image = {0: 1}
     for j, e in enumerate(exps):
-        lin = {(d + 1) ** i: sigma[i * n + j] for i in range(n) if sigma[i * n + j]}
+        if not e:
+            continue
+        lin = [((d + 1) ** i, sigma[i * n + j]) for i in range(n) if sigma[i * n + j]]
+        if len(lin) == 1:
+            (code, v), = lin
+            shift, scale = code * e, ctx.pow_i(v, e)
+            image = {c + shift: mul(w, scale) for c, w in image.items()}
+            continue
         for _ in range(e):
-            image = _convolve(ctx, image, lin)
-    return image
+            out: dict = {}
+            get = out.get
+            for c1, w in image.items():
+                for c2, v in lin:
+                    out[c1 + c2] = add(get(c1 + c2, 0), mul(w, v))
+            image = out
+    return {c: v for c, v in image.items() if v}
 
 
 def _restriction_row(

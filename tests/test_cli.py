@@ -1,11 +1,14 @@
 """CLI surface: exit codes, reports, verification, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
-from dataclasses import asdict
 
 import pytest
 
+import modcoh
 from modcoh.cli import JobSpec, main
 from modcoh.errors import ModcohError
 from modcoh.gf import field_to_json, field_new
@@ -27,14 +30,54 @@ def test_jobspec_round_trip():
 
 
 @pytest.mark.parametrize("modulus", [None, [1, 1, 0, 0, 0, 0, 0, 1]])
-def test_jobspec_to_dict_equals_asdict_and_copies_the_modulus(modulus):
+def test_jobspec_to_dict_lists_the_fields_in_flag_order_and_copies_the_modulus(modulus):
     spec = JobSpec(p=2, k=7, modulus=modulus, n=2, seed=1, out="x.json")
     obj = spec.to_dict()
-    assert obj == asdict(spec)
-    assert list(obj) == list(asdict(spec))
+    expected = {"p": 2, "k": 7, "modulus": modulus, "n": 2, "group": "family-a",
+                "order_cap": 10_000, "seed": 1, "out": "x.json"}
+    assert obj == expected
+    assert list(obj) == list(expected)
     if modulus is not None:
         obj["modulus"].append(5)
         assert spec.modulus == [1, 1, 0, 0, 0, 0, 0, 1]
+
+
+# prints the modules loaded, after running the statement given, and the
+# number of exec calls on source text, which is how generated code runs
+STARTUP_PROBE = """
+import builtins, sys
+generated = []
+exec_ = builtins.exec
+def counting_exec(source, *args, **kwargs):
+    if isinstance(source, str):
+        generated.append(source)
+    return exec_(source, *args, **kwargs)
+builtins.exec = counting_exec
+{}
+modules = sorted(sys.modules)
+import json
+print(json.dumps([modules, len(generated)]))
+"""
+
+
+def _started(statement):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modcoh.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE.format(statement)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    modules, generated = json.loads(out)
+    return set(modules), generated
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are plain classes: @dataclass would exec generated methods
+    # on every import and load inspect in a new process
+    bare, _ = _started("pass")
+    loaded, generated = _started("import modcoh.cli")
+    added = loaded - bare
+    assert "modcoh.cli" in added and "modcoh.verify" in added
+    assert not {"dataclasses", "inspect"} & added
+    assert generated == 0
 
 
 def test_construct_and_verify(tmp_path):

@@ -208,10 +208,19 @@ def test_closure_makes_one_product_per_s_prime_and_non_identity_element(monkeypa
 
 def matrix_search(ctx, n, gens):
     """The reference for both closures: `_search` over Matrix products, as
-    closure ran it before its products were prepared tuple kernels."""
-    found, _, spanning, rows, parents, inv = grp._search(
+    closure ran it before its products were prepared tuple kernels, with its
+    tree and inverses read through the properties of a group on those
+    Matrix elements, and each checked by Matrix products."""
+    found, index, spanning, rows, parent, letter = grp._search(
         Matrix.identity(ctx, n), gens, lambda g: g.__matmul__, 10_000
     )
+    group = MatrixGroup(ctx, n, gens, found, index, spanning, rows, parent, letter)
+    parents, inv = group.tree_parents, group.inv
+    identity = found[0]
+    assert all(found[i] @ found[inv[i]] == identity for i in range(len(found)))
+    assert parents[0] is None
+    assert all(found[x] == found[s] @ found[h] and s in spanning and h < x
+               for x, (s, h) in enumerate(parents[1:], 1))
     return found, spanning, rows, parents, inv
 
 
