@@ -7,9 +7,10 @@ with zero first columns, flattened row-major), iota restricts to the
 identity on W, and g_s = (s-1) iota is a cocycle whose class obstructs the
 splitting of 0 -> U -> U + K iota -> K -> 0.
 
-The construction checks the one claim that depends on the group, the
+The group comes closed by the verifier's own search, `verify._search`
+(grp), and the construction checks the one claim that depends on it, the
 closed-form non-split row y on the subgroup H, with the verifier's own
-functions: `verify._restriction_row` finds H by the rule the report's
+functions too: `verify._restriction_row` finds H by the rule the report's
 equation text states, at most q lookups of its candidates in the group's
 index and none after the second hit, and y; `verify._check_restriction`
 reads y's two identities off the images of at most two pinned monomials

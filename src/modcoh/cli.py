@@ -27,13 +27,14 @@ from .errors import (
     ModcohError,
     TheoremViolation,
 )
-from .gf import field_from_json, field_new
+from .gf import field_new
 from .grp import (
     DEFAULT_ORDER_CAP,
     MatrixGroup,
     additive_family,
     group_spec_from_json,
     paired_shear_family,
+    parse_group_spec,
 )
 from .jsonutil import canonical_json
 from .linalg import matrix_json_text
@@ -127,11 +128,9 @@ def build_group(spec: JobSpec) -> MatrixGroup:
         path = spec.group[len("file:"):]
         with open(path, "r") as handle:
             obj = json.load(handle)
-        # the field and n are checked before the closure, which may be long
-        try:
-            file_ctx, n = field_from_json(obj["field"]), obj["n"]
-        except KeyError as exc:
-            raise ModcohError(f"bad group spec: missing {exc}") from exc
+        # the spec's kinds, field and n are checked before the closure,
+        # which may be long
+        file_ctx, n, _ = parse_group_spec(obj)
         if file_ctx is not ctx:
             raise ModcohError(
                 f"group file is over {file_ctx!r} with modulus {list(file_ctx.modulus)}, "

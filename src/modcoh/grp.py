@@ -2,17 +2,18 @@
 
 A group is enumerated by one breadth-first search from the identity by left
 multiplication with the generators, taken in the given order, so element
-ids are reproducible and can be cited by certificates (`_search`).
-`closure` runs it on row-major tuples of encodings.  The named families
-used by the pipeline run it on their parameters, whose addition is the
-matrix product of the family, and map each parameter to its tuple; they
-find the elements, ids and search tree that `closure` finds from their
-generators.  A group holds its elements as those tuples and makes a
-`Matrix` of one only when asked (`MatrixGroup.matrix`).  A report names
-the group by its generators and order; the verifier closes the generators
-itself.  The family tuples are also the candidates for the subgroup H of
-the non-split certificate, which `verify._restriction_row` looks up in a
-group's `index`.
+ids are reproducible and can be cited by certificates.  The search is the
+verifier's own `verify._search`, so construct and verify close a group by
+one function.  `closure` runs it on row-major tuples of encodings.  The
+named families used by the pipeline run it on their parameters, whose
+addition is the matrix product of the family, and map each parameter to
+its tuple; they find the elements, ids and search tree that `closure`
+finds from their generators.  A group holds its elements as those tuples
+and makes a `Matrix` of one only when asked (`MatrixGroup.matrix`).  A
+report names the group by its generators and order; the verifier closes
+the generators itself.  The family tuples are also the candidates for the
+subgroup H of the non-split certificate, which `verify._restriction_row`
+looks up in a group's `index`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .errors import (
     MixedContexts,
     ModcohError,
     NotAdditivelyClosed,
-    OrderCapExceeded,
     ShapeMismatch,
     SingularGenerator,
 )
-from .gf import FieldCtx, FieldElement, field_to_json
-from .linalg import Matrix, is_invertible, matrix_to_json
+from .gf import FieldCtx, FieldElement, field_from_json, field_to_json
+from .linalg import Matrix, is_invertible, matrix_from_json, matrix_to_json
+from .verify import _search
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -58,15 +59,15 @@ class MatrixGroup:
     value defined on S' and the identity extends to every element along
     these edges.
 
-    The group keeps the tree as the search leaves it, `_parent[x]` = t and
-    `_letter[x]` = the position of s in S', and makes `tree_parents` and
-    `inv` from it and the S' rows on first read: the report path reads
-    neither, and only `h1`, the module recipes and the toy do.
+    The group keeps what the search leaves, the inverse of each element of
+    S' and `_letter[x]` = the position of s in S', and makes `tree_parents`
+    and `inv` from them on first read: the report path reads neither, and
+    only `h1`, the module recipes and the toy do.
     """
 
     __slots__ = (
         "ctx", "n", "generators", "elements", "index", "spanning_ids",
-        "_parent", "_letter", "_rows", "_inv", "_tree_parents",
+        "_inverse", "_letter", "_rows", "_inv", "_tree_parents",
     )
 
     def __init__(
@@ -77,25 +78,22 @@ class MatrixGroup:
         elements: list[Element],
         index: dict[Element, int],
         spanning_ids: list[int],
-        spanning_rows: list[list[int]],
-        parent: list[int],
+        inverse: dict[int, int],
         letter: list[int],
     ):
-        """`index` maps each element to its id; `spanning_rows[b]` is the
-        row of `mul(spanning_ids[b], .)`, and element x > 0 is
-        `spanning_ids[letter[x]]` times element `parent[x]`, as the search
-        found them."""
+        """`index` maps each element to its id, `inverse` each element of
+        S' to its inverse's id, and element x > 0 is
+        `spanning_ids[letter[x]]` times an earlier element, as the search
+        (`verify._search`) found them."""
         self.ctx = ctx
         self.n = n
         self.generators = generators
         self.elements = elements
         self.index = index
         self.spanning_ids = spanning_ids
-        self._parent = parent
+        self._inverse = inverse
         self._letter = letter
         self._rows: list[Optional[list[int]]] = [None] * len(elements)
-        for s, row in zip(spanning_ids, spanning_rows):
-            self._rows[s] = row
         self._inv: Optional[list[int]] = None
         self._tree_parents: Optional[list[Optional[tuple[int, int]]]] = None
 
@@ -105,11 +103,16 @@ class MatrixGroup:
 
     @property
     def tree_parents(self) -> list[Optional[tuple[int, int]]]:
+        """x = s t with s = S'[letter[x]], so t = s^-1 x: one left product
+        of the element of S'^-1 that `ctx.left_mul` prepares once per s."""
         if self._tree_parents is None:
+            n, elements, index = self.n, self.elements, self.index
             spanning = self.spanning_ids
+            back = [self.ctx.left_mul(elements[self._inverse[s]], n) for s in spanning]
             parents: list[Optional[tuple[int, int]]] = [None]
             parents.extend(
-                (spanning[b], h) for b, h in zip(self._letter[1:], self._parent[1:])
+                (spanning[b], index[back[b](x)])
+                for b, x in zip(self._letter[1:], elements[1:])
             )
             self._tree_parents = parents
         return self._tree_parents
@@ -117,22 +120,20 @@ class MatrixGroup:
     @property
     def inv(self) -> list[int]:
         """The id of each element's inverse, from the search tree and the S'
-        rows with no product.  x = s h has x^-1 = h^-1 s^-1.  Right
-        multiplication by s^-1 commutes with the S' rows, so
-        right[b][x] = x s^-1 follows the tree from right[b][0] = s^-1, the
-        element that row b sends to the identity."""
+        rows.  x = s h has x^-1 = h^-1 s^-1.  Right multiplication by s^-1
+        commutes with the S' rows, so right[s][x] = x s^-1 follows the tree
+        from right[s][0] = s^-1."""
         if self._inv is None:
-            parent, letter = self._parent, self._letter
-            left = [self._rows[s] for s in self.spanning_ids]
-            right = []
-            for row in left:
-                r = [row.index(0)]
-                for x in range(1, len(parent)):
-                    r.append(left[letter[x]][r[parent[x]]])
-                right.append(r)
-            inv = [0] * len(parent)
-            for x in range(1, len(parent)):
-                inv[x] = right[letter[x]][inv[parent[x]]]
+            parents = self.tree_parents
+            left = {s: self._row(s) for s in self.spanning_ids}
+            right = {}
+            for s in self.spanning_ids:
+                r = right[s] = [self._inverse[s]]
+                for t, h in parents[1:]:
+                    r.append(left[t][r[h]])
+            inv = [0] * len(parents)
+            for x, (s, h) in enumerate(parents[1:], 1):
+                inv[x] = right[s][inv[h]]
             self._inv = inv
         return self._inv
 
@@ -141,83 +142,20 @@ class MatrixGroup:
         return Matrix(self.ctx, self.n, self.n, list(self.elements[i]))
 
     def mul(self, i: int, j: int) -> int:
-        """Index of the product of elements i and j.
+        """Index of the product of elements i and j."""
+        return self._row(i)[j]
 
-        Products are tabulated one row per left factor, on first use, by
-        the left product `ctx.left_mul` of element i; the rows of S' come
-        from the search.
-        """
+    def _row(self, i: int) -> list[int]:
+        """Row i of the multiplication table, tabulated on first use by the
+        left product `ctx.left_mul` of element i."""
         row = self._rows[i]
         if row is None:
             left, index = self.ctx.left_mul(self.elements[i], self.n), self.index
             row = self._rows[i] = [index[left(b)] for b in self.elements]
-        return row[j]
+        return row
 
     def __repr__(self) -> str:
         return f"MatrixGroup(order={self.order}, n={self.n}, field={self.ctx!r})"
-
-
-def _search(
-    identity: Hashable,
-    generators: Iterable[Hashable],
-    left_mul: Callable[[Hashable], Callable[[Hashable], Hashable]],
-    order_cap: int,
-) -> tuple:
-    """The group that `generators` make, in one breadth-first search from
-    `identity`; `left_mul(g)`, asked for once per kept generator, is x -> g x.
-
-    The search multiplies by S' on the left (see `MatrixGroup`): it takes
-    the generators in order, skips each one it has already reached, and
-    otherwise keeps it, multiplies every element found so far by it, and
-    goes on taking each later element times every kept generator.  Element
-    ids are the order of discovery.  The set found holds every generator
-    and is closed under S', so it is the group, found with |S'|(|G| - 1)
-    products; they are the S' rows of the multiplication table, and the
-    inverses follow from those rows with no further product.  (Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory, 2005.)
-
-    Returns the elements in order of discovery with their ids, S', the S'
-    rows, and the search tree as `parent` and `letter`: element x > 0 was
-    found as S'[letter[x]] times element parent[x].  The tree parents and
-    the inverses follow from these (`MatrixGroup.tree_parents`, `.inv`).
-    """
-    # found[x] = kept[letter[x]] * found[parent[x]] for x > 0, and
-    # left[b][h] is the id of kept[b] * found[h]
-    found, index = [identity], {identity: 0}
-    parent, letter = [0], [-1]
-    kept: list = []
-    muls: list = []
-    left: list[list[int]] = []
-
-    def visit(b: int, h: int) -> int:
-        x = muls[b](found[h]) if h else kept[b]
-        i = index.get(x)
-        if i is None:
-            i = index[x] = len(found)
-            found.append(x)
-            parent.append(h)
-            letter.append(b)
-            if len(found) > order_cap:
-                raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
-        return i
-
-    for g in generators:
-        if g in index:
-            continue
-        kept.append(g)
-        muls.append(left_mul(g))
-        left.append([])
-        # the new row catches up with the elements found so far, then every
-        # row takes each element found after them
-        done = len(found)
-        left[-1].extend(visit(len(kept) - 1, h) for h in range(done))
-        while done < len(found):
-            for b, row in enumerate(left):
-                row.append(visit(b, done))
-            done += 1
-
-    spanning = [row[0] for row in left]
-    return found, index, spanning, left, parent, letter
 
 
 def closure(
@@ -240,13 +178,13 @@ def closure(
         if not is_invertible(g):
             raise SingularGenerator(f"singular generator {g!r}")
     cells = [(i, j) for i in range(n) for j in range(n)]
-    found, index, spanning, rows, parent, letter = _search(
+    found, index, spanning, inverse, letter = _search(
         tuple(int(i == j) for i, j in cells),
         [tuple(g.raw(i, j) for i, j in cells) for g in gens],
         lambda g: ctx.left_mul(g, n),
         order_cap,
     )
-    return MatrixGroup(ctx, n, gens, found, index, spanning, rows, parent, letter)
+    return MatrixGroup(ctx, n, gens, found, index, spanning, inverse, letter)
 
 
 def _parameter_group(
@@ -261,13 +199,13 @@ def _parameter_group(
     """The group of a family, `_search` run on its parameters, whose
     `product` is the matrix product of their images under `element`: one
     row-major tuple per element, and the matrices of S' as the generators."""
-    params, _, spanning, rows, parent, letter = _search(
+    params, _, spanning, inverse, letter = _search(
         identity, generators, lambda g: partial(product, g), order_cap
     )
     elements = list(map(element, params))
     index = {x: i for i, x in enumerate(elements)}
     gens = [Matrix(ctx, n, n, list(elements[s])) for s in spanning]
-    return MatrixGroup(ctx, n, gens, elements, index, spanning, rows, parent, letter)
+    return MatrixGroup(ctx, n, gens, elements, index, spanning, inverse, letter)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +251,7 @@ def additive_family(
     addition per step, over every parameter in encoding order.  It keeps a
     basis of U over F_p (k elements for U = GF(p^k)), each parameter
     outside the span of those kept before it, and the group publishes
-    their matrices as its generators.  Element ids, S', the S' rows and
+    their matrices as its generators.  Element ids, S', its inverses and
     the search tree are those of `closure` over these generators, and of
     `closure` over the matrices of all nonzero parameters in encoding order.
     """
@@ -381,15 +319,25 @@ def group_to_json(group: MatrixGroup) -> dict:
     }
 
 
-def group_spec_from_json(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGroup:
-    """Build a group from a spec {field, n, generators}."""
-    from .gf import field_from_json
-    from .linalg import matrix_from_json
-
+def parse_group_spec(obj) -> tuple[FieldCtx, int, list]:
+    """The field, n and serialized generators of a spec {field, n,
+    generators}, each checked for its kind before any matrix is read: the
+    spec is an object, n passes the verifier's rule (an int >= 1) and the
+    generators are a list."""
+    if not isinstance(obj, dict):
+        raise ModcohError(f"bad group spec: a {type(obj).__name__}, not an object")
     try:
-        ctx = field_from_json(obj["field"])
-        n = obj["n"]
-        gens = [matrix_from_json(ctx, g) for g in obj["generators"]]
+        ctx, n, gens = field_from_json(obj["field"]), obj["n"], obj["generators"]
     except KeyError as exc:
         raise ModcohError(f"bad group spec: missing {exc}") from exc
-    return closure(ctx, n, gens, order_cap)
+    if type(n) is not int or n < 1:
+        raise ModcohError(f"bad group spec: n = {n!r} is not a positive integer")
+    if not isinstance(gens, list):
+        raise ModcohError(f"bad group spec: generators are a {type(gens).__name__}, not a list")
+    return ctx, n, gens
+
+
+def group_spec_from_json(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> MatrixGroup:
+    """Build a group from a spec {field, n, generators}."""
+    ctx, n, gens = parse_group_spec(obj)
+    return closure(ctx, n, [matrix_from_json(ctx, g) for g in gens], order_cap)

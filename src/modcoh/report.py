@@ -10,8 +10,9 @@ the symmetric-power action, the cocycle values and the closed-form
 non-split row y on the subgroup H that the equation text names) is left
 out, and so is every cohomology number: the claims need none.  The
 verifier checks the group (closure and order, and H in G by lookup) and
-the dims against their formulas; both sides check the one claim that
-depends on the group, the non-split certificate, with the same functions
+the dims against their formulas.  Both sides close the group by the same
+search (verify._search), and check the one claim that depends on the
+group, the non-split certificate, with the same functions
 (verify._restriction_row and verify._check_restriction), from the images
 of at most two pinned monomials under the elements of H^-1.  The rest
 holds by proof: the block form of the symmetric-power action (the

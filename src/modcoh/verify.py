@@ -1,8 +1,8 @@
 """Independent re-checker for pipeline reports.
 
 Deliberately shares only the field and matrix primitives with the builder,
-which checks its own certificate with `_restriction_row` and
-`_check_restriction` from here.
+which closes its groups with `_search` and checks its own certificate with
+`_restriction_row` and `_check_restriction`, all from here.
 A v6 report names the group by its field, generators and order, states
 the order cap and the dimensions, and makes each claim an equation text;
 it ships nothing that n and p fix, and no solver output.  The verifier
@@ -22,13 +22,14 @@ must have exactly the v6 fields, so no sealed field goes unchecked by
 accident.  The payload digest binds every field, and every field is
 checked by something other than the digest.
 
-The group is closed here from its generators by the search that
-grp.closure makes (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, section 7.6): from the identity by left multiplication with
-S', the generators in order, each kept only when the search has not
-reached it yet.  The search stops past the stated order, and must reach
-exactly that many elements, which order_cap bounds.  Its products are
-S' x G, so each element of S' meets its inverse in its own row.  It runs
+The group is closed here from its generators by `_search`, the search
+that grp.closure and grp's families run too (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 7.6): from the
+identity by left multiplication with S', the generators in order, each
+kept only when the search has not reached it yet.  The search stops past
+the stated order, and must reach exactly that many elements, which
+order_cap bounds.  Its products are S' x G, so each element of S' meets
+its inverse in its own row.  It runs
 on raw encodings: an element is a row-major tuple, the generators are
 parsed straight into them, each element of S' multiplies by the left
 product ctx.left_mul prepared for it once, and the ids it finds are still
@@ -96,9 +97,9 @@ from __future__ import annotations
 
 import json
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import CorruptReport, FailedCheck, ModcohError
+from .errors import CorruptReport, FailedCheck, ModcohError, OrderCapExceeded
 from .gf import FieldCtx, field_from_json
 from .jsonutil import digest_of
 from .linalg import (
@@ -297,35 +298,45 @@ def _check_restriction(
         _fail("nonsplit", "y kills g on H")
 
 
-def _generated(
-    ctx: FieldCtx, n: int, generators: list[Element], order: int
-) -> tuple[list[Element], list[int], dict[int, int], dict[Element, int]]:
-    """The elements of <generators>, each a row-major tuple of encodings,
-    S', the inverse of each element of S' and back, and the id of each
-    element.
+def _search(
+    identity: Hashable,
+    generators: Iterable[Hashable],
+    left_mul: Callable[[Hashable], Callable[[Hashable], Hashable]],
+    cap: int,
+) -> tuple[list, dict, list[int], dict[int, int], list[int]]:
+    """The group that `generators` make, in one breadth-first search from
+    `identity`; `left_mul(g)`, asked for once per kept generator, is x -> g x.
+    Elements are any hashable values: row-major tuples of encodings here and
+    in grp.closure, and the parameters of grp's named families.
 
-    The search of grp.closure: a generator is kept, as the next element of
-    S', only when the search has not reached it; its row then catches up
-    with the elements found so far, and every row takes each element found
-    after them.  Element ids are the order of discovery, so they and S' are
-    the builder's.  The rows are S' x G, so an element of S' meets its
-    inverse in its own row; the products are not kept.  Each product is the
-    ctx.left_mul of its element of S', prepared once.  Fails `group` past
-    `order` elements, short of it, or when an element of S' never meets
-    the identity in its row, which a group element must.
+    The search multiplies by S' on the left: it takes the generators in
+    order, skips each one it has already reached, and otherwise keeps it,
+    as the next element of S', multiplies every element found so far by
+    it, and goes on taking each later element times every kept generator.
+    Element ids are the order of discovery.  The set found holds every
+    generator and is closed under S', so it is the group, found with
+    |S'|(|G| - 1) products (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, section 7.6).  The products are
+    S' x G, so each element of S' meets its inverse in its own row; they
+    are not kept.  Raises OrderCapExceeded past `cap` elements.
+
+    Returns the elements in order of discovery, the id of each, S', the
+    inverse of each element of S' and back, and the search tree as
+    `letter`: element x > 0 was found as S'[letter[x]] times an earlier
+    element, which is S'[letter[x]]^-1 x (grp.MatrixGroup.tree_parents).
     """
-    identity = tuple(int(i == j) for i in range(n) for j in range(n))
     elements, index = [identity], {identity: 0}
     spanning: list[int] = []
     muls: list = []
     inverse: dict[int, int] = {}
+    letter = [-1]
     for g in generators:
         if g in index:
             continue
         # g is new, so g = g 1 gets the next id; the elements h found before
         # g take its row only, and every later one takes every row
         spanning.append(len(elements))
-        muls.append(ctx.left_mul(g, n))
+        muls.append(left_mul(g))
         first, h = len(elements), 0
         while h < len(elements):
             x0 = elements[h]
@@ -333,13 +344,34 @@ def _generated(
                 x = muls[b](x0) if h else g
                 k = index.get(x)
                 if k is None:
-                    if len(elements) == order:
-                        _fail("group", f"the generators make more than the {order} elements stated")
+                    if len(elements) == cap:
+                        raise OrderCapExceeded(f"group order exceeds cap {cap}")
                     index[x] = len(elements)
                     elements.append(x)
+                    letter.append(b)
                 elif k == 0:
                     inverse[spanning[b]], inverse[h] = h, spanning[b]
             h += 1
+    return elements, index, spanning, inverse, letter
+
+
+def _generated(
+    ctx: FieldCtx, n: int, generators: list[Element], order: int
+) -> tuple[list[Element], list[int], dict[int, int], dict[Element, int]]:
+    """The elements of <generators>, each a row-major tuple of encodings,
+    S', the inverse of each element of S' and back, and the id of each
+    element: `_search` under ctx.left_mul, capped at `order`, so element
+    ids and S' are the builder's.  Fails `group` past `order` elements,
+    short of it, or when an element of S' never meets the identity in its
+    row, which a group element must.
+    """
+    identity = tuple(int(i == j) for i in range(n) for j in range(n))
+    try:
+        elements, index, spanning, inverse, _ = _search(
+            identity, generators, lambda g: ctx.left_mul(g, n), order
+        )
+    except OrderCapExceeded:
+        _fail("group", f"the generators make more than the {order} elements stated")
     if len(elements) != order:
         _fail("group", f"the generators reach {len(elements)} of the {order} elements stated")
     for s in spanning:

@@ -238,6 +238,26 @@ def test_group_file_over_another_modulus_is_rejected(tmp_path, capsys):
                 "--group", group, "--out", str(tmp_path / "r.json")]) == 0
 
 
+F5_FIELD = field_to_json(field_new(5))
+
+
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    {"field": F5_FIELD, "n": 2, "generators": 5},
+    {"field": F5_FIELD, "n": "2", "generators": []},
+], ids=["not_an_object", "generators_not_a_list", "n_not_an_int"])
+def test_malformed_group_file_is_one_error_line(spec, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    for argv in (["construct", "--p", "5", "--group", f"file:{path}", "--out", str(out)],
+                 ["h1", "--p", "5", "--group", f"file:{path}", "--module", "u"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad group spec: "), err
+        assert not out.exists()
+
+
 def test_h1_trivial_module_trivial_group(tmp_path, capsys):
     F3 = field_new(3)
     gf_path = tmp_path / "trivial_group.json"

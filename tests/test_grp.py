@@ -29,6 +29,7 @@ from modcoh.grp import (
 )
 from modcoh.jsonutil import digest_of
 from modcoh.linalg import Matrix, inverse, is_invertible, matrix_to_json
+from modcoh.report import run_pipeline
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -132,8 +133,8 @@ def test_closure_matches_the_reference_closure(case):
     assert matrices(g) == elements
     assert g.generators == gens
     assert g.inv == inv
-    # the S' rows come filled from closure, before any product is asked for,
-    # and the other rows, tabulated on tuples, are the Matrix products
+    # reading inv tabulates the S' rows and no other, and every row,
+    # tabulated on tuples, is the Matrix products
     assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(spanning)
     for s in spanning:
         assert g._rows[s] == [index[elements[s] @ h] for h in elements]
@@ -207,16 +208,25 @@ def test_closure_makes_one_product_per_s_prime_and_non_identity_element(monkeypa
 
 
 def matrix_search(ctx, n, gens):
-    """The reference for both closures: `_search` over Matrix products, as
-    closure ran it before its products were prepared tuple kernels, with its
-    tree and inverses read through the properties of a group on those
-    Matrix elements, and each checked by Matrix products."""
-    found, index, spanning, rows, parent, letter = grp._search(
+    """The reference for both closures: the shared `_search` over Matrix
+    products, as closure ran it before its products were prepared tuple
+    kernels.  The S' rows are formed here by Matrix products, and the tree
+    and the inverses are read off them and checked by Matrix products."""
+    found, index, spanning, inverse, letter = verify._search(
         Matrix.identity(ctx, n), gens, lambda g: g.__matmul__, 10_000
     )
-    group = MatrixGroup(ctx, n, gens, found, index, spanning, rows, parent, letter)
-    parents, inv = group.tree_parents, group.inv
+    rows = [[index[found[s] @ h] for h in found] for s in spanning]
     identity = found[0]
+    # each element of S' meets its inverse in its own row, and the search
+    # records it both ways
+    assert inverse == {**{s: row.index(0) for s, row in zip(spanning, rows)},
+                       **{row.index(0): s for s, row in zip(spanning, rows)}}
+    # x was found as S'[letter[x]] t, so row letter[x] sends t to x
+    parents = [None] + [(spanning[b], rows[b].index(x)) for x, b in enumerate(letter[1:], 1)]
+    # x = s t has x^-1 = t^-1 s^-1, and t comes before x
+    inv = [0] * len(found)
+    for x, (s, t) in enumerate(parents[1:], 1):
+        inv[x] = index[found[inv[t]] @ found[inverse[s]]]
     assert all(found[i] @ found[inv[i]] == identity for i in range(len(found)))
     assert parents[0] is None
     assert all(found[x] == found[s] @ found[h] and s in spanning and h < x
@@ -259,7 +269,7 @@ def test_both_closures_equal_the_matrix_search(label):
     tuples = list(map(row_major, found))
     assert g.elements == tuples and g.index == {t: i for i, t in enumerate(tuples)}
     assert g.spanning_ids == spanning and g.tree_parents == parents and g.inv == inv
-    assert [g._rows[s] for s in spanning] == s_rows
+    assert [[g.mul(s, h) for h in range(g.order)] for s in spanning] == s_rows
 
     elements, v_spanning, v_inverse, v_index = verify._generated(
         ctx, n, list(map(row_major, gens)), len(found)
@@ -267,6 +277,28 @@ def test_both_closures_equal_the_matrix_search(label):
     assert elements == tuples and v_index == {t: i for i, t in enumerate(tuples)}
     assert v_spanning == spanning
     assert v_inverse == {**{inv[s]: s for s in spanning}, **{s: inv[s] for s in spanning}}
+
+
+def test_one_search_closes_every_group(monkeypatch):
+    # construct's closure, both families and the verifier run the one
+    # breadth-first search, verify._search, once per group
+    assert grp._search is verify._search
+    report = run_pipeline(additive_family(F4), {"order_cap": 100}).report
+    calls = []
+    search = verify._search
+
+    def searching(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(grp, "_search", searching)
+    monkeypatch.setattr(verify, "_search", searching)
+    shear = Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    for make in (lambda: closure(F3, 2, [shear]), lambda: additive_family(F4),
+                 lambda: paired_shear_family(F3), lambda: verify.verify_report(report)):
+        calls.clear()
+        make()
+        assert len(calls) == 1
 
 
 def test_closure_trivial():
@@ -433,11 +465,11 @@ def test_spanning_ids_drop_redundant_generators():
 
 
 def test_mul_tabulates_only_the_rows_it_is_asked_for():
+    # the search keeps no row, not even those of S'
     g = additive_family(field_new(2, 3))
-    s = g.spanning_ids
-    assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(s)
+    assert [i for i in range(g.order) if g._rows[i] is not None] == []
     assert g.mul(5, 3) == g.index[row_major(g.matrix(5) @ g.matrix(3))]
-    assert [i for i in range(g.order) if g._rows[i] is not None] == sorted(set(s) | {5})
+    assert [i for i in range(g.order) if g._rows[i] is not None] == [5]
 
 
 def test_closure_errors():
